@@ -4,12 +4,12 @@ Values are rank-2 float64 arrays (vectors are 1 x n rows, scalars 1 x 1).
 Every operation appends one node to a Tape; node order is the topological
 order, so the backward pass is a single reverse sweep over the node list.
 
-Backward rules are themselves written with tape operations, so the adjoint
-of a node is a new node on the same tape.  Gradients therefore stay
-differentiable: a scalar assembled from the output of ``gradients`` can be
-differentiated again by calling ``gradients`` on it, which is how mixed
-second-order terms (parameter gradients of expressions containing
-input-gradients of networks) are computed exactly.
+Differentiation is first order.  Each node's backward rule is a plain
+numpy function from its adjoint array to its parents' adjoint arrays, so
+the sweep accumulates arrays and records nothing on the tape except one
+node per requested adjoint.  Rules skip the arithmetic for parents that
+need no gradient.  The adjoint nodes have no derivative rule:
+differentiating through one raises NonDifferentiablePrimitiveError.
 """
 
 from __future__ import annotations
@@ -127,19 +127,21 @@ class Tape:
         """A leaf whose adjoint will be tracked."""
         return self._append(_as_value(x), (), "input", True)
 
-    def gradients(self, output: Tensor, leaves, seed: Tensor | None = None):
+    def gradients(self, output: Tensor, leaves):
         """Adjoints of ``leaves`` for a backward pass seeded at ``output``.
 
-        The returned adjoints are Tensors on this tape (zeros for leaves the
-        output does not depend on), so they can enter further computation.
-        The sweep visits each node at most once, in strict reverse order.
+        The sweep visits each node at most once, in strict reverse order,
+        and accumulates plain arrays.  Each returned adjoint (zeros for a
+        leaf the output does not depend on) is appended as one node whose
+        parent is ``output`` and which has no derivative rule, so it can
+        enter further computation but not a second backward pass.
         """
         if output.tape is not self:
             raise ValueError("output was recorded on a different tape")
-        if seed is None:
-            seed = self.constant(np.ones_like(output.value))
-        adjoint: list[Tensor | None] = [None] * (output.idx + 1)
-        adjoint[output.idx] = seed
+        leaves = list(leaves)
+        keep = {leaf.idx for leaf in leaves}
+        adjoint: list[np.ndarray | None] = [None] * (output.idx + 1)
+        adjoint[output.idx] = np.ones_like(output.value)
         for i in range(output.idx, -1, -1):
             g = adjoint[i]
             if g is None:
@@ -147,6 +149,8 @@ class Tape:
             node = self.nodes[i]
             if not node.parents:
                 continue
+            if i not in keep:
+                adjoint[i] = None  # no longer needed; frees it early
             if node.bwd is None:
                 if any(p.requires_grad for p in node.parents):
                     raise NonDifferentiablePrimitiveError(
@@ -158,31 +162,33 @@ class Tape:
                 if c is None or not p.requires_grad:
                     continue
                 prev = adjoint[p.idx]
-                adjoint[p.idx] = c if prev is None else add(prev, c)
+                adjoint[p.idx] = c if prev is None else prev + c
         out = []
         for leaf in leaves:
             a = adjoint[leaf.idx] if leaf.idx <= output.idx else None
             if a is None:
-                a = self.constant(np.zeros_like(leaf.value))
-            out.append(a)
+                a = np.zeros_like(leaf.value)
+            out.append(self._append(a, (output,), "adjoint",
+                                    output.requires_grad))
         return out
 
 
-def _lift(tape: Tape, x) -> Tensor:
-    return x if isinstance(x, Tensor) else tape.constant(x)
-
-
-def _unbroadcast(g: Tensor, shape) -> Tensor:
+def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     """Reduce an adjoint back to the shape of a broadcast operand."""
     if g.shape == shape:
         return g
     if shape == (1, 1):
-        return sum_all(g)
+        return np.array([[g.sum()]])
     if shape[0] == 1:
-        return sum_rows(g)
+        return g.sum(axis=0, keepdims=True)
     if shape[1] == 1:
-        return sum_cols(g)
+        return g.sum(axis=1, keepdims=True)
     raise ValueError(f"cannot reduce {g.shape} to {shape}")
+
+
+def _t(a: np.ndarray) -> np.ndarray:
+    # a contiguous transpose, as the forward transpose stores it
+    return np.ascontiguousarray(a.T)
 
 
 def _broadcast_ok(sa, sb) -> bool:
@@ -206,7 +212,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _binary(a, b, "add")
     out = a.tape._append(a.value + b.value, (a, b), "add",
                          a.requires_grad or b.requires_grad)
-    out.bwd = lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
+    out.bwd = lambda g: (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                         _unbroadcast(g, b.shape) if b.requires_grad else None)
     return out
 
 
@@ -214,21 +221,22 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _binary(a, b, "mul")
     out = a.tape._append(a.value * b.value, (a, b), "mul",
                          a.requires_grad or b.requires_grad)
-    out.bwd = lambda g: (_unbroadcast(mul(g, b), a.shape),
-                         _unbroadcast(mul(g, a), b.shape))
+    out.bwd = lambda g: (
+        _unbroadcast(g * b.value, a.shape) if a.requires_grad else None,
+        _unbroadcast(g * a.value, b.shape) if b.requires_grad else None)
     return out
 
 
 def neg(a: Tensor) -> Tensor:
     out = a.tape._append(-a.value, (a,), "neg", a.requires_grad)
-    out.bwd = lambda g: (neg(g),)
+    out.bwd = lambda g: (-g,)
     return out
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     """Multiply by a plain float (not differentiated with respect to c)."""
     out = a.tape._append(a.value * c, (a,), "scale", a.requires_grad)
-    out.bwd = lambda g: (scale(g, c),)
+    out.bwd = lambda g: (g * c,)
     return out
 
 
@@ -246,27 +254,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul: {a.shape} @ {b.shape}")
     out = a.tape._append(a.value @ b.value, (a, b), "matmul",
                          a.requires_grad or b.requires_grad)
-    out.bwd = lambda g: (matmul(g, transpose(b)), matmul(transpose(a), g))
+    out.bwd = lambda g: (g @ _t(b.value) if a.requires_grad else None,
+                         _t(a.value) @ g if b.requires_grad else None)
     return out
 
 
 def transpose(a: Tensor) -> Tensor:
-    out = a.tape._append(np.ascontiguousarray(a.value.T), (a,), "transpose",
-                         a.requires_grad)
-    out.bwd = lambda g: (transpose(g),)
+    out = a.tape._append(_t(a.value), (a,), "transpose", a.requires_grad)
+    out.bwd = lambda g: (_t(g),)
     return out
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     r, c = shape
     out = a.tape._append(a.value.reshape(r, c), (a,), "reshape", a.requires_grad)
-    out.bwd = lambda g: (reshape(g, a.shape),)
+    out.bwd = lambda g: (g.reshape(a.shape),)
     return out
 
 
 def tanh(a: Tensor) -> Tensor:
     out = a.tape._append(np.tanh(a.value), (a,), "tanh", a.requires_grad)
-    out.bwd = lambda g: (mul(g, shift(neg(mul(out, out)), 1.0)),)
+    out.bwd = lambda g: (g * (-(out.value * out.value) + 1.0),)
     return out
 
 
@@ -275,7 +283,7 @@ def exp(a: Tensor) -> Tensor:
     if not np.all(np.isfinite(v)):
         raise DiffcoreError("exp overflow")
     out = a.tape._append(v, (a,), "exp", a.requires_grad)
-    out.bwd = lambda g: (mul(g, out),)
+    out.bwd = lambda g: (g * out.value,)
     return out
 
 
@@ -283,7 +291,7 @@ def log(a: Tensor) -> Tensor:
     if np.any(a.value <= 0.0):
         raise DiffcoreError("log of nonpositive value")
     out = a.tape._append(np.log(a.value), (a,), "log", a.requires_grad)
-    out.bwd = lambda g: (mul(g, reciprocal(a)),)
+    out.bwd = lambda g: (g * (1.0 / a.value),)
     return out
 
 
@@ -291,15 +299,20 @@ def sqrt(a: Tensor) -> Tensor:
     if np.any(a.value < 0.0):
         raise DiffcoreError("sqrt of negative value")
     out = a.tape._append(np.sqrt(a.value), (a,), "sqrt", a.requires_grad)
-    out.bwd = lambda g: (mul(g, scale(reciprocal(out), 0.5)),)
+    out.bwd = lambda g: (g * (_reciprocal_np(out.value) * 0.5),)
     return out
 
 
-def reciprocal(a: Tensor) -> Tensor:
-    if np.any(a.value == 0.0):
+def _reciprocal_np(x: np.ndarray) -> np.ndarray:
+    if np.any(x == 0.0):
         raise DiffcoreError("reciprocal of zero")
-    out = a.tape._append(1.0 / a.value, (a,), "reciprocal", a.requires_grad)
-    out.bwd = lambda g: (neg(mul(g, mul(out, out))),)
+    return 1.0 / x
+
+
+def reciprocal(a: Tensor) -> Tensor:
+    out = a.tape._append(_reciprocal_np(a.value), (a,), "reciprocal",
+                         a.requires_grad)
+    out.bwd = lambda g: (-(g * (out.value * out.value)),)
     return out
 
 
@@ -319,32 +332,32 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
 
 def softplus(a: Tensor) -> Tensor:
     out = a.tape._append(_softplus_np(a.value), (a,), "softplus", a.requires_grad)
-    out.bwd = lambda g: (mul(g, sigmoid(a)),)
+    out.bwd = lambda g: (g * _sigmoid_np(a.value),)
     return out
 
 
 def sigmoid(a: Tensor) -> Tensor:
     out = a.tape._append(_sigmoid_np(a.value), (a,), "sigmoid", a.requires_grad)
-    out.bwd = lambda g: (mul(g, mul(out, shift(neg(out), 1.0))),)
+    out.bwd = lambda g: (g * (out.value * (-out.value + 1.0)),)
     return out
 
 
 def sin(a: Tensor) -> Tensor:
     out = a.tape._append(np.sin(a.value), (a,), "sin", a.requires_grad)
-    out.bwd = lambda g: (mul(g, cos(a)),)
+    out.bwd = lambda g: (g * np.cos(a.value),)
     return out
 
 
 def cos(a: Tensor) -> Tensor:
     out = a.tape._append(np.cos(a.value), (a,), "cos", a.requires_grad)
-    out.bwd = lambda g: (neg(mul(g, sin(a))),)
+    out.bwd = lambda g: (-(g * np.sin(a.value)),)
     return out
 
 
 def sum_all(a: Tensor) -> Tensor:
     out = a.tape._append(np.array([[a.value.sum()]]), (a,), "sum_all",
                          a.requires_grad)
-    out.bwd = lambda g: (mul(g, a.tape.constant(np.ones_like(a.value))),)
+    out.bwd = lambda g: (g * np.ones_like(a.value),)
     return out
 
 
@@ -352,7 +365,7 @@ def sum_rows(a: Tensor) -> Tensor:
     """Sum over the row axis: (r, c) -> (1, c)."""
     out = a.tape._append(a.value.sum(axis=0, keepdims=True), (a,), "sum_rows",
                          a.requires_grad)
-    out.bwd = lambda g: (mul(g, a.tape.constant(np.ones_like(a.value))),)
+    out.bwd = lambda g: (g * np.ones_like(a.value),)
     return out
 
 
@@ -360,7 +373,7 @@ def sum_cols(a: Tensor) -> Tensor:
     """Sum over the column axis: (r, c) -> (r, 1)."""
     out = a.tape._append(a.value.sum(axis=1, keepdims=True), (a,), "sum_cols",
                          a.requires_grad)
-    out.bwd = lambda g: (mul(g, a.tape.constant(np.ones_like(a.value))),)
+    out.bwd = lambda g: (g * np.ones_like(a.value),)
     return out
 
 
@@ -368,7 +381,7 @@ def sumsq(a: Tensor) -> Tensor:
     """Squared Frobenius norm, as a 1 x 1 tensor."""
     out = a.tape._append(np.array([[float(np.sum(a.value * a.value))]]), (a,),
                          "sumsq", a.requires_grad)
-    out.bwd = lambda g: (mul(g, scale(a, 2.0)),)
+    out.bwd = lambda g: (g * (a.value * 2.0),)
     return out
 
 
@@ -379,30 +392,26 @@ def mean_all(a: Tensor) -> Tensor:
 def cols(a: Tensor, j0: int, j1: int) -> Tensor:
     out = a.tape._append(np.ascontiguousarray(a.value[:, j0:j1]), (a,), "cols",
                          a.requires_grad)
-    out.bwd = lambda g: (_pad_cols(g, j0, a.shape[1]),)
+
+    def bwd(g):
+        v = np.zeros(a.shape)
+        v[:, j0:j1] = g
+        return (v,)
+
+    out.bwd = bwd
     return out
 
 
 def rows(a: Tensor, i0: int, i1: int) -> Tensor:
     out = a.tape._append(np.ascontiguousarray(a.value[i0:i1, :]), (a,), "rows",
                          a.requires_grad)
-    out.bwd = lambda g: (_pad_rows(g, i0, a.shape[0]),)
-    return out
 
+    def bwd(g):
+        v = np.zeros(a.shape)
+        v[i0:i1, :] = g
+        return (v,)
 
-def _pad_cols(a: Tensor, j0: int, total: int) -> Tensor:
-    v = np.zeros((a.shape[0], total))
-    v[:, j0:j0 + a.shape[1]] = a.value
-    out = a.tape._append(v, (a,), "pad_cols", a.requires_grad)
-    out.bwd = lambda g: (cols(g, j0, j0 + a.shape[1]),)
-    return out
-
-
-def _pad_rows(a: Tensor, i0: int, total: int) -> Tensor:
-    v = np.zeros((total, a.shape[1]))
-    v[i0:i0 + a.shape[0], :] = a.value
-    out = a.tape._append(v, (a,), "pad_rows", a.requires_grad)
-    out.bwd = lambda g: (rows(g, i0, i0 + a.shape[0]),)
+    out.bwd = bwd
     return out
 
 
@@ -416,8 +425,10 @@ def concat_cols(parts) -> Tensor:
     def bwd(g):
         res, j = [], 0
         for p in parts:
-            res.append(cols(g, j, j + p.shape[1]))
-            j += p.shape[1]
+            w = p.shape[1]
+            res.append(np.ascontiguousarray(g[:, j:j + w])
+                       if p.requires_grad else None)
+            j += w
         return tuple(res)
 
     out.bwd = bwd
@@ -434,8 +445,10 @@ def concat_rows(parts) -> Tensor:
     def bwd(g):
         res, i = [], 0
         for p in parts:
-            res.append(rows(g, i, i + p.shape[0]))
-            i += p.shape[0]
+            r = p.shape[0]
+            res.append(np.ascontiguousarray(g[i:i + r, :])
+                       if p.requires_grad else None)
+            i += r
         return tuple(res)
 
     out.bwd = bwd
@@ -478,15 +491,24 @@ def logdet_pd(a: Tensor) -> Tensor:
     L = cholesky_np(a.value)
     v = 2.0 * float(np.sum(np.log(np.diag(L))))
     out = a.tape._append(np.array([[v]]), (a,), "logdet_pd", a.requires_grad)
-    out.bwd = lambda g: (mul(g, inverse_pd(a)),)
+    # the backward factors A again rather than keep L alive on the tape
+    out.bwd = lambda g: (g * _inverse_pd_np(a.value),)
     return out
 
 
+def _inverse_pd_np(a: np.ndarray) -> np.ndarray:
+    return _chol_solve_np(cholesky_np(a), np.eye(a.shape[0]))
+
+
 def inverse_pd(a: Tensor) -> Tensor:
-    L = cholesky_np(a.value)
-    inv = _chol_solve_np(L, np.eye(a.shape[0]))
-    out = a.tape._append(inv, (a,), "inverse_pd", a.requires_grad)
-    out.bwd = lambda g: (neg(matmul(matmul(transpose(out), g), transpose(out))),)
+    out = a.tape._append(_inverse_pd_np(a.value), (a,), "inverse_pd",
+                         a.requires_grad)
+
+    def bwd(g):
+        inv_t = _t(out.value)
+        return (-((inv_t @ g) @ inv_t),)
+
+    out.bwd = bwd
     return out
 
 
@@ -499,8 +521,8 @@ def solve_pd(a: Tensor, b: Tensor) -> Tensor:
     out = a.tape._append(x, (a, b), "solve_pd", a.requires_grad or b.requires_grad)
 
     def bwd(g):
-        gb = solve_pd(a, g)
-        return (neg(matmul(gb, transpose(out))), gb)
+        gb = _chol_solve_np(cholesky_np(a.value), g)
+        return (-(gb @ _t(out.value)) if a.requires_grad else None, gb)
 
     out.bwd = bwd
     return out
@@ -546,14 +568,3 @@ def jacobian(f, x) -> np.ndarray:
         (g,) = tape.gradients(cols(y, i, i + 1), [xt])
         J[i] = g.value.ravel()
     return J
-
-
-def grad2(f, theta) -> np.ndarray:
-    """Gradient with respect to parameters of a scalar whose construction may
-    itself contain tape-built derivatives (e.g. input-gradients of networks).
-
-    Works because adjoints are tape nodes: the inner derivative recorded by
-    ``Tape.gradients`` is an ordinary subgraph that the outer backward pass
-    differentiates through.
-    """
-    return grad(f, theta)

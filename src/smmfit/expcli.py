@@ -636,8 +636,15 @@ def cmd_train(args) -> int:
     params0 = netp.init_params(args.seed, arch)
     tconf = tr.TrainConfig(xi0=args.lr, epochs=args.epochs,
                            batch_size=args.batch, seed=args.seed)
-    record, best = tr.train(args.method, params0,
-                            smo.SmoothedDataset(trajs), tconf)
+    try:
+        record, best = tr.train(args.method, params0,
+                                smo.SmoothedDataset(trajs), tconf)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    except tr.TrainingDivergedError as err:
+        print(f"error: training diverged: {err}", file=sys.stderr)
+        return 3
     record.checkpoint = "params.json"
     netp.save_params(best, out / "params.json", seed=args.seed)
     tr.save_record(record, out / "record.json")

@@ -603,7 +603,8 @@ def load_record(path) -> TrainRecord:
 
 def _split_trajs(dataset):
     trajs = list(dataset.trajectories)
-    train = [t for t in trajs if t.split in ("train", None)]
+    # unlabelled trajectories ("" as `smmfit smooth` writes it) train
+    train = [t for t in trajs if t.split in ("train", "", None)]
     val = [t for t in trajs if t.split == "val"]
     if not train:
         raise ValueError("dataset has no training trajectories")

@@ -1,5 +1,5 @@
 """Tape engine checks: every primitive against central finite differences,
-second-order compositions, determinism, and Cholesky failure behavior."""
+the backward sweep's contract, determinism, and Cholesky failure behavior."""
 
 import zlib
 
@@ -192,10 +192,11 @@ def test_jacobian_matches_fd_rows():
         assert_close(J[i], fd_grad(fi, x0), FD_RTOL)
 
 
-# -- grad2: derivatives through inner input-gradients -------------------------
+# -- the backward sweep's contract --------------------------------------------
 
-def test_grad2_bilinear():
-    # inner: d/dx (theta x^2) = 2 theta x; outer d/dtheta at x=3 is 6
+def test_backward_through_adjoint_raises():
+    # inner: d/dx (theta x^2) = 2 theta x.  Adjoints are first order, so an
+    # outer backward through one must fail loudly rather than return zero.
     def f(theta):
         tape = theta.tape
         x = tape.input([[3.0]])
@@ -203,40 +204,52 @@ def test_grad2_bilinear():
         (gx,) = tape.gradients(y, [x])
         return gx
 
-    g = dc.grad2(f, [0.5])
-    assert abs(g[0] - 6.0) < 1e-12
+    with pytest.raises(dc.NonDifferentiablePrimitiveError):
+        dc.grad(f, [0.5])
 
 
-def test_grad2_theta_independent():
-    def f(theta):
-        tape = theta.tape
-        x = tape.input([[1.0, 2.0]])
-        (gx,) = tape.gradients(dc.sumsq(x), [x])
-        return dc.sum_all(gx)
+def test_gradients_appends_one_node_per_leaf():
+    tape = dc.Tape()
+    a = tape.input([[1.0, 2.0]])
+    b = tape.input([[3.0]])
+    c = tape.input([[0.5, -1.0]])
+    y = dc.add(dc.sumsq(dc.tanh(dc.mul(a, b))), dc.logdet_pd(
+        dc.add(dc.matmul(dc.transpose(a), a), tape.constant(np.eye(2)))))
+    before = len(tape.nodes)
+    grads = tape.gradients(y, [a, b, c])
+    assert len(tape.nodes) == before + 3
+    assert [g.op for g in grads] == ["adjoint"] * 3
+    assert all(g.parents == (y,) for g in grads)
+    assert np.all(grads[2].value == 0.0)
 
-    g = dc.grad2(f, [0.3, 0.4])
-    assert np.all(g == 0.0)
+
+def test_gradients_with_respect_to_intermediate_node():
+    tape = dc.Tape()
+    x = tape.input([[0.3, -1.2]])
+    h = dc.tanh(x)
+    (gh, gx) = tape.gradients(dc.sumsq(h), [h, x])
+    assert_close(gh.value, 2.0 * h.value, 1e-12)
+    assert_close(gx.value, 2.0 * h.value * (1.0 - h.value ** 2), 1e-12)
 
 
-def test_grad2_composite_matches_fd():
-    # theta parameterizes a map whose input-gradient enters the loss
-    x_fixed = np.array([[0.4, -1.1]])
+def test_sqrt_backward_at_zero_raises():
+    with pytest.raises(dc.DiffcoreError):
+        dc.grad(lambda x: dc.sum_all(dc.sqrt(x)), [0.0])
 
-    def f(theta):
-        tape = theta.tape
-        x = tape.input(x_fixed)
-        w = dc.reshape(dc.cols(theta, 0, 4), (2, 2))
-        y = dc.sum_all(dc.tanh(dc.matmul(x, w)))
-        (gx,) = tape.gradients(y, [x])
-        # scalar in nabla_x y, nonlinear in theta
-        return dc.add(dc.sumsq(gx), dc.mul(dc.cols(theta, 4, 5),
-                                           dc.sum_all(gx)))
 
-    rng = np.random.default_rng(23)
-    for _ in range(5):
-        t0 = rng.uniform(-2.0, 2.0, size=5)
-        assert_close(dc.grad2(f, t0),
-                     fd_grad(lambda t: run_scalar(f, t), t0), 1e-4)
+@pytest.mark.parametrize("op", ["logdet_pd", "solve_pd"])
+def test_pd_backward_refactors_its_matrix(op):
+    # the backward factors the stored matrix again, so a value that stopped
+    # being positive definite after the forward is caught, not differentiated
+    tape = dc.Tape()
+    A = tape.input(np.eye(2))
+    if op == "logdet_pd":
+        y = dc.logdet_pd(A)
+    else:
+        y = dc.sumsq(dc.solve_pd(A, tape.input([[1.0], [2.0]])))
+    A.value[:] = [[1.0, 2.0], [2.0, 1.0]]
+    with pytest.raises(dc.NotPositiveDefiniteError):
+        tape.gradients(y, [A])
 
 
 def test_gradients_unused_leaf_is_zero():

@@ -287,6 +287,68 @@ def test_cli_pipeline_verbs(tmp_path, capsys):
     assert "test acceleration RMSE" in capsys.readouterr().out
 
 
+def test_cli_readme_pipeline_unlabelled_splits(tmp_path, capsys,
+                                               monkeypatch):
+    # the README's generate -> smooth -> train -> evaluate commands, with
+    # the sidecars left as `smooth` wrote them; only --epochs is cut down
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["generate", "--count", "4", "--steps", "200",
+                     "--sigma", "0.1", "--seed", "4",
+                     "--out", "data/raw"]) == 0
+    raw = sorted(map(str, (tmp_path / "data/raw").glob("traj_*.csv")))
+    assert cli.main(["smooth", *raw, "--out", "data/smoothed"]) == 0
+    smoothed = sorted(map(str, (tmp_path / "data/smoothed").glob("traj_*.csv")))
+    assert len(smoothed) == 4
+    assert all(json.loads(p.read_text())["split"] == "" for p in
+               (tmp_path / "data/smoothed").glob("traj_*.json"))
+    assert cli.main(["train", *smoothed, "--method", "del", "--lr", "1e-2",
+                     "--epochs", "2", "--out", "fit"]) == 0
+    assert cli.main(["evaluate", "data/smoothed/traj_03.csv",
+                     "--params", "fit/params.json"]) == 0
+    assert "test acceleration RMSE" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def smoothed_pair(tmp_path_factory):
+    base = tmp_path_factory.mktemp("pair")
+    assert cli.main(["generate", "--count", "2", "--steps", "40",
+                     "--sigma", "0.1", "--seed", "5",
+                     "--out", str(base / "raw")]) == 0
+    raw = sorted(map(str, (base / "raw").glob("traj_*.csv")))
+    assert cli.main(["smooth", *raw, "--out", str(base / "sm")]) == 0
+    return base / "sm"
+
+
+def test_cli_train_without_training_data_exit_code(smoothed_pair, tmp_path,
+                                                   capsys):
+    files = []
+    for src in sorted(smoothed_pair.glob("traj_*.csv")):
+        dst = tmp_path / src.name
+        dst.write_bytes(src.read_bytes())
+        doc = json.loads(src.with_suffix(".json").read_text())
+        doc["split"] = "test"
+        dst.with_suffix(".json").write_text(json.dumps(doc))
+        files.append(str(dst))
+    assert cli.main(["train", *files, "--method", "accel", "--epochs", "1",
+                     "--out", str(tmp_path / "fit")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no training trajectories" in err
+
+
+def test_cli_train_divergence_exit_code(smoothed_pair, tmp_path, capsys,
+                                        monkeypatch):
+    def diverge(method, params0, dataset, config):
+        raise tr.TrainingDivergedError(tr.TrainRecord(
+            method=method, xi0=config.xi0, seed=config.seed, mu=config.mu,
+            alpha=None))
+
+    monkeypatch.setattr(tr, "train", diverge)
+    files = sorted(map(str, smoothed_pair.glob("traj_*.csv")))
+    assert cli.main(["train", *files, "--method", "accel",
+                     "--out", str(tmp_path / "fit")]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_cli_experiment_and_plot(tmp_path):
     out = tmp_path / "exp"
     assert cli.main(["experiment", "--trajectories", "4", "--steps", "40",

@@ -308,6 +308,41 @@ def test_nextstate_gradient_matches_finite_differences(tiny):
     assert fd_max_rel_err(loss, flat.values.copy(), grad, idx) <= 1e-4
 
 
+@pytest.mark.parametrize("conservative", [True, False])
+def test_loss_gradients_match_finite_differences_n3(conservative):
+    # three coordinates: a 6-column mass-net output and a 3x3 Cholesky solve
+    n, B, h = 3, 6, 0.05
+    rng = np.random.default_rng(300 + conservative)
+    arch = netp.ArchConfig(n=n, hidden=(8, 8), conservative=conservative)
+    params = netp.init_params(31, arch)
+    flat = netp.flatten_params(params)
+    layout = flat.layout
+    q1 = rng.uniform(-0.5, 0.5, (B, n))
+    dq = rng.uniform(-0.05, 0.05, (B, n))
+    dq2 = rng.uniform(-0.05, 0.05, (B, n))
+    bdel = tr.Batch("del", {"q1": q1, "q2": q1 + dq, "q3": q1 + dq + dq2}, h)
+    bacc = tr.Batch("accel", {"q": q1, "qdot": rng.uniform(-1, 1, (B, n)),
+                              "qddot": rng.uniform(-1, 1, (B, n))})
+    bnext = tr.Batch("nextstate",
+                     {"q": q1, "qdot": rng.uniform(-1, 1, (B, n)),
+                      "qnext": q1 + dq,
+                      "qdotnext": rng.uniform(-1, 1, (B, n))}, h)
+    alpha = tr.choose_alpha(params, np.concatenate([q1, q1 + dq]))
+    assert alpha > 0.0
+    idx = sampled_indices(layout.total, 12, 48 + conservative)
+
+    cases = [
+        (lambda v: tr.del_loss(layout.unflatten(v), bdel, 0.01, alpha),
+         tr.del_loss_grad(params, bdel, mu=0.01, alpha=alpha)[1]),
+        (lambda v: tr.accel_loss(layout.unflatten(v), bacc),
+         tr.accel_loss_grad(params, bacc)[1]),
+        (lambda v: tr.nextstate_loss(layout.unflatten(v), bnext, h),
+         tr.nextstate_loss_grad(params, bnext, h)[1]),
+    ]
+    for loss, grad in cases:
+        assert fd_max_rel_err(loss, flat.values.copy(), grad, idx) <= 1e-4
+
+
 # -- accel_loss ---------------------------------------------------------------
 
 def test_accel_loss_on_own_predictions_is_zero(tiny):
