@@ -271,7 +271,21 @@ def generate_pool(config: ExperimentConfig):
 
 
 def smooth_pool(observed, h: float) -> list:
-    return [smo.smooth_trajectory(o.observations, h) for o in observed]
+    """Smooth every coordinate of every trajectory in one batched call.
+
+    The pool's trajectories share T and h, so their observations stack
+    column-wise into one (T, sum of n) array.
+    """
+    obs = [o.observations for o in observed]
+    st = smo.smooth_trajectory(np.hstack(obs), h)
+    pool, a = [], 0
+    for o in obs:
+        b = a + o.shape[1]
+        pool.append(smo.SmoothedTrajectory(
+            q=st.q[:, a:b].copy(), qdot=st.qdot[:, a:b].copy(),
+            qddot=st.qddot[:, a:b].copy(), h=h, fits=st.fits[a:b]))
+        a = b
+    return pool
 
 
 def run_cell(config: ExperimentConfig, pool, seed: int, method: str,
@@ -700,6 +714,9 @@ def main(argv=None) -> int:
         return 2
     except NoDataError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except FileNotFoundError as err:
+        print(f"error: no such file: {err.filename}", file=sys.stderr)
         return 2
 
 

@@ -111,6 +111,20 @@ def smoothed_pool():
     return config, cli.smooth_pool(observed, config.h)
 
 
+def test_smooth_pool_equals_per_trajectory_smoothing():
+    config = desk_config(n_trajectories=3, split=(1, 1, 1), T=50, sigma=0.1)
+    _, observed = cli.generate_pool(config)
+    pool = cli.smooth_pool(observed, config.h)
+    assert len(pool) == 3
+    for st, obs in zip(pool, observed):
+        one = smo.smooth_trajectory(obs.observations, config.h)
+        assert np.array_equal(st.q, one.q)
+        assert np.array_equal(st.qdot, one.qdot)
+        assert np.array_equal(st.qddot, one.qddot)
+        assert st.h == one.h and st.split == one.split == ""
+        assert st.fits == one.fits
+
+
 def test_eval_batch_targets_are_analytic(smoothed_pool):
     config, pool = smoothed_pool
     system = cli.make_system(config)
@@ -257,6 +271,35 @@ def test_run_experiment_bitwise_deterministic(tmp_path):
     assert snapshot() == first
 
 
+def test_run_experiment_workers_match_serial(tmp_path):
+    # the process pool gives the serial run's bytes; only the recorded
+    # config fields `out` and `workers` differ
+    def run(workers):
+        out = tmp_path / f"w{workers}"
+        cli.run_experiment(desk_config(
+            T=30, epochs=2, methods=("del", "accel"), lrs=(1e-2, 1e-3),
+            hidden=(8, 8), workers=workers, out=str(out)))
+        files = {}
+        for p in out.rglob("*"):
+            if not p.is_file():
+                continue
+            data = p.read_bytes()
+            if p.name in ("config.json", "results.json"):
+                lines = data.splitlines(keepends=True)
+                assert sum(f'"out": "{out}"'.encode() in ln
+                           for ln in lines) == 1
+                assert sum(f'"workers": {workers}'.encode() in ln
+                           for ln in lines) == 1
+                data = b"".join(ln for ln in lines if b'"out": ' not in ln
+                                and b'"workers": ' not in ln)
+            files[str(p.relative_to(out))] = data
+        return files
+
+    serial = run(1)
+    assert len([k for k in serial if k.startswith("checkpoints/")]) == 4
+    assert run(2) == serial
+
+
 # -- CLI verbs ----------------------------------------------------------------
 
 def test_cli_pipeline_verbs(tmp_path, capsys):
@@ -347,6 +390,19 @@ def test_cli_train_divergence_exit_code(smoothed_pair, tmp_path, capsys,
     assert cli.main(["train", *files, "--method", "accel",
                      "--out", str(tmp_path / "fit")]) == 3
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_missing_input_file_exit_code(smoothed_pair, tmp_path, capsys):
+    files = sorted(map(str, smoothed_pair.glob("traj_*.csv")))
+    missing = str(tmp_path / "nofile.csv")
+    assert cli.main(["evaluate", missing, "--params",
+                     str(tmp_path / "nofile.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nofile.json" in err
+    assert cli.main(["train", *files, missing, "--method", "accel",
+                     "--epochs", "1", "--out", str(tmp_path / "fit")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nofile.csv" in err
 
 
 def test_cli_experiment_and_plot(tmp_path):

@@ -158,7 +158,39 @@ def test_em_requires_iterations():
         smo.em_fit(np.zeros(10), 0.05, iters=0)
 
 
-# -- smooth_trajectory / smooth_dataset ---------------------------------------
+def _four_series():
+    rng = np.random.default_rng(44)
+    t = np.arange(100) * 0.05
+    return np.stack([np.sin(t),
+                     np.sin(t) + rng.normal(0.0, 0.05, size=100),
+                     0.5 * t ** 2 - t + rng.normal(0.0, 0.01, size=100),
+                     np.cos(2 * t) + rng.normal(0.0, 0.1, size=100)], axis=1)
+
+
+@pytest.mark.parametrize("gain_tol, stops", [
+    (smo.EM_GAIN_TOL, [smo.EM_ITERS + 1] * 4),
+    (1e-2, [smo.EM_ITERS + 1, 14, smo.EM_ITERS + 1, 14]),
+])
+def test_em_batch_equals_series(gain_tol, stops):
+    # a (T, K) batch gives every series the bits of its own one-column run,
+    # also when series leave the batch at different iterations
+    y = _four_series()
+    batch = smo.em_fit(y, 0.05, gain_tol=gain_tol)
+    assert batch.iterations == stops
+    for k in range(y.shape[1]):
+        one = smo.em_fit(y[:, k], 0.05, gain_tol=gain_tol)
+        assert np.array_equal(batch.smooth.means[:, k], one.smooth.means)
+        assert np.array_equal(batch.smooth.covs[:, k], one.smooth.covs)
+        assert np.array_equal(batch.smooth.cross_covs[:, k],
+                              one.smooth.cross_covs)
+        assert batch.model.R[k] == one.model.R
+        assert np.array_equal(batch.model.m0[k], one.model.m0)
+        assert np.array_equal(batch.model.P0[k], one.model.P0)
+        assert batch.iterations[k] == one.iterations
+        assert batch.logliks[k] == one.logliks
+
+
+# -- smooth_trajectory --------------------------------------------------------
 
 def _clean_traj(seed=35, T=200):
     rng = np.random.default_rng(seed)
@@ -200,14 +232,6 @@ def test_smooth_shapes_and_determinism():
     assert np.array_equal(a.qdot, b.qdot)
     assert np.array_equal(a.qddot, b.qddot)
     assert len(a.fits) == 2 and a.fits[0]["R"] > 0
-
-
-def test_smooth_dataset_wraps_observed():
-    traj = _clean_traj(40, T=60)
-    obs = integ.add_noise(traj, 0.05, 41)
-    ds = smo.smooth_dataset([obs, obs])
-    assert len(ds.trajectories) == 2
-    assert ds.trajectories[0].T == 60
 
 
 def test_smoothed_file_roundtrip(tmp_path):
