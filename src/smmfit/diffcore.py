@@ -79,35 +79,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.value.shape})"
 
-    # operator sugar; float operands use the scale/shift primitives
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return shift(self, float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, neg(other))
-        return shift(self, -float(other))
-
-    def __rsub__(self, other):
-        return shift(neg(self), float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class Tape:
     """Ordered record of primitive operations plus adjoint bookkeeping."""
@@ -342,36 +313,8 @@ def sigmoid(a: Tensor) -> Tensor:
     return out
 
 
-def sin(a: Tensor) -> Tensor:
-    out = a.tape._append(np.sin(a.value), (a,), "sin", a.requires_grad)
-    out.bwd = lambda g: (g * np.cos(a.value),)
-    return out
-
-
-def cos(a: Tensor) -> Tensor:
-    out = a.tape._append(np.cos(a.value), (a,), "cos", a.requires_grad)
-    out.bwd = lambda g: (-(g * np.sin(a.value)),)
-    return out
-
-
 def sum_all(a: Tensor) -> Tensor:
     out = a.tape._append(np.array([[a.value.sum()]]), (a,), "sum_all",
-                         a.requires_grad)
-    out.bwd = lambda g: (g * np.ones_like(a.value),)
-    return out
-
-
-def sum_rows(a: Tensor) -> Tensor:
-    """Sum over the row axis: (r, c) -> (1, c)."""
-    out = a.tape._append(a.value.sum(axis=0, keepdims=True), (a,), "sum_rows",
-                         a.requires_grad)
-    out.bwd = lambda g: (g * np.ones_like(a.value),)
-    return out
-
-
-def sum_cols(a: Tensor) -> Tensor:
-    """Sum over the column axis: (r, c) -> (r, 1)."""
-    out = a.tape._append(a.value.sum(axis=1, keepdims=True), (a,), "sum_cols",
                          a.requires_grad)
     out.bwd = lambda g: (g * np.ones_like(a.value),)
     return out
@@ -402,19 +345,6 @@ def cols(a: Tensor, j0: int, j1: int) -> Tensor:
     return out
 
 
-def rows(a: Tensor, i0: int, i1: int) -> Tensor:
-    out = a.tape._append(np.ascontiguousarray(a.value[i0:i1, :]), (a,), "rows",
-                         a.requires_grad)
-
-    def bwd(g):
-        v = np.zeros(a.shape)
-        v[i0:i1, :] = g
-        return (v,)
-
-    out.bwd = bwd
-    return out
-
-
 def concat_cols(parts) -> Tensor:
     parts = list(parts)
     tape = parts[0].tape
@@ -435,27 +365,7 @@ def concat_cols(parts) -> Tensor:
     return out
 
 
-def concat_rows(parts) -> Tensor:
-    parts = list(parts)
-    tape = parts[0].tape
-    v = np.concatenate([p.value for p in parts], axis=0)
-    out = tape._append(v, tuple(parts), "concat_rows",
-                       any(p.requires_grad for p in parts))
-
-    def bwd(g):
-        res, i = [], 0
-        for p in parts:
-            r = p.shape[0]
-            res.append(np.ascontiguousarray(g[i:i + r, :])
-                       if p.requires_grad else None)
-            i += r
-        return tuple(res)
-
-    out.bwd = bwd
-    return out
-
-
-# -- Cholesky-backed matrix primitives ---------------------------------------
+# -- Cholesky factor ----------------------------------------------------------
 
 def cholesky_np(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a symmetric matrix.
@@ -481,62 +391,7 @@ def cholesky_np(a: np.ndarray) -> np.ndarray:
     return L
 
 
-def _chol_solve_np(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    y = np.linalg.solve(L, b)
-    return np.linalg.solve(L.T, y)
-
-
-def logdet_pd(a: Tensor) -> Tensor:
-    """log det of a symmetric positive definite matrix, via Cholesky."""
-    L = cholesky_np(a.value)
-    v = 2.0 * float(np.sum(np.log(np.diag(L))))
-    out = a.tape._append(np.array([[v]]), (a,), "logdet_pd", a.requires_grad)
-    # the backward factors A again rather than keep L alive on the tape
-    out.bwd = lambda g: (g * _inverse_pd_np(a.value),)
-    return out
-
-
-def _inverse_pd_np(a: np.ndarray) -> np.ndarray:
-    return _chol_solve_np(cholesky_np(a), np.eye(a.shape[0]))
-
-
-def inverse_pd(a: Tensor) -> Tensor:
-    out = a.tape._append(_inverse_pd_np(a.value), (a,), "inverse_pd",
-                         a.requires_grad)
-
-    def bwd(g):
-        inv_t = _t(out.value)
-        return (-((inv_t @ g) @ inv_t),)
-
-    out.bwd = bwd
-    return out
-
-
-def solve_pd(a: Tensor, b: Tensor) -> Tensor:
-    """x with A x = b for symmetric positive definite A."""
-    if a.tape is not b.tape:
-        raise ValueError("solve_pd: operands on different tapes")
-    L = cholesky_np(a.value)
-    x = _chol_solve_np(L, b.value)
-    out = a.tape._append(x, (a, b), "solve_pd", a.requires_grad or b.requires_grad)
-
-    def bwd(g):
-        gb = _chol_solve_np(cholesky_np(a.value), g)
-        return (-(gb @ _t(out.value)) if a.requires_grad else None, gb)
-
-    out.bwd = bwd
-    return out
-
-
 # -- functional differentiation API ------------------------------------------
-
-def cholesky_logdet(a):
-    """log det via Cholesky; accepts a plain array or a tape Tensor."""
-    if isinstance(a, Tensor):
-        return logdet_pd(a)
-    L = cholesky_np(np.asarray(a, dtype=np.float64))
-    return 2.0 * float(np.sum(np.log(np.diag(L))))
-
 
 def grad(f, x) -> np.ndarray:
     """Gradient of a scalar-valued tape function at a point.

@@ -185,13 +185,9 @@ def evaluate(params, batch: tr.Batch) -> EvalResult:
     try:
         pred = tr.predicted_accelerations(params, q, qd)
     except dc.DiffcoreError:
+        # raised only for a non-finite exp(log-scale) or a zero Cholesky
+        # pivot (exp(s_M) underflowed), which fail every row alike
         pred = np.full_like(target, np.nan)
-        system = netp.SmmSystem(params)
-        for i in range(q.shape[0]):
-            try:
-                pred[i] = mech.acceleration(system, q[i], qd[i])
-            except dc.DiffcoreError:
-                pass
     ok = np.all(np.isfinite(pred), axis=1)
     failed = int(q.shape[0] - ok.sum())
     if not ok.any():
@@ -629,10 +625,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_smooth(args) -> int:
+    trajs = [integ.load_trajectory(name) for name in args.data]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for name in args.data:
-        traj = integ.load_trajectory(name)
+    for name, traj in zip(args.data, trajs):
         data = traj.observations if hasattr(traj, "observations") \
             else traj.configs
         st = smo.smooth_trajectory(data, traj.h)
@@ -642,8 +638,6 @@ def cmd_smooth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     trajs = [smo.load_smoothed(p) for p in args.data]
     arch = netp.ArchConfig(n=trajs[0].n, hidden=tuple(args.hidden),
                            conservative=not args.damped)
@@ -659,6 +653,8 @@ def cmd_train(args) -> int:
     except tr.TrainingDivergedError as err:
         print(f"error: training diverged: {err}", file=sys.stderr)
         return 3
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     record.checkpoint = "params.json"
     netp.save_params(best, out / "params.json", seed=args.seed)
     tr.save_record(record, out / "record.json")

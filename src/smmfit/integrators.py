@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .mechanics import ConfigTriple, LagrangianSystem, del_jacobian_q3, del_vector
+
+_log = logging.getLogger("smmfit.integrators")
 
 
 class IntegrationBlowupError(Exception):
@@ -212,6 +215,7 @@ def sample_rest_trajectories(sys: LagrangianSystem, count: int, h: float, T: int
     the returned trajectories record the seed of the accepted draw.
     """
     out = []
+    rejected = 0
     root = np.random.SeedSequence(seed)
     for slot_seq in root.spawn(count):
         accepted = None
@@ -222,13 +226,16 @@ def sample_rest_trajectories(sys: LagrangianSystem, count: int, h: float, T: int
             try:
                 traj = simulate(sys, q0, h, T, system=system, seed=attempt_seed)
             except (NewtonConvergenceError, IntegrationBlowupError):
+                rejected += 1
                 continue
             if energy_drift_ok(sys, traj, damped=damped):
                 accepted = traj
                 break
+            rejected += 1
         if accepted is None:
             raise NewtonConvergenceError(NEWTON_MAX_ITER, float("nan"))
         out.append(accepted)
+    _log.info("rejected %d of %d trajectory draws", rejected, rejected + count)
     return out
 
 

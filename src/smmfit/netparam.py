@@ -9,7 +9,9 @@ scalar.
 
 Two evaluation paths exist on purpose: plain-numpy single-point
 operations here, and batched tape-graph builders (used by the training
-losses) that must agree with them to rounding error.
+losses) that must agree with them to rounding error.  Each builder takes
+optional forward-mode directions and returns one spatial derivative per
+direction beside its value; with none it builds the value alone.
 """
 
 from __future__ import annotations
@@ -291,7 +293,7 @@ class SmmSystem(LagrangianSystem):
     def potential_gradient(self, q):
         def f(qt):
             theta = qt.tape.constant(self.theta.reshape(1, -1))
-            return potential_t(theta, self.layout, qt)
+            return potential_t(theta, self.layout, qt)[0]
 
         return dc.grad(f, np.asarray(q, dtype=np.float64))
 
@@ -300,7 +302,7 @@ class SmmSystem(LagrangianSystem):
 
         def f(qt):
             theta = qt.tape.constant(self.theta.reshape(1, -1))
-            ent = mass_entries_t(theta, self.layout, qt)
+            ent, _, _ = mass_entries_t(theta, self.layout, qt)
             return dc.concat_cols([ent[(i, j)] for i in range(n) for j in range(n)])
 
         J = dc.jacobian(f, np.asarray(q, dtype=np.float64))
@@ -317,9 +319,14 @@ def log_scale_t(theta, layout: ParamLayout, which: int):
     return dc.cols(theta, s + which, s + which + 1)
 
 
-def mlp_forward_t(theta, layout: ParamLayout, net: str, X):
-    """Batched MLP forward as a tape graph; weights sliced out of theta."""
-    a = X
+def mlp_t(theta, layout: ParamLayout, net: str, X, dirs=()):
+    """Batched MLP forward as a tape graph, weights sliced out of theta,
+    plus its directional derivative along each of ``dirs``.
+
+    The JVP chain reuses the forward activations (tanh' = 1 - a^2), so each
+    direction costs about one extra forward pass and no reverse sweep.
+    """
+    a, das = X, list(dirs)
     last = layout.n_layers(net) - 1
     for i in range(last + 1):
         shape, s, e = layout.slot(f"{net}.{i}.W")
@@ -327,49 +334,69 @@ def mlp_forward_t(theta, layout: ParamLayout, net: str, X):
         _, s, e = layout.slot(f"{net}.{i}.b")
         b = dc.cols(theta, s, e)
         a = dc.add(dc.matmul(a, W), b)
+        das = [dc.matmul(da, W) for da in das]
         if i < last:
             a = dc.tanh(a)
-    return a
+            if das:
+                sech2 = dc.shift(dc.neg(dc.mul(a, a)), 1.0)
+                das = [dc.mul(sech2, da) for da in das]
+    return a, das
 
 
-def chol_entries_t(theta, layout: ParamLayout, Q):
+def chol_entries_t(theta, layout: ParamLayout, Q, dirs=()):
     """Scaled Cholesky columns {(i,j): (B,1)} with e^{s_M/2} folded in, so
-    M = Σ_k L̃[i,k] L̃[j,k] directly."""
+    M = Σ_k L̃[i,k] L̃[j,k] directly, and one such dict per direction."""
     arch = layout.arch
-    out = mlp_forward_t(theta, layout, "mass", Q)
+    out, douts = mlp_t(theta, layout, "mass", Q, dirs)
     half = dc.exp(dc.scale(log_scale_t(theta, layout, 0), 0.5))
     ent = {}
+    dent = [{} for _ in douts]
     t = 0
     for i in range(arch.n):
         for j in range(i + 1):
             col = dc.cols(out, t, t + 1)
             if i == j:
-                col = dc.shift(dc.softplus(col), arch.eps)
-            ent[(i, j)] = dc.mul(col, half)
+                ent[(i, j)] = dc.mul(dc.shift(dc.softplus(col), arch.eps), half)
+                gate = dc.sigmoid(col) if douts else None
+                for d, do in zip(dent, douts):
+                    d[(i, j)] = dc.mul(dc.mul(gate, dc.cols(do, t, t + 1)), half)
+            else:
+                ent[(i, j)] = dc.mul(col, half)
+                for d, do in zip(dent, douts):
+                    d[(i, j)] = dc.mul(dc.cols(do, t, t + 1), half)
             t += 1
-    return ent
+    return ent, dent
 
 
-def mass_entries_t(theta, layout: ParamLayout, Q):
-    """Batched M(q) entries {(i,j): (B,1)} for all i, j."""
+def mass_entries_t(theta, layout: ParamLayout, Q, dirs=()):
+    """Batched M(q) entries {(i,j): (B,1)} for all i, j, their spatial
+    derivatives per direction, and the scaled factor."""
     n = layout.arch.n
-    L = chol_entries_t(theta, layout, Q)
-    ent = {}
+    L, dL = chol_entries_t(theta, layout, Q, dirs)
+    M = {}
+    dM = [{} for _ in dL]
     for i in range(n):
         for j in range(i + 1):
-            terms = [dc.mul(L[(i, k)], L[(j, k)]) for k in range(j + 1)]
-            acc = terms[0]
-            for tterm in terms[1:]:
-                acc = dc.add(acc, tterm)
-            ent[(i, j)] = acc
-            ent[(j, i)] = acc
-    return ent
+            acc = None
+            for k in range(j + 1):
+                t = dc.mul(L[(i, k)], L[(j, k)])
+                acc = t if acc is None else dc.add(acc, t)
+            M[(i, j)] = M[(j, i)] = acc
+            for d, dl in zip(dM, dL):
+                dacc = None
+                for k in range(j + 1):
+                    t = dc.add(dc.mul(dl[(i, k)], L[(j, k)]),
+                               dc.mul(L[(i, k)], dl[(j, k)]))
+                    dacc = t if dacc is None else dc.add(dacc, t)
+                d[(i, j)] = d[(j, i)] = dacc
+    return M, dM, L
 
 
-def potential_t(theta, layout: ParamLayout, Q):
-    """Batched V(q) as a (B,1) tape tensor."""
-    out = mlp_forward_t(theta, layout, "potential", Q)
-    return dc.mul(out, dc.exp(log_scale_t(theta, layout, 1)))
+def potential_t(theta, layout: ParamLayout, Q, dirs=()):
+    """Batched V(q) as a (B,1) tape tensor, and its spatial derivatives."""
+    out, douts = mlp_t(theta, layout, "potential", Q, dirs)
+    g = dc.exp(log_scale_t(theta, layout, 1))
+    return dc.mul(out, g), [dc.mul(do, g) for do in douts]
 
 
 def force_t(theta, layout: ParamLayout, Q, Qdot):
@@ -377,7 +404,7 @@ def force_t(theta, layout: ParamLayout, Q, Qdot):
     if layout.arch.conservative:
         raise ConservativeForceError("model has no force net")
     X = dc.concat_cols([Q, Qdot])
-    out = mlp_forward_t(theta, layout, "force", X)
+    out, _ = mlp_t(theta, layout, "force", X)
     return dc.mul(out, dc.exp(log_scale_t(theta, layout, 2)))
 
 

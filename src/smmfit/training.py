@@ -7,10 +7,10 @@ Plus Adam, the decay schedule, shuffled batching that never crosses
 trajectory boundaries, and validation-based checkpoint selection.
 
 Spatial derivatives of the nets (needed inside every acceleration and
-DEL evaluation) are built forward-mode as tape operations, one direction
-per coordinate.  That keeps the tape shallow even through the four RK4
-stages; a single reverse sweep at the end then yields exact parameter
-gradients.
+DEL evaluation) are built forward-mode by the netparam tape builders, one
+direction per coordinate.  That keeps the tape shallow even through the
+four RK4 stages; a single reverse sweep at the end then yields exact
+parameter gradients.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import numpy as np
 from . import diffcore as dc
 from . import mechanics as mech
 from .integrators import IntegrationBlowupError, rk4_step
-from .netparam import (FlatParams, SmmParams, flatten_params, force_t,
-                       log_scale_t, mass_entries_t, chol_solve_t)
+from .netparam import (FlatParams, SmmParams, chol_solve_t, flatten_params,
+                       force_t, mass_entries_t, potential_t)
 
 _log = logging.getLogger("smmfit.training")
 
@@ -139,92 +139,18 @@ def make_batches(rng, count: int, batch_size: int):
     return [perm[i:i + batch_size] for i in range(0, count, batch_size)]
 
 
-# -- forward-mode net derivatives ---------------------------------------------
+# -- dynamics on the tape -----------------------------------------------------
 
 def _flat(params) -> FlatParams:
     return params if isinstance(params, FlatParams) else flatten_params(params)
-
-
-def _mlp_with_jvp(theta, layout, net: str, X, dXs):
-    """MLP forward plus directional derivatives along each dX.
-
-    The JVP chain reuses the forward activations (tanh' = 1 - a^2), so each
-    direction costs about one extra forward pass and no reverse sweep.
-    """
-    a, das = X, list(dXs)
-    last = layout.n_layers(net) - 1
-    for i in range(last + 1):
-        shape, s, e = layout.slot(f"{net}.{i}.W")
-        W = dc.reshape(dc.cols(theta, s, e), shape)
-        _, s, e = layout.slot(f"{net}.{i}.b")
-        b = dc.cols(theta, s, e)
-        a = dc.add(dc.matmul(a, W), b)
-        das = [dc.matmul(da, W) for da in das]
-        if i < last:
-            a = dc.tanh(a)
-            sech2 = dc.shift(dc.neg(dc.mul(a, a)), 1.0)
-            das = [dc.mul(sech2, da) for da in das]
-    return a, das
-
-
-def _chol_with_jvp(theta, layout, X, dirs):
-    arch = layout.arch
-    out, douts = _mlp_with_jvp(theta, layout, "mass", X, dirs)
-    half = dc.exp(dc.scale(log_scale_t(theta, layout, 0), 0.5))
-    ent = {}
-    dent = [{} for _ in dirs]
-    t = 0
-    for i in range(arch.n):
-        for j in range(i + 1):
-            col = dc.cols(out, t, t + 1)
-            if i == j:
-                ent[(i, j)] = dc.mul(dc.shift(dc.softplus(col), arch.eps), half)
-                gate = dc.sigmoid(col)
-                for d, do in zip(dent, douts):
-                    d[(i, j)] = dc.mul(dc.mul(gate, dc.cols(do, t, t + 1)), half)
-            else:
-                ent[(i, j)] = dc.mul(col, half)
-                for d, do in zip(dent, douts):
-                    d[(i, j)] = dc.mul(dc.cols(do, t, t + 1), half)
-            t += 1
-    return ent, dent
-
-
-def _mass_with_jvp(theta, layout, X, dirs):
-    """M entries, their spatial derivatives per direction, and the factor."""
-    n = layout.arch.n
-    L, dL = _chol_with_jvp(theta, layout, X, dirs)
-    M = {}
-    dM = [{} for _ in dirs]
-    for i in range(n):
-        for j in range(i + 1):
-            acc = None
-            for k in range(j + 1):
-                t = dc.mul(L[(i, k)], L[(j, k)])
-                acc = t if acc is None else dc.add(acc, t)
-            M[(i, j)] = M[(j, i)] = acc
-            for d, dl in zip(dM, dL):
-                dacc = None
-                for k in range(j + 1):
-                    t = dc.add(dc.mul(dl[(i, k)], L[(j, k)]),
-                               dc.mul(L[(i, k)], dl[(j, k)]))
-                    dacc = t if dacc is None else dc.add(dacc, t)
-                d[(i, j)] = d[(j, i)] = dacc
-    return M, dM, L
-
-
-def _potential_with_jvp(theta, layout, X, dirs):
-    out, douts = _mlp_with_jvp(theta, layout, "potential", X, dirs)
-    g = dc.exp(log_scale_t(theta, layout, 1))
-    return dc.mul(out, g), [dc.mul(do, g) for do in douts]
 
 
 def _accel_cols(tape, theta, layout, X, Xd):
     """Batched acceleration columns at (X, Xd)."""
     n = layout.arch.n
     dirs = [tape.constant(np.eye(n)[k:k + 1]) for k in range(n)]
-    M, dM, L = _mass_with_jvp(theta, layout, X, dirs)
-    _, dV = _potential_with_jvp(theta, layout, X, dirs)
+    M, dM, L = mass_entries_t(theta, layout, X, dirs)
+    _, dV = potential_t(theta, layout, X, dirs)
     xd = [dc.cols(Xd, j, j + 1) for j in range(n)]
     rhs = []
     for i in range(n):
@@ -290,8 +216,8 @@ def _del_graph(flat: FlatParams, batch: Batch, mu: float, alpha: float,
         # dL/dq and momentum M v at the pair midpoint
         X = tape.constant((qa + qb) / 2.0)
         v = (qb - qa) / h
-        M, dM, _ = _mass_with_jvp(theta, layout, X, dirs)
-        _, dV = _potential_with_jvp(theta, layout, X, dirs)
+        M, dM, _ = mass_entries_t(theta, layout, X, dirs)
+        _, dV = potential_t(theta, layout, X, dirs)
         vc = [tape.constant(v[:, j:j + 1]) for j in range(n)]
         gL, p = [], []
         for k in range(n):
@@ -326,7 +252,7 @@ def _del_graph(flat: FlatParams, batch: Batch, mu: float, alpha: float,
     ld_mean = None
     loss = rho
     if with_barrier:
-        ent = mass_entries_t(theta, layout, tape.constant(q2))
+        ent, _, _ = mass_entries_t(theta, layout, tape.constant(q2))
         _, ld = _shifted_cholesky(ent, n, alpha)
         ld_mean = dc.mean_all(ld)
         loss = dc.add(rho, dc.scale(ld_mean, -mu))
@@ -459,7 +385,7 @@ def barrier_grad(params, configs, alpha: float) -> np.ndarray:
     configs = np.asarray(configs, dtype=np.float64)
     tape = dc.Tape()
     theta = tape.input(flat.values.reshape(1, -1))
-    ent = mass_entries_t(theta, flat.layout, tape.constant(configs))
+    ent, _, _ = mass_entries_t(theta, flat.layout, tape.constant(configs))
     _, ld = _shifted_cholesky(ent, flat.layout.arch.n, alpha)
     g = tape.gradients(dc.mean_all(ld), [theta])[0]
     return g.value.ravel().copy()
@@ -538,7 +464,7 @@ def mass_eigenvalues(params, configs) -> np.ndarray:
     configs = np.asarray(configs, dtype=np.float64).reshape(-1, n)
     tape = dc.Tape()
     theta = tape.constant(flat.values.reshape(1, -1))
-    ent = mass_entries_t(theta, flat.layout, tape.constant(configs))
+    ent, _, _ = mass_entries_t(theta, flat.layout, tape.constant(configs))
     M = np.empty((configs.shape[0], n, n))
     for i in range(n):
         for j in range(n):
@@ -608,6 +534,9 @@ def _split_trajs(dataset):
     val = [t for t in trajs if t.split == "val"]
     if not train:
         raise ValueError("dataset has no training trajectories")
+    if not val:
+        _log.info("no validation trajectories; validating on the %d "
+                  "training trajectories", len(train))
     return train, val or train
 
 

@@ -156,13 +156,23 @@ def test_evaluate_flags_degenerate_model(smoothed_pool):
     assert res.rmse > 1.0
 
 
-def test_evaluate_counts_failed_rows(smoothed_pool):
+@pytest.mark.parametrize("which,value", [
+    (None, np.nan),   # every parameter NaN
+    (0, 2000.0),      # exp(s_M) overflows
+    (0, -3000.0),     # exp(s_M) underflows to a zero Cholesky pivot
+    (1, 2000.0),      # exp(s_V) overflows
+], ids=["nan", "sM_2000", "sM_-3000", "sV_2000"])
+def test_evaluate_counts_failed_rows(smoothed_pool, which, value):
     config, pool = smoothed_pool
     params = netp.init_params(0, cli.make_arch(config))
     flat = netp.flatten_params(params)
-    flat.values[:] = np.nan
+    if which is None:
+        flat.values[:] = value
+    else:
+        _, s, _ = flat.layout.slot("log_scales")
+        flat.values[s + which] = value
     b = cli.eval_batch(cli.make_system(config), pool[:1])
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore", under="ignore"):
         res = cli.evaluate(flat.layout.unflatten(flat.values), b)
     assert res.failed == len(b)
     assert np.isnan(res.rmse)
@@ -403,6 +413,12 @@ def test_cli_missing_input_file_exit_code(smoothed_pair, tmp_path, capsys):
                      "--epochs", "1", "--out", str(tmp_path / "fit")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "nofile.csv" in err
+    assert not (tmp_path / "fit").exists()
+    assert cli.main(["smooth", missing, "--out",
+                     str(tmp_path / "smoothed")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nofile.csv" in err
+    assert not (tmp_path / "smoothed").exists()
 
 
 def test_cli_experiment_and_plot(tmp_path):

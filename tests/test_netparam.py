@@ -177,7 +177,7 @@ def test_tape_potential_matches_numpy():
         Q = rng.uniform(-np.pi, np.pi, size=(32, 2))
         tape = dc.Tape()
         tt = tape.input(theta.reshape(1, -1))
-        out = npar.potential_t(tt, layout, tape.constant(Q))
+        out, _ = npar.potential_t(tt, layout, tape.constant(Q))
         want = np.array([npar.potential(p, q) for q in Q])
         assert np.abs(out.value.ravel() - want).max() <= 1e-12
 
@@ -190,12 +190,45 @@ def test_tape_mass_entries_match_numpy():
     Q = rng.uniform(-np.pi, np.pi, size=(32, 2))
     tape = dc.Tape()
     tt = tape.input(theta.reshape(1, -1))
-    ent = npar.mass_entries_t(tt, layout, tape.constant(Q))
+    ent, _, _ = npar.mass_entries_t(tt, layout, tape.constant(Q))
     for b, q in enumerate(Q):
         M = npar.mass_matrix(p, q)
         for i in range(2):
             for j in range(2):
                 assert abs(ent[(i, j)].value[b, 0] - M[i, j]) <= 1e-12
+
+
+def test_tape_directions_match_reverse_mode():
+    # forward-mode dM/dq_k and dV/dq_k against SmmSystem's reverse sweeps
+    p = npar.init_params(16, ARCH)
+    layout = npar.ParamLayout(ARCH)
+    sys = npar.SmmSystem(p)
+    Q = np.random.default_rng(25).uniform(-np.pi, np.pi, size=(6, 2))
+    tape = dc.Tape()
+    tt = tape.constant(layout.flatten(p).reshape(1, -1))
+    dirs = [tape.constant(np.eye(2)[k:k + 1]) for k in range(2)]
+    _, dM, _ = npar.mass_entries_t(tt, layout, tape.constant(Q), dirs)
+    _, dV = npar.potential_t(tt, layout, tape.constant(Q), dirs)
+    for b, q in enumerate(Q):
+        want_M, want_V = sys.mass_jacobian(q), sys.potential_gradient(q)
+        for k in range(2):
+            assert abs(dV[k].value[b, 0] - want_V[k]) <= 1e-12
+            for i in range(2):
+                for j in range(2):
+                    assert abs(dM[k][(i, j)].value[b, 0]
+                               - want_M[k, i, j]) <= 1e-12
+
+
+def test_tape_builders_without_directions_build_values_only():
+    layout = npar.ParamLayout(ARCH)
+    tape = dc.Tape()
+    theta = layout.flatten(npar.init_params(17, ARCH))
+    tt = tape.constant(theta.reshape(1, -1))
+    M, dM, _ = npar.mass_entries_t(tt, layout, tape.constant(np.zeros((3, 2))))
+    V, dV = npar.potential_t(tt, layout, tape.constant(np.zeros((3, 2))))
+    assert dM == [] and dV == [] and M[(0, 1)] is M[(1, 0)]
+    # no tanh' chain and no softplus' gate when no direction asks for them
+    assert not {"sigmoid", "neg"} & {node.op for node in tape.nodes}
 
 
 def test_tape_force_matches_numpy():
@@ -221,7 +254,7 @@ def test_chol_solve_t_matches_dense_solve():
     B = rng.uniform(-1, 1, size=(8, 2))
     tape = dc.Tape()
     tt = tape.input(theta.reshape(1, -1))
-    L = npar.chol_entries_t(tt, layout, tape.constant(Q))
+    L, _ = npar.chol_entries_t(tt, layout, tape.constant(Q))
     rhs = tape.constant(B)
     xs = npar.chol_solve_t(L, [dc.cols(rhs, 0, 1), dc.cols(rhs, 1, 2)])
     for b, q in enumerate(Q):
