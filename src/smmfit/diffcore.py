@@ -4,6 +4,10 @@ Values are rank-2 float64 arrays (vectors are 1 x n rows, scalars 1 x 1).
 Every operation appends one node to a Tape; node order is the topological
 order, so the backward pass is a single reverse sweep over the node list.
 
+A node holds only a weak reference to its tape, and every backward rule
+captures arrays and parent nodes, never its own node, so a tape is an
+acyclic structure that reference counting frees as soon as it is dropped.
+
 Differentiation is first order.  Each node's backward rule is a plain
 numpy function from its adjoint array to its parents' adjoint arrays, so
 the sweep accumulates arrays and records nothing on the tape except one
@@ -13,6 +17,8 @@ differentiating through one raises NonDifferentiablePrimitiveError.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -85,9 +91,13 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[Tensor] = []
+        # what every node holds: a strong reference would make each tape a
+        # cycle that only the cyclic collector frees
+        self._ref = weakref.proxy(self)
 
     def _append(self, value, parents, op, requires_grad) -> Tensor:
-        t = Tensor(self, len(self.nodes), value, parents, op, requires_grad)
+        t = Tensor(self._ref, len(self.nodes), value, parents, op,
+                   requires_grad)
         self.nodes.append(t)
         return t
 
@@ -107,7 +117,7 @@ class Tape:
         parent is ``output`` and which has no derivative rule, so it can
         enter further computation but not a second backward pass.
         """
-        if output.tape is not self:
+        if output.tape is not self._ref:
             raise ValueError("output was recorded on a different tape")
         leaves = list(leaves)
         keep = {leaf.idx for leaf in leaves}
@@ -244,17 +254,18 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def tanh(a: Tensor) -> Tensor:
-    out = a.tape._append(np.tanh(a.value), (a,), "tanh", a.requires_grad)
-    out.bwd = lambda g: (g * (-(out.value * out.value) + 1.0),)
+    o = np.tanh(a.value)
+    out = a.tape._append(o, (a,), "tanh", a.requires_grad)
+    out.bwd = lambda g: (g * (-(o * o) + 1.0),)
     return out
 
 
 def exp(a: Tensor) -> Tensor:
-    v = np.exp(a.value)
-    if not np.all(np.isfinite(v)):
+    o = np.exp(a.value)
+    if not np.all(np.isfinite(o)):
         raise DiffcoreError("exp overflow")
-    out = a.tape._append(v, (a,), "exp", a.requires_grad)
-    out.bwd = lambda g: (g * out.value,)
+    out = a.tape._append(o, (a,), "exp", a.requires_grad)
+    out.bwd = lambda g: (g * o,)
     return out
 
 
@@ -269,8 +280,9 @@ def log(a: Tensor) -> Tensor:
 def sqrt(a: Tensor) -> Tensor:
     if np.any(a.value < 0.0):
         raise DiffcoreError("sqrt of negative value")
-    out = a.tape._append(np.sqrt(a.value), (a,), "sqrt", a.requires_grad)
-    out.bwd = lambda g: (g * (_reciprocal_np(out.value) * 0.5),)
+    o = np.sqrt(a.value)
+    out = a.tape._append(o, (a,), "sqrt", a.requires_grad)
+    out.bwd = lambda g: (g * (_reciprocal_np(o) * 0.5),)
     return out
 
 
@@ -281,9 +293,9 @@ def _reciprocal_np(x: np.ndarray) -> np.ndarray:
 
 
 def reciprocal(a: Tensor) -> Tensor:
-    out = a.tape._append(_reciprocal_np(a.value), (a,), "reciprocal",
-                         a.requires_grad)
-    out.bwd = lambda g: (-(g * (out.value * out.value)),)
+    o = _reciprocal_np(a.value)
+    out = a.tape._append(o, (a,), "reciprocal", a.requires_grad)
+    out.bwd = lambda g: (-(g * (o * o)),)
     return out
 
 
@@ -308,8 +320,9 @@ def softplus(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    out = a.tape._append(_sigmoid_np(a.value), (a,), "sigmoid", a.requires_grad)
-    out.bwd = lambda g: (g * (out.value * (-out.value + 1.0)),)
+    o = _sigmoid_np(a.value)
+    out = a.tape._append(o, (a,), "sigmoid", a.requires_grad)
+    out.bwd = lambda g: (g * (o * (-o + 1.0)),)
     return out
 
 
@@ -361,6 +374,25 @@ def concat_cols(parts) -> Tensor:
             j += w
         return tuple(res)
 
+    out.bwd = bwd
+    return out
+
+
+def custom(parents, value, bwd, op: str = "custom") -> Tensor:
+    """One node with a caller-supplied value and backward rule.
+
+    ``bwd(g)`` maps the node's adjoint to one adjoint (or None) per entry
+    of ``parents``, and must not refer to the node it belongs to.  A
+    parent may be listed more than once: the sweep adds its adjoints in
+    list order, so a fused block can hand over each use of a parent
+    separately, in the order a graph of smaller nodes would add them.
+    """
+    parents = tuple(parents)
+    tape = parents[0].tape
+    if any(p.tape is not tape for p in parents):
+        raise ValueError(f"{op}: parents on different tapes")
+    out = tape._append(_as_value(value), parents, op,
+                       any(p.requires_grad for p in parents))
     out.bwd = bwd
     return out
 

@@ -272,11 +272,16 @@ def smooth_pool(observed, h: float) -> list:
     The pool's trajectories share T and h, so their observations stack
     column-wise into one (T, sum of n) array.
     """
-    obs = [o.observations for o in observed]
-    st = smo.smooth_trajectory(np.hstack(obs), h)
+    return _smooth_stacked([o.observations for o in observed], h)
+
+
+def _smooth_stacked(series, h: float) -> list:
+    """Smooth (T, n_i) arrays sharing T and h in one smooth_trajectory
+    call; one SmoothedTrajectory per array."""
+    st = smo.smooth_trajectory(np.hstack(series), h)
     pool, a = [], 0
-    for o in obs:
-        b = a + o.shape[1]
+    for x in series:
+        b = a + x.shape[1]
         pool.append(smo.SmoothedTrajectory(
             q=st.q[:, a:b].copy(), qdot=st.qdot[:, a:b].copy(),
             qddot=st.qddot[:, a:b].copy(), h=h, fits=st.fits[a:b]))
@@ -284,13 +289,19 @@ def smooth_pool(observed, h: float) -> list:
     return pool
 
 
-def run_cell(config: ExperimentConfig, pool, seed: int, method: str,
-             xi0: float):
-    """One (seed, method, rate) training plus its test evaluation."""
+def _seed_split(config: ExperimentConfig, pool, seed: int):
+    """The seed's (train and val, test) trajectories, labelled."""
     assignment = split_trajectories(config.n_trajectories, config.split, seed)
     labeled = label_split(pool, assignment)
-    fit_trajs = [t for t in labeled if t.split != "test"]
-    test_trajs = [t for t in labeled if t.split == "test"]
+    return ([t for t in labeled if t.split != "test"],
+            [t for t in labeled if t.split == "test"])
+
+
+def run_cell(config: ExperimentConfig, pool, seed: int, method: str,
+             xi0: float, test_batch: tr.Batch):
+    """One (seed, method, rate) training plus its evaluation on the
+    seed's test batch."""
+    fit_trajs, _ = _seed_split(config, pool, seed)
     assert all(t.split in ("train", "val") for t in fit_trajs)
 
     params0 = netp.init_params(seed, make_arch(config))
@@ -307,7 +318,7 @@ def run_cell(config: ExperimentConfig, pool, seed: int, method: str,
         cell = Cell(rmse=float("nan"), reason="diverged", **base)
         return cell, err.record, None
 
-    res = evaluate(best, eval_batch(make_system(config), test_trajs))
+    res = evaluate(best, test_batch)
     reason = "" if np.isfinite(res.rmse) else "evaluation failed"
     cell = Cell(rmse=res.rmse, failed_rows=res.failed, reason=reason,
                 best_epoch=record.best_epoch, **base)
@@ -333,10 +344,13 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
     _, observed = generate_pool(config)
     pool = smooth_pool(observed, config.h)
 
-    specs = [(config, pool, seed, method, xi0)
-             for seed in range(config.seeds)
-             for method in config.methods
-             for xi0 in config.lrs]
+    specs = []
+    for seed in range(config.seeds):
+        # the test targets depend on the seed's split only, not the cell
+        test_batch = eval_batch(make_system(config),
+                                _seed_split(config, pool, seed)[1])
+        specs += [(config, pool, seed, method, xi0, test_batch)
+                  for method in config.methods for xi0 in config.lrs]
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as ex:
             results = list(ex.map(_cell_task, specs))
@@ -344,7 +358,8 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
         results = [_cell_task(s) for s in specs]
 
     table = ResultsTable()
-    for (_, _, seed, method, xi0), (cell, record, best) in zip(specs, results):
+    for spec, (cell, record, best) in zip(specs, results):
+        seed, method, xi0 = spec[2:5]
         name = _cell_name(config, seed, method, xi0)
         if best is not None:
             record.checkpoint = f"checkpoints/{name}.json"
@@ -628,23 +643,28 @@ def cmd_smooth(args) -> int:
     trajs = [integ.load_trajectory(name) for name in args.data]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # files sharing T and h smooth as one batch of series
+    groups = {}
     for name, traj in zip(args.data, trajs):
         data = traj.observations if hasattr(traj, "observations") \
             else traj.configs
-        st = smo.smooth_trajectory(data, traj.h)
-        smo.save_smoothed(st, out / Path(name).name)
+        groups.setdefault((data.shape[0], traj.h), []).append((name, data))
+    for (_, h), files in groups.items():
+        smoothed = _smooth_stacked([data for _, data in files], h)
+        for (name, _), st in zip(files, smoothed):
+            smo.save_smoothed(st, out / Path(name).name)
     _log.info("smoothed %d files into %s", len(args.data), out)
     return 0
 
 
 def cmd_train(args) -> int:
     trajs = [smo.load_smoothed(p) for p in args.data]
-    arch = netp.ArchConfig(n=trajs[0].n, hidden=tuple(args.hidden),
-                           conservative=not args.damped)
-    params0 = netp.init_params(args.seed, arch)
-    tconf = tr.TrainConfig(xi0=args.lr, epochs=args.epochs,
-                           batch_size=args.batch, seed=args.seed)
     try:
+        arch = netp.ArchConfig(n=trajs[0].n, hidden=tuple(args.hidden),
+                               conservative=not args.damped)
+        params0 = netp.init_params(args.seed, arch)
+        tconf = tr.TrainConfig(xi0=args.lr, epochs=args.epochs,
+                               batch_size=args.batch, seed=args.seed)
         record, best = tr.train(args.method, params0,
                                 smo.SmoothedDataset(trajs), tconf)
     except ValueError as err:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -408,28 +409,161 @@ def force_t(theta, layout: ParamLayout, Q, Qdot):
     return dc.mul(out, dc.exp(log_scale_t(theta, layout, 2)))
 
 
-def chol_solve_t(L_ent, rhs_cols):
-    """Solve L Lᵀ x = b for batched per-entry columns.
+# -- fused blocks -------------------------------------------------------------
+#
+# A fused block is one tape node that does the work of many (B, 1) column
+# nodes.  Its forward runs the same ufuncs on the same contiguous columns
+# in the same order as the column graph it replaces.  Its backward replays
+# that graph's sweep in reverse node order and adds every adjoint in the
+# order the sweep added it, so values and gradients keep every bit.  A
+# parent that no later node consumes gets one summed adjoint; a parent
+# that a later node also consumes is listed once per use instead.
 
-    ``L_ent`` maps (i,j) for j ≤ i to (B,1) columns; ``rhs_cols`` is a
-    list of n (B,1) columns.  Returns n (B,1) columns of x.
-    """
-    n = len(rhs_cols)
-    # forward substitution L y = b
-    y = []
+def tri_keys(n: int):
+    """(i, j) for j <= i, row by row: the order entries are built in."""
+    return [(i, j) for i in range(n) for j in range(i + 1)]
+
+
+def sym(i: int, j: int):
+    """The stored key of symmetric entry (i, j)."""
+    return (i, j) if j <= i else (j, i)
+
+
+def accumulate(adj: dict, key, c) -> None:
+    """Add ``c`` into ``adj[key]`` as the backward sweep adds adjoints."""
+    prev = adj.get(key)
+    adj[key] = c if prev is None else prev + c
+
+
+def gram(L, dL, n: int, with_M: bool = True):
+    """M = L Lᵀ and dM = dL Lᵀ + L dLᵀ per direction, from (B, 1) entry
+    arrays keyed (i, j) with j <= i, computed as mass_entries_t does."""
+    M = {}
+    dM = [{} for _ in dL]
     for i in range(n):
-        acc = rhs_cols[i]
+        for j in range(i + 1):
+            if with_M:
+                acc = None
+                for k in range(j + 1):
+                    t = L[i, k] * L[j, k]
+                    acc = t if acc is None else acc + t
+                M[i, j] = acc
+            for dl, dm in zip(dL, dM):
+                acc = None
+                for k in range(j + 1):
+                    t = dl[i, k] * L[j, k] + L[i, k] * dl[j, k]
+                    acc = t if acc is None else acc + t
+                dm[i, j] = acc
+    return M, dM
+
+
+@lru_cache(maxsize=None)
+def gram_schedule(n: int, ndirs: int, with_M: bool):
+    """The Gram's products in backward order: (direction or None for M,
+    entry, (i, k), (j, k))."""
+    steps = []
+    for i in reversed(range(n)):
+        for j in reversed(range(i + 1)):
+            for d in reversed(range(ndirs)):
+                steps += [(d, (i, j), (i, k), (j, k))
+                          for k in reversed(range(j + 1))]
+            if with_M:
+                steps += [(None, (i, j), (i, k), (j, k))
+                          for k in reversed(range(j + 1))]
+    return tuple(steps)
+
+
+def gram_uses(n: int, ndirs: int, with_M: bool):
+    """The L entry behind each contribution gram_bwd returns, in order."""
+    return [key for _, _, ik, jk in gram_schedule(n, ndirs, with_M)
+            for key in (ik, jk)]
+
+
+def gram_bwd(L, dL, gM, gdM, n: int, with_M: bool = True):
+    """Backward of gram: L's contributions one per use (as gram_uses keys
+    them; None where the product's adjoint is None) and dL's summed
+    adjoints per direction."""
+    uses = []
+    gdL = [{} for _ in dL]
+    for d, e, ik, jk in gram_schedule(n, len(dL), with_M):
+        G = gM.get(e) if d is None else gdM[d].get(e)
+        if G is None:
+            uses += [None, None]
+        elif d is None:
+            # t = L[i,k] * L[j,k]
+            uses += [G * L[jk], G * L[ik]]
+        else:
+            # t = dl[i,k] * L[j,k] + L[i,k] * dl[j,k]; the second product
+            # is the later node, so its adjoints come first
+            dl, a = dL[d], gdL[d]
+            uses.append(G * dl[jk])
+            accumulate(a, jk, G * L[ik])
+            accumulate(a, ik, G * L[jk])
+            uses.append(G * dl[ik])
+    return uses, gdL
+
+
+def sum_uses(keys, uses) -> dict:
+    """One summed adjoint per key from per-use contributions."""
+    adj = {}
+    for key, c in zip(keys, uses):
+        if c is not None:
+            accumulate(adj, key, c)
+    return adj
+
+
+def chol_solve_t(L, rhs):
+    """Solve L Lᵀ x = b for a (B, n) right-hand side as one tape node.
+
+    ``L`` maps (i, j), j <= i, to (B, 1) tensors.  Forward and back
+    substitution run column by column, as n (B, 1) columns.
+    """
+    n = rhs.shape[1]
+    keys = tri_keys(n)
+    Lv = {k: L[k].value for k in keys}
+    r = [dc._reciprocal_np(Lv[i, i]) for i in range(n)]
+    y, yacc = [], []
+    for i in range(n):
+        acc = np.ascontiguousarray(rhs.value[:, i:i + 1])
         for j in range(i):
-            acc = dc.add(acc, dc.neg(dc.mul(L_ent[(i, j)], y[j])))
-        y.append(dc.mul(acc, dc.reciprocal(L_ent[(i, i)])))
-    # back substitution Lᵀ x = y
-    x = [None] * n
-    for i in range(n - 1, -1, -1):
+            acc = acc + -(Lv[i, j] * y[j])
+        yacc.append(acc)
+        y.append(acc * r[i])
+    x, xacc = [None] * n, [None] * n
+    for i in reversed(range(n)):
         acc = y[i]
         for j in range(i + 1, n):
-            acc = dc.add(acc, dc.neg(dc.mul(L_ent[(j, i)], x[j])))
-        x[i] = dc.mul(acc, dc.reciprocal(L_ent[(i, i)]))
-    return x
+            acc = acc + -(Lv[j, i] * x[j])
+        xacc[i] = acc
+        x[i] = acc * r[i]
+
+    def bwd(g):
+        adj = {}
+        gx = [np.ascontiguousarray(g[:, i:i + 1]) for i in range(n)]
+        gy = [None] * n
+        # back substitution, last node first: row 0 was built last
+        for i in range(n):
+            a = gx[i] * r[i]
+            accumulate(adj, (i, i), -((gx[i] * xacc[i]) * (r[i] * r[i])))
+            for j in reversed(range(i + 1, n)):
+                gp = -a
+                accumulate(adj, (j, i), gp * x[j])
+                gx[j] = gx[j] + gp * Lv[j, i]
+            gy[i] = a
+        # forward substitution
+        gb = [None] * n
+        for i in reversed(range(n)):
+            a = gy[i] * r[i]
+            accumulate(adj, (i, i), -((gy[i] * yacc[i]) * (r[i] * r[i])))
+            for j in reversed(range(i)):
+                gp = -a
+                accumulate(adj, (i, j), gp * y[j])
+                gy[j] = gy[j] + gp * Lv[i, j]
+            gb[i] = a
+        return (*(adj[k] for k in keys), np.concatenate(gb, axis=1))
+
+    return dc.custom([L[k] for k in keys] + [rhs], np.concatenate(x, axis=1),
+                     bwd, "chol_solve")
 
 
 # -- checkpoint files ---------------------------------------------------------

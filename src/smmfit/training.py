@@ -10,7 +10,10 @@ Spatial derivatives of the nets (needed inside every acceleration and
 DEL evaluation) are built forward-mode by the netparam tape builders, one
 direction per coordinate.  That keeps the tape shallow even through the
 four RK4 stages; a single reverse sweep at the end then yields exact
-parameter gradients.
+parameter gradients.  The mass-matrix Gram, the Euler-Lagrange terms, the
+Cholesky solve and the barrier's shifted factorization each run inside
+one fused tape node (see netparam's fused blocks) whose backward replays
+the per-entry column graph, so every loss and gradient keeps its bits.
 """
 
 from __future__ import annotations
@@ -25,8 +28,10 @@ import numpy as np
 from . import diffcore as dc
 from . import mechanics as mech
 from .integrators import IntegrationBlowupError, rk4_step
-from .netparam import (FlatParams, SmmParams, chol_solve_t, flatten_params,
-                       force_t, mass_entries_t, potential_t)
+from .netparam import (FlatParams, SmmParams, accumulate, chol_entries_t,
+                       chol_solve_t, flatten_params, force_t, gram, gram_bwd,
+                       gram_uses, mass_entries_t, potential_t, sum_uses, sym,
+                       tri_keys)
 
 _log = logging.getLogger("smmfit.training")
 
@@ -145,57 +150,237 @@ def _flat(params) -> FlatParams:
     return params if isinstance(params, FlatParams) else flatten_params(params)
 
 
-def _accel_cols(tape, theta, layout, X, Xd):
-    """Batched acceleration columns at (X, Xd)."""
+def _accel_t(tape, theta, layout, X, Xd):
+    """Batched accelerations at (X, Xd) as a (B, n) tensor."""
     n = layout.arch.n
     dirs = [tape.constant(np.eye(n)[k:k + 1]) for k in range(n)]
-    M, dM, L = mass_entries_t(theta, layout, X, dirs)
+    L, dL = chol_entries_t(theta, layout, X, dirs)
     _, dV = potential_t(theta, layout, X, dirs)
+    # the nets, then the xd columns before force_t's concat: the sweep adds
+    # the adjoints of theta, X and Xd in reverse tape order, so this order
+    # fixes their bits
     xd = [dc.cols(Xd, j, j + 1) for j in range(n)]
-    rhs = []
-    for i in range(n):
-        # dL/dq_i = 1/2 qd' (dM/dq_i) qd - dV/dq_i, minus the momentum
-        # curvature sum_k (dM/dq_k qd)_i qd_k
-        quad = None
-        curv = None
-        for k in range(n):
-            for j in range(n):
-                qt = dc.mul(dc.mul(dM[i][(k, j)], xd[k]), xd[j])
-                quad = qt if quad is None else dc.add(quad, qt)
-                ct = dc.mul(dc.mul(dM[k][(i, j)], xd[j]), xd[k])
-                curv = ct if curv is None else dc.add(curv, ct)
-        r = dc.add(dc.scale(quad, 0.5), dc.neg(dV[i]))
-        rhs.append(dc.add(r, dc.neg(curv)))
+    F = None
     if not layout.arch.conservative:
         F = force_t(theta, layout, X, Xd)
-        rhs = [dc.add(r, dc.cols(F, i, i + 1)) for i, r in enumerate(rhs)]
-    return chol_solve_t(L, rhs)
+    return chol_solve_t(L, _euler_lagrange_rhs_t(L, dL, dV, xd, F))
 
 
-def _shifted_cholesky(ent, n: int, shift: float):
-    """Batched factorization of M - shift*I from entry columns.
+def _euler_lagrange_rhs_t(L, dL, dV, xd, F):
+    """The right-hand side of M q̈ = τ as one (B, n) fused node.
 
-    Returns the factor entries and the (B, 1) log-determinant column.
-    Any nonpositive pivot means the barrier is violated.
+    τ_i = 1/2 q̇ᵀ (∂M/∂q_i) q̇ - ∂V/∂q_i - Σ_k (∂M/∂q_k q̇)_i q̇_k (+ F_i),
+    with ∂M the Gram of the scaled factor L and its directions dL.  The
+    Cholesky solve after it also consumes L, so L is listed once per use.
     """
-    L = {}
+    n = len(xd)
+    keys = tri_keys(n)
+    Lv = {k: L[k].value for k in keys}
+    dLv = [{k: d[k].value for k in keys} for d in dL]
+    _, dM = gram(Lv, dLv, n, with_M=False)
+    xv = [c.value for c in xd]
+    prods = {}
+    cols = []
+    for i in range(n):
+        quad = curv = None
+        for k in range(n):
+            for j in range(n):
+                a = dM[i][sym(k, j)] * xv[k]
+                t = a * xv[j]
+                quad = t if quad is None else quad + t
+                b = dM[k][sym(i, j)] * xv[j]
+                t = b * xv[k]
+                curv = t if curv is None else curv + t
+                prods[i, k, j] = a, b
+        cols.append(quad * 0.5 + -dV[i].value + -curv)
+    if F is not None:
+        cols = [c + np.ascontiguousarray(F.value[:, i:i + 1])
+                for i, c in enumerate(cols)]
+    uses = gram_uses(n, n, False)
+
+    def bwd(g):
+        g = [np.ascontiguousarray(g[:, i:i + 1]) for i in range(n)]
+        gF = None
+        if F is not None:
+            for i in reversed(range(n)):
+                v = np.zeros(F.shape)
+                v[:, i:i + 1] = g[i]
+                gF = v if gF is None else gF + v
+        with_x = xd[0].requires_grad
+        gdM = [{} for _ in range(n)]
+        gx, gdV = {}, [None] * n
+        for i in reversed(range(n)):
+            gcurv, gdV[i], gquad = -g[i], -g[i], g[i] * 0.5
+            for k in reversed(range(n)):
+                for j in reversed(range(n)):
+                    a, b = prods[i, k, j]
+                    gb = gcurv * xv[k]
+                    if with_x:
+                        accumulate(gx, k, gcurv * b)
+                    accumulate(gdM[k], sym(i, j), gb * xv[j])
+                    if with_x:
+                        accumulate(gx, j, gb * dM[k][sym(i, j)])
+                    ga = gquad * xv[j]
+                    if with_x:
+                        accumulate(gx, j, gquad * a)
+                    accumulate(gdM[i], sym(k, j), ga * xv[k])
+                    if with_x:
+                        accumulate(gx, k, ga * dM[i][sym(k, j)])
+        gL, gdL = gram_bwd(Lv, dLv, {}, gdM, n, with_M=False)
+        return (*gL, *(d.get(k) for d in gdL for k in keys), *gdV,
+                *(gx.get(j) for j in range(n)),
+                *(() if F is None else (gF,)))
+
+    parents = [L[k] for k in uses] + [d[k] for d in dL for k in keys] \
+        + list(dV) + list(xd) + ([] if F is None else [F])
+    return dc.custom(parents, np.concatenate(cols, axis=1), bwd,
+                     "euler_lagrange_rhs")
+
+
+def _del_residual_t(arm_a, arm_b, h: float):
+    """The discrete Euler-Lagrange residual as one (B, n) fused node.
+
+    Each arm is (L, dL, dV, F, v) at one pair midpoint: the scaled factor,
+    its directions, dV/dq, the force (or None) and the pair velocity.  Row
+    i is h/2 (∂L_a + ∂L_b)_i + (M_a v_a - M_b v_b)_i (+ h/2 (F_a + F_b)_i)
+    with ∂L_k = 1/2 vᵀ (∂M/∂q_k) v - ∂V/∂q_k.
+    """
+    n = len(arm_a[2])
+    keys = tri_keys(n)
+    c = h / 2.0
+    arms, terms = [], []
+    for L, dL, dV, F, v in (arm_a, arm_b):
+        Lv = {k: L[k].value for k in keys}
+        dLv = [{k: d[k].value for k in keys} for d in dL]
+        M, dM = gram(Lv, dLv, n)
+        vc = [np.ascontiguousarray(v[:, j:j + 1]) for j in range(n)]
+        gL, p = [], []
+        for k in range(n):
+            quad = None
+            for i in range(n):
+                for j in range(n):
+                    t = dM[k][sym(i, j)] * vc[i] * vc[j]
+                    quad = t if quad is None else quad + t
+            gL.append(quad * 0.5 + -dV[k].value)
+        for i in range(n):
+            acc = None
+            for j in range(n):
+                t = M[sym(i, j)] * vc[j]
+                acc = t if acc is None else acc + t
+            p.append(acc)
+        arms.append((Lv, dLv, vc, F))
+        terms.append((gL, p))
+    (gLa, pa), (gLb, pb) = terms
+    Fa, Fb = arm_a[3], arm_b[3]
+    cols = []
+    for i in range(n):
+        d = (gLa[i] + gLb[i]) * c
+        d = d + (pa[i] + -pb[i])
+        if Fa is not None:
+            d = d + (np.ascontiguousarray(Fa.value[:, i:i + 1])
+                     + np.ascontiguousarray(Fb.value[:, i:i + 1])) * c
+        cols.append(d)
+    uses = gram_uses(n, n, True)
+
+    def bwd(g):
+        g = [np.ascontiguousarray(g[:, i:i + 1]) for i in range(n)]
+        gF = [None, None]
+        ggL = [[None] * n, [None] * n]
+        gp = [[None] * n, [None] * n]
+        for i in reversed(range(n)):
+            if Fa is not None:
+                gf = g[i] * c
+                for side in (1, 0):
+                    v = np.zeros(Fa.shape)
+                    v[:, i:i + 1] = gf
+                    gF[side] = v if gF[side] is None else gF[side] + v
+            gp[0][i], gp[1][i] = g[i], -g[i]
+            ggL[0][i] = ggL[1][i] = g[i] * c
+        out = []
+        for side, (Lv, dLv, vc, F) in enumerate(arms):
+            gM, gdM, gdV = {}, [{} for _ in range(n)], [None] * n
+            for i in reversed(range(n)):
+                for j in reversed(range(n)):
+                    accumulate(gM, sym(i, j), gp[side][i] * vc[j])
+            for k in reversed(range(n)):
+                gdV[k] = -ggL[side][k]
+                gq = ggL[side][k] * 0.5
+                for i in reversed(range(n)):
+                    for j in reversed(range(n)):
+                        accumulate(gdM[k], sym(i, j), gq * vc[j] * vc[i])
+            gL, gdL = gram_bwd(Lv, dLv, gM, gdM, n)
+            gL = sum_uses(uses, gL)
+            out += [gL[k] for k in keys] + [d.get(k) for d in gdL
+                                            for k in keys] + gdV
+            if F is not None:
+                out.append(gF[side])
+        return tuple(out)
+
+    parents = []
+    for L, dL, dV, F, _ in (arm_a, arm_b):
+        parents += [L[k] for k in keys] + [d[k] for d in dL for k in keys] \
+            + list(dV) + ([] if F is None else [F])
+    return dc.custom(parents, np.concatenate(cols, axis=1), bwd,
+                     "del_residual")
+
+
+def _shifted_logdet_t(L, n: int, shift: float):
+    """log det(M - shift I) per row as one (B, 1) fused node, M the Gram
+    of the scaled factor L.
+
+    The shifted factor is built entry by entry; any nonpositive pivot
+    means the barrier is violated.
+    """
+    keys = tri_keys(n)
+    Lv = {k: L[k].value for k in keys}
+    M, _ = gram(Lv, [], n)
+    S, accs, recips = {}, {}, {}
     ld = None
     for i in range(n):
         for j in range(i + 1):
-            acc = ent[(i, j)]
+            acc = M[i, j]
             if i == j and shift != 0.0:
-                acc = dc.shift(acc, -shift)
+                acc = acc + -shift
             for k in range(j):
-                acc = dc.add(acc, dc.neg(dc.mul(L[(i, k)], L[(j, k)])))
+                acc = acc + -(S[i, k] * S[j, k])
+            accs[i, j] = acc
             if i == j:
-                piv = acc.value
-                if not np.all(np.isfinite(piv)) or np.any(piv <= 0.0):
-                    raise BarrierViolationError(i, float(np.nanmin(piv)))
-                L[(i, i)] = dc.sqrt(acc)
-                ld = dc.log(acc) if ld is None else dc.add(ld, dc.log(acc))
+                if not np.all(np.isfinite(acc)) or np.any(acc <= 0.0):
+                    raise BarrierViolationError(i, float(np.nanmin(acc)))
+                S[i, i] = np.sqrt(acc)
+                ld = np.log(acc) if ld is None else ld + np.log(acc)
             else:
-                L[(i, j)] = dc.mul(acc, dc.reciprocal(L[(j, j)]))
-    return L, ld
+                recips[i, j] = dc._reciprocal_np(S[j, j])
+                S[i, j] = acc * recips[i, j]
+    uses = gram_uses(n, 0, True)
+
+    def bwd(g):
+        gS, gM = {}, {}
+        for i in reversed(range(n)):
+            for j in reversed(range(i + 1)):
+                acc = accs[i, j]
+                if i == j:
+                    a = g * (1.0 / acc)
+                    gs = gS.get((i, i))
+                    if gs is not None:
+                        a = a + gs * (dc._reciprocal_np(S[i, i]) * 0.5)
+                else:
+                    gs = gS.get((i, j))
+                    if gs is None:
+                        continue
+                    r = recips[i, j]
+                    a = gs * r
+                    accumulate(gS, (j, j), -((gs * acc) * (r * r)))
+                for k in reversed(range(j)):
+                    gp = -a
+                    accumulate(gS, (i, k), gp * S[j, k])
+                    accumulate(gS, (j, k), gp * S[i, k])
+                gM[i, j] = a
+        gL, _ = gram_bwd(Lv, [], gM, [], n)
+        gL = sum_uses(uses, gL)
+        return tuple(gL.get(k) for k in keys)
+
+    return dc.custom([L[k] for k in keys], ld, bwd, "shifted_logdet")
 
 
 # -- loss graphs --------------------------------------------------------------
@@ -213,48 +398,23 @@ def _del_graph(flat: FlatParams, batch: Batch, mu: float, alpha: float,
     dirs = [tape.constant(np.eye(n)[k:k + 1]) for k in range(n)]
 
     def arm(qa, qb):
-        # dL/dq and momentum M v at the pair midpoint
+        # the nets at the pair midpoint, and the pair velocity
         X = tape.constant((qa + qb) / 2.0)
         v = (qb - qa) / h
-        M, dM, _ = mass_entries_t(theta, layout, X, dirs)
+        L, dL = chol_entries_t(theta, layout, X, dirs)
         _, dV = potential_t(theta, layout, X, dirs)
-        vc = [tape.constant(v[:, j:j + 1]) for j in range(n)]
-        gL, p = [], []
-        for k in range(n):
-            quad = None
-            for i in range(n):
-                for j in range(n):
-                    t = dc.mul(dc.mul(dM[k][(i, j)], vc[i]), vc[j])
-                    quad = t if quad is None else dc.add(quad, t)
-            gL.append(dc.add(dc.scale(quad, 0.5), dc.neg(dV[k])))
-        for i in range(n):
-            acc = None
-            for j in range(n):
-                t = dc.mul(M[(i, j)], vc[j])
-                acc = t if acc is None else dc.add(acc, t)
-            p.append(acc)
         F = None
         if not layout.arch.conservative:
             F = force_t(theta, layout, X, tape.constant(v))
-        return gL, p, F
+        return L, dL, dV, F, v
 
-    gLa, pa, Fa = arm(q1, q2)
-    gLb, pb, Fb = arm(q2, q3)
-    out = []
-    for i in range(n):
-        d = dc.scale(dc.add(gLa[i], gLb[i]), h / 2.0)
-        d = dc.add(d, dc.add(pa[i], dc.neg(pb[i])))
-        if Fa is not None:
-            fi = dc.add(dc.cols(Fa, i, i + 1), dc.cols(Fb, i, i + 1))
-            d = dc.add(d, dc.scale(fi, h / 2.0))
-        out.append(d)
-    rho = dc.scale(dc.sumsq(dc.concat_cols(out)), 1.0 / len(batch))
+    res = _del_residual_t(arm(q1, q2), arm(q2, q3), h)
+    rho = dc.scale(dc.sumsq(res), 1.0 / len(batch))
     ld_mean = None
     loss = rho
     if with_barrier:
-        ent, _, _ = mass_entries_t(theta, layout, tape.constant(q2))
-        _, ld = _shifted_cholesky(ent, n, alpha)
-        ld_mean = dc.mean_all(ld)
+        L, _ = chol_entries_t(theta, layout, tape.constant(q2))
+        ld_mean = dc.mean_all(_shifted_logdet_t(L, n, alpha))
         loss = dc.add(rho, dc.scale(ld_mean, -mu))
     return tape, theta, loss, rho, ld_mean
 
@@ -266,7 +426,7 @@ def _accel_graph(flat: FlatParams, batch: Batch):
     theta = tape.input(flat.values.reshape(1, -1))
     X = tape.constant(batch.data["q"])
     Xd = tape.constant(batch.data["qdot"])
-    A = dc.concat_cols(_accel_cols(tape, theta, flat.layout, X, Xd))
+    A = _accel_t(tape, theta, flat.layout, X, Xd)
     E = dc.add(A, tape.constant(-batch.data["qddot"]))
     loss = dc.scale(dc.sumsq(E), 1.0 / batch.data["q"].size)
     return tape, theta, loss, A
@@ -282,7 +442,7 @@ def _nextstate_graph(flat: FlatParams, batch: Batch, h: float):
     Xd = tape.constant(batch.data["qdot"])
 
     def acc(Xs, Vs):
-        A = dc.concat_cols(_accel_cols(tape, theta, layout, Xs, Vs))
+        A = _accel_t(tape, theta, layout, Xs, Vs)
         if not np.all(np.isfinite(A.value)):
             raise IntegrationBlowupError("non-finite RK4 stage acceleration")
         return A
@@ -369,8 +529,7 @@ def predicted_accelerations(params, q, qdot) -> np.ndarray:
     theta = tape.constant(flat.values.reshape(1, -1))
     X = tape.constant(np.asarray(q, dtype=np.float64))
     Xd = tape.constant(np.asarray(qdot, dtype=np.float64))
-    A = dc.concat_cols(_accel_cols(tape, theta, flat.layout, X, Xd))
-    return A.value.copy()
+    return _accel_t(tape, theta, flat.layout, X, Xd).value.copy()
 
 
 def accel_rmse(params, batch: Batch) -> float:
@@ -385,8 +544,8 @@ def barrier_grad(params, configs, alpha: float) -> np.ndarray:
     configs = np.asarray(configs, dtype=np.float64)
     tape = dc.Tape()
     theta = tape.input(flat.values.reshape(1, -1))
-    ent, _, _ = mass_entries_t(theta, flat.layout, tape.constant(configs))
-    _, ld = _shifted_cholesky(ent, flat.layout.arch.n, alpha)
+    L, _ = chol_entries_t(theta, flat.layout, tape.constant(configs))
+    ld = _shifted_logdet_t(L, flat.layout.arch.n, alpha)
     g = tape.gradients(dc.mean_all(ld), [theta])[0]
     return g.value.ravel().copy()
 

@@ -421,6 +421,39 @@ def test_cli_missing_input_file_exit_code(smoothed_pair, tmp_path, capsys):
     assert not (tmp_path / "smoothed").exists()
 
 
+@pytest.mark.parametrize("flag,value", [("--hidden", "0"), ("--lr", "0"),
+                                        ("--batch", "0")])
+def test_cli_train_bad_option_exit_code(smoothed_pair, tmp_path, capsys,
+                                        flag, value):
+    files = sorted(map(str, smoothed_pair.glob("traj_*.csv")))
+    assert cli.main(["train", *files, "--method", "accel", "--epochs", "1",
+                     flag, value, "--out", str(tmp_path / "fit")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "fit").exists()
+
+
+def test_cli_smooth_batches_files_like_per_file_smoothing(tmp_path):
+    for name, steps in (("a", "40"), ("b", "30")):
+        assert cli.main(["generate", "--count", "3" if name == "a" else "1",
+                         "--steps", steps, "--sigma", "0.1", "--seed", "8",
+                         "--out", str(tmp_path / name)]) == 0
+    raw = sorted(map(str, (tmp_path / "a").glob("traj_*.csv")))
+    for suffix in (".csv", ".json"):
+        (tmp_path / "b" / f"traj_00{suffix}").rename(
+            tmp_path / "b" / f"short{suffix}")
+    other = str(tmp_path / "b" / "short.csv")
+    # three files share T and h; the fourth, shorter one smooths apart
+    assert cli.main(["smooth", *raw[:2], other, raw[2],
+                     "--out", str(tmp_path / "all")]) == 0
+    for i, name in enumerate(raw):
+        assert cli.main(["smooth", name, "--out",
+                         str(tmp_path / f"one{i}")]) == 0
+        for suffix in (".csv", ".json"):
+            file = f"traj_{i:02d}{suffix}"
+            assert (tmp_path / "all" / file).read_bytes() \
+                == (tmp_path / f"one{i}" / file).read_bytes()
+
+
 def test_cli_experiment_and_plot(tmp_path):
     out = tmp_path / "exp"
     assert cli.main(["experiment", "--trajectories", "4", "--steps", "40",
