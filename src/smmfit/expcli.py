@@ -640,6 +640,14 @@ def cmd_generate(args) -> int:
 
 
 def cmd_smooth(args) -> int:
+    # each output takes its input's name, and its sidecar that name's stem
+    seen = {}
+    for name in args.data:
+        stem = Path(name).stem
+        if stem in seen:
+            raise ConfigError(f"{seen[stem]} and {name} would write the same "
+                              f"files in {args.out}")
+        seen[stem] = name
     trajs = [integ.load_trajectory(name) for name in args.data]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

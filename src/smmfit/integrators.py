@@ -261,7 +261,8 @@ def add_noise(traj: Trajectory, sigma: float, rng) -> ObservedTrajectory:
 
 # -- trajectory files ---------------------------------------------------------
 
-def _write_csv(path: Path, header, rows):
+def write_csv(path, header, rows):
+    """A header row, then each row's numbers at full precision."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -269,40 +270,52 @@ def _write_csv(path: Path, header, rows):
             w.writerow([f"{x:.17g}" for x in row])
 
 
-def _sidecar(path: Path) -> Path:
-    return path.with_suffix(".json")
-
-
-def save_trajectory(traj, path) -> None:
-    """Write `t,q1,...,qn` CSV plus a JSON sidecar with h/seed/system/sigma."""
-    path = Path(path)
-    data = traj.observations if isinstance(traj, ObservedTrajectory) else traj.configs
-    header = ["t"] + [f"q{i + 1}" for i in range(data.shape[1])]
-    rows = ([i * traj.h] + list(data[i]) for i in range(data.shape[0]))
-    _write_csv(path, header, rows)
-    meta = {
-        "h": traj.h,
-        "seed": traj.seed,
-        "system": traj.system,
-        "sigma": traj.noise_sigma if isinstance(traj, ObservedTrajectory) else None,
-    }
-    with open(_sidecar(path), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_trajectory(path):
-    """Read a trajectory CSV + sidecar; the sidecar's sigma field decides
-    whether it is a clean Trajectory or an ObservedTrajectory."""
-    path = Path(path)
+def read_csv(path):
+    """(header, data array) of a file `write_csv` wrote."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if header[0] != "t":
             raise ValueError(f"unexpected header {header!r}")
         data = np.array([[float(x) for x in row] for row in reader])
+    return header, data
+
+
+def _sidecar(path) -> Path:
+    return Path(path).with_suffix(".json")
+
+
+def write_sidecar(path, meta: dict) -> None:
+    """The JSON sidecar of a data file: same stem, `.json` suffix."""
+    with open(_sidecar(path), "w") as fh:
+        json.dump(meta, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def read_sidecar(path) -> dict:
     with open(_sidecar(path)) as fh:
-        meta = json.load(fh)
+        return json.load(fh)
+
+
+def save_trajectory(traj, path) -> None:
+    """Write `t,q1,...,qn` CSV plus a JSON sidecar with h/seed/system/sigma."""
+    data = traj.observations if isinstance(traj, ObservedTrajectory) else traj.configs
+    header = ["t"] + [f"q{i + 1}" for i in range(data.shape[1])]
+    rows = ([i * traj.h] + list(data[i]) for i in range(data.shape[0]))
+    write_csv(path, header, rows)
+    write_sidecar(path, {
+        "h": traj.h,
+        "seed": traj.seed,
+        "system": traj.system,
+        "sigma": traj.noise_sigma if isinstance(traj, ObservedTrajectory) else None,
+    })
+
+
+def load_trajectory(path):
+    """Read a trajectory CSV + sidecar; the sidecar's sigma field decides
+    whether it is a clean Trajectory or an ObservedTrajectory."""
+    _, data = read_csv(path)
+    meta = read_sidecar(path)
     configs = data[:, 1:]
     if meta.get("sigma") is None:
         return Trajectory(configs=configs, h=meta["h"],

@@ -7,11 +7,12 @@ definite), a potential net for V(q), and an optional force net on
 model class is exactly closed under multiplication by a positive
 scalar.
 
-Two evaluation paths exist on purpose: plain-numpy single-point
-operations here, and batched tape-graph builders (used by the training
-losses) that must agree with them to rounding error.  Each builder takes
-optional forward-mode directions and returns one spatial derivative per
-direction beside its value; with none it builds the value alone.
+A model is one flat parameter vector (`FlatParams`); its `ParamLayout`
+names the slot of every weight, bias and the log-scale block.  The
+batched tape builders slice the nets out of that vector.  Each builder
+takes optional forward-mode directions and returns one spatial
+derivative per direction beside its value; with none it builds the
+value alone.
 """
 
 from __future__ import annotations
@@ -23,15 +24,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import diffcore as dc
-from .mechanics import LagrangianSystem
 
 
 class ConservativeForceError(Exception):
     """force() was called on a conservative model."""
-
-
-def _softplus(x):
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
 @dataclass
@@ -73,46 +69,6 @@ class ArchConfig:
         return names
 
 
-@dataclass
-class Mlp:
-    """Weight/bias pairs; tanh on hidden layers, linear output."""
-
-    weights: list
-    biases: list
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        a = np.asarray(x, dtype=np.float64)
-        last = len(self.weights) - 1
-        for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            a = a @ W + b
-            if i < last:
-                a = np.tanh(a)
-        return a
-
-
-@dataclass
-class SmmParams:
-    """Structured parameter container for one model."""
-
-    arch: ArchConfig
-    mass_net: Mlp
-    potential_net: Mlp
-    force_net: Mlp | None
-    log_scales: np.ndarray  # (s_M, s_V) or (s_M, s_V, s_F)
-
-    def __post_init__(self):
-        self.log_scales = np.asarray(self.log_scales, dtype=np.float64).ravel()
-        expect = 2 if self.arch.conservative else 3
-        if self.log_scales.size != expect:
-            raise ValueError(f"expected {expect} log-scales")
-        if self.arch.conservative != (self.force_net is None):
-            raise ValueError("conservative flag and force net disagree")
-
-    @property
-    def conservative(self) -> bool:
-        return self.arch.conservative
-
-
 class ParamLayout:
     """Flat-vector layout: one contiguous slot per weight, bias, and the
     log-scale block, in fixed order.  The single source of truth for how
@@ -145,39 +101,6 @@ class ParamLayout:
     def n_layers(self, net: str) -> int:
         return len(self._layer_dims(net))
 
-    def flatten(self, params: SmmParams) -> np.ndarray:
-        vec = np.empty(self.total)
-        nets = {"mass": params.mass_net, "potential": params.potential_net,
-                "force": params.force_net}
-        for key, shape, s, e in self.slots:
-            if key == "log_scales":
-                vec[s:e] = params.log_scales
-                continue
-            net, i, kind = key.split(".")
-            mlp = nets[net]
-            arr = mlp.weights[int(i)] if kind == "W" else mlp.biases[int(i)]
-            vec[s:e] = np.asarray(arr).reshape(-1)
-        return vec
-
-    def unflatten(self, vec: np.ndarray) -> SmmParams:
-        vec = np.asarray(vec, dtype=np.float64).ravel()
-        if vec.size != self.total:
-            raise ValueError(f"expected {self.total} parameters, got {vec.size}")
-        nets = {}
-        for net in self.arch.nets:
-            ws, bs = [], []
-            for i in range(self.n_layers(net)):
-                shape, s, e = self.slot(f"{net}.{i}.W")
-                ws.append(vec[s:e].reshape(shape).copy())
-                shape, s, e = self.slot(f"{net}.{i}.b")
-                bs.append(vec[s:e].reshape(-1).copy())
-            nets[net] = Mlp(ws, bs)
-        _, s, e = self.slot("log_scales")
-        return SmmParams(arch=self.arch, mass_net=nets["mass"],
-                         potential_net=nets["potential"],
-                         force_net=nets.get("force"),
-                         log_scales=vec[s:e].copy())
-
 
 @dataclass
 class FlatParams:
@@ -191,126 +114,33 @@ class FlatParams:
         if self.values.size != self.layout.total:
             raise ValueError("length does not match layout")
 
-    def to_params(self) -> SmmParams:
-        return self.layout.unflatten(self.values)
 
+def init_params(rng, arch: ArchConfig) -> FlatParams:
+    """Scaled-uniform U(±1/√fan_in) weights and biases, zero log-scales.
 
-def flatten_params(params: SmmParams) -> FlatParams:
-    layout = ParamLayout(params.arch)
-    return FlatParams(layout.flatten(params), layout)
-
-
-def init_params(rng, arch: ArchConfig) -> SmmParams:
-    """Scaled-uniform U(±1/√fan_in) weights and biases, zero log-scales."""
+    Slots are drawn in layout order, each layer's W then its b.
+    """
     gen = np.random.default_rng(rng) if isinstance(rng, (int, np.integer)) else rng
     layout = ParamLayout(arch)
-    nets = {}
-    for net in arch.nets:
-        ws, bs = [], []
-        for din, dout in layout._layer_dims(net):
-            bound = 1.0 / np.sqrt(din)
-            ws.append(gen.uniform(-bound, bound, size=(din, dout)))
-            bs.append(gen.uniform(-bound, bound, size=dout))
-        nets[net] = Mlp(ws, bs)
-    nscale = 2 if arch.conservative else 3
-    return SmmParams(arch=arch, mass_net=nets["mass"],
-                     potential_net=nets["potential"], force_net=nets.get("force"),
-                     log_scales=np.zeros(nscale))
+    values = np.zeros(layout.total)
+    for key, shape, s, e in layout.slots:
+        if key == "log_scales":
+            continue
+        if key.endswith(".W"):
+            # a layer's bias shares its weight's bound
+            bound = 1.0 / np.sqrt(shape[0])
+        values[s:e] = gen.uniform(-bound, bound, size=shape).reshape(-1)
+    return FlatParams(values, layout)
 
 
-def scale_params(params: SmmParams, gamma: float) -> SmmParams:
+def scale_params(params: FlatParams, gamma: float) -> FlatParams:
     """Shift every log-scale by ln γ: M, V, F all scale pointwise by γ."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    return SmmParams(
-        arch=params.arch,
-        mass_net=Mlp([w.copy() for w in params.mass_net.weights],
-                     [b.copy() for b in params.mass_net.biases]),
-        potential_net=Mlp([w.copy() for w in params.potential_net.weights],
-                          [b.copy() for b in params.potential_net.biases]),
-        force_net=None if params.force_net is None else
-        Mlp([w.copy() for w in params.force_net.weights],
-            [b.copy() for b in params.force_net.biases]),
-        log_scales=params.log_scales + np.log(gamma),
-    )
-
-
-def _chol_factor(params: SmmParams, q: np.ndarray) -> np.ndarray:
-    """Unscaled lower-triangular factor L(q) from the mass net output."""
-    n = params.arch.n
-    out = params.mass_net.forward(np.asarray(q, dtype=np.float64).reshape(1, -1))[0]
-    L = np.zeros((n, n))
-    t = 0
-    for i in range(n):
-        for j in range(i + 1):
-            L[i, j] = _softplus(out[t]) + params.arch.eps if i == j else out[t]
-            t += 1
-    return L
-
-
-def mass_matrix(params: SmmParams, q) -> np.ndarray:
-    """exp(s_M) · L(q) L(q)ᵀ, symmetric PD by construction."""
-    L = _chol_factor(params, q)
-    return np.exp(params.log_scales[0]) * (L @ L.T)
-
-
-def potential(params: SmmParams, q) -> float:
-    out = params.potential_net.forward(np.asarray(q, dtype=np.float64).reshape(1, -1))
-    return float(np.exp(params.log_scales[1]) * out[0, 0])
-
-
-def force(params: SmmParams, q, qdot) -> np.ndarray:
-    if params.conservative:
-        raise ConservativeForceError("model has no force net")
-    x = np.concatenate([np.asarray(q, dtype=np.float64).ravel(),
-                        np.asarray(qdot, dtype=np.float64).ravel()]).reshape(1, -1)
-    return np.exp(params.log_scales[2]) * params.force_net.forward(x)[0]
-
-
-class SmmSystem(LagrangianSystem):
-    """LagrangianSystem view of learned parameters.
-
-    Derivatives of M and V come from the tape (exact), so acceleration
-    predictions match the training-time computation.
-    """
-
-    def __init__(self, params: SmmParams):
-        self.params = params
-        self.n = params.arch.n
-        self.layout = ParamLayout(params.arch)
-        self.theta = self.layout.flatten(params)
-
-    def mass_matrix(self, q):
-        return mass_matrix(self.params, q)
-
-    def potential(self, q):
-        return potential(self.params, q)
-
-    def force(self, q, qdot):
-        if self.params.conservative:
-            return np.zeros(self.n)
-        return force(self.params, q, qdot)
-
-    def potential_gradient(self, q):
-        def f(qt):
-            theta = qt.tape.constant(self.theta.reshape(1, -1))
-            return potential_t(theta, self.layout, qt)[0]
-
-        return dc.grad(f, np.asarray(q, dtype=np.float64))
-
-    def mass_jacobian(self, q):
-        n = self.n
-
-        def f(qt):
-            theta = qt.tape.constant(self.theta.reshape(1, -1))
-            ent, _, _ = mass_entries_t(theta, self.layout, qt)
-            return dc.concat_cols([ent[(i, j)] for i in range(n) for j in range(n)])
-
-        J = dc.jacobian(f, np.asarray(q, dtype=np.float64))
-        dM = np.empty((n, n, n))
-        for k in range(n):
-            dM[k] = J[:, k].reshape(n, n)
-        return dM
+    values = params.values.copy()
+    _, s, e = params.layout.slot("log_scales")
+    values[s:e] += np.log(gamma)
+    return FlatParams(values, params.layout)
 
 
 # -- batched tape builders ----------------------------------------------------
@@ -568,20 +398,20 @@ def chol_solve_t(L, rhs):
 
 # -- checkpoint files ---------------------------------------------------------
 
-def save_params(params: SmmParams, path, seed: int | None = None) -> None:
+def save_params(params: FlatParams, path, seed: int | None = None) -> None:
     """JSON checkpoint: architecture, flat parameter vector, seed."""
-    layout = ParamLayout(params.arch)
+    arch = params.layout.arch
     blob = {
         "arch": {
-            "n": params.arch.n,
-            "hidden": list(params.arch.hidden),
-            "activation": params.arch.activation,
-            "eps": params.arch.eps,
-            "conservative": params.arch.conservative,
+            "n": arch.n,
+            "hidden": list(arch.hidden),
+            "activation": arch.activation,
+            "eps": arch.eps,
+            "conservative": arch.conservative,
         },
         "layout": [{"key": k, "shape": list(shape), "start": s, "end": e}
-                   for k, shape, s, e in layout.slots],
-        "flat": [float(v) for v in layout.flatten(params)],
+                   for k, shape, s, e in params.layout.slots],
+        "flat": [float(v) for v in params.values],
         "seed": seed,
     }
     with open(path, "w") as fh:
@@ -590,7 +420,7 @@ def save_params(params: SmmParams, path, seed: int | None = None) -> None:
 
 
 def load_params(path):
-    """Returns (SmmParams, seed)."""
+    """Returns (FlatParams, seed)."""
     with open(path) as fh:
         blob = json.load(fh)
     a = blob["arch"]
@@ -602,5 +432,5 @@ def load_params(path):
               for d in blob["layout"]]
     if stored != [(k, tuple(s), a_, b_) for k, s, a_, b_ in layout.slots]:
         raise ValueError("layout descriptor does not match architecture")
-    params = layout.unflatten(np.array(blob["flat"], dtype=np.float64))
-    return params, blob.get("seed")
+    values = np.array(blob["flat"], dtype=np.float64)
+    return FlatParams(values, layout), blob.get("seed")

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .integrators import read_csv, read_sidecar, write_csv, write_sidecar
 
 _log = logging.getLogger("smmfit.smoother")
 
@@ -98,7 +99,6 @@ class SmoothResult:
     # shapes for one series; K series add a series axis after T
     means: np.ndarray        # T x 3, m_t|T
     covs: np.ndarray         # T x 3 x 3
-    cross_covs: np.ndarray   # (T-1) x 3 x 3, Cov(x_t, x_{t+1} | y_{1:T})
     loglik: float            # (K,) for K series
 
 
@@ -159,7 +159,7 @@ def kalman_filter(model: LdsModel, y: np.ndarray) -> FilterResult:
 
 
 def rts_smooth(model: LdsModel, filt: FilterResult) -> SmoothResult:
-    """Rauch-Tung-Striebel backward pass with lag-one cross-covariances."""
+    """Rauch-Tung-Striebel backward pass."""
     A = model.A
     single = filt.means.ndim == 2
     fm, fc, pm, pc = (a[:, None] if single else a for a in
@@ -168,7 +168,6 @@ def rts_smooth(model: LdsModel, filt: FilterResult) -> SmoothResult:
     T, K, d = fm.shape
     ms = np.empty((T, K, d))
     Ps = np.empty((T, K, d, d))
-    cross = np.empty((max(T - 1, 0), K, d, d))
     ms[-1] = fm[-1]
     Ps[-1] = fc[-1]
     for t in range(T - 2, -1, -1):
@@ -181,10 +180,9 @@ def rts_smooth(model: LdsModel, filt: FilterResult) -> SmoothResult:
         dm = (ms[t + 1] - pm[t + 1])[:, :, None]
         ms[t] = fm[t] + np.matmul(G, dm)[:, :, 0]
         Ps[t] = fc[t] + np.matmul(np.matmul(G, Ps[t + 1] - P_pred), _bt(G))
-        cross[t] = np.matmul(G, Ps[t + 1])
     if single:
-        return SmoothResult(ms[:, 0], Ps[:, 0], cross[:, 0], filt.loglik)
-    return SmoothResult(ms, Ps, cross, filt.loglik)
+        return SmoothResult(ms[:, 0], Ps[:, 0], filt.loglik)
+    return SmoothResult(ms, Ps, filt.loglik)
 
 
 @dataclass
@@ -229,7 +227,7 @@ def em_fit(y: np.ndarray, dt: float, q_fixed: np.ndarray = FIXED_Q,
 
     fit_R, fit_m0, fit_P0 = np.empty(K), np.empty((K, 3)), np.empty((K, 3, 3))
     out = SmoothResult(np.empty((T, K, 3)), np.empty((T, K, 3, 3)),
-                       np.empty((max(T - 1, 0), K, 3, 3)), np.empty(K))
+                       np.empty(K))
     logliks: list[list] = [[] for _ in range(K)]
     iterations = [0] * K
     active = np.arange(K)
@@ -255,7 +253,6 @@ def em_fit(y: np.ndarray, dt: float, q_fixed: np.ndarray = FIXED_Q,
             fit_R[k], fit_m0[k], fit_P0[k] = R[done], m0[done], P0[done]
             out.means[:, k] = smooth.means[:, done]
             out.covs[:, k] = smooth.covs[:, done]
-            out.cross_covs[:, k] = smooth.cross_covs[:, done]
             out.loglik[k] = smooth.loglik[done]
             for i in k:
                 iterations[i] = it + 1
@@ -277,7 +274,7 @@ def em_fit(y: np.ndarray, dt: float, q_fixed: np.ndarray = FIXED_Q,
         model = LdsModel(A=A, C=C, Q=Q, R=float(fit_R[0]), m0=fit_m0[0],
                          P0=fit_P0[0])
         smooth = SmoothResult(out.means[:, 0], out.covs[:, 0],
-                              out.cross_covs[:, 0], out.loglik[0])
+                              out.loglik[0])
         return EmResult(model, logliks[0], iterations[0], smooth)
     model = LdsModel(A=A, C=C, Q=Q, R=fit_R, m0=fit_m0, P0=fit_P0)
     return EmResult(model, logliks, iterations, out)
@@ -345,44 +342,23 @@ def smooth_trajectory(observations: np.ndarray, h: float,
 
 def save_smoothed(straj: SmoothedTrajectory, path) -> None:
     """CSV `t, q_i, qdot_i, qddot_i` per coordinate + JSON fit sidecar."""
-    import csv
-    import json
-    from pathlib import Path
-
-    path = Path(path)
-    header = ["t"]
-    for j in range(straj.n):
-        header += [f"q{j + 1}", f"qdot{j + 1}", f"qddot{j + 1}"]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for t in range(straj.T):
-            row = [t * straj.h]
-            for j in range(straj.n):
-                row += [straj.q[t, j], straj.qdot[t, j], straj.qddot[t, j]]
-            w.writerow([f"{x:.17g}" for x in row])
-    meta = {"h": straj.h, "split": straj.split, "fits": straj.fits}
-    with open(path.with_suffix(".json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    header = ["t"] + [f"{k}{j + 1}" for j in range(straj.n)
+                      for k in ("q", "qdot", "qddot")]
+    block = np.stack([straj.q, straj.qdot, straj.qddot], axis=2)
+    block = block.reshape(straj.T, -1)
+    rows = ([t * straj.h] + list(block[t]) for t in range(straj.T))
+    write_csv(path, header, rows)
+    write_sidecar(path, {"h": straj.h, "split": straj.split,
+                         "fits": straj.fits})
 
 
 def load_smoothed(path) -> SmoothedTrajectory:
-    import csv
-    import json
-    from pathlib import Path
-
-    path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        data = np.array([[float(x) for x in row] for row in reader])
+    header, data = read_csv(path)
     n = (len(header) - 1) // 3
     q = data[:, 1 + 3 * np.arange(n)]
     qdot = data[:, 2 + 3 * np.arange(n)]
     qddot = data[:, 3 + 3 * np.arange(n)]
-    with open(path.with_suffix(".json")) as fh:
-        meta = json.load(fh)
+    meta = read_sidecar(path)
     return SmoothedTrajectory(q=q, qdot=qdot, qddot=qddot, h=meta["h"],
                               split=meta.get("split", ""),
                               fits=meta.get("fits", []))

@@ -26,12 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from . import diffcore as dc
-from . import mechanics as mech
-from .integrators import IntegrationBlowupError, rk4_step
-from .netparam import (FlatParams, SmmParams, accumulate, chol_entries_t,
-                       chol_solve_t, flatten_params, force_t, gram, gram_bwd,
-                       gram_uses, mass_entries_t, potential_t, sum_uses, sym,
-                       tri_keys)
+from .integrators import IntegrationBlowupError
+from .netparam import (FlatParams, accumulate, chol_entries_t, chol_solve_t,
+                       force_t, gram, gram_bwd, gram_uses, mass_entries_t,
+                       potential_t, sum_uses, sym, tri_keys)
 
 _log = logging.getLogger("smmfit.training")
 
@@ -145,10 +143,6 @@ def make_batches(rng, count: int, batch_size: int):
 
 
 # -- dynamics on the tape -----------------------------------------------------
-
-def _flat(params) -> FlatParams:
-    return params if isinstance(params, FlatParams) else flatten_params(params)
-
 
 def _accel_t(tape, theta, layout, X, Xd):
     """Batched accelerations at (X, Xd) as a (B, n) tensor."""
@@ -470,113 +464,82 @@ def _nextstate_graph(flat: FlatParams, batch: Batch, h: float):
 
 # -- public losses ------------------------------------------------------------
 
-def del_loss(params, batch: Batch, mu: float = MU_DEFAULT,
+def del_loss(params: FlatParams, batch: Batch, mu: float = MU_DEFAULT,
              alpha: float = 0.0) -> float:
     """Mean squared DEL residual minus mu times the mean log-det barrier."""
-    _, _, loss, _, _ = _del_graph(_flat(params), batch, mu, alpha,
+    _, _, loss, _, _ = _del_graph(params, batch, mu, alpha,
                                   with_barrier=mu != 0.0)
     return loss.value.item()
 
 
-def del_loss_grad(params, batch: Batch, mu: float = MU_DEFAULT,
-                  alpha: float = 0.0):
-    tape, theta, loss, _, _ = _del_graph(_flat(params), batch, mu, alpha,
+def del_loss_grad(params: FlatParams, batch: Batch,
+                  mu: float = MU_DEFAULT, alpha: float = 0.0):
+    tape, theta, loss, _, _ = _del_graph(params, batch, mu, alpha,
                                          with_barrier=mu != 0.0)
     g = tape.gradients(loss, [theta])[0]
     return loss.value.item(), g.value.ravel().copy()
 
 
-def del_loss_terms(params, batch: Batch, alpha: float = 0.0):
+def del_loss_terms(params: FlatParams, batch: Batch, alpha: float = 0.0):
     """(mean residual, mean logdet(M - alpha I)) as plain floats."""
-    _, _, _, rho, ld = _del_graph(_flat(params), batch, 1.0, alpha)
+    _, _, _, rho, ld = _del_graph(params, batch, 1.0, alpha)
     return rho.value.item(), ld.value.item()
 
 
-def accel_loss(params, batch: Batch) -> float:
+def accel_loss(params: FlatParams, batch: Batch) -> float:
     """Mean squared error of predicted accelerations, over all entries."""
-    _, _, loss, _ = _accel_graph(_flat(params), batch)
+    _, _, loss, _ = _accel_graph(params, batch)
     return loss.value.item()
 
 
-def accel_loss_grad(params, batch: Batch):
-    tape, theta, loss, _ = _accel_graph(_flat(params), batch)
+def accel_loss_grad(params: FlatParams, batch: Batch):
+    tape, theta, loss, _ = _accel_graph(params, batch)
     g = tape.gradients(loss, [theta])[0]
     return loss.value.item(), g.value.ravel().copy()
 
 
-def nextstate_loss(params, batch: Batch, h: float) -> float:
+def nextstate_loss(params: FlatParams, batch: Batch, h: float) -> float:
     """Mean squared one-step error, position and velocity weighted equally."""
-    _, _, loss, _ = _nextstate_graph(_flat(params), batch, h)
+    _, _, loss, _ = _nextstate_graph(params, batch, h)
     return loss.value.item()
 
 
-def nextstate_loss_grad(params, batch: Batch, h: float):
-    tape, theta, loss, _ = _nextstate_graph(_flat(params), batch, h)
+def nextstate_loss_grad(params: FlatParams, batch: Batch, h: float):
+    tape, theta, loss, _ = _nextstate_graph(params, batch, h)
     g = tape.gradients(loss, [theta])[0]
     return loss.value.item(), g.value.ravel().copy()
 
 
-def nextstate_predictions(params, batch: Batch, h: float):
+def nextstate_predictions(params: FlatParams, batch: Batch, h: float):
     """RK4 one-step predictions as value arrays (the graph's own forward)."""
-    _, _, _, (Qp, Vp) = _nextstate_graph(_flat(params), batch, h)
+    _, _, _, (Qp, Vp) = _nextstate_graph(params, batch, h)
     return Qp.value.copy(), Vp.value.copy()
 
 
-def predicted_accelerations(params, q, qdot) -> np.ndarray:
+def predicted_accelerations(params: FlatParams, q, qdot) -> np.ndarray:
     """Batched model accelerations at the given states."""
-    flat = _flat(params)
     tape = dc.Tape()
-    theta = tape.constant(flat.values.reshape(1, -1))
+    theta = tape.constant(params.values.reshape(1, -1))
     X = tape.constant(np.asarray(q, dtype=np.float64))
     Xd = tape.constant(np.asarray(qdot, dtype=np.float64))
-    return _accel_t(tape, theta, flat.layout, X, Xd).value.copy()
+    return _accel_t(tape, theta, params.layout, X, Xd).value.copy()
 
 
-def accel_rmse(params, batch: Batch) -> float:
+def accel_rmse(params: FlatParams, batch: Batch) -> float:
     """Root mean squared acceleration error; the validation metric."""
     pred = predicted_accelerations(params, batch.data["q"], batch.data["qdot"])
     return float(np.sqrt(np.mean((pred - batch.data["qddot"]) ** 2)))
 
 
-def barrier_grad(params, configs, alpha: float) -> np.ndarray:
+def barrier_grad(params: FlatParams, configs, alpha: float) -> np.ndarray:
     """Gradient of the mean logdet(M - alpha I) over the given configs."""
-    flat = _flat(params)
     configs = np.asarray(configs, dtype=np.float64)
     tape = dc.Tape()
-    theta = tape.input(flat.values.reshape(1, -1))
-    L, _ = chol_entries_t(theta, flat.layout, tape.constant(configs))
-    ld = _shifted_logdet_t(L, flat.layout.arch.n, alpha)
+    theta = tape.input(params.values.reshape(1, -1))
+    L, _ = chol_entries_t(theta, params.layout, tape.constant(configs))
+    ld = _shifted_logdet_t(L, params.layout.arch.n, alpha)
     g = tape.gradients(dc.mean_all(ld), [theta])[0]
     return g.value.ravel().copy()
-
-
-# -- reference losses for analytic systems ------------------------------------
-
-def system_del_mean(system, batch: Batch) -> float:
-    """Mean squared DEL residual of an analytic system on del tuples."""
-    vals = [mech.del_residual(system, mech.ConfigTriple(
-        batch.data["q1"][i], batch.data["q2"][i], batch.data["q3"][i],
-        batch.h)) for i in range(len(batch))]
-    return float(np.mean(vals))
-
-
-def system_accel_mse(system, batch: Batch) -> float:
-    q, qd, qdd = (batch.data["q"], batch.data["qdot"], batch.data["qddot"])
-    pred = np.array([mech.acceleration(system, q[i], qd[i])
-                     for i in range(len(batch))])
-    return float(np.mean((pred - qdd) ** 2))
-
-
-def system_nextstate_mse(system, batch: Batch, h: float) -> float:
-    def acc(qq, vv):
-        return mech.acceleration(system, qq, vv)
-
-    err = 0.0
-    for i in range(len(batch)):
-        qn, vn = rk4_step(acc, batch.data["q"][i], batch.data["qdot"][i], h)
-        err += np.sum((qn - batch.data["qnext"][i]) ** 2)
-        err += np.sum((vn - batch.data["qdotnext"][i]) ** 2)
-    return float(err / (2.0 * batch.data["q"].size))
 
 
 # -- optimizer ----------------------------------------------------------------
@@ -616,14 +579,13 @@ def adam_step(state: AdamState, values: np.ndarray, grads: np.ndarray,
 
 # -- barrier bookkeeping ------------------------------------------------------
 
-def mass_eigenvalues(params, configs) -> np.ndarray:
+def mass_eigenvalues(params: FlatParams, configs) -> np.ndarray:
     """Eigenvalues of M(q) for every row of configs, shape (N, n)."""
-    flat = _flat(params)
-    n = flat.layout.arch.n
+    n = params.layout.arch.n
     configs = np.asarray(configs, dtype=np.float64).reshape(-1, n)
     tape = dc.Tape()
-    theta = tape.constant(flat.values.reshape(1, -1))
-    ent, _, _ = mass_entries_t(theta, flat.layout, tape.constant(configs))
+    theta = tape.constant(params.values.reshape(1, -1))
+    ent, _, _ = mass_entries_t(theta, params.layout, tape.constant(configs))
     M = np.empty((configs.shape[0], n, n))
     for i in range(n):
         for j in range(n):
@@ -631,7 +593,8 @@ def mass_eigenvalues(params, configs) -> np.ndarray:
     return np.linalg.eigvalsh(M)
 
 
-def choose_alpha(params0, configs, fraction: float = ALPHA_FRACTION) -> float:
+def choose_alpha(params0: FlatParams, configs,
+                 fraction: float = ALPHA_FRACTION) -> float:
     """Barrier floor: a fraction of the smallest initial mass eigenvalue."""
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must sit strictly inside (0, 1)")
@@ -699,7 +662,7 @@ def _split_trajs(dataset):
     return train, val or train
 
 
-def train(method: str, params0: SmmParams, dataset, config: TrainConfig):
+def train(method: str, params0: FlatParams, dataset, config: TrainConfig):
     """Minimize the chosen loss; return (record, best-validation params).
 
     A step is rejected when its loss cannot be evaluated (barrier or
@@ -717,8 +680,7 @@ def train(method: str, params0: SmmParams, dataset, config: TrainConfig):
     train_trajs, val_trajs = _split_trajs(dataset)
     tuples = assemble_tuples(train_trajs, method)
     val_batch = assemble_tuples(val_trajs, "accel")
-    layout = flatten_params(params0).layout
-    values = layout.flatten(params0)
+    layout, values = params0.layout, params0.values
 
     alpha = None
     train_configs = None
@@ -729,18 +691,15 @@ def train(method: str, params0: SmmParams, dataset, config: TrainConfig):
     record = TrainRecord(method=method, xi0=config.xi0, seed=config.seed,
                          mu=config.mu, alpha=alpha)
 
-    def flat_view(vals):
-        return FlatParams(vals, layout)
-
     def evaluate(vals):
         try:
-            err = accel_rmse(flat_view(vals), val_batch)
+            err = accel_rmse(FlatParams(vals, layout), val_batch)
         except dc.DiffcoreError:
             return np.inf
         return err if np.isfinite(err) else np.inf
 
     def loss_grad(vals, batch):
-        fp = flat_view(vals)
+        fp = FlatParams(vals, layout)
         if method == "del":
             return del_loss_grad(fp, batch, config.mu, alpha)
         if method == "accel":
@@ -751,7 +710,7 @@ def train(method: str, params0: SmmParams, dataset, config: TrainConfig):
         if alpha is None:
             return True
         try:
-            eigs = mass_eigenvalues(flat_view(vals), train_configs)
+            eigs = mass_eigenvalues(FlatParams(vals, layout), train_configs)
         except dc.DiffcoreError:
             return False
         return bool(np.all(np.isfinite(eigs)) and eigs.min() > alpha)
@@ -800,4 +759,4 @@ def train(method: str, params0: SmmParams, dataset, config: TrainConfig):
             best = (val, values.copy(), epoch + 1)
 
     record.best_epoch = best[2]
-    return record, layout.unflatten(best[1])
+    return record, FlatParams(best[1], layout)

@@ -6,7 +6,6 @@ role, smoother quality, the headline method comparison, energy behavior,
 and bitwise reproducibility.  Each test prints a single summary line.
 """
 
-import copy
 import json
 import time
 from pathlib import Path
@@ -20,6 +19,8 @@ from smmfit import mechanics as mech
 from smmfit import netparam as netp
 from smmfit import smoother as smo
 from smmfit import training as tr
+
+import oracle
 
 SYS = mech.dp_system()
 
@@ -95,8 +96,7 @@ def test_2_loss_gradients_match_finite_differences():
         rng = np.random.default_rng(100 + k)
         arch = netp.ArchConfig(n=2, hidden=(8, 8), conservative=bool(k % 2))
         params = netp.init_params(200 + k, arch)
-        flat = netp.flatten_params(params)
-        layout = flat.layout
+        layout = params.layout
         B = 6
         q1 = rng.uniform(-0.5, 0.5, (B, 2))
         dq = rng.uniform(-0.05, 0.05, (B, 2))
@@ -115,16 +115,17 @@ def test_2_loss_gradients_match_finite_differences():
 
         _, g = tr.del_loss_grad(params, bdel, mu=0.01, alpha=alpha)
         overall = max(overall, fd_max_rel_err(
-            lambda v: tr.del_loss(layout.unflatten(v), bdel, 0.01, alpha),
-            flat.values, g, idx))
+            lambda v: tr.del_loss(netp.FlatParams(v, layout), bdel, 0.01,
+                                  alpha),
+            params.values, g, idx))
         _, g = tr.accel_loss_grad(params, bacc)
         overall = max(overall, fd_max_rel_err(
-            lambda v: tr.accel_loss(layout.unflatten(v), bacc),
-            flat.values, g, idx))
+            lambda v: tr.accel_loss(netp.FlatParams(v, layout), bacc),
+            params.values, g, idx))
         _, g = tr.nextstate_loss_grad(params, bnext, h)
         overall = max(overall, fd_max_rel_err(
-            lambda v: tr.nextstate_loss(layout.unflatten(v), bnext, h),
-            flat.values, g, idx))
+            lambda v: tr.nextstate_loss(netp.FlatParams(v, layout), bnext, h),
+            params.values, g, idx))
     dt = time.perf_counter() - t0
     report("gradient correctness",
            overall < 1e-4 and dt < 60.0,
@@ -136,14 +137,14 @@ def test_3_gauge_and_scale_properties():
     rng = np.random.default_rng(30)
     arch = netp.ArchConfig(n=2, hidden=(8, 8), conservative=False)
     params = netp.init_params(11, arch)
-    sys_p = netp.SmmSystem(params)
+    sys_p = oracle.SmmSystem(params)
 
-    shifted = copy.deepcopy(params)
-    shifted.potential_net.biases[-1] = shifted.potential_net.biases[-1] + 0.7
-    sys_s = netp.SmmSystem(shifted)
+    shifted = netp.FlatParams(params.values.copy(), params.layout)
+    oracle.last_bias(shifted, "potential")[:] += 0.7
+    sys_s = oracle.SmmSystem(shifted)
 
     gamma = 10.0
-    sys_g = netp.SmmSystem(netp.scale_params(params, gamma))
+    sys_g = oracle.SmmSystem(netp.scale_params(params, gamma))
 
     B = 12
     q2 = rng.uniform(-0.8, 0.8, (B, 2))

@@ -1,7 +1,9 @@
 """Experiment-harness checks: splits, evaluation, artifacts, CLI verbs."""
 
 import json
+import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from smmfit import mechanics as mech
 from smmfit import netparam as netp
 from smmfit import smoother as smo
 from smmfit import training as tr
+
+import oracle
 
 
 def desk_config(**over):
@@ -130,7 +134,7 @@ def test_eval_batch_targets_are_analytic(smoothed_pool):
     system = cli.make_system(config)
     b = cli.eval_batch(system, pool[:2])
     # the analytic system scores zero against its own targets by definition
-    assert tr.system_accel_mse(system, b) == 0.0
+    assert oracle.system_accel_mse(system, b) == 0.0
     assert len(b) == 2 * config.T
 
 
@@ -164,8 +168,7 @@ def test_evaluate_flags_degenerate_model(smoothed_pool):
 ], ids=["nan", "sM_2000", "sM_-3000", "sV_2000"])
 def test_evaluate_counts_failed_rows(smoothed_pool, which, value):
     config, pool = smoothed_pool
-    params = netp.init_params(0, cli.make_arch(config))
-    flat = netp.flatten_params(params)
+    flat = netp.init_params(0, cli.make_arch(config))
     if which is None:
         flat.values[:] = value
     else:
@@ -173,7 +176,7 @@ def test_evaluate_counts_failed_rows(smoothed_pool, which, value):
         flat.values[s + which] = value
     b = cli.eval_batch(cli.make_system(config), pool[:1])
     with np.errstate(invalid="ignore", over="ignore", under="ignore"):
-        res = cli.evaluate(flat.layout.unflatten(flat.values), b)
+        res = cli.evaluate(flat, b)
     assert res.failed == len(b)
     assert np.isnan(res.rmse)
 
@@ -361,6 +364,15 @@ def test_cli_readme_pipeline_unlabelled_splits(tmp_path, capsys,
     assert "test acceleration RMSE" in capsys.readouterr().out
 
 
+def test_readme_python_example_runs(capsys):
+    # the README's library example, exactly as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert " at epoch " in capsys.readouterr().out
+
+
 @pytest.fixture(scope="module")
 def smoothed_pair(tmp_path_factory):
     base = tmp_path_factory.mktemp("pair")
@@ -419,6 +431,20 @@ def test_cli_missing_input_file_exit_code(smoothed_pair, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "nofile.csv" in err
     assert not (tmp_path / "smoothed").exists()
+
+
+def test_cli_smooth_rejects_colliding_output_names(tmp_path, capsys):
+    # outputs are named by their input's basename and sidecars by its stem
+    for name, steps in (("a", "40"), ("b", "30")):
+        assert cli.main(["generate", "--count", "1", "--steps", steps,
+                         "--seed", "8", "--out", str(tmp_path / name)]) == 0
+    a, b = (str(tmp_path / d / "traj_00.csv") for d in "ab")
+    (tmp_path / "b" / "traj_00.csv").rename(tmp_path / "b" / "traj_00.dat")
+    for pair in ([a, b], [a, b.replace(".csv", ".dat")], [a, a]):
+        assert cli.main(["smooth", *pair, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "same files" in err
+        assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("flag,value", [("--hidden", "0"), ("--lr", "0"),

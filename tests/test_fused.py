@@ -17,11 +17,11 @@ H = 0.05
 def setup(n, conservative, B, seed=0):
     arch = netp.ArchConfig(n=n, hidden=(16, 16) if n == 2 else (8, 8),
                            conservative=conservative)
-    params = netp.init_params(seed, arch)
-    params.log_scales[0] = 0.3
+    flat = netp.init_params(seed, arch)
+    _, s, _ = flat.layout.slot("log_scales")
+    flat.values[s] = 0.3
     if not conservative:
-        params.log_scales[2] = 0.4
-    flat = netp.flatten_params(params)
+        flat.values[s + 2] = 0.4
     rng = np.random.default_rng([n, B, int(conservative)])
     q1, q2, q3, qd, qdd = (rng.normal(size=(B, n)) for _ in range(5))
     batches = {

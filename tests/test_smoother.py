@@ -181,8 +181,6 @@ def test_em_batch_equals_series(gain_tol, stops):
         one = smo.em_fit(y[:, k], 0.05, gain_tol=gain_tol)
         assert np.array_equal(batch.smooth.means[:, k], one.smooth.means)
         assert np.array_equal(batch.smooth.covs[:, k], one.smooth.covs)
-        assert np.array_equal(batch.smooth.cross_covs[:, k],
-                              one.smooth.cross_covs)
         assert batch.model.R[k] == one.model.R
         assert np.array_equal(batch.model.m0[k], one.model.m0)
         assert np.array_equal(batch.model.P0[k], one.model.P0)

@@ -12,6 +12,8 @@ from smmfit import netparam as netp
 from smmfit import smoother as smo
 from smmfit import training as tr
 
+import oracle
+
 SYS = mech.dp_system()
 ARCH8 = netp.ArchConfig(n=2, hidden=(8, 8))
 
@@ -179,14 +181,14 @@ def test_del_loss_ground_truth_variational_triples():
     traj = integ.simulate(SYS, np.array([0.9, -0.5]), 0.05, 60)
     c = traj.configs
     b = tr.Batch("del", {"q1": c[:-2], "q2": c[1:-1], "q3": c[2:]}, traj.h)
-    assert tr.system_del_mean(SYS, b) <= 1e-12
+    assert oracle.system_del_mean(SYS, b) <= 1e-12
 
 
 def test_del_loss_matches_per_row_reference(tiny):
     b = del_batch(tiny)
     params = netp.init_params(1, ARCH8)
     got = tr.del_loss(params, b, mu=0.0)
-    want = tr.system_del_mean(netp.SmmSystem(params), b)
+    want = oracle.system_del_mean(oracle.SmmSystem(params), b)
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -271,41 +273,38 @@ def test_del_gradient_matches_finite_differences(tiny):
     params = netp.init_params(4, ARCH8)
     configs = np.concatenate([t.q for t in tiny if t.split != "val"])
     alpha = tr.choose_alpha(params, configs)
-    flat = netp.flatten_params(params)
     _, grad = tr.del_loss_grad(params, b, mu=0.01, alpha=alpha)
 
     def loss(v):
-        return tr.del_loss(netp.FlatParams(v, flat.layout), b,
+        return tr.del_loss(netp.FlatParams(v, params.layout), b,
                            mu=0.01, alpha=alpha)
 
-    idx = sampled_indices(flat.values.size, 25, 45)
-    assert fd_max_rel_err(loss, flat.values.copy(), grad, idx) <= 1e-4
+    idx = sampled_indices(params.values.size, 25, 45)
+    assert fd_max_rel_err(loss, params.values.copy(), grad, idx) <= 1e-4
 
 
 def test_accel_gradient_matches_finite_differences(tiny):
     b = tr.assemble_tuples([tiny[0]], "accel").take(np.arange(8))
     params = netp.init_params(4, ARCH8)
-    flat = netp.flatten_params(params)
     _, grad = tr.accel_loss_grad(params, b)
 
     def loss(v):
-        return tr.accel_loss(netp.FlatParams(v, flat.layout), b)
+        return tr.accel_loss(netp.FlatParams(v, params.layout), b)
 
-    idx = sampled_indices(flat.values.size, 25, 46)
-    assert fd_max_rel_err(loss, flat.values.copy(), grad, idx) <= 1e-4
+    idx = sampled_indices(params.values.size, 25, 46)
+    assert fd_max_rel_err(loss, params.values.copy(), grad, idx) <= 1e-4
 
 
 def test_nextstate_gradient_matches_finite_differences(tiny):
     b = tr.assemble_tuples([tiny[0]], "nextstate").take(np.arange(8))
     params = netp.init_params(4, ARCH8)
-    flat = netp.flatten_params(params)
     _, grad = tr.nextstate_loss_grad(params, b, 0.05)
 
     def loss(v):
-        return tr.nextstate_loss(netp.FlatParams(v, flat.layout), b, 0.05)
+        return tr.nextstate_loss(netp.FlatParams(v, params.layout), b, 0.05)
 
-    idx = sampled_indices(flat.values.size, 25, 47)
-    assert fd_max_rel_err(loss, flat.values.copy(), grad, idx) <= 1e-4
+    idx = sampled_indices(params.values.size, 25, 47)
+    assert fd_max_rel_err(loss, params.values.copy(), grad, idx) <= 1e-4
 
 
 @pytest.mark.parametrize("conservative", [True, False])
@@ -315,8 +314,7 @@ def test_loss_gradients_match_finite_differences_n3(conservative):
     rng = np.random.default_rng(300 + conservative)
     arch = netp.ArchConfig(n=n, hidden=(8, 8), conservative=conservative)
     params = netp.init_params(31, arch)
-    flat = netp.flatten_params(params)
-    layout = flat.layout
+    layout = params.layout
     q1 = rng.uniform(-0.5, 0.5, (B, n))
     dq = rng.uniform(-0.05, 0.05, (B, n))
     dq2 = rng.uniform(-0.05, 0.05, (B, n))
@@ -332,15 +330,16 @@ def test_loss_gradients_match_finite_differences_n3(conservative):
     idx = sampled_indices(layout.total, 12, 48 + conservative)
 
     cases = [
-        (lambda v: tr.del_loss(layout.unflatten(v), bdel, 0.01, alpha),
+        (lambda v: tr.del_loss(netp.FlatParams(v, layout), bdel, 0.01,
+                               alpha),
          tr.del_loss_grad(params, bdel, mu=0.01, alpha=alpha)[1]),
-        (lambda v: tr.accel_loss(layout.unflatten(v), bacc),
+        (lambda v: tr.accel_loss(netp.FlatParams(v, layout), bacc),
          tr.accel_loss_grad(params, bacc)[1]),
-        (lambda v: tr.nextstate_loss(layout.unflatten(v), bnext, h),
+        (lambda v: tr.nextstate_loss(netp.FlatParams(v, layout), bnext, h),
          tr.nextstate_loss_grad(params, bnext, h)[1]),
     ]
     for loss, grad in cases:
-        assert fd_max_rel_err(loss, flat.values.copy(), grad, idx) <= 1e-4
+        assert fd_max_rel_err(loss, params.values.copy(), grad, idx) <= 1e-4
 
 
 # -- accel_loss ---------------------------------------------------------------
@@ -363,7 +362,7 @@ def test_accel_loss_ground_truth_vs_finite_difference_targets():
     qd = (c[2:] - c[:-2]) / (2.0 * h)
     qdd = (c[2:] - 2.0 * c[1:-1] + c[:-2]) / h ** 2
     b = tr.Batch("accel", {"q": c[1:-1], "qdot": qd, "qddot": qdd})
-    assert tr.system_accel_mse(SYS, b) <= 1e-4
+    assert oracle.system_accel_mse(SYS, b) <= 1e-4
 
 
 def test_accel_loss_invariant_under_joint_scaling(tiny):
@@ -378,7 +377,7 @@ def test_accel_loss_matches_per_row_reference(tiny):
     b = tr.assemble_tuples([tiny[0]], "accel").take(np.arange(12))
     params = netp.init_params(5, ARCH8)
     got = tr.accel_loss(params, b)
-    want = tr.system_accel_mse(netp.SmmSystem(params), b)
+    want = oracle.system_accel_mse(oracle.SmmSystem(params), b)
     assert got == pytest.approx(want, rel=1e-12)
     assert tr.accel_rmse(params, b) == pytest.approx(np.sqrt(got), rel=1e-12)
 
@@ -411,7 +410,7 @@ def test_nextstate_ground_truth_on_smoothed_clean_data():
     traj = integ.simulate(SYS, rng.uniform(-1.0, 1.0, size=2), 0.05, 200)
     st = smo.smooth_trajectory(traj.configs, traj.h)
     b = tr.assemble_tuples([st], "nextstate")
-    mse = tr.system_nextstate_mse(SYS, b, traj.h)
+    mse = oracle.system_nextstate_mse(SYS, b, traj.h)
     assert 0.0 < mse < 1e-3
 
 
@@ -419,7 +418,7 @@ def test_nextstate_predictions_match_rk4_reference(tiny):
     params = netp.init_params(6, ARCH8)
     b = tr.assemble_tuples([tiny[0]], "nextstate").take(np.arange(8))
     qn, vn = tr.nextstate_predictions(params, b, 0.05)
-    system = netp.SmmSystem(params)
+    system = oracle.SmmSystem(params)
 
     def acc(qq, vv):
         return mech.acceleration(system, qq, vv)
@@ -475,7 +474,7 @@ def test_mass_eigenvalues_against_dense_solver(tiny):
     got = tr.mass_eigenvalues(params, configs)
     assert got.shape == (20, 2)
     for i, q in enumerate(configs):
-        want = np.linalg.eigvalsh(netp.mass_matrix(params, q))
+        want = np.linalg.eigvalsh(oracle.mass_matrix(params, q))
         np.testing.assert_allclose(got[i], want, rtol=1e-10)
 
 
@@ -487,8 +486,7 @@ def test_train_zero_epochs_returns_initial_params(tiny):
     rec, best = tr.train("accel", params, ds,
                          tr.TrainConfig(xi0=1e-3, epochs=0))
     assert rec.best_epoch == 0 and len(rec.val_errors) == 1
-    assert np.array_equal(netp.flatten_params(best).values,
-                          netp.flatten_params(params).values)
+    assert np.array_equal(best.values, params.values)
 
 
 def test_train_rejects_unknown_method(tiny):
@@ -508,8 +506,7 @@ def test_train_identical_seed_identical_record(tiny):
     assert a.val_errors == b.val_errors
     assert a.lrs == b.lrs and a.best_epoch == b.best_epoch
     assert a.alpha == b.alpha
-    assert np.array_equal(netp.flatten_params(runs[0][1]).values,
-                          netp.flatten_params(runs[1][1]).values)
+    assert np.array_equal(runs[0][1].values, runs[1][1].values)
 
 
 def test_train_desk_scale_smoke(gentle):
@@ -528,7 +525,7 @@ def test_train_desk_scale_smoke(gentle):
 
     # barrier held at the selected checkpoint
     configs = np.concatenate([t.q for t in gentle if t.split == "train"])
-    eigs = tr.mass_eigenvalues(netp.flatten_params(best), configs)
+    eigs = tr.mass_eigenvalues(best, configs)
     assert eigs.min() > rec.alpha
 
 
