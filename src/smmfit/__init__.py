@@ -4,7 +4,7 @@ Subpackages by role:
 
 - diffcore: tape-based reverse-mode differentiation on rank-2 arrays
 - mechanics: Lagrangian systems, discrete Euler-Lagrange residuals
-- integrators: variational and RK4 integration, noisy trajectory datasets
+- integrators: variational integration, noisy trajectory datasets
 - netparam: the structured-model parameterization (mass net, potential net)
 - smoother: Kalman filter / RTS smoother with EM noise estimation
 - training: losses, Adam, training loop

@@ -39,10 +39,6 @@ class NotPositiveDefiniteError(DiffcoreError):
         super().__init__(f"matrix not positive definite: pivot {pivot} = {value:.6g}")
 
 
-class NonScalarOutputError(DiffcoreError):
-    """grad() was handed a function whose output is not 1 x 1."""
-
-
 class NonDifferentiablePrimitiveError(DiffcoreError):
     """Backward pass reached a primitive with no derivative rule."""
 
@@ -168,7 +164,7 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 def _t(a: np.ndarray) -> np.ndarray:
-    # a contiguous transpose, as the forward transpose stores it
+    # a contiguous transpose for the matmul adjoints
     return np.ascontiguousarray(a.T)
 
 
@@ -240,12 +236,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def transpose(a: Tensor) -> Tensor:
-    out = a.tape._append(_t(a.value), (a,), "transpose", a.requires_grad)
-    out.bwd = lambda g: (_t(g),)
-    return out
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     r, c = shape
     out = a.tape._append(a.value.reshape(r, c), (a,), "reshape", a.requires_grad)
@@ -269,34 +259,10 @@ def exp(a: Tensor) -> Tensor:
     return out
 
 
-def log(a: Tensor) -> Tensor:
-    if np.any(a.value <= 0.0):
-        raise DiffcoreError("log of nonpositive value")
-    out = a.tape._append(np.log(a.value), (a,), "log", a.requires_grad)
-    out.bwd = lambda g: (g * (1.0 / a.value),)
-    return out
-
-
-def sqrt(a: Tensor) -> Tensor:
-    if np.any(a.value < 0.0):
-        raise DiffcoreError("sqrt of negative value")
-    o = np.sqrt(a.value)
-    out = a.tape._append(o, (a,), "sqrt", a.requires_grad)
-    out.bwd = lambda g: (g * (_reciprocal_np(o) * 0.5),)
-    return out
-
-
 def _reciprocal_np(x: np.ndarray) -> np.ndarray:
     if np.any(x == 0.0):
         raise DiffcoreError("reciprocal of zero")
     return 1.0 / x
-
-
-def reciprocal(a: Tensor) -> Tensor:
-    o = _reciprocal_np(a.value)
-    out = a.tape._append(o, (a,), "reciprocal", a.requires_grad)
-    out.bwd = lambda g: (-(g * (o * o)),)
-    return out
 
 
 def _softplus_np(x: np.ndarray) -> np.ndarray:
@@ -422,36 +388,3 @@ def cholesky_np(a: np.ndarray) -> np.ndarray:
             L[i, k] = (a[i, k] - L[i, :k] @ L[k, :k]) / L[k, k]
     return L
 
-
-# -- functional differentiation API ------------------------------------------
-
-def grad(f, x) -> np.ndarray:
-    """Gradient of a scalar-valued tape function at a point.
-
-    ``f`` receives a (1, n) input Tensor and must return a 1 x 1 Tensor.
-    """
-    tape = Tape()
-    xt = tape.input(np.asarray(x, dtype=np.float64).reshape(1, -1))
-    y = f(xt)
-    if not isinstance(y, Tensor):
-        raise NonScalarOutputError("function did not return a Tensor")
-    if y.shape != (1, 1):
-        raise NonScalarOutputError(f"expected scalar output, got shape {y.shape}")
-    (g,) = tape.gradients(y, [xt])
-    return g.value.ravel().copy()
-
-
-def jacobian(f, x) -> np.ndarray:
-    """Jacobian of a vector-valued tape function; row i is the gradient of
-    output component i."""
-    tape = Tape()
-    xt = tape.input(np.asarray(x, dtype=np.float64).reshape(1, -1))
-    y = f(xt)
-    if y.shape[0] != 1:
-        y = transpose(y)
-    m, n = y.shape[1], xt.shape[1]
-    J = np.empty((m, n))
-    for i in range(m):
-        (g,) = tape.gradients(cols(y, i, i + 1), [xt])
-        J[i] = g.value.ravel()
-    return J

@@ -248,10 +248,6 @@ class ResultsTable:
             out.append(Aggregate(method, xi0, mean, stderr, len(good), vals))
         return out
 
-    @property
-    def any_failed(self) -> bool:
-        return any(c.failed for c in self.cells)
-
 
 def generate_pool(config: ExperimentConfig):
     """Clean trajectories plus their noisy observations, deterministically."""
@@ -272,7 +268,7 @@ def smooth_pool(observed, h: float) -> list:
     The pool's trajectories share T and h, so their observations stack
     column-wise into one (T, sum of n) array.
     """
-    return _smooth_stacked([o.observations for o in observed], h)
+    return _smooth_stacked([o.configs for o in observed], h)
 
 
 def _smooth_stacked(series, h: float) -> list:
@@ -622,7 +618,18 @@ def _experiment_config(args) -> ExperimentConfig:
         raise ConfigError(str(err)) from err
 
 
+def _read(load, paths) -> list:
+    """Each file through ``load``; a malformed file is a usage error."""
+    try:
+        return [load(p) for p in paths]
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+
+
 def cmd_generate(args) -> int:
+    if args.count < 1 or args.steps < 3 or args.h <= 0 or args.sigma < 0:
+        raise ConfigError("need --count >= 1, --steps >= 3, --h > 0 and "
+                          "--sigma >= 0")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     system = mech.dp_system(damped=args.system == "damped")
@@ -648,15 +655,13 @@ def cmd_smooth(args) -> int:
             raise ConfigError(f"{seen[stem]} and {name} would write the same "
                               f"files in {args.out}")
         seen[stem] = name
-    trajs = [integ.load_trajectory(name) for name in args.data]
+    trajs = _read(integ.load_trajectory, args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # files sharing T and h smooth as one batch of series
     groups = {}
     for name, traj in zip(args.data, trajs):
-        data = traj.observations if hasattr(traj, "observations") \
-            else traj.configs
-        groups.setdefault((data.shape[0], traj.h), []).append((name, data))
+        groups.setdefault((traj.T, traj.h), []).append((name, traj.configs))
     for (_, h), files in groups.items():
         smoothed = _smooth_stacked([data for _, data in files], h)
         for (name, _), st in zip(files, smoothed):
@@ -666,7 +671,7 @@ def cmd_smooth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    trajs = [smo.load_smoothed(p) for p in args.data]
+    trajs = _read(smo.load_smoothed, args.data)
     try:
         arch = netp.ArchConfig(n=trajs[0].n, hidden=tuple(args.hidden),
                                conservative=not args.damped)
@@ -692,8 +697,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    params, _ = netp.load_params(args.params)
-    trajs = [smo.load_smoothed(p) for p in args.data]
+    params, _ = _read(netp.load_params, [args.params])[0]
+    trajs = _read(smo.load_smoothed, args.data)
     system = mech.dp_system(damped=args.system == "damped")
     res = evaluate(params, eval_batch(system, trajs))
     print(f"test acceleration RMSE {res.rmse:.6g} "

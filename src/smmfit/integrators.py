@@ -1,10 +1,9 @@
 """Trajectory generation and dataset files.
 
-Two integrators: classical RK4 on the first-order (q, q̇) system for the
-next-state baseline, and a variational integrator that advances
-position-only trajectories by solving DEL(q_prev, q_curr, q_next) = 0
-with Newton's method.  Plus Gaussian observation noise and CSV/JSON
-trajectory files.
+A variational integrator advances position-only trajectories by solving
+DEL(q_prev, q_curr, q_next) = 0 with Newton's method; rest-start draws
+that fail to converge or leave their energy band are redrawn.  Plus
+Gaussian observation noise and CSV/JSON trajectory files.
 """
 
 from __future__ import annotations
@@ -43,12 +42,14 @@ NEWTON_MAX_ITER = 50
 
 @dataclass
 class Trajectory:
-    """Configurations over time at a fixed step, plus how they were made."""
+    """Configurations over time at a fixed step, plus how they were made:
+    ``sigma`` is the observation noise level, None for clean data."""
 
     configs: np.ndarray
     h: float
     system: str = ""
     seed: int | None = None
+    sigma: float | None = None
 
     def __post_init__(self):
         self.configs = np.asarray(self.configs, dtype=np.float64)
@@ -66,51 +67,6 @@ class Trajectory:
     @property
     def n(self) -> int:
         return self.configs.shape[1]
-
-
-@dataclass
-class ObservedTrajectory:
-    """Noisy position observations of a trajectory."""
-
-    observations: np.ndarray
-    noise_sigma: float
-    h: float
-    system: str = ""
-    seed: int | None = None
-
-    def __post_init__(self):
-        self.observations = np.asarray(self.observations, dtype=np.float64)
-        if self.observations.ndim != 2:
-            raise ValueError("observations must be T x n")
-        if self.h <= 0:
-            raise ValueError("step size must be positive")
-
-    @property
-    def T(self) -> int:
-        return self.observations.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.observations.shape[1]
-
-
-def rk4_step(accel_fn, q, qdot, h: float):
-    """One classical Runge-Kutta step of q̈ = accel_fn(q, q̇)."""
-    q = np.asarray(q, dtype=np.float64)
-    qdot = np.asarray(qdot, dtype=np.float64)
-
-    def f(state_q, state_v):
-        return state_v, np.asarray(accel_fn(state_q, state_v), dtype=np.float64)
-
-    k1q, k1v = f(q, qdot)
-    k2q, k2v = f(q + 0.5 * h * k1q, qdot + 0.5 * h * k1v)
-    k3q, k3v = f(q + 0.5 * h * k2q, qdot + 0.5 * h * k2v)
-    k4q, k4v = f(q + h * k3q, qdot + h * k3v)
-    q_next = q + (h / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
-    v_next = qdot + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-    if not (np.all(np.isfinite(q_next)) and np.all(np.isfinite(v_next))):
-        raise IntegrationBlowupError("non-finite state after RK4 step")
-    return q_next, v_next
 
 
 def variational_step(sys: LagrangianSystem, q_prev, q_curr, h: float) -> np.ndarray:
@@ -239,7 +195,7 @@ def sample_rest_trajectories(sys: LagrangianSystem, count: int, h: float, T: int
     return out
 
 
-def add_noise(traj: Trajectory, sigma: float, rng) -> ObservedTrajectory:
+def add_noise(traj: Trajectory, sigma: float, rng) -> Trajectory:
     """Add zero-mean Gaussian noise to every configuration entry.
 
     ``rng`` is an integer seed (recorded in the result) or a Generator.
@@ -254,9 +210,8 @@ def add_noise(traj: Trajectory, sigma: float, rng) -> ObservedTrajectory:
         gen = rng
     noise = gen.normal(0.0, sigma, size=traj.configs.shape) if sigma > 0 \
         else np.zeros_like(traj.configs)
-    return ObservedTrajectory(observations=traj.configs + noise,
-                              noise_sigma=sigma, h=traj.h,
-                              system=traj.system, seed=seed)
+    return Trajectory(configs=traj.configs + noise, h=traj.h,
+                      system=traj.system, seed=seed, sigma=sigma)
 
 
 # -- trajectory files ---------------------------------------------------------
@@ -271,13 +226,25 @@ def write_csv(path, header, rows):
 
 
 def read_csv(path):
-    """(header, data array) of a file `write_csv` wrote."""
+    """(header, data array) of a file `write_csv` wrote.
+
+    A file with fewer than 3 data rows (the shortest trajectory), a row
+    whose length differs from the header's, or a cell that is not a
+    number raises ValueError naming the file.
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[0] != "t":
-            raise ValueError(f"unexpected header {header!r}")
-        data = np.array([[float(x) for x in row] for row in reader])
+        rows = list(csv.reader(fh))
+    header = rows[0] if rows else []
+    if header[:1] != ["t"]:
+        raise ValueError(f"{path}: unexpected header {header!r}")
+    if len(rows) < 4:
+        raise ValueError(f"{path}: {len(rows) - 1} data rows, need at least 3")
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError(f"{path}: rows differ in length from the header")
+    try:
+        data = np.array([[float(x) for x in row] for row in rows[1:]])
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
     return header, data
 
 
@@ -297,29 +264,19 @@ def read_sidecar(path) -> dict:
         return json.load(fh)
 
 
-def save_trajectory(traj, path) -> None:
+def save_trajectory(traj: Trajectory, path) -> None:
     """Write `t,q1,...,qn` CSV plus a JSON sidecar with h/seed/system/sigma."""
-    data = traj.observations if isinstance(traj, ObservedTrajectory) else traj.configs
-    header = ["t"] + [f"q{i + 1}" for i in range(data.shape[1])]
-    rows = ([i * traj.h] + list(data[i]) for i in range(data.shape[0]))
+    header = ["t"] + [f"q{i + 1}" for i in range(traj.n)]
+    rows = ([i * traj.h] + list(traj.configs[i]) for i in range(traj.T))
     write_csv(path, header, rows)
-    write_sidecar(path, {
-        "h": traj.h,
-        "seed": traj.seed,
-        "system": traj.system,
-        "sigma": traj.noise_sigma if isinstance(traj, ObservedTrajectory) else None,
-    })
+    write_sidecar(path, {"h": traj.h, "seed": traj.seed,
+                         "system": traj.system, "sigma": traj.sigma})
 
 
-def load_trajectory(path):
-    """Read a trajectory CSV + sidecar; the sidecar's sigma field decides
-    whether it is a clean Trajectory or an ObservedTrajectory."""
+def load_trajectory(path) -> Trajectory:
+    """Read a trajectory CSV + sidecar."""
     _, data = read_csv(path)
     meta = read_sidecar(path)
-    configs = data[:, 1:]
-    if meta.get("sigma") is None:
-        return Trajectory(configs=configs, h=meta["h"],
-                          system=meta.get("system", ""), seed=meta.get("seed"))
-    return ObservedTrajectory(observations=configs, noise_sigma=meta["sigma"],
-                              h=meta["h"], system=meta.get("system", ""),
-                              seed=meta.get("seed"))
+    return Trajectory(configs=data[:, 1:], h=meta["h"],
+                      system=meta.get("system", ""), seed=meta.get("seed"),
+                      sigma=meta.get("sigma"))

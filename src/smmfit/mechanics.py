@@ -1,9 +1,10 @@
 """Lagrangian mechanics kernel.
 
-Continuous side: L(q, q̇) = ½ q̇ᵀM(q)q̇ − V(q), plus the forced
-Euler-Lagrange acceleration.  Discrete side: midpoint-rule discrete
-Lagrangian and force, the discrete Euler-Lagrange (DEL) vector over a
-configuration triple, and its squared-norm residual.
+Continuous side: the forced Euler-Lagrange acceleration of
+L(q, q̇) = ½ q̇ᵀM(q)q̇ − V(q).  Discrete side: the discrete
+Euler-Lagrange (DEL) vector of the midpoint-rule discrete Lagrangian and
+force over a configuration triple, and its Jacobian in the last
+configuration for the variational integrator's Newton solve.
 
 Also the analytic double pendulum used as ground truth.
 """
@@ -20,86 +21,14 @@ from .diffcore import cholesky_np
 class LagrangianSystem:
     """A mechanical system defined by M(q), V(q) and a generalized force.
 
-    Subclasses must provide mass_matrix and potential; force defaults to
-    zero (conservative system).  Derivative hooks fall back to central
-    finite differences so a subclass only overrides them when closed
-    forms are available.
+    Subclasses provide mass_matrix, potential and force, and the
+    derivative hooks the dynamics read in closed form: mass_jacobian
+    (dM[k] = ∂M/∂q_k, shape (n, n, n)), potential_gradient, mass_hessian
+    (B[k, l] = ∂²M/∂q_k∂q_l, shape (n, n, n, n)), potential_hessian,
+    force_jacobian_q and force_jacobian_qdot.
     """
 
     n: int
-    fd_step = 1e-6
-
-    def mass_matrix(self, q: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def potential(self, q: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def force(self, q: np.ndarray, qdot: np.ndarray) -> np.ndarray:
-        return np.zeros(self.n)
-
-    def mass_jacobian(self, q: np.ndarray) -> np.ndarray:
-        """dM[k] = ∂M/∂q_k, shape (n, n, n)."""
-        q = np.asarray(q, dtype=np.float64)
-        h = self.fd_step
-        dM = np.empty((self.n, self.n, self.n))
-        for k in range(self.n):
-            e = np.zeros(self.n)
-            e[k] = h
-            dM[k] = (self.mass_matrix(q + e) - self.mass_matrix(q - e)) / (2 * h)
-        return dM
-
-    def potential_gradient(self, q: np.ndarray) -> np.ndarray:
-        q = np.asarray(q, dtype=np.float64)
-        h = self.fd_step
-        g = np.empty(self.n)
-        for k in range(self.n):
-            e = np.zeros(self.n)
-            e[k] = h
-            g[k] = (self.potential(q + e) - self.potential(q - e)) / (2 * h)
-        return g
-
-    def mass_hessian(self, q: np.ndarray) -> np.ndarray:
-        """B[k, l] = ∂²M/∂q_k∂q_l, shape (n, n, n, n)."""
-        q = np.asarray(q, dtype=np.float64)
-        h = self.fd_step
-        B = np.empty((self.n, self.n, self.n, self.n))
-        for l in range(self.n):
-            e = np.zeros(self.n)
-            e[l] = h
-            B[:, l] = (self.mass_jacobian(q + e) - self.mass_jacobian(q - e)) / (2 * h)
-        return B
-
-    def potential_hessian(self, q: np.ndarray) -> np.ndarray:
-        q = np.asarray(q, dtype=np.float64)
-        h = self.fd_step
-        H = np.empty((self.n, self.n))
-        for l in range(self.n):
-            e = np.zeros(self.n)
-            e[l] = h
-            H[:, l] = (self.potential_gradient(q + e)
-                       - self.potential_gradient(q - e)) / (2 * h)
-        return H
-
-    def force_jacobian_q(self, q, qdot) -> np.ndarray:
-        q = np.asarray(q, dtype=np.float64)
-        h = self.fd_step
-        J = np.empty((self.n, self.n))
-        for l in range(self.n):
-            e = np.zeros(self.n)
-            e[l] = h
-            J[:, l] = (self.force(q + e, qdot) - self.force(q - e, qdot)) / (2 * h)
-        return J
-
-    def force_jacobian_qdot(self, q, qdot) -> np.ndarray:
-        qdot = np.asarray(qdot, dtype=np.float64)
-        h = self.fd_step
-        J = np.empty((self.n, self.n))
-        for l in range(self.n):
-            e = np.zeros(self.n)
-            e[l] = h
-            J[:, l] = (self.force(q, qdot + e) - self.force(q, qdot - e)) / (2 * h)
-        return J
 
 
 @dataclass
@@ -127,13 +56,6 @@ def _solve_spd(M: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(L.T, np.linalg.solve(L, b))
 
 
-def lagrangian(sys: LagrangianSystem, q, qdot) -> float:
-    q = np.asarray(q, dtype=np.float64)
-    qdot = np.asarray(qdot, dtype=np.float64)
-    M = sys.mass_matrix(q)
-    return float(0.5 * qdot @ M @ qdot - sys.potential(q))
-
-
 def _lagrangian_q_gradient(sys, q, qdot) -> np.ndarray:
     """∂L/∂q with components ½ q̇ᵀ(∂M/∂q_k)q̇ − ∂V/∂q_k."""
     dM = sys.mass_jacobian(q)
@@ -153,29 +75,13 @@ def acceleration(sys: LagrangianSystem, q, qdot) -> np.ndarray:
     return _solve_spd(M, rhs)
 
 
-def discrete_lagrangian(sys: LagrangianSystem, q1, q2, h: float) -> float:
-    """Midpoint rule: h · L((q1+q2)/2, (q2−q1)/h)."""
-    if h <= 0:
-        raise ValueError(f"step size must be positive, got {h}")
-    q1 = np.asarray(q1, dtype=np.float64)
-    q2 = np.asarray(q2, dtype=np.float64)
-    return h * lagrangian(sys, 0.5 * (q1 + q2), (q2 - q1) / h)
-
-
-def discrete_force(sys: LagrangianSystem, q1, q2, h: float) -> np.ndarray:
-    """Midpoint rule: h · F((q1+q2)/2, (q2−q1)/h)."""
-    if h <= 0:
-        raise ValueError(f"step size must be positive, got {h}")
-    q1 = np.asarray(q1, dtype=np.float64)
-    q2 = np.asarray(q2, dtype=np.float64)
-    return h * sys.force(0.5 * (q1 + q2), (q2 - q1) / h)
-
-
 def del_vector(sys: LagrangianSystem, triple: ConfigTriple) -> np.ndarray:
     """Discrete Euler-Lagrange vector
-    D₂L_d(q1,q2) + D₁L_d(q2,q3) + ½(F_d(q1,q2) + F_d(q2,q3)).
+    D₂L_d(q1,q2) + D₁L_d(q2,q3) + ½(F_d(q1,q2) + F_d(q2,q3))
+    of the midpoint rule L_d(a, b) = h L((a+b)/2, (b−a)/h), and likewise
+    F_d(a, b) = h F((a+b)/2, (b−a)/h).
 
-    Slot derivatives of the midpoint rule reduce to
+    Its slot derivatives reduce to
     D₁L_d = (h/2)∂L/∂q − ∂L/∂q̇ and D₂L_d = (h/2)∂L/∂q + ∂L/∂q̇,
     each evaluated at that pair's midpoint state, with ∂L/∂q̇ = M q̇.
     """
@@ -186,11 +92,6 @@ def del_vector(sys: LagrangianSystem, triple: ConfigTriple) -> np.ndarray:
     d1 = 0.5 * h * _lagrangian_q_gradient(sys, mb, vb) - sys.mass_matrix(mb) @ vb
     fd = 0.5 * h * (sys.force(ma, va) + sys.force(mb, vb))
     return d2 + d1 + fd
-
-
-def del_residual(sys: LagrangianSystem, triple: ConfigTriple) -> float:
-    d = del_vector(sys, triple)
-    return float(d @ d)
 
 
 def del_jacobian_q3(sys: LagrangianSystem, triple: ConfigTriple) -> np.ndarray:

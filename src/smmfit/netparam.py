@@ -9,10 +9,11 @@ scalar.
 
 A model is one flat parameter vector (`FlatParams`); its `ParamLayout`
 names the slot of every weight, bias and the log-scale block.  The
-batched tape builders slice the nets out of that vector.  Each builder
-takes optional forward-mode directions and returns one spatial
-derivative per direction beside its value; with none it builds the
-value alone.
+batched tape builders slice the nets out of that vector.  The MLP,
+Cholesky-factor and potential builders take optional forward-mode
+directions and return one spatial derivative per direction beside their
+value; with none they build the value alone.  M(q) and its derivatives
+come from the Gram of the factor (`gram`), inside the fused nodes.
 """
 
 from __future__ import annotations
@@ -133,16 +134,6 @@ def init_params(rng, arch: ArchConfig) -> FlatParams:
     return FlatParams(values, layout)
 
 
-def scale_params(params: FlatParams, gamma: float) -> FlatParams:
-    """Shift every log-scale by ln γ: M, V, F all scale pointwise by γ."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    values = params.values.copy()
-    _, s, e = params.layout.slot("log_scales")
-    values[s:e] += np.log(gamma)
-    return FlatParams(values, params.layout)
-
-
 # -- batched tape builders ----------------------------------------------------
 
 def log_scale_t(theta, layout: ParamLayout, which: int):
@@ -199,28 +190,17 @@ def chol_entries_t(theta, layout: ParamLayout, Q, dirs=()):
     return ent, dent
 
 
-def mass_entries_t(theta, layout: ParamLayout, Q, dirs=()):
-    """Batched M(q) entries {(i,j): (B,1)} for all i, j, their spatial
-    derivatives per direction, and the scaled factor."""
+def mass_entries_t(theta, layout: ParamLayout, Q) -> np.ndarray:
+    """Batched M(q) values as a (B, n, n) array: the Gram of the scaled
+    factor's entries, as `gram` computes it."""
     n = layout.arch.n
-    L, dL = chol_entries_t(theta, layout, Q, dirs)
-    M = {}
-    dM = [{} for _ in dL]
+    L, _ = chol_entries_t(theta, layout, Q)
+    G, _ = gram({k: L[k].value for k in tri_keys(n)}, [], n)
+    M = np.empty((Q.shape[0], n, n))
     for i in range(n):
-        for j in range(i + 1):
-            acc = None
-            for k in range(j + 1):
-                t = dc.mul(L[(i, k)], L[(j, k)])
-                acc = t if acc is None else dc.add(acc, t)
-            M[(i, j)] = M[(j, i)] = acc
-            for d, dl in zip(dM, dL):
-                dacc = None
-                for k in range(j + 1):
-                    t = dc.add(dc.mul(dl[(i, k)], L[(j, k)]),
-                               dc.mul(L[(i, k)], dl[(j, k)]))
-                    dacc = t if dacc is None else dc.add(dacc, t)
-                d[(i, j)] = d[(j, i)] = dacc
-    return M, dM, L
+        for j in range(n):
+            M[:, i, j] = G[sym(i, j)][:, 0]
+    return M
 
 
 def potential_t(theta, layout: ParamLayout, Q, dirs=()):
@@ -267,7 +247,8 @@ def accumulate(adj: dict, key, c) -> None:
 
 def gram(L, dL, n: int, with_M: bool = True):
     """M = L Lᵀ and dM = dL Lᵀ + L dLᵀ per direction, from (B, 1) entry
-    arrays keyed (i, j) with j <= i, computed as mass_entries_t does."""
+    arrays keyed (i, j) with j <= i, summed over k in increasing order
+    as the per-entry column graph adds its products."""
     M = {}
     dM = [{} for _ in dL]
     for i in range(n):

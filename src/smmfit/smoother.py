@@ -62,9 +62,9 @@ def transition_matrix(dt: float) -> np.ndarray:
 class LdsModel:
     """Per-coordinate linear dynamical system.
 
-    A, C and Q are shared.  For K series at once, R is (K,), m0 is
-    (K, 3) and P0 is (K, 3, 3); a single series has a float R, (3,) m0
-    and (3, 3) P0.
+    A, C and Q are shared by the K series.  R, m0 and P0 hold one entry
+    per series, (K,), (K, 3) and (K, 3, 3), or one value that broadcasts
+    to them.
     """
 
     A: np.ndarray
@@ -86,20 +86,18 @@ class LdsModel:
 
 @dataclass
 class FilterResult:
-    # shapes for one series; K series add a series axis after T
-    means: np.ndarray        # T x 3, posterior m_t|t
-    covs: np.ndarray         # T x 3 x 3
-    pred_means: np.ndarray   # T x 3, m_t|t-1 (m0 at t=0)
-    pred_covs: np.ndarray    # T x 3 x 3 (P0 at t=0)
-    loglik: float            # (K,) for K series
+    means: np.ndarray        # T x K x 3, posterior m_t|t
+    covs: np.ndarray         # T x K x 3 x 3
+    pred_means: np.ndarray   # T x K x 3, m_t|t-1 (m0 at t=0)
+    pred_covs: np.ndarray    # T x K x 3 x 3 (P0 at t=0)
+    loglik: np.ndarray       # (K,)
 
 
 @dataclass
 class SmoothResult:
-    # shapes for one series; K series add a series axis after T
-    means: np.ndarray        # T x 3, m_t|T
-    covs: np.ndarray         # T x 3 x 3
-    loglik: float            # (K,) for K series
+    means: np.ndarray        # T x K x 3, m_t|T
+    covs: np.ndarray         # T x K x 3 x 3
+    loglik: np.ndarray       # (K,)
 
 
 def _bt(X: np.ndarray) -> np.ndarray:
@@ -111,12 +109,10 @@ def kalman_filter(model: LdsModel, y: np.ndarray) -> FilterResult:
     """Forward pass with Joseph-form updates and exact innovation likelihood.
 
     The state at the first observation is the prior (m0, P0) itself; the
-    transition applies between observations.  `y` holds T observations
-    of one series, or is (T, K) for K series filtered at once.
+    transition applies between observations.  `y` is (T, K): T
+    observations of each of K series, filtered at once.
     """
-    y = np.asarray(y, dtype=np.float64)
-    single = y.ndim == 1
-    Y = y.reshape(y.shape[0], -1)
+    Y = np.asarray(y, dtype=np.float64)
     T, K = Y.shape
     A, Q = model.A, model.Q
     c = model.C.ravel()
@@ -152,19 +148,13 @@ def kalman_filter(model: LdsModel, y: np.ndarray) -> FilterResult:
              + (Kg[:, :, None] * Kg[:, None, :]) * R[:, None, None])
         means[t] = m
         covs[t] = P
-    if single:
-        return FilterResult(means[:, 0], covs[:, 0], pred_means[:, 0],
-                            pred_covs[:, 0], loglik[0])
     return FilterResult(means, covs, pred_means, pred_covs, loglik)
 
 
 def rts_smooth(model: LdsModel, filt: FilterResult) -> SmoothResult:
     """Rauch-Tung-Striebel backward pass."""
     A = model.A
-    single = filt.means.ndim == 2
-    fm, fc, pm, pc = (a[:, None] if single else a for a in
-                      (filt.means, filt.covs, filt.pred_means,
-                       filt.pred_covs))
+    fm, fc, pm, pc = filt.means, filt.covs, filt.pred_means, filt.pred_covs
     T, K, d = fm.shape
     ms = np.empty((T, K, d))
     Ps = np.empty((T, K, d, d))
@@ -180,16 +170,14 @@ def rts_smooth(model: LdsModel, filt: FilterResult) -> SmoothResult:
         dm = (ms[t + 1] - pm[t + 1])[:, :, None]
         ms[t] = fm[t] + np.matmul(G, dm)[:, :, 0]
         Ps[t] = fc[t] + np.matmul(np.matmul(G, Ps[t + 1] - P_pred), _bt(G))
-    if single:
-        return SmoothResult(ms[:, 0], Ps[:, 0], filt.loglik)
     return SmoothResult(ms, Ps, filt.loglik)
 
 
 @dataclass
 class EmResult:
     model: LdsModel
-    logliks: list           # one list per series for K series
-    iterations: int | list  # E-steps run; one count per series for K series
+    logliks: list           # one list per series
+    iterations: list        # E-steps run, one count per series
     smooth: SmoothResult
 
 
@@ -203,15 +191,13 @@ def em_fit(y: np.ndarray, dt: float, q_fixed: np.ndarray = FIXED_Q,
     The log-likelihood trace must be non-decreasing (1e-8 slack); a drop
     beyond that is a bug in the updates, not a data property.
 
-    A (T, K) `y` fits K series at once.  Each series stops on its own
-    gain test; a finished series keeps the model and smooth of its last
-    E-step and leaves the batch.
+    `y` is (T, K): K series fitted at once.  Each series stops on its
+    own gain test; a finished series keeps the model and smooth of its
+    last E-step and leaves the batch.
     """
     if iters < 1:
         raise ValueError("need at least one EM iteration")
-    y = np.asarray(y, dtype=np.float64)
-    single = y.ndim == 1
-    Y = y.reshape(y.shape[0], -1)
+    Y = np.asarray(y, dtype=np.float64)
     T, K = Y.shape
     # per-series means run over a contiguous last axis, as for one series
     yk = np.ascontiguousarray(Y.T)
@@ -270,12 +256,6 @@ def em_fit(y: np.ndarray, dt: float, q_fixed: np.ndarray = FIXED_Q,
         m0 = means[:, 0]
         P0 = covs[:, 0]
 
-    if single:
-        model = LdsModel(A=A, C=C, Q=Q, R=float(fit_R[0]), m0=fit_m0[0],
-                         P0=fit_P0[0])
-        smooth = SmoothResult(out.means[:, 0], out.covs[:, 0],
-                              out.loglik[0])
-        return EmResult(model, logliks[0], iterations[0], smooth)
     model = LdsModel(A=A, C=C, Q=Q, R=fit_R, m0=fit_m0, P0=fit_P0)
     return EmResult(model, logliks, iterations, out)
 

@@ -423,7 +423,7 @@ def _accel_graph(flat: FlatParams, batch: Batch):
     A = _accel_t(tape, theta, flat.layout, X, Xd)
     E = dc.add(A, tape.constant(-batch.data["qddot"]))
     loss = dc.scale(dc.sumsq(E), 1.0 / batch.data["q"].size)
-    return tape, theta, loss, A
+    return tape, theta, loss
 
 
 def _nextstate_graph(flat: FlatParams, batch: Batch, h: float):
@@ -464,56 +464,29 @@ def _nextstate_graph(flat: FlatParams, batch: Batch, h: float):
 
 # -- public losses ------------------------------------------------------------
 
-def del_loss(params: FlatParams, batch: Batch, mu: float = MU_DEFAULT,
-             alpha: float = 0.0) -> float:
-    """Mean squared DEL residual minus mu times the mean log-det barrier."""
-    _, _, loss, _, _ = _del_graph(params, batch, mu, alpha,
-                                  with_barrier=mu != 0.0)
-    return loss.value.item()
-
-
 def del_loss_grad(params: FlatParams, batch: Batch,
                   mu: float = MU_DEFAULT, alpha: float = 0.0):
+    """(loss, gradient): mean squared DEL residual minus mu times the mean
+    log-det barrier."""
     tape, theta, loss, _, _ = _del_graph(params, batch, mu, alpha,
                                          with_barrier=mu != 0.0)
     g = tape.gradients(loss, [theta])[0]
     return loss.value.item(), g.value.ravel().copy()
 
 
-def del_loss_terms(params: FlatParams, batch: Batch, alpha: float = 0.0):
-    """(mean residual, mean logdet(M - alpha I)) as plain floats."""
-    _, _, _, rho, ld = _del_graph(params, batch, 1.0, alpha)
-    return rho.value.item(), ld.value.item()
-
-
-def accel_loss(params: FlatParams, batch: Batch) -> float:
-    """Mean squared error of predicted accelerations, over all entries."""
-    _, _, loss, _ = _accel_graph(params, batch)
-    return loss.value.item()
-
-
 def accel_loss_grad(params: FlatParams, batch: Batch):
-    tape, theta, loss, _ = _accel_graph(params, batch)
+    """(loss, gradient): mean squared acceleration error over all entries."""
+    tape, theta, loss = _accel_graph(params, batch)
     g = tape.gradients(loss, [theta])[0]
     return loss.value.item(), g.value.ravel().copy()
-
-
-def nextstate_loss(params: FlatParams, batch: Batch, h: float) -> float:
-    """Mean squared one-step error, position and velocity weighted equally."""
-    _, _, loss, _ = _nextstate_graph(params, batch, h)
-    return loss.value.item()
 
 
 def nextstate_loss_grad(params: FlatParams, batch: Batch, h: float):
+    """(loss, gradient): mean squared one-step RK4 error, position and
+    velocity weighted equally."""
     tape, theta, loss, _ = _nextstate_graph(params, batch, h)
     g = tape.gradients(loss, [theta])[0]
     return loss.value.item(), g.value.ravel().copy()
-
-
-def nextstate_predictions(params: FlatParams, batch: Batch, h: float):
-    """RK4 one-step predictions as value arrays (the graph's own forward)."""
-    _, _, _, (Qp, Vp) = _nextstate_graph(params, batch, h)
-    return Qp.value.copy(), Vp.value.copy()
 
 
 def predicted_accelerations(params: FlatParams, q, qdot) -> np.ndarray:
@@ -529,17 +502,6 @@ def accel_rmse(params: FlatParams, batch: Batch) -> float:
     """Root mean squared acceleration error; the validation metric."""
     pred = predicted_accelerations(params, batch.data["q"], batch.data["qdot"])
     return float(np.sqrt(np.mean((pred - batch.data["qddot"]) ** 2)))
-
-
-def barrier_grad(params: FlatParams, configs, alpha: float) -> np.ndarray:
-    """Gradient of the mean logdet(M - alpha I) over the given configs."""
-    configs = np.asarray(configs, dtype=np.float64)
-    tape = dc.Tape()
-    theta = tape.input(params.values.reshape(1, -1))
-    L, _ = chol_entries_t(theta, params.layout, tape.constant(configs))
-    ld = _shifted_logdet_t(L, params.layout.arch.n, alpha)
-    g = tape.gradients(dc.mean_all(ld), [theta])[0]
-    return g.value.ravel().copy()
 
 
 # -- optimizer ----------------------------------------------------------------
@@ -585,12 +547,8 @@ def mass_eigenvalues(params: FlatParams, configs) -> np.ndarray:
     configs = np.asarray(configs, dtype=np.float64).reshape(-1, n)
     tape = dc.Tape()
     theta = tape.constant(params.values.reshape(1, -1))
-    ent, _, _ = mass_entries_t(theta, params.layout, tape.constant(configs))
-    M = np.empty((configs.shape[0], n, n))
-    for i in range(n):
-        for j in range(n):
-            M[:, i, j] = ent[(i, j)].value[:, 0]
-    return np.linalg.eigvalsh(M)
+    return np.linalg.eigvalsh(
+        mass_entries_t(theta, params.layout, tape.constant(configs)))
 
 
 def choose_alpha(params0: FlatParams, configs,
@@ -642,11 +600,6 @@ def save_record(record: TrainRecord, path) -> None:
         "method", "xi0", "seed", "mu", "alpha", "train_losses",
         "val_errors", "lrs", "best_epoch", "invalid_steps", "checkpoint")}
     Path(path).write_text(json.dumps(doc, indent=1))
-
-
-def load_record(path) -> TrainRecord:
-    doc = json.loads(Path(path).read_text())
-    return TrainRecord(**doc)
 
 
 def _split_trajs(dataset):

@@ -2,7 +2,8 @@
 oracle for `tests/test_fused.py`.
 
 Every M, dM, L and Cholesky-solve entry here is its own (B, 1) tape node,
-as the library built them before the fused nodes.  The fused nodes must
+as the library built them before the fused nodes, with the log, sqrt and
+reciprocal nodes the library no longer needs.  The fused nodes must
 reproduce these losses and gradients bit for bit.
 """
 
@@ -10,8 +11,53 @@ import numpy as np
 
 from smmfit import diffcore as dc
 from smmfit.integrators import IntegrationBlowupError
-from smmfit.netparam import force_t, mass_entries_t, potential_t
+from smmfit.netparam import chol_entries_t, force_t, potential_t
 from smmfit.training import BarrierViolationError
+
+
+def log(a):
+    if np.any(a.value <= 0.0):
+        raise dc.DiffcoreError("log of nonpositive value")
+    return dc.custom([a], np.log(a.value), lambda g: (g * (1.0 / a.value),),
+                     "log")
+
+
+def sqrt(a):
+    if np.any(a.value < 0.0):
+        raise dc.DiffcoreError("sqrt of negative value")
+    o = np.sqrt(a.value)
+    return dc.custom([a], o, lambda g: (g * (dc._reciprocal_np(o) * 0.5),),
+                     "sqrt")
+
+
+def reciprocal(a):
+    o = dc._reciprocal_np(a.value)
+    return dc.custom([a], o, lambda g: (-(g * (o * o)),), "reciprocal")
+
+
+def mass_entries_t(theta, layout, Q, dirs=()):
+    """M(q) entries {(i, j): (B, 1)} for all i, j, their spatial
+    derivatives per direction, and the scaled factor, one node per
+    product and sum."""
+    n = layout.arch.n
+    L, dL = chol_entries_t(theta, layout, Q, dirs)
+    M = {}
+    dM = [{} for _ in dL]
+    for i in range(n):
+        for j in range(i + 1):
+            acc = None
+            for k in range(j + 1):
+                t = dc.mul(L[(i, k)], L[(j, k)])
+                acc = t if acc is None else dc.add(acc, t)
+            M[(i, j)] = M[(j, i)] = acc
+            for d, dl in zip(dM, dL):
+                dacc = None
+                for k in range(j + 1):
+                    t = dc.add(dc.mul(dl[(i, k)], L[(j, k)]),
+                               dc.mul(L[(i, k)], dl[(j, k)]))
+                    dacc = t if dacc is None else dc.add(dacc, t)
+                d[(i, j)] = d[(j, i)] = dacc
+    return M, dM, L
 
 
 def chol_solve_t(L_ent, rhs_cols):
@@ -22,13 +68,13 @@ def chol_solve_t(L_ent, rhs_cols):
         acc = rhs_cols[i]
         for j in range(i):
             acc = dc.add(acc, dc.neg(dc.mul(L_ent[(i, j)], y[j])))
-        y.append(dc.mul(acc, dc.reciprocal(L_ent[(i, i)])))
+        y.append(dc.mul(acc, reciprocal(L_ent[(i, i)])))
     x = [None] * n
     for i in range(n - 1, -1, -1):
         acc = y[i]
         for j in range(i + 1, n):
             acc = dc.add(acc, dc.neg(dc.mul(L_ent[(j, i)], x[j])))
-        x[i] = dc.mul(acc, dc.reciprocal(L_ent[(i, i)]))
+        x[i] = dc.mul(acc, reciprocal(L_ent[(i, i)]))
     return x
 
 
@@ -72,10 +118,10 @@ def shifted_cholesky(ent, n, shift):
                 piv = acc.value
                 if not np.all(np.isfinite(piv)) or np.any(piv <= 0.0):
                     raise BarrierViolationError(i, float(np.nanmin(piv)))
-                L[(i, i)] = dc.sqrt(acc)
-                ld = dc.log(acc) if ld is None else dc.add(ld, dc.log(acc))
+                L[(i, i)] = sqrt(acc)
+                ld = log(acc) if ld is None else dc.add(ld, log(acc))
             else:
-                L[(i, j)] = dc.mul(acc, dc.reciprocal(L[(j, j)]))
+                L[(i, j)] = dc.mul(acc, reciprocal(L[(j, j)]))
     return L, ld
 
 

@@ -1,21 +1,249 @@
-"""Plain-numpy single-point SMM model: the test oracle for the batched
-tape builders in `smmfit.netparam` and the losses in `smmfit.training`.
-
-Weights and biases are read out of a `FlatParams` vector through its
-layout's slots.  `SmmSystem` takes M and V derivatives from reverse-mode
-`dc.grad`/`dc.jacobian` sweeps over the builders, an independent path
-from the forward-mode directions the losses use.  The `system_*`
-functions score any `LagrangianSystem` row by row through `mechanics`.
+"""Reference code the tests compare `smmfit` against: reverse-mode
+`grad`/`jacobian`, central-difference hooks (`fd`, `FdSystem`), the
+continuous and midpoint discrete Lagrangian and force, an RK4 step, the
+`system_*` scores of any system, readouts of the library's loss graphs,
+and a plain-numpy single-point SMM model read out of a `FlatParams`
+vector.  `SmmSystem` takes M and V derivatives from `grad`/`jacobian`
+sweeps over the per-entry tape builders, an independent path from the
+forward-mode directions the losses use.
 """
+
+from functools import partial
 
 import numpy as np
 
+from column_graph import mass_entries_t
 from smmfit import diffcore as dc
 from smmfit import mechanics as mech
-from smmfit.integrators import rk4_step
-from smmfit.netparam import (ConservativeForceError, mass_entries_t,
-                             potential_t)
+from smmfit import smoother as smo
+from smmfit import training as tr
+from smmfit.integrators import IntegrationBlowupError
+from smmfit.netparam import (ConservativeForceError, FlatParams,
+                             chol_entries_t, potential_t)
 
+FD_STEP = 1e-6
+
+
+# -- reverse mode --------------------------------------------------------------
+
+class NonScalarOutputError(dc.DiffcoreError):
+    """grad() was handed a function whose output is not 1 x 1."""
+
+
+def transpose(a):
+    return dc.custom([a], np.ascontiguousarray(a.value.T),
+                     lambda g: (np.ascontiguousarray(g.T),), "transpose")
+
+
+def grad(f, x) -> np.ndarray:
+    """Gradient of a scalar-valued tape function at a point.
+
+    ``f`` receives a (1, n) input Tensor and must return a 1 x 1 Tensor.
+    """
+    tape = dc.Tape()
+    xt = tape.input(np.asarray(x, dtype=np.float64).reshape(1, -1))
+    y = f(xt)
+    if not isinstance(y, dc.Tensor):
+        raise NonScalarOutputError("function did not return a Tensor")
+    if y.shape != (1, 1):
+        raise NonScalarOutputError(f"expected scalar output, got shape {y.shape}")
+    (g,) = tape.gradients(y, [xt])
+    return g.value.ravel().copy()
+
+
+def jacobian(f, x) -> np.ndarray:
+    """Jacobian of a vector-valued tape function; row i is the gradient of
+    output component i."""
+    tape = dc.Tape()
+    xt = tape.input(np.asarray(x, dtype=np.float64).reshape(1, -1))
+    y = f(xt)
+    if y.shape[0] != 1:
+        y = transpose(y)
+    m, n = y.shape[1], xt.shape[1]
+    J = np.empty((m, n))
+    for i in range(m):
+        (g,) = tape.gradients(dc.cols(y, i, i + 1), [xt])
+        J[i] = g.value.ravel()
+    return J
+
+
+# -- central differences -------------------------------------------------------
+
+def fd(f, x, axis=0, step=FD_STEP):
+    """Central differences of ``f`` at ``x``, one per coordinate of ``x``,
+    stacked along ``axis`` of the result."""
+    x = np.asarray(x, dtype=np.float64)
+    d = np.array([(np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2 * step)
+                  for e in step * np.eye(x.size)])
+    return np.moveaxis(d, 0, axis)
+
+
+class FdSystem(mech.LagrangianSystem):
+    """A system whose derivative hooks are central differences of its
+    mass_matrix, potential and force; conservative unless a subclass
+    overrides force."""
+
+    def force(self, q, qdot):
+        return np.zeros(self.n)
+
+    def mass_jacobian(self, q):
+        return fd(self.mass_matrix, q)
+
+    def potential_gradient(self, q):
+        return fd(self.potential, q)
+
+    def mass_hessian(self, q):
+        return fd(self.mass_jacobian, q, axis=1)
+
+    def potential_hessian(self, q):
+        return fd(self.potential_gradient, q, axis=1)
+
+    def force_jacobian_q(self, q, qdot):
+        return fd(lambda x: self.force(x, qdot), q, axis=1)
+
+    def force_jacobian_qdot(self, q, qdot):
+        return fd(lambda x: self.force(q, x), qdot, axis=1)
+
+
+class FreeParticle(FdSystem):
+    # L = half |qdot|^2
+    n = 2
+
+    def mass_matrix(self, q):
+        return np.eye(2)
+
+    def potential(self, q):
+        return 0.0
+
+
+def fd_max_rel_err(loss_of_values, values, gradient, idx, eps=FD_STEP):
+    """Worst relative gap between ``gradient`` and central differences of
+    the loss over the parameter indices ``idx``."""
+    worst = 0.0
+    for i in idx:
+        vp = values.copy()
+        vm = values.copy()
+        vp[i] += eps
+        vm[i] -= eps
+        diff = (loss_of_values(vp) - loss_of_values(vm)) / (2.0 * eps)
+        denom = max(abs(diff), abs(gradient[i]), 1e-10)
+        worst = max(worst, abs(diff - gradient[i]) / denom)
+    return worst
+
+
+def loss_gradient_cases(params, rng, B=6, h=0.05):
+    """The barrier floor, and (loss of a parameter vector, library
+    gradient) for each method on random batches of B nearby tuples."""
+    n, layout = params.layout.arch.n, params.layout
+    q1 = rng.uniform(-0.5, 0.5, (B, n))
+    dq = rng.uniform(-0.05, 0.05, (B, n))
+    dq2 = rng.uniform(-0.05, 0.05, (B, n))
+    bdel = tr.Batch("del", {"q1": q1, "q2": q1 + dq, "q3": q1 + dq + dq2}, h)
+    bacc = tr.Batch("accel", {"q": q1, "qdot": rng.uniform(-1, 1, (B, n)),
+                              "qddot": rng.uniform(-1, 1, (B, n))})
+    bnext = tr.Batch("nextstate",
+                     {"q": q1, "qdot": rng.uniform(-1, 1, (B, n)),
+                      "qnext": q1 + dq,
+                      "qdotnext": rng.uniform(-1, 1, (B, n))}, h)
+    alpha = tr.choose_alpha(params, np.concatenate([q1, q1 + dq]))
+    return alpha, [
+        (lambda v: tr.del_loss_grad(FlatParams(v, layout), bdel, 0.01,
+                                    alpha)[0],
+         tr.del_loss_grad(params, bdel, mu=0.01, alpha=alpha)[1]),
+        (lambda v: tr.accel_loss_grad(FlatParams(v, layout), bacc)[0],
+         tr.accel_loss_grad(params, bacc)[1]),
+        (lambda v: tr.nextstate_loss_grad(FlatParams(v, layout), bnext,
+                                          h)[0],
+         tr.nextstate_loss_grad(params, bnext, h)[1]),
+    ]
+
+
+# -- mechanics references ------------------------------------------------------
+
+def lagrangian(system, q, qdot) -> float:
+    q = np.asarray(q, dtype=np.float64)
+    qdot = np.asarray(qdot, dtype=np.float64)
+    return float(0.5 * qdot @ system.mass_matrix(q) @ qdot
+                 - system.potential(q))
+
+
+def discrete_lagrangian(system, q1, q2, h) -> float:
+    """Midpoint rule: h · L((q1+q2)/2, (q2−q1)/h)."""
+    q1 = np.asarray(q1, dtype=np.float64)
+    q2 = np.asarray(q2, dtype=np.float64)
+    return h * lagrangian(system, 0.5 * (q1 + q2), (q2 - q1) / h)
+
+
+def discrete_force(system, q1, q2, h) -> np.ndarray:
+    """Midpoint rule: h · F((q1+q2)/2, (q2−q1)/h)."""
+    q1 = np.asarray(q1, dtype=np.float64)
+    q2 = np.asarray(q2, dtype=np.float64)
+    return h * system.force(0.5 * (q1 + q2), (q2 - q1) / h)
+
+
+def del_residual(system, triple) -> float:
+    d = mech.del_vector(system, triple)
+    return float(d @ d)
+
+
+def rk4_step(accel_fn, q, qdot, h: float):
+    """One classical Runge-Kutta step of q̈ = accel_fn(q, q̇)."""
+    q = np.asarray(q, dtype=np.float64)
+    qdot = np.asarray(qdot, dtype=np.float64)
+
+    def f(state_q, state_v):
+        return state_v, np.asarray(accel_fn(state_q, state_v), dtype=np.float64)
+
+    k1q, k1v = f(q, qdot)
+    k2q, k2v = f(q + 0.5 * h * k1q, qdot + 0.5 * h * k1v)
+    k3q, k3v = f(q + 0.5 * h * k2q, qdot + 0.5 * h * k2v)
+    k4q, k4v = f(q + h * k3q, qdot + h * k3v)
+    q_next = q + (h / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
+    v_next = qdot + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+    if not (np.all(np.isfinite(q_next)) and np.all(np.isfinite(v_next))):
+        raise IntegrationBlowupError("non-finite state after RK4 step")
+    return q_next, v_next
+
+
+def exact_traj(system, q0, h, T, split=""):
+    """RK4 rollout from rest with the system's accelerations recorded at
+    each state, as smoothed data."""
+    acc = partial(mech.acceleration, system)
+    q = np.zeros((T, len(q0)))
+    qd = np.zeros_like(q)
+    q[0] = q0
+    for t in range(T - 1):
+        q[t + 1], qd[t + 1] = rk4_step(acc, q[t], qd[t], h)
+    qdd = np.array([acc(q[t], qd[t]) for t in range(T)])
+    return smo.SmoothedTrajectory(q=q, qdot=qd, qddot=qdd, h=h, split=split)
+
+
+def system_del_mean(system, batch):
+    """Mean squared DEL residual of a system on del tuples."""
+    vals = [del_residual(system, mech.ConfigTriple(
+        batch.data["q1"][i], batch.data["q2"][i], batch.data["q3"][i],
+        batch.h)) for i in range(len(batch))]
+    return float(np.mean(vals))
+
+
+def system_accel_mse(system, batch):
+    q, qd, qdd = (batch.data["q"], batch.data["qdot"], batch.data["qddot"])
+    pred = np.array([mech.acceleration(system, q[i], qd[i])
+                     for i in range(len(batch))])
+    return float(np.mean((pred - qdd) ** 2))
+
+
+def system_nextstate_mse(system, batch, h):
+    acc = partial(mech.acceleration, system)
+    err = 0.0
+    for i in range(len(batch)):
+        qn, vn = rk4_step(acc, batch.data["q"][i], batch.data["qdot"][i], h)
+        err += np.sum((qn - batch.data["qnext"][i]) ** 2)
+        err += np.sum((vn - batch.data["qdotnext"][i]) ** 2)
+    return float(err / (2.0 * batch.data["q"].size))
+
+
+# -- the numpy SMM model -------------------------------------------------------
 
 def slot(params, key):
     """A writable (rows, cols) view of one layout slot of the vector."""
@@ -25,6 +253,15 @@ def slot(params, key):
 
 def last_bias(params, net):
     return slot(params, f"{net}.{params.layout.n_layers(net) - 1}.b")
+
+
+def scale_params(params, gamma: float):
+    """Shift every log-scale by ln γ: M, V, F all scale pointwise by γ."""
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    scaled = FlatParams(params.values.copy(), params.layout)
+    slot(scaled, "log_scales")[:] += np.log(gamma)
+    return scaled
 
 
 def mlp(params, net, x):
@@ -73,7 +310,7 @@ def force(params, q, qdot):
     return np.exp(log_scale(params, 2)) * mlp(params, "force", x)
 
 
-class SmmSystem(mech.LagrangianSystem):
+class SmmSystem(FdSystem):
     """LagrangianSystem view of learned parameters, with reverse-mode
     tape derivatives of M and V."""
 
@@ -89,7 +326,7 @@ class SmmSystem(mech.LagrangianSystem):
 
     def force(self, q, qdot):
         if self.params.layout.arch.conservative:
-            return np.zeros(self.n)
+            return super().force(q, qdot)
         return force(self.params, q, qdot)
 
     def _theta(self, tape):
@@ -100,7 +337,7 @@ class SmmSystem(mech.LagrangianSystem):
             return potential_t(self._theta(qt.tape), self.params.layout,
                                qt)[0]
 
-        return dc.grad(f, np.asarray(q, dtype=np.float64))
+        return grad(f, np.asarray(q, dtype=np.float64))
 
     def mass_jacobian(self, q):
         n = self.n
@@ -111,35 +348,34 @@ class SmmSystem(mech.LagrangianSystem):
             return dc.concat_cols([ent[(i, j)] for i in range(n)
                                    for j in range(n)])
 
-        J = dc.jacobian(f, np.asarray(q, dtype=np.float64))
+        J = jacobian(f, np.asarray(q, dtype=np.float64))
         dM = np.empty((n, n, n))
         for k in range(n):
             dM[k] = J[:, k].reshape(n, n)
         return dM
 
 
-def system_del_mean(system, batch):
-    """Mean squared DEL residual of a system on del tuples."""
-    vals = [mech.del_residual(system, mech.ConfigTriple(
-        batch.data["q1"][i], batch.data["q2"][i], batch.data["q3"][i],
-        batch.h)) for i in range(len(batch))]
-    return float(np.mean(vals))
+# -- readouts of the library's loss graphs -------------------------------------
+
+def del_loss_terms(params, batch, alpha=0.0):
+    """(mean residual, mean logdet(M - alpha I)) as plain floats."""
+    _, _, _, rho, ld = tr._del_graph(params, batch, 1.0, alpha)
+    return rho.value.item(), ld.value.item()
 
 
-def system_accel_mse(system, batch):
-    q, qd, qdd = (batch.data["q"], batch.data["qdot"], batch.data["qddot"])
-    pred = np.array([mech.acceleration(system, q[i], qd[i])
-                     for i in range(len(batch))])
-    return float(np.mean((pred - qdd) ** 2))
+def nextstate_predictions(params, batch, h):
+    """RK4 one-step predictions as value arrays (the graph's own forward)."""
+    _, _, _, (Qp, Vp) = tr._nextstate_graph(params, batch, h)
+    return Qp.value.copy(), Vp.value.copy()
 
 
-def system_nextstate_mse(system, batch, h):
-    def acc(qq, vv):
-        return mech.acceleration(system, qq, vv)
-
-    err = 0.0
-    for i in range(len(batch)):
-        qn, vn = rk4_step(acc, batch.data["q"][i], batch.data["qdot"][i], h)
-        err += np.sum((qn - batch.data["qnext"][i]) ** 2)
-        err += np.sum((vn - batch.data["qdotnext"][i]) ** 2)
-    return float(err / (2.0 * batch.data["q"].size))
+def barrier_grad(params, configs, alpha):
+    """Gradient of the mean logdet(M - alpha I) over the given configs,
+    through the fused barrier node."""
+    tape = dc.Tape()
+    theta = tape.input(params.values.reshape(1, -1))
+    Q = tape.constant(np.asarray(configs, dtype=np.float64))
+    L, _ = chol_entries_t(theta, params.layout, Q)
+    ld = tr._shifted_logdet_t(L, params.layout.arch.n, alpha)
+    g = tape.gradients(dc.mean_all(ld), [theta])[0]
+    return g.value.ravel().copy()

@@ -8,7 +8,6 @@ and bitwise reproducibility.  Each test prints a single summary line.
 
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,19 +28,6 @@ def report(tag, ok, detail):
     line = f"[acceptance] {tag}: {'PASS' if ok else 'FAIL'} - {detail}"
     print(line)
     assert ok, line
-
-
-def exact_traj(q0, h, T, split=""):
-    def acc(qq, vv):
-        return mech.acceleration(SYS, qq, vv)
-
-    q = np.zeros((T, len(q0)))
-    qd = np.zeros_like(q)
-    q[0] = q0
-    for t in range(T - 1):
-        q[t + 1], qd[t + 1] = integ.rk4_step(acc, q[t], qd[t], h)
-    qdd = np.array([acc(q[t], qd[t]) for t in range(T)])
-    return smo.SmoothedTrajectory(q=q, qdot=qd, qddot=qdd, h=h, split=split)
 
 
 @pytest.fixture(scope="module")
@@ -76,19 +62,6 @@ def test_1_integrator_satisfies_its_own_residual_check():
            f"trajectories of 200 steps in {dt:.2f}s (limits 1e-9, 5s)")
 
 
-def fd_max_rel_err(loss_of_values, values, grad, idx, eps=1e-6):
-    worst = 0.0
-    for i in idx:
-        vp = values.copy()
-        vm = values.copy()
-        vp[i] += eps
-        vm[i] -= eps
-        fd = (loss_of_values(vp) - loss_of_values(vm)) / (2.0 * eps)
-        denom = max(abs(fd), abs(grad[i]), 1e-10)
-        worst = max(worst, abs(fd - grad[i]) / denom)
-    return worst
-
-
 def test_2_loss_gradients_match_finite_differences():
     t0 = time.perf_counter()
     overall = 0.0
@@ -96,36 +69,11 @@ def test_2_loss_gradients_match_finite_differences():
         rng = np.random.default_rng(100 + k)
         arch = netp.ArchConfig(n=2, hidden=(8, 8), conservative=bool(k % 2))
         params = netp.init_params(200 + k, arch)
-        layout = params.layout
-        B = 6
-        q1 = rng.uniform(-0.5, 0.5, (B, 2))
-        dq = rng.uniform(-0.05, 0.05, (B, 2))
-        dq2 = rng.uniform(-0.05, 0.05, (B, 2))
-        h = 0.05
-        bdel = tr.Batch("del", {"q1": q1, "q2": q1 + dq,
-                                "q3": q1 + dq + dq2}, h)
-        bacc = tr.Batch("accel", {"q": q1, "qdot": rng.uniform(-1, 1, (B, 2)),
-                                  "qddot": rng.uniform(-1, 1, (B, 2))})
-        bnext = tr.Batch("nextstate",
-                         {"q": q1, "qdot": rng.uniform(-1, 1, (B, 2)),
-                          "qnext": q1 + dq,
-                          "qdotnext": rng.uniform(-1, 1, (B, 2))}, h)
-        alpha = tr.choose_alpha(params, np.concatenate([q1, q1 + dq]))
-        idx = rng.choice(layout.total, size=12, replace=False)
-
-        _, g = tr.del_loss_grad(params, bdel, mu=0.01, alpha=alpha)
-        overall = max(overall, fd_max_rel_err(
-            lambda v: tr.del_loss(netp.FlatParams(v, layout), bdel, 0.01,
-                                  alpha),
-            params.values, g, idx))
-        _, g = tr.accel_loss_grad(params, bacc)
-        overall = max(overall, fd_max_rel_err(
-            lambda v: tr.accel_loss(netp.FlatParams(v, layout), bacc),
-            params.values, g, idx))
-        _, g = tr.nextstate_loss_grad(params, bnext, h)
-        overall = max(overall, fd_max_rel_err(
-            lambda v: tr.nextstate_loss(netp.FlatParams(v, layout), bnext, h),
-            params.values, g, idx))
+        _, cases = oracle.loss_gradient_cases(params, rng)
+        idx = rng.choice(params.layout.total, size=12, replace=False)
+        for loss, g in cases:
+            overall = max(overall, oracle.fd_max_rel_err(
+                loss, params.values, g, idx))
     dt = time.perf_counter() - t0
     report("gradient correctness",
            overall < 1e-4 and dt < 60.0,
@@ -144,7 +92,7 @@ def test_3_gauge_and_scale_properties():
     sys_s = oracle.SmmSystem(shifted)
 
     gamma = 10.0
-    sys_g = oracle.SmmSystem(netp.scale_params(params, gamma))
+    sys_g = oracle.SmmSystem(oracle.scale_params(params, gamma))
 
     B = 12
     q2 = rng.uniform(-0.8, 0.8, (B, 2))
@@ -172,8 +120,8 @@ def test_3_gauge_and_scale_properties():
                             / max(np.abs(a0).max(), 1e-12))
 
     alpha = tr.choose_alpha(params, q2)
-    norms = [float(np.linalg.norm(tr.barrier_grad(
-        netp.scale_params(params, g), q2, alpha)))
+    norms = [float(np.linalg.norm(oracle.barrier_grad(
+        oracle.scale_params(params, g), q2, alpha)))
         for g in (1.0, 10.0, 100.0, 1000.0)]
     monotone = all(a > b for a, b in zip(norms, norms[1:]))
 
@@ -192,14 +140,14 @@ def test_4_barrier_prevents_degenerate_solutions(experiment):
     # the sweep stays above its eigenvalue floor on its training set
     rng = np.random.default_rng(21)
     starts = rng.uniform(-0.4, 0.4, (3, 2))
-    trajs = [exact_traj(q, 0.05, 100, s)
+    trajs = [oracle.exact_traj(SYS, q, 0.05, 100, s)
              for q, s in zip(starts, ["train", "train", "val"])]
     ds = smo.SmoothedDataset(trajs)
     arch = netp.ArchConfig(n=2, hidden=(32, 32))
     tuples = tr.assemble_tuples(trajs[:2], "del")
     val_batch = tr.assemble_tuples(trajs[2:], "accel")
 
-    degen0 = netp.scale_params(netp.init_params(5, arch), 1e-3)
+    degen0 = oracle.scale_params(netp.init_params(5, arch), 1e-3)
     rec0, degen_params = tr.train("del", degen0, ds,
                                   tr.TrainConfig(xi0=1e-3, epochs=50,
                                                  seed=5, mu=0.0))
@@ -210,7 +158,7 @@ def test_4_barrier_prevents_degenerate_solutions(experiment):
 
     rec1, healthy = tr.train("del", netp.init_params(5, arch), ds,
                              tr.TrainConfig(xi0=1e-2, epochs=100, seed=5))
-    healthy_loss = tr.del_loss(healthy, tuples, mu=0.0)
+    healthy_loss = tr.del_loss_grad(healthy, tuples, mu=0.0)[0]
     healthy_rmse = tr.accel_rmse(healthy, val_batch)
 
     part_a = (degen_loss < 1e-6
@@ -262,13 +210,13 @@ def test_5_smoother_recovers_states_at_main_noise_level():
     all_ok = True
     for i, traj in enumerate(trajs):
         obs = integ.add_noise(traj, 0.1, np.random.default_rng([90, i]))
-        st = smo.smooth_trajectory(obs.observations, traj.h)
+        st = smo.smooth_trajectory(obs.configs, traj.h)
         q = traj.configs
         pos = float(np.sqrt(np.mean((st.q - q) ** 2)))
-        raw = float(np.sqrt(np.mean((obs.observations - q) ** 2)))
+        raw = float(np.sqrt(np.mean((obs.configs - q) ** 2)))
         v_true = (q[2:] - q[:-2]) / (2 * traj.h)
         vel = float(np.sqrt(np.mean((st.qdot[1:-1] - v_true) ** 2)))
-        fd = (obs.observations[2:] - obs.observations[:-2]) / (2 * traj.h)
+        fd = (obs.configs[2:] - obs.configs[:-2]) / (2 * traj.h)
         fdv = float(np.sqrt(np.mean((fd - v_true) ** 2)))
         mono = all(np.all(np.diff(f["logliks"]) >= -1e-8) for f in st.fits)
         all_ok &= pos < 0.1 and pos < raw and vel < fdv and mono

@@ -9,8 +9,6 @@ import numpy as np
 import pytest
 
 from smmfit import expcli as cli
-from smmfit import integrators as integ
-from smmfit import mechanics as mech
 from smmfit import netparam as netp
 from smmfit import smoother as smo
 from smmfit import training as tr
@@ -121,7 +119,7 @@ def test_smooth_pool_equals_per_trajectory_smoothing():
     pool = cli.smooth_pool(observed, config.h)
     assert len(pool) == 3
     for st, obs in zip(pool, observed):
-        one = smo.smooth_trajectory(obs.observations, config.h)
+        one = smo.smooth_trajectory(obs.configs, config.h)
         assert np.array_equal(st.q, one.q)
         assert np.array_equal(st.qdot, one.qdot)
         assert np.array_equal(st.qddot, one.qddot)
@@ -153,7 +151,7 @@ def test_evaluate_flags_degenerate_model(smoothed_pool):
     # a nearly constant Lagrangian predicts nothing useful; the error must
     # be large compared to the data scale, not silently small
     config, pool = smoothed_pool
-    params = netp.scale_params(netp.init_params(0, cli.make_arch(config)),
+    params = oracle.scale_params(netp.init_params(0, cli.make_arch(config)),
                                1e-8)
     b = cli.eval_batch(cli.make_system(config), pool[:2])
     res = cli.evaluate(params, b)
@@ -209,7 +207,7 @@ def test_aggregate_skips_failed_cells():
              make_cell("del", 1e-2, 2, 3.0)]
     agg = cli.ResultsTable(cells).aggregates()[0]
     assert agg.count == 2 and agg.mean == pytest.approx(2.0)
-    assert cli.ResultsTable(cells).any_failed
+    assert [c.failed for c in cells] == [False, True, False]
 
 
 def test_emit_plot_data_single_cell(tmp_path):
@@ -238,7 +236,7 @@ def test_run_experiment_desk_scale(tmp_path):
     table = cli.run_experiment(config)
 
     assert len(table.cells) == 3 * 3 * 3
-    assert not table.any_failed
+    assert not any(c.failed for c in table.cells)
     assert all(np.isfinite(c.rmse) for c in table.cells)
 
     out = tmp_path / "exp"
@@ -445,6 +443,47 @@ def test_cli_smooth_rejects_colliding_output_names(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and "same files" in err
         assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("case", ["header_only", "short", "ragged",
+                                  "non_numeric"])
+def test_cli_malformed_data_file_exit_code(tmp_path, capsys, case):
+    # smooth, train and evaluate name a malformed data file in an error
+    # line and exit 2 before writing anything
+    def data_file(name, header, meta):
+        cells = ["0.5"] * len(header)
+        rows = {"header_only": [], "short": [cells] * 2,
+                "ragged": [cells, cells[:-1], cells],
+                "non_numeric": [cells, ["0", "abc", *cells[2:]], cells]}[case]
+        path = tmp_path / f"{name}.csv"
+        path.write_text("".join(",".join(r) + "\n" for r in [header, *rows]))
+        (tmp_path / f"{name}.json").write_text(json.dumps(meta))
+        return str(path)
+
+    raw = data_file("raw", ["t", "q1", "q2"], {"h": 0.05, "sigma": 0.1})
+    sm = data_file("sm", ["t"] + [f"{k}{j}" for j in (1, 2)
+                                  for k in ("q", "qdot", "qddot")],
+                   {"h": 0.05, "split": ""})
+    params = tmp_path / "params.json"
+    netp.save_params(netp.init_params(0, netp.ArchConfig(hidden=(4,))),
+                     params)
+    out = str(tmp_path / "out")
+    for argv, name in ((["smooth", raw, "--out", out], raw),
+                       (["train", sm, "--method", "accel", "--out", out], sm),
+                       (["evaluate", sm, "--params", str(params)], sm)):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--sigma", "-1"), ("--steps", "2"),
+                                        ("--count", "0"), ("--h", "0")])
+def test_cli_generate_bad_option_exit_code(tmp_path, capsys, flag, value):
+    assert cli.main(["generate", flag, value, "--out",
+                     str(tmp_path / "raw")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "raw").exists()
 
 
 @pytest.mark.parametrize("flag,value", [("--hidden", "0"), ("--lr", "0"),

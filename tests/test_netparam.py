@@ -31,10 +31,7 @@ def constants(p, *inputs):
 def mass_batch(p, Q):
     """M(q) per row of Q from the tape builder, shape (B, n, n)."""
     _tape, theta, X = constants(p, Q)
-    M, _, _ = npar.mass_entries_t(theta, p.layout, X)
-    n = p.layout.arch.n
-    return np.stack([np.hstack([M[i, j].value for j in range(n)])
-                     for i in range(n)], axis=1)
+    return npar.mass_entries_t(theta, p.layout, X)
 
 
 def potential_batch(p, Q):
@@ -76,7 +73,7 @@ def test_mass_matrix_init_eigenvalue_floor():
 
 def test_mass_matrix_scale_doubles():
     p = npar.init_params(1, ARCH)
-    p2 = npar.scale_params(p, 2.0)
+    p2 = oracle.scale_params(p, 2.0)
     Q = np.random.default_rng(16).uniform(-np.pi, np.pi, size=(20, 2))
     assert np.allclose(mass_batch(p2, Q), 2.0 * mass_batch(p, Q), rtol=1e-12)
 
@@ -91,7 +88,7 @@ def test_potential_zero_net_bias():
 
 def test_potential_log_scale():
     p = npar.init_params(2, ARCH)
-    p3 = npar.scale_params(p, 3.0)
+    p3 = oracle.scale_params(p, 3.0)
     Q = np.random.default_rng(17).uniform(-np.pi, np.pi, size=(100, 2))
     assert np.allclose(potential_batch(p3, Q), 3.0 * potential_batch(p, Q),
                        rtol=1e-12)
@@ -109,7 +106,7 @@ def test_force_zero_net_bias_and_scale():
     assert np.allclose(force_batch(p, [0.1, 0.2], [0.3, 0.4]), [[0.5, -1.5]],
                        atol=1e-15)
     p = npar.init_params(4, ARCH_F)
-    p3 = npar.scale_params(p, 3.0)
+    p3 = oracle.scale_params(p, 3.0)
     rng = np.random.default_rng(18)
     Q = rng.uniform(-1, 1, size=(20, 2))
     Qd = rng.uniform(-2, 2, size=(20, 2))
@@ -119,14 +116,14 @@ def test_force_zero_net_bias_and_scale():
 
 def test_scale_params_identity_and_domain():
     p = npar.init_params(5, ARCH)
-    p1 = npar.scale_params(p, 1.0)
+    p1 = oracle.scale_params(p, 1.0)
     q = np.array([0.4, -0.9])
     assert np.array_equal(potential_batch(p1, q), potential_batch(p, q))
     assert np.array_equal(mass_batch(p1, q), mass_batch(p, q))
     with pytest.raises(ValueError):
-        npar.scale_params(p, 0.0)
+        oracle.scale_params(p, 0.0)
     with pytest.raises(ValueError):
-        npar.scale_params(p, -2.0)
+        oracle.scale_params(p, -2.0)
 
 
 # -- init and flat layout -----------------------------------------------------
@@ -189,35 +186,22 @@ def test_flat_params_validation():
 def test_tape_potential_matches_numpy():
     for arch in (ARCH, ARCH_F):
         p = npar.init_params(11, arch)
-        layout = p.layout
-        theta = p.values
-        rng = np.random.default_rng(20)
-        Q = rng.uniform(-np.pi, np.pi, size=(32, 2))
-        tape = dc.Tape()
-        tt = tape.input(theta.reshape(1, -1))
-        out, _ = npar.potential_t(tt, layout, tape.constant(Q))
+        Q = np.random.default_rng(20).uniform(-np.pi, np.pi, size=(32, 2))
         want = np.array([oracle.potential(p, q) for q in Q])
-        assert np.abs(out.value.ravel() - want).max() <= 1e-12
+        assert np.abs(potential_batch(p, Q) - want).max() <= 1e-12
 
 
 def test_tape_mass_entries_match_numpy():
     p = npar.init_params(12, ARCH)
-    layout = p.layout
-    theta = p.values
-    rng = np.random.default_rng(21)
-    Q = rng.uniform(-np.pi, np.pi, size=(32, 2))
-    tape = dc.Tape()
-    tt = tape.input(theta.reshape(1, -1))
-    ent, _, _ = npar.mass_entries_t(tt, layout, tape.constant(Q))
+    Q = np.random.default_rng(21).uniform(-np.pi, np.pi, size=(32, 2))
+    M = mass_batch(p, Q)
     for b, q in enumerate(Q):
-        M = oracle.mass_matrix(p, q)
-        for i in range(2):
-            for j in range(2):
-                assert abs(ent[(i, j)].value[b, 0] - M[i, j]) <= 1e-12
+        assert np.abs(M[b] - oracle.mass_matrix(p, q)).max() <= 1e-12
 
 
 def test_tape_directions_match_reverse_mode():
-    # forward-mode dM/dq_k and dV/dq_k against SmmSystem's reverse sweeps
+    # forward-mode dM/dq_k (the Gram of the factor's directions) and
+    # dV/dq_k against SmmSystem's reverse sweeps
     p = npar.init_params(16, ARCH)
     layout = p.layout
     sys = oracle.SmmSystem(p)
@@ -225,7 +209,11 @@ def test_tape_directions_match_reverse_mode():
     tape = dc.Tape()
     tt = tape.constant(p.values.reshape(1, -1))
     dirs = [tape.constant(np.eye(2)[k:k + 1]) for k in range(2)]
-    _, dM, _ = npar.mass_entries_t(tt, layout, tape.constant(Q), dirs)
+    L, dL = npar.chol_entries_t(tt, layout, tape.constant(Q), dirs)
+    keys = npar.tri_keys(2)
+    _, dM = npar.gram({k: L[k].value for k in keys},
+                      [{k: d[k].value for k in keys} for d in dL], 2,
+                      with_M=False)
     _, dV = npar.potential_t(tt, layout, tape.constant(Q), dirs)
     for b, q in enumerate(Q):
         want_M, want_V = sys.mass_jacobian(q), sys.potential_gradient(q)
@@ -233,7 +221,7 @@ def test_tape_directions_match_reverse_mode():
             assert abs(dV[k].value[b, 0] - want_V[k]) <= 1e-12
             for i in range(2):
                 for j in range(2):
-                    assert abs(dM[k][(i, j)].value[b, 0]
+                    assert abs(dM[k][npar.sym(i, j)][b, 0]
                                - want_M[k, i, j]) <= 1e-12
 
 
@@ -242,38 +230,30 @@ def test_tape_builders_without_directions_build_values_only():
     layout, theta = p.layout, p.values
     tape = dc.Tape()
     tt = tape.constant(theta.reshape(1, -1))
-    M, dM, _ = npar.mass_entries_t(tt, layout, tape.constant(np.zeros((3, 2))))
-    V, dV = npar.potential_t(tt, layout, tape.constant(np.zeros((3, 2))))
-    assert dM == [] and dV == [] and M[(0, 1)] is M[(1, 0)]
+    _, dL = npar.chol_entries_t(tt, layout, tape.constant(np.zeros((3, 2))))
+    _, dV = npar.potential_t(tt, layout, tape.constant(np.zeros((3, 2))))
+    assert dL == [] and dV == []
     # no tanh' chain and no softplus' gate when no direction asks for them
     assert not {"sigmoid", "neg"} & {node.op for node in tape.nodes}
 
 
 def test_tape_force_matches_numpy():
     p = npar.init_params(13, ARCH_F)
-    layout = p.layout
-    theta = p.values
     rng = np.random.default_rng(22)
     Q = rng.uniform(-np.pi, np.pi, size=(16, 2))
     Qd = rng.uniform(-2, 2, size=(16, 2))
-    tape = dc.Tape()
-    tt = tape.input(theta.reshape(1, -1))
-    out = npar.force_t(tt, layout, tape.constant(Q), tape.constant(Qd))
     want = np.array([oracle.force(p, q, qd) for q, qd in zip(Q, Qd)])
-    assert np.abs(out.value - want).max() <= 1e-12
+    assert np.abs(force_batch(p, Q, Qd) - want).max() <= 1e-12
 
 
 def test_chol_solve_t_matches_dense_solve():
     p = npar.init_params(14, ARCH)
-    layout = p.layout
-    theta = p.values
     rng = np.random.default_rng(23)
     Q = rng.uniform(-np.pi, np.pi, size=(8, 2))
     B = rng.uniform(-1, 1, size=(8, 2))
-    tape = dc.Tape()
-    tt = tape.input(theta.reshape(1, -1))
-    L, _ = npar.chol_entries_t(tt, layout, tape.constant(Q))
-    xs = npar.chol_solve_t(L, tape.constant(B))
+    _tape, theta, X, Bt = constants(p, Q, B)
+    L, _ = npar.chol_entries_t(theta, p.layout, X)
+    xs = npar.chol_solve_t(L, Bt)
     for b, q in enumerate(Q):
         want = np.linalg.solve(oracle.mass_matrix(p, q), B[b])
         assert np.abs(xs.value[b] - want).max() <= 1e-10
@@ -288,10 +268,10 @@ def test_smm_system_derivative_hooks_match_fd():
     for _ in range(5):
         q = rng.uniform(-np.pi, np.pi, size=2)
         gV = sys.potential_gradient(q)
-        gV_fd = mech.LagrangianSystem.potential_gradient(sys, q)
+        gV_fd = oracle.fd(sys.potential, q)
         assert np.allclose(gV, gV_fd, rtol=1e-5, atol=1e-7)
         dM = sys.mass_jacobian(q)
-        dM_fd = mech.LagrangianSystem.mass_jacobian(sys, q)
+        dM_fd = oracle.fd(sys.mass_matrix, q)
         assert np.allclose(dM, dM_fd, rtol=1e-5, atol=1e-7)
 
 
@@ -301,12 +281,12 @@ def test_smm_system_del_residual_gamma_squared():
         p = npar.init_params(16, arch)
         for gamma in (3.0, 10.0):
             a = oracle.SmmSystem(p)
-            b = oracle.SmmSystem(npar.scale_params(p, gamma))
+            b = oracle.SmmSystem(oracle.scale_params(p, gamma))
             for _ in range(5):
                 t = mech.ConfigTriple(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2),
                                       rng.uniform(-1, 1, 2), 0.05)
-                assert np.isclose(mech.del_residual(b, t),
-                                  gamma ** 2 * mech.del_residual(a, t),
+                assert np.isclose(oracle.del_residual(b, t),
+                                  gamma ** 2 * oracle.del_residual(a, t),
                                   rtol=1e-9)
 
 
@@ -314,7 +294,7 @@ def test_smm_system_acceleration_scale_invariant():
     # accelerations do not change under joint scaling of M, V, F
     p = npar.init_params(17, ARCH_F)
     a = oracle.SmmSystem(p)
-    b = oracle.SmmSystem(npar.scale_params(p, 25.0))
+    b = oracle.SmmSystem(oracle.scale_params(p, 25.0))
     rng = np.random.default_rng(26)
     for _ in range(5):
         q = rng.uniform(-1, 1, size=2)

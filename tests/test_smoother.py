@@ -44,37 +44,37 @@ def test_transition_matrix_series_oracle():
 def test_filter_huge_r_ignores_observations():
     model = triple_model(0.05, R=1e9, m0=(0.5, 1.0, -0.2))
     rng = np.random.default_rng(30)
-    y = rng.normal(0.0, 1.0, size=50)
+    y = rng.normal(0.0, 1.0, size=(50, 1))
     filt = smo.kalman_filter(model, y)
     # prior propagation: x_{t+1} = A x_t from m0
     m = model.m0.copy()
     for t in range(50):
         if t > 0:
             m = model.A @ m
-        assert np.abs(filt.means[t] - m).max() <= 1e-3
+        assert np.abs(filt.means[t, 0] - m).max() <= 1e-3
 
 
 def test_filter_single_step_bayes_update():
     model = triple_model(0.05, R=0.25, m0=(0.3, 0.0, 0.0))
     y = np.array([1.1])
-    filt = smo.kalman_filter(model, y)
+    filt = smo.kalman_filter(model, y[:, None])
     c = model.C.ravel()
     s = c @ model.P0 @ c + model.R
     K = model.P0 @ c / s
     want_m = model.m0 + K * (y[0] - c @ model.m0)
     IKC = np.eye(3) - np.outer(K, c)
     want_P = IKC @ model.P0 @ IKC.T + np.outer(K, K) * model.R
-    assert np.allclose(filt.means[0], want_m, atol=1e-14)
-    assert np.allclose(filt.covs[0], want_P, atol=1e-14)
+    assert np.allclose(filt.means[0, 0], want_m, atol=1e-14)
+    assert np.allclose(filt.covs[0, 0], want_P, atol=1e-14)
     want_ll = -0.5 * (np.log(2 * np.pi * s) + (y[0] - c @ model.m0) ** 2 / s)
-    assert abs(filt.loglik - want_ll) < 1e-12
+    assert abs(filt.loglik[0] - want_ll) < 1e-12
 
 
 def test_filter_tiny_r_tracks_constant():
     model = triple_model(0.05, R=1e-10)
-    y = np.full(60, 2.5)
+    y = np.full((60, 1), 2.5)
     filt = smo.kalman_filter(model, y)
-    assert np.abs(filt.means[30:, 0] - 2.5).max() <= 1e-6
+    assert np.abs(filt.means[30:, 0, 0] - 2.5).max() <= 1e-6
 
 
 def test_filter_rejects_bad_innovation():
@@ -82,7 +82,7 @@ def test_filter_rejects_bad_innovation():
     model.R = 0.0  # force degenerate variance past the constructor
     model.P0 = np.zeros((3, 3))
     with pytest.raises(smo.NumericalDegeneracyError):
-        smo.kalman_filter(model, np.zeros(3))
+        smo.kalman_filter(model, np.zeros((3, 1)))
 
 
 # -- rts_smooth ---------------------------------------------------------------
@@ -90,7 +90,7 @@ def test_filter_rejects_bad_innovation():
 def test_rts_boundary_condition():
     model = triple_model(0.05, R=0.01)
     rng = np.random.default_rng(31)
-    y = np.cumsum(rng.normal(size=40)) * 0.1
+    y = np.cumsum(rng.normal(size=40))[:, None] * 0.1
     filt = smo.kalman_filter(model, y)
     sm = smo.rts_smooth(model, filt)
     assert np.array_equal(sm.means[-1], filt.means[-1])
@@ -101,25 +101,25 @@ def test_rts_constant_acceleration_recovery():
     a = 3.0
     dt = 0.05
     t = np.arange(120) * dt
-    y = 0.5 * a * t ** 2
+    y = 0.5 * a * t[:, None] ** 2
     model = triple_model(dt, R=1e-8)
     filt = smo.kalman_filter(model, y)
     sm = smo.rts_smooth(model, filt)
     mid = slice(30, 90)
-    assert np.abs(sm.means[mid, 2] - a).max() <= 0.01 * a
+    assert np.abs(sm.means[mid, 0, 2] - a).max() <= 0.01 * a
 
 
 def test_rts_variance_reduction_and_psd():
     model = triple_model(0.05, R=0.04)
     rng = np.random.default_rng(32)
     y = np.sin(np.arange(80) * 0.1) + rng.normal(0, 0.2, size=80)
-    filt = smo.kalman_filter(model, y)
+    filt = smo.kalman_filter(model, y[:, None])
     sm = smo.rts_smooth(model, filt)
     for t in range(80):
-        assert np.trace(sm.covs[t]) <= np.trace(filt.covs[t]) + 1e-12
-        S = 0.5 * (sm.covs[t] + sm.covs[t].T)
-        assert np.linalg.eigvalsh(S)[0] >= -1e-10
-        assert np.abs(sm.covs[t] - sm.covs[t].T).max() <= 1e-10
+        P = sm.covs[t, 0]
+        assert np.trace(P) <= np.trace(filt.covs[t, 0]) + 1e-12
+        assert np.linalg.eigvalsh(0.5 * (P + P.T))[0] >= -1e-10
+        assert np.abs(P - P.T).max() <= 1e-10
 
 
 # -- em_fit -------------------------------------------------------------------
@@ -138,24 +138,23 @@ def sample_lds(model, T, seed):
 def test_em_recovers_known_r():
     truth = triple_model(0.05, R=0.01)
     y = sample_lds(truth, 400, seed=33)
-    res = smo.em_fit(y, 0.05)
-    assert 0.005 <= res.model.R <= 0.02
+    res = smo.em_fit(y[:, None], 0.05)
+    assert 0.005 <= res.model.R[0] <= 0.02
 
 
 def test_em_loglik_monotone_and_q_fixed():
     rng = np.random.default_rng(34)
     traj = integ.simulate(mech.dp_system(), [0.6, -0.4], 0.05, 200)
-    y = traj.configs[:, 0] + rng.normal(0, 0.1, size=200)
+    y = traj.configs[:, :1] + rng.normal(0, 0.1, size=(200, 1))
     res = smo.em_fit(y, 0.05)
-    diffs = np.diff(res.logliks)
-    assert np.all(diffs >= -smo.EM_SLACK)
+    assert np.all(np.diff(res.logliks[0]) >= -smo.EM_SLACK)
     assert np.array_equal(res.model.Q, smo.FIXED_Q)
-    assert res.iterations == len(res.logliks)
+    assert res.iterations[0] == len(res.logliks[0])
 
 
 def test_em_requires_iterations():
     with pytest.raises(ValueError):
-        smo.em_fit(np.zeros(10), 0.05, iters=0)
+        smo.em_fit(np.zeros((10, 1)), 0.05, iters=0)
 
 
 def _four_series():
@@ -178,14 +177,14 @@ def test_em_batch_equals_series(gain_tol, stops):
     batch = smo.em_fit(y, 0.05, gain_tol=gain_tol)
     assert batch.iterations == stops
     for k in range(y.shape[1]):
-        one = smo.em_fit(y[:, k], 0.05, gain_tol=gain_tol)
-        assert np.array_equal(batch.smooth.means[:, k], one.smooth.means)
-        assert np.array_equal(batch.smooth.covs[:, k], one.smooth.covs)
-        assert batch.model.R[k] == one.model.R
-        assert np.array_equal(batch.model.m0[k], one.model.m0)
-        assert np.array_equal(batch.model.P0[k], one.model.P0)
-        assert batch.iterations[k] == one.iterations
-        assert batch.logliks[k] == one.logliks
+        one = smo.em_fit(y[:, k:k + 1], 0.05, gain_tol=gain_tol)
+        assert np.array_equal(batch.smooth.means[:, k], one.smooth.means[:, 0])
+        assert np.array_equal(batch.smooth.covs[:, k], one.smooth.covs[:, 0])
+        assert batch.model.R[k] == one.model.R[0]
+        assert np.array_equal(batch.model.m0[k], one.model.m0[0])
+        assert np.array_equal(batch.model.P0[k], one.model.P0[0])
+        assert batch.iterations[k] == one.iterations[0]
+        assert batch.logliks[k] == one.logliks[0]
 
 
 # -- smooth_trajectory --------------------------------------------------------
@@ -214,8 +213,8 @@ def test_smooth_noiseless_velocity_tracks_central_difference():
 def test_smooth_denoises():
     traj = _clean_traj(36)
     obs = integ.add_noise(traj, 0.1, 37)
-    sm = smo.smooth_trajectory(obs.observations, obs.h)
-    rmse_raw = np.sqrt(np.mean((obs.observations - traj.configs) ** 2))
+    sm = smo.smooth_trajectory(obs.configs, obs.h)
+    rmse_raw = np.sqrt(np.mean((obs.configs - traj.configs) ** 2))
     rmse_sm = np.sqrt(np.mean((sm.q - traj.configs) ** 2))
     assert rmse_sm < rmse_raw
 
@@ -223,8 +222,8 @@ def test_smooth_denoises():
 def test_smooth_shapes_and_determinism():
     traj = _clean_traj(38, T=80)
     obs = integ.add_noise(traj, 0.1, 39)
-    a = smo.smooth_trajectory(obs.observations, obs.h)
-    b = smo.smooth_trajectory(obs.observations, obs.h)
+    a = smo.smooth_trajectory(obs.configs, obs.h)
+    b = smo.smooth_trajectory(obs.configs, obs.h)
     assert a.q.shape == a.qdot.shape == a.qddot.shape == (80, 2)
     assert np.array_equal(a.q, b.q)
     assert np.array_equal(a.qdot, b.qdot)
@@ -235,7 +234,7 @@ def test_smooth_shapes_and_determinism():
 def test_smoothed_file_roundtrip(tmp_path):
     traj = _clean_traj(42, T=50)
     obs = integ.add_noise(traj, 0.1, 43)
-    sm = smo.smooth_trajectory(obs.observations, obs.h, split="train")
+    sm = smo.smooth_trajectory(obs.configs, obs.h, split="train")
     p = tmp_path / "smoothed.csv"
     smo.save_smoothed(sm, p)
     header = p.read_text().splitlines()[0]

