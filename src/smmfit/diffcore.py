@@ -163,11 +163,6 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     raise ValueError(f"cannot reduce {g.shape} to {shape}")
 
 
-def _t(a: np.ndarray) -> np.ndarray:
-    # a contiguous transpose for the matmul adjoints
-    return np.ascontiguousarray(a.T)
-
-
 def _broadcast_ok(sa, sb) -> bool:
     if sa == sb or sa == (1, 1) or sb == (1, 1):
         return True
@@ -194,22 +189,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _binary(a, b, "mul")
-    out = a.tape._append(a.value * b.value, (a, b), "mul",
-                         a.requires_grad or b.requires_grad)
-    out.bwd = lambda g: (
-        _unbroadcast(g * b.value, a.shape) if a.requires_grad else None,
-        _unbroadcast(g * a.value, b.shape) if b.requires_grad else None)
-    return out
-
-
-def neg(a: Tensor) -> Tensor:
-    out = a.tape._append(-a.value, (a,), "neg", a.requires_grad)
-    out.bwd = lambda g: (-g,)
-    return out
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     """Multiply by a plain float (not differentiated with respect to c)."""
     out = a.tape._append(a.value * c, (a,), "scale", a.requires_grad)
@@ -217,46 +196,11 @@ def scale(a: Tensor, c: float) -> Tensor:
     return out
 
 
-def shift(a: Tensor, c: float) -> Tensor:
-    """Add a plain float elementwise."""
-    out = a.tape._append(a.value + c, (a,), "shift", a.requires_grad)
-    out.bwd = lambda g: (g,)
-    return out
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.tape is not b.tape:
-        raise ValueError("matmul: operands on different tapes")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul: {a.shape} @ {b.shape}")
-    out = a.tape._append(a.value @ b.value, (a, b), "matmul",
-                         a.requires_grad or b.requires_grad)
-    out.bwd = lambda g: (g @ _t(b.value) if a.requires_grad else None,
-                         _t(a.value) @ g if b.requires_grad else None)
-    return out
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    r, c = shape
-    out = a.tape._append(a.value.reshape(r, c), (a,), "reshape", a.requires_grad)
-    out.bwd = lambda g: (g.reshape(a.shape),)
-    return out
-
-
-def tanh(a: Tensor) -> Tensor:
-    o = np.tanh(a.value)
-    out = a.tape._append(o, (a,), "tanh", a.requires_grad)
-    out.bwd = lambda g: (g * (-(o * o) + 1.0),)
-    return out
-
-
-def exp(a: Tensor) -> Tensor:
-    o = np.exp(a.value)
+def _exp_np(x: np.ndarray) -> np.ndarray:
+    o = np.exp(x)
     if not np.all(np.isfinite(o)):
         raise DiffcoreError("exp overflow")
-    out = a.tape._append(o, (a,), "exp", a.requires_grad)
-    out.bwd = lambda g: (g * o,)
-    return out
+    return o
 
 
 def _reciprocal_np(x: np.ndarray) -> np.ndarray:
@@ -271,25 +215,9 @@ def _softplus_np(x: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def softplus(a: Tensor) -> Tensor:
-    out = a.tape._append(_softplus_np(a.value), (a,), "softplus", a.requires_grad)
-    out.bwd = lambda g: (g * _sigmoid_np(a.value),)
-    return out
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    o = _sigmoid_np(a.value)
-    out = a.tape._append(o, (a,), "sigmoid", a.requires_grad)
-    out.bwd = lambda g: (g * (o * (-o + 1.0)),)
-    return out
+    # 1/(1 + e^-x) for x >= 0 and e^x/(1 + e^x) below, never overflowing
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sum_all(a: Tensor) -> Tensor:

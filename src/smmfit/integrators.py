@@ -230,7 +230,7 @@ def read_csv(path):
 
     A file with fewer than 3 data rows (the shortest trajectory), a row
     whose length differs from the header's, or a cell that is not a
-    number raises ValueError naming the file.
+    finite number raises ValueError naming the file.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -245,6 +245,11 @@ def read_csv(path):
         data = np.array([[float(x) for x in row] for row in rows[1:]])
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
+    bad = ~np.all(np.isfinite(data), axis=1)
+    if bad.any():
+        # the header is line 1
+        raise ValueError(f"{path}: non-finite cell on line "
+                         f"{int(np.argmax(bad)) + 2}")
     return header, data
 
 
@@ -260,8 +265,16 @@ def write_sidecar(path, meta: dict) -> None:
 
 
 def read_sidecar(path) -> dict:
+    """The sidecar of data file ``path``; its step ``h`` must be a
+    positive number, or ValueError names the file."""
     with open(_sidecar(path)) as fh:
-        return json.load(fh)
+        meta = json.load(fh)
+    h = meta.get("h") if isinstance(meta, dict) else None
+    if isinstance(h, bool) or not isinstance(h, (int, float)) \
+            or not 0 < h < np.inf:
+        raise ValueError(f"{path}: sidecar {_sidecar(path).name} needs a "
+                         f"positive step h, got {h!r}")
+    return meta
 
 
 def save_trajectory(traj: Trajectory, path) -> None:

@@ -8,12 +8,15 @@ model class is exactly closed under multiplication by a positive
 scalar.
 
 A model is one flat parameter vector (`FlatParams`); its `ParamLayout`
-names the slot of every weight, bias and the log-scale block.  The
-batched tape builders slice the nets out of that vector.  The MLP,
-Cholesky-factor and potential builders take optional forward-mode
-directions and return one spatial derivative per direction beside their
-value; with none they build the value alone.  M(q) and its derivatives
-come from the Gram of the factor (`gram`), inside the fused nodes.
+names the slot of every weight, bias and the log-scale block.  Each
+batched net build (`chol_entries_t`, `potential_t`, `force_t`) is one
+tape node that slices its net out of that vector, runs the MLP and its
+output head in numpy and replays the per-node graph's reverse sweep in
+its backward, so losses and gradients keep every bit.  The Cholesky and
+potential builds take optional forward-mode directions and return one
+spatial derivative per direction; with none they build the value alone.
+M(q) and its derivatives come from the Gram of the factor (`gram`),
+inside the fused nodes; `mass_entries_t` gives M(q) values with no tape.
 """
 
 from __future__ import annotations
@@ -78,14 +81,18 @@ class ParamLayout:
     def __init__(self, arch: ArchConfig):
         self.arch = arch
         self.slots = []  # (key, shape, start, end)
+        self.layers = {}  # per net, each layer's (W, b) as (shape, start, end)
         off = 0
         for net in arch.nets:
-            dims = self._layer_dims(net)
-            for i, (din, dout) in enumerate(dims):
+            self.layers[net] = []
+            for i, (din, dout) in enumerate(self._layer_dims(net)):
+                layer = []
                 for kind, shape in (("W", (din, dout)), ("b", (1, dout))):
                     size = shape[0] * shape[1]
                     self.slots.append((f"{net}.{i}.{kind}", shape, off, off + size))
+                    layer.append((shape, off, off + size))
                     off += size
+                self.layers[net].append(tuple(layer))
         nscale = 2 if arch.conservative else 3
         self.slots.append(("log_scales", (1, nscale), off, off + nscale))
         self.total = off + nscale
@@ -98,9 +105,6 @@ class ParamLayout:
 
     def slot(self, key: str):
         return self._index[key]
-
-    def n_layers(self, net: str) -> int:
-        return len(self._layer_dims(net))
 
 
 @dataclass
@@ -134,68 +138,251 @@ def init_params(rng, arch: ArchConfig) -> FlatParams:
     return FlatParams(values, layout)
 
 
-# -- batched tape builders ----------------------------------------------------
+# -- fused net builds ---------------------------------------------------------
+#
+# Each net build (an MLP and its output head) is one tape node.  Its
+# forward runs the numpy expressions of the per-node graph it replaces (a
+# node per weight slice, matmul, tanh, product and head entry), in that
+# graph's order.  Its backward replays that graph's reverse sweep: every
+# adjoint is the same expression, added in the order the sweep added it,
+# and an output whose adjoint the sweep never reached (the value of a
+# build that only serves its directions) contributes nothing.  The node
+# returns one full-size theta adjoint with the build's slots filled, and
+# an adjoint for its input only when the input needs one.
 
-def log_scale_t(theta, layout: ParamLayout, which: int):
-    _, s, e = layout.slot("log_scales")
-    return dc.cols(theta, s + which, s + which + 1)
+def _t(a: np.ndarray) -> np.ndarray:
+    # a contiguous transpose for the matmul adjoints
+    return np.ascontiguousarray(a.T)
 
 
-def mlp_t(theta, layout: ParamLayout, net: str, X, dirs=()):
-    """Batched MLP forward as a tape graph, weights sliced out of theta,
-    plus its directional derivative along each of ``dirs``.
+def _add(prev, c):
+    # how the sweep adds a contribution into an adjoint
+    return c if prev is None else prev + c
 
-    The JVP chain reuses the forward activations (tanh' = 1 - a^2), so each
-    direction costs about one extra forward pass and no reverse sweep.
+
+def _mlp_np(theta_v, layout: ParamLayout, net: str, x, dirs):
+    """The net at the rows of ``x``, and its directional derivative along
+    each of ``dirs``: (out, douts, per-layer record for `_mlp_bwd`).
+
+    The JVP chain reuses the forward activations (tanh' = 1 - a^2), so
+    each direction costs about one extra forward pass.
     """
-    a, das = X, list(dirs)
-    last = layout.n_layers(net) - 1
-    for i in range(last + 1):
-        shape, s, e = layout.slot(f"{net}.{i}.W")
-        W = dc.reshape(dc.cols(theta, s, e), shape)
-        _, s, e = layout.slot(f"{net}.{i}.b")
-        b = dc.cols(theta, s, e)
-        a = dc.add(dc.matmul(a, W), b)
-        das = [dc.matmul(da, W) for da in das]
+    a, das = x, list(dirs)
+    layers = []
+    last = len(layout.layers[net]) - 1
+    for i, ((shape, sW, eW), (_, sb, eb)) in enumerate(layout.layers[net]):
+        W = np.ascontiguousarray(theta_v[:, sW:eW]).reshape(shape)
+        b = np.ascontiguousarray(theta_v[:, sb:eb])
+        z = a @ W + b
+        es = [da @ W for da in das]
+        o = s = None
         if i < last:
-            a = dc.tanh(a)
-            if das:
-                sech2 = dc.shift(dc.neg(dc.mul(a, a)), 1.0)
-                das = [dc.mul(sech2, da) for da in das]
-    return a, das
+            o = np.tanh(z)
+            if es:
+                s = -(o * o) + 1.0
+        layers.append((a, das, W, b.shape, es, o, s))
+        a, das = (o, [s * e for e in es]) if i < last else (z, es)
+    return a, das, layers
+
+
+def _mlp_bwd(layers, g_out, g_douts, want_x: bool, want_w: bool):
+    """Reverse sweep of `_mlp_np` from the adjoints of its output and its
+    directions (None where the sweep reached none): (adjoint of x or
+    None, (gW, gb) per layer)."""
+    last = len(layers) - 1
+    ga, gda = g_out, list(g_douts)
+    grads = []
+    for i in reversed(range(last + 1)):
+        a, das, W, bshape, es, o, s = layers[i]
+        if i < last:
+            ge = [None] * len(es)
+            gs = None
+            for d in reversed(range(len(es))):
+                gp = gda[d]
+                if gp is None:
+                    continue
+                # p = s * e
+                gs = _add(gs, dc._unbroadcast(gp * es[d], s.shape))
+                ge[d] = dc._unbroadcast(gp * s, es[d].shape)
+            if gs is not None:
+                # s = -(o * o) + 1.0: the shift, the negation, then o * o,
+                # whose two factors are the same node
+                gaa = -gs
+                c = dc._unbroadcast(gaa * o, o.shape)
+                ga = _add(ga, c) + c
+            gz = None
+            if ga is not None:
+                gz = ga * (s if s is not None else -(o * o) + 1.0)
+        else:
+            gz, ge = ga, gda
+        Wt = _t(W) if i > 0 or want_x else None
+        gW = gb = ga = None
+        gda = [None] * len(es)
+        for d in reversed(range(len(es))):
+            if ge[d] is None:
+                continue
+            if i > 0:
+                gda[d] = ge[d] @ Wt
+            if want_w:
+                gW = _add(gW, _t(das[d]) @ ge[d])
+        if gz is not None:
+            if want_w:
+                gb = dc._unbroadcast(gz, bshape)
+            if i > 0 or want_x:
+                ga = gz @ Wt
+            if want_w:
+                gW = _add(gW, _t(a) @ gz)
+        grads.append((gW, gb))
+    return ga, grads[::-1]
+
+
+def _theta_adjoint(shape, layout: ParamLayout, net: str, grads, scale_slot,
+                   g_scale):
+    """One full-size theta adjoint with a build's W, b and log-scale slots
+    filled (zeros where the sweep reached none)."""
+    g = np.zeros(shape)
+    for slots, cs in zip(layout.layers[net], grads):
+        for (_, s, e), c in zip(slots, cs):
+            if c is not None:
+                g[:, s:e] = c.reshape(1, -1)
+    if g_scale is not None:
+        _, s, _ = layout.slot("log_scales")
+        g[:, s + scale_slot:s + scale_slot + 1] = g_scale
+    return g
+
+
+def _log_scale_np(theta_v, layout: ParamLayout, which: int) -> np.ndarray:
+    _, s, _ = layout.slot("log_scales")
+    return np.ascontiguousarray(theta_v[:, s + which:s + which + 1])
+
+
+def _sum11(g: np.ndarray) -> np.ndarray:
+    # the adjoint of a (1, 1) factor
+    return dc._unbroadcast(g, (1, 1))
+
+
+def _colsums(P: np.ndarray) -> np.ndarray:
+    """Each column's sum, as `.sum()` of that (B, 1) column adds it: over
+    a contiguous run of B numbers."""
+    return np.ascontiguousarray(P.T).sum(axis=1)
+
+
+def _chol_head_np(theta_v, layout: ParamLayout, out, douts):
+    """The scaled Cholesky entries as (B, tri) columns in `tri_keys`
+    order, softplus + eps on the diagonal and e^{s_M/2} folded in, and
+    their directions: (entries, per-direction entries, record for the
+    backward).
+
+    Entry by entry this is the per-entry graph: the diagonal's softplus
+    and sigmoid gate run on its columns, and every other step is one
+    elementwise product, here taken over all columns at once.
+    """
+    arch = layout.arch
+    # the diagonal's columns among the tri_keys
+    diag = [i * (i + 3) // 2 for i in range(arch.n)]
+    half = dc._exp_np(_log_scale_np(theta_v, layout, 0) * 0.5)
+    dg = out[:, diag]
+    pre = out.copy()
+    pre[:, diag] = dc._softplus_np(dg) + arch.eps
+    gate = dc._sigmoid_np(dg) if douts else None
+    pres = []
+    for do in douts:
+        # gate * dcol on the diagonal, the plain direction elsewhere
+        xg = np.array(np.broadcast_to(do, out.shape))
+        xg[:, diag] = gate * do[:, diag]
+        pres.append(xg)
+    return pre * half, [xg * half for xg in pres], \
+        (half, dg, pre, gate, pres, douts, diag)
+
+
+def _chol_head_bwd(g, record):
+    """Reverse sweep of `_chol_head_np` from the packed adjoint of its
+    entries and directions: (adjoint of the net output, of each direction
+    output, of s_M)."""
+    half, dg, pre, gate, pres, douts, diag = record
+    T = pre.shape[1]
+    D = len(douts)
+    # the (1, 1) sums of the products with half, in the sweep's order:
+    # entry by entry from the last, each entry's directions last first
+    sums = _colsums(g * np.concatenate([pre, *pres], axis=1))
+    order = [T * (d + 1) + t for t in reversed(range(T))
+             for d in [*reversed(range(D)), -1]]
+    ghalf = np.add.accumulate(sums[order])[-1:].reshape(1, 1)
+    gh = g * half
+    g_do = []
+    ggate = None
+    for d in reversed(range(D)):
+        ggm = gh[:, T * (d + 1) + np.array(diag)]
+        ggate = _add(ggate, ggm * douts[d][:, diag])
+        gdo = gh[:, T * (d + 1):T * (d + 2)].copy()
+        gdo[:, diag] = ggm * gate
+        if douts[d].shape[0] == 1:
+            gdo = _colsums(gdo).reshape(1, T)
+        g_do.append(gdo)
+    g_out = gh[:, :T].copy()
+    gsh = g_out[:, diag]
+    if D:
+        g_out[:, diag] = ggate * (gate * (-gate + 1.0)) + gsh * gate
+    else:
+        g_out[:, diag] = gsh * dc._sigmoid_np(dg)
+    # half = exp(s_M * 0.5)
+    return g_out, g_do[::-1], (ghalf * half) * 0.5
+
+
+def _column_nodes(node, start: int, width: int):
+    return [dc.cols(node, k, k + 1) for k in range(start, start + width)]
+
+
+def _packed(cols, B: int) -> np.ndarray:
+    return np.concatenate([c if c.shape[0] == B else np.broadcast_to(c, (B, 1))
+                           for c in cols], axis=1)
+
+
+def _unpacked(g: np.ndarray):
+    # a (1, 1) entry gets its (B, 1) column; its consumers reduce it
+    return [np.ascontiguousarray(g[:, k:k + 1]) for k in range(g.shape[1])]
 
 
 def chol_entries_t(theta, layout: ParamLayout, Q, dirs=()):
     """Scaled Cholesky columns {(i,j): (B,1)} with e^{s_M/2} folded in, so
-    M = Σ_k L̃[i,k] L̃[j,k] directly, and one such dict per direction."""
-    arch = layout.arch
-    out, douts = mlp_t(theta, layout, "mass", Q, dirs)
-    half = dc.exp(dc.scale(log_scale_t(theta, layout, 0), 0.5))
-    ent = {}
-    dent = [{} for _ in douts]
-    t = 0
-    for i in range(arch.n):
-        for j in range(i + 1):
-            col = dc.cols(out, t, t + 1)
-            if i == j:
-                ent[(i, j)] = dc.mul(dc.shift(dc.softplus(col), arch.eps), half)
-                gate = dc.sigmoid(col) if douts else None
-                for d, do in zip(dent, douts):
-                    d[(i, j)] = dc.mul(dc.mul(gate, dc.cols(do, t, t + 1)), half)
-            else:
-                ent[(i, j)] = dc.mul(col, half)
-                for d, do in zip(dent, douts):
-                    d[(i, j)] = dc.mul(dc.cols(do, t, t + 1), half)
-            t += 1
-    return ent, dent
+    M = Σ_k L̃[i,k] L̃[j,k] directly, and one such dict per direction.
+
+    The mass net and its head are one tape node; the entries are column
+    slices of its packed output.
+    """
+    keys = tri_keys(layout.arch.n)
+    T = len(keys)
+    tv = theta.value
+    out, douts, layers = _mlp_np(tv, layout, "mass", Q.value,
+                                 [d.value for d in dirs])
+    ent, dent, record = _chol_head_np(tv, layout, out, douts)
+    want_x, want_w = Q.requires_grad, theta.requires_grad
+
+    def bwd(g):
+        g_out, g_do, g_s = _chol_head_bwd(g, record)
+        gx, grads = _mlp_bwd(layers, g_out, g_do, want_x, want_w)
+        gt = _theta_adjoint(tv.shape, layout, "mass", grads, 0, g_s) \
+            if want_w else None
+        return gt, gx
+
+    node = dc.custom([theta, Q], np.concatenate([ent, *dent], axis=1), bwd,
+                     "mass_net")
+    cols = [dict(zip(keys, _column_nodes(node, T * d, T)))
+            for d in range(1 + len(dent))]
+    return cols[0], cols[1:]
 
 
-def mass_entries_t(theta, layout: ParamLayout, Q) -> np.ndarray:
-    """Batched M(q) values as a (B, n, n) array: the Gram of the scaled
-    factor's entries, as `gram` computes it."""
+def mass_entries_t(params: FlatParams, Q) -> np.ndarray:
+    """Batched M(q) values as a (B, n, n) array, with no tape: the Gram of
+    the scaled factor's entries, as `gram` computes it."""
+    layout = params.layout
     n = layout.arch.n
-    L, _ = chol_entries_t(theta, layout, Q)
-    G, _ = gram({k: L[k].value for k in tri_keys(n)}, [], n)
+    tv = params.values.reshape(1, -1)
+    Q = np.asarray(Q, dtype=np.float64)
+    out, _, _ = _mlp_np(tv, layout, "mass", Q, [])
+    ent, _, _ = _chol_head_np(tv, layout, out, [])
+    G, _ = gram({k: ent[:, t:t + 1] for t, k in enumerate(tri_keys(n))},
+                [], n)
     M = np.empty((Q.shape[0], n, n))
     for i in range(n):
         for j in range(n):
@@ -204,19 +391,61 @@ def mass_entries_t(theta, layout: ParamLayout, Q) -> np.ndarray:
 
 
 def potential_t(theta, layout: ParamLayout, Q, dirs=()):
-    """Batched V(q) as a (B,1) tape tensor, and its spatial derivatives."""
-    out, douts = mlp_t(theta, layout, "potential", Q, dirs)
-    g = dc.exp(log_scale_t(theta, layout, 1))
-    return dc.mul(out, g), [dc.mul(do, g) for do in douts]
+    """Batched V(q) as a (B,1) tape tensor, or with directions its spatial
+    derivatives, (B,1) each, in place of the value: (V or None, dV).
+
+    The potential net and its e^{s_V} scale are one tape node.  The value
+    is left out when directions are asked for, since no caller then reads
+    it, and its adjoint would only be zero.
+    """
+    tv = theta.value
+    out, douts, layers = _mlp_np(tv, layout, "potential", Q.value,
+                                 [d.value for d in dirs])
+    g = dc._exp_np(_log_scale_np(tv, layout, 1))
+    vals = [do * g for do in douts] if douts else [out * g]
+    want_x, want_w = Q.requires_grad, theta.requires_grad
+
+    def bwd(gp):
+        cols = _unpacked(gp)
+        gg = None
+        if douts:
+            g_out, g_do = None, [None] * len(douts)
+            for d in reversed(range(len(douts))):
+                g_do[d] = dc._unbroadcast(cols[d] * g, douts[d].shape)
+                gg = _add(gg, _sum11(cols[d] * douts[d]))
+        else:
+            g_out, g_do = cols[0] * g, []
+            gg = _sum11(cols[0] * out)
+        gx, grads = _mlp_bwd(layers, g_out, g_do, want_x, want_w)
+        gt = _theta_adjoint(tv.shape, layout, "potential", grads, 1,
+                            gg * g) if want_w else None
+        return gt, gx
+
+    node = dc.custom([theta, Q], _packed(vals, out.shape[0]), bwd,
+                     "potential_net")
+    if not douts:
+        return node, []
+    return None, _column_nodes(node, 0, len(douts))
 
 
 def force_t(theta, layout: ParamLayout, Q, Qdot):
-    """Batched F(q, q̇) as a (B,n) tape tensor."""
+    """Batched F(q, q̇) as a (B,n) tape tensor: the force net and its
+    e^{s_F} scale as one node on the concatenated (q, q̇)."""
     if layout.arch.conservative:
         raise ConservativeForceError("model has no force net")
     X = dc.concat_cols([Q, Qdot])
-    out, _ = mlp_t(theta, layout, "force", X)
-    return dc.mul(out, dc.exp(log_scale_t(theta, layout, 2)))
+    tv = theta.value
+    out, _, layers = _mlp_np(tv, layout, "force", X.value, [])
+    g = dc._exp_np(_log_scale_np(tv, layout, 2))
+    want_x, want_w = X.requires_grad, theta.requires_grad
+
+    def bwd(gF):
+        gx, grads = _mlp_bwd(layers, gF * g, [], want_x, want_w)
+        gt = _theta_adjoint(tv.shape, layout, "force", grads, 2,
+                            _sum11(gF * out) * g) if want_w else None
+        return gt, gx
+
+    return dc.custom([theta, X], out * g, bwd, "force_net")
 
 
 # -- fused blocks -------------------------------------------------------------

@@ -320,10 +320,14 @@ def smooth_trajectory(observations: np.ndarray, h: float,
                               h=h, split=split, fits=fits)
 
 
+def _smoothed_header(n: int) -> list:
+    return ["t"] + [f"{k}{j + 1}" for j in range(n)
+                    for k in ("q", "qdot", "qddot")]
+
+
 def save_smoothed(straj: SmoothedTrajectory, path) -> None:
     """CSV `t, q_i, qdot_i, qddot_i` per coordinate + JSON fit sidecar."""
-    header = ["t"] + [f"{k}{j + 1}" for j in range(straj.n)
-                      for k in ("q", "qdot", "qddot")]
+    header = _smoothed_header(straj.n)
     block = np.stack([straj.q, straj.qdot, straj.qddot], axis=2)
     block = block.reshape(straj.T, -1)
     rows = ([t * straj.h] + list(block[t]) for t in range(straj.T))
@@ -333,8 +337,15 @@ def save_smoothed(straj: SmoothedTrajectory, path) -> None:
 
 
 def load_smoothed(path) -> SmoothedTrajectory:
+    """Read a CSV + sidecar `save_smoothed` wrote; a header that is not
+    `t` and (q_j, qdot_j, qddot_j) triples raises ValueError naming the
+    file."""
     header, data = read_csv(path)
     n = (len(header) - 1) // 3
+    if n < 1 or header != _smoothed_header(n):
+        raise ValueError(f"{path}: header {','.join(header)} is not t and "
+                         "q_j, qdot_j, qddot_j per coordinate; run "
+                         "`smmfit smooth` on raw data first")
     q = data[:, 1 + 3 * np.arange(n)]
     qdot = data[:, 2 + 3 * np.arange(n)]
     qddot = data[:, 3 + 3 * np.arange(n)]

@@ -7,13 +7,15 @@ Plus Adam, the decay schedule, shuffled batching that never crosses
 trajectory boundaries, and validation-based checkpoint selection.
 
 Spatial derivatives of the nets (needed inside every acceleration and
-DEL evaluation) are built forward-mode by the netparam tape builders, one
-direction per coordinate.  That keeps the tape shallow even through the
-four RK4 stages; a single reverse sweep at the end then yields exact
-parameter gradients.  The mass-matrix Gram, the Euler-Lagrange terms, the
-Cholesky solve and the barrier's shifted factorization each run inside
-one fused tape node (see netparam's fused blocks) whose backward replays
-the per-entry column graph, so every loss and gradient keeps its bits.
+DEL evaluation) are built forward-mode by the netparam net builds, one
+direction per coordinate, each build one tape node.  That keeps the tape
+short even through the four RK4 stages; a single reverse sweep at the
+end then yields exact parameter gradients.  The mass-matrix Gram, the
+Euler-Lagrange terms, the Cholesky solve and the barrier's shifted
+factorization each run inside one fused tape node too (see netparam's
+fused blocks).  Every fused node's backward replays the per-node graph
+it replaces, so every loss and gradient keeps its bits.  The barrier's
+feasibility check reads M(q) from the numpy forward with no tape.
 """
 
 from __future__ import annotations
@@ -545,10 +547,7 @@ def mass_eigenvalues(params: FlatParams, configs) -> np.ndarray:
     """Eigenvalues of M(q) for every row of configs, shape (N, n)."""
     n = params.layout.arch.n
     configs = np.asarray(configs, dtype=np.float64).reshape(-1, n)
-    tape = dc.Tape()
-    theta = tape.constant(params.values.reshape(1, -1))
-    return np.linalg.eigvalsh(
-        mass_entries_t(theta, params.layout, tape.constant(configs)))
+    return np.linalg.eigvalsh(mass_entries_t(params, configs))
 
 
 def choose_alpha(params0: FlatParams, configs,

@@ -1,18 +1,27 @@
-"""The per-entry column graph the fused SMM nodes replace: the bit-exact
-oracle for `tests/test_fused.py`.
+"""The per-node graph the fused SMM nodes replace: the bit-exact oracle
+for `tests/test_fused.py`.
 
-Every M, dM, L and Cholesky-solve entry here is its own (B, 1) tape node,
-as the library built them before the fused nodes, with the log, sqrt and
-reciprocal nodes the library no longer needs.  The fused nodes must
-reproduce these losses and gradients bit for bit.
+Every weight slice, matmul, tanh and product of the three nets, every
+head entry and every M, dM, L and Cholesky-solve entry here is its own
+tape node, as the library built them before its fused net builds and
+fused blocks, with the primitives (log, sqrt, reciprocal, tanh, matmul,
+softplus, ...) the library no longer needs, rebuilt on `dc.custom` with
+their old expressions.  The fused nodes must reproduce these losses and
+gradients bit for bit.
 """
 
 import numpy as np
 
 from smmfit import diffcore as dc
 from smmfit.integrators import IntegrationBlowupError
-from smmfit.netparam import chol_entries_t, force_t, potential_t
+from smmfit.netparam import ConservativeForceError
 from smmfit.training import BarrierViolationError
+
+
+# -- primitives ---------------------------------------------------------------
+
+def _t(a):
+    return np.ascontiguousarray(a.T)
 
 
 def log(a):
@@ -35,6 +44,126 @@ def reciprocal(a):
     return dc.custom([a], o, lambda g: (-(g * (o * o)),), "reciprocal")
 
 
+def mul(a, b):
+    if not dc._broadcast_ok(a.shape, b.shape):
+        raise ValueError(f"mul: incompatible shapes {a.shape} and {b.shape}")
+    return dc.custom([a, b], a.value * b.value, lambda g: (
+        dc._unbroadcast(g * b.value, a.shape),
+        dc._unbroadcast(g * a.value, b.shape)), "mul")
+
+
+def neg(a):
+    return dc.custom([a], -a.value, lambda g: (-g,), "neg")
+
+
+def shift(a, c):
+    """Add a plain float elementwise."""
+    return dc.custom([a], a.value + c, lambda g: (g,), "shift")
+
+
+def matmul(a, b):
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"matmul: {a.shape} @ {b.shape}")
+    return dc.custom([a, b], a.value @ b.value, lambda g: (
+        g @ _t(b.value) if a.requires_grad else None,
+        _t(a.value) @ g if b.requires_grad else None), "matmul")
+
+
+def reshape(a, shape):
+    return dc.custom([a], a.value.reshape(shape),
+                     lambda g: (g.reshape(a.shape),), "reshape")
+
+
+def tanh(a):
+    o = np.tanh(a.value)
+    return dc.custom([a], o, lambda g: (g * (-(o * o) + 1.0),), "tanh")
+
+
+def exp(a):
+    o = dc._exp_np(a.value)
+    return dc.custom([a], o, lambda g: (g * o,), "exp")
+
+
+def softplus(a):
+    return dc.custom([a], dc._softplus_np(a.value),
+                     lambda g: (g * dc._sigmoid_np(a.value),), "softplus")
+
+
+def sigmoid(a):
+    o = dc._sigmoid_np(a.value)
+    return dc.custom([a], o, lambda g: (g * (o * (-o + 1.0)),), "sigmoid")
+
+
+# -- the nets, one node per operation -----------------------------------------
+
+def log_scale_t(theta, layout, which):
+    _, s, e = layout.slot("log_scales")
+    return dc.cols(theta, s + which, s + which + 1)
+
+
+def mlp_t(theta, layout, net, X, dirs=()):
+    """Batched MLP forward as a tape graph, weights sliced out of theta,
+    plus its directional derivative along each of ``dirs``."""
+    a, das = X, list(dirs)
+    last = len(layout.layers[net]) - 1
+    for i in range(last + 1):
+        shape, s, e = layout.slot(f"{net}.{i}.W")
+        W = reshape(dc.cols(theta, s, e), shape)
+        _, s, e = layout.slot(f"{net}.{i}.b")
+        b = dc.cols(theta, s, e)
+        a = dc.add(matmul(a, W), b)
+        das = [matmul(da, W) for da in das]
+        if i < last:
+            a = tanh(a)
+            if das:
+                sech2 = shift(neg(mul(a, a)), 1.0)
+                das = [mul(sech2, da) for da in das]
+    return a, das
+
+
+def chol_entries_t(theta, layout, Q, dirs=()):
+    """Scaled Cholesky columns {(i,j): (B,1)} with e^{s_M/2} folded in,
+    and one such dict per direction."""
+    arch = layout.arch
+    out, douts = mlp_t(theta, layout, "mass", Q, dirs)
+    half = exp(dc.scale(log_scale_t(theta, layout, 0), 0.5))
+    ent = {}
+    dent = [{} for _ in douts]
+    t = 0
+    for i in range(arch.n):
+        for j in range(i + 1):
+            col = dc.cols(out, t, t + 1)
+            if i == j:
+                ent[(i, j)] = mul(shift(softplus(col), arch.eps), half)
+                gate = sigmoid(col) if douts else None
+                for d, do in zip(dent, douts):
+                    d[(i, j)] = mul(mul(gate, dc.cols(do, t, t + 1)), half)
+            else:
+                ent[(i, j)] = mul(col, half)
+                for d, do in zip(dent, douts):
+                    d[(i, j)] = mul(dc.cols(do, t, t + 1), half)
+            t += 1
+    return ent, dent
+
+
+def potential_t(theta, layout, Q, dirs=()):
+    """Batched V(q) as a (B,1) tape tensor, and its spatial derivatives."""
+    out, douts = mlp_t(theta, layout, "potential", Q, dirs)
+    g = exp(log_scale_t(theta, layout, 1))
+    return mul(out, g), [mul(do, g) for do in douts]
+
+
+def force_t(theta, layout, Q, Qdot):
+    """Batched F(q, q̇) as a (B,n) tape tensor."""
+    if layout.arch.conservative:
+        raise ConservativeForceError("model has no force net")
+    X = dc.concat_cols([Q, Qdot])
+    out, _ = mlp_t(theta, layout, "force", X)
+    return mul(out, exp(log_scale_t(theta, layout, 2)))
+
+
+# -- M, the solve and the losses, one node per entry --------------------------
+
 def mass_entries_t(theta, layout, Q, dirs=()):
     """M(q) entries {(i, j): (B, 1)} for all i, j, their spatial
     derivatives per direction, and the scaled factor, one node per
@@ -47,14 +176,14 @@ def mass_entries_t(theta, layout, Q, dirs=()):
         for j in range(i + 1):
             acc = None
             for k in range(j + 1):
-                t = dc.mul(L[(i, k)], L[(j, k)])
+                t = mul(L[(i, k)], L[(j, k)])
                 acc = t if acc is None else dc.add(acc, t)
             M[(i, j)] = M[(j, i)] = acc
             for d, dl in zip(dM, dL):
                 dacc = None
                 for k in range(j + 1):
-                    t = dc.add(dc.mul(dl[(i, k)], L[(j, k)]),
-                               dc.mul(L[(i, k)], dl[(j, k)]))
+                    t = dc.add(mul(dl[(i, k)], L[(j, k)]),
+                               mul(L[(i, k)], dl[(j, k)]))
                     dacc = t if dacc is None else dc.add(dacc, t)
                 d[(i, j)] = d[(j, i)] = dacc
     return M, dM, L
@@ -67,14 +196,14 @@ def chol_solve_t(L_ent, rhs_cols):
     for i in range(n):
         acc = rhs_cols[i]
         for j in range(i):
-            acc = dc.add(acc, dc.neg(dc.mul(L_ent[(i, j)], y[j])))
-        y.append(dc.mul(acc, reciprocal(L_ent[(i, i)])))
+            acc = dc.add(acc, neg(mul(L_ent[(i, j)], y[j])))
+        y.append(mul(acc, reciprocal(L_ent[(i, i)])))
     x = [None] * n
     for i in range(n - 1, -1, -1):
         acc = y[i]
         for j in range(i + 1, n):
-            acc = dc.add(acc, dc.neg(dc.mul(L_ent[(j, i)], x[j])))
-        x[i] = dc.mul(acc, reciprocal(L_ent[(i, i)]))
+            acc = dc.add(acc, neg(mul(L_ent[(j, i)], x[j])))
+        x[i] = mul(acc, reciprocal(L_ent[(i, i)]))
     return x
 
 
@@ -91,29 +220,29 @@ def accel_cols(tape, theta, layout, X, Xd):
         curv = None
         for k in range(n):
             for j in range(n):
-                qt = dc.mul(dc.mul(dM[i][(k, j)], xd[k]), xd[j])
+                qt = mul(mul(dM[i][(k, j)], xd[k]), xd[j])
                 quad = qt if quad is None else dc.add(quad, qt)
-                ct = dc.mul(dc.mul(dM[k][(i, j)], xd[j]), xd[k])
+                ct = mul(mul(dM[k][(i, j)], xd[j]), xd[k])
                 curv = ct if curv is None else dc.add(curv, ct)
-        r = dc.add(dc.scale(quad, 0.5), dc.neg(dV[i]))
-        rhs.append(dc.add(r, dc.neg(curv)))
+        r = dc.add(dc.scale(quad, 0.5), neg(dV[i]))
+        rhs.append(dc.add(r, neg(curv)))
     if not layout.arch.conservative:
         F = force_t(theta, layout, X, Xd)
         rhs = [dc.add(r, dc.cols(F, i, i + 1)) for i, r in enumerate(rhs)]
     return chol_solve_t(L, rhs)
 
 
-def shifted_cholesky(ent, n, shift):
-    """Factor entries of M - shift I and the (B, 1) log-det column."""
+def shifted_cholesky(ent, n, alpha):
+    """Factor entries of M - alpha I and the (B, 1) log-det column."""
     L = {}
     ld = None
     for i in range(n):
         for j in range(i + 1):
             acc = ent[(i, j)]
-            if i == j and shift != 0.0:
-                acc = dc.shift(acc, -shift)
+            if i == j and alpha != 0.0:
+                acc = shift(acc, -alpha)
             for k in range(j):
-                acc = dc.add(acc, dc.neg(dc.mul(L[(i, k)], L[(j, k)])))
+                acc = dc.add(acc, neg(mul(L[(i, k)], L[(j, k)])))
             if i == j:
                 piv = acc.value
                 if not np.all(np.isfinite(piv)) or np.any(piv <= 0.0):
@@ -121,7 +250,7 @@ def shifted_cholesky(ent, n, shift):
                 L[(i, i)] = sqrt(acc)
                 ld = log(acc) if ld is None else dc.add(ld, log(acc))
             else:
-                L[(i, j)] = dc.mul(acc, reciprocal(L[(j, j)]))
+                L[(i, j)] = mul(acc, reciprocal(L[(j, j)]))
     return L, ld
 
 
@@ -146,13 +275,13 @@ def del_graph(flat, batch, mu, alpha, with_barrier=True):
             quad = None
             for i in range(n):
                 for j in range(n):
-                    t = dc.mul(dc.mul(dM[k][(i, j)], vc[i]), vc[j])
+                    t = mul(mul(dM[k][(i, j)], vc[i]), vc[j])
                     quad = t if quad is None else dc.add(quad, t)
-            gL.append(dc.add(dc.scale(quad, 0.5), dc.neg(dV[k])))
+            gL.append(dc.add(dc.scale(quad, 0.5), neg(dV[k])))
         for i in range(n):
             acc = None
             for j in range(n):
-                t = dc.mul(M[(i, j)], vc[j])
+                t = mul(M[(i, j)], vc[j])
                 acc = t if acc is None else dc.add(acc, t)
             p.append(acc)
         F = None
@@ -165,7 +294,7 @@ def del_graph(flat, batch, mu, alpha, with_barrier=True):
     out = []
     for i in range(n):
         d = dc.scale(dc.add(gLa[i], gLb[i]), h / 2.0)
-        d = dc.add(d, dc.add(pa[i], dc.neg(pb[i])))
+        d = dc.add(d, dc.add(pa[i], neg(pb[i])))
         if Fa is not None:
             fi = dc.add(dc.cols(Fa, i, i + 1), dc.cols(Fb, i, i + 1))
             d = dc.add(d, dc.scale(fi, h / 2.0))

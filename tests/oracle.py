@@ -4,22 +4,22 @@ continuous and midpoint discrete Lagrangian and force, an RK4 step, the
 `system_*` scores of any system, readouts of the library's loss graphs,
 and a plain-numpy single-point SMM model read out of a `FlatParams`
 vector.  `SmmSystem` takes M and V derivatives from `grad`/`jacobian`
-sweeps over the per-entry tape builders, an independent path from the
-forward-mode directions the losses use.
+sweeps over the per-node tape builders of `column_graph`, an independent
+path from the library's fused forward-mode builds the losses use.
 """
 
 from functools import partial
 
 import numpy as np
 
-from column_graph import mass_entries_t
+from column_graph import mass_entries_t, potential_t
 from smmfit import diffcore as dc
 from smmfit import mechanics as mech
 from smmfit import smoother as smo
 from smmfit import training as tr
 from smmfit.integrators import IntegrationBlowupError
 from smmfit.netparam import (ConservativeForceError, FlatParams,
-                             chol_entries_t, potential_t)
+                             chol_entries_t)
 
 FD_STEP = 1e-6
 
@@ -252,7 +252,7 @@ def slot(params, key):
 
 
 def last_bias(params, net):
-    return slot(params, f"{net}.{params.layout.n_layers(net) - 1}.b")
+    return slot(params, f"{net}.{len(params.layout.layers[net]) - 1}.b")
 
 
 def scale_params(params, gamma: float):
@@ -267,7 +267,7 @@ def scale_params(params, gamma: float):
 def mlp(params, net, x):
     """tanh on hidden layers, linear output, at one input row."""
     a = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    last = params.layout.n_layers(net) - 1
+    last = len(params.layout.layers[net]) - 1
     for i in range(last + 1):
         a = a @ slot(params, f"{net}.{i}.W") + slot(params, f"{net}.{i}.b")
         if i < last:

@@ -1,7 +1,9 @@
 """Tape engine checks: every primitive against central finite differences,
 the backward sweep's contract, determinism, and Cholesky failure behavior.
 The checks also cover the test-side `grad`, `jacobian` and `transpose`
-(oracle) and log, sqrt and reciprocal nodes (column graph)."""
+(oracle) and the per-node primitives the library's fused builds replaced
+(column graph): log, sqrt, reciprocal, mul, neg, shift, matmul, reshape,
+tanh, exp, softplus and sigmoid."""
 
 import zlib
 
@@ -28,7 +30,7 @@ def assert_close(a, b, rtol, atol=1e-10):
 # -- grad: worked examples ----------------------------------------------------
 
 def test_grad_square():
-    g = grad(lambda x: dc.mul(x, x), [3.0])
+    g = grad(lambda x: col.mul(x, x), [3.0])
     assert g.shape == (1,)
     assert abs(g[0] - 6.0) < 1e-12
 
@@ -55,27 +57,28 @@ def run_scalar(build, x):
 PRIMITIVE_CASES = {
     "add": (4, lambda x: dc.sumsq(dc.add(dc.cols(x, 0, 2), dc.cols(x, 2, 4)))),
     "add_broadcast_row": (6, lambda x: dc.sumsq(dc.add(
-        dc.reshape(dc.cols(x, 0, 4), (2, 2)), dc.cols(x, 4, 6)))),
-    "mul": (4, lambda x: dc.sumsq(dc.mul(dc.cols(x, 0, 2), dc.cols(x, 2, 4)))),
-    "mul_broadcast_scalar": (5, lambda x: dc.sumsq(dc.mul(
+        col.reshape(dc.cols(x, 0, 4), (2, 2)), dc.cols(x, 4, 6)))),
+    "mul": (4, lambda x: dc.sumsq(col.mul(dc.cols(x, 0, 2),
+                                          dc.cols(x, 2, 4)))),
+    "mul_broadcast_scalar": (5, lambda x: dc.sumsq(col.mul(
         dc.cols(x, 0, 4), dc.cols(x, 4, 5)))),
-    "mul_broadcast_col": (6, lambda x: dc.sumsq(dc.mul(
-        dc.reshape(dc.cols(x, 0, 4), (2, 2)),
+    "mul_broadcast_col": (6, lambda x: dc.sumsq(col.mul(
+        col.reshape(dc.cols(x, 0, 4), (2, 2)),
         transpose(dc.cols(x, 4, 6))))),
-    "neg": (3, lambda x: dc.sumsq(dc.neg(x))),
+    "neg": (3, lambda x: dc.sumsq(col.neg(x))),
     "scale": (3, lambda x: dc.sumsq(dc.scale(x, -1.7))),
-    "shift": (3, lambda x: dc.sumsq(dc.shift(x, 0.9))),
-    "matmul": (12, lambda x: dc.sumsq(dc.matmul(
-        dc.reshape(dc.cols(x, 0, 6), (2, 3)),
-        dc.reshape(dc.cols(x, 6, 12), (3, 2))))),
-    "transpose": (6, lambda x: dc.sumsq(transpose(dc.reshape(x, (2, 3))))),
-    "reshape": (6, lambda x: dc.sumsq(dc.reshape(x, (3, 2)))),
-    "tanh": (4, lambda x: dc.sum_all(dc.tanh(x))),
-    "exp": (4, lambda x: dc.sum_all(dc.exp(x))),
-    "softplus": (4, lambda x: dc.sum_all(dc.softplus(x))),
-    "sigmoid": (4, lambda x: dc.sum_all(dc.sigmoid(x))),
+    "shift": (3, lambda x: dc.sumsq(col.shift(x, 0.9))),
+    "matmul": (12, lambda x: dc.sumsq(col.matmul(
+        col.reshape(dc.cols(x, 0, 6), (2, 3)),
+        col.reshape(dc.cols(x, 6, 12), (3, 2))))),
+    "transpose": (6, lambda x: dc.sumsq(transpose(col.reshape(x, (2, 3))))),
+    "reshape": (6, lambda x: dc.sumsq(col.reshape(x, (3, 2)))),
+    "tanh": (4, lambda x: dc.sum_all(col.tanh(x))),
+    "exp": (4, lambda x: dc.sum_all(col.exp(x))),
+    "softplus": (4, lambda x: dc.sum_all(col.softplus(x))),
+    "sigmoid": (4, lambda x: dc.sum_all(col.sigmoid(x))),
     "sumsq": (5, lambda x: dc.sumsq(x)),
-    "cols_pad": (6, lambda x: dc.sumsq(dc.cols(dc.reshape(x, (2, 3)), 0, 2))),
+    "cols_pad": (6, lambda x: dc.sumsq(dc.cols(col.reshape(x, (2, 3)), 0, 2))),
 }
 
 POSITIVE_CASES = {
@@ -105,14 +108,33 @@ def test_positive_primitive_grad_matches_fd(name):
                      oracle.fd(lambda x: run_scalar(build, x), x0), FD_RTOL)
 
 
+def test_sigmoid_matches_the_masked_form_bit_for_bit():
+    # the branch-free form computes every element by the expression the
+    # masked form picked for it
+    def masked(x):
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    rng = np.random.default_rng(3)
+    edge = np.array([0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 745.2, -745.2,
+                     800.0, -800.0, np.inf, -np.inf])
+    for x in [edge, *(rng.normal(size=(7, 5)) * s for s in (1, 30, 800)),
+              rng.uniform(-800, 800, size=(32, 1))]:
+        assert dc._sigmoid_np(x).tobytes() == masked(x).tobytes()
+
+
 def test_grad_deep_composite_matches_fd():
     # several layers of mixed primitives in one graph
     def f(x):
-        a = dc.tanh(dc.reshape(x, (2, 3)))
-        b = dc.matmul(a, transpose(a))
-        c = dc.softplus(dc.add(b, x.tape.constant(np.eye(2))))
-        return dc.add(dc.sum_all(col.log(dc.shift(c, 2.0))),
-                      dc.sumsq(dc.sigmoid(a)))
+        a = col.tanh(col.reshape(x, (2, 3)))
+        b = col.matmul(a, transpose(a))
+        c = col.softplus(dc.add(b, x.tape.constant(np.eye(2))))
+        return dc.add(dc.sum_all(col.log(col.shift(c, 2.0))),
+                      dc.sumsq(col.sigmoid(a)))
 
     rng = np.random.default_rng(7)
     for _ in range(5):
@@ -127,7 +149,7 @@ def test_jacobian_linear_map():
     A = np.array([[1.0, 2.0], [3.0, 4.0]])
 
     def f(x):
-        return dc.matmul(x, transpose(x.tape.constant(A)))
+        return col.matmul(x, transpose(x.tape.constant(A)))
 
     J = jacobian(f, [0.3, -0.7])
     assert_close(J, A, 1e-12)
@@ -140,8 +162,8 @@ def test_jacobian_identity():
 
 def test_jacobian_matches_fd_rows():
     def f(x):
-        sq1 = dc.shift(dc.mul(x, x), 1.0)
-        return dc.concat_cols([dc.sumsq(dc.sigmoid(x)),
+        sq1 = col.shift(col.mul(x, x), 1.0)
+        return dc.concat_cols([dc.sumsq(col.sigmoid(x)),
                                dc.sum_all(col.log(sq1))])
 
     rng = np.random.default_rng(11)
@@ -163,7 +185,7 @@ def test_backward_through_adjoint_raises():
     def f(theta):
         tape = theta.tape
         x = tape.input([[3.0]])
-        y = dc.mul(theta, dc.mul(x, x))
+        y = col.mul(theta, col.mul(x, x))
         (gx,) = tape.gradients(y, [x])
         return gx
 
@@ -176,8 +198,8 @@ def test_gradients_appends_one_node_per_leaf():
     a = tape.input([[1.0, 2.0]])
     b = tape.input([[3.0]])
     c = tape.input([[0.5, -1.0]])
-    y = dc.add(dc.sumsq(dc.tanh(dc.mul(a, b))), dc.sum_all(col.log(
-        dc.add(dc.matmul(transpose(a), a), tape.constant(np.eye(2))))))
+    y = dc.add(dc.sumsq(col.tanh(col.mul(a, b))), dc.sum_all(col.log(
+        dc.add(col.matmul(transpose(a), a), tape.constant(np.eye(2))))))
     before = len(tape.nodes)
     grads = tape.gradients(y, [a, b, c])
     assert len(tape.nodes) == before + 3
@@ -189,7 +211,7 @@ def test_gradients_appends_one_node_per_leaf():
 def test_gradients_with_respect_to_intermediate_node():
     tape = dc.Tape()
     x = tape.input([[0.3, -1.2]])
-    h = dc.tanh(x)
+    h = col.tanh(x)
     (gh, gx) = tape.gradients(dc.sumsq(h), [h, x])
     assert_close(gh.value, 2.0 * h.value, 1e-12)
     assert_close(gx.value, 2.0 * h.value * (1.0 - h.value ** 2), 1e-12)
@@ -213,7 +235,7 @@ def test_gradients_sum_trick_gives_per_row():
     # summing a per-row scalar over the batch yields row-wise input gradients
     tape = dc.Tape()
     X = tape.input([[1.0, 2.0], [0.5, -1.0], [3.0, 0.0]])
-    y = dc.sum_all(dc.mul(X, X))
+    y = dc.sum_all(col.mul(X, X))
     (gX,) = tape.gradients(y, [X])
     assert_close(gX.value, 2.0 * X.value, 1e-12)
 
@@ -278,9 +300,9 @@ def _grad_bits(seed):
     x0 = rng.uniform(-2.0, 2.0, size=6)
 
     def f(x):
-        a = dc.tanh(dc.reshape(x, (2, 3)))
-        return dc.add(dc.sumsq(dc.matmul(a, transpose(a))),
-                      dc.sum_all(dc.softplus(x)))
+        a = col.tanh(col.reshape(x, (2, 3)))
+        return dc.add(dc.sumsq(col.matmul(a, transpose(a))),
+                      dc.sum_all(col.softplus(x)))
 
     return grad(f, x0).tobytes()
 
@@ -305,4 +327,4 @@ def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         dc.add(a, b)
     with pytest.raises(ValueError):
-        dc.matmul(a, a)
+        col.matmul(a, a)

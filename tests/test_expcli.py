@@ -446,7 +446,8 @@ def test_cli_smooth_rejects_colliding_output_names(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["header_only", "short", "ragged",
-                                  "non_numeric"])
+                                  "non_numeric", "non_finite", "no_h",
+                                  "zero_h", "unsmoothed"])
 def test_cli_malformed_data_file_exit_code(tmp_path, capsys, case):
     # smooth, train and evaluate name a malformed data file in an error
     # line and exit 2 before writing anything
@@ -454,7 +455,10 @@ def test_cli_malformed_data_file_exit_code(tmp_path, capsys, case):
         cells = ["0.5"] * len(header)
         rows = {"header_only": [], "short": [cells] * 2,
                 "ragged": [cells, cells[:-1], cells],
-                "non_numeric": [cells, ["0", "abc", *cells[2:]], cells]}[case]
+                "non_numeric": [cells, ["0", "abc", *cells[2:]], cells],
+                "non_finite": [cells, cells, ["0", "nan", *cells[2:]],
+                               cells]}.get(case, [cells] * 4)
+        meta = {"no_h": {}, "zero_h": {**meta, "h": 0}}.get(case, meta)
         path = tmp_path / f"{name}.csv"
         path.write_text("".join(",".join(r) + "\n" for r in [header, *rows]))
         (tmp_path / f"{name}.json").write_text(json.dumps(meta))
@@ -464,17 +468,26 @@ def test_cli_malformed_data_file_exit_code(tmp_path, capsys, case):
     sm = data_file("sm", ["t"] + [f"{k}{j}" for j in (1, 2)
                                   for k in ("q", "qdot", "qddot")],
                    {"h": 0.05, "split": ""})
+    runs = [(["smooth", raw, "--out", "out"], raw)]
+    if case == "unsmoothed":
+        # generate output handed to the verbs that read smoothed data
+        sm, runs = raw, []
     params = tmp_path / "params.json"
     netp.save_params(netp.init_params(0, netp.ArchConfig(hidden=(4,))),
                      params)
+    runs += [(["train", sm, "--method", "accel", "--out", "out"], sm),
+             (["evaluate", sm, "--params", str(params)], sm)]
     out = str(tmp_path / "out")
-    for argv, name in ((["smooth", raw, "--out", out], raw),
-                       (["train", sm, "--method", "accel", "--out", out], sm),
-                       (["evaluate", sm, "--params", str(params)], sm)):
+    for argv, name in runs:
+        argv = [out if a == "out" else a for a in argv]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and name in err
         assert not (tmp_path / "out").exists()
+        if case == "non_finite":
+            assert "line 4" in err
+        if case == "unsmoothed":
+            assert "smmfit smooth" in err
 
 
 @pytest.mark.parametrize("flag,value", [("--sigma", "-1"), ("--steps", "2"),

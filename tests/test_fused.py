@@ -1,5 +1,6 @@
-"""The fused SMM nodes against the per-entry column graph, bit for bit,
-plus the tape's reference-counting contract."""
+"""The fused SMM nodes and net builds against the per-node graph, bit for
+bit, the node count of each loss graph, and the tape's reference-counting
+contract."""
 
 import gc
 
@@ -73,6 +74,27 @@ def test_fused_values_are_bit_exact(n, conservative, B):
     _, _, _, (Qp, Vp) = col.nextstate_graph(flat, b["nextstate"], H)
     assert_same(oracle.nextstate_predictions(flat, b["nextstate"], H),
                 (Qp.value, Vp.value))
+    tape = dc.Tape()
+    M, _, _ = col.mass_entries_t(tape.constant(flat.values.reshape(1, -1)),
+                                 flat.layout, tape.constant(q2))
+    M = np.stack([np.hstack([M[i, j].value for j in range(n)])
+                  for i in range(n)], axis=1)
+    assert np.array_equal(tr.mass_eigenvalues(flat, q2),
+                          np.linalg.eigvalsh(M))
+
+
+@pytest.mark.parametrize("conservative,want", [
+    (False, {"del": 50, "accel": 28, "nextstate": 118}),
+    (True, {"del": 44, "accel": 26, "nextstate": 110})])
+def test_loss_graphs_build_one_node_per_net(conservative, want):
+    # n = 2: each net build is one node, plus a column node per Cholesky
+    # entry and direction and per dV column; a per-node build would add
+    # about a hundred nodes per build
+    flat, b, alpha = setup(2, conservative, 7)
+    got = {"del": tr._del_graph(flat, b["del"], 0.01, alpha)[0],
+           "accel": tr._accel_graph(flat, b["accel"])[0],
+           "nextstate": tr._nextstate_graph(flat, b["nextstate"], H)[0]}
+    assert {k: len(tape.nodes) for k, tape in got.items()} == want
 
 
 def test_fused_barrier_raises_at_the_same_pivot():
@@ -130,8 +152,9 @@ def test_tapes_are_freed_by_reference_counting():
         lambda: tr.predicted_accelerations(flat, q, qd),
         lambda: oracle.barrier_grad(flat, q2, alpha),
         lambda: tr.mass_eigenvalues(flat, q2),
-        lambda: oracle.grad(lambda x: dc.sumsq(dc.tanh(x)), [0.5, -1.0]),
-        lambda: oracle.jacobian(lambda x: dc.sigmoid(dc.exp(x)), [0.5, -1.0]),
+        lambda: oracle.grad(lambda x: dc.sumsq(col.tanh(x)), [0.5, -1.0]),
+        lambda: oracle.jacobian(lambda x: col.sigmoid(col.exp(x)),
+                                [0.5, -1.0]),
     ]
     gc.collect()
     gc.disable()

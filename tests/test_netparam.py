@@ -29,9 +29,8 @@ def constants(p, *inputs):
 
 
 def mass_batch(p, Q):
-    """M(q) per row of Q from the tape builder, shape (B, n, n)."""
-    _tape, theta, X = constants(p, Q)
-    return npar.mass_entries_t(theta, p.layout, X)
+    """M(q) per row of Q from the library's value path, shape (B, n, n)."""
+    return npar.mass_entries_t(p, np.atleast_2d(np.asarray(Q, dtype=float)))
 
 
 def potential_batch(p, Q):
@@ -226,15 +225,29 @@ def test_tape_directions_match_reverse_mode():
 
 
 def test_tape_builders_without_directions_build_values_only():
+    # each net build is one node: without directions it holds the values
+    # alone, the same values the directional build carries beside its
+    # derivatives; with directions the potential build holds only dV
     p = npar.init_params(17, ARCH)
-    layout, theta = p.layout, p.values
+    layout = p.layout
     tape = dc.Tape()
-    tt = tape.constant(theta.reshape(1, -1))
-    _, dL = npar.chol_entries_t(tt, layout, tape.constant(np.zeros((3, 2))))
-    _, dV = npar.potential_t(tt, layout, tape.constant(np.zeros((3, 2))))
+    tt = tape.constant(p.values.reshape(1, -1))
+    X = tape.constant(np.random.default_rng(27).uniform(-2, 2, size=(3, 2)))
+    dirs = [tape.constant(np.eye(2)[k:k + 1]) for k in range(2)]
+    start = len(tape.nodes)
+    L, dL = npar.chol_entries_t(tt, layout, X)
+    V, dV = npar.potential_t(tt, layout, X)
     assert dL == [] and dV == []
-    # no tanh' chain and no softplus' gate when no direction asks for them
-    assert not {"sigmoid", "neg"} & {node.op for node in tape.nodes}
+    assert [node.op for node in tape.nodes[start:]] \
+        == ["mass_net", "cols", "cols", "cols", "potential_net"]
+    assert tape.nodes[start].shape == (3, 3) and V.shape == (3, 1)
+    start = len(tape.nodes)
+    L2, dL2 = npar.chol_entries_t(tt, layout, X, dirs)
+    V2, dV2 = npar.potential_t(tt, layout, X, dirs)
+    assert tape.nodes[start].shape == (3, 9) and V2 is None
+    assert [d.shape for d in dV2] == [(3, 1), (3, 1)]
+    for k in npar.tri_keys(2):
+        assert np.array_equal(L2[k].value, L[k].value)
 
 
 def test_tape_force_matches_numpy():
