@@ -293,26 +293,34 @@ def custom(parents, value, bwd, op: str = "custom") -> Tensor:
 
 # -- Cholesky factor ----------------------------------------------------------
 
+def rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x·y of each row pair of two (K, m) arrays."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+
+
 def cholesky_np(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric matrix.
+    """Lower Cholesky factors of a (K, n, n) stack of symmetric matrices.
 
     Raises NotPositiveDefiniteError with the index of the first
-    nonpositive pivot; the symmetry precondition is checked up front.
+    nonpositive pivot, and its value in the first row that has one; the
+    symmetry precondition is checked up front, per matrix.
     """
     a = np.asarray(a, dtype=np.float64)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError(f"expected square matrix, got {a.shape}")
-    tol = 1e-8 * max(1.0, float(np.abs(a).max()))
-    if not np.allclose(a, a.T, atol=tol):
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got {a.shape}")
+    n = a.shape[1]
+    tol = 1e-8 * np.maximum(1.0, np.abs(a).max(axis=(1, 2), initial=0.0))
+    if not np.all(np.isclose(a, a.transpose(0, 2, 1),
+                             atol=tol[:, None, None])):
         raise ValueError("matrix is not symmetric")
     L = np.zeros_like(a)
     for k in range(n):
-        d = a[k, k] - L[k, :k] @ L[k, :k]
-        if d <= 0.0:
-            raise NotPositiveDefiniteError(k, float(d))
-        L[k, k] = np.sqrt(d)
+        d = a[:, k, k] - rowdot(L[:, k, :k], L[:, k, :k])
+        bad = np.flatnonzero(d <= 0.0)
+        if bad.size:
+            raise NotPositiveDefiniteError(k, float(d[bad[0]]))
+        L[:, k, k] = np.sqrt(d)
         for i in range(k + 1, n):
-            L[i, k] = (a[i, k] - L[i, :k] @ L[k, :k]) / L[k, k]
+            L[:, i, k] = (a[:, i, k] - rowdot(L[:, i, :k], L[:, k, :k])) \
+                / L[:, k, k]
     return L
-

@@ -166,11 +166,9 @@ def label_split(pool, assignment) -> list:
 def eval_batch(system, trajs) -> tr.Batch:
     """Accel batch at the given states with analytic-dynamics targets."""
     b = tr.assemble_tuples(trajs, "accel")
-    targets = np.array([mech.acceleration(system, b.data["q"][i],
-                                          b.data["qdot"][i])
-                        for i in range(len(b))])
-    return tr.Batch("accel", {"q": b.data["q"], "qdot": b.data["qdot"],
-                              "qddot": targets})
+    q, qdot = b.data["q"], b.data["qdot"]
+    return tr.Batch("accel", {"q": q, "qdot": qdot,
+                              "qddot": mech.acceleration(system, q, qdot)})
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Lagrangian mechanics kernel.
+"""Lagrangian mechanics kernel, on rows.
 
 Continuous side: the forced Euler-Lagrange acceleration of
 L(q, q̇) = ½ q̇ᵀM(q)q̇ − V(q).  Discrete side: the discrete
@@ -7,6 +7,13 @@ force over a configuration triple, and its Jacobian in the last
 configuration for the variational integrator's Newton solve.
 
 Also the analytic double pendulum used as ground truth.
+
+Every hook and function takes a (K, n) array of configurations (and
+velocities), one row per point, and returns one result per row.  The
+batched forms run each row's arithmetic as a one-point expression would:
+elementwise ufuncs, einsum with a leading batch index, stacked matmul
+and stacked LAPACK solves; so every row gets the bits it would get alone.
+No reduction runs across rows.
 """
 
 from __future__ import annotations
@@ -23,9 +30,12 @@ class LagrangianSystem:
 
     Subclasses provide mass_matrix, potential and force, and the
     derivative hooks the dynamics read in closed form: mass_jacobian
-    (dM[k] = ∂M/∂q_k, shape (n, n, n)), potential_gradient, mass_hessian
-    (B[k, l] = ∂²M/∂q_k∂q_l, shape (n, n, n, n)), potential_hessian,
-    force_jacobian_q and force_jacobian_qdot.
+    (dM[:, k] = ∂M/∂q_k, shape (K, n, n, n)), potential_gradient,
+    mass_hessian (B[:, k, l] = ∂²M/∂q_k∂q_l, shape (K, n, n, n, n)),
+    potential_hessian, force_jacobian_q and force_jacobian_qdot.  Every
+    hook takes (K, n) rows of q (and q̇) and returns (K, ...) arrays:
+    M is (K, n, n), V is (K,), F and ∇V are (K, n), ∇²V and the force
+    Jacobians are (K, n, n).
     """
 
     n: int
@@ -33,7 +43,7 @@ class LagrangianSystem:
 
 @dataclass
 class ConfigTriple:
-    """Three consecutive configurations q1, q2, q3 at step h."""
+    """Rows of three consecutive configurations q1, q2, q3 at step h."""
 
     q1: np.ndarray
     q2: np.ndarray
@@ -41,61 +51,77 @@ class ConfigTriple:
     h: float
 
     def __post_init__(self):
-        self.q1 = np.asarray(self.q1, dtype=np.float64).ravel()
-        self.q2 = np.asarray(self.q2, dtype=np.float64).ravel()
-        self.q3 = np.asarray(self.q3, dtype=np.float64).ravel()
+        self.q1 = np.asarray(self.q1, dtype=np.float64)
+        self.q2 = np.asarray(self.q2, dtype=np.float64)
+        self.q3 = np.asarray(self.q3, dtype=np.float64)
         if not (self.q1.shape == self.q2.shape == self.q3.shape):
-            raise ValueError("triple configurations differ in dimension")
+            raise ValueError("triple configurations differ in shape")
         if self.h <= 0:
             raise ValueError(f"step size must be positive, got {self.h}")
 
 
+def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M v for each row: (K, n, n) and (K, n) give (K, n)."""
+    return np.matmul(M, v[:, :, None])[:, :, 0]
+
+
 def _solve_spd(M: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Cholesky solve; raises NotPositiveDefiniteError if M is not PD
+    # Cholesky solve; raises NotPositiveDefiniteError if a row's M is not PD
     L = cholesky_np(M)
-    return np.linalg.solve(L.T, np.linalg.solve(L, b))
+    x = np.linalg.solve(L, b[:, :, None])
+    return np.linalg.solve(L.transpose(0, 2, 1), x)[:, :, 0]
 
 
-def _lagrangian_q_gradient(sys, q, qdot) -> np.ndarray:
-    """∂L/∂q with components ½ q̇ᵀ(∂M/∂q_k)q̇ − ∂V/∂q_k."""
-    dM = sys.mass_jacobian(q)
-    return 0.5 * np.einsum("kij,i,j->k", dM, qdot, qdot) - sys.potential_gradient(q)
+def _lagrangian_q_gradient(sys, dM, q, qdot) -> np.ndarray:
+    """∂L/∂q with components ½ q̇ᵀ(∂M/∂q_k)q̇ − ∂V/∂q_k; dM = ∂M/∂q."""
+    return 0.5 * np.einsum("bkij,bi,bj->bk", dM, qdot, qdot) \
+        - sys.potential_gradient(q)
 
 
 def acceleration(sys: LagrangianSystem, q, qdot) -> np.ndarray:
-    """Forced Euler-Lagrange acceleration M⁻¹[F + ∂L/∂q − (∂²L/∂q̇∂q)q̇]."""
+    """Forced Euler-Lagrange acceleration M⁻¹[F + ∂L/∂q − (∂²L/∂q̇∂q)q̇]
+    at each row of q and q̇."""
     q = np.asarray(q, dtype=np.float64)
     qdot = np.asarray(qdot, dtype=np.float64)
-    M = sys.mass_matrix(q)
     dM = sys.mass_jacobian(q)
-    dLdq = 0.5 * np.einsum("kij,i,j->k", dM, qdot, qdot) - sys.potential_gradient(q)
+    dLdq = _lagrangian_q_gradient(sys, dM, q, qdot)
     # (∂²L/∂q̇∂q) q̇, using ∂(M q̇)/∂q_k = (∂M/∂q_k) q̇
-    convective = np.einsum("kij,j,k->i", dM, qdot, qdot)
+    convective = np.einsum("bkij,bj,bk->bi", dM, qdot, qdot)
     rhs = sys.force(q, qdot) + dLdq - convective
-    return _solve_spd(M, rhs)
+    return _solve_spd(sys.mass_matrix(q), rhs)
 
 
-def del_vector(sys: LagrangianSystem, triple: ConfigTriple) -> np.ndarray:
+def del_arm(sys: LagrangianSystem, a, b, h: float) -> tuple:
+    """One configuration pair's terms of the DEL vector, at the midpoint
+    state m = (a+b)/2, v = (b−a)/h of each row: (½h ∂L/∂q, ∂L/∂q̇ = M v,
+    F(m, v)).  D₂L_d(a, b) is the first plus the second term, D₁L_d(a, b)
+    the first minus the second."""
+    m, v = 0.5 * (a + b), (b - a) / h
+    return (0.5 * h * _lagrangian_q_gradient(sys, sys.mass_jacobian(m), m, v),
+            _matvec(sys.mass_matrix(m), v), sys.force(m, v))
+
+
+def del_vector(sys: LagrangianSystem, triple: ConfigTriple,
+               left: tuple | None = None) -> np.ndarray:
     """Discrete Euler-Lagrange vector
     D₂L_d(q1,q2) + D₁L_d(q2,q3) + ½(F_d(q1,q2) + F_d(q2,q3))
     of the midpoint rule L_d(a, b) = h L((a+b)/2, (b−a)/h), and likewise
-    F_d(a, b) = h F((a+b)/2, (b−a)/h).
+    F_d(a, b) = h F((a+b)/2, (b−a)/h), one row per triple.
 
     Its slot derivatives reduce to
     D₁L_d = (h/2)∂L/∂q − ∂L/∂q̇ and D₂L_d = (h/2)∂L/∂q + ∂L/∂q̇,
     each evaluated at that pair's midpoint state, with ∂L/∂q̇ = M q̇.
+    ``left`` is the `del_arm` of (q1, q2) when the caller already has it.
     """
     h = triple.h
-    ma, va = 0.5 * (triple.q1 + triple.q2), (triple.q2 - triple.q1) / h
-    mb, vb = 0.5 * (triple.q2 + triple.q3), (triple.q3 - triple.q2) / h
-    d2 = 0.5 * h * _lagrangian_q_gradient(sys, ma, va) + sys.mass_matrix(ma) @ va
-    d1 = 0.5 * h * _lagrangian_q_gradient(sys, mb, vb) - sys.mass_matrix(mb) @ vb
-    fd = 0.5 * h * (sys.force(ma, va) + sys.force(mb, vb))
-    return d2 + d1 + fd
+    ga, pa, fa = del_arm(sys, triple.q1, triple.q2, h) if left is None \
+        else left
+    gb, pb, fb = del_arm(sys, triple.q2, triple.q3, h)
+    return (ga + pa) + (gb - pb) + 0.5 * h * (fa + fb)
 
 
 def del_jacobian_q3(sys: LagrangianSystem, triple: ConfigTriple) -> np.ndarray:
-    """Analytic ∂ del_vector / ∂q3, for the Newton solve.
+    """Analytic ∂ del_vector / ∂q3 of each row, for the Newton solve.
 
     Only D₁L_d(q2,q3) and F_d(q2,q3) depend on q3; chain rule through the
     midpoint (∂m/∂q3 = I/2) and the velocity (∂v/∂q3 = I/h) gives, with
@@ -107,17 +133,12 @@ def del_jacobian_q3(sys: LagrangianSystem, triple: ConfigTriple) -> np.ndarray:
     h = triple.h
     m = 0.5 * (triple.q2 + triple.q3)
     v = (triple.q3 - triple.q2) / h
-    n = m.size
-    M = sys.mass_matrix(m)
-    A = sys.mass_jacobian(m)
-    B = sys.mass_hessian(m)
-    H = sys.potential_hessian(m)
-    Av = np.einsum("kij,j->ki", A, v)
-    J = (h / 8.0) * np.einsum("klij,i,j->kl", B, v, v)
+    Av = np.einsum("bkij,bj->bki", sys.mass_jacobian(m), v)
+    J = (h / 8.0) * np.einsum("bklij,bi,bj->bkl", sys.mass_hessian(m), v, v)
     J += 0.5 * Av
-    J -= (h / 4.0) * H
-    J -= 0.5 * Av.T
-    J -= M / h
+    J -= (h / 4.0) * sys.potential_hessian(m)
+    J -= 0.5 * Av.transpose(0, 2, 1)
+    J -= sys.mass_matrix(m) / h
     J += (h / 4.0) * sys.force_jacobian_q(m, v)
     J += 0.5 * sys.force_jacobian_qdot(m, v)
     return J
@@ -151,53 +172,71 @@ class DoublePendulum(LagrangianSystem):
         self.I2 = self.m2 * self.l2 ** 2 / 3.0
         self._c = self.m2 * self.l1 * self.l2
 
+    # each hook runs the one-point expression on columns of the rows
+
     def mass_matrix(self, q):
-        c2 = np.cos(q[1])
+        c2 = np.cos(q[:, 1])
         i11 = self.I1 + self.I2 + self.m2 * self.l1 ** 2 + self._c * c2
         i12 = self.I2 + 0.5 * self._c * c2
-        return np.array([[i11, i12], [i12, self.I2]])
+        M = np.empty((q.shape[0], 2, 2))
+        M[:, 0, 0] = i11
+        M[:, 0, 1] = M[:, 1, 0] = i12
+        M[:, 1, 1] = self.I2
+        return M
 
     def potential(self, q):
-        return float(-0.5 * self.m1 * self.g * self.l1 * np.cos(q[0])
-                     - self.m2 * self.g * (self.l1 * np.cos(q[0])
-                                           + 0.5 * self.l2 * np.cos(q[0] + q[1])))
+        return (-0.5 * self.m1 * self.g * self.l1 * np.cos(q[:, 0])
+                - self.m2 * self.g * (self.l1 * np.cos(q[:, 0])
+                                      + 0.5 * self.l2 * np.cos(q[:, 0]
+                                                               + q[:, 1])))
 
     def force(self, q, qdot):
         if not self.damped:
-            return np.zeros(2)
+            return np.zeros(q.shape)
         return -self.eta * np.asarray(qdot, dtype=np.float64)
 
     def mass_jacobian(self, q):
-        s2 = np.sin(q[1])
-        dM = np.zeros((2, 2, 2))
-        dM[1] = -self._c * s2 * np.array([[1.0, 0.5], [0.5, 0.0]])
+        s2 = np.sin(q[:, 1])
+        dM = np.zeros((q.shape[0], 2, 2, 2))
+        dM[:, 1] = (-self._c * s2)[:, None, None] * _DM_PATTERN
         return dM
 
     def potential_gradient(self, q):
         a = (0.5 * self.m1 + self.m2) * self.g * self.l1
         b = 0.5 * self.m2 * self.g * self.l2
-        s01 = np.sin(q[0] + q[1])
-        return np.array([a * np.sin(q[0]) + b * s01, b * s01])
+        s01 = np.sin(q[:, 0] + q[:, 1])
+        dV = np.empty(q.shape)
+        dV[:, 0] = a * np.sin(q[:, 0]) + b * s01
+        dV[:, 1] = b * s01
+        return dV
 
     def mass_hessian(self, q):
-        c2 = np.cos(q[1])
-        B = np.zeros((2, 2, 2, 2))
-        B[1, 1] = -self._c * c2 * np.array([[1.0, 0.5], [0.5, 0.0]])
+        c2 = np.cos(q[:, 1])
+        B = np.zeros((q.shape[0], 2, 2, 2, 2))
+        B[:, 1, 1] = (-self._c * c2)[:, None, None] * _DM_PATTERN
         return B
 
     def potential_hessian(self, q):
         a = (0.5 * self.m1 + self.m2) * self.g * self.l1
         b = 0.5 * self.m2 * self.g * self.l2
-        c01 = b * np.cos(q[0] + q[1])
-        return np.array([[a * np.cos(q[0]) + c01, c01], [c01, c01]])
+        c01 = b * np.cos(q[:, 0] + q[:, 1])
+        H = np.empty((q.shape[0], 2, 2))
+        H[:, 0, 0] = a * np.cos(q[:, 0]) + c01
+        H[:, 0, 1] = H[:, 1, 0] = H[:, 1, 1] = c01
+        return H
 
     def force_jacobian_q(self, q, qdot):
-        return np.zeros((2, 2))
+        return np.zeros((q.shape[0], 2, 2))
 
     def force_jacobian_qdot(self, q, qdot):
         if not self.damped:
-            return np.zeros((2, 2))
-        return -np.diag(self.eta)
+            return np.zeros((q.shape[0], 2, 2))
+        return np.broadcast_to(-np.diag(self.eta), (q.shape[0], 2, 2))
+
+
+# ∂M/∂q2 of the double pendulum over −m2 l1 l2 sin q2 (∂²M/∂q2² over
+# −m2 l1 l2 cos q2)
+_DM_PATTERN = np.array([[1.0, 0.5], [0.5, 0.0]])
 
 
 def dp_system(m1: float = 1.0, m2: float = 1.0, l1: float = 1.0,

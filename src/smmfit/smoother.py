@@ -101,8 +101,8 @@ class SmoothResult:
 
 
 def _bt(X: np.ndarray) -> np.ndarray:
-    """Transpose each matrix of a (K, d, d) stack."""
-    return X.transpose(0, 2, 1)
+    """Transpose each matrix of a stack."""
+    return X.swapaxes(-1, -2)
 
 
 def kalman_filter(model: LdsModel, y: np.ndarray) -> FilterResult:
@@ -152,24 +152,36 @@ def kalman_filter(model: LdsModel, y: np.ndarray) -> FilterResult:
 
 
 def rts_smooth(model: LdsModel, filt: FilterResult) -> SmoothResult:
-    """Rauch-Tung-Striebel backward pass."""
+    """Rauch-Tung-Striebel backward pass.
+
+    The gains G_t = P_t|t Aᵀ P_{t+1|t}⁻¹ depend on the filter output
+    alone, so all T − 1 of them come from one stacked solve before the
+    backward recursion.
+    """
     A = model.A
     fm, fc, pm, pc = filt.means, filt.covs, filt.pred_means, filt.pred_covs
     T, K, d = fm.shape
+    # G = P_t|t A' P_pred^{-1}, via solve on the symmetric P_pred
+    try:
+        G = _bt(np.linalg.solve(pc[1:], _bt(np.matmul(fc[:-1], A.T))))
+    except np.linalg.LinAlgError:
+        # name the singular t+1 the backward recursion meets first
+        for t in range(T - 2, -1, -1):
+            try:
+                np.linalg.solve(pc[t + 1], _bt(np.matmul(fc[t], A.T)))
+            except np.linalg.LinAlgError:
+                raise NumericalDegeneracyError(
+                    f"singular predicted covariance at t={t + 1}") from None
+        raise
     ms = np.empty((T, K, d))
     Ps = np.empty((T, K, d, d))
     ms[-1] = fm[-1]
     Ps[-1] = fc[-1]
     for t in range(T - 2, -1, -1):
-        P_pred = pc[t + 1]
-        try:
-            # G = P_t|t A' P_pred^{-1}, via solve on the symmetric P_pred
-            G = _bt(np.linalg.solve(P_pred, _bt(np.matmul(fc[t], A.T))))
-        except np.linalg.LinAlgError:
-            raise NumericalDegeneracyError(f"singular predicted covariance at t={t + 1}")
         dm = (ms[t + 1] - pm[t + 1])[:, :, None]
-        ms[t] = fm[t] + np.matmul(G, dm)[:, :, 0]
-        Ps[t] = fc[t] + np.matmul(np.matmul(G, Ps[t + 1] - P_pred), _bt(G))
+        ms[t] = fm[t] + np.matmul(G[t], dm)[:, :, 0]
+        Ps[t] = fc[t] + np.matmul(np.matmul(G[t], Ps[t + 1] - pc[t + 1]),
+                                  _bt(G[t]))
     return SmoothResult(ms, Ps, filt.loglik)
 
 

@@ -6,6 +6,13 @@ and a plain-numpy single-point SMM model read out of a `FlatParams`
 vector.  `SmmSystem` takes M and V derivatives from `grad`/`jacobian`
 sweeps over the per-node tape builders of `column_graph`, an independent
 path from the library's fused forward-mode builds the losses use.
+
+Systems here have one-point hooks: q is an (n,) vector.  The library's
+mechanics takes (K, n) rows; `Rows` adapts a one-point system to it.
+The one-point mechanics path (`ScalarDP`, `acceleration`, `del_vector`,
+`del_jacobian_q3`, `variational_step`, `simulate`, `midpoint_energy`,
+`energy_drift_ok`, `sample_rest_trajectories`) is the library's former
+code, kept as the bit-exact reference for the row-batched path.
 """
 
 from functools import partial
@@ -17,7 +24,9 @@ from smmfit import diffcore as dc
 from smmfit import mechanics as mech
 from smmfit import smoother as smo
 from smmfit import training as tr
-from smmfit.integrators import IntegrationBlowupError
+from smmfit.integrators import (IntegrationBlowupError, NEWTON_MAX_ITER,
+                                NEWTON_TOL, NewtonConvergenceError,
+                                Trajectory)
 from smmfit.netparam import (ConservativeForceError, FlatParams,
                              chol_entries_t)
 
@@ -158,6 +167,276 @@ def loss_gradient_cases(params, rng, B=6, h=0.05):
     ]
 
 
+class Rows(mech.LagrangianSystem):
+    """The row hooks the library reads, from a system with one-point
+    hooks, called a row at a time."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.n = inner.n
+
+    def _map(self, hook, *rows):
+        hook = getattr(self.inner, hook)
+        return np.array([hook(*point) for point in zip(*rows)],
+                        dtype=np.float64)
+
+    def mass_matrix(self, q):
+        return self._map("mass_matrix", q)
+
+    def potential(self, q):
+        return self._map("potential", q)
+
+    def force(self, q, qdot):
+        return self._map("force", q, qdot)
+
+    def mass_jacobian(self, q):
+        return self._map("mass_jacobian", q)
+
+    def potential_gradient(self, q):
+        return self._map("potential_gradient", q)
+
+    def mass_hessian(self, q):
+        return self._map("mass_hessian", q)
+
+    def potential_hessian(self, q):
+        return self._map("potential_hessian", q)
+
+    def force_jacobian_q(self, q, qdot):
+        return self._map("force_jacobian_q", q, qdot)
+
+    def force_jacobian_qdot(self, q, qdot):
+        return self._map("force_jacobian_qdot", q, qdot)
+
+
+# -- the one-point mechanics path ----------------------------------------------
+
+class ScalarDP(mech.LagrangianSystem):
+    """One-point hooks of a `mechanics.DoublePendulum`, with its
+    parameters: the closed forms as expressions in scalars."""
+
+    def __init__(self, dp):
+        for name in ("m1", "m2", "l1", "l2", "g", "eta", "damped", "n",
+                     "I1", "I2", "_c"):
+            setattr(self, name, getattr(dp, name))
+
+    def mass_matrix(self, q):
+        c2 = np.cos(q[1])
+        i11 = self.I1 + self.I2 + self.m2 * self.l1 ** 2 + self._c * c2
+        i12 = self.I2 + 0.5 * self._c * c2
+        return np.array([[i11, i12], [i12, self.I2]])
+
+    def potential(self, q):
+        return float(-0.5 * self.m1 * self.g * self.l1 * np.cos(q[0])
+                     - self.m2 * self.g * (self.l1 * np.cos(q[0])
+                                           + 0.5 * self.l2 * np.cos(q[0] + q[1])))
+
+    def force(self, q, qdot):
+        if not self.damped:
+            return np.zeros(2)
+        return -self.eta * np.asarray(qdot, dtype=np.float64)
+
+    def mass_jacobian(self, q):
+        s2 = np.sin(q[1])
+        dM = np.zeros((2, 2, 2))
+        dM[1] = -self._c * s2 * np.array([[1.0, 0.5], [0.5, 0.0]])
+        return dM
+
+    def potential_gradient(self, q):
+        a = (0.5 * self.m1 + self.m2) * self.g * self.l1
+        b = 0.5 * self.m2 * self.g * self.l2
+        s01 = np.sin(q[0] + q[1])
+        return np.array([a * np.sin(q[0]) + b * s01, b * s01])
+
+    def mass_hessian(self, q):
+        c2 = np.cos(q[1])
+        B = np.zeros((2, 2, 2, 2))
+        B[1, 1] = -self._c * c2 * np.array([[1.0, 0.5], [0.5, 0.0]])
+        return B
+
+    def potential_hessian(self, q):
+        a = (0.5 * self.m1 + self.m2) * self.g * self.l1
+        b = 0.5 * self.m2 * self.g * self.l2
+        c01 = b * np.cos(q[0] + q[1])
+        return np.array([[a * np.cos(q[0]) + c01, c01], [c01, c01]])
+
+    def force_jacobian_q(self, q, qdot):
+        return np.zeros((2, 2))
+
+    def force_jacobian_qdot(self, q, qdot):
+        if not self.damped:
+            return np.zeros((2, 2))
+        return -np.diag(self.eta)
+
+
+def scalar_dp(damped=False) -> ScalarDP:
+    return ScalarDP(mech.dp_system(damped=damped))
+
+
+def cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of one symmetric matrix."""
+    a = np.asarray(a, dtype=np.float64)
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise ValueError(f"expected square matrix, got {a.shape}")
+    tol = 1e-8 * max(1.0, float(np.abs(a).max()))
+    if not np.allclose(a, a.T, atol=tol):
+        raise ValueError("matrix is not symmetric")
+    L = np.zeros_like(a)
+    for k in range(n):
+        d = a[k, k] - L[k, :k] @ L[k, :k]
+        if d <= 0.0:
+            raise dc.NotPositiveDefiniteError(k, float(d))
+        L[k, k] = np.sqrt(d)
+        for i in range(k + 1, n):
+            L[i, k] = (a[i, k] - L[i, :k] @ L[k, :k]) / L[k, k]
+    return L
+
+
+def lagrangian_q_gradient(sys, q, qdot) -> np.ndarray:
+    dM = sys.mass_jacobian(q)
+    return 0.5 * np.einsum("kij,i,j->k", dM, qdot, qdot) \
+        - sys.potential_gradient(q)
+
+
+def acceleration(sys, q, qdot) -> np.ndarray:
+    q = np.asarray(q, dtype=np.float64)
+    qdot = np.asarray(qdot, dtype=np.float64)
+    M = sys.mass_matrix(q)
+    dM = sys.mass_jacobian(q)
+    dLdq = 0.5 * np.einsum("kij,i,j->k", dM, qdot, qdot) \
+        - sys.potential_gradient(q)
+    convective = np.einsum("kij,j,k->i", dM, qdot, qdot)
+    rhs = sys.force(q, qdot) + dLdq - convective
+    L = cholesky(M)
+    return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+
+
+def del_vector(sys, triple) -> np.ndarray:
+    h = triple.h
+    ma, va = 0.5 * (triple.q1 + triple.q2), (triple.q2 - triple.q1) / h
+    mb, vb = 0.5 * (triple.q2 + triple.q3), (triple.q3 - triple.q2) / h
+    d2 = 0.5 * h * lagrangian_q_gradient(sys, ma, va) \
+        + sys.mass_matrix(ma) @ va
+    d1 = 0.5 * h * lagrangian_q_gradient(sys, mb, vb) \
+        - sys.mass_matrix(mb) @ vb
+    fd = 0.5 * h * (sys.force(ma, va) + sys.force(mb, vb))
+    return d2 + d1 + fd
+
+
+def del_jacobian_q3(sys, triple) -> np.ndarray:
+    h = triple.h
+    m = 0.5 * (triple.q2 + triple.q3)
+    v = (triple.q3 - triple.q2) / h
+    M = sys.mass_matrix(m)
+    A = sys.mass_jacobian(m)
+    B = sys.mass_hessian(m)
+    H = sys.potential_hessian(m)
+    Av = np.einsum("kij,j->ki", A, v)
+    J = (h / 8.0) * np.einsum("klij,i,j->kl", B, v, v)
+    J += 0.5 * Av
+    J -= (h / 4.0) * H
+    J -= 0.5 * Av.T
+    J -= M / h
+    J += (h / 4.0) * sys.force_jacobian_q(m, v)
+    J += 0.5 * sys.force_jacobian_qdot(m, v)
+    return J
+
+
+def variational_step(sys, q_prev, q_curr, h: float) -> np.ndarray:
+    """One point's Newton solve of DEL = 0; raises where the library
+    reports a failed row."""
+    q_prev = np.asarray(q_prev, dtype=np.float64)
+    q_curr = np.asarray(q_curr, dtype=np.float64)
+    q3 = 2.0 * q_curr - q_prev
+    r = del_vector(sys, mech.ConfigTriple(q_prev, q_curr, q3, h))
+    residual = float(np.abs(r).max())
+    for _ in range(NEWTON_MAX_ITER):
+        if residual <= NEWTON_TOL:
+            return q3
+        J = del_jacobian_q3(sys, mech.ConfigTriple(q_prev, q_curr, q3, h))
+        try:
+            dq = np.linalg.solve(J, r)
+        except np.linalg.LinAlgError:
+            raise NewtonConvergenceError(NEWTON_MAX_ITER, residual)
+        if not np.all(np.isfinite(dq)):
+            raise IntegrationBlowupError("non-finite Newton direction")
+        norm0 = float(np.linalg.norm(r))
+        lam = 1.0
+        while True:
+            cand = q3 - lam * dq
+            rc = del_vector(sys, mech.ConfigTriple(q_prev, q_curr, cand, h))
+            if float(np.linalg.norm(rc)) <= (1.0 - 1e-4 * lam) * norm0:
+                q3, r = cand, rc
+                residual = float(np.abs(r).max())
+                break
+            lam *= 0.5
+            if lam < 2.0 ** -20:
+                raise NewtonConvergenceError(NEWTON_MAX_ITER, residual)
+    if residual <= NEWTON_TOL:
+        return q3
+    raise NewtonConvergenceError(NEWTON_MAX_ITER, residual)
+
+
+def simulate(sys, q0, h: float, T: int, system: str = "",
+             seed: int | None = None) -> Trajectory:
+    """One rollout from rest; raises on the first failed step."""
+    q0 = np.asarray(q0, dtype=np.float64).ravel()
+    configs = np.empty((T, q0.size))
+    configs[0] = q0
+    configs[1] = q0
+    for t in range(2, T):
+        configs[t] = variational_step(sys, configs[t - 2], configs[t - 1], h)
+    return Trajectory(configs=configs, h=h, system=system, seed=seed)
+
+
+def midpoint_energy(sys, configs: np.ndarray, h: float) -> np.ndarray:
+    configs = np.asarray(configs, dtype=np.float64)
+    v = np.diff(configs, axis=0) / h
+    m = 0.5 * (configs[:-1] + configs[1:])
+    return np.array([0.5 * v[t] @ sys.mass_matrix(m[t]) @ v[t]
+                     + sys.potential(m[t]) for t in range(v.shape[0])])
+
+
+def energy_drift_ok(sys, traj: Trajectory, damped: bool = False) -> bool:
+    E = midpoint_energy(sys, traj.configs, traj.h)
+    if damped:
+        nwin = len(E) // 10
+        win = E[:10 * nwin].reshape(nwin, 10).mean(axis=1)
+        return bool(np.all(np.diff(win) <= 1e-9))
+    return bool(np.abs(E - E[0]).max() <= 0.05 * (abs(E[0]) + 1.0))
+
+
+def sample_rest_trajectories(sys, count: int, h: float, T: int, seed: int,
+                             system: str = "", damped: bool = False,
+                             angle_range: float = np.pi / 2,
+                             max_tries: int = 25):
+    """One draw at a time, slot after slot: (trajectories, rejected
+    draws)."""
+    out = []
+    rejected = 0
+    root = np.random.SeedSequence(seed)
+    for slot_seq in root.spawn(count):
+        accepted = None
+        for attempt_seq in slot_seq.spawn(max_tries):
+            attempt_seed = int(attempt_seq.generate_state(1)[0])
+            rng = np.random.default_rng(attempt_seq)
+            q0 = rng.uniform(-angle_range, angle_range, size=sys.n)
+            try:
+                traj = simulate(sys, q0, h, T, system=system,
+                                seed=attempt_seed)
+            except (NewtonConvergenceError, IntegrationBlowupError):
+                rejected += 1
+                continue
+            if energy_drift_ok(sys, traj, damped=damped):
+                accepted = traj
+                break
+            rejected += 1
+        if accepted is None:
+            raise NewtonConvergenceError(NEWTON_MAX_ITER, float("nan"))
+        out.append(accepted)
+    return out, rejected
+
+
 # -- mechanics references ------------------------------------------------------
 
 def lagrangian(system, q, qdot) -> float:
@@ -182,7 +461,7 @@ def discrete_force(system, q1, q2, h) -> np.ndarray:
 
 
 def del_residual(system, triple) -> float:
-    d = mech.del_vector(system, triple)
+    d = del_vector(system, triple)
     return float(d @ d)
 
 
@@ -208,7 +487,7 @@ def rk4_step(accel_fn, q, qdot, h: float):
 def exact_traj(system, q0, h, T, split=""):
     """RK4 rollout from rest with the system's accelerations recorded at
     each state, as smoothed data."""
-    acc = partial(mech.acceleration, system)
+    acc = partial(acceleration, system)
     q = np.zeros((T, len(q0)))
     qd = np.zeros_like(q)
     q[0] = q0
@@ -228,13 +507,13 @@ def system_del_mean(system, batch):
 
 def system_accel_mse(system, batch):
     q, qd, qdd = (batch.data["q"], batch.data["qdot"], batch.data["qddot"])
-    pred = np.array([mech.acceleration(system, q[i], qd[i])
+    pred = np.array([acceleration(system, q[i], qd[i])
                      for i in range(len(batch))])
     return float(np.mean((pred - qdd) ** 2))
 
 
 def system_nextstate_mse(system, batch, h):
-    acc = partial(mech.acceleration, system)
+    acc = partial(acceleration, system)
     err = 0.0
     for i in range(len(batch)):
         qn, vn = rk4_step(acc, batch.data["q"][i], batch.data["qdot"][i], h)

@@ -243,7 +243,7 @@ def test_gradients_sum_trick_gives_per_row():
 # -- cholesky_np --------------------------------------------------------------
 
 def chol_logdet(a):
-    return 2.0 * float(np.sum(np.log(np.diag(dc.cholesky_np(a)))))
+    return 2.0 * float(np.sum(np.log(np.diag(dc.cholesky_np(a[None])[0]))))
 
 
 def test_logdet_diag():
@@ -291,6 +291,26 @@ def test_pd_failure_pivot_index():
         chol_logdet(np.array([[1.0, 2.0], [2.0, 1.0]]))
     assert e.value.pivot == 1
     assert e.value.value < 0.0
+
+
+def test_cholesky_rows_equal_one_matrix_oracle():
+    rng = np.random.default_rng(102)
+    for n in (2, 3):
+        B = rng.uniform(-1.0, 1.0, size=(50, n, n))
+        A = np.matmul(B, B.transpose(0, 2, 1)) + 0.1 * np.eye(n)
+        L = dc.cholesky_np(A)
+        for a, l in zip(A, L):
+            assert np.array_equal(l, oracle.cholesky(a))
+
+
+def test_cholesky_rows_raise_for_one_bad_row():
+    A = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2)])
+    with pytest.raises(dc.NotPositiveDefiniteError) as e:
+        dc.cholesky_np(A)
+    assert e.value.pivot == 1 and e.value.value == -3.0
+    A[1] = [[1.0, 2.0], [0.0, 1.0]]
+    with pytest.raises(ValueError, match="not symmetric"):
+        dc.cholesky_np(A)
 
 
 # -- determinism and error machinery ------------------------------------------

@@ -131,8 +131,9 @@ def test_eval_batch_targets_are_analytic(smoothed_pool):
     config, pool = smoothed_pool
     system = cli.make_system(config)
     b = cli.eval_batch(system, pool[:2])
-    # the analytic system scores zero against its own targets by definition
-    assert oracle.system_accel_mse(system, b) == 0.0
+    # the analytic system scores zero against its own targets by definition:
+    # one batched call gives each row the bits of the one-point oracle
+    assert oracle.system_accel_mse(oracle.ScalarDP(system), b) == 0.0
     assert len(b) == 2 * config.T
 
 
@@ -447,7 +448,7 @@ def test_cli_smooth_rejects_colliding_output_names(tmp_path, capsys):
 
 @pytest.mark.parametrize("case", ["header_only", "short", "ragged",
                                   "non_numeric", "non_finite", "no_h",
-                                  "zero_h", "unsmoothed"])
+                                  "zero_h", "unsmoothed", "smoothed_twice"])
 def test_cli_malformed_data_file_exit_code(tmp_path, capsys, case):
     # smooth, train and evaluate name a malformed data file in an error
     # line and exit 2 before writing anything
@@ -477,6 +478,9 @@ def test_cli_malformed_data_file_exit_code(tmp_path, capsys, case):
                      params)
     runs += [(["train", sm, "--method", "accel", "--out", "out"], sm),
              (["evaluate", sm, "--params", str(params)], sm)]
+    if case == "smoothed_twice":
+        # smooth output handed back to smooth
+        runs = [(["smooth", sm, "--out", "out"], sm)]
     out = str(tmp_path / "out")
     for argv, name in runs:
         argv = [out if a == "out" else a for a in argv]
@@ -488,6 +492,8 @@ def test_cli_malformed_data_file_exit_code(tmp_path, capsys, case):
             assert "line 4" in err
         if case == "unsmoothed":
             assert "smmfit smooth" in err
+        if case == "smoothed_twice":
+            assert "already smoothed" in err
 
 
 @pytest.mark.parametrize("flag,value", [("--sigma", "-1"), ("--steps", "2"),

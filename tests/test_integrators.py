@@ -1,5 +1,8 @@
 """Integrator checks: the oracle's RK4 order, Newton-solved variational
-steps, energy behavior of rollouts, observation noise, trajectory files."""
+steps, energy behavior of rollouts, lockstep generation against the
+one-point oracle, observation noise, trajectory files."""
+
+import logging
 
 import numpy as np
 import pytest
@@ -12,6 +15,28 @@ from smmfit import mechanics as mech
 
 DP = mech.dp_system()
 midpoint_energy = integ.midpoint_energy
+
+
+def rollout(sys, q0, h, T, **kw):
+    """One trajectory through the lockstep `simulate`; it must not fail."""
+    configs, failed = integ.simulate(sys, np.array([q0], dtype=float), h, T)
+    assert failed == {}
+    return integ.Trajectory(configs[0], h, **kw)
+
+
+def scalar_rollout(sys, q0, h, T):
+    """The oracle's steps one at a time: (configs, NaN from a failed step
+    on, and that step's error or None)."""
+    configs = np.full((T, len(q0)), np.nan)
+    configs[0] = configs[1] = q0
+    for t in range(2, T):
+        try:
+            configs[t] = oracle.variational_step(sys, configs[t - 2],
+                                                 configs[t - 1], h)
+        except (integ.NewtonConvergenceError,
+                integ.IntegrationBlowupError) as err:
+            return configs, err
+    return configs, None
 
 
 # -- the oracle's rk4_step ----------------------------------------------------
@@ -59,52 +84,123 @@ def test_rk4_blowup_error():
 # -- variational_step ---------------------------------------------------------
 
 def test_variational_step_free_particle_exact():
-    q1 = np.array([0.1, -0.2])
-    q2 = np.array([0.3, 0.1])
-    q3 = integ.variational_step(oracle.FreeParticle(), q1, q2, 0.05)
+    q1 = np.array([[0.1, -0.2], [0.5, 0.5]])
+    q2 = np.array([[0.3, 0.1], [0.4, 0.7]])
+    q3, failed = integ.variational_step(oracle.Rows(oracle.FreeParticle()),
+                                        q1, q2, 0.05)
+    assert failed == {}
     assert np.array_equal(q3, 2 * q2 - q1)
 
 
 def test_variational_step_equilibrium_fixed_point():
-    q3 = integ.variational_step(DP, np.zeros(2), np.zeros(2), 0.05)
+    q3, failed = integ.variational_step(DP, np.zeros((1, 2)), np.zeros((1, 2)),
+                                        0.05)
+    assert failed == {}
     assert np.allclose(q3, 0.0, atol=1e-12)
 
 
 def test_variational_step_del_consistency():
     rng = np.random.default_rng(10)
     for sys in (DP, mech.dp_system(damped=True)):
-        for _ in range(10):
-            q1 = rng.uniform(-np.pi / 2, np.pi / 2, size=2)
-            q2 = q1 + rng.uniform(-0.05, 0.05, size=2)
-            q3 = integ.variational_step(sys, q1, q2, 0.05)
-            d = mech.del_vector(sys, mech.ConfigTriple(q1, q2, q3, 0.05))
-            assert np.linalg.norm(d) <= 1e-9
+        q1 = rng.uniform(-np.pi / 2, np.pi / 2, size=(10, 2))
+        q2 = q1 + rng.uniform(-0.05, 0.05, size=(10, 2))
+        q3, failed = integ.variational_step(sys, q1, q2, 0.05)
+        assert failed == {}
+        d = mech.del_vector(sys, mech.ConfigTriple(q1, q2, q3, 0.05))
+        assert np.linalg.norm(d, axis=1).max() <= 1e-9
+
+
+@pytest.mark.parametrize("damped", [False, True])
+def test_variational_step_rows_equal_one_point_oracle(damped):
+    # each row converges, backtracks and fails on its own: the fast
+    # velocities make some rows backtrack or stall
+    sys = mech.dp_system(damped=damped)
+    one = oracle.ScalarDP(sys)
+    rng = np.random.default_rng(15)
+    q1 = rng.uniform(-np.pi, np.pi, size=(48, 2))
+    q2 = q1 + rng.uniform(-2.0, 2.0, size=(48, 2))
+    q3, failed = integ.variational_step(sys, q1, q2, 0.05)
+    for i in range(48):
+        try:
+            want = oracle.variational_step(one, q1[i], q2[i], 0.05)
+        except (integ.NewtonConvergenceError,
+                integ.IntegrationBlowupError) as err:
+            assert type(failed[i]) is type(err) and str(failed[i]) == str(err)
+            continue
+        assert i not in failed and np.array_equal(q3[i], want)
+    assert 0 < len(failed) < 48
+
+
+class SingularWhereFar(oracle.FdSystem):
+    """A free particle for q1 < 5; beyond, no kinetic term and a linear
+    potential, so the DEL residual is nonzero and its Jacobian zero."""
+
+    n = 2
+
+    def mass_matrix(self, q):
+        return np.eye(2) if q[0] < 5 else np.zeros((2, 2))
+
+    def potential(self, q):
+        return 0.0 if q[0] < 5 else float(q[0] + q[1])
+
+
+def test_singular_jacobian_rejects_only_its_row():
+    one = SingularWhereFar()
+    q1 = np.array([[0.1, 0.2], [6.0, 6.0], [-0.3, 0.4], [7.0, 6.0]])
+    q2 = q1 + np.array([[0.01, -0.02], [0.0, 0.0], [0.03, 0.01], [0.0, 0.0]])
+    r = mech.del_vector(oracle.Rows(one), mech.ConfigTriple(
+        q1, q2, 2 * q2 - q1, 0.05))
+    assert np.abs(r[[1, 3]]).min() > 0.0
+    q3, failed = integ.variational_step(oracle.Rows(one), q1, q2, 0.05)
+    assert sorted(failed) == [1, 3]
+    for i in (1, 3):
+        with pytest.raises(integ.NewtonConvergenceError) as err:
+            oracle.variational_step(one, q1[i], q2[i], 0.05)
+        assert isinstance(failed[i], integ.NewtonConvergenceError)
+        assert str(failed[i]) == str(err.value)
+    for i in (0, 2):
+        assert np.array_equal(q3[i], oracle.variational_step(one, q1[i], q2[i],
+                                                             0.05))
 
 
 # -- simulate -----------------------------------------------------------------
 
 def test_simulate_rest_start_and_shape():
-    traj = integ.simulate(DP, [0.4, -0.3], 0.05, 200, system="dp", seed=5)
-    assert traj.configs.shape == (200, 2)
-    assert np.array_equal(traj.configs[0], traj.configs[1])
-    assert np.array_equal(traj.configs[0], [0.4, -0.3])
-    assert traj.h == 0.05 and traj.seed == 5
+    configs, failed = integ.simulate(DP, [[0.4, -0.3], [0.1, 0.2]], 0.05, 200)
+    assert failed == {} and configs.shape == (2, 200, 2)
+    assert np.array_equal(configs[:, 0], configs[:, 1])
+    assert np.array_equal(configs[:, 0], [[0.4, -0.3], [0.1, 0.2]])
 
 
 def test_simulate_deterministic():
-    a = integ.simulate(DP, [0.7, 0.2], 0.05, 120)
-    b = integ.simulate(DP, [0.7, 0.2], 0.05, 120)
+    a = rollout(DP, [0.7, 0.2], 0.05, 120)
+    b = rollout(DP, [0.7, 0.2], 0.05, 120)
     assert np.array_equal(a.configs, b.configs)
 
 
 def test_simulate_del_residuals_small():
-    traj = integ.simulate(DP, [0.9, -0.5], 0.05, 100)
-    worst = 0.0
-    for t in range(traj.T - 2):
-        d = mech.del_vector(DP, mech.ConfigTriple(
-            traj.configs[t], traj.configs[t + 1], traj.configs[t + 2], traj.h))
-        worst = max(worst, np.linalg.norm(d))
-    assert worst <= 10 * integ.NEWTON_TOL
+    q = rollout(DP, [0.9, -0.5], 0.05, 100).configs
+    d = mech.del_vector(DP, mech.ConfigTriple(q[:-2], q[1:-1], q[2:], 0.05))
+    assert np.linalg.norm(d, axis=1).max() <= 10 * integ.NEWTON_TOL
+
+
+@pytest.mark.parametrize("damped", [False, True])
+def test_simulate_rows_equal_one_point_oracle(damped):
+    # hot starts included: a failed row leaves the lockstep at the step
+    # the one-point rollout raises, with the same error, and NaN after
+    sys = mech.dp_system(damped=damped)
+    one = oracle.ScalarDP(sys)
+    q0 = np.random.default_rng(0).uniform(-np.pi, np.pi, (40, 2))
+    configs, failed = integ.simulate(sys, q0, 0.05, 100)
+    for i in range(40):
+        want, err = scalar_rollout(one, q0[i], 0.05, 100)
+        assert np.array_equal(configs[i], want, equal_nan=True)
+        if err is None:
+            assert i not in failed
+        else:
+            assert type(failed[i]) is type(err) and str(failed[i]) == str(err)
+    # damping keeps every rest start of 100 steps solvable
+    assert len(failed) == 0 if damped else 0 < len(failed) < 40
 
 
 def test_simulate_undamped_energy_bounded():
@@ -116,12 +212,12 @@ def test_simulate_undamped_energy_bounded():
 
 def test_simulate_moderate_start_energy_bounded():
     # raw simulate, no gate: moderate-energy rest starts stay in band
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        q0 = rng.uniform(-1.0, 1.0, size=2)
-        traj = integ.simulate(DP, q0, 0.05, 200)
-        E = midpoint_energy(DP, traj.configs, traj.h)
-        assert np.abs(E - E[0]).max() <= 0.05 * (abs(E[0]) + 1.0)
+    q0 = np.random.default_rng(11).uniform(-1.0, 1.0, size=(5, 2))
+    configs, failed = integ.simulate(DP, q0, 0.05, 200)
+    assert failed == {}
+    E = midpoint_energy(DP, configs, 0.05)
+    assert np.all(np.abs(E - E[:, :1]).max(axis=1)
+                  <= 0.05 * (np.abs(E[:, 0]) + 1.0))
 
 
 def test_simulate_hot_start_detected_or_bounded():
@@ -129,23 +225,46 @@ def test_simulate_hot_start_detected_or_bounded():
     # midpoint step; the solver must fail loudly there, never silently
     # return a trajectory that left its energy band by more than the
     # gate threshold allows
-    q0 = np.array([-1.44207421, -1.51887323])
-    try:
-        traj = integ.simulate(DP, q0, 0.05, 200)
-    except (integ.NewtonConvergenceError, integ.IntegrationBlowupError):
+    configs, failed = integ.simulate(DP, [[-1.44207421, -1.51887323]], 0.05,
+                                     200)
+    if failed:
+        assert isinstance(failed[0], (integ.NewtonConvergenceError,
+                                      integ.IntegrationBlowupError))
         return
-    E = midpoint_energy(DP, traj.configs, traj.h)
-    assert np.all(np.isfinite(E))
+    assert np.all(np.isfinite(midpoint_energy(DP, configs, 0.05)))
 
 
 def test_simulate_damped_energy_decreasing():
     damped = mech.dp_system(damped=True)
-    rng = np.random.default_rng(12)
-    for _ in range(3):
-        q0 = rng.uniform(-np.pi / 2, np.pi / 2, size=2)
-        traj = integ.simulate(damped, q0, 0.05, 200)
-        assert integ.energy_drift_ok(damped, traj, damped=True)
+    q0 = np.random.default_rng(12).uniform(-np.pi / 2, np.pi / 2, size=(3, 2))
+    configs, failed = integ.simulate(damped, q0, 0.05, 200)
+    assert failed == {}
+    assert np.all(integ.energy_drift_ok(damped, configs, 0.05, damped=True))
 
+
+@pytest.mark.parametrize("damped", [False, True])
+def test_energies_and_gate_equal_one_point_oracle(damped):
+    # one batched call for a set of trajectories, each row the bits of
+    # the one-trajectory series; undamped hot starts fail the undamped
+    # gate, and every undamped rollout fails the damped one
+    sys = mech.dp_system(damped=damped)
+    one = oracle.ScalarDP(sys)
+    q0 = np.random.default_rng(16).uniform(-2.0, 2.0, (12, 2))
+    runs = [integ.simulate(s, q0, 0.05, 100)
+            for s in (DP, mech.dp_system(damped=True))]
+    configs = np.concatenate([c[[i for i in range(12) if i not in failed]]
+                              for c, failed in runs])
+    E = midpoint_energy(sys, configs, 0.05)
+    ok = integ.energy_drift_ok(sys, configs, 0.05, damped=damped)
+    for i, c in enumerate(configs):
+        traj = integ.Trajectory(c, 0.05)
+        assert np.array_equal(E[i], oracle.midpoint_energy(one, c, 0.05))
+        assert ok[i] == oracle.energy_drift_ok(one, traj, damped=damped)
+    assert np.array_equal(midpoint_energy(sys, configs[0], 0.05), E[0])
+    assert 0 < ok.sum() < len(configs)
+
+
+# -- sample_rest_trajectories -------------------------------------------------
 
 def test_sample_rest_trajectories_contract():
     trajs = integ.sample_rest_trajectories(DP, 4, 0.05, 200, seed=3,
@@ -156,7 +275,7 @@ def test_sample_rest_trajectories_contract():
         assert np.array_equal(tr.configs[0], tr.configs[1])
         assert np.all(np.abs(tr.configs[0]) < np.pi / 2)
         assert tr.system == "dp_undamped" and tr.seed is not None
-        assert integ.energy_drift_ok(DP, tr)
+        assert integ.energy_drift_ok(DP, tr.configs, tr.h)
     # distinct slots draw distinct starts
     starts = {tuple(tr.configs[0]) for tr in trajs}
     assert len(starts) == 4
@@ -170,25 +289,78 @@ def test_sample_rest_trajectories_deterministic():
         assert x.seed == y.seed
 
 
+def _draws_line(caplog):
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "smmfit.integrators"]
+    assert len(lines) == 1
+    return lines[0]
+
+
+# (slots, damped) of the three benchmark workloads' pools, T = 100
+POOL_SHAPES = {"desk-sweep": (4, False), "protocol-pool": (8, False),
+               "damped-minibatch": (4, True)}
+
+
+@pytest.mark.parametrize("shape", sorted(POOL_SHAPES))
+def test_lockstep_pools_equal_one_point_oracle(shape, caplog):
+    count, damped = POOL_SHAPES[shape]
+    sys = mech.dp_system(damped=damped)
+    one = oracle.ScalarDP(sys)
+    caplog.set_level(logging.INFO, logger="smmfit.integrators")
+    for seed in range(10):
+        caplog.clear()
+        got = integ.sample_rest_trajectories(sys, count, 0.05, 100, seed,
+                                             system="s", damped=damped)
+        want, rejected = oracle.sample_rest_trajectories(
+            one, count, 0.05, 100, seed, system="s", damped=damped)
+        assert [t.seed for t in got] == [t.seed for t in want]
+        for a, b in zip(got, want):
+            assert np.array_equal(a.configs, b.configs)
+            assert a.system == b.system == "s" and a.h == b.h
+        assert _draws_line(caplog) == (f"rejected {rejected} of "
+                                       f"{rejected + count} trajectory draws")
+
+
+def test_protocol_pool_seed_0_counts_its_rejected_draws(caplog):
+    caplog.set_level(logging.INFO, logger="smmfit.integrators")
+    integ.sample_rest_trajectories(DP, 8, 0.05, 100, 0)
+    assert _draws_line(caplog) == "rejected 2 of 10 trajectory draws"
+
+
+def test_exhausted_tries_raise_as_one_at_a_time(caplog):
+    caplog.set_level(logging.INFO, logger="smmfit.integrators")
+    kw = dict(seed=0, angle_range=np.pi, max_tries=2)
+    with pytest.raises(integ.NewtonConvergenceError) as want:
+        oracle.sample_rest_trajectories(oracle.ScalarDP(DP), 3, 0.05, 60, **kw)
+    with pytest.raises(integ.NewtonConvergenceError) as got:
+        integ.sample_rest_trajectories(DP, 3, 0.05, 60, **kw)
+    assert str(got.value) == str(want.value)
+    assert not caplog.records
+
+
 def test_acceleration_matches_fd_of_integrated_path():
     # second difference of a high-accuracy RK4 path around a state
     rng = np.random.default_rng(13)
     h = 1e-4
+    one = oracle.ScalarDP(DP)
+
+    def acc(a, b):
+        return mech.acceleration(DP, a[None], b[None])[0]
+
     for _ in range(5):
         q = rng.uniform(-np.pi / 2, np.pi / 2, size=2)
         qd = rng.uniform(-1.0, 1.0, size=2)
-        accel = lambda a, b: mech.acceleration(DP, a, b)
-        qp, _ = rk4_step(accel, q, qd, h)
-        qm, _ = rk4_step(accel, q, qd, -h)
+        qp, _ = rk4_step(acc, q, qd, h)
+        qm, _ = rk4_step(acc, q, qd, -h)
         fd = (qp - 2 * q + qm) / h ** 2
-        ref = mech.acceleration(DP, q, qd)
+        ref = oracle.acceleration(one, q, qd)
         assert np.linalg.norm(fd - ref) <= 1e-3 * max(np.linalg.norm(ref), 1.0)
 
 
 # -- add_noise ----------------------------------------------------------------
 
 def test_add_noise_zero_sigma():
-    traj = integ.simulate(DP, [0.2, 0.1], 0.05, 50)
+    traj = rollout(DP, [0.2, 0.1], 0.05, 50)
     obs = integ.add_noise(traj, 0.0, 99)
     assert np.array_equal(obs.configs, traj.configs)
 
@@ -201,7 +373,7 @@ def test_add_noise_sample_std():
 
 
 def test_add_noise_seed_repeatable():
-    traj = integ.simulate(DP, [0.2, 0.1], 0.05, 50)
+    traj = rollout(DP, [0.2, 0.1], 0.05, 50)
     a = integ.add_noise(traj, 0.1, 7)
     b = integ.add_noise(traj, 0.1, 7)
     assert np.array_equal(a.configs, b.configs)
@@ -222,7 +394,7 @@ def test_trajectory_validation():
 
 
 def test_trajectory_roundtrip(tmp_path):
-    traj = integ.simulate(DP, [0.3, -0.6], 0.05, 60, system="dp_undamped", seed=3)
+    traj = rollout(DP, [0.3, -0.6], 0.05, 60, system="dp_undamped", seed=3)
     p = tmp_path / "traj.csv"
     integ.save_trajectory(traj, p)
     back = integ.load_trajectory(p)
@@ -232,7 +404,7 @@ def test_trajectory_roundtrip(tmp_path):
 
 
 def test_observed_roundtrip(tmp_path):
-    traj = integ.simulate(DP, [0.3, -0.6], 0.05, 60, system="dp_damped", seed=3)
+    traj = rollout(DP, [0.3, -0.6], 0.05, 60, system="dp_damped", seed=3)
     obs = integ.add_noise(traj, 0.1, 11)
     p = tmp_path / "obs.csv"
     integ.save_trajectory(obs, p)
@@ -242,7 +414,7 @@ def test_observed_roundtrip(tmp_path):
 
 
 def test_csv_header_matches_contract(tmp_path):
-    traj = integ.simulate(DP, [0.1, 0.2], 0.05, 10)
+    traj = rollout(DP, [0.1, 0.2], 0.05, 10)
     p = tmp_path / "traj.csv"
     integ.save_trajectory(traj, p)
     header = p.read_text().splitlines()[0]

@@ -1,4 +1,5 @@
-"""Mechanics kernel checks against hand-derived double-pendulum values."""
+"""Mechanics kernel checks against hand-derived double-pendulum values,
+and of the row-batched path against the one-point oracle, bit for bit."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from smmfit.diffcore import NotPositiveDefiniteError
 
 
 DP = mech.dp_system()
+SDP = oracle.ScalarDP(DP)
 
 
 class ConstantLagrangian(oracle.FdSystem):
@@ -23,11 +25,21 @@ class ConstantLagrangian(oracle.FdSystem):
         return -3.7
 
 
-class NumericDP(mech.DoublePendulum):
+class NumericDP(oracle.ScalarDP):
     """Double pendulum forced through the finite-difference hooks."""
 
     mass_jacobian = oracle.FdSystem.mass_jacobian
     potential_gradient = oracle.FdSystem.potential_gradient
+
+
+def rows(*points):
+    return np.array(points, dtype=np.float64)
+
+
+def random_triples(rng, K, h=0.05):
+    q1, q2, q3 = np.cumsum(rng.uniform(-0.1, 0.1, (3, K, 2)), axis=0) \
+        + rng.uniform(-1, 1, (K, 2))
+    return mech.ConfigTriple(q1, q2, q3, h)
 
 
 # -- lagrangian ---------------------------------------------------------------
@@ -36,45 +48,42 @@ def test_lagrangian_at_rest_is_minus_potential():
     rng = np.random.default_rng(0)
     for _ in range(10):
         q = rng.uniform(-np.pi, np.pi, size=2)
-        assert abs(oracle.lagrangian(DP, q, np.zeros(2)) + DP.potential(q)) < 1e-12
+        assert abs(oracle.lagrangian(SDP, q, np.zeros(2)) + SDP.potential(q)) < 1e-12
 
 
 def test_lagrangian_dp_hand_values():
-    assert abs(oracle.lagrangian(DP, [0.0, 0.0], [0.0, 0.0]) - 20.0) < 1e-12
+    assert abs(oracle.lagrangian(SDP, [0.0, 0.0], [0.0, 0.0]) - 20.0) < 1e-12
     # half * I11(0) + 20 with I11(0) = 8/3
-    assert abs(oracle.lagrangian(DP, [0.0, 0.0], [1.0, 0.0]) - (0.5 * 8 / 3 + 20)) < 1e-12
+    assert abs(oracle.lagrangian(SDP, [0.0, 0.0], [1.0, 0.0]) - (0.5 * 8 / 3 + 20)) < 1e-12
 
 
 # -- acceleration -------------------------------------------------------------
 
 def test_acceleration_equilibrium():
-    assert np.allclose(mech.acceleration(DP, [0.0, 0.0], [0.0, 0.0]), 0.0,
-                       atol=1e-12)
+    assert np.allclose(mech.acceleration(DP, rows([0.0, 0.0]), rows([0.0, 0.0])),
+                       0.0, atol=1e-12)
 
 
 def test_acceleration_hand_solved():
     # M(q2=0) qdd = -grad V at q = (pi/2, 0) gives (-90/7, 120/7)
-    qdd = mech.acceleration(DP, [np.pi / 2, 0.0], [0.0, 0.0])
-    assert np.allclose(qdd, [-90.0 / 7.0, 120.0 / 7.0], atol=1e-10)
+    qdd = mech.acceleration(DP, rows([np.pi / 2, 0.0]), rows([0.0, 0.0]))
+    assert np.allclose(qdd, [[-90.0 / 7.0, 120.0 / 7.0]], atol=1e-10)
 
 
 def test_acceleration_damped_at_rest_matches_undamped():
     damped = mech.dp_system(damped=True)
-    rng = np.random.default_rng(1)
-    for _ in range(5):
-        q = rng.uniform(-np.pi, np.pi, size=2)
-        assert np.allclose(mech.acceleration(damped, q, np.zeros(2)),
-                           mech.acceleration(DP, q, np.zeros(2)), atol=1e-12)
+    q = np.random.default_rng(1).uniform(-np.pi, np.pi, size=(5, 2))
+    assert np.allclose(mech.acceleration(damped, q, np.zeros((5, 2))),
+                       mech.acceleration(DP, q, np.zeros((5, 2))), atol=1e-12)
 
 
 def test_acceleration_fd_hooks_agree_with_closed_form():
-    numeric = NumericDP()
+    numeric = oracle.Rows(NumericDP(DP))
     rng = np.random.default_rng(2)
-    for _ in range(10):
-        q = rng.uniform(-np.pi, np.pi, size=2)
-        qd = rng.uniform(-2.0, 2.0, size=2)
-        assert np.allclose(mech.acceleration(numeric, q, qd),
-                           mech.acceleration(DP, q, qd), rtol=1e-6, atol=1e-6)
+    q = rng.uniform(-np.pi, np.pi, size=(10, 2))
+    qd = rng.uniform(-2.0, 2.0, size=(10, 2))
+    assert np.allclose(mech.acceleration(numeric, q, qd),
+                       mech.acceleration(DP, q, qd), rtol=1e-6, atol=1e-6)
 
 
 def test_acceleration_pd_failure_propagates():
@@ -83,7 +92,63 @@ def test_acceleration_pd_failure_propagates():
             return np.array([[1.0, 0.0], [0.0, -1.0]])
 
     with pytest.raises(NotPositiveDefiniteError):
-        mech.acceleration(BadMass(), [0.0, 0.0], [1.0, 0.0])
+        mech.acceleration(oracle.Rows(BadMass()), rows([0.0, 0.0]),
+                          rows([1.0, 0.0]))
+
+
+# -- the row-batched path against the one-point oracle -----------------------
+
+HOOKS_Q = ("mass_matrix", "potential", "mass_jacobian", "potential_gradient",
+           "mass_hessian", "potential_hessian")
+HOOKS_QV = ("force", "force_jacobian_q", "force_jacobian_qdot")
+
+
+@pytest.mark.parametrize("damped", [False, True])
+def test_row_hooks_equal_one_point_hooks(damped):
+    sys = mech.dp_system(damped=damped)
+    one = oracle.ScalarDP(sys)
+    rng = np.random.default_rng(40)
+    q = rng.uniform(-np.pi, np.pi, (64, 2))
+    qd = rng.uniform(-3, 3, (64, 2))
+    for name in HOOKS_Q + HOOKS_QV:
+        args = (q,) if name in HOOKS_Q else (q, qd)
+        got = getattr(sys, name)(*args)
+        want = np.array([getattr(one, name)(*a) for a in zip(*args)])
+        assert got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+        # signed zeros too
+        assert np.array_equal(np.signbit(got), np.signbit(want)), name
+
+
+@pytest.mark.parametrize("damped", [False, True])
+def test_row_functions_equal_one_point_oracle(damped):
+    sys = mech.dp_system(damped=damped)
+    one = oracle.ScalarDP(sys)
+    rng = np.random.default_rng(41)
+    t = random_triples(rng, 64)
+    q = rng.uniform(-np.pi, np.pi, (64, 2))
+    qd = rng.uniform(-3, 3, (64, 2))
+    d = mech.del_vector(sys, t)
+    left = mech.del_arm(sys, t.q1, t.q2, t.h)
+    assert np.array_equal(mech.del_vector(sys, t, left), d)
+    J = mech.del_jacobian_q3(sys, t)
+    a = mech.acceleration(sys, q, qd)
+    for i in range(64):
+        ti = mech.ConfigTriple(t.q1[i], t.q2[i], t.q3[i], t.h)
+        assert np.array_equal(d[i], oracle.del_vector(one, ti))
+        assert np.array_equal(J[i], oracle.del_jacobian_q3(one, ti))
+        assert np.array_equal(a[i], oracle.acceleration(one, q[i], qd[i]))
+
+
+def test_rows_adapter_runs_one_point_systems():
+    # a one-point system through Rows gives the oracle's per-point values
+    sys = NumericDP(mech.dp_system(damped=True))
+    rng = np.random.default_rng(42)
+    t = random_triples(rng, 6)
+    d = mech.del_vector(oracle.Rows(sys), t)
+    for i in range(6):
+        ti = mech.ConfigTriple(t.q1[i], t.q2[i], t.q3[i], t.h)
+        assert np.array_equal(d[i], oracle.del_vector(sys, ti))
 
 
 # -- the oracle's discrete Lagrangian and force --------------------------------
@@ -104,20 +169,20 @@ def test_discrete_lagrangian_stationary_pair():
     for _ in range(5):
         q = rng.uniform(-np.pi, np.pi, size=2)
         h = rng.uniform(0.01, 0.2)
-        got = oracle.discrete_lagrangian(DP, q, q, h)
-        assert abs(got + h * DP.potential(q)) < 1e-12
+        got = oracle.discrete_lagrangian(SDP, q, q, h)
+        assert abs(got + h * SDP.potential(q)) < 1e-12
 
 
 def test_discrete_lagrangian_dp_value():
-    assert abs(oracle.discrete_lagrangian(DP, [0.0, 0.0], [0.0, 0.0], 0.05) - 1.0) < 1e-12
+    assert abs(oracle.discrete_lagrangian(SDP, [0.0, 0.0], [0.0, 0.0], 0.05) - 1.0) < 1e-12
 
 
 def test_discrete_force_conservative_zero():
-    assert np.all(oracle.discrete_force(DP, [0.1, 0.2], [0.3, -0.1], 0.05) == 0.0)
+    assert np.all(oracle.discrete_force(SDP, [0.1, 0.2], [0.3, -0.1], 0.05) == 0.0)
 
 
 def test_discrete_force_damped_hand_value():
-    damped = mech.dp_system(damped=True)
+    damped = oracle.scalar_dp(damped=True)
     fd = oracle.discrete_force(damped, [0.0, 0.0], [0.1, 0.0], 0.05)
     # (q2-q1)/h = (2, 0); F = -eta*qdot = (-1, 0); times h
     assert np.allclose(fd, [-0.05, 0.0], atol=1e-12)
@@ -127,30 +192,28 @@ def test_discrete_force_damped_hand_value():
 # -- DEL vector and residual --------------------------------------------------
 
 def test_del_free_particle_straight_line():
-    fp = FreeParticle()
     rng = np.random.default_rng(4)
-    for _ in range(5):
-        q1 = rng.uniform(-1, 1, size=2)
-        step = rng.uniform(-1, 1, size=2)
-        t = mech.ConfigTriple(q1, q1 + step, q1 + 2 * step, 0.05)
-        assert np.allclose(mech.del_vector(fp, t), 0.0, atol=1e-12)
+    q1 = rng.uniform(-1, 1, size=(5, 2))
+    step = rng.uniform(-1, 1, size=(5, 2))
+    t = mech.ConfigTriple(q1, q1 + step, q1 + 2 * step, 0.05)
+    assert np.allclose(mech.del_vector(oracle.Rows(FreeParticle()), t), 0.0,
+                       atol=1e-12)
 
 
 def test_del_constant_lagrangian():
-    sys = ConstantLagrangian()
     rng = np.random.default_rng(5)
-    for _ in range(5):
-        t = mech.ConfigTriple(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2),
-                              rng.uniform(-1, 1, 2), 0.05)
-        assert np.allclose(mech.del_vector(sys, t), 0.0, atol=1e-10)
+    t = mech.ConfigTriple(rng.uniform(-1, 1, (5, 2)), rng.uniform(-1, 1, (5, 2)),
+                          rng.uniform(-1, 1, (5, 2)), 0.05)
+    assert np.allclose(mech.del_vector(oracle.Rows(ConstantLagrangian()), t),
+                       0.0, atol=1e-10)
 
 
 def test_del_residual_is_squared_norm():
     rng = np.random.default_rng(6)
     t = mech.ConfigTriple(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2),
                           rng.uniform(-1, 1, 2), 0.05)
-    d = mech.del_vector(DP, t)
-    assert abs(oracle.del_residual(DP, t) - d @ d) < 1e-12
+    d = oracle.del_vector(SDP, t)
+    assert abs(oracle.del_residual(SDP, t) - d @ d) < 1e-12
 
 
 @pytest.mark.parametrize("damped", [False, True])
@@ -158,18 +221,18 @@ def test_del_vector_matches_its_definition(damped):
     # D2 L_d(q1, q2) + D1 L_d(q2, q3) + (F_d(q1, q2) + F_d(q2, q3)) / 2 with
     # the slot derivatives of the midpoint L_d taken by central differences
     sys, h = mech.dp_system(damped=damped), 0.05
-    rng = np.random.default_rng(12)
-    for _ in range(100):
-        q1, q2, q3 = np.cumsum(rng.uniform(-0.1, 0.1, (3, 2)), axis=0) \
-            + rng.uniform(-1, 1, 2)
-        want = oracle.fd(lambda q: oracle.discrete_lagrangian(sys, q1, q, h),
+    one = oracle.ScalarDP(sys)
+    t = random_triples(np.random.default_rng(12), 100, h)
+    got = mech.del_vector(sys, t)
+    for i in range(100):
+        q1, q2, q3 = t.q1[i], t.q2[i], t.q3[i]
+        want = oracle.fd(lambda q: oracle.discrete_lagrangian(one, q1, q, h),
                          q2) \
-            + oracle.fd(lambda q: oracle.discrete_lagrangian(sys, q, q3, h),
+            + oracle.fd(lambda q: oracle.discrete_lagrangian(one, q, q3, h),
                         q2) \
-            + 0.5 * (oracle.discrete_force(sys, q1, q2, h)
-                     + oracle.discrete_force(sys, q2, q3, h))
-        got = mech.del_vector(sys, mech.ConfigTriple(q1, q2, q3, h))
-        assert np.abs(got - want).max() <= 1e-7 * max(np.abs(want).max(), 1)
+            + 0.5 * (oracle.discrete_force(one, q1, q2, h)
+                     + oracle.discrete_force(one, q2, q3, h))
+        assert np.abs(got[i] - want).max() <= 1e-7 * max(np.abs(want).max(), 1)
 
 
 class ScaledSystem(mech.LagrangianSystem):
@@ -212,93 +275,95 @@ def test_del_gauge_scaling():
     rng = np.random.default_rng(7)
     for gamma in (2.0, 10.0, 0.5):
         scaled = ScaledSystem(damped, gamma)
-        for _ in range(5):
-            t = mech.ConfigTriple(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2),
-                                  rng.uniform(-1, 1, 2), 0.05)
-            assert np.allclose(mech.del_vector(scaled, t),
-                               gamma * mech.del_vector(damped, t),
-                               rtol=1e-12, atol=1e-12)
-            assert np.isclose(oracle.del_residual(scaled, t),
-                              gamma ** 2 * oracle.del_residual(damped, t),
-                              rtol=1e-10)
+        t = mech.ConfigTriple(rng.uniform(-1, 1, (5, 2)),
+                              rng.uniform(-1, 1, (5, 2)),
+                              rng.uniform(-1, 1, (5, 2)), 0.05)
+        ds, d = mech.del_vector(scaled, t), mech.del_vector(damped, t)
+        assert np.allclose(ds, gamma * d, rtol=1e-12, atol=1e-12)
+        assert np.allclose(np.sum(ds ** 2, axis=1),
+                           gamma ** 2 * np.sum(d ** 2, axis=1), rtol=1e-10)
 
 
 def test_del_and_acceleration_invariant_to_potential_shift():
     shifted = ShiftedPotential(DP, 123.456)
     rng = np.random.default_rng(8)
-    for _ in range(5):
-        t = mech.ConfigTriple(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2),
-                              rng.uniform(-1, 1, 2), 0.05)
-        assert np.array_equal(mech.del_vector(shifted, t), mech.del_vector(DP, t))
-        q = rng.uniform(-np.pi, np.pi, size=2)
-        qd = rng.uniform(-2, 2, size=2)
-        assert np.array_equal(mech.acceleration(shifted, q, qd),
-                              mech.acceleration(DP, q, qd))
+    t = mech.ConfigTriple(rng.uniform(-1, 1, (5, 2)), rng.uniform(-1, 1, (5, 2)),
+                          rng.uniform(-1, 1, (5, 2)), 0.05)
+    assert np.array_equal(mech.del_vector(shifted, t), mech.del_vector(DP, t))
+    q = rng.uniform(-np.pi, np.pi, size=(5, 2))
+    qd = rng.uniform(-2, 2, size=(5, 2))
+    assert np.array_equal(mech.acceleration(shifted, q, qd),
+                          mech.acceleration(DP, q, qd))
 
 
 def test_del_jacobian_q3_matches_direct_fd():
-    t = mech.ConfigTriple([0.3, -0.2], [0.35, -0.1], [0.42, 0.05], 0.05)
+    t = mech.ConfigTriple(rows([0.3, -0.2]), rows([0.35, -0.1]),
+                          rows([0.42, 0.05]), 0.05)
     h = 1e-6
     for sys in (DP, mech.dp_system(damped=True)):
-        J = mech.del_jacobian_q3(sys, t)
+        J = mech.del_jacobian_q3(sys, t)[0]
         for k in range(2):
-            e = np.zeros(2)
-            e[k] = h
+            e = np.zeros((1, 2))
+            e[0, k] = h
             col = (mech.del_vector(sys, mech.ConfigTriple(t.q1, t.q2, t.q3 + e, t.h))
                    - mech.del_vector(sys, mech.ConfigTriple(t.q1, t.q2, t.q3 - e, t.h))) / (2 * h)
-            assert np.allclose(J[:, k], col, rtol=1e-4, atol=1e-6)
+            assert np.allclose(J[:, k], col[0], rtol=1e-4, atol=1e-6)
 
 
 # -- triple validation --------------------------------------------------------
 
 def test_config_triple_validation():
     with pytest.raises(ValueError):
-        mech.ConfigTriple([0.0], [0.0, 0.0], [0.0, 0.0], 0.05)
+        mech.ConfigTriple(rows([0.0, 0.0]), rows([0.0, 0.0], [0.0, 0.0]),
+                          rows([0.0, 0.0]), 0.05)
     with pytest.raises(ValueError):
-        mech.ConfigTriple([0.0, 0.0], [0.0, 0.0], [0.0, 0.0], 0.0)
+        mech.ConfigTriple(rows([0.0, 0.0]), rows([0.0, 0.0]), rows([0.0, 0.0]),
+                          0.0)
 
 
 # -- analytic double pendulum -------------------------------------------------
 
 def test_dp_mass_matrix_hand_value():
-    assert np.allclose(DP.mass_matrix(np.array([0.7, 0.0])),
-                       [[8 / 3, 5 / 6], [5 / 6, 1 / 3]], atol=1e-12)
+    assert np.allclose(DP.mass_matrix(rows([0.7, 0.0])),
+                       [[[8 / 3, 5 / 6], [5 / 6, 1 / 3]]], atol=1e-12)
 
 
 def test_dp_potential_hand_value():
-    assert abs(DP.potential(np.array([0.0, 0.0])) + 20.0) < 1e-12
+    assert np.allclose(DP.potential(rows([0.0, 0.0])), [-20.0], atol=1e-12)
 
 
 def test_dp_mass_matrix_symmetric_pd_sweep():
-    for q2 in np.linspace(-np.pi, np.pi, 101):
-        M = DP.mass_matrix(np.array([0.0, q2]))
-        assert np.array_equal(M, M.T)
-        assert np.linalg.eigvalsh(M)[0] > 0.0
+    q = np.stack([np.zeros(101), np.linspace(-np.pi, np.pi, 101)], axis=1)
+    M = DP.mass_matrix(q)
+    assert np.array_equal(M, M.transpose(0, 2, 1))
+    assert np.linalg.eigvalsh(M)[:, 0].min() > 0.0
 
 
 def test_dp_closed_form_derivatives_match_fd():
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        q = rng.uniform(-np.pi, np.pi, size=2)
-        assert np.allclose(DP.mass_jacobian(q),
-                           oracle.FdSystem.mass_jacobian(DP, q), atol=1e-7)
-        assert np.allclose(DP.potential_gradient(q),
-                           oracle.FdSystem.potential_gradient(DP, q), atol=1e-6)
-        assert np.allclose(DP.potential_hessian(q),
-                           oracle.FdSystem.potential_hessian(DP, q), atol=1e-4)
-        assert np.allclose(DP.mass_hessian(q),
-                           oracle.FdSystem.mass_hessian(DP, q), atol=1e-4)
+    q = np.random.default_rng(9).uniform(-np.pi, np.pi, size=(10, 2))
+    for i in range(10):
+        assert np.allclose(DP.mass_jacobian(q)[i],
+                           oracle.FdSystem.mass_jacobian(SDP, q[i]), atol=1e-7)
+        assert np.allclose(DP.potential_gradient(q)[i],
+                           oracle.FdSystem.potential_gradient(SDP, q[i]),
+                           atol=1e-6)
+        assert np.allclose(DP.potential_hessian(q)[i],
+                           oracle.FdSystem.potential_hessian(SDP, q[i]),
+                           atol=1e-4)
+        assert np.allclose(DP.mass_hessian(q)[i],
+                           oracle.FdSystem.mass_hessian(SDP, q[i]), atol=1e-4)
 
 
 def test_dp_damped_force_jacobians_match_fd():
     damped = mech.dp_system(damped=True)
+    one = oracle.ScalarDP(damped)
     q = np.array([0.3, -0.4])
     qd = np.array([1.2, -0.7])
-    assert np.allclose(damped.force_jacobian_q(q, qd),
-                       oracle.FdSystem.force_jacobian_q(damped, q, qd),
+    assert np.allclose(damped.force_jacobian_q(q[None], qd[None])[0],
+                       oracle.FdSystem.force_jacobian_q(one, q, qd),
                        atol=1e-8)
-    assert np.allclose(damped.force_jacobian_qdot(q, qd),
-                       oracle.FdSystem.force_jacobian_qdot(damped, q, qd),
+    assert np.allclose(damped.force_jacobian_qdot(q[None], qd[None])[0],
+                       oracle.FdSystem.force_jacobian_qdot(one, q, qd),
                        atol=1e-8)
 
 

@@ -306,14 +306,13 @@ def test_smm_system_del_residual_gamma_squared():
 def test_smm_system_acceleration_scale_invariant():
     # accelerations do not change under joint scaling of M, V, F
     p = npar.init_params(17, ARCH_F)
-    a = oracle.SmmSystem(p)
-    b = oracle.SmmSystem(oracle.scale_params(p, 25.0))
+    a = oracle.Rows(oracle.SmmSystem(p))
+    b = oracle.Rows(oracle.SmmSystem(oracle.scale_params(p, 25.0)))
     rng = np.random.default_rng(26)
-    for _ in range(5):
-        q = rng.uniform(-1, 1, size=2)
-        qd = rng.uniform(-1, 1, size=2)
-        assert np.allclose(mech.acceleration(a, q, qd),
-                           mech.acceleration(b, q, qd), rtol=1e-9, atol=1e-11)
+    q = rng.uniform(-1, 1, size=(5, 2))
+    qd = rng.uniform(-1, 1, size=(5, 2))
+    assert np.allclose(mech.acceleration(a, q, qd),
+                       mech.acceleration(b, q, qd), rtol=1e-9, atol=1e-11)
 
 
 # -- checkpoint files ---------------------------------------------------------

@@ -122,6 +122,42 @@ def test_rts_variance_reduction_and_psd():
         assert np.abs(P - P.T).max() <= 1e-10
 
 
+def rts_one_gain_at_a_time(model, filt):
+    """The backward pass solving for each gain inside the recursion."""
+    fm, fc, pm, pc = filt.means, filt.covs, filt.pred_means, filt.pred_covs
+    ms, Ps = np.empty_like(fm), np.empty_like(fc)
+    ms[-1], Ps[-1] = fm[-1], fc[-1]
+    for t in range(fm.shape[0] - 2, -1, -1):
+        G = np.linalg.solve(pc[t + 1],
+                            np.matmul(fc[t], model.A.T).transpose(0, 2, 1))
+        G = G.transpose(0, 2, 1)
+        dm = (ms[t + 1] - pm[t + 1])[:, :, None]
+        ms[t] = fm[t] + np.matmul(G, dm)[:, :, 0]
+        Ps[t] = fc[t] + np.matmul(np.matmul(G, Ps[t + 1] - pc[t + 1]),
+                                  G.transpose(0, 2, 1))
+    return ms, Ps
+
+
+def test_rts_stacked_gains_equal_one_gain_at_a_time():
+    model = triple_model(0.05, R=0.04)
+    y = _four_series()
+    filt = smo.kalman_filter(model, y)
+    sm = smo.rts_smooth(model, filt)
+    ms, Ps = rts_one_gain_at_a_time(model, filt)
+    assert np.array_equal(sm.means, ms) and np.array_equal(sm.covs, Ps)
+
+
+def test_rts_names_the_singular_covariance_met_first():
+    # the backward recursion meets the largest singular t + 1 first
+    model = triple_model(0.05, R=0.04)
+    filt = smo.kalman_filter(model, _four_series())
+    filt.pred_covs[5, 2] = 0.0
+    filt.pred_covs[12, 1] = 0.0
+    with pytest.raises(smo.NumericalDegeneracyError,
+                       match=r"singular predicted covariance at t=12$"):
+        smo.rts_smooth(model, filt)
+
+
 # -- em_fit -------------------------------------------------------------------
 
 def sample_lds(model, T, seed):
@@ -144,8 +180,8 @@ def test_em_recovers_known_r():
 
 def test_em_loglik_monotone_and_q_fixed():
     rng = np.random.default_rng(34)
-    traj = integ.simulate(mech.dp_system(), [0.6, -0.4], 0.05, 200)
-    y = traj.configs[:, :1] + rng.normal(0, 0.1, size=(200, 1))
+    configs, _ = integ.simulate(mech.dp_system(), [[0.6, -0.4]], 0.05, 200)
+    y = configs[0, :, :1] + rng.normal(0, 0.1, size=(200, 1))
     res = smo.em_fit(y, 0.05)
     assert np.all(np.diff(res.logliks[0]) >= -smo.EM_SLACK)
     assert np.array_equal(res.model.Q, smo.FIXED_Q)
@@ -192,7 +228,9 @@ def test_em_batch_equals_series(gain_tol, stops):
 def _clean_traj(seed=35, T=200):
     rng = np.random.default_rng(seed)
     q0 = rng.uniform(-1.0, 1.0, size=2)
-    return integ.simulate(mech.dp_system(), q0, 0.05, T)
+    configs, failed = integ.simulate(mech.dp_system(), q0[None], 0.05, T)
+    assert failed == {}
+    return integ.Trajectory(configs[0], 0.05)
 
 
 def test_smooth_noiseless_position_rmse():

@@ -15,6 +15,15 @@ from smmfit import training as tr
 import oracle
 
 SYS = mech.dp_system()
+SDP = oracle.ScalarDP(SYS)
+
+
+def rollout(q0, h, T):
+    configs, failed = integ.simulate(SYS, np.array([q0]), h, T)
+    assert failed == {}
+    return integ.Trajectory(configs[0], h)
+
+
 ARCH8 = netp.ArchConfig(n=2, hidden=(8, 8))
 
 
@@ -24,7 +33,7 @@ def gentle():
     rng = np.random.default_rng(21)
     starts = rng.uniform(-0.4, 0.4, size=(3, 2))
     splits = ["train", "train", "val"]
-    return [oracle.exact_traj(SYS, starts[i], 0.05, 100, splits[i])
+    return [oracle.exact_traj(SDP, starts[i], 0.05, 100, splits[i])
             for i in range(3)]
 
 
@@ -32,8 +41,8 @@ def gentle():
 def tiny():
     rng = np.random.default_rng(40)
     starts = rng.uniform(-0.5, 0.5, size=(2, 2))
-    return [oracle.exact_traj(SYS, starts[0], 0.05, 30, "train"),
-            oracle.exact_traj(SYS, starts[1], 0.05, 30, "val")]
+    return [oracle.exact_traj(SDP, starts[0], 0.05, 30, "train"),
+            oracle.exact_traj(SDP, starts[1], 0.05, 30, "val")]
 
 
 def del_batch(trajs):
@@ -165,10 +174,10 @@ def test_make_batches_partitions_indices():
 def test_del_loss_ground_truth_variational_triples():
     # triples generated by the variational integrator satisfy its own
     # discrete equations to solver tolerance
-    traj = integ.simulate(SYS, np.array([0.9, -0.5]), 0.05, 60)
+    traj = rollout([0.9, -0.5], 0.05, 60)
     c = traj.configs
     b = tr.Batch("del", {"q1": c[:-2], "q2": c[1:-1], "q3": c[2:]}, traj.h)
-    assert oracle.system_del_mean(SYS, b) <= 1e-12
+    assert oracle.system_del_mean(SDP, b) <= 1e-12
 
 
 def test_del_loss_matches_per_row_reference(tiny):
@@ -311,13 +320,13 @@ def test_accel_loss_on_own_predictions_is_zero(tiny):
 def test_accel_loss_ground_truth_vs_finite_difference_targets():
     # second differences of a fine noise-free trajectory approximate the
     # analytic accelerations to integrator-accuracy level
-    traj = integ.simulate(SYS, np.array([0.8, -0.4]), 0.002, 400)
+    traj = rollout([0.8, -0.4], 0.002, 400)
     c = traj.configs
     h = traj.h
     qd = (c[2:] - c[:-2]) / (2.0 * h)
     qdd = (c[2:] - 2.0 * c[1:-1] + c[:-2]) / h ** 2
     b = tr.Batch("accel", {"q": c[1:-1], "qdot": qd, "qddot": qdd})
-    assert oracle.system_accel_mse(SYS, b) <= 1e-4
+    assert oracle.system_accel_mse(SDP, b) <= 1e-4
 
 
 def test_accel_loss_invariant_under_joint_scaling(tiny):
@@ -362,10 +371,10 @@ def test_nextstate_ground_truth_on_smoothed_clean_data():
     # generator (variational) and predictor (RK4) disagree slightly, and the
     # smoother adds its own bias, so the floor is small but nonzero
     rng = np.random.default_rng(35)
-    traj = integ.simulate(SYS, rng.uniform(-1.0, 1.0, size=2), 0.05, 200)
+    traj = rollout(rng.uniform(-1.0, 1.0, size=2), 0.05, 200)
     st = smo.smooth_trajectory(traj.configs, traj.h)
     b = tr.assemble_tuples([st], "nextstate")
-    mse = oracle.system_nextstate_mse(SYS, b, traj.h)
+    mse = oracle.system_nextstate_mse(SDP, b, traj.h)
     assert 0.0 < mse < 1e-3
 
 
@@ -373,10 +382,10 @@ def test_nextstate_predictions_match_rk4_reference(tiny):
     params = netp.init_params(6, ARCH8)
     b = tr.assemble_tuples([tiny[0]], "nextstate").take(np.arange(8))
     qn, vn = oracle.nextstate_predictions(params, b, 0.05)
-    system = oracle.SmmSystem(params)
+    system = oracle.Rows(oracle.SmmSystem(params))
 
     def acc(qq, vv):
-        return mech.acceleration(system, qq, vv)
+        return mech.acceleration(system, qq[None], vv[None])[0]
 
     for i in range(len(b)):
         qr, vr = oracle.rk4_step(acc, b.data["q"][i], b.data["qdot"][i], 0.05)
