@@ -12,7 +12,6 @@ import csv
 import json
 import logging
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -346,6 +345,8 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
         specs += [(config, pool, seed, method, xi0, test_batch)
                   for method in config.methods for xi0 in config.lrs]
     if config.workers > 1:
+        # imported here: a serial run need not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=config.workers) as ex:
             results = list(ex.map(_cell_task, specs))
     else:

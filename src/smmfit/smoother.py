@@ -62,13 +62,12 @@ def transition_matrix(dt: float) -> np.ndarray:
 class LdsModel:
     """Per-coordinate linear dynamical system.
 
-    A, C and Q are shared by the K series.  R, m0 and P0 hold one entry
-    per series, (K,), (K, 3) and (K, 3, 3), or one value that broadcasts
-    to them.
+    A and Q are shared by the K series, which observe their position
+    (C = e₁).  R, m0 and P0 hold one entry per series, (K,), (K, 3) and
+    (K, 3, 3), or one value that broadcasts to them.
     """
 
     A: np.ndarray
-    C: np.ndarray
     Q: np.ndarray
     R: float | np.ndarray
     m0: np.ndarray
@@ -76,7 +75,6 @@ class LdsModel:
 
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=np.float64)
-        self.C = np.asarray(self.C, dtype=np.float64).reshape(1, -1)
         self.Q = np.asarray(self.Q, dtype=np.float64)
         self.m0 = np.asarray(self.m0, dtype=np.float64)
         self.P0 = np.asarray(self.P0, dtype=np.float64)
@@ -110,44 +108,47 @@ def kalman_filter(model: LdsModel, y: np.ndarray) -> FilterResult:
 
     The state at the first observation is the prior (m0, P0) itself; the
     transition applies between observations.  `y` is (T, K): T
-    observations of each of K series, filtered at once.
+    observations of each of K series, filtered at once.  With C = e₁,
+    c P cᵀ, P cᵀ and C m are P[:, 0, 0], P[:, :, 0] and m[:, 0]: the
+    products' values on finite covariances.  A degenerate series runs on
+    to the end; the error then names the first bad t and series.
     """
     Y = np.asarray(y, dtype=np.float64)
     T, K = Y.shape
     A, Q = model.A, model.Q
-    c = model.C.ravel()
-    ccol = c[:, None]
+    At = np.ascontiguousarray(A.T)
     d = A.shape[0]
     R = np.broadcast_to(np.asarray(model.R, dtype=np.float64), (K,))
-    means = np.empty((T, K, d))
-    covs = np.empty((T, K, d, d))
-    pred_means = np.empty((T, K, d))
-    pred_covs = np.empty((T, K, d, d))
+    means, pred_means = np.empty((2, T, K, d))
+    covs, pred_covs = np.empty((2, T, K, d, d))
+    S, innov = np.empty((2, T, K))
     eye = np.eye(d)
+    # I − K c: the identity but for column 0, which each step rewrites
+    IKC = np.broadcast_to(eye, (K, d, d)).copy()
+    Rb = R[:, None, None]
+    pred_means[:1], pred_covs[:1] = model.m0, model.P0
+    with np.errstate(all="ignore"):
+        for t in range(T):
+            m, P = pred_means[t], pred_covs[t]
+            if t > 0:
+                np.matmul(A, means[t - 1][:, :, None], out=m[:, :, None])
+                np.add(np.matmul(np.matmul(A, covs[t - 1]), At), Q, out=P)
+            s = np.add(P[:, 0, 0], R, out=S[t])
+            e = np.subtract(Y[t], m[:, 0], out=innov[t])
+            Kg = P[:, :, 0] / s[:, None]
+            np.add(m, Kg * e[:, None], out=means[t])
+            np.subtract(eye[:, 0], Kg, out=IKC[:, :, 0])
+            np.add(np.matmul(np.matmul(IKC, P), _bt(IKC)),
+                   (Kg[:, :, None] * Kg[:, None, :]) * Rb, out=covs[t])
+    bad = (S <= 0) | ~np.isfinite(S)
+    if bad.any():
+        t, k = np.argwhere(bad)[0]
+        raise NumericalDegeneracyError(
+            f"innovation variance {S[t, k]} at t={t} in series {k}")
+    terms = -0.5 * (np.log(2.0 * np.pi * S) + innov * innov / S)
     loglik = np.zeros(K)
-    m = np.broadcast_to(model.m0, (K, d)).copy()
-    P = np.broadcast_to(model.P0, (K, d, d)).copy()
-    for t in range(T):
-        if t > 0:
-            m = np.matmul(A, m[:, :, None])[:, :, 0]
-            P = np.matmul(np.matmul(A, P), A.T) + Q
-        pred_means[t] = m
-        pred_covs[t] = P
-        s = np.matmul(np.matmul(c, P)[:, None, :], ccol)[:, 0, 0] + R
-        bad = (s <= 0) | ~np.isfinite(s)
-        if bad.any():
-            k = int(np.flatnonzero(bad)[0])
-            raise NumericalDegeneracyError(
-                f"innovation variance {s[k]} at t={t} in series {k}")
-        innov = Y[t] - np.matmul(m[:, None, :], ccol)[:, 0, 0]
-        loglik += -0.5 * (np.log(2.0 * np.pi * s) + innov * innov / s)
-        Kg = np.matmul(P, ccol)[:, :, 0] / s[:, None]
-        m = m + Kg * innov[:, None]
-        IKC = eye - Kg[:, :, None] * c
-        P = (np.matmul(np.matmul(IKC, P), _bt(IKC))
-             + (Kg[:, :, None] * Kg[:, None, :]) * R[:, None, None])
-        means[t] = m
-        covs[t] = P
+    for term in terms:  # in t order from 0.0; a pairwise sum moves bits
+        loglik += term
     return FilterResult(means, covs, pred_means, pred_covs, loglik)
 
 
@@ -198,7 +199,7 @@ def em_fit(y: np.ndarray, dt: float, q_fixed: np.ndarray = FIXED_Q,
     """Fit R, m0, P0 by EM with the process covariance held fixed.
 
     Closed-form M-steps:
-      R  = (1/T) Σ_t [(y_t − C m_t|T)² + C P_t|T Cᵀ]
+      R  = (1/T) Σ_t [(y_t − m_t|T[0])² + P_t|T[0, 0]]
       m0 = m_1|T,  P0 = P_1|T
     The log-likelihood trace must be non-decreasing (1e-8 slack); a drop
     beyond that is a bug in the updates, not a data property.
@@ -215,9 +216,7 @@ def em_fit(y: np.ndarray, dt: float, q_fixed: np.ndarray = FIXED_Q,
     yk = np.ascontiguousarray(Y.T)
     r0 = np.var(np.diff(yk, axis=1), axis=1) if T > 1 else np.ones(K)
     A = transition_matrix(dt)
-    C = np.array([[1.0, 0.0, 0.0]])
     Q = np.asarray(q_fixed, dtype=np.float64)
-    c = C.ravel()
     R = np.maximum(r0, R_FLOOR)
     v0 = (Y[1] - Y[0]) / dt if T > 1 else np.zeros(K)
     m0 = np.stack([Y[0], v0, np.zeros(K)], axis=1)
@@ -230,7 +229,7 @@ def em_fit(y: np.ndarray, dt: float, q_fixed: np.ndarray = FIXED_Q,
     iterations = [0] * K
     active = np.arange(K)
     for it in range(iters + 1):
-        model = LdsModel(A=A, C=C, Q=Q, R=R, m0=m0, P0=P0)
+        model = LdsModel(A=A, Q=Q, R=R, m0=m0, P0=P0)
         filt = kalman_filter(model, Y[:, active])
         gain = np.full(active.size, np.inf)
         if it > 0:
@@ -259,16 +258,14 @@ def em_fit(y: np.ndarray, dt: float, q_fixed: np.ndarray = FIXED_Q,
             break
         active = active[keep]
         prev = filt.loglik[keep]
-        means = np.ascontiguousarray(smooth.means[:, keep].transpose(1, 0, 2))
-        covs = np.ascontiguousarray(
-            smooth.covs[:, keep].transpose(1, 0, 2, 3))
-        resid = yk[active] - np.matmul(means, c)
-        cpc = np.einsum("i,ktij,j->kt", c, covs, c)
-        R = np.maximum(np.mean(resid ** 2 + cpc, axis=1), R_FLOOR)
-        m0 = means[:, 0]
-        P0 = covs[:, 0]
+        # C-order (K, T), so each series' mean runs as it would alone
+        pos = np.ascontiguousarray(smooth.means[:, keep, 0].T)
+        var = np.ascontiguousarray(smooth.covs[:, keep, 0, 0].T)
+        R = np.maximum(np.mean((yk[active] - pos) ** 2 + var, axis=1),
+                       R_FLOOR)
+        m0, P0 = smooth.means[0, keep], smooth.covs[0, keep]
 
-    model = LdsModel(A=A, C=C, Q=Q, R=fit_R, m0=fit_m0, P0=fit_P0)
+    model = LdsModel(A=A, Q=Q, R=fit_R, m0=fit_m0, P0=fit_P0)
     return EmResult(model, logliks, iterations, out)
 
 

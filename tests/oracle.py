@@ -2,8 +2,10 @@
 `grad`/`jacobian`, central-difference hooks (`fd`, `FdSystem`), the
 continuous and midpoint discrete Lagrangian and force, an RK4 step, the
 `system_*` scores of any system, readouts of the library's loss graphs,
-and a plain-numpy single-point SMM model read out of a `FlatParams`
-vector.  `SmmSystem` takes M and V derivatives from `grad`/`jacobian`
+a plain-numpy single-point SMM model read out of a `FlatParams`
+vector, and the smoother's former matrix-form Kalman filter and EM
+(`matrix_kalman_filter`, `matrix_em_fit`), which take the observation
+row C as a product where the library selects the position.  `SmmSystem` takes M and V derivatives from `grad`/`jacobian`
 sweeps over the per-node tape builders of `column_graph`, an independent
 path from the library's fused forward-mode builds the losses use.
 
@@ -658,3 +660,106 @@ def barrier_grad(params, configs, alpha):
     ld = tr._shifted_logdet_t(L, params.layout.arch.n, alpha)
     g = tape.gradients(dc.mean_all(ld), [theta])[0]
     return g.value.ravel().copy()
+
+
+# -- matrix-form Kalman filter and EM ------------------------------------------
+
+E1 = np.array([[1.0, 0.0, 0.0]])
+
+
+def matrix_kalman_filter(model, y, C=E1) -> smo.FilterResult:
+    """The filter with c P cᵀ, P cᵀ, C m and I − K c as products for a
+    general (1, d) observation row, raising at the first degenerate step."""
+    Y = np.asarray(y, dtype=np.float64)
+    T, K = Y.shape
+    A, Q = model.A, model.Q
+    c = np.asarray(C, dtype=np.float64).ravel()
+    ccol = c[:, None]
+    d = A.shape[0]
+    R = np.broadcast_to(np.asarray(model.R, dtype=np.float64), (K,))
+    means = np.empty((T, K, d))
+    covs = np.empty((T, K, d, d))
+    pred_means = np.empty((T, K, d))
+    pred_covs = np.empty((T, K, d, d))
+    eye = np.eye(d)
+    loglik = np.zeros(K)
+    m = np.broadcast_to(model.m0, (K, d)).copy()
+    P = np.broadcast_to(model.P0, (K, d, d)).copy()
+    for t in range(T):
+        if t > 0:
+            m = np.matmul(A, m[:, :, None])[:, :, 0]
+            P = np.matmul(np.matmul(A, P), A.T) + Q
+        pred_means[t] = m
+        pred_covs[t] = P
+        s = np.matmul(np.matmul(c, P)[:, None, :], ccol)[:, 0, 0] + R
+        bad = (s <= 0) | ~np.isfinite(s)
+        if bad.any():
+            k = int(np.flatnonzero(bad)[0])
+            raise smo.NumericalDegeneracyError(
+                f"innovation variance {s[k]} at t={t} in series {k}")
+        innov = Y[t] - np.matmul(m[:, None, :], ccol)[:, 0, 0]
+        loglik += -0.5 * (np.log(2.0 * np.pi * s) + innov * innov / s)
+        Kg = np.matmul(P, ccol)[:, :, 0] / s[:, None]
+        m = m + Kg * innov[:, None]
+        IKC = eye - Kg[:, :, None] * c
+        P = (np.matmul(np.matmul(IKC, P), IKC.swapaxes(-1, -2))
+             + (Kg[:, :, None] * Kg[:, None, :]) * R[:, None, None])
+        means[t] = m
+        covs[t] = P
+    return smo.FilterResult(means, covs, pred_means, pred_covs, loglik)
+
+
+def matrix_em_fit(y, dt, iters=smo.EM_ITERS, gain_tol=smo.EM_GAIN_TOL):
+    """`smo.em_fit` on `matrix_kalman_filter`, with the M-step's C m and
+    C P Cᵀ as a matmul and an einsum over (K, T, ...) copies."""
+    Y = np.asarray(y, dtype=np.float64)
+    T, K = Y.shape
+    yk = np.ascontiguousarray(Y.T)
+    r0 = np.var(np.diff(yk, axis=1), axis=1) if T > 1 else np.ones(K)
+    A = smo.transition_matrix(dt)
+    Q = smo.FIXED_Q
+    c = E1.ravel()
+    R = np.maximum(r0, smo.R_FLOOR)
+    v0 = (Y[1] - Y[0]) / dt if T > 1 else np.zeros(K)
+    m0 = np.stack([Y[0], v0, np.zeros(K)], axis=1)
+    P0 = np.broadcast_to(np.diag([1.0, 1.0, 10.0]), (K, 3, 3)).copy()
+    fit_R, fit_m0, fit_P0 = np.empty(K), np.empty((K, 3)), np.empty((K, 3, 3))
+    out = smo.SmoothResult(np.empty((T, K, 3)), np.empty((T, K, 3, 3)),
+                           np.empty(K))
+    logliks = [[] for _ in range(K)]
+    iterations = [0] * K
+    active = np.arange(K)
+    for it in range(iters + 1):
+        model = smo.LdsModel(A=A, Q=Q, R=R, m0=m0, P0=P0)
+        filt = matrix_kalman_filter(model, Y[:, active])
+        gain = np.full(active.size, np.inf)
+        if it > 0:
+            assert np.all(filt.loglik >= prev - smo.EM_SLACK)
+            gain = filt.loglik - prev
+        for j, k in enumerate(active):
+            logliks[k].append(filt.loglik[j])
+        smooth = smo.rts_smooth(model, filt)
+        done = gain < gain_tol if it < iters else np.ones(active.size, bool)
+        if done.any():
+            k = active[done]
+            fit_R[k], fit_m0[k], fit_P0[k] = R[done], m0[done], P0[done]
+            out.means[:, k] = smooth.means[:, done]
+            out.covs[:, k] = smooth.covs[:, done]
+            out.loglik[k] = smooth.loglik[done]
+            for i in k:
+                iterations[i] = it + 1
+        keep = ~done
+        if not keep.any():
+            break
+        active = active[keep]
+        prev = filt.loglik[keep]
+        means = np.ascontiguousarray(smooth.means[:, keep].transpose(1, 0, 2))
+        covs = np.ascontiguousarray(
+            smooth.covs[:, keep].transpose(1, 0, 2, 3))
+        resid = yk[active] - np.matmul(means, c)
+        cpc = np.einsum("i,ktij,j->kt", c, covs, c)
+        R = np.maximum(np.mean(resid ** 2 + cpc, axis=1), smo.R_FLOOR)
+        m0 = means[:, 0]
+        P0 = covs[:, 0]
+    model = smo.LdsModel(A=A, Q=Q, R=fit_R, m0=fit_m0, P0=fit_P0)
+    return smo.EmResult(model, logliks, iterations, out)

@@ -32,11 +32,14 @@ def report(tag, ok, detail):
 
 @pytest.fixture(scope="module")
 def experiment(tmp_path_factory):
-    """The headline sweep: 3 seeds x 3 methods x 3 rates on noisy data."""
+    """The headline sweep: 3 seeds x 3 methods x 3 rates on noisy data.
+
+    Two workers give the serial run's result bytes
+    (`test_run_experiment_workers_match_serial`) in less wall time."""
     out = tmp_path_factory.mktemp("sweep") / "exp"
     config = cli.ExperimentConfig(system="undamped", sigma=0.1, seeds=3,
                                   n_trajectories=16, split=(8, 4, 4), T=100,
-                                  epochs=150, out=str(out))
+                                  epochs=150, workers=2, out=str(out))
     t0 = time.perf_counter()
     table = cli.run_experiment(config)
     wall = time.perf_counter() - t0

@@ -1,5 +1,7 @@
 """Kalman/RTS/EM checks against closed-form and sampled-data oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,13 @@ from smmfit import integrators as integ
 from smmfit import mechanics as mech
 from smmfit import smoother as smo
 
+import oracle
+
+E1 = oracle.E1.ravel()
+
 
 def triple_model(dt, R, m0=(0.0, 0.0, 0.0), P0=None):
     return smo.LdsModel(A=smo.transition_matrix(dt),
-                        C=np.array([[1.0, 0.0, 0.0]]),
                         Q=smo.FIXED_Q, R=R,
                         m0=np.asarray(m0, dtype=np.float64),
                         P0=np.diag([1.0, 1.0, 10.0]) if P0 is None else P0)
@@ -58,7 +63,7 @@ def test_filter_single_step_bayes_update():
     model = triple_model(0.05, R=0.25, m0=(0.3, 0.0, 0.0))
     y = np.array([1.1])
     filt = smo.kalman_filter(model, y[:, None])
-    c = model.C.ravel()
+    c = E1
     s = c @ model.P0 @ c + model.R
     K = model.P0 @ c / s
     want_m = model.m0 + K * (y[0] - c @ model.m0)
@@ -83,6 +88,56 @@ def test_filter_rejects_bad_innovation():
     model.P0 = np.zeros((3, 3))
     with pytest.raises(smo.NumericalDegeneracyError):
         smo.kalman_filter(model, np.zeros((3, 1)))
+
+
+def random_model(K, seed):
+    rng = np.random.default_rng(seed)
+
+    def spd(*shape):
+        B = rng.normal(size=shape + (3, 3))
+        return np.matmul(B, B.swapaxes(-1, -2)) + 0.1 * np.eye(3)
+
+    return smo.LdsModel(A=smo.transition_matrix(rng.uniform(0.01, 0.1)),
+                        Q=spd(), R=rng.uniform(1e-3, 1.0, size=K),
+                        m0=rng.normal(size=(K, 3)), P0=spd(K))
+
+
+def random_series(T, K, seed):
+    rng = np.random.default_rng(seed)
+    return np.cumsum(rng.normal(0.0, 0.1, size=(T, K)), axis=0)
+
+
+@pytest.mark.parametrize("K", [1, 5, 16])
+@pytest.mark.parametrize("T", [3, 40, 100])
+def test_filter_equals_matrix_oracle(K, T):
+    # reading C = e1 as selections keeps every bit of the products
+    model = random_model(K, seed=100 * K + T)
+    y = random_series(T, K, seed=T + K)
+    got = smo.kalman_filter(model, y)
+    want = oracle.matrix_kalman_filter(model, y)
+    for name in ("means", "covs", "pred_means", "pred_covs", "loglik"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("R, where", [
+    ([0.04, -0.3, 0.04, -0.1, -1e-3], "t=1 in series 1"),
+    ([-1e-3, 0.04, -0.3, 0.04, -0.1], "t=1 in series 2"),
+])
+def test_filter_degeneracy_names_first_t_then_first_series(R, where):
+    # a negative R drives s <= 0 at t=1 (R <= -0.1) or t=2 (R = -1e-3);
+    # the error names the first bad t, then the first bad series there,
+    # and the series that run on past it raise no RuntimeWarning
+    model = triple_model(0.05, R=1.0)
+    model.R = np.array(R)
+    y = random_series(30, 5, seed=4)
+    with pytest.raises(smo.NumericalDegeneracyError) as want:
+        oracle.matrix_kalman_filter(model, y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(smo.NumericalDegeneracyError) as got:
+            smo.kalman_filter(model, y)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).endswith(where)
 
 
 # -- rts_smooth ---------------------------------------------------------------
@@ -167,7 +222,7 @@ def sample_lds(model, T, seed):
     for t in range(T):
         if t > 0:
             x = model.A @ x + rng.multivariate_normal(np.zeros(3), model.Q)
-        ys[t] = model.C.ravel() @ x + rng.normal(0.0, np.sqrt(model.R))
+        ys[t] = E1 @ x + rng.normal(0.0, np.sqrt(model.R))
     return ys
 
 
@@ -221,6 +276,24 @@ def test_em_batch_equals_series(gain_tol, stops):
         assert np.array_equal(batch.model.P0[k], one.model.P0[0])
         assert batch.iterations[k] == one.iterations[0]
         assert batch.logliks[k] == one.logliks[0]
+
+
+@pytest.mark.parametrize("K", [1, 5, 16])
+@pytest.mark.parametrize("T", [3, 40, 100])
+def test_em_equals_matrix_oracle(K, T):
+    # the M-step's selections keep the bits of its matmul and einsum;
+    # gain_tol 1e-3 lets series leave the batch at different iterations
+    y = random_series(T, K, seed=7 * K + T)
+    got = smo.em_fit(y, 0.05, gain_tol=1e-3)
+    want = oracle.matrix_em_fit(y, 0.05, gain_tol=1e-3)
+    assert got.iterations == want.iterations
+    assert got.logliks == want.logliks
+    for name in ("R", "m0", "P0"):
+        assert np.array_equal(getattr(got.model, name),
+                              getattr(want.model, name)), name
+    for name in ("means", "covs", "loglik"):
+        assert np.array_equal(getattr(got.smooth, name),
+                              getattr(want.smooth, name)), name
 
 
 # -- smooth_trajectory --------------------------------------------------------
