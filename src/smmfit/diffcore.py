@@ -14,6 +14,11 @@ the sweep accumulates arrays and records nothing on the tape except one
 node per requested adjoint.  Rules skip the arithmetic for parents that
 need no gradient.  The adjoint nodes have no derivative rule:
 differentiating through one raises NonDifferentiablePrimitiveError.
+
+The primitives here are the few the loss graphs use outside their fused
+nodes (`add`, `scale`, `sum_all`, `sumsq`, `mean_all`, `concat_cols`);
+every other node is a `custom` node with a caller-supplied value and
+first-order backward rule.
 """
 
 from __future__ import annotations
@@ -239,19 +244,6 @@ def mean_all(a: Tensor) -> Tensor:
     return scale(sum_all(a), 1.0 / a.value.size)
 
 
-def cols(a: Tensor, j0: int, j1: int) -> Tensor:
-    out = a.tape._append(np.ascontiguousarray(a.value[:, j0:j1]), (a,), "cols",
-                         a.requires_grad)
-
-    def bwd(g):
-        v = np.zeros(a.shape)
-        v[:, j0:j1] = g
-        return (v,)
-
-    out.bwd = bwd
-    return out
-
-
 def concat_cols(parts) -> Tensor:
     parts = list(parts)
     tape = parts[0].tape
@@ -277,9 +269,7 @@ def custom(parents, value, bwd, op: str = "custom") -> Tensor:
 
     ``bwd(g)`` maps the node's adjoint to one adjoint (or None) per entry
     of ``parents``, and must not refer to the node it belongs to.  A
-    parent may be listed more than once: the sweep adds its adjoints in
-    list order, so a fused block can hand over each use of a parent
-    separately, in the order a graph of smaller nodes would add them.
+    parent listed more than once gets its adjoints added in list order.
     """
     parents = tuple(parents)
     tape = parents[0].tape

@@ -11,12 +11,14 @@ A model is one flat parameter vector (`FlatParams`); its `ParamLayout`
 names the slot of every weight, bias and the log-scale block.  Each
 batched net build (`chol_entries_t`, `potential_t`, `force_t`) is one
 tape node that slices its net out of that vector, runs the MLP and its
-output head in numpy and replays the per-node graph's reverse sweep in
-its backward, so losses and gradients keep every bit.  The Cholesky and
-potential builds take optional forward-mode directions and return one
-spatial derivative per direction; with none they build the value alone.
-M(q) and its derivatives come from the Gram of the factor (`gram`),
-inside the fused nodes; `mass_entries_t` gives M(q) values with no tape.
+output head in numpy, and takes the plain reverse-mode adjoint in its
+backward.  The Cholesky and potential builds take optional forward-mode
+directions and pack the derivatives along them into the same node: the
+factor's entries followed by each direction's, or dV/dq in place of V.
+M(q) and its derivatives come from the Gram of the factor (`gram`, with
+its adjoint `gram_bwd`) inside the fused blocks, which work on the (B,)
+columns of the packed nodes; `mass_entries_t` gives M(q) values with no
+tape.
 """
 
 from __future__ import annotations
@@ -141,23 +143,16 @@ def init_params(rng, arch: ArchConfig) -> FlatParams:
 # -- fused net builds ---------------------------------------------------------
 #
 # Each net build (an MLP and its output head) is one tape node.  Its
-# forward runs the numpy expressions of the per-node graph it replaces (a
-# node per weight slice, matmul, tanh, product and head entry), in that
-# graph's order.  Its backward replays that graph's reverse sweep: every
-# adjoint is the same expression, added in the order the sweep added it,
-# and an output whose adjoint the sweep never reached (the value of a
-# build that only serves its directions) contributes nothing.  The node
-# returns one full-size theta adjoint with the build's slots filled, and
-# an adjoint for its input only when the input needs one.
+# forward runs the net in numpy, carrying the forward-mode directions
+# beside the values; its backward is the reverse-mode adjoint of that
+# forward.  The node returns one full-size theta adjoint with the build's
+# slots filled, and an adjoint for its input only when the input needs
+# one.
 
-def _t(a: np.ndarray) -> np.ndarray:
-    # a contiguous transpose for the matmul adjoints
+def transposed(a: np.ndarray) -> np.ndarray:
+    """A contiguous transpose: a (B, m) array's m columns as (B,) rows,
+    or rows back to columns."""
     return np.ascontiguousarray(a.T)
-
-
-def _add(prev, c):
-    # how the sweep adds a contribution into an adjoint
-    return c if prev is None else prev + c
 
 
 def _mlp_np(theta_v, layout: ParamLayout, net: str, x, dirs):
@@ -179,59 +174,44 @@ def _mlp_np(theta_v, layout: ParamLayout, net: str, x, dirs):
         if i < last:
             o = np.tanh(z)
             if es:
-                s = -(o * o) + 1.0
+                s = 1.0 - o * o
         layers.append((a, das, W, b.shape, es, o, s))
         a, das = (o, [s * e for e in es]) if i < last else (z, es)
     return a, das, layers
 
 
 def _mlp_bwd(layers, g_out, g_douts, want_x: bool, want_w: bool):
-    """Reverse sweep of `_mlp_np` from the adjoints of its output and its
-    directions (None where the sweep reached none): (adjoint of x or
+    """Adjoint of `_mlp_np` from the adjoints of its output (None when
+    only the directions are used) and of its directions: (adjoint of x or
     None, (gW, gb) per layer)."""
-    last = len(layers) - 1
     ga, gda = g_out, list(g_douts)
     grads = []
-    for i in reversed(range(last + 1)):
+    for i in reversed(range(len(layers))):
         a, das, W, bshape, es, o, s = layers[i]
-        if i < last:
-            ge = [None] * len(es)
-            gs = None
-            for d in reversed(range(len(es))):
-                gp = gda[d]
-                if gp is None:
-                    continue
-                # p = s * e
-                gs = _add(gs, dc._unbroadcast(gp * es[d], s.shape))
-                ge[d] = dc._unbroadcast(gp * s, es[d].shape)
-            if gs is not None:
-                # s = -(o * o) + 1.0: the shift, the negation, then o * o,
-                # whose two factors are the same node
-                gaa = -gs
-                c = dc._unbroadcast(gaa * o, o.shape)
-                ga = _add(ga, c) + c
-            gz = None
-            if ga is not None:
-                gz = ga * (s if s is not None else -(o * o) + 1.0)
-        else:
-            gz, ge = ga, gda
-        Wt = _t(W) if i > 0 or want_x else None
+        gz, ge = ga, gda
+        if o is not None:
+            # o = tanh(z); its derivative s = 1 - o² also scales each
+            # direction (s * e), and ds/do = -2 o
+            if s is None:
+                s = 1.0 - o * o
+            ge = [dc._unbroadcast(gp * s, e.shape) for gp, e in zip(gda, es)]
+            go = ga
+            if gda:
+                c = -2.0 * o * sumprod(gda, es)
+                go = c if go is None else go + c
+            gz = None if go is None else go * s
+        Wt = transposed(W) if i > 0 or want_x else None
         gW = gb = ga = None
-        gda = [None] * len(es)
-        for d in reversed(range(len(es))):
-            if ge[d] is None:
-                continue
-            if i > 0:
-                gda[d] = ge[d] @ Wt
-            if want_w:
-                gW = _add(gW, _t(das[d]) @ ge[d])
         if gz is not None:
             if want_w:
-                gb = dc._unbroadcast(gz, bshape)
-            if i > 0 or want_x:
+                gW, gb = transposed(a) @ gz, dc._unbroadcast(gz, bshape)
+            if Wt is not None:
                 ga = gz @ Wt
-            if want_w:
-                gW = _add(gW, _t(a) @ gz)
+        if want_w:
+            for da, g_e in zip(das, ge):
+                c = transposed(da) @ g_e
+                gW = c if gW is None else gW + c
+        gda = [g_e @ Wt for g_e in ge] if i > 0 else []
         grads.append((gW, gb))
     return ga, grads[::-1]
 
@@ -245,9 +225,8 @@ def _theta_adjoint(shape, layout: ParamLayout, net: str, grads, scale_slot,
         for (_, s, e), c in zip(slots, cs):
             if c is not None:
                 g[:, s:e] = c.reshape(1, -1)
-    if g_scale is not None:
-        _, s, _ = layout.slot("log_scales")
-        g[:, s + scale_slot:s + scale_slot + 1] = g_scale
+    _, s, _ = layout.slot("log_scales")
+    g[:, s + scale_slot:s + scale_slot + 1] = g_scale
     return g
 
 
@@ -256,106 +235,59 @@ def _log_scale_np(theta_v, layout: ParamLayout, which: int) -> np.ndarray:
     return np.ascontiguousarray(theta_v[:, s + which:s + which + 1])
 
 
-def _sum11(g: np.ndarray) -> np.ndarray:
-    # the adjoint of a (1, 1) factor
-    return dc._unbroadcast(g, (1, 1))
-
-
-def _colsums(P: np.ndarray) -> np.ndarray:
-    """Each column's sum, as `.sum()` of that (B, 1) column adds it: over
-    a contiguous run of B numbers."""
-    return np.ascontiguousarray(P.T).sum(axis=1)
-
-
 def _chol_head_np(theta_v, layout: ParamLayout, out, douts):
-    """The scaled Cholesky entries as (B, tri) columns in `tri_keys`
-    order, softplus + eps on the diagonal and e^{s_M/2} folded in, and
-    their directions: (entries, per-direction entries, record for the
-    backward).
-
-    Entry by entry this is the per-entry graph: the diagonal's softplus
-    and sigmoid gate run on its columns, and every other step is one
-    elementwise product, here taken over all columns at once.
-    """
+    """The scaled Cholesky entries in `tri_keys` order, then their
+    derivatives along each direction, packed as (B, tri·(1 + D)):
+    softplus + eps on the diagonal, the sigmoid gate on each direction's
+    diagonal and e^{s_M/2} on every entry.  Returns (packed, record for
+    `_chol_head_bwd`)."""
     arch = layout.arch
     # the diagonal's columns among the tri_keys
     diag = [i * (i + 3) // 2 for i in range(arch.n)]
     half = dc._exp_np(_log_scale_np(theta_v, layout, 0) * 0.5)
     dg = out[:, diag]
-    pre = out.copy()
-    pre[:, diag] = dc._softplus_np(dg) + arch.eps
+    # softplus' is the gate
     gate = dc._sigmoid_np(dg) if douts else None
-    pres = []
+    parts = [out.copy()]
+    parts[0][:, diag] = dc._softplus_np(dg) + arch.eps
     for do in douts:
-        # gate * dcol on the diagonal, the plain direction elsewhere
-        xg = np.array(np.broadcast_to(do, out.shape))
-        xg[:, diag] = gate * do[:, diag]
-        pres.append(xg)
-    return pre * half, [xg * half for xg in pres], \
-        (half, dg, pre, gate, pres, douts, diag)
+        part = np.array(np.broadcast_to(do, out.shape))
+        part[:, diag] = gate * do[:, diag]
+        parts.append(part)
+    pre = np.concatenate(parts, axis=1)
+    return pre * half, (half, dg, gate, pre, douts, diag)
 
 
 def _chol_head_bwd(g, record):
-    """Reverse sweep of `_chol_head_np` from the packed adjoint of its
-    entries and directions: (adjoint of the net output, of each direction
-    output, of s_M)."""
-    half, dg, pre, gate, pres, douts, diag = record
-    T = pre.shape[1]
-    D = len(douts)
-    # the (1, 1) sums of the products with half, in the sweep's order:
-    # entry by entry from the last, each entry's directions last first
-    sums = _colsums(g * np.concatenate([pre, *pres], axis=1))
-    order = [T * (d + 1) + t for t in reversed(range(T))
-             for d in [*reversed(range(D)), -1]]
-    ghalf = np.add.accumulate(sums[order])[-1:].reshape(1, 1)
+    """Adjoint of `_chol_head_np` from the packed adjoint of its entries:
+    (adjoint of the net output, of each direction output, of s_M)."""
+    half, dg, gate, pre, douts, diag = record
+    if gate is None:
+        gate = dc._sigmoid_np(dg)
+    T = pre.shape[1] // (1 + len(douts))
+    g_s = np.sum(g * pre) * half * 0.5
     gh = g * half
-    g_do = []
-    ggate = None
-    for d in reversed(range(D)):
-        ggm = gh[:, T * (d + 1) + np.array(diag)]
-        ggate = _add(ggate, ggm * douts[d][:, diag])
-        gdo = gh[:, T * (d + 1):T * (d + 2)].copy()
-        gdo[:, diag] = ggm * gate
-        if douts[d].shape[0] == 1:
-            gdo = _colsums(gdo).reshape(1, T)
-        g_do.append(gdo)
     g_out = gh[:, :T].copy()
-    gsh = g_out[:, diag]
-    if D:
-        g_out[:, diag] = ggate * (gate * (-gate + 1.0)) + gsh * gate
-    else:
-        g_out[:, diag] = gsh * dc._sigmoid_np(dg)
-    # half = exp(s_M * 0.5)
-    return g_out, g_do[::-1], (ghalf * half) * 0.5
-
-
-def _column_nodes(node, start: int, width: int):
-    return [dc.cols(node, k, k + 1) for k in range(start, start + width)]
-
-
-def _packed(cols, B: int) -> np.ndarray:
-    return np.concatenate([c if c.shape[0] == B else np.broadcast_to(c, (B, 1))
-                           for c in cols], axis=1)
-
-
-def _unpacked(g: np.ndarray):
-    # a (1, 1) entry gets its (B, 1) column; its consumers reduce it
-    return [np.ascontiguousarray(g[:, k:k + 1]) for k in range(g.shape[1])]
+    g_out[:, diag] *= gate
+    g_do = []
+    for d, do in enumerate(douts):
+        gd = gh[:, T * (d + 1):T * (d + 2)].copy()
+        g_diag = gd[:, diag]
+        g_out[:, diag] += g_diag * do[:, diag] * (gate * (1.0 - gate))
+        gd[:, diag] = g_diag * gate
+        g_do.append(dc._unbroadcast(gd, do.shape))
+    return g_out, g_do, g_s
 
 
 def chol_entries_t(theta, layout: ParamLayout, Q, dirs=()):
-    """Scaled Cholesky columns {(i,j): (B,1)} with e^{s_M/2} folded in, so
-    M = Σ_k L̃[i,k] L̃[j,k] directly, and one such dict per direction.
-
-    The mass net and its head are one tape node; the entries are column
-    slices of its packed output.
-    """
-    keys = tri_keys(layout.arch.n)
-    T = len(keys)
+    """The scaled Cholesky factor with e^{s_M/2} folded in, so that
+    M = L̃ L̃ᵀ directly, as one (B, tri·(1 + len(dirs))) tape node: the
+    entries in `tri_keys` order, then the same entries' derivatives along
+    each direction.  The mass net and its head are the one node."""
     tv = theta.value
     out, douts, layers = _mlp_np(tv, layout, "mass", Q.value,
                                  [d.value for d in dirs])
-    ent, dent, record = _chol_head_np(tv, layout, out, douts)
+    packed, record = _chol_head_np(tv, layout, out, douts)
     want_x, want_w = Q.requires_grad, theta.requires_grad
 
     def bwd(g):
@@ -365,11 +297,7 @@ def chol_entries_t(theta, layout: ParamLayout, Q, dirs=()):
             if want_w else None
         return gt, gx
 
-    node = dc.custom([theta, Q], np.concatenate([ent, *dent], axis=1), bwd,
-                     "mass_net")
-    cols = [dict(zip(keys, _column_nodes(node, T * d, T)))
-            for d in range(1 + len(dent))]
-    return cols[0], cols[1:]
+    return dc.custom([theta, Q], packed, bwd, "mass_net")
 
 
 def mass_entries_t(params: FlatParams, Q) -> np.ndarray:
@@ -380,52 +308,43 @@ def mass_entries_t(params: FlatParams, Q) -> np.ndarray:
     tv = params.values.reshape(1, -1)
     Q = np.asarray(Q, dtype=np.float64)
     out, _, _ = _mlp_np(tv, layout, "mass", Q, [])
-    ent, _, _ = _chol_head_np(tv, layout, out, [])
-    G, _ = gram({k: ent[:, t:t + 1] for t, k in enumerate(tri_keys(n))},
-                [], n)
+    packed, _ = _chol_head_np(tv, layout, out, [])
+    G, _ = gram(transposed(packed), n)
     M = np.empty((Q.shape[0], n, n))
     for i in range(n):
         for j in range(n):
-            M[:, i, j] = G[sym(i, j)][:, 0]
+            M[:, i, j] = G[tri_index(i, j)]
     return M
 
 
 def potential_t(theta, layout: ParamLayout, Q, dirs=()):
-    """Batched V(q) as a (B,1) tape tensor, or with directions its spatial
-    derivatives, (B,1) each, in place of the value: (V or None, dV).
-
-    The potential net and its e^{s_V} scale are one tape node.  The value
-    is left out when directions are asked for, since no caller then reads
-    it, and its adjoint would only be zero.
-    """
+    """Batched V(q) as one (B, 1) tape node, or with directions its
+    derivatives along them as one (B, len(dirs)) node in place of the
+    value, which no caller then reads.  The potential net and its e^{s_V}
+    scale are the one node."""
     tv = theta.value
     out, douts, layers = _mlp_np(tv, layout, "potential", Q.value,
                                  [d.value for d in dirs])
     g = dc._exp_np(_log_scale_np(tv, layout, 1))
-    vals = [do * g for do in douts] if douts else [out * g]
+    B = out.shape[0]
+    raw = np.concatenate([np.broadcast_to(do, (B, 1)) for do in douts],
+                         axis=1) if douts else out
     want_x, want_w = Q.requires_grad, theta.requires_grad
 
     def bwd(gp):
-        cols = _unpacked(gp)
-        gg = None
+        graw = gp * g
         if douts:
-            g_out, g_do = None, [None] * len(douts)
-            for d in reversed(range(len(douts))):
-                g_do[d] = dc._unbroadcast(cols[d] * g, douts[d].shape)
-                gg = _add(gg, _sum11(cols[d] * douts[d]))
+            g_out = None
+            g_do = [dc._unbroadcast(graw[:, d:d + 1], do.shape)
+                    for d, do in enumerate(douts)]
         else:
-            g_out, g_do = cols[0] * g, []
-            gg = _sum11(cols[0] * out)
+            g_out, g_do = graw, []
         gx, grads = _mlp_bwd(layers, g_out, g_do, want_x, want_w)
         gt = _theta_adjoint(tv.shape, layout, "potential", grads, 1,
-                            gg * g) if want_w else None
+                            np.sum(gp * raw) * g) if want_w else None
         return gt, gx
 
-    node = dc.custom([theta, Q], _packed(vals, out.shape[0]), bwd,
-                     "potential_net")
-    if not douts:
-        return node, []
-    return None, _column_nodes(node, 0, len(douts))
+    return dc.custom([theta, Q], raw * g, bwd, "potential_net")
 
 
 def force_t(theta, layout: ParamLayout, Q, Qdot):
@@ -442,7 +361,7 @@ def force_t(theta, layout: ParamLayout, Q, Qdot):
     def bwd(gF):
         gx, grads = _mlp_bwd(layers, gF * g, [], want_x, want_w)
         gt = _theta_adjoint(tv.shape, layout, "force", grads, 2,
-                            _sum11(gF * out) * g) if want_w else None
+                            np.sum(gF * out) * g) if want_w else None
         return gt, gx
 
     return dc.custom([theta, X], out * g, bwd, "force_net")
@@ -450,160 +369,130 @@ def force_t(theta, layout: ParamLayout, Q, Qdot):
 
 # -- fused blocks -------------------------------------------------------------
 #
-# A fused block is one tape node that does the work of many (B, 1) column
-# nodes.  Its forward runs the same ufuncs on the same contiguous columns
-# in the same order as the column graph it replaces.  Its backward replays
-# that graph's sweep in reverse node order and adds every adjoint in the
-# order the sweep added it, so values and gradients keep every bit.  A
-# parent that no later node consumes gets one summed adjoint; a parent
-# that a later node also consumes is listed once per use instead.
+# A fused block is one tape node that does the work of many small ones on
+# (B,) columns, the rows of its parents' transposed values.  A symmetric
+# n x n matrix (M, ∂M/∂q_k, the inverse of the shifted M, an adjoint) is
+# held as its `tri_keys` entries, and the adjoint of an entry off the
+# diagonal covers both places it stands in.  Each block's backward is the
+# plain first-order adjoint of its forward and returns one adjoint per
+# parent; `gram_bwd` is the adjoint of the Gram that all of them share.
 
 def tri_keys(n: int):
     """(i, j) for j <= i, row by row: the order entries are built in."""
     return [(i, j) for i in range(n) for j in range(i + 1)]
 
 
-def sym(i: int, j: int):
-    """The stored key of symmetric entry (i, j)."""
-    return (i, j) if j <= i else (j, i)
+def tri_index(i: int, j: int) -> int:
+    """The position of symmetric entry (i, j) among the `tri_keys`."""
+    if j > i:
+        i, j = j, i
+    return i * (i + 1) // 2 + j
 
 
-def accumulate(adj: dict, key, c) -> None:
-    """Add ``c`` into ``adj[key]`` as the backward sweep adds adjoints."""
-    prev = adj.get(key)
-    adj[key] = c if prev is None else prev + c
+def sumprod(a, b):
+    """Σ_k a[k] b[k] over two sequences of arrays, added in order."""
+    acc = a[0] * b[0]
+    for x, y in zip(a[1:], b[1:]):
+        acc = acc + x * y
+    return acc
 
 
-def gram(L, dL, n: int, with_M: bool = True):
-    """M = L Lᵀ and dM = dL Lᵀ + L dLᵀ per direction, from (B, 1) entry
-    arrays keyed (i, j) with j <= i, summed over k in increasing order
-    as the per-entry column graph adds its products."""
-    M = {}
-    dM = [{} for _ in dL]
-    for i in range(n):
-        for j in range(i + 1):
-            if with_M:
-                acc = None
-                for k in range(j + 1):
-                    t = L[i, k] * L[j, k]
-                    acc = t if acc is None else acc + t
-                M[i, j] = acc
-            for dl, dm in zip(dL, dM):
-                acc = None
-                for k in range(j + 1):
-                    t = dl[i, k] * L[j, k] + L[i, k] * dl[j, k]
-                    acc = t if acc is None else acc + t
-                dm[i, j] = acc
+def sym_outer(a, b):
+    """The entries of a bᵀ + b aᵀ off the diagonal and a_i b_i on it, so
+    that ⟨S, a bᵀ⟩ = sumprod(S, sym_outer(a, b)) for a symmetric S."""
+    return [a[i] * b[i] if i == j else a[i] * b[j] + a[j] * b[i]
+            for i, j in tri_keys(len(a))]
+
+
+def matvec(S, x):
+    """S x for a symmetric S."""
+    n = len(x)
+    return [sumprod([S[tri_index(i, j)] for j in range(n)], x)
+            for i in range(n)]
+
+
+def gram(P, n: int, ndirs: int = 0, with_M: bool = True):
+    """M = L Lᵀ and dM = dL Lᵀ + L dLᵀ for the first ``ndirs``
+    directions, from the rows of a packed factor (L's entries, then each
+    direction's), summed over k in increasing order."""
+    T = n * (n + 1) // 2
+    rows = list(P)
+    L = rows[:T]
+    dL = [rows[T * (d + 1):T * (d + 2)] for d in range(ndirs)]
+    M = [None] * T
+    dM = [[None] * T for _ in dL]
+    for t, (i, j) in enumerate(tri_keys(n)):
+        ik = [tri_index(i, k) for k in range(j + 1)]
+        jk = [tri_index(j, k) for k in range(j + 1)]
+        Li, Lj = [L[k] for k in ik], [L[k] for k in jk]
+        if with_M:
+            M[t] = sumprod(Li, Lj)
+        for dl, dm in zip(dL, dM):
+            dm[t] = sumprod([dl[k] for k in ik], Lj) \
+                + sumprod(Li, [dl[k] for k in jk])
     return M, dM
 
 
-@lru_cache(maxsize=None)
-def gram_schedule(n: int, ndirs: int, with_M: bool):
-    """The Gram's products in backward order: (direction or None for M,
-    entry, (i, k), (j, k))."""
-    steps = []
-    for i in reversed(range(n)):
-        for j in reversed(range(i + 1)):
-            for d in reversed(range(ndirs)):
-                steps += [(d, (i, j), (i, k), (j, k))
-                          for k in reversed(range(j + 1))]
-            if with_M:
-                steps += [(None, (i, j), (i, k), (j, k))
-                          for k in reversed(range(j + 1))]
-    return tuple(steps)
+def gram_bwd(P, n: int, gM, gdM) -> np.ndarray:
+    """The adjoint of `gram`, as rows shaped like ``P``: from the adjoint
+    of M's entries (None where M is not used) and of each direction's
+    dM (zeros for directions with none)."""
+    T = n * (n + 1) // 2
+    G = np.zeros_like(P)
+    L, gL = P[:T], G[:T]
+    dirs = [(P[T * (d + 1):T * (d + 2)], G[T * (d + 1):T * (d + 2)], gd)
+            for d, gd in enumerate(gdM)]
+    for t, (i, j) in enumerate(tri_keys(n)):
+        for k in range(j + 1):
+            ik, jk = tri_index(i, k), tri_index(j, k)
+            if gM is not None:
+                gL[ik] += gM[t] * L[jk]
+                gL[jk] += gM[t] * L[ik]
+            for dl, gdl, gd in dirs:
+                gdl[ik] += gd[t] * L[jk]
+                gdl[jk] += gd[t] * L[ik]
+                gL[ik] += gd[t] * dl[jk]
+                gL[jk] += gd[t] * dl[ik]
+    return G
 
 
-def gram_uses(n: int, ndirs: int, with_M: bool):
-    """The L entry behind each contribution gram_bwd returns, in order."""
-    return [key for _, _, ik, jk in gram_schedule(n, ndirs, with_M)
-            for key in (ik, jk)]
-
-
-def gram_bwd(L, dL, gM, gdM, n: int, with_M: bool = True):
-    """Backward of gram: L's contributions one per use (as gram_uses keys
-    them; None where the product's adjoint is None) and dL's summed
-    adjoints per direction."""
-    uses = []
-    gdL = [{} for _ in dL]
-    for d, e, ik, jk in gram_schedule(n, len(dL), with_M):
-        G = gM.get(e) if d is None else gdM[d].get(e)
-        if G is None:
-            uses += [None, None]
-        elif d is None:
-            # t = L[i,k] * L[j,k]
-            uses += [G * L[jk], G * L[ik]]
-        else:
-            # t = dl[i,k] * L[j,k] + L[i,k] * dl[j,k]; the second product
-            # is the later node, so its adjoints come first
-            dl, a = dL[d], gdL[d]
-            uses.append(G * dl[jk])
-            accumulate(a, jk, G * L[ik])
-            accumulate(a, ik, G * L[jk])
-            uses.append(G * dl[ik])
-    return uses, gdL
-
-
-def sum_uses(keys, uses) -> dict:
-    """One summed adjoint per key from per-use contributions."""
-    adj = {}
-    for key, c in zip(keys, uses):
-        if c is not None:
-            accumulate(adj, key, c)
-    return adj
-
-
-def chol_solve_t(L, rhs):
-    """Solve L Lᵀ x = b for a (B, n) right-hand side as one tape node.
-
-    ``L`` maps (i, j), j <= i, to (B, 1) tensors.  Forward and back
-    substitution run column by column, as n (B, 1) columns.
-    """
-    n = rhs.shape[1]
-    keys = tri_keys(n)
-    Lv = {k: L[k].value for k in keys}
-    r = [dc._reciprocal_np(Lv[i, i]) for i in range(n)]
-    y, yacc = [], []
+def _substitute(L, r, b):
+    """x with L Lᵀ x = b by forward, then back substitution; ``r`` holds
+    the reciprocals of L's diagonal."""
+    n = len(b)
+    y = []
     for i in range(n):
-        acc = np.ascontiguousarray(rhs.value[:, i:i + 1])
+        acc = b[i]
         for j in range(i):
-            acc = acc + -(Lv[i, j] * y[j])
-        yacc.append(acc)
+            acc = acc - L[tri_index(i, j)] * y[j]
         y.append(acc * r[i])
-    x, xacc = [None] * n, [None] * n
+    x = [None] * n
     for i in reversed(range(n)):
         acc = y[i]
         for j in range(i + 1, n):
-            acc = acc + -(Lv[j, i] * x[j])
-        xacc[i] = acc
+            acc = acc - L[tri_index(j, i)] * x[j]
         x[i] = acc * r[i]
+    return x
+
+
+def chol_solve_t(L, rhs):
+    """Solve L Lᵀ x = b for a (B, n) right-hand side as one tape node,
+    ``L`` a packed factor node (`chol_entries_t`).
+
+    The backward solves once more for the adjoint of b and hands
+    -(gb xᵀ + x gbᵀ) to the Gram's adjoint.
+    """
+    n = rhs.shape[1]
+    P = transposed(L.value)
+    r = [dc._reciprocal_np(P[tri_index(i, i)]) for i in range(n)]
+    x = _substitute(P, r, transposed(rhs.value))
 
     def bwd(g):
-        adj = {}
-        gx = [np.ascontiguousarray(g[:, i:i + 1]) for i in range(n)]
-        gy = [None] * n
-        # back substitution, last node first: row 0 was built last
-        for i in range(n):
-            a = gx[i] * r[i]
-            accumulate(adj, (i, i), -((gx[i] * xacc[i]) * (r[i] * r[i])))
-            for j in reversed(range(i + 1, n)):
-                gp = -a
-                accumulate(adj, (j, i), gp * x[j])
-                gx[j] = gx[j] + gp * Lv[j, i]
-            gy[i] = a
-        # forward substitution
-        gb = [None] * n
-        for i in reversed(range(n)):
-            a = gy[i] * r[i]
-            accumulate(adj, (i, i), -((gy[i] * yacc[i]) * (r[i] * r[i])))
-            for j in reversed(range(i)):
-                gp = -a
-                accumulate(adj, (i, j), gp * y[j])
-                gy[j] = gy[j] + gp * Lv[i, j]
-            gb[i] = a
-        return (*(adj[k] for k in keys), np.concatenate(gb, axis=1))
+        gb = _substitute(P, r, transposed(g))
+        gM = sym_outer([-c for c in gb], x)
+        return transposed(gram_bwd(P, n, gM, [])), transposed(np.array(gb))
 
-    return dc.custom([L[k] for k in keys] + [rhs], np.concatenate(x, axis=1),
-                     bwd, "chol_solve")
+    return dc.custom([L, rhs], transposed(np.array(x)), bwd, "chol_solve")
 
 
 # -- checkpoint files ---------------------------------------------------------

@@ -111,7 +111,9 @@ def kalman_filter(model: LdsModel, y: np.ndarray) -> FilterResult:
     observations of each of K series, filtered at once.  With C = e₁,
     c P cᵀ, P cᵀ and C m are P[:, 0, 0], P[:, :, 0] and m[:, 0]: the
     products' values on finite covariances.  A degenerate series runs on
-    to the end; the error then names the first bad t and series.
+    to the end; the error then names the first bad t and series, of an
+    innovation variance that is not positive and finite first, then of a
+    non-finite filtered mean or covariance.
     """
     Y = np.asarray(y, dtype=np.float64)
     T, K = Y.shape
@@ -145,6 +147,12 @@ def kalman_filter(model: LdsModel, y: np.ndarray) -> FilterResult:
         t, k = np.argwhere(bad)[0]
         raise NumericalDegeneracyError(
             f"innovation variance {S[t, k]} at t={t} in series {k}")
+    bad = ~(np.isfinite(means).all(axis=2)
+            & np.isfinite(covs).all(axis=(2, 3)))
+    if bad.any():
+        t, k = np.argwhere(bad)[0]
+        raise NumericalDegeneracyError(
+            f"non-finite filtered state at t={t} in series {k}")
     terms = -0.5 * (np.log(2.0 * np.pi * S) + innov * innov / S)
     loglik = np.zeros(K)
     for term in terms:  # in t order from 0.0; a pairwise sum moves bits

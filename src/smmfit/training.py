@@ -13,9 +13,10 @@ short even through the four RK4 stages; a single reverse sweep at the
 end then yields exact parameter gradients.  The mass-matrix Gram, the
 Euler-Lagrange terms, the Cholesky solve and the barrier's shifted
 factorization each run inside one fused tape node too (see netparam's
-fused blocks).  Every fused node's backward replays the per-node graph
-it replaces, so every loss and gradient keeps its bits.  The barrier's
-feasibility check reads M(q) from the numpy forward with no tape.
+fused blocks); each takes the packed factor, dV and force nodes whole,
+and its backward is the plain first-order adjoint of its forward.  The
+barrier's feasibility check reads M(q) from the numpy forward with no
+tape.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ import numpy as np
 
 from . import diffcore as dc
 from .integrators import IntegrationBlowupError
-from .netparam import (FlatParams, accumulate, chol_entries_t, chol_solve_t,
-                       force_t, gram, gram_bwd, gram_uses, mass_entries_t,
-                       potential_t, sum_uses, sym, tri_keys)
+from .netparam import (FlatParams, chol_entries_t, chol_solve_t, force_t,
+                       gram, gram_bwd, mass_entries_t, matvec, potential_t,
+                       sumprod, sym_outer, transposed, tri_index, tri_keys)
 
 _log = logging.getLogger("smmfit.training")
 
@@ -150,233 +151,140 @@ def _accel_t(tape, theta, layout, X, Xd):
     """Batched accelerations at (X, Xd) as a (B, n) tensor."""
     n = layout.arch.n
     dirs = [tape.constant(np.eye(n)[k:k + 1]) for k in range(n)]
-    L, dL = chol_entries_t(theta, layout, X, dirs)
-    _, dV = potential_t(theta, layout, X, dirs)
-    # the nets, then the xd columns before force_t's concat: the sweep adds
-    # the adjoints of theta, X and Xd in reverse tape order, so this order
-    # fixes their bits
-    xd = [dc.cols(Xd, j, j + 1) for j in range(n)]
-    F = None
-    if not layout.arch.conservative:
-        F = force_t(theta, layout, X, Xd)
-    return chol_solve_t(L, _euler_lagrange_rhs_t(L, dL, dV, xd, F))
+    L = chol_entries_t(theta, layout, X, dirs)
+    dV = potential_t(theta, layout, X, dirs)
+    F = None if layout.arch.conservative else force_t(theta, layout, X, Xd)
+    return chol_solve_t(L, _euler_lagrange_rhs_t(L, dV, Xd, F))
 
 
-def _euler_lagrange_rhs_t(L, dL, dV, xd, F):
+def _euler_lagrange_rhs_t(L, dV, Xd, F):
     """The right-hand side of M q̈ = τ as one (B, n) fused node.
 
-    τ_i = 1/2 q̇ᵀ (∂M/∂q_i) q̇ - ∂V/∂q_i - Σ_k (∂M/∂q_k q̇)_i q̇_k (+ F_i),
-    with ∂M the Gram of the scaled factor L and its directions dL.  The
-    Cholesky solve after it also consumes L, so L is listed once per use.
+    τ_i = 1/2 q̇ᵀ (∂M/∂q_i) q̇ - ∂V/∂q_i - (D q̇)_i (+ F_i) with
+    D = Σ_k q̇_k ∂M/∂q_k, the ∂M the Gram directions of the packed factor
+    node ``L``, ``dV`` the packed (B, n) potential derivatives and ``F``
+    the force node or None.
     """
-    n = len(xd)
-    keys = tri_keys(n)
-    Lv = {k: L[k].value for k in keys}
-    dLv = [{k: d[k].value for k in keys} for d in dL]
-    _, dM = gram(Lv, dLv, n, with_M=False)
-    xv = [c.value for c in xd]
-    prods = {}
-    cols = []
-    for i in range(n):
-        quad = curv = None
-        for k in range(n):
-            for j in range(n):
-                a = dM[i][sym(k, j)] * xv[k]
-                t = a * xv[j]
-                quad = t if quad is None else quad + t
-                b = dM[k][sym(i, j)] * xv[j]
-                t = b * xv[k]
-                curv = t if curv is None else curv + t
-                prods[i, k, j] = a, b
-        cols.append(quad * 0.5 + -dV[i].value + -curv)
+    n = Xd.shape[1]
+    T = n * (n + 1) // 2
+    P = transposed(L.value)
+    _, dM = gram(P, n, n, with_M=False)
+    x = transposed(Xd.value)
+    xx = sym_outer(x, x)
+    D = [sumprod(x, [dm[t] for dm in dM]) for t in range(T)]
+    quad = np.array([sumprod(dm, xx) for dm in dM])
+    tau = transposed(quad * 0.5 - transposed(dV.value)
+                     - np.array(matvec(D, x)))
     if F is not None:
-        cols = [c + np.ascontiguousarray(F.value[:, i:i + 1])
-                for i, c in enumerate(cols)]
-    uses = gram_uses(n, n, False)
+        tau = tau + F.value
 
     def bwd(g):
-        g = [np.ascontiguousarray(g[:, i:i + 1]) for i in range(n)]
-        gF = None
-        if F is not None:
-            for i in reversed(range(n)):
-                v = np.zeros(F.shape)
-                v[:, i:i + 1] = g[i]
-                gF = v if gF is None else gF + v
-        with_x = xd[0].requires_grad
-        gdM = [{} for _ in range(n)]
-        gx, gdV = {}, [None] * n
-        for i in reversed(range(n)):
-            gcurv, gdV[i], gquad = -g[i], -g[i], g[i] * 0.5
-            for k in reversed(range(n)):
-                for j in reversed(range(n)):
-                    a, b = prods[i, k, j]
-                    gb = gcurv * xv[k]
-                    if with_x:
-                        accumulate(gx, k, gcurv * b)
-                    accumulate(gdM[k], sym(i, j), gb * xv[j])
-                    if with_x:
-                        accumulate(gx, j, gb * dM[k][sym(i, j)])
-                    ga = gquad * xv[j]
-                    if with_x:
-                        accumulate(gx, j, gquad * a)
-                    accumulate(gdM[i], sym(k, j), ga * xv[k])
-                    if with_x:
-                        accumulate(gx, k, ga * dM[i][sym(k, j)])
-        gL, gdL = gram_bwd(Lv, dLv, {}, gdM, n, with_M=False)
-        return (*gL, *(d.get(k) for d in gdL for k in keys), *gdV,
-                *(gx.get(j) for j in range(n)),
-                *(() if F is None else (gF,)))
+        # quad_i = <∂M/∂q_i, xx> and the curvature term D x: the adjoint
+        # of D first, then of each ∂M/∂q_k, then of x through all three
+        gr = transposed(g)
+        gD = sym_outer([-c for c in gr], x)
+        gq = [c * 0.5 for c in gr]
+        gdM = [[gq[k] * xx[t] + x[k] * gD[t] for t in range(T)]
+               for k in range(n)]
+        gx = None
+        if Xd.requires_grad:
+            gxx = [sumprod(gq, [dm[t] for dm in dM]) for t in range(T)]
+            gx = transposed(np.array(matvec(gxx, x)) * 2.0
+                            - np.array(matvec(D, gr))
+                            + np.array([sumprod(dm, gD) for dm in dM]))
+        return (transposed(gram_bwd(P, n, None, gdM)), -g, gx,
+                *(() if F is None else (g,)))
 
-    parents = [L[k] for k in uses] + [d[k] for d in dL for k in keys] \
-        + list(dV) + list(xd) + ([] if F is None else [F])
-    return dc.custom(parents, np.concatenate(cols, axis=1), bwd,
-                     "euler_lagrange_rhs")
+    parents = [L, dV, Xd] + ([] if F is None else [F])
+    return dc.custom(parents, tau, bwd, "euler_lagrange_rhs")
 
 
 def _del_residual_t(arm_a, arm_b, h: float):
     """The discrete Euler-Lagrange residual as one (B, n) fused node.
 
-    Each arm is (L, dL, dV, F, v) at one pair midpoint: the scaled factor,
-    its directions, dV/dq, the force (or None) and the pair velocity.  Row
-    i is h/2 (∂L_a + ∂L_b)_i + (M_a v_a - M_b v_b)_i (+ h/2 (F_a + F_b)_i)
+    Each arm is (L, dV, F, v) at one pair midpoint: the packed factor node
+    with its directions, the packed dV/dq node, the force node (or None)
+    and the pair velocity array.  Row i is
+    h/2 (∂L_a + ∂L_b)_i + (M_a v_a - M_b v_b)_i (+ h/2 (F_a + F_b)_i)
     with ∂L_k = 1/2 vᵀ (∂M/∂q_k) v - ∂V/∂q_k.
     """
-    n = len(arm_a[2])
-    keys = tri_keys(n)
+    n = arm_a[3].shape[1]
+    T = n * (n + 1) // 2
     c = h / 2.0
-    arms, terms = [], []
-    for L, dL, dV, F, v in (arm_a, arm_b):
-        Lv = {k: L[k].value for k in keys}
-        dLv = [{k: d[k].value for k in keys} for d in dL]
-        M, dM = gram(Lv, dLv, n)
-        vc = [np.ascontiguousarray(v[:, j:j + 1]) for j in range(n)]
-        gL, p = [], []
-        for k in range(n):
-            quad = None
-            for i in range(n):
-                for j in range(n):
-                    t = dM[k][sym(i, j)] * vc[i] * vc[j]
-                    quad = t if quad is None else quad + t
-            gL.append(quad * 0.5 + -dV[k].value)
-        for i in range(n):
-            acc = None
-            for j in range(n):
-                t = M[sym(i, j)] * vc[j]
-                acc = t if acc is None else acc + t
-            p.append(acc)
-        arms.append((Lv, dLv, vc, F))
-        terms.append((gL, p))
-    (gLa, pa), (gLb, pb) = terms
-    Fa, Fb = arm_a[3], arm_b[3]
-    cols = []
-    for i in range(n):
-        d = (gLa[i] + gLb[i]) * c
-        d = d + (pa[i] + -pb[i])
-        if Fa is not None:
-            d = d + (np.ascontiguousarray(Fa.value[:, i:i + 1])
-                     + np.ascontiguousarray(Fb.value[:, i:i + 1])) * c
-        cols.append(d)
-    uses = gram_uses(n, n, True)
+    arms, quad, p = [], 0.0, 0.0
+    for (L, dV, F, v), sign in zip((arm_a, arm_b), (1.0, -1.0)):
+        P = transposed(L.value)
+        M, dM = gram(P, n, n)
+        vr = transposed(v)
+        vv = sym_outer(vr, vr)
+        quad = quad + np.array([sumprod(dm, vv) for dm in dM]) * 0.5 \
+            - transposed(dV.value)
+        p = p + np.array(matvec(M, vr)) * sign
+        arms.append((L, dV, F, P, vr, vv, sign))
+    res = transposed(quad * c + p)
+    Fa, Fb = arm_a[2], arm_b[2]
+    if Fa is not None:
+        res = res + (Fa.value + Fb.value) * c
 
     def bwd(g):
-        g = [np.ascontiguousarray(g[:, i:i + 1]) for i in range(n)]
-        gF = [None, None]
-        ggL = [[None] * n, [None] * n]
-        gp = [[None] * n, [None] * n]
-        for i in reversed(range(n)):
-            if Fa is not None:
-                gf = g[i] * c
-                for side in (1, 0):
-                    v = np.zeros(Fa.shape)
-                    v[:, i:i + 1] = gf
-                    gF[side] = v if gF[side] is None else gF[side] + v
-            gp[0][i], gp[1][i] = g[i], -g[i]
-            ggL[0][i] = ggL[1][i] = g[i] * c
+        gr = transposed(g)
+        gq = [r * (c * 0.5) for r in gr]
+        gdV, gF = g * -c, g * c
         out = []
-        for side, (Lv, dLv, vc, F) in enumerate(arms):
-            gM, gdM, gdV = {}, [{} for _ in range(n)], [None] * n
-            for i in reversed(range(n)):
-                for j in reversed(range(n)):
-                    accumulate(gM, sym(i, j), gp[side][i] * vc[j])
-            for k in reversed(range(n)):
-                gdV[k] = -ggL[side][k]
-                gq = ggL[side][k] * 0.5
-                for i in reversed(range(n)):
-                    for j in reversed(range(n)):
-                        accumulate(gdM[k], sym(i, j), gq * vc[j] * vc[i])
-            gL, gdL = gram_bwd(Lv, dLv, gM, gdM, n)
-            gL = sum_uses(uses, gL)
-            out += [gL[k] for k in keys] + [d.get(k) for d in gdL
-                                            for k in keys] + gdV
+        for L, dV, F, P, vr, vv, sign in arms:
+            gM = sym_outer([r * sign for r in gr], vr)
+            gdM = [[gq[k] * vv[t] for t in range(T)] for k in range(n)]
+            out += [transposed(gram_bwd(P, n, gM, gdM)), gdV]
             if F is not None:
-                out.append(gF[side])
+                out.append(gF)
         return tuple(out)
 
-    parents = []
-    for L, dL, dV, F, _ in (arm_a, arm_b):
-        parents += [L[k] for k in keys] + [d[k] for d in dL for k in keys] \
-            + list(dV) + ([] if F is None else [F])
-    return dc.custom(parents, np.concatenate(cols, axis=1), bwd,
-                     "del_residual")
+    parents = [node for L, dV, F, *_ in arms
+               for node in (L, dV, *(() if F is None else (F,)))]
+    return dc.custom(parents, res, bwd, "del_residual")
 
 
 def _shifted_logdet_t(L, n: int, shift: float):
     """log det(M - shift I) per row as one (B, 1) fused node, M the Gram
-    of the scaled factor L.
+    of the packed factor node ``L``.
 
-    The shifted factor is built entry by entry; any nonpositive pivot
-    means the barrier is violated.
+    The shifted factor S is built entry by entry; any nonpositive pivot
+    means the barrier is violated.  The backward reads
+    (M - shift I)⁻¹ = S⁻ᵀ S⁻¹ from S.
     """
-    keys = tri_keys(n)
-    Lv = {k: L[k].value for k in keys}
-    M, _ = gram(Lv, [], n)
-    S, accs, recips = {}, {}, {}
+    P = transposed(L.value)
+    M, _ = gram(P, n)
+    S, r = {}, [None] * n
     ld = None
-    for i in range(n):
-        for j in range(i + 1):
-            acc = M[i, j]
-            if i == j and shift != 0.0:
-                acc = acc + -shift
-            for k in range(j):
-                acc = acc + -(S[i, k] * S[j, k])
-            accs[i, j] = acc
-            if i == j:
-                if not np.all(np.isfinite(acc)) or np.any(acc <= 0.0):
-                    raise BarrierViolationError(i, float(np.nanmin(acc)))
-                S[i, i] = np.sqrt(acc)
-                ld = np.log(acc) if ld is None else ld + np.log(acc)
-            else:
-                recips[i, j] = dc._reciprocal_np(S[j, j])
-                S[i, j] = acc * recips[i, j]
-    uses = gram_uses(n, 0, True)
+    for i, j in tri_keys(n):
+        acc = M[tri_index(i, j)]
+        if i == j and shift != 0.0:
+            acc = acc - shift
+        for k in range(j):
+            acc = acc - S[i, k] * S[j, k]
+        if i == j:
+            if not np.all(np.isfinite(acc)) or np.any(acc <= 0.0):
+                raise BarrierViolationError(i, float(np.nanmin(acc)))
+            S[i, i] = np.sqrt(acc)
+            r[i] = 1.0 / S[i, i]
+            ld = np.log(acc) if ld is None else ld + np.log(acc)
+        else:
+            S[i, j] = acc * r[j]
 
     def bwd(g):
-        gS, gM = {}, {}
-        for i in reversed(range(n)):
-            for j in reversed(range(i + 1)):
-                acc = accs[i, j]
-                if i == j:
-                    a = g * (1.0 / acc)
-                    gs = gS.get((i, i))
-                    if gs is not None:
-                        a = a + gs * (dc._reciprocal_np(S[i, i]) * 0.5)
-                else:
-                    gs = gS.get((i, j))
-                    if gs is None:
-                        continue
-                    r = recips[i, j]
-                    a = gs * r
-                    accumulate(gS, (j, j), -((gs * acc) * (r * r)))
-                for k in reversed(range(j)):
-                    gp = -a
-                    accumulate(gS, (i, k), gp * S[j, k])
-                    accumulate(gS, (j, k), gp * S[i, k])
-                gM[i, j] = a
-        gL, _ = gram_bwd(Lv, [], gM, [], n)
-        gL = sum_uses(uses, gL)
-        return tuple(gL.get(k) for k in keys)
+        # R = S⁻¹, lower triangular, column by column
+        R = {(j, j): r[j] for j in range(n)}
+        for j in range(n):
+            for i in range(j + 1, n):
+                R[i, j] = -sumprod([S[i, k] for k in range(j, i)],
+                                   [R[k, j] for k in range(j, i)]) * r[i]
+        g = g[:, 0]
+        gM = [sumprod([R[k, i] for k in range(i, n)],
+                      [R[k, j] for k in range(i, n)])
+              * (g if i == j else g * 2.0) for i, j in tri_keys(n)]
+        return (transposed(gram_bwd(P, n, gM, [])),)
 
-    return dc.custom([L[k] for k in keys], ld, bwd, "shifted_logdet")
+    return dc.custom([L], ld[:, None], bwd, "shifted_logdet")
 
 
 # -- loss graphs --------------------------------------------------------------
@@ -397,19 +305,19 @@ def _del_graph(flat: FlatParams, batch: Batch, mu: float, alpha: float,
         # the nets at the pair midpoint, and the pair velocity
         X = tape.constant((qa + qb) / 2.0)
         v = (qb - qa) / h
-        L, dL = chol_entries_t(theta, layout, X, dirs)
-        _, dV = potential_t(theta, layout, X, dirs)
+        L = chol_entries_t(theta, layout, X, dirs)
+        dV = potential_t(theta, layout, X, dirs)
         F = None
         if not layout.arch.conservative:
             F = force_t(theta, layout, X, tape.constant(v))
-        return L, dL, dV, F, v
+        return L, dV, F, v
 
     res = _del_residual_t(arm(q1, q2), arm(q2, q3), h)
     rho = dc.scale(dc.sumsq(res), 1.0 / len(batch))
     ld_mean = None
     loss = rho
     if with_barrier:
-        L, _ = chol_entries_t(theta, layout, tape.constant(q2))
+        L = chol_entries_t(theta, layout, tape.constant(q2))
         ld_mean = dc.mean_all(_shifted_logdet_t(L, n, alpha))
         loss = dc.add(rho, dc.scale(ld_mean, -mu))
     return tape, theta, loss, rho, ld_mean

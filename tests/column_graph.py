@@ -1,13 +1,13 @@
-"""The per-node graph the fused SMM nodes replace: the bit-exact oracle
-for `tests/test_fused.py`.
+"""The per-node graph the fused SMM nodes replace: the independent
+reverse-mode oracle for `tests/test_fused.py`.
 
 Every weight slice, matmul, tanh and product of the three nets, every
 head entry and every M, dM, L and Cholesky-solve entry here is its own
 tape node, as the library built them before its fused net builds and
 fused blocks, with the primitives (log, sqrt, reciprocal, tanh, matmul,
-softplus, ...) the library no longer needs, rebuilt on `dc.custom` with
-their old expressions.  The fused nodes must reproduce these losses and
-gradients bit for bit.
+softplus, cols, ...) the library no longer needs, rebuilt on
+`dc.custom`.  The fused nodes must match these losses and gradients to
+rounding.
 """
 
 import numpy as np
@@ -50,6 +50,16 @@ def mul(a, b):
     return dc.custom([a, b], a.value * b.value, lambda g: (
         dc._unbroadcast(g * b.value, a.shape),
         dc._unbroadcast(g * a.value, b.shape)), "mul")
+
+
+def cols(a, j0, j1):
+    def bwd(g):
+        v = np.zeros(a.shape)
+        v[:, j0:j1] = g
+        return (v,)
+
+    return dc.custom([a], np.ascontiguousarray(a.value[:, j0:j1]), bwd,
+                     "cols")
 
 
 def neg(a):
@@ -98,7 +108,7 @@ def sigmoid(a):
 
 def log_scale_t(theta, layout, which):
     _, s, e = layout.slot("log_scales")
-    return dc.cols(theta, s + which, s + which + 1)
+    return cols(theta, s + which, s + which + 1)
 
 
 def mlp_t(theta, layout, net, X, dirs=()):
@@ -108,9 +118,9 @@ def mlp_t(theta, layout, net, X, dirs=()):
     last = len(layout.layers[net]) - 1
     for i in range(last + 1):
         shape, s, e = layout.slot(f"{net}.{i}.W")
-        W = reshape(dc.cols(theta, s, e), shape)
+        W = reshape(cols(theta, s, e), shape)
         _, s, e = layout.slot(f"{net}.{i}.b")
-        b = dc.cols(theta, s, e)
+        b = cols(theta, s, e)
         a = dc.add(matmul(a, W), b)
         das = [matmul(da, W) for da in das]
         if i < last:
@@ -132,16 +142,16 @@ def chol_entries_t(theta, layout, Q, dirs=()):
     t = 0
     for i in range(arch.n):
         for j in range(i + 1):
-            col = dc.cols(out, t, t + 1)
+            col = cols(out, t, t + 1)
             if i == j:
                 ent[(i, j)] = mul(shift(softplus(col), arch.eps), half)
                 gate = sigmoid(col) if douts else None
                 for d, do in zip(dent, douts):
-                    d[(i, j)] = mul(mul(gate, dc.cols(do, t, t + 1)), half)
+                    d[(i, j)] = mul(mul(gate, cols(do, t, t + 1)), half)
             else:
                 ent[(i, j)] = mul(col, half)
                 for d, do in zip(dent, douts):
-                    d[(i, j)] = mul(dc.cols(do, t, t + 1), half)
+                    d[(i, j)] = mul(cols(do, t, t + 1), half)
             t += 1
     return ent, dent
 
@@ -213,7 +223,7 @@ def accel_cols(tape, theta, layout, X, Xd):
     dirs = [tape.constant(np.eye(n)[k:k + 1]) for k in range(n)]
     M, dM, L = mass_entries_t(theta, layout, X, dirs)
     _, dV = potential_t(theta, layout, X, dirs)
-    xd = [dc.cols(Xd, j, j + 1) for j in range(n)]
+    xd = [cols(Xd, j, j + 1) for j in range(n)]
     rhs = []
     for i in range(n):
         quad = None
@@ -228,7 +238,7 @@ def accel_cols(tape, theta, layout, X, Xd):
         rhs.append(dc.add(r, neg(curv)))
     if not layout.arch.conservative:
         F = force_t(theta, layout, X, Xd)
-        rhs = [dc.add(r, dc.cols(F, i, i + 1)) for i, r in enumerate(rhs)]
+        rhs = [dc.add(r, cols(F, i, i + 1)) for i, r in enumerate(rhs)]
     return chol_solve_t(L, rhs)
 
 
@@ -296,7 +306,7 @@ def del_graph(flat, batch, mu, alpha, with_barrier=True):
         d = dc.scale(dc.add(gLa[i], gLb[i]), h / 2.0)
         d = dc.add(d, dc.add(pa[i], neg(pb[i])))
         if Fa is not None:
-            fi = dc.add(dc.cols(Fa, i, i + 1), dc.cols(Fb, i, i + 1))
+            fi = dc.add(cols(Fa, i, i + 1), cols(Fb, i, i + 1))
             d = dc.add(d, dc.scale(fi, h / 2.0))
         out.append(d)
     rho = dc.scale(dc.sumsq(dc.concat_cols(out)), 1.0 / len(batch))

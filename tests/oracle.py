@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from column_graph import mass_entries_t, potential_t
+from column_graph import cols, mass_entries_t, potential_t
 from smmfit import diffcore as dc
 from smmfit import mechanics as mech
 from smmfit import smoother as smo
@@ -73,7 +73,7 @@ def jacobian(f, x) -> np.ndarray:
     m, n = y.shape[1], xt.shape[1]
     J = np.empty((m, n))
     for i in range(m):
-        (g,) = tape.gradients(dc.cols(y, i, i + 1), [xt])
+        (g,) = tape.gradients(cols(y, i, i + 1), [xt])
         J[i] = g.value.ravel()
     return J
 
@@ -656,7 +656,7 @@ def barrier_grad(params, configs, alpha):
     tape = dc.Tape()
     theta = tape.input(params.values.reshape(1, -1))
     Q = tape.constant(np.asarray(configs, dtype=np.float64))
-    L, _ = chol_entries_t(theta, params.layout, Q)
+    L = chol_entries_t(theta, params.layout, Q)
     ld = tr._shifted_logdet_t(L, params.layout.arch.n, alpha)
     g = tape.gradients(dc.mean_all(ld), [theta])[0]
     return g.value.ravel().copy()

@@ -3,7 +3,7 @@ the backward sweep's contract, determinism, and Cholesky failure behavior.
 The checks also cover the test-side `grad`, `jacobian` and `transpose`
 (oracle) and the per-node primitives the library's fused builds replaced
 (column graph): log, sqrt, reciprocal, mul, neg, shift, matmul, reshape,
-tanh, exp, softplus and sigmoid."""
+tanh, exp, softplus, sigmoid and cols."""
 
 import zlib
 
@@ -55,22 +55,23 @@ def run_scalar(build, x):
 # -- grad: one finite-difference sweep per primitive --------------------------
 
 PRIMITIVE_CASES = {
-    "add": (4, lambda x: dc.sumsq(dc.add(dc.cols(x, 0, 2), dc.cols(x, 2, 4)))),
+    "add": (4, lambda x: dc.sumsq(dc.add(col.cols(x, 0, 2),
+                                          col.cols(x, 2, 4)))),
     "add_broadcast_row": (6, lambda x: dc.sumsq(dc.add(
-        col.reshape(dc.cols(x, 0, 4), (2, 2)), dc.cols(x, 4, 6)))),
-    "mul": (4, lambda x: dc.sumsq(col.mul(dc.cols(x, 0, 2),
-                                          dc.cols(x, 2, 4)))),
+        col.reshape(col.cols(x, 0, 4), (2, 2)), col.cols(x, 4, 6)))),
+    "mul": (4, lambda x: dc.sumsq(col.mul(col.cols(x, 0, 2),
+                                          col.cols(x, 2, 4)))),
     "mul_broadcast_scalar": (5, lambda x: dc.sumsq(col.mul(
-        dc.cols(x, 0, 4), dc.cols(x, 4, 5)))),
+        col.cols(x, 0, 4), col.cols(x, 4, 5)))),
     "mul_broadcast_col": (6, lambda x: dc.sumsq(col.mul(
-        col.reshape(dc.cols(x, 0, 4), (2, 2)),
-        transpose(dc.cols(x, 4, 6))))),
+        col.reshape(col.cols(x, 0, 4), (2, 2)),
+        transpose(col.cols(x, 4, 6))))),
     "neg": (3, lambda x: dc.sumsq(col.neg(x))),
     "scale": (3, lambda x: dc.sumsq(dc.scale(x, -1.7))),
     "shift": (3, lambda x: dc.sumsq(col.shift(x, 0.9))),
     "matmul": (12, lambda x: dc.sumsq(col.matmul(
-        col.reshape(dc.cols(x, 0, 6), (2, 3)),
-        col.reshape(dc.cols(x, 6, 12), (3, 2))))),
+        col.reshape(col.cols(x, 0, 6), (2, 3)),
+        col.reshape(col.cols(x, 6, 12), (3, 2))))),
     "transpose": (6, lambda x: dc.sumsq(transpose(col.reshape(x, (2, 3))))),
     "reshape": (6, lambda x: dc.sumsq(col.reshape(x, (3, 2)))),
     "tanh": (4, lambda x: dc.sum_all(col.tanh(x))),
@@ -78,7 +79,8 @@ PRIMITIVE_CASES = {
     "softplus": (4, lambda x: dc.sum_all(col.softplus(x))),
     "sigmoid": (4, lambda x: dc.sum_all(col.sigmoid(x))),
     "sumsq": (5, lambda x: dc.sumsq(x)),
-    "cols_pad": (6, lambda x: dc.sumsq(dc.cols(col.reshape(x, (2, 3)), 0, 2))),
+    "cols_pad": (6, lambda x: dc.sumsq(col.cols(col.reshape(x, (2, 3)),
+                                                0, 2))),
 }
 
 POSITIVE_CASES = {

@@ -1,6 +1,6 @@
-"""The fused SMM nodes and net builds against the per-node graph, bit for
-bit, the node count of each loss graph, and the tape's reference-counting
-contract."""
+"""The fused SMM nodes and net builds against the per-node graph, an
+independent reverse-mode path, to rounding; the node count of each loss
+graph; and the tape's reference-counting contract."""
 
 import gc
 
@@ -36,65 +36,72 @@ def setup(n, conservative, B, seed=0):
     return flat, batches, alpha
 
 
-def assert_same(got, want):
+def assert_close(got, want):
+    # the fused nodes add in their own order: equal up to rounding
     for g, w in zip(got, want):
-        assert np.array_equal(g, w)
+        w = np.asarray(w)
+        np.testing.assert_allclose(g, w, rtol=1e-12,
+                                   atol=1e-12 * np.abs(w).max())
 
 
 CASES = [(n, cons, B) for n in (2, 3) for cons in (True, False)
-         for B in (1, 7, 32)]
+         for B in (1, 7, 32, 196)]
 
 
 @pytest.mark.parametrize("n,conservative,B", CASES)
 def test_fused_losses_and_gradients_are_bit_exact(n, conservative, B):
+    # the pass mark is rounding (assert_close), not bit identity
     flat, b, alpha = setup(n, conservative, B)
     for mu in (0.01, 0.0):
-        assert_same(tr.del_loss_grad(flat, b["del"], mu, alpha),
-                    col.loss_grad(col.del_graph(flat, b["del"], mu, alpha,
-                                                with_barrier=mu != 0.0)))
-    assert_same(tr.accel_loss_grad(flat, b["accel"]),
-                col.loss_grad(col.accel_graph(flat, b["accel"])))
-    assert_same(tr.nextstate_loss_grad(flat, b["nextstate"], H),
-                col.loss_grad(col.nextstate_graph(flat, b["nextstate"], H)))
+        assert_close(tr.del_loss_grad(flat, b["del"], mu, alpha),
+                     col.loss_grad(col.del_graph(flat, b["del"], mu, alpha,
+                                                 with_barrier=mu != 0.0)))
+    assert_close(tr.accel_loss_grad(flat, b["accel"]),
+                 col.loss_grad(col.accel_graph(flat, b["accel"])))
+    assert_close(tr.nextstate_loss_grad(flat, b["nextstate"], H),
+                 col.loss_grad(col.nextstate_graph(flat, b["nextstate"], H)))
 
 
 @pytest.mark.parametrize("n,conservative,B", CASES)
 def test_fused_values_are_bit_exact(n, conservative, B):
+    # the pass mark is rounding (assert_close), not bit identity
     flat, b, alpha = setup(n, conservative, B)
     q, qd = b["accel"].data["q"], b["accel"].data["qdot"]
-    assert np.array_equal(tr.predicted_accelerations(flat, q, qd),
-                          col.predicted_accelerations(flat, q, qd))
+    assert_close([tr.predicted_accelerations(flat, q, qd)],
+                 [col.predicted_accelerations(flat, q, qd)])
     q2 = b["del"].data["q2"]
     for shift in (alpha, 0.0):
-        assert np.array_equal(oracle.barrier_grad(flat, q2, shift),
-                              col.barrier_grad(flat, q2, shift))
+        assert_close([oracle.barrier_grad(flat, q2, shift)],
+                     [col.barrier_grad(flat, q2, shift)])
     _, _, _, rho, ld = col.del_graph(flat, b["del"], 1.0, alpha)
-    assert oracle.del_loss_terms(flat, b["del"], alpha) \
-        == (rho.value.item(), ld.value.item())
+    assert_close(oracle.del_loss_terms(flat, b["del"], alpha),
+                 (rho.value.item(), ld.value.item()))
     _, _, _, (Qp, Vp) = col.nextstate_graph(flat, b["nextstate"], H)
-    assert_same(oracle.nextstate_predictions(flat, b["nextstate"], H),
-                (Qp.value, Vp.value))
+    assert_close(oracle.nextstate_predictions(flat, b["nextstate"], H),
+                 (Qp.value, Vp.value))
     tape = dc.Tape()
     M, _, _ = col.mass_entries_t(tape.constant(flat.values.reshape(1, -1)),
                                  flat.layout, tape.constant(q2))
     M = np.stack([np.hstack([M[i, j].value for j in range(n)])
                   for i in range(n)], axis=1)
-    assert np.array_equal(tr.mass_eigenvalues(flat, q2),
-                          np.linalg.eigvalsh(M))
+    assert_close([tr.mass_eigenvalues(flat, q2)], [np.linalg.eigvalsh(M)])
 
 
 @pytest.mark.parametrize("conservative,want", [
-    (False, {"del": 50, "accel": 28, "nextstate": 118}),
-    (True, {"del": 44, "accel": 26, "nextstate": 110})])
+    (False, {"del": 25, "accel": 15, "nextstate": 66}),
+    (True, {"del": 19, "accel": 13, "nextstate": 58})])
 def test_loss_graphs_build_one_node_per_net(conservative, want):
-    # n = 2: each net build is one node, plus a column node per Cholesky
-    # entry and direction and per dV column; a per-node build would add
-    # about a hundred nodes per build
+    # n = 2: each net build and each fused block is one node, and the
+    # blocks take the packed factor, dV and force nodes whole, with no
+    # column slices; a per-node build would add about a hundred nodes per
+    # build
     flat, b, alpha = setup(2, conservative, 7)
     got = {"del": tr._del_graph(flat, b["del"], 0.01, alpha)[0],
            "accel": tr._accel_graph(flat, b["accel"])[0],
            "nextstate": tr._nextstate_graph(flat, b["nextstate"], H)[0]}
     assert {k: len(tape.nodes) for k, tape in got.items()} == want
+    assert all(node.op != "cols" for tape in got.values()
+               for node in tape.nodes)
 
 
 def test_fused_barrier_raises_at_the_same_pivot():
@@ -124,6 +131,19 @@ def test_fused_solve_keeps_the_reciprocal_of_zero_check():
         tr.predicted_accelerations(flat, q, qd)
     with pytest.raises(dc.DiffcoreError, match="reciprocal of zero"):
         tr.accel_loss_grad(flat, b["accel"])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_fused_builds_keep_the_exp_overflow_check(which):
+    # a log-scale of 3000 overflows the mass, potential or force scale
+    flat, b, alpha = setup(2, False, 7)
+    _, s, _ = flat.layout.slot("log_scales")
+    flat.values[s + which] = 3000.0
+    with pytest.raises(dc.DiffcoreError, match="exp overflow"):
+        tr.accel_loss_grad(flat, b["accel"])
+    with pytest.raises(dc.DiffcoreError, match="exp overflow"):
+        tr.del_loss_grad(flat, b["del"], 0.01, alpha)
 
 
 def test_custom_node_adds_repeated_parents_in_list_order():

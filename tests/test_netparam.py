@@ -35,7 +35,7 @@ def mass_batch(p, Q):
 
 def potential_batch(p, Q):
     _tape, theta, X = constants(p, Q)
-    return npar.potential_t(theta, p.layout, X)[0].value[:, 0]
+    return npar.potential_t(theta, p.layout, X).value[:, 0]
 
 
 def force_batch(p, Q, Qd):
@@ -208,26 +208,23 @@ def test_tape_directions_match_reverse_mode():
     tape = dc.Tape()
     tt = tape.constant(p.values.reshape(1, -1))
     dirs = [tape.constant(np.eye(2)[k:k + 1]) for k in range(2)]
-    L, dL = npar.chol_entries_t(tt, layout, tape.constant(Q), dirs)
-    keys = npar.tri_keys(2)
-    _, dM = npar.gram({k: L[k].value for k in keys},
-                      [{k: d[k].value for k in keys} for d in dL], 2,
-                      with_M=False)
-    _, dV = npar.potential_t(tt, layout, tape.constant(Q), dirs)
+    L = npar.chol_entries_t(tt, layout, tape.constant(Q), dirs)
+    _, dM = npar.gram(npar.transposed(L.value), 2, 2, with_M=False)
+    dV = npar.potential_t(tt, layout, tape.constant(Q), dirs)
     for b, q in enumerate(Q):
         want_M, want_V = sys.mass_jacobian(q), sys.potential_gradient(q)
         for k in range(2):
-            assert abs(dV[k].value[b, 0] - want_V[k]) <= 1e-12
+            assert abs(dV.value[b, k] - want_V[k]) <= 1e-12
             for i in range(2):
                 for j in range(2):
-                    assert abs(dM[k][npar.sym(i, j)][b, 0]
+                    assert abs(dM[k][npar.tri_index(i, j)][b]
                                - want_M[k, i, j]) <= 1e-12
 
 
 def test_tape_builders_without_directions_build_values_only():
-    # each net build is one node: without directions it holds the values
-    # alone, the same values the directional build carries beside its
-    # derivatives; with directions the potential build holds only dV
+    # each net build is one packed node: without directions it holds the
+    # values alone, the same values the directional build carries before
+    # its derivatives; with directions the potential build holds only dV
     p = npar.init_params(17, ARCH)
     layout = p.layout
     tape = dc.Tape()
@@ -235,19 +232,15 @@ def test_tape_builders_without_directions_build_values_only():
     X = tape.constant(np.random.default_rng(27).uniform(-2, 2, size=(3, 2)))
     dirs = [tape.constant(np.eye(2)[k:k + 1]) for k in range(2)]
     start = len(tape.nodes)
-    L, dL = npar.chol_entries_t(tt, layout, X)
-    V, dV = npar.potential_t(tt, layout, X)
-    assert dL == [] and dV == []
+    L = npar.chol_entries_t(tt, layout, X)
+    V = npar.potential_t(tt, layout, X)
     assert [node.op for node in tape.nodes[start:]] \
-        == ["mass_net", "cols", "cols", "cols", "potential_net"]
-    assert tape.nodes[start].shape == (3, 3) and V.shape == (3, 1)
-    start = len(tape.nodes)
-    L2, dL2 = npar.chol_entries_t(tt, layout, X, dirs)
-    V2, dV2 = npar.potential_t(tt, layout, X, dirs)
-    assert tape.nodes[start].shape == (3, 9) and V2 is None
-    assert [d.shape for d in dV2] == [(3, 1), (3, 1)]
-    for k in npar.tri_keys(2):
-        assert np.array_equal(L2[k].value, L[k].value)
+        == ["mass_net", "potential_net"]
+    assert L.shape == (3, 3) and V.shape == (3, 1)
+    L2 = npar.chol_entries_t(tt, layout, X, dirs)
+    dV = npar.potential_t(tt, layout, X, dirs)
+    assert L2.shape == (3, 9) and dV.shape == (3, 2)
+    assert np.array_equal(L2.value[:, :3], L.value)
 
 
 def test_tape_force_matches_numpy():
@@ -265,7 +258,7 @@ def test_chol_solve_t_matches_dense_solve():
     Q = rng.uniform(-np.pi, np.pi, size=(8, 2))
     B = rng.uniform(-1, 1, size=(8, 2))
     _tape, theta, X, Bt = constants(p, Q, B)
-    L, _ = npar.chol_entries_t(theta, p.layout, X)
+    L = npar.chol_entries_t(theta, p.layout, X)
     xs = npar.chol_solve_t(L, Bt)
     for b, q in enumerate(Q):
         want = np.linalg.solve(oracle.mass_matrix(p, q), B[b])

@@ -140,6 +140,25 @@ def test_filter_degeneracy_names_first_t_then_first_series(R, where):
     assert str(got.value).endswith(where)
 
 
+@pytest.mark.parametrize("T, message", [
+    (1, "non-finite filtered state at t=0 in series 1"),
+    (3, "innovation variance nan at t=1 in series 1"),
+])
+def test_filter_names_a_non_finite_filtered_state(T, message):
+    # an infinite acceleration variance in series 1's P0: the update's
+    # 0 · inf leaves NaN in the filtered covariance at t=0, which the
+    # innovation variance shows only from t=1 on, so with T = 1 only the
+    # check of the filtered states sees it
+    P0 = np.stack([np.diag([1.0, 1.0, 10.0]), np.diag([1.0, 1.0, np.inf])])
+    model = triple_model(0.05, R=0.01, P0=P0)
+    y = random_series(T, 2, seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(smo.NumericalDegeneracyError) as got:
+            smo.kalman_filter(model, y)
+    assert str(got.value) == message
+
+
 # -- rts_smooth ---------------------------------------------------------------
 
 def test_rts_boundary_condition():
