@@ -10,10 +10,9 @@ acyclic structure that reference counting frees as soon as it is dropped.
 
 Differentiation is first order.  Each node's backward rule is a plain
 numpy function from its adjoint array to its parents' adjoint arrays, so
-the sweep accumulates arrays and records nothing on the tape except one
-node per requested adjoint.  Rules skip the arithmetic for parents that
-need no gradient.  The adjoint nodes have no derivative rule:
-differentiating through one raises NonDifferentiablePrimitiveError.
+the sweep accumulates arrays, records nothing on the tape and returns
+plain arrays.  Rules skip the arithmetic for parents that need no
+gradient.
 
 The primitives here are the few the loss graphs use outside their fused
 nodes (`add`, `scale`, `sum_all`, `sumsq`, `mean_all`, `concat_cols`);
@@ -30,22 +29,6 @@ import numpy as np
 
 class DiffcoreError(Exception):
     """Base class for engine errors."""
-
-
-class NotPositiveDefiniteError(DiffcoreError):
-    """A factorization hit a nonpositive pivot.
-
-    ``pivot`` is the zero-based index of the first failing pivot.
-    """
-
-    def __init__(self, pivot: int, value: float):
-        self.pivot = pivot
-        self.value = value
-        super().__init__(f"matrix not positive definite: pivot {pivot} = {value:.6g}")
-
-
-class NonDifferentiablePrimitiveError(DiffcoreError):
-    """Backward pass reached a primitive with no derivative rule."""
 
 
 def _as_value(x) -> np.ndarray:
@@ -78,17 +61,9 @@ class Tensor:
     def shape(self):
         return self.value.shape
 
-    def item(self) -> float:
-        if self.value.size != 1:
-            raise ValueError(f"item() on shape {self.value.shape}")
-        return float(self.value[0, 0])
-
-    def __repr__(self):
-        return f"Tensor(op={self.op!r}, shape={self.value.shape})"
-
 
 class Tape:
-    """Ordered record of primitive operations plus adjoint bookkeeping."""
+    """Ordered record of primitive operations."""
 
     def __init__(self):
         self.nodes: list[Tensor] = []
@@ -110,13 +85,11 @@ class Tape:
         return self._append(_as_value(x), (), "input", True)
 
     def gradients(self, output: Tensor, leaves):
-        """Adjoints of ``leaves`` for a backward pass seeded at ``output``.
+        """Adjoints of ``leaves`` for a backward pass seeded at ``output``,
+        one array per leaf (zeros for a leaf the output does not reach).
 
         The sweep visits each node at most once, in strict reverse order,
-        and accumulates plain arrays.  Each returned adjoint (zeros for a
-        leaf the output does not depend on) is appended as one node whose
-        parent is ``output`` and which has no derivative rule, so it can
-        enter further computation but not a second backward pass.
+        accumulates plain arrays and appends nothing to the tape.
         """
         if output.tape is not self._ref:
             raise ValueError("output was recorded on a different tape")
@@ -133,12 +106,6 @@ class Tape:
                 continue
             if i not in keep:
                 adjoint[i] = None  # no longer needed; frees it early
-            if node.bwd is None:
-                if any(p.requires_grad for p in node.parents):
-                    raise NonDifferentiablePrimitiveError(
-                        f"primitive {node.op!r} has no derivative rule"
-                    )
-                continue
             contribs = node.bwd(g)
             for p, c in zip(node.parents, contribs):
                 if c is None or not p.requires_grad:
@@ -148,10 +115,7 @@ class Tape:
         out = []
         for leaf in leaves:
             a = adjoint[leaf.idx] if leaf.idx <= output.idx else None
-            if a is None:
-                a = np.zeros_like(leaf.value)
-            out.append(self._append(a, (output,), "adjoint",
-                                    output.requires_grad))
+            out.append(np.zeros_like(leaf.value) if a is None else a)
         return out
 
 
@@ -178,15 +142,11 @@ def _broadcast_ok(sa, sb) -> bool:
     return False
 
 
-def _binary(a: Tensor, b: Tensor, op: str):
-    if a.tape is not b.tape:
-        raise ValueError(f"{op}: operands on different tapes")
-    if not _broadcast_ok(a.shape, b.shape):
-        raise ValueError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _binary(a, b, "add")
+    if a.tape is not b.tape:
+        raise ValueError("add: operands on different tapes")
+    if not _broadcast_ok(a.shape, b.shape):
+        raise ValueError(f"add: incompatible shapes {a.shape} and {b.shape}")
     out = a.tape._append(a.value + b.value, (a, b), "add",
                          a.requires_grad or b.requires_grad)
     out.bwd = lambda g: (_unbroadcast(g, a.shape) if a.requires_grad else None,
@@ -202,7 +162,8 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def _exp_np(x: np.ndarray) -> np.ndarray:
-    o = np.exp(x)
+    with np.errstate(over="ignore"):
+        o = np.exp(x)
     if not np.all(np.isfinite(o)):
         raise DiffcoreError("exp overflow")
     return o
@@ -280,37 +241,3 @@ def custom(parents, value, bwd, op: str = "custom") -> Tensor:
     out.bwd = bwd
     return out
 
-
-# -- Cholesky factor ----------------------------------------------------------
-
-def rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x·y of each row pair of two (K, m) arrays."""
-    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
-
-
-def cholesky_np(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factors of a (K, n, n) stack of symmetric matrices.
-
-    Raises NotPositiveDefiniteError with the index of the first
-    nonpositive pivot, and its value in the first row that has one; the
-    symmetry precondition is checked up front, per matrix.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise ValueError(f"expected a stack of square matrices, got {a.shape}")
-    n = a.shape[1]
-    tol = 1e-8 * np.maximum(1.0, np.abs(a).max(axis=(1, 2), initial=0.0))
-    if not np.all(np.isclose(a, a.transpose(0, 2, 1),
-                             atol=tol[:, None, None])):
-        raise ValueError("matrix is not symmetric")
-    L = np.zeros_like(a)
-    for k in range(n):
-        d = a[:, k, k] - rowdot(L[:, k, :k], L[:, k, :k])
-        bad = np.flatnonzero(d <= 0.0)
-        if bad.size:
-            raise NotPositiveDefiniteError(k, float(d[bad[0]]))
-        L[:, k, k] = np.sqrt(d)
-        for i in range(k + 1, n):
-            L[:, i, k] = (a[:, i, k] - rowdot(L[:, i, :k], L[:, k, :k])) \
-                / L[:, k, k]
-    return L

@@ -41,11 +41,6 @@ class NoDataError(Exception):
 
 # -- configuration ------------------------------------------------------------
 
-_PROTOCOL = dict(n_trajectories=16, split=(8, 4, 4), T=200, h=0.05,
-                 sigma=0.1, seeds=10, lrs=LR_GRID, epochs=500,
-                 batch_size=256)
-
-
 @dataclass
 class ExperimentConfig:
     """Defaults are the full protocol; desk-scale runs override them."""
@@ -127,12 +122,16 @@ def load_config(path) -> ExperimentConfig:
 
 
 def paper_protocol(config: ExperimentConfig) -> ExperimentConfig:
-    """Reset the protocol-defining fields to their published values."""
-    return replace(config, **_PROTOCOL)
+    """Reset the protocol-defining fields to their published values, the
+    defaults of ExperimentConfig."""
+    full = ExperimentConfig()
+    return replace(config, **{k: getattr(full, k) for k in (
+        "n_trajectories", "split", "T", "h", "sigma", "seeds", "lrs",
+        "epochs", "batch_size")})
 
 
 def make_system(config: ExperimentConfig):
-    return mech.dp_system(damped=config.system == "damped")
+    return mech.DoublePendulum(damped=config.system == "damped")
 
 
 def make_arch(config: ExperimentConfig) -> netp.ArchConfig:
@@ -305,8 +304,7 @@ def run_cell(config: ExperimentConfig, pool, seed: int, method: str,
                 xi0=xi0, seed=seed)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            record, best = tr.train(method, params0,
-                                    smo.SmoothedDataset(fit_trajs), tconf)
+            record, best = tr.train(method, params0, fit_trajs, tconf)
     except tr.TrainingDivergedError as err:
         cell = Cell(rmse=float("nan"), reason="diverged", **base)
         return cell, err.record, None
@@ -412,12 +410,18 @@ def _unjson(x) -> float:
 
 
 def load_results(path) -> ResultsTable:
-    doc = json.loads(Path(path).read_text())
-    cells = [Cell(system=c["system"], sigma=c["sigma"], method=c["method"],
-                  xi0=c["xi0"], seed=c["seed"], rmse=_unjson(c["rmse"]),
-                  failed_rows=c["failed_rows"], reason=c["reason"],
-                  best_epoch=c["best_epoch"])
-             for c in doc["cells"]]
+    """The table of a `results.json`; a file that is not one raises
+    ValueError naming it."""
+    try:
+        doc = json.loads(Path(path).read_text())
+        cells = [Cell(system=c["system"], sigma=c["sigma"],
+                      method=c["method"], xi0=c["xi0"], seed=c["seed"],
+                      rmse=_unjson(c["rmse"]), failed_rows=c["failed_rows"],
+                      reason=c["reason"], best_epoch=c["best_epoch"])
+                 for c in doc["cells"]]
+    except (KeyError, TypeError, ValueError) as err:
+        raise ValueError(f"{path}: not a results file "
+                         f"({type(err).__name__}: {err})") from None
     return ResultsTable(cells)
 
 
@@ -629,12 +633,12 @@ def cmd_generate(args) -> int:
     if args.count < 1 or args.steps < 3 or args.h <= 0 or args.sigma < 0:
         raise ConfigError("need --count >= 1, --steps >= 3, --h > 0 and "
                           "--sigma >= 0")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    system = mech.dp_system(damped=args.system == "damped")
+    system = mech.DoublePendulum(damped=args.system == "damped")
     trajs = integ.sample_rest_trajectories(
         system, args.count, args.h, args.steps, seed=args.seed,
         system=args.system, damped=args.system == "damped")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     for i, traj in enumerate(trajs):
         item = traj
         if args.sigma > 0:
@@ -677,8 +681,7 @@ def cmd_train(args) -> int:
         params0 = netp.init_params(args.seed, arch)
         tconf = tr.TrainConfig(xi0=args.lr, epochs=args.epochs,
                                batch_size=args.batch, seed=args.seed)
-        record, best = tr.train(args.method, params0,
-                                smo.SmoothedDataset(trajs), tconf)
+        record, best = tr.train(args.method, params0, trajs, tconf)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -698,7 +701,13 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     params, _ = _read(netp.load_params, [args.params])[0]
     trajs = _read(smo.load_smoothed, args.data)
-    system = mech.dp_system(damped=args.system == "damped")
+    system = mech.DoublePendulum(damped=args.system == "damped")
+    n = params.layout.arch.n
+    for name, traj in zip(args.data, trajs):
+        if traj.n != n or traj.n != system.n:
+            raise ConfigError(f"{name}: {traj.n} coordinates, but the "
+                              f"checkpoint has {n} and the pendulum "
+                              f"{system.n}")
     res = evaluate(params, eval_batch(system, trajs))
     print(f"test acceleration RMSE {res.rmse:.6g} "
           f"({res.failed} failed rows)")
@@ -719,7 +728,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    table = load_results(args.results)
+    table = _read(load_results, [args.results])[0]
     out = Path(args.out) if args.out else Path(args.results).parent
     out.mkdir(parents=True, exist_ok=True)
     written = emit_plot_data(table, out)
@@ -737,10 +746,7 @@ def main(argv=None) -> int:
                    "train": cmd_train, "evaluate": cmd_evaluate,
                    "experiment": cmd_experiment, "plot": cmd_plot}[args.verb]
         return handler(args)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except NoDataError as err:
+    except (ConfigError, NoDataError, integ.DrawsExhaustedError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except FileNotFoundError as err:

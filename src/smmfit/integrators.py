@@ -20,9 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .diffcore import rowdot
 from .mechanics import (ConfigTriple, LagrangianSystem, del_arm,
-                        del_jacobian_q3, del_vector)
+                        del_jacobian_q3, del_vector, rowdot)
 
 _log = logging.getLogger("smmfit.integrators")
 
@@ -40,6 +39,10 @@ class NewtonConvergenceError(Exception):
         super().__init__(
             f"Newton stalled after {iterations} iterations, "
             f"residual {residual:.3e}")
+
+
+class DrawsExhaustedError(Exception):
+    """Every draw of a trajectory slot was rejected."""
 
 
 NEWTON_TOL = 1e-10
@@ -259,7 +262,9 @@ def sample_rest_trajectories(sys: LagrangianSystem, count: int, h: float, T: int
     Each slot gets its own seed stream.  A draw whose rollout fails to
     converge or fails the energy gate is rejected and redrawn (the flat
     midpoint step has no solution for the hottest initial conditions);
-    the returned trajectories record the seed of the accepted draw.
+    the returned trajectories record the seed of the accepted draw.  A
+    slot whose ``max_tries`` draws are all rejected raises
+    DrawsExhaustedError naming the first such slot.
 
     The draws run in rounds: every unfinished slot rolls out its next
     `ATTEMPTS_PER_ROUND` attempts in one lockstep `simulate` call and
@@ -273,7 +278,9 @@ def sample_rest_trajectories(sys: LagrangianSystem, count: int, h: float, T: int
     rejected = tried = 0
     while None in out:
         if tried == max_tries:
-            raise NewtonConvergenceError(NEWTON_MAX_ITER, float("nan"))
+            raise DrawsExhaustedError(
+                f"trajectory slot {out.index(None)}: all {max_tries} draws "
+                "failed to converge or left the energy band")
         take = min(ATTEMPTS_PER_ROUND, max_tries - tried)
         slots = [k for k in range(count) if out[k] is None]
         seqs = [streams[k][tried + j] for k in slots for j in range(take)]

@@ -6,7 +6,8 @@ Euler-Lagrange (DEL) vector of the midpoint-rule discrete Lagrangian and
 force over a configuration triple, and its Jacobian in the last
 configuration for the variational integrator's Newton solve.
 
-Also the analytic double pendulum used as ground truth.
+Also the analytic double pendulum used as ground truth, and the
+row-wise Cholesky factor its acceleration solve uses.
 
 Every hook and function takes a (K, n) array of configurations (and
 velocities), one row per point, and returns one result per row.  The
@@ -19,10 +20,21 @@ No reduction runs across rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
-from .diffcore import cholesky_np
+
+class NotPositiveDefiniteError(Exception):
+    """A factorization hit a nonpositive pivot.
+
+    ``pivot`` is the zero-based index of the first failing pivot.
+    """
+
+    def __init__(self, pivot: int, value: float):
+        self.pivot = pivot
+        self.value = value
+        super().__init__(f"matrix not positive definite: pivot {pivot} = {value:.6g}")
 
 
 class LagrangianSystem:
@@ -58,6 +70,39 @@ class ConfigTriple:
             raise ValueError("triple configurations differ in shape")
         if self.h <= 0:
             raise ValueError(f"step size must be positive, got {self.h}")
+
+
+def rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x·y of each row pair of two (K, m) arrays."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+
+
+def cholesky_np(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a (K, n, n) stack of symmetric matrices.
+
+    Raises NotPositiveDefiniteError with the index of the first
+    nonpositive pivot, and its value in the first row that has one; the
+    symmetry precondition is checked up front, per matrix.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got {a.shape}")
+    n = a.shape[1]
+    tol = 1e-8 * np.maximum(1.0, np.abs(a).max(axis=(1, 2), initial=0.0))
+    if not np.all(np.isclose(a, a.transpose(0, 2, 1),
+                             atol=tol[:, None, None])):
+        raise ValueError("matrix is not symmetric")
+    L = np.zeros_like(a)
+    for k in range(n):
+        d = a[:, k, k] - rowdot(L[:, k, :k], L[:, k, :k])
+        bad = np.flatnonzero(d <= 0.0)
+        if bad.size:
+            raise NotPositiveDefiniteError(k, float(d[bad[0]]))
+        L[:, k, k] = np.sqrt(d)
+        for i in range(k + 1, n):
+            L[:, i, k] = (a[:, i, k] - rowdot(L[:, i, :k], L[:, k, :k])) \
+                / L[:, k, k]
+    return L
 
 
 def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -159,7 +204,7 @@ class DoublePendulum(LagrangianSystem):
     g: float = 10.0
     eta: np.ndarray = field(default_factory=lambda: np.array([0.5, 0.5]))
     damped: bool = False
-    n: int = 2
+    n: ClassVar[int] = 2
 
     def __post_init__(self):
         self.eta = np.asarray(self.eta, dtype=np.float64).ravel()
@@ -238,10 +283,3 @@ class DoublePendulum(LagrangianSystem):
 # −m2 l1 l2 cos q2)
 _DM_PATTERN = np.array([[1.0, 0.5], [0.5, 0.0]])
 
-
-def dp_system(m1: float = 1.0, m2: float = 1.0, l1: float = 1.0,
-              l2: float = 1.0, g: float = 10.0, eta=(0.5, 0.5),
-              damped: bool = False) -> DoublePendulum:
-    """Analytic double pendulum with the experiment's default parameters."""
-    return DoublePendulum(m1=m1, m2=m2, l1=l1, l2=l2, g=g,
-                          eta=np.asarray(eta, dtype=np.float64), damped=damped)

@@ -9,16 +9,16 @@ scalar.
 
 A model is one flat parameter vector (`FlatParams`); its `ParamLayout`
 names the slot of every weight, bias and the log-scale block.  Each
-batched net build (`chol_entries_t`, `potential_t`, `force_t`) is one
-tape node that slices its net out of that vector, runs the MLP and its
-output head in numpy, and takes the plain reverse-mode adjoint in its
-backward.  The Cholesky and potential builds take optional forward-mode
-directions and pack the derivatives along them into the same node: the
-factor's entries followed by each direction's, or dV/dq in place of V.
-M(q) and its derivatives come from the Gram of the factor (`gram`, with
-its adjoint `gram_bwd`) inside the fused blocks, which work on the (B,)
-columns of the packed nodes; `mass_entries_t` gives M(q) values with no
-tape.
+batched net build (`chol_entries_t`, `potential_grad_t`, `force_t`) is
+one tape node that slices its net out of that vector, runs the MLP and
+its output head in numpy, and takes the plain reverse-mode adjoint in
+its backward.  The Cholesky build can also carry the factor's
+derivatives along each coordinate axis, packed into the same node after
+its entries; the potential build always gives ∇V(q), which is all the
+dynamics read of V.  M(q) and its derivatives come from the Gram of the
+factor (`gram`, with its adjoint `gram_bwd`) inside the fused blocks,
+which work on the (B,) columns of the packed nodes; `mass_entries_t`
+gives M(q) values with no tape.
 """
 
 from __future__ import annotations
@@ -143,16 +143,22 @@ def init_params(rng, arch: ArchConfig) -> FlatParams:
 # -- fused net builds ---------------------------------------------------------
 #
 # Each net build (an MLP and its output head) is one tape node.  Its
-# forward runs the net in numpy, carrying the forward-mode directions
-# beside the values; its backward is the reverse-mode adjoint of that
-# forward.  The node returns one full-size theta adjoint with the build's
-# slots filled, and an adjoint for its input only when the input needs
-# one.
+# forward runs the net in numpy, carrying the forward-mode derivatives
+# along the coordinate axes beside the values; its backward is the
+# reverse-mode adjoint of that forward.  The node returns one full-size
+# theta adjoint with the build's slots filled, and an adjoint for its
+# input only when the input needs one.
 
 def transposed(a: np.ndarray) -> np.ndarray:
     """A contiguous transpose: a (B, m) array's m columns as (B,) rows,
     or rows back to columns."""
     return np.ascontiguousarray(a.T)
+
+
+@lru_cache(maxsize=None)
+def _axes(n: int):
+    """The coordinate axes as (1, n) rows: the directions of ∂/∂q_k."""
+    return tuple(np.eye(n)[k:k + 1] for k in range(n))
 
 
 def _mlp_np(theta_v, layout: ParamLayout, net: str, x, dirs):
@@ -279,14 +285,15 @@ def _chol_head_bwd(g, record):
     return g_out, g_do, g_s
 
 
-def chol_entries_t(theta, layout: ParamLayout, Q, dirs=()):
+def chol_entries_t(theta, layout: ParamLayout, Q, jac: bool = False):
     """The scaled Cholesky factor with e^{s_M/2} folded in, so that
-    M = L̃ L̃ᵀ directly, as one (B, tri·(1 + len(dirs))) tape node: the
-    entries in `tri_keys` order, then the same entries' derivatives along
-    each direction.  The mass net and its head are the one node."""
+    M = L̃ L̃ᵀ directly, as one (B, tri) tape node: the entries in
+    `tri_keys` order.  With ``jac`` the node is (B, tri·(1 + n)), the
+    entries followed by their derivatives along each coordinate q_k.
+    The mass net and its head are the one node."""
     tv = theta.value
-    out, douts, layers = _mlp_np(tv, layout, "mass", Q.value,
-                                 [d.value for d in dirs])
+    dirs = _axes(layout.arch.n) if jac else ()
+    out, douts, layers = _mlp_np(tv, layout, "mass", Q.value, dirs)
     packed, record = _chol_head_np(tv, layout, out, douts)
     want_x, want_w = Q.requires_grad, theta.requires_grad
 
@@ -317,29 +324,23 @@ def mass_entries_t(params: FlatParams, Q) -> np.ndarray:
     return M
 
 
-def potential_t(theta, layout: ParamLayout, Q, dirs=()):
-    """Batched V(q) as one (B, 1) tape node, or with directions its
-    derivatives along them as one (B, len(dirs)) node in place of the
-    value, which no caller then reads.  The potential net and its e^{s_V}
-    scale are the one node."""
+def potential_grad_t(theta, layout: ParamLayout, Q):
+    """Batched ∇V(q) as one (B, n) tape node: the potential net's
+    derivatives along each coordinate q_k, times its e^{s_V} scale."""
     tv = theta.value
-    out, douts, layers = _mlp_np(tv, layout, "potential", Q.value,
-                                 [d.value for d in dirs])
+    _, douts, layers = _mlp_np(tv, layout, "potential", Q.value,
+                               _axes(layout.arch.n))
     g = dc._exp_np(_log_scale_np(tv, layout, 1))
-    B = out.shape[0]
+    B = Q.shape[0]
     raw = np.concatenate([np.broadcast_to(do, (B, 1)) for do in douts],
-                         axis=1) if douts else out
+                         axis=1)
     want_x, want_w = Q.requires_grad, theta.requires_grad
 
     def bwd(gp):
         graw = gp * g
-        if douts:
-            g_out = None
-            g_do = [dc._unbroadcast(graw[:, d:d + 1], do.shape)
-                    for d, do in enumerate(douts)]
-        else:
-            g_out, g_do = graw, []
-        gx, grads = _mlp_bwd(layers, g_out, g_do, want_x, want_w)
+        g_do = [dc._unbroadcast(graw[:, d:d + 1], do.shape)
+                for d, do in enumerate(douts)]
+        gx, grads = _mlp_bwd(layers, None, g_do, want_x, want_w)
         gt = _theta_adjoint(tv.shape, layout, "potential", grads, 1,
                             np.sum(gp * raw) * g) if want_w else None
         return gt, gx
@@ -519,17 +520,23 @@ def save_params(params: FlatParams, path, seed: int | None = None) -> None:
 
 
 def load_params(path):
-    """Returns (FlatParams, seed)."""
-    with open(path) as fh:
-        blob = json.load(fh)
-    a = blob["arch"]
-    arch = ArchConfig(n=a["n"], hidden=tuple(a["hidden"]),
-                      activation=a["activation"], eps=a["eps"],
-                      conservative=a["conservative"])
-    layout = ParamLayout(arch)
-    stored = [(d["key"], tuple(d["shape"]), d["start"], d["end"])
-              for d in blob["layout"]]
-    if stored != [(k, tuple(s), a_, b_) for k, s, a_, b_ in layout.slots]:
-        raise ValueError("layout descriptor does not match architecture")
-    values = np.array(blob["flat"], dtype=np.float64)
-    return FlatParams(values, layout), blob.get("seed")
+    """Returns (FlatParams, seed); a file that is not a checkpoint
+    `save_params` wrote raises ValueError naming it."""
+    try:
+        with open(path) as fh:
+            blob = json.load(fh)
+        a = blob["arch"]
+        arch = ArchConfig(n=a["n"], hidden=tuple(a["hidden"]),
+                          activation=a["activation"], eps=a["eps"],
+                          conservative=a["conservative"])
+        layout = ParamLayout(arch)
+        stored = [(d["key"], tuple(d["shape"]), d["start"], d["end"])
+                  for d in blob["layout"]]
+        if stored != [(k, tuple(s), a_, b_)
+                      for k, s, a_, b_ in layout.slots]:
+            raise ValueError("layout descriptor does not match architecture")
+        values = np.array(blob["flat"], dtype=np.float64)
+        return FlatParams(values, layout), blob.get("seed")
+    except (KeyError, TypeError, ValueError) as err:
+        raise ValueError(f"{path}: not a checkpoint "
+                         f"({type(err).__name__}: {err})") from None

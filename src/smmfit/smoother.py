@@ -202,9 +202,9 @@ class EmResult:
     smooth: SmoothResult
 
 
-def em_fit(y: np.ndarray, dt: float, q_fixed: np.ndarray = FIXED_Q,
-           iters: int = EM_ITERS, gain_tol: float = EM_GAIN_TOL) -> EmResult:
-    """Fit R, m0, P0 by EM with the process covariance held fixed.
+def em_fit(y: np.ndarray, dt: float, iters: int = EM_ITERS,
+           gain_tol: float = EM_GAIN_TOL) -> EmResult:
+    """Fit R, m0, P0 by EM with the process covariance held at FIXED_Q.
 
     Closed-form M-steps:
       R  = (1/T) Σ_t [(y_t − m_t|T[0])² + P_t|T[0, 0]]
@@ -224,7 +224,7 @@ def em_fit(y: np.ndarray, dt: float, q_fixed: np.ndarray = FIXED_Q,
     yk = np.ascontiguousarray(Y.T)
     r0 = np.var(np.diff(yk, axis=1), axis=1) if T > 1 else np.ones(K)
     A = transition_matrix(dt)
-    Q = np.asarray(q_fixed, dtype=np.float64)
+    Q = FIXED_Q
     R = np.maximum(r0, R_FLOOR)
     v0 = (Y[1] - Y[0]) / dt if T > 1 else np.zeros(K)
     m0 = np.stack([Y[0], v0, np.zeros(K)], axis=1)
@@ -302,11 +302,6 @@ class SmoothedTrajectory:
     @property
     def n(self) -> int:
         return self.q.shape[1]
-
-
-@dataclass
-class SmoothedDataset:
-    trajectories: list
 
 
 def smooth_trajectory(observations: np.ndarray, h: float,

@@ -7,8 +7,8 @@ Plus Adam, the decay schedule, shuffled batching that never crosses
 trajectory boundaries, and validation-based checkpoint selection.
 
 Spatial derivatives of the nets (needed inside every acceleration and
-DEL evaluation) are built forward-mode by the netparam net builds, one
-direction per coordinate, each build one tape node.  That keeps the tape
+DEL evaluation) are built forward-mode by the netparam net builds along
+each coordinate axis, each build one tape node.  That keeps the tape
 short even through the four RK4 stages; a single reverse sweep at the
 end then yields exact parameter gradients.  The mass-matrix Gram, the
 Euler-Lagrange terms, the Cholesky solve and the barrier's shifted
@@ -31,8 +31,9 @@ import numpy as np
 from . import diffcore as dc
 from .integrators import IntegrationBlowupError
 from .netparam import (FlatParams, chol_entries_t, chol_solve_t, force_t,
-                       gram, gram_bwd, mass_entries_t, matvec, potential_t,
-                       sumprod, sym_outer, transposed, tri_index, tri_keys)
+                       gram, gram_bwd, mass_entries_t, matvec,
+                       potential_grad_t, sumprod, sym_outer, transposed,
+                       tri_index, tri_keys)
 
 _log = logging.getLogger("smmfit.training")
 
@@ -100,10 +101,6 @@ class Batch:
     def __len__(self) -> int:
         return next(iter(self.data.values())).shape[0]
 
-    @property
-    def n(self) -> int:
-        return next(iter(self.data.values())).shape[1]
-
     def take(self, idx) -> "Batch":
         return Batch(self.kind, {k: v[idx] for k, v in self.data.items()},
                      self.h)
@@ -147,12 +144,10 @@ def make_batches(rng, count: int, batch_size: int):
 
 # -- dynamics on the tape -----------------------------------------------------
 
-def _accel_t(tape, theta, layout, X, Xd):
+def _accel_t(theta, layout, X, Xd):
     """Batched accelerations at (X, Xd) as a (B, n) tensor."""
-    n = layout.arch.n
-    dirs = [tape.constant(np.eye(n)[k:k + 1]) for k in range(n)]
-    L = chol_entries_t(theta, layout, X, dirs)
-    dV = potential_t(theta, layout, X, dirs)
+    L = chol_entries_t(theta, layout, X, jac=True)
+    dV = potential_grad_t(theta, layout, X)
     F = None if layout.arch.conservative else force_t(theta, layout, X, Xd)
     return chol_solve_t(L, _euler_lagrange_rhs_t(L, dV, Xd, F))
 
@@ -203,7 +198,7 @@ def _del_residual_t(arm_a, arm_b, h: float):
     """The discrete Euler-Lagrange residual as one (B, n) fused node.
 
     Each arm is (L, dV, F, v) at one pair midpoint: the packed factor node
-    with its directions, the packed dV/dq node, the force node (or None)
+    with its coordinate derivatives, the ∇V node, the force node (or None)
     and the pair velocity array.  Row i is
     h/2 (∂L_a + ∂L_b)_i + (M_a v_a - M_b v_b)_i (+ h/2 (F_a + F_b)_i)
     with ∂L_k = 1/2 vᵀ (∂M/∂q_k) v - ∂V/∂q_k.
@@ -289,8 +284,7 @@ def _shifted_logdet_t(L, n: int, shift: float):
 
 # -- loss graphs --------------------------------------------------------------
 
-def _del_graph(flat: FlatParams, batch: Batch, mu: float, alpha: float,
-               with_barrier: bool = True):
+def _del_graph(flat: FlatParams, batch: Batch, mu: float, alpha: float):
     if batch.kind != "del":
         raise ValueError(f"need a del batch, got {batch.kind!r}")
     layout = flat.layout
@@ -299,14 +293,13 @@ def _del_graph(flat: FlatParams, batch: Batch, mu: float, alpha: float,
     h = batch.h
     tape = dc.Tape()
     theta = tape.input(flat.values.reshape(1, -1))
-    dirs = [tape.constant(np.eye(n)[k:k + 1]) for k in range(n)]
 
     def arm(qa, qb):
         # the nets at the pair midpoint, and the pair velocity
         X = tape.constant((qa + qb) / 2.0)
         v = (qb - qa) / h
-        L = chol_entries_t(theta, layout, X, dirs)
-        dV = potential_t(theta, layout, X, dirs)
+        L = chol_entries_t(theta, layout, X, jac=True)
+        dV = potential_grad_t(theta, layout, X)
         F = None
         if not layout.arch.conservative:
             F = force_t(theta, layout, X, tape.constant(v))
@@ -316,7 +309,7 @@ def _del_graph(flat: FlatParams, batch: Batch, mu: float, alpha: float,
     rho = dc.scale(dc.sumsq(res), 1.0 / len(batch))
     ld_mean = None
     loss = rho
-    if with_barrier:
+    if mu != 0.0:  # an unweighted barrier is not built
         L = chol_entries_t(theta, layout, tape.constant(q2))
         ld_mean = dc.mean_all(_shifted_logdet_t(L, n, alpha))
         loss = dc.add(rho, dc.scale(ld_mean, -mu))
@@ -330,7 +323,7 @@ def _accel_graph(flat: FlatParams, batch: Batch):
     theta = tape.input(flat.values.reshape(1, -1))
     X = tape.constant(batch.data["q"])
     Xd = tape.constant(batch.data["qdot"])
-    A = _accel_t(tape, theta, flat.layout, X, Xd)
+    A = _accel_t(theta, flat.layout, X, Xd)
     E = dc.add(A, tape.constant(-batch.data["qddot"]))
     loss = dc.scale(dc.sumsq(E), 1.0 / batch.data["q"].size)
     return tape, theta, loss
@@ -346,7 +339,7 @@ def _nextstate_graph(flat: FlatParams, batch: Batch, h: float):
     Xd = tape.constant(batch.data["qdot"])
 
     def acc(Xs, Vs):
-        A = _accel_t(tape, theta, layout, Xs, Vs)
+        A = _accel_t(theta, layout, Xs, Vs)
         if not np.all(np.isfinite(A.value)):
             raise IntegrationBlowupError("non-finite RK4 stage acceleration")
         return A
@@ -378,17 +371,16 @@ def del_loss_grad(params: FlatParams, batch: Batch,
                   mu: float = MU_DEFAULT, alpha: float = 0.0):
     """(loss, gradient): mean squared DEL residual minus mu times the mean
     log-det barrier."""
-    tape, theta, loss, _, _ = _del_graph(params, batch, mu, alpha,
-                                         with_barrier=mu != 0.0)
+    tape, theta, loss, _, _ = _del_graph(params, batch, mu, alpha)
     g = tape.gradients(loss, [theta])[0]
-    return loss.value.item(), g.value.ravel().copy()
+    return loss.value.item(), g.ravel().copy()
 
 
 def accel_loss_grad(params: FlatParams, batch: Batch):
     """(loss, gradient): mean squared acceleration error over all entries."""
     tape, theta, loss = _accel_graph(params, batch)
     g = tape.gradients(loss, [theta])[0]
-    return loss.value.item(), g.value.ravel().copy()
+    return loss.value.item(), g.ravel().copy()
 
 
 def nextstate_loss_grad(params: FlatParams, batch: Batch, h: float):
@@ -396,7 +388,7 @@ def nextstate_loss_grad(params: FlatParams, batch: Batch, h: float):
     velocity weighted equally."""
     tape, theta, loss, _ = _nextstate_graph(params, batch, h)
     g = tape.gradients(loss, [theta])[0]
-    return loss.value.item(), g.value.ravel().copy()
+    return loss.value.item(), g.ravel().copy()
 
 
 def predicted_accelerations(params: FlatParams, q, qdot) -> np.ndarray:
@@ -405,7 +397,7 @@ def predicted_accelerations(params: FlatParams, q, qdot) -> np.ndarray:
     theta = tape.constant(params.values.reshape(1, -1))
     X = tape.constant(np.asarray(q, dtype=np.float64))
     Xd = tape.constant(np.asarray(qdot, dtype=np.float64))
-    return _accel_t(tape, theta, params.layout, X, Xd).value.copy()
+    return _accel_t(theta, params.layout, X, Xd).value.copy()
 
 
 def accel_rmse(params: FlatParams, batch: Batch) -> float:
@@ -428,9 +420,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = BETA1
-    beta2: float = BETA2
-    eps: float = EPS_ADAM
 
 
 def adam_init(size: int) -> AdamState:
@@ -441,12 +430,12 @@ def adam_step(state: AdamState, values: np.ndarray, grads: np.ndarray,
               xi: float):
     """One bias-corrected Adam update; returns (new state, new values)."""
     t = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    mhat = m / (1.0 - state.beta1 ** t)
-    vhat = v / (1.0 - state.beta2 ** t)
-    new = values - xi * mhat / (np.sqrt(vhat) + state.eps)
-    return AdamState(m, v, t, state.beta1, state.beta2, state.eps), new
+    m = BETA1 * state.m + (1.0 - BETA1) * grads
+    v = BETA2 * state.v + (1.0 - BETA2) * grads * grads
+    mhat = m / (1.0 - BETA1 ** t)
+    vhat = v / (1.0 - BETA2 ** t)
+    new = values - xi * mhat / (np.sqrt(vhat) + EPS_ADAM)
+    return AdamState(m, v, t), new
 
 
 # -- barrier bookkeeping ------------------------------------------------------
@@ -476,7 +465,6 @@ class TrainConfig:
     mu: float = MU_DEFAULT
     alpha_fraction: float = ALPHA_FRACTION
     seed: int = 0
-    divergence_budget: int = DIVERGENCE_BUDGET
 
     def __post_init__(self):
         if self.xi0 <= 0:
@@ -509,8 +497,7 @@ def save_record(record: TrainRecord, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=1))
 
 
-def _split_trajs(dataset):
-    trajs = list(dataset.trajectories)
+def _split_trajs(trajs):
     # unlabelled trajectories ("" as `smmfit smooth` writes it) train
     train = [t for t in trajs if t.split in ("train", "", None)]
     val = [t for t in trajs if t.split == "val"]
@@ -522,8 +509,11 @@ def _split_trajs(dataset):
     return train, val or train
 
 
-def train(method: str, params0: FlatParams, dataset, config: TrainConfig):
-    """Minimize the chosen loss; return (record, best-validation params).
+def train(method: str, params0: FlatParams, trajectories,
+          config: TrainConfig):
+    """Minimize the chosen loss over a list of smoothed trajectories,
+    each labelled by its ``split``; return (record, best-validation
+    params).
 
     A step is rejected when its loss cannot be evaluated (barrier or
     integration failure), its gradient is non-finite, or it would push any
@@ -537,7 +527,7 @@ def train(method: str, params0: FlatParams, dataset, config: TrainConfig):
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     rng = np.random.default_rng(config.seed)
-    train_trajs, val_trajs = _split_trajs(dataset)
+    train_trajs, val_trajs = _split_trajs(trajectories)
     tuples = assemble_tuples(train_trajs, method)
     val_batch = assemble_tuples(val_trajs, "accel")
     layout, values = params0.layout, params0.values
@@ -608,7 +598,7 @@ def train(method: str, params0: FlatParams, dataset, config: TrainConfig):
             else:
                 consecutive += 1
                 record.invalid_steps += 1
-                if consecutive >= config.divergence_budget:
+                if consecutive >= DIVERGENCE_BUDGET:
                     raise TrainingDivergedError(record)
         record.train_losses.append(float(np.mean(losses)) if losses
                                    else np.nan)

@@ -369,7 +369,7 @@ def loss_grad(graph):
     """(loss value, gradient) from a (tape, theta, loss, ...) graph."""
     tape, theta, loss = graph[:3]
     g = tape.gradients(loss, [theta])[0]
-    return loss.value.item(), g.value.ravel().copy()
+    return loss.value.item(), g.ravel().copy()
 
 
 def predicted_accelerations(flat, q, qdot):
@@ -386,4 +386,4 @@ def barrier_grad(flat, configs, alpha):
     ent, _, _ = mass_entries_t(theta, flat.layout, tape.constant(configs))
     _, ld = shifted_cholesky(ent, flat.layout.arch.n, alpha)
     g = tape.gradients(dc.mean_all(ld), [theta])[0]
-    return g.value.ravel().copy()
+    return g.ravel().copy()

@@ -26,9 +26,9 @@ from smmfit import diffcore as dc
 from smmfit import mechanics as mech
 from smmfit import smoother as smo
 from smmfit import training as tr
-from smmfit.integrators import (IntegrationBlowupError, NEWTON_MAX_ITER,
-                                NEWTON_TOL, NewtonConvergenceError,
-                                Trajectory)
+from smmfit.integrators import (DrawsExhaustedError, IntegrationBlowupError,
+                                NEWTON_MAX_ITER, NEWTON_TOL,
+                                NewtonConvergenceError, Trajectory)
 from smmfit.netparam import (ConservativeForceError, FlatParams,
                              chol_entries_t)
 
@@ -59,7 +59,7 @@ def grad(f, x) -> np.ndarray:
     if y.shape != (1, 1):
         raise NonScalarOutputError(f"expected scalar output, got shape {y.shape}")
     (g,) = tape.gradients(y, [xt])
-    return g.value.ravel().copy()
+    return g.ravel().copy()
 
 
 def jacobian(f, x) -> np.ndarray:
@@ -74,7 +74,7 @@ def jacobian(f, x) -> np.ndarray:
     J = np.empty((m, n))
     for i in range(m):
         (g,) = tape.gradients(cols(y, i, i + 1), [xt])
-        J[i] = g.value.ravel()
+        J[i] = g.ravel()
     return J
 
 
@@ -271,7 +271,7 @@ class ScalarDP(mech.LagrangianSystem):
 
 
 def scalar_dp(damped=False) -> ScalarDP:
-    return ScalarDP(mech.dp_system(damped=damped))
+    return ScalarDP(mech.DoublePendulum(damped=damped))
 
 
 def cholesky(a: np.ndarray) -> np.ndarray:
@@ -287,7 +287,7 @@ def cholesky(a: np.ndarray) -> np.ndarray:
     for k in range(n):
         d = a[k, k] - L[k, :k] @ L[k, :k]
         if d <= 0.0:
-            raise dc.NotPositiveDefiniteError(k, float(d))
+            raise mech.NotPositiveDefiniteError(k, float(d))
         L[k, k] = np.sqrt(d)
         for i in range(k + 1, n):
             L[i, k] = (a[i, k] - L[i, :k] @ L[k, :k]) / L[k, k]
@@ -417,7 +417,7 @@ def sample_rest_trajectories(sys, count: int, h: float, T: int, seed: int,
     out = []
     rejected = 0
     root = np.random.SeedSequence(seed)
-    for slot_seq in root.spawn(count):
+    for slot, slot_seq in enumerate(root.spawn(count)):
         accepted = None
         for attempt_seq in slot_seq.spawn(max_tries):
             attempt_seed = int(attempt_seq.generate_state(1)[0])
@@ -434,7 +434,9 @@ def sample_rest_trajectories(sys, count: int, h: float, T: int, seed: int,
                 break
             rejected += 1
         if accepted is None:
-            raise NewtonConvergenceError(NEWTON_MAX_ITER, float("nan"))
+            raise DrawsExhaustedError(
+                f"trajectory slot {slot}: all {max_tries} draws failed to "
+                "converge or left the energy band")
         out.append(accepted)
     return out, rejected
 
@@ -583,6 +585,22 @@ def potential(params, q):
     return float(np.exp(log_scale(params, 1)) * mlp(params, "potential", q)[0])
 
 
+def potential_gradient(params, q):
+    """∇V(q): the potential net's input Jacobian, carried layer by layer
+    beside its activations."""
+    a = np.asarray(q, dtype=np.float64).reshape(1, -1)
+    J = np.eye(a.shape[1])
+    last = len(params.layout.layers["potential"]) - 1
+    for i in range(last + 1):
+        W = slot(params, f"potential.{i}.W")
+        a = a @ W + slot(params, f"potential.{i}.b")
+        J = J @ W
+        if i < last:
+            a = np.tanh(a)
+            J = J * (1.0 - a * a)
+    return np.exp(log_scale(params, 1)) * J[:, 0]
+
+
 def force(params, q, qdot):
     if params.layout.arch.conservative:
         raise ConservativeForceError("model has no force net")
@@ -659,7 +677,7 @@ def barrier_grad(params, configs, alpha):
     L = chol_entries_t(theta, params.layout, Q)
     ld = tr._shifted_logdet_t(L, params.layout.arch.n, alpha)
     g = tape.gradients(dc.mean_all(ld), [theta])[0]
-    return g.value.ravel().copy()
+    return g.ravel().copy()
 
 
 # -- matrix-form Kalman filter and EM ------------------------------------------

@@ -21,7 +21,7 @@ from smmfit import training as tr
 
 import oracle
 
-SYS = mech.dp_system()
+SYS = mech.DoublePendulum()
 
 
 def report(tag, ok, detail):
@@ -138,13 +138,12 @@ def test_4_barrier_prevents_degenerate_solutions(experiment):
     starts = rng.uniform(-0.4, 0.4, (3, 2))
     trajs = [oracle.exact_traj(oracle.ScalarDP(SYS), q, 0.05, 100, s)
              for q, s in zip(starts, ["train", "train", "val"])]
-    ds = smo.SmoothedDataset(trajs)
     arch = netp.ArchConfig(n=2, hidden=(32, 32))
     tuples = tr.assemble_tuples(trajs[:2], "del")
     val_batch = tr.assemble_tuples(trajs[2:], "accel")
 
     degen0 = oracle.scale_params(netp.init_params(5, arch), 1e-3)
-    rec0, degen_params = tr.train("del", degen0, ds,
+    rec0, degen_params = tr.train("del", degen0, trajs,
                                   tr.TrainConfig(xi0=1e-3, epochs=50,
                                                  seed=5, mu=0.0))
     degen_loss = rec0.train_losses[-1]
@@ -152,7 +151,7 @@ def test_4_barrier_prevents_degenerate_solutions(experiment):
     degen_eig = tr.mass_eigenvalues(degen_params, tuples.data["q2"]).min()
     zero_rmse = float(np.sqrt(np.mean(val_batch.data["qddot"] ** 2)))
 
-    rec1, healthy = tr.train("del", netp.init_params(5, arch), ds,
+    rec1, healthy = tr.train("del", netp.init_params(5, arch), trajs,
                              tr.TrainConfig(xi0=1e-2, epochs=100, seed=5))
     healthy_loss = tr.del_loss_grad(healthy, tuples, mu=0.0)[0]
     healthy_rmse = tr.accel_rmse(healthy, val_batch)
@@ -249,7 +248,7 @@ def test_6_residual_training_matches_best_regression(experiment):
 
 
 def test_7_integrator_energy_behavior():
-    damped_sys = mech.dp_system(damped=True)
+    damped_sys = mech.DoublePendulum(damped=True)
     rng = np.random.default_rng(14)
     starts = rng.uniform(-1.0, 1.0, (4, 2))
     tu, failed = integ.simulate(SYS, starts, 0.05, 200)

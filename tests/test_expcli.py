@@ -401,7 +401,7 @@ def test_cli_train_without_training_data_exit_code(smoothed_pair, tmp_path,
 
 def test_cli_train_divergence_exit_code(smoothed_pair, tmp_path, capsys,
                                         monkeypatch):
-    def diverge(method, params0, dataset, config):
+    def diverge(method, params0, trajectories, config):
         raise tr.TrainingDivergedError(tr.TrainRecord(
             method=method, xi0=config.xi0, seed=config.seed, mu=config.mu,
             alpha=None))
@@ -556,3 +556,54 @@ def test_cli_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"split\": [9, 4, 4]}")
     assert cli.main(["experiment", "--config", str(bad)]) == 2
+
+
+def test_cli_exhausted_draws_exit_code(tmp_path, capsys):
+    # at h = 2 no rest start has a Newton root within the energy band:
+    # the error names the slot and its draws, and generate writes nothing
+    out = tmp_path / "raw"
+    assert cli.main(["generate", "--count", "1", "--steps", "20", "--h",
+                     "2.0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: trajectory slot 0: all 25 draws")
+    assert not out.exists()
+    config = tmp_path / "config.json"
+    desk_config(h=2.0, T=20).save(config)
+    assert cli.main(["experiment", "--config", str(config), "--out",
+                     str(tmp_path / "exp")]) == 2
+    assert capsys.readouterr().err.startswith("error: trajectory slot 0:")
+
+
+@pytest.mark.parametrize("file_n,checkpoint_n", [(1, 2), (1, 1), (3, 3)])
+def test_cli_evaluate_rejects_a_wrong_coordinate_count(tmp_path, capsys,
+                                                       file_n, checkpoint_n):
+    # the file must match both the checkpoint and the pendulum (n = 2)
+    rng = np.random.default_rng(file_n)
+    q = rng.uniform(-1.0, 1.0, size=(10, file_n))
+    data = tmp_path / "sm.csv"
+    smo.save_smoothed(smo.SmoothedTrajectory(q=q, qdot=q, qddot=q, h=0.05),
+                      data)
+    params = tmp_path / "params.json"
+    netp.save_params(netp.init_params(0, netp.ArchConfig(
+        n=checkpoint_n, hidden=(4,))), params)
+    assert cli.main(["evaluate", str(data), "--params", str(params)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data}: {file_n} coordinates")
+
+
+@pytest.mark.parametrize("verb,text", [("evaluate", '{"arch": {}}'),
+                                       ("plot", "not json"),
+                                       ("plot", "{}")],
+                         ids=["checkpoint_without_n", "results_not_json",
+                              "results_without_cells"])
+def test_cli_malformed_checkpoint_or_results_exit_code(smoothed_pair,
+                                                       tmp_path, capsys,
+                                                       verb, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    data = str(sorted(smoothed_pair.glob("traj_*.csv"))[0])
+    argv = {"evaluate": ["evaluate", data, "--params", str(bad)],
+            "plot": ["plot", "--results", str(bad)]}[verb]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not a ")

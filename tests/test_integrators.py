@@ -13,7 +13,7 @@ from smmfit import integrators as integ
 from smmfit import mechanics as mech
 
 
-DP = mech.dp_system()
+DP = mech.DoublePendulum()
 midpoint_energy = integ.midpoint_energy
 
 
@@ -101,7 +101,7 @@ def test_variational_step_equilibrium_fixed_point():
 
 def test_variational_step_del_consistency():
     rng = np.random.default_rng(10)
-    for sys in (DP, mech.dp_system(damped=True)):
+    for sys in (DP, mech.DoublePendulum(damped=True)):
         q1 = rng.uniform(-np.pi / 2, np.pi / 2, size=(10, 2))
         q2 = q1 + rng.uniform(-0.05, 0.05, size=(10, 2))
         q3, failed = integ.variational_step(sys, q1, q2, 0.05)
@@ -114,7 +114,7 @@ def test_variational_step_del_consistency():
 def test_variational_step_rows_equal_one_point_oracle(damped):
     # each row converges, backtracks and fails on its own: the fast
     # velocities make some rows backtrack or stall
-    sys = mech.dp_system(damped=damped)
+    sys = mech.DoublePendulum(damped=damped)
     one = oracle.ScalarDP(sys)
     rng = np.random.default_rng(15)
     q1 = rng.uniform(-np.pi, np.pi, size=(48, 2))
@@ -188,7 +188,7 @@ def test_simulate_del_residuals_small():
 def test_simulate_rows_equal_one_point_oracle(damped):
     # hot starts included: a failed row leaves the lockstep at the step
     # the one-point rollout raises, with the same error, and NaN after
-    sys = mech.dp_system(damped=damped)
+    sys = mech.DoublePendulum(damped=damped)
     one = oracle.ScalarDP(sys)
     q0 = np.random.default_rng(0).uniform(-np.pi, np.pi, (40, 2))
     configs, failed = integ.simulate(sys, q0, 0.05, 100)
@@ -235,7 +235,7 @@ def test_simulate_hot_start_detected_or_bounded():
 
 
 def test_simulate_damped_energy_decreasing():
-    damped = mech.dp_system(damped=True)
+    damped = mech.DoublePendulum(damped=True)
     q0 = np.random.default_rng(12).uniform(-np.pi / 2, np.pi / 2, size=(3, 2))
     configs, failed = integ.simulate(damped, q0, 0.05, 200)
     assert failed == {}
@@ -247,11 +247,11 @@ def test_energies_and_gate_equal_one_point_oracle(damped):
     # one batched call for a set of trajectories, each row the bits of
     # the one-trajectory series; undamped hot starts fail the undamped
     # gate, and every undamped rollout fails the damped one
-    sys = mech.dp_system(damped=damped)
+    sys = mech.DoublePendulum(damped=damped)
     one = oracle.ScalarDP(sys)
     q0 = np.random.default_rng(16).uniform(-2.0, 2.0, (12, 2))
     runs = [integ.simulate(s, q0, 0.05, 100)
-            for s in (DP, mech.dp_system(damped=True))]
+            for s in (DP, mech.DoublePendulum(damped=True))]
     configs = np.concatenate([c[[i for i in range(12) if i not in failed]]
                               for c, failed in runs])
     E = midpoint_energy(sys, configs, 0.05)
@@ -304,7 +304,7 @@ POOL_SHAPES = {"desk-sweep": (4, False), "protocol-pool": (8, False),
 @pytest.mark.parametrize("shape", sorted(POOL_SHAPES))
 def test_lockstep_pools_equal_one_point_oracle(shape, caplog):
     count, damped = POOL_SHAPES[shape]
-    sys = mech.dp_system(damped=damped)
+    sys = mech.DoublePendulum(damped=damped)
     one = oracle.ScalarDP(sys)
     caplog.set_level(logging.INFO, logger="smmfit.integrators")
     for seed in range(10):
@@ -330,11 +330,13 @@ def test_protocol_pool_seed_0_counts_its_rejected_draws(caplog):
 def test_exhausted_tries_raise_as_one_at_a_time(caplog):
     caplog.set_level(logging.INFO, logger="smmfit.integrators")
     kw = dict(seed=0, angle_range=np.pi, max_tries=2)
-    with pytest.raises(integ.NewtonConvergenceError) as want:
+    with pytest.raises(integ.DrawsExhaustedError) as want:
         oracle.sample_rest_trajectories(oracle.ScalarDP(DP), 3, 0.05, 60, **kw)
-    with pytest.raises(integ.NewtonConvergenceError) as got:
+    with pytest.raises(integ.DrawsExhaustedError) as got:
         integ.sample_rest_trajectories(DP, 3, 0.05, 60, **kw)
     assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("trajectory slot ")
+    assert "all 2 draws" in str(got.value)
     assert not caplog.records
 
 

@@ -1,5 +1,6 @@
 """Mechanics kernel checks against hand-derived double-pendulum values,
-and of the row-batched path against the one-point oracle, bit for bit."""
+and of the row-batched path against the one-point oracle, bit for bit;
+the row-wise Cholesky factor and its failure behavior."""
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ import pytest
 import oracle
 from oracle import FreeParticle
 from smmfit import mechanics as mech
-from smmfit.diffcore import NotPositiveDefiniteError
+from smmfit.mechanics import NotPositiveDefiniteError
 
 
-DP = mech.dp_system()
+DP = mech.DoublePendulum()
 SDP = oracle.ScalarDP(DP)
 
 
@@ -71,7 +72,7 @@ def test_acceleration_hand_solved():
 
 
 def test_acceleration_damped_at_rest_matches_undamped():
-    damped = mech.dp_system(damped=True)
+    damped = mech.DoublePendulum(damped=True)
     q = np.random.default_rng(1).uniform(-np.pi, np.pi, size=(5, 2))
     assert np.allclose(mech.acceleration(damped, q, np.zeros((5, 2))),
                        mech.acceleration(DP, q, np.zeros((5, 2))), atol=1e-12)
@@ -105,7 +106,7 @@ HOOKS_QV = ("force", "force_jacobian_q", "force_jacobian_qdot")
 
 @pytest.mark.parametrize("damped", [False, True])
 def test_row_hooks_equal_one_point_hooks(damped):
-    sys = mech.dp_system(damped=damped)
+    sys = mech.DoublePendulum(damped=damped)
     one = oracle.ScalarDP(sys)
     rng = np.random.default_rng(40)
     q = rng.uniform(-np.pi, np.pi, (64, 2))
@@ -122,7 +123,7 @@ def test_row_hooks_equal_one_point_hooks(damped):
 
 @pytest.mark.parametrize("damped", [False, True])
 def test_row_functions_equal_one_point_oracle(damped):
-    sys = mech.dp_system(damped=damped)
+    sys = mech.DoublePendulum(damped=damped)
     one = oracle.ScalarDP(sys)
     rng = np.random.default_rng(41)
     t = random_triples(rng, 64)
@@ -142,7 +143,7 @@ def test_row_functions_equal_one_point_oracle(damped):
 
 def test_rows_adapter_runs_one_point_systems():
     # a one-point system through Rows gives the oracle's per-point values
-    sys = NumericDP(mech.dp_system(damped=True))
+    sys = NumericDP(mech.DoublePendulum(damped=True))
     rng = np.random.default_rng(42)
     t = random_triples(rng, 6)
     d = mech.del_vector(oracle.Rows(sys), t)
@@ -220,7 +221,7 @@ def test_del_residual_is_squared_norm():
 def test_del_vector_matches_its_definition(damped):
     # D2 L_d(q1, q2) + D1 L_d(q2, q3) + (F_d(q1, q2) + F_d(q2, q3)) / 2 with
     # the slot derivatives of the midpoint L_d taken by central differences
-    sys, h = mech.dp_system(damped=damped), 0.05
+    sys, h = mech.DoublePendulum(damped=damped), 0.05
     one = oracle.ScalarDP(sys)
     t = random_triples(np.random.default_rng(12), 100, h)
     got = mech.del_vector(sys, t)
@@ -271,7 +272,7 @@ class ShiftedPotential(ScaledSystem):
 
 
 def test_del_gauge_scaling():
-    damped = mech.dp_system(damped=True)
+    damped = mech.DoublePendulum(damped=True)
     rng = np.random.default_rng(7)
     for gamma in (2.0, 10.0, 0.5):
         scaled = ScaledSystem(damped, gamma)
@@ -300,7 +301,7 @@ def test_del_jacobian_q3_matches_direct_fd():
     t = mech.ConfigTriple(rows([0.3, -0.2]), rows([0.35, -0.1]),
                           rows([0.42, 0.05]), 0.05)
     h = 1e-6
-    for sys in (DP, mech.dp_system(damped=True)):
+    for sys in (DP, mech.DoublePendulum(damped=True)):
         J = mech.del_jacobian_q3(sys, t)[0]
         for k in range(2):
             e = np.zeros((1, 2))
@@ -355,7 +356,7 @@ def test_dp_closed_form_derivatives_match_fd():
 
 
 def test_dp_damped_force_jacobians_match_fd():
-    damped = mech.dp_system(damped=True)
+    damped = mech.DoublePendulum(damped=True)
     one = oracle.ScalarDP(damped)
     q = np.array([0.3, -0.4])
     qd = np.array([1.2, -0.7])
@@ -369,8 +370,83 @@ def test_dp_damped_force_jacobians_match_fd():
 
 def test_dp_system_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        mech.dp_system(m1=0.0)
+        mech.DoublePendulum(m1=0.0)
     with pytest.raises(ValueError):
-        mech.dp_system(g=-10.0)
+        mech.DoublePendulum(g=-10.0)
     with pytest.raises(ValueError):
-        mech.dp_system(eta=(0.5, 0.0))
+        mech.DoublePendulum(eta=(0.5, 0.0))
+    with pytest.raises(TypeError):
+        mech.DoublePendulum(n=3)
+
+
+# -- cholesky_np --------------------------------------------------------------
+
+def chol_logdet(a):
+    return 2.0 * float(np.sum(np.log(np.diag(mech.cholesky_np(a[None])[0]))))
+
+
+def test_logdet_diag():
+    assert abs(chol_logdet(np.diag([2.0, 3.0])) - np.log(6.0)) < 1e-12
+
+
+def test_logdet_identity():
+    for n in (1, 2, 3, 5):
+        assert abs(chol_logdet(np.eye(n))) < 1e-12
+
+
+def test_logdet_2x2_by_hand():
+    # det [[2,1],[1,2]] = 3
+    a = np.array([[2.0, 1.0], [1.0, 2.0]])
+    assert abs(chol_logdet(a) - np.log(3.0)) < 1e-12
+
+
+def test_logdet_requires_symmetry():
+    with pytest.raises(ValueError):
+        chol_logdet(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+def test_pd_failure_matches_eigenvalue_oracle():
+    rng = np.random.default_rng(101)
+    for n in (2, 3):
+        for _ in range(200):
+            B = rng.uniform(-2.0, 2.0, size=(n, n))
+            A = 0.5 * (B + B.T)
+            lo = np.linalg.eigvalsh(A)[0]
+            if abs(lo) < 1e-10:
+                continue
+            if lo > 0:
+                chol_logdet(A)
+            else:
+                with pytest.raises(NotPositiveDefiniteError):
+                    chol_logdet(A)
+
+
+def test_pd_failure_pivot_index():
+    with pytest.raises(NotPositiveDefiniteError) as e:
+        chol_logdet(np.diag([-1.0, 5.0]))
+    assert e.value.pivot == 0
+    with pytest.raises(NotPositiveDefiniteError) as e:
+        # leading 1x1 minor fine, second pivot 1 - 4 = -3
+        chol_logdet(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    assert e.value.pivot == 1
+    assert e.value.value < 0.0
+
+
+def test_cholesky_rows_equal_one_matrix_oracle():
+    rng = np.random.default_rng(102)
+    for n in (2, 3):
+        B = rng.uniform(-1.0, 1.0, size=(50, n, n))
+        A = np.matmul(B, B.transpose(0, 2, 1)) + 0.1 * np.eye(n)
+        L = mech.cholesky_np(A)
+        for a, l in zip(A, L):
+            assert np.array_equal(l, oracle.cholesky(a))
+
+
+def test_cholesky_rows_raise_for_one_bad_row():
+    A = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2)])
+    with pytest.raises(NotPositiveDefiniteError) as e:
+        mech.cholesky_np(A)
+    assert e.value.pivot == 1 and e.value.value == -3.0
+    A[1] = [[1.0, 2.0], [0.0, 1.0]]
+    with pytest.raises(ValueError, match="not symmetric"):
+        mech.cholesky_np(A)

@@ -33,9 +33,10 @@ def mass_batch(p, Q):
     return npar.mass_entries_t(p, np.atleast_2d(np.asarray(Q, dtype=float)))
 
 
-def potential_batch(p, Q):
+def potential_grad_batch(p, Q):
+    """∇V(q) per row of Q from the library's potential build, (B, n)."""
     _tape, theta, X = constants(p, Q)
-    return npar.potential_t(theta, p.layout, X).value[:, 0]
+    return npar.potential_grad_t(theta, p.layout, X).value
 
 
 def force_batch(p, Q, Qd):
@@ -80,17 +81,18 @@ def test_mass_matrix_scale_doubles():
 # -- potential and force ------------------------------------------------------
 
 def test_potential_zero_net_bias():
+    # V = 4.25 everywhere: the bias moves V, not its gradient
     p = zero_params(ARCH)
     oracle.last_bias(p, "potential")[:] = 4.25
-    assert abs(potential_batch(p, [0.1, 0.2])[0] - 4.25) < 1e-15
+    assert np.abs(potential_grad_batch(p, [0.1, 0.2])).max() < 1e-15
 
 
 def test_potential_log_scale():
     p = npar.init_params(2, ARCH)
     p3 = oracle.scale_params(p, 3.0)
     Q = np.random.default_rng(17).uniform(-np.pi, np.pi, size=(100, 2))
-    assert np.allclose(potential_batch(p3, Q), 3.0 * potential_batch(p, Q),
-                       rtol=1e-12)
+    assert np.allclose(potential_grad_batch(p3, Q),
+                       3.0 * potential_grad_batch(p, Q), rtol=1e-12)
 
 
 def test_force_conservative_contract():
@@ -117,7 +119,8 @@ def test_scale_params_identity_and_domain():
     p = npar.init_params(5, ARCH)
     p1 = oracle.scale_params(p, 1.0)
     q = np.array([0.4, -0.9])
-    assert np.array_equal(potential_batch(p1, q), potential_batch(p, q))
+    assert np.array_equal(potential_grad_batch(p1, q),
+                          potential_grad_batch(p, q))
     assert np.array_equal(mass_batch(p1, q), mass_batch(p, q))
     with pytest.raises(ValueError):
         oracle.scale_params(p, 0.0)
@@ -186,8 +189,8 @@ def test_tape_potential_matches_numpy():
     for arch in (ARCH, ARCH_F):
         p = npar.init_params(11, arch)
         Q = np.random.default_rng(20).uniform(-np.pi, np.pi, size=(32, 2))
-        want = np.array([oracle.potential(p, q) for q in Q])
-        assert np.abs(potential_batch(p, Q) - want).max() <= 1e-12
+        want = np.array([oracle.potential_gradient(p, q) for q in Q])
+        assert np.abs(potential_grad_batch(p, Q) - want).max() <= 1e-12
 
 
 def test_tape_mass_entries_match_numpy():
@@ -207,10 +210,9 @@ def test_tape_directions_match_reverse_mode():
     Q = np.random.default_rng(25).uniform(-np.pi, np.pi, size=(6, 2))
     tape = dc.Tape()
     tt = tape.constant(p.values.reshape(1, -1))
-    dirs = [tape.constant(np.eye(2)[k:k + 1]) for k in range(2)]
-    L = npar.chol_entries_t(tt, layout, tape.constant(Q), dirs)
+    L = npar.chol_entries_t(tt, layout, tape.constant(Q), jac=True)
     _, dM = npar.gram(npar.transposed(L.value), 2, 2, with_M=False)
-    dV = npar.potential_t(tt, layout, tape.constant(Q), dirs)
+    dV = npar.potential_grad_t(tt, layout, tape.constant(Q))
     for b, q in enumerate(Q):
         want_M, want_V = sys.mass_jacobian(q), sys.potential_gradient(q)
         for k in range(2):
@@ -222,24 +224,22 @@ def test_tape_directions_match_reverse_mode():
 
 
 def test_tape_builders_without_directions_build_values_only():
-    # each net build is one packed node: without directions it holds the
-    # values alone, the same values the directional build carries before
-    # its derivatives; with directions the potential build holds only dV
+    # each net build is one packed node: without its Jacobian the
+    # factor's node holds the entries alone, the same values the jac
+    # build carries before their derivatives; the potential build holds ∇V
     p = npar.init_params(17, ARCH)
     layout = p.layout
     tape = dc.Tape()
     tt = tape.constant(p.values.reshape(1, -1))
     X = tape.constant(np.random.default_rng(27).uniform(-2, 2, size=(3, 2)))
-    dirs = [tape.constant(np.eye(2)[k:k + 1]) for k in range(2)]
     start = len(tape.nodes)
     L = npar.chol_entries_t(tt, layout, X)
-    V = npar.potential_t(tt, layout, X)
+    dV = npar.potential_grad_t(tt, layout, X)
     assert [node.op for node in tape.nodes[start:]] \
         == ["mass_net", "potential_net"]
-    assert L.shape == (3, 3) and V.shape == (3, 1)
-    L2 = npar.chol_entries_t(tt, layout, X, dirs)
-    dV = npar.potential_t(tt, layout, X, dirs)
-    assert L2.shape == (3, 9) and dV.shape == (3, 2)
+    assert L.shape == (3, 3) and dV.shape == (3, 2)
+    L2 = npar.chol_entries_t(tt, layout, X, jac=True)
+    assert L2.shape == (3, 9)
     assert np.array_equal(L2.value[:, :3], L.value)
 
 

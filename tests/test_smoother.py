@@ -254,7 +254,7 @@ def test_em_recovers_known_r():
 
 def test_em_loglik_monotone_and_q_fixed():
     rng = np.random.default_rng(34)
-    configs, _ = integ.simulate(mech.dp_system(), [[0.6, -0.4]], 0.05, 200)
+    configs, _ = integ.simulate(mech.DoublePendulum(), [[0.6, -0.4]], 0.05, 200)
     y = configs[0, :, :1] + rng.normal(0, 0.1, size=(200, 1))
     res = smo.em_fit(y, 0.05)
     assert np.all(np.diff(res.logliks[0]) >= -smo.EM_SLACK)
@@ -320,7 +320,7 @@ def test_em_equals_matrix_oracle(K, T):
 def _clean_traj(seed=35, T=200):
     rng = np.random.default_rng(seed)
     q0 = rng.uniform(-1.0, 1.0, size=2)
-    configs, failed = integ.simulate(mech.dp_system(), q0[None], 0.05, T)
+    configs, failed = integ.simulate(mech.DoublePendulum(), q0[None], 0.05, T)
     assert failed == {}
     return integ.Trajectory(configs[0], 0.05)
 

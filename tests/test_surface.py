@@ -1,7 +1,8 @@
 """Guards on the library surface: every public module-level function or
 class in `src/smmfit` has a library caller, a README entry as
-`module.name` or a perfbench probe wrapper, and every callable the probe
-wraps exists."""
+`module.name` or a perfbench probe wrapper, every callable the probe
+wraps exists, and the numpy-only modules import nothing from the tape
+engine."""
 
 import ast
 import importlib.util
@@ -86,3 +87,26 @@ def test_every_name_perfbench_wraps_exists():
     finally:
         tracer.restore()
     assert [dict(vars(m)) for m in (*MODS.values(), diffcore.Tape)] == before
+
+
+def smmfit_imports(mod: str) -> set:
+    """The smmfit modules that ``mod`` imports, by any import form."""
+    tree = ast.parse((ROOT / "src" / "smmfit" / f"{mod}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = (node.module or "").removeprefix("smmfit").lstrip(".")
+            if node.level == 1 or (node.module or "").startswith("smmfit"):
+                found |= {base} if base else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {a.name.removeprefix("smmfit.") for a in node.names
+                      if a.name.startswith("smmfit.")}
+    return found
+
+
+def test_mechanics_integrators_and_smoother_run_without_the_tape():
+    # the simulator and the smoother are plain numpy; only the fitting
+    # side (netparam, training, expcli) builds tapes
+    for mod in ("mechanics", "integrators", "smoother"):
+        assert "diffcore" not in smmfit_imports(mod), mod
+    assert "diffcore" in smmfit_imports("training")

@@ -14,7 +14,7 @@ from smmfit import training as tr
 
 import oracle
 
-SYS = mech.dp_system()
+SYS = mech.DoublePendulum()
 SDP = oracle.ScalarDP(SYS)
 
 
@@ -116,7 +116,7 @@ def test_batch_take_subsets_rows():
     q = np.arange(12.0).reshape(6, 2)
     b = tr.Batch("accel", {"q": q, "qdot": q + 100, "qddot": q + 200})
     sub = b.take(np.array([4, 1]))
-    assert len(b) == 6 and b.n == 2
+    assert len(b) == 6
     assert np.array_equal(sub.data["qdot"], q[[4, 1]] + 100)
     assert sub.kind == "accel"
 
@@ -446,8 +446,7 @@ def test_mass_eigenvalues_against_dense_solver(tiny):
 
 def test_train_zero_epochs_returns_initial_params(tiny):
     params = netp.init_params(8, ARCH8)
-    ds = smo.SmoothedDataset(tiny)
-    rec, best = tr.train("accel", params, ds,
+    rec, best = tr.train("accel", params, tiny,
                          tr.TrainConfig(xi0=1e-3, epochs=0))
     assert rec.best_epoch == 0 and len(rec.val_errors) == 1
     assert np.array_equal(best.values, params.values)
@@ -456,13 +455,12 @@ def test_train_zero_epochs_returns_initial_params(tiny):
 def test_train_rejects_unknown_method(tiny):
     with pytest.raises(ValueError):
         tr.train("sgd", netp.init_params(8, ARCH8),
-                 smo.SmoothedDataset(tiny), tr.TrainConfig())
+                 tiny, tr.TrainConfig())
 
 
 def test_train_identical_seed_identical_record(tiny):
     params = netp.init_params(8, ARCH8)
-    ds = smo.SmoothedDataset(tiny)
-    runs = [tr.train("del", params, ds,
+    runs = [tr.train("del", params, tiny,
                      tr.TrainConfig(xi0=1e-3, epochs=3, seed=9))
             for _ in range(2)]
     a, b = runs[0][0], runs[1][0]
@@ -477,10 +475,9 @@ def test_train_desk_scale_smoke(gentle):
     # two noise-free training trajectories, 100 epochs: validation
     # acceleration error must fall at least 10x from its initial value
     # (calibrated margin: observed factor is about 20)
-    ds = smo.SmoothedDataset(gentle)
     params = netp.init_params(5, netp.ArchConfig(n=2, hidden=(32, 32)))
     config = tr.TrainConfig(xi0=1e-2, epochs=100, seed=5)
-    rec, best = tr.train("del", params, ds, config)
+    rec, best = tr.train("del", params, gentle, config)
 
     assert len(rec.val_errors) == 101
     assert rec.lrs == [tr.lr_schedule(1e-2, k) for k in range(100)]
@@ -497,19 +494,17 @@ def test_train_divergence_budget(tiny, caplog):
     # an absurd learning rate blows the parameters up; every later step is
     # rejected and the run must abort with the record attached
     params = netp.init_params(8, ARCH8)
-    ds = smo.SmoothedDataset(tiny)
     caplog.set_level(logging.ERROR, logger="smmfit.training")
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(tr.TrainingDivergedError) as err:
-            tr.train("accel", params, ds,
+            tr.train("accel", params, tiny,
                      tr.TrainConfig(xi0=1e6, epochs=40, seed=9))
     assert err.value.record.invalid_steps == tr.DIVERGENCE_BUDGET
 
 
 def test_record_round_trip(tmp_path, tiny):
     params = netp.init_params(8, ARCH8)
-    ds = smo.SmoothedDataset(tiny)
-    rec, _ = tr.train("nextstate", params, ds,
+    rec, _ = tr.train("nextstate", params, tiny,
                       tr.TrainConfig(xi0=1e-3, epochs=2, seed=9))
     path = tmp_path / "record.json"
     tr.save_record(rec, path)
