@@ -325,15 +325,15 @@ def _cell_name(config, seed, method, xi0) -> str:
 
 
 def run_experiment(config: ExperimentConfig) -> ResultsTable:
-    out = Path(config.out)
-    (out / "records").mkdir(parents=True, exist_ok=True)
-    (out / "checkpoints").mkdir(exist_ok=True)
-    config.save(out / "config.json")
-
     _log.info("generating %d %s trajectories (T=%d, sigma=%g)",
               config.n_trajectories, config.system, config.T, config.sigma)
     _, observed = generate_pool(config)
     pool = smooth_pool(observed, config.h)
+    # --out only once the data exists: a failed draw leaves nothing behind
+    out = Path(config.out)
+    (out / "records").mkdir(parents=True, exist_ok=True)
+    (out / "checkpoints").mkdir(exist_ok=True)
+    config.save(out / "config.json")
 
     specs = []
     for seed in range(config.seeds):

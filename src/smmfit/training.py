@@ -15,8 +15,11 @@ Euler-Lagrange terms, the Cholesky solve and the barrier's shifted
 factorization each run inside one fused tape node too (see netparam's
 fused blocks); each takes the packed factor, dV and force nodes whole,
 and its backward is the plain first-order adjoint of its forward.  The
-barrier's feasibility check reads M(q) from the numpy forward with no
-tape.
+DEL residual at q_k uses the pairs (q_k-1, q_k) and (q_k, q_k+1), and
+neighbouring tuples of a trajectory share a pair, so the DEL loss builds
+the nets once per distinct pair of its batch and its residual node
+gathers each tuple's two arms from them.  The barrier's feasibility
+check reads M(q) from the numpy forward with no tape.
 """
 
 from __future__ import annotations
@@ -194,49 +197,63 @@ def _euler_lagrange_rhs_t(L, dV, Xd, F):
     return dc.custom(parents, tau, bwd, "euler_lagrange_rhs")
 
 
-def _del_residual_t(arm_a, arm_b, h: float):
+def _del_residual_t(pairs, ia, ib, h: float):
     """The discrete Euler-Lagrange residual as one (B, n) fused node.
 
-    Each arm is (L, dV, F, v) at one pair midpoint: the packed factor node
-    with its coordinate derivatives, the ∇V node, the force node (or None)
-    and the pair velocity array.  Row i is
-    h/2 (∂L_a + ∂L_b)_i + (M_a v_a - M_b v_b)_i (+ h/2 (F_a + F_b)_i)
-    with ∂L_k = 1/2 vᵀ (∂M/∂q_k) v - ∂V/∂q_k.
+    ``pairs`` is (L, dV, F, v) over the batch's distinct configuration
+    pairs, at each pair's midpoint: the packed factor node with its
+    coordinate derivatives, the ∇V node, the force node (or None) and the
+    pair velocity array.  Tuple i's first pair is ``ia[i]`` and its second
+    ``ib[i]``.  Row i is
+    h/2 (∂L[ia] + ∂L[ib])_i + (M v[ia] - M v[ib])_i (+ h/2 (F[ia] + F[ib])_i)
+    with ∂L_k = 1/2 vᵀ (∂M/∂q_k) v - ∂V/∂q_k and M v formed once per pair.
+    The backward adds the row adjoints onto the pairs first.
     """
-    n = arm_a[3].shape[1]
+    L, dV, F, v = pairs
+    U, n = v.shape
     T = n * (n + 1) // 2
     c = h / 2.0
-    arms, quad, p = [], 0.0, 0.0
-    for (L, dV, F, v), sign in zip((arm_a, arm_b), (1.0, -1.0)):
-        P = transposed(L.value)
-        M, dM = gram(P, n, n)
-        vr = transposed(v)
-        vv = sym_outer(vr, vr)
-        quad = quad + np.array([sumprod(dm, vv) for dm in dM]) * 0.5 \
-            - transposed(dV.value)
-        p = p + np.array(matvec(M, vr)) * sign
-        arms.append((L, dV, F, P, vr, vv, sign))
-    res = transposed(quad * c + p)
-    Fa, Fb = arm_a[2], arm_b[2]
-    if Fa is not None:
-        res = res + (Fa.value + Fb.value) * c
+    P = transposed(L.value)
+    M, dM = gram(P, n, n)
+    vr = transposed(v)
+    vv = sym_outer(vr, vr)
+    dL = np.array([sumprod(dm, vv) for dm in dM]) * 0.5 \
+        - transposed(dV.value)
+    Mv = np.array(matvec(M, vr))
+    res = transposed((dL[:, ia] + dL[:, ib]) * c + (Mv[:, ia] - Mv[:, ib]))
+    if F is not None:
+        res = res + (F.value[ia] + F.value[ib]) * c
 
     def bwd(g):
+        # row i's adjoint lands on its pairs ia[i] and ib[i]
         gr = transposed(g)
-        gq = [r * (c * 0.5) for r in gr]
-        gdV, gF = g * -c, g * c
-        out = []
-        for L, dV, F, P, vr, vv, sign in arms:
-            gM = sym_outer([r * sign for r in gr], vr)
-            gdM = [[gq[k] * vv[t] for t in range(T)] for k in range(n)]
-            out += [transposed(gram_bwd(P, n, gM, gdM)), gdV]
-            if F is not None:
-                out.append(gF)
-        return tuple(out)
+        ga = np.array([np.bincount(ia, r, U) for r in gr])
+        gb = np.array([np.bincount(ib, r, U) for r in gr])
+        gs = ga + gb
+        gq = gs * (c * 0.5)
+        gdM = [[gq[k] * vv[t] for t in range(T)] for k in range(n)]
+        gM = sym_outer(ga - gb, vr)
+        gp = transposed(gs) * c
+        out = (transposed(gram_bwd(P, n, gM, gdM)), -gp)
+        return out if F is None else out + (gp,)
 
-    parents = [node for L, dV, F, *_ in arms
-               for node in (L, dV, *(() if F is None else (F,)))]
+    parents = [L, dV] + ([] if F is None else [F])
     return dc.custom(parents, res, bwd, "del_residual")
+
+
+def _distinct_rows(rows):
+    """(the distinct rows of a (R, m) float array, each row's index among
+    them).  Rows count as one only when bit-identical, so -0.0 and 0.0
+    stay apart."""
+    keys = rows.view(np.int64)
+    order = np.lexsort(keys.T)
+    s = keys[order]
+    new = np.empty(len(order), dtype=bool)
+    new[:1] = True
+    np.any(s[1:] != s[:-1], axis=1, out=new[1:])
+    inv = np.empty(len(order), dtype=np.intp)
+    inv[order] = np.cumsum(new) - 1
+    return rows[order[new]], inv
 
 
 def _shifted_logdet_t(L, n: int, shift: float):
@@ -294,19 +311,21 @@ def _del_graph(flat: FlatParams, batch: Batch, mu: float, alpha: float):
     tape = dc.Tape()
     theta = tape.input(flat.values.reshape(1, -1))
 
-    def arm(qa, qb):
-        # the nets at the pair midpoint, and the pair velocity
-        X = tape.constant((qa + qb) / 2.0)
-        v = (qb - qa) / h
-        L = chol_entries_t(theta, layout, X, jac=True)
-        dV = potential_grad_t(theta, layout, X)
-        F = None
-        if not layout.arch.conservative:
-            F = force_t(theta, layout, X, tape.constant(v))
-        return L, dV, F, v
-
-    res = _del_residual_t(arm(q1, q2), arm(q2, q3), h)
-    rho = dc.scale(dc.sumsq(res), 1.0 / len(batch))
+    # the tuples' pairs (q1, q2) then (q2, q3): a trajectory cut in order
+    # shares all but one of them, so the nets run once per distinct pair
+    B = len(batch)
+    pairs, inv = _distinct_rows(np.concatenate([np.hstack([q1, q2]),
+                                                np.hstack([q2, q3])]))
+    qa, qb = pairs[:, :n], pairs[:, n:]
+    X = tape.constant((qa + qb) / 2.0)
+    v = (qb - qa) / h
+    L = chol_entries_t(theta, layout, X, jac=True)
+    dV = potential_grad_t(theta, layout, X)
+    F = None
+    if not layout.arch.conservative:
+        F = force_t(theta, layout, X, tape.constant(v))
+    res = _del_residual_t((L, dV, F, v), inv[:B], inv[B:], h)
+    rho = dc.scale(dc.sumsq(res), 1.0 / B)
     ld_mean = None
     loss = rho
     if mu != 0.0:  # an unweighted barrier is not built

@@ -567,11 +567,16 @@ def test_cli_exhausted_draws_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: trajectory slot 0: all 25 draws")
     assert not out.exists()
+
+
+def test_cli_experiment_with_exhausted_draws_leaves_no_out(tmp_path, capsys):
     config = tmp_path / "config.json"
     desk_config(h=2.0, T=20).save(config)
+    out = tmp_path / "exp"
     assert cli.main(["experiment", "--config", str(config), "--out",
-                     str(tmp_path / "exp")]) == 2
+                     str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: trajectory slot 0:")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("file_n,checkpoint_n", [(1, 2), (1, 1), (3, 3)])

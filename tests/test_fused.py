@@ -63,6 +63,59 @@ def test_fused_losses_and_gradients_are_bit_exact(n, conservative, B):
                  col.loss_grad(col.nextstate_graph(flat, b["nextstate"], H)))
 
 
+def trajectory_batch(n, T):
+    # a random walk cut into its T - 2 DEL tuples, in order: tuple i's
+    # second pair (q_i+1, q_i+2) is tuple i+1's first
+    rng = np.random.default_rng([n, T])
+    q = np.cumsum(rng.normal(scale=0.05, size=(T, n)), axis=0)
+    return tr.Batch("del", {"q1": q[:-2], "q2": q[1:-1], "q3": q[2:]}, H), q
+
+
+CUTS = {"in_order": lambda m: np.arange(m),
+        "shuffled_subset": lambda m: np.random.default_rng(m)
+        .permutation(m)[:m // 3],
+        "one_tuple_twice": lambda m: np.array([4, 5, 9, 4])}
+
+
+@pytest.mark.parametrize("cut", sorted(CUTS))
+@pytest.mark.parametrize("n,conservative", [(n, cons) for n in (2, 3)
+                                            for cons in (True, False)])
+def test_fused_del_on_shared_pairs(n, conservative, cut):
+    # trajectory cuts share pairs between tuples, which the graph builds
+    # once; the per-node graph builds each tuple's two pairs apart
+    flat, _, _ = setup(n, conservative, 7)
+    full, q = trajectory_batch(n, 60)
+    batch = full.take(CUTS[cut](len(full)))
+    alpha = tr.choose_alpha(flat, q)
+    for mu in (0.01, 0.0):
+        assert_close(tr.del_loss_grad(flat, batch, mu, alpha),
+                     col.loss_grad(col.del_graph(flat, batch, mu, alpha,
+                                                 with_barrier=mu != 0.0)))
+
+
+def test_del_builds_the_nets_once_per_distinct_pair():
+    # T points give T - 2 tuples on T - 1 distinct pairs; the barrier
+    # build at q2 keeps one row per tuple.  Pairs are one only when
+    # bit-identical: a repeated tuple shares both of its pairs, and a -0.0
+    # in place of a 0.0 in q1 parts the first
+    flat, _, alpha = setup(2, False, 7)
+    T = 40
+    batch, _ = trajectory_batch(2, T)
+
+    def mass_rows(batch):
+        tape = tr._del_graph(flat, batch, 0.01, alpha)[0]
+        return [node.value.shape[0] for node in tape.nodes
+                if node.op == "mass_net"]
+
+    assert mass_rows(batch) == [T - 1, T - 2]
+    one = batch.take([3])
+    one.data["q1"][0, 0] = 0.0
+    assert mass_rows(one.take([0, 0])) == [2, 2]
+    twin = one.take([0, 0])
+    twin.data["q1"][1, 0] = -0.0
+    assert mass_rows(twin) == [3, 2]
+
+
 @pytest.mark.parametrize("n,conservative,B", CASES)
 def test_fused_values_are_bit_exact(n, conservative, B):
     # the pass mark is rounding (assert_close), not bit identity
@@ -89,8 +142,8 @@ def test_fused_values_are_bit_exact(n, conservative, B):
 
 
 @pytest.mark.parametrize("conservative,want", [
-    (False, {"del": 23, "accel": 13, "nextstate": 58}),
-    (True, {"del": 17, "accel": 11, "nextstate": 50})])
+    (False, {"del": 17, "accel": 13, "nextstate": 58}),
+    (True, {"del": 14, "accel": 11, "nextstate": 50})])
 def test_loss_graphs_build_one_node_per_net(conservative, want):
     # n = 2: each net build and each fused block is one node, and the
     # blocks take the packed factor, dV and force nodes whole, with no
