@@ -17,8 +17,8 @@ derivatives along each coordinate axis, packed into the same node after
 its entries; the potential build always gives ∇V(q), which is all the
 dynamics read of V.  M(q) and its derivatives come from the Gram of the
 factor (`gram`, with its adjoint `gram_bwd`) inside the fused blocks,
-which work on the (B,) columns of the packed nodes; `mass_entries_t`
-gives M(q) values with no tape.
+which hold every matrix as an (n, n, B) array; `mass_entries_t` gives
+M(q) values with no tape.
 """
 
 from __future__ import annotations
@@ -186,6 +186,14 @@ def _mlp_np(theta_v, layout: ParamLayout, net: str, x, dirs):
     return a, das, layers
 
 
+def sumprod(a, b):
+    """Σ_k a[k] b[k] over two sequences of arrays, added in order."""
+    acc = a[0] * b[0]
+    for x, y in zip(a[1:], b[1:]):
+        acc = acc + x * y
+    return acc
+
+
 def _mlp_bwd(layers, g_out, g_douts, want_x: bool, want_w: bool):
     """Adjoint of `_mlp_np` from the adjoints of its output (None when
     only the directions are used) and of its directions: (adjoint of x or
@@ -242,13 +250,13 @@ def _log_scale_np(theta_v, layout: ParamLayout, which: int) -> np.ndarray:
 
 
 def _chol_head_np(theta_v, layout: ParamLayout, out, douts):
-    """The scaled Cholesky entries in `tri_keys` order, then their
-    derivatives along each direction, packed as (B, tri·(1 + D)):
+    """The scaled Cholesky entries (the lower triangle row by row), then
+    their derivatives along each direction, packed as (B, tri·(1 + D)):
     softplus + eps on the diagonal, the sigmoid gate on each direction's
     diagonal and e^{s_M/2} on every entry.  Returns (packed, record for
     `_chol_head_bwd`)."""
     arch = layout.arch
-    # the diagonal's columns among the tri_keys
+    # the diagonal's columns in that order
     diag = [i * (i + 3) // 2 for i in range(arch.n)]
     half = dc._exp_np(_log_scale_np(theta_v, layout, 0) * 0.5)
     dg = out[:, diag]
@@ -287,8 +295,8 @@ def _chol_head_bwd(g, record):
 
 def chol_entries_t(theta, layout: ParamLayout, Q, jac: bool = False):
     """The scaled Cholesky factor with e^{s_M/2} folded in, so that
-    M = L̃ L̃ᵀ directly, as one (B, tri) tape node: the entries in
-    `tri_keys` order.  With ``jac`` the node is (B, tri·(1 + n)), the
+    M = L̃ L̃ᵀ directly, as one (B, tri) tape node: the lower triangle row
+    by row (see `factor`).  With ``jac`` the node is (B, tri·(1 + n)), the
     entries followed by their derivatives along each coordinate q_k.
     The mass net and its head are the one node."""
     tv = theta.value
@@ -309,19 +317,14 @@ def chol_entries_t(theta, layout: ParamLayout, Q, jac: bool = False):
 
 def mass_entries_t(params: FlatParams, Q) -> np.ndarray:
     """Batched M(q) values as a (B, n, n) array, with no tape: the Gram of
-    the scaled factor's entries, as `gram` computes it."""
+    the scaled factor, as `gram` computes it."""
     layout = params.layout
-    n = layout.arch.n
     tv = params.values.reshape(1, -1)
     Q = np.asarray(Q, dtype=np.float64)
     out, _, _ = _mlp_np(tv, layout, "mass", Q, [])
-    packed, _ = _chol_head_np(tv, layout, out, [])
-    G, _ = gram(transposed(packed), n)
-    M = np.empty((Q.shape[0], n, n))
-    for i in range(n):
-        for j in range(n):
-            M[:, i, j] = G[tri_index(i, j)]
-    return M
+    P, _ = _chol_head_np(tv, layout, out, [])
+    M, _ = gram(*factor(P, layout.arch.n))
+    return M.transpose(2, 0, 1)
 
 
 def potential_grad_t(theta, layout: ParamLayout, Q):
@@ -370,130 +373,100 @@ def force_t(theta, layout: ParamLayout, Q, Qdot):
 
 # -- fused blocks -------------------------------------------------------------
 #
-# A fused block is one tape node that does the work of many small ones on
-# (B,) columns, the rows of its parents' transposed values.  A symmetric
-# n x n matrix (M, ∂M/∂q_k, the inverse of the shifted M, an adjoint) is
-# held as its `tri_keys` entries, and the adjoint of an entry off the
-# diagonal covers both places it stands in.  Each block's backward is the
-# plain first-order adjoint of its forward and returns one adjoint per
-# parent; `gram_bwd` is the adjoint of the Gram that all of them share.
+# A fused block is one tape node that does the work of many small ones.
+# Inside it every matrix is an entry-major array, so that each entry is a
+# contiguous (B,) row: L, M, the shifted factor S and matrix adjoints are
+# (n, n, B), the factor's directions and ∂M/∂q are (D, n, n, B) and
+# vectors are (n, B).  `factor` and `packed` map between these arrays and
+# a packed factor node's (B, tri·(1 + D)) value.  Adjoints are full n x n
+# matrices with the textbook formulas (Giles 2008); each block's backward
+# is the plain first-order adjoint of its forward and returns one adjoint
+# per parent, and `gram_bwd` is the adjoint of the Gram they all share.
 
-def tri_keys(n: int):
-    """(i, j) for j <= i, row by row: the order entries are built in."""
-    return [(i, j) for i in range(n) for j in range(i + 1)]
-
-
-def tri_index(i: int, j: int) -> int:
-    """The position of symmetric entry (i, j) among the `tri_keys`."""
-    if j > i:
-        i, j = j, i
-    return i * (i + 1) // 2 + j
+@lru_cache(maxsize=None)
+def _tril(n: int) -> np.ndarray:
+    """The lower triangle's flat positions i·n + j in an n x n matrix,
+    row by row: the packed order."""
+    i, j = np.tril_indices(n)
+    return i * n + j
 
 
-def sumprod(a, b):
-    """Σ_k a[k] b[k] over two sequences of arrays, added in order."""
-    acc = a[0] * b[0]
-    for x, y in zip(a[1:], b[1:]):
-        acc = acc + x * y
-    return acc
+def factor(P, n: int):
+    """(L, dL) from a packed factor value ``P`` (B, tri·(1 + D)): L as
+    (n, n, B) and the D directions as (D, n, n, B), zero above the
+    diagonal."""
+    tril = _tril(n)
+    B = P.shape[0]
+    A = np.zeros((P.shape[1] // len(tril), n * n, B))
+    A[:, tril] = P.T.reshape(len(A), len(tril), B)
+    A = A.reshape(-1, n, n, B)
+    return A[0], A[1:]
 
 
-def sym_outer(a, b):
-    """The entries of a bᵀ + b aᵀ off the diagonal and a_i b_i on it, so
-    that ⟨S, a bᵀ⟩ = sumprod(S, sym_outer(a, b)) for a symmetric S."""
-    return [a[i] * b[i] if i == j else a[i] * b[j] + a[j] * b[i]
-            for i, j in tri_keys(len(a))]
+def packed(L, dL) -> np.ndarray:
+    """The (B, tri·(1 + D)) packed value of the lower triangles of L and
+    of each direction in ``dL``: the inverse of `factor`."""
+    n, _, B = L.shape
+    A = np.concatenate([L[None], dL]).reshape(-1, n * n, B)
+    return transposed(A.take(_tril(n), axis=1).reshape(-1, B))
 
 
-def matvec(S, x):
-    """S x for a symmetric S."""
-    n = len(x)
-    return [sumprod([S[tri_index(i, j)] for j in range(n)], x)
-            for i in range(n)]
+def gram(L, dL):
+    """M = L Lᵀ and, for each direction, dM = dL Lᵀ + L dLᵀ."""
+    M = (L[:, None] * L).sum(2)
+    C = (dL[:, :, None] * L).sum(3)
+    return M, C + C.swapaxes(1, 2)
 
 
-def gram(P, n: int, ndirs: int = 0, with_M: bool = True):
-    """M = L Lᵀ and dM = dL Lᵀ + L dLᵀ for the first ``ndirs``
-    directions, from the rows of a packed factor (L's entries, then each
-    direction's), summed over k in increasing order."""
-    T = n * (n + 1) // 2
-    rows = list(P)
-    L = rows[:T]
-    dL = [rows[T * (d + 1):T * (d + 2)] for d in range(ndirs)]
-    M = [None] * T
-    dM = [[None] * T for _ in dL]
-    for t, (i, j) in enumerate(tri_keys(n)):
-        ik = [tri_index(i, k) for k in range(j + 1)]
-        jk = [tri_index(j, k) for k in range(j + 1)]
-        Li, Lj = [L[k] for k in ik], [L[k] for k in jk]
-        if with_M:
-            M[t] = sumprod(Li, Lj)
-        for dl, dm in zip(dL, dM):
-            dm[t] = sumprod([dl[k] for k in ik], Lj) \
-                + sumprod(Li, [dl[k] for k in jk])
-    return M, dM
-
-
-def gram_bwd(P, n: int, gM, gdM) -> np.ndarray:
-    """The adjoint of `gram`, as rows shaped like ``P``: from the adjoint
-    of M's entries (None where M is not used) and of each direction's
-    dM (zeros for directions with none)."""
-    T = n * (n + 1) // 2
-    G = np.zeros_like(P)
-    L, gL = P[:T], G[:T]
-    dirs = [(P[T * (d + 1):T * (d + 2)], G[T * (d + 1):T * (d + 2)], gd)
-            for d, gd in enumerate(gdM)]
-    for t, (i, j) in enumerate(tri_keys(n)):
-        for k in range(j + 1):
-            ik, jk = tri_index(i, k), tri_index(j, k)
-            if gM is not None:
-                gL[ik] += gM[t] * L[jk]
-                gL[jk] += gM[t] * L[ik]
-            for dl, gdl, gd in dirs:
-                gdl[ik] += gd[t] * L[jk]
-                gdl[jk] += gd[t] * L[ik]
-                gL[ik] += gd[t] * dl[jk]
-                gL[jk] += gd[t] * dl[ik]
-    return G
-
-
-def _substitute(L, r, b):
-    """x with L Lᵀ x = b by forward, then back substitution; ``r`` holds
-    the reciprocals of L's diagonal."""
-    n = len(b)
-    y = []
-    for i in range(n):
-        acc = b[i]
-        for j in range(i):
-            acc = acc - L[tri_index(i, j)] * y[j]
-        y.append(acc * r[i])
-    x = [None] * n
-    for i in reversed(range(n)):
-        acc = y[i]
-        for j in range(i + 1, n):
-            acc = acc - L[tri_index(j, i)] * x[j]
-        x[i] = acc * r[i]
-    return x
+def gram_bwd(L, dL, gM, gdM):
+    """The adjoint of `gram`, (gL, gdL), from the adjoint of M (None where
+    M is not used) and of dM (None where no direction is)."""
+    gL = np.zeros_like(L) if gM is None \
+        else ((gM + gM.swapaxes(0, 1))[:, :, None] * L).sum(1)
+    gdL = np.zeros_like(dL)
+    if gdM is not None:
+        G = (gdM + gdM.swapaxes(1, 2))[:, :, :, None]
+        gdL = (G * L).sum(2)
+        gL = gL + (G * dL[:, None]).sum((0, 2))
+    return gL, gdL
 
 
 def chol_solve_t(L, rhs):
     """Solve L Lᵀ x = b for a (B, n) right-hand side as one tape node,
     ``L`` a packed factor node (`chol_entries_t`).
 
-    The backward solves once more for the adjoint of b and hands
-    -(gb xᵀ + x gbᵀ) to the Gram's adjoint.
+    The backward solves once more for the adjoint of b and hands -gb xᵀ
+    to the Gram's adjoint.
     """
     n = rhs.shape[1]
-    P = transposed(L.value)
-    r = [dc._reciprocal_np(P[tri_index(i, i)]) for i in range(n)]
-    x = _substitute(P, r, transposed(rhs.value))
+    T = n * (n + 1) // 2
+    Lm, dLm = factor(L.value[:, :T], n)
+    r = dc._reciprocal_np(Lm.reshape(n * n, -1)[::n + 1])
+
+    def solve(b):
+        # forward, then back substitution, in place
+        y = np.empty_like(b)
+        for i in range(n):
+            acc = b[i]
+            for j in range(i):
+                acc = acc - Lm[i, j] * y[j]
+            y[i] = acc * r[i]
+        for i in reversed(range(n)):
+            acc = y[i]
+            for j in range(i + 1, n):
+                acc = acc - Lm[j, i] * y[j]
+            y[i] = acc * r[i]
+        return y
+
+    x = solve(transposed(rhs.value))
 
     def bwd(g):
-        gb = _substitute(P, r, transposed(g))
-        gM = sym_outer([-c for c in gb], x)
-        return transposed(gram_bwd(P, n, gM, [])), transposed(np.array(gb))
+        gb = solve(transposed(g))
+        gP = np.zeros(L.value.shape)
+        gP[:, :T] = packed(*gram_bwd(Lm, dLm, -gb[:, None] * x, None))
+        return gP, transposed(gb)
 
-    return dc.custom([L, rhs], transposed(np.array(x)), bwd, "chol_solve")
+    return dc.custom([L, rhs], transposed(x), bwd, "chol_solve")
 
 
 # -- checkpoint files ---------------------------------------------------------

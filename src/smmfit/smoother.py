@@ -304,8 +304,8 @@ class SmoothedTrajectory:
         return self.q.shape[1]
 
 
-def smooth_trajectory(observations: np.ndarray, h: float,
-                      split: str = "") -> SmoothedTrajectory:
+def smooth_trajectory(observations: np.ndarray,
+                      h: float) -> SmoothedTrajectory:
     """EM + RTS on all n coordinates as one batch of series.
 
     The columns need not be one trajectory's coordinates: any (T, n)
@@ -329,7 +329,7 @@ def smooth_trajectory(observations: np.ndarray, h: float,
     return SmoothedTrajectory(q=np.ascontiguousarray(means[:, :, 0]),
                               qdot=np.ascontiguousarray(means[:, :, 1]),
                               qddot=np.ascontiguousarray(means[:, :, 2]),
-                              h=h, split=split, fits=fits)
+                              h=h, fits=fits)
 
 
 def _smoothed_header(n: int) -> list:

@@ -14,7 +14,8 @@ end then yields exact parameter gradients.  The mass-matrix Gram, the
 Euler-Lagrange terms, the Cholesky solve and the barrier's shifted
 factorization each run inside one fused tape node too (see netparam's
 fused blocks); each takes the packed factor, dV and force nodes whole,
-and its backward is the plain first-order adjoint of its forward.  The
+unpacks the factor into (n, n, B) arrays, and its backward is the plain
+first-order matrix adjoint of its forward.  The
 DEL residual at q_k uses the pairs (q_k-1, q_k) and (q_k, q_k+1), and
 neighbouring tuples of a trajectory share a pair, so the DEL loss builds
 the nets once per distinct pair of its batch and its residual node
@@ -33,10 +34,9 @@ import numpy as np
 
 from . import diffcore as dc
 from .integrators import IntegrationBlowupError
-from .netparam import (FlatParams, chol_entries_t, chol_solve_t, force_t,
-                       gram, gram_bwd, mass_entries_t, matvec,
-                       potential_grad_t, sumprod, sym_outer, transposed,
-                       tri_index, tri_keys)
+from .netparam import (FlatParams, chol_entries_t, chol_solve_t, factor,
+                       force_t, gram, gram_bwd, mass_entries_t, packed,
+                       potential_grad_t, transposed)
 
 _log = logging.getLogger("smmfit.training")
 
@@ -164,33 +164,28 @@ def _euler_lagrange_rhs_t(L, dV, Xd, F):
     the force node or None.
     """
     n = Xd.shape[1]
-    T = n * (n + 1) // 2
-    P = transposed(L.value)
-    _, dM = gram(P, n, n, with_M=False)
+    Lm, dLm = factor(L.value, n)
+    _, dM = gram(Lm, dLm)
     x = transposed(Xd.value)
-    xx = sym_outer(x, x)
-    D = [sumprod(x, [dm[t] for dm in dM]) for t in range(T)]
-    quad = np.array([sumprod(dm, xx) for dm in dM])
-    tau = transposed(quad * 0.5 - transposed(dV.value)
-                     - np.array(matvec(D, x)))
+    xx = x[:, None] * x
+    D = (x[:, None, None] * dM).sum(0)
+    quad = (dM * xx).sum((1, 2))
+    tau = transposed(quad * 0.5 - transposed(dV.value) - (D * x).sum(1))
     if F is not None:
         tau = tau + F.value
 
     def bwd(g):
-        # quad_i = <∂M/∂q_i, xx> and the curvature term D x: the adjoint
+        # quad_i = <∂M/∂q_i, x xᵀ> and the curvature term D x: the adjoint
         # of D first, then of each ∂M/∂q_k, then of x through all three
         gr = transposed(g)
-        gD = sym_outer([-c for c in gr], x)
-        gq = [c * 0.5 for c in gr]
-        gdM = [[gq[k] * xx[t] + x[k] * gD[t] for t in range(T)]
-               for k in range(n)]
+        gD = -gr[:, None] * x
+        gdM = (gr * 0.5)[:, None, None] * xx + x[:, None, None] * gD
         gx = None
         if Xd.requires_grad:
-            gxx = [sumprod(gq, [dm[t] for dm in dM]) for t in range(T)]
-            gx = transposed(np.array(matvec(gxx, x)) * 2.0
-                            - np.array(matvec(D, gr))
-                            + np.array([sumprod(dm, gD) for dm in dM]))
-        return (transposed(gram_bwd(P, n, None, gdM)), -g, gx,
+            gxx = (gr[:, None, None] * dM).sum(0) * 0.5
+            gx = transposed((gxx * x).sum(1) * 2.0 - (D * gr).sum(1)
+                            + (dM * gD).sum((1, 2)))
+        return (packed(*gram_bwd(Lm, dLm, None, gdM)), -g, gx,
                 *(() if F is None else (g,)))
 
     parents = [L, dV, Xd] + ([] if F is None else [F])
@@ -211,15 +206,13 @@ def _del_residual_t(pairs, ia, ib, h: float):
     """
     L, dV, F, v = pairs
     U, n = v.shape
-    T = n * (n + 1) // 2
     c = h / 2.0
-    P = transposed(L.value)
-    M, dM = gram(P, n, n)
+    Lm, dLm = factor(L.value, n)
+    M, dM = gram(Lm, dLm)
     vr = transposed(v)
-    vv = sym_outer(vr, vr)
-    dL = np.array([sumprod(dm, vv) for dm in dM]) * 0.5 \
-        - transposed(dV.value)
-    Mv = np.array(matvec(M, vr))
+    vv = vr[:, None] * vr
+    dL = (dM * vv).sum((1, 2)) * 0.5 - transposed(dV.value)
+    Mv = (M * vr).sum(1)
     res = transposed((dL[:, ia] + dL[:, ib]) * c + (Mv[:, ia] - Mv[:, ib]))
     if F is not None:
         res = res + (F.value[ia] + F.value[ib]) * c
@@ -230,11 +223,10 @@ def _del_residual_t(pairs, ia, ib, h: float):
         ga = np.array([np.bincount(ia, r, U) for r in gr])
         gb = np.array([np.bincount(ib, r, U) for r in gr])
         gs = ga + gb
-        gq = gs * (c * 0.5)
-        gdM = [[gq[k] * vv[t] for t in range(T)] for k in range(n)]
-        gM = sym_outer(ga - gb, vr)
+        gdM = (gs * (c * 0.5))[:, None, None] * vv
+        gM = (ga - gb)[:, None] * vr
         gp = transposed(gs) * c
-        out = (transposed(gram_bwd(P, n, gM, gdM)), -gp)
+        out = (packed(*gram_bwd(Lm, dLm, gM, gdM)), -gp)
         return out if F is None else out + (gp,)
 
     parents = [L, dV] + ([] if F is None else [F])
@@ -264,37 +256,39 @@ def _shifted_logdet_t(L, n: int, shift: float):
     means the barrier is violated.  The backward reads
     (M - shift I)⁻¹ = S⁻ᵀ S⁻¹ from S.
     """
-    P = transposed(L.value)
-    M, _ = gram(P, n)
-    S, r = {}, [None] * n
+    Lm, dLm = factor(L.value, n)
+    M, _ = gram(Lm, dLm)
+    S = np.zeros_like(M)
+    r = np.empty((n, M.shape[2]))
     ld = None
-    for i, j in tri_keys(n):
-        acc = M[tri_index(i, j)]
-        if i == j and shift != 0.0:
-            acc = acc - shift
-        for k in range(j):
-            acc = acc - S[i, k] * S[j, k]
-        if i == j:
-            if not np.all(np.isfinite(acc)) or np.any(acc <= 0.0):
-                raise BarrierViolationError(i, float(np.nanmin(acc)))
-            S[i, i] = np.sqrt(acc)
-            r[i] = 1.0 / S[i, i]
-            ld = np.log(acc) if ld is None else ld + np.log(acc)
-        else:
-            S[i, j] = acc * r[j]
+    for i in range(n):
+        for j in range(i + 1):
+            acc = M[i, j]
+            if i == j and shift != 0.0:
+                acc = acc - shift
+            for k in range(j):
+                acc = acc - S[i, k] * S[j, k]
+            if i == j:
+                if not np.all(np.isfinite(acc)) or np.any(acc <= 0.0):
+                    raise BarrierViolationError(i, float(np.nanmin(acc)))
+                S[i, i] = np.sqrt(acc)
+                r[i] = 1.0 / S[i, i]
+                ld = np.log(acc) if ld is None else ld + np.log(acc)
+            else:
+                S[i, j] = acc * r[j]
 
     def bwd(g):
         # R = S⁻¹, lower triangular, column by column
-        R = {(j, j): r[j] for j in range(n)}
+        R = np.zeros_like(S)
         for j in range(n):
+            R[j, j] = r[j]
             for i in range(j + 1, n):
-                R[i, j] = -sumprod([S[i, k] for k in range(j, i)],
-                                   [R[k, j] for k in range(j, i)]) * r[i]
-        g = g[:, 0]
-        gM = [sumprod([R[k, i] for k in range(i, n)],
-                      [R[k, j] for k in range(i, n)])
-              * (g if i == j else g * 2.0) for i, j in tri_keys(n)]
-        return (transposed(gram_bwd(P, n, gM, [])),)
+                acc = S[i, j] * r[j]
+                for k in range(j + 1, i):
+                    acc = acc + S[i, k] * R[k, j]
+                R[i, j] = -acc * r[i]
+        gM = (R[:, :, None] * R[:, None]).sum(0) * g[:, 0]
+        return (packed(*gram_bwd(Lm, dLm, gM, None)),)
 
     return dc.custom([L], ld[:, None], bwd, "shifted_logdet")
 

@@ -45,7 +45,7 @@ def assert_close(got, want):
                                    atol=1e-12 * np.abs(w).max())
 
 
-CASES = [(n, cons, B) for n in (2, 3) for cons in (True, False)
+CASES = [(n, cons, B) for n in (1, 2, 3) for cons in (True, False)
          for B in (1, 7, 32, 196)]
 
 

@@ -211,7 +211,7 @@ def test_tape_directions_match_reverse_mode():
     tape = dc.Tape()
     tt = tape.constant(p.values.reshape(1, -1))
     L = npar.chol_entries_t(tt, layout, tape.constant(Q), jac=True)
-    _, dM = npar.gram(npar.transposed(L.value), 2, 2, with_M=False)
+    _, dM = npar.gram(*npar.factor(L.value, 2))
     dV = npar.potential_grad_t(tt, layout, tape.constant(Q))
     for b, q in enumerate(Q):
         want_M, want_V = sys.mass_jacobian(q), sys.potential_gradient(q)
@@ -219,8 +219,7 @@ def test_tape_directions_match_reverse_mode():
             assert abs(dV.value[b, k] - want_V[k]) <= 1e-12
             for i in range(2):
                 for j in range(2):
-                    assert abs(dM[k][npar.tri_index(i, j)][b]
-                               - want_M[k, i, j]) <= 1e-12
+                    assert abs(dM[k, i, j, b] - want_M[k, i, j]) <= 1e-12
 
 
 def test_tape_builders_without_directions_build_values_only():
@@ -263,6 +262,44 @@ def test_chol_solve_t_matches_dense_solve():
     for b, q in enumerate(Q):
         want = np.linalg.solve(oracle.mass_matrix(p, q), B[b])
         assert np.abs(xs.value[b] - want).max() <= 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("with_M,with_dM", [(True, True), (True, False),
+                                            (False, True)])
+def test_gram_bwd_is_the_adjoint_of_gram(n, with_M, with_dM):
+    # <gram_bwd(L, dL, gM, gdM), (δL, δdL)> = <(gM, gdM), δgram>; gram is
+    # bilinear in (L, dL), so the central difference is exact to rounding
+    rng = np.random.default_rng([n, with_M, with_dM])
+    D, B, T = n, 5, n * (n + 1) // 2
+
+    def draw_factor():
+        return npar.factor(rng.normal(size=(B, T * (1 + D))), n)
+
+    L, dL = draw_factor()
+    eL, edL = draw_factor()
+    gM = rng.normal(size=(n, n, B)) if with_M else None
+    gdM = rng.normal(size=(D, n, n, B)) if with_dM else None
+    gL, gdL = npar.gram_bwd(L, dL, gM, gdM)
+    lhs = np.sum(npar.packed(gL, gdL) * npar.packed(eL, edL))
+
+    def pairing(t):
+        M, dM = npar.gram(L + t * eL, dL + t * edL)
+        return (np.sum(gM * M) if with_M else 0.0) \
+            + (np.sum(gdM * dM) if with_dM else 0.0)
+
+    rhs = pairing(0.5) - pairing(-0.5)
+    assert abs(lhs - rhs) <= 1e-12 * (abs(lhs) + abs(rhs))
+
+
+@pytest.mark.parametrize("n,D", [(1, 0), (1, 1), (2, 2), (3, 0), (3, 3)])
+def test_packed_inverts_factor(n, D):
+    T = n * (n + 1) // 2
+    P = np.random.default_rng([n, D]).normal(size=(4, T * (1 + D)))
+    L, dL = npar.factor(P, n)
+    assert L.shape == (n, n, 4) and dL.shape == (D, n, n, 4)
+    assert np.all(np.triu(L.transpose(2, 0, 1), 1) == 0.0)
+    assert np.array_equal(npar.packed(L, dL), P)
 
 
 # -- the oracle's SmmSystem adapter ------------------------------------------

@@ -1,6 +1,7 @@
 """Kalman/RTS/EM checks against closed-form and sampled-data oracles."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -364,7 +365,7 @@ def test_smooth_shapes_and_determinism():
 def test_smoothed_file_roundtrip(tmp_path):
     traj = _clean_traj(42, T=50)
     obs = integ.add_noise(traj, 0.1, 43)
-    sm = smo.smooth_trajectory(obs.configs, obs.h, split="train")
+    sm = replace(smo.smooth_trajectory(obs.configs, obs.h), split="train")
     p = tmp_path / "smoothed.csv"
     smo.save_smoothed(sm, p)
     header = p.read_text().splitlines()[0]
