@@ -13,12 +13,13 @@ batched net build (`chol_entries_t`, `potential_grad_t`, `force_t`) is
 one tape node that slices its net out of that vector, runs the MLP and
 its output head in numpy, and takes the plain reverse-mode adjoint in
 its backward.  The Cholesky build can also carry the factor's
-derivatives along each coordinate axis, packed into the same node after
-its entries; the potential build always gives ∇V(q), which is all the
-dynamics read of V.  M(q) and its derivatives come from the Gram of the
-factor (`gram`, with its adjoint `gram_bwd`) inside the fused blocks,
-which hold every matrix as an (n, n, B) array; `mass_entries_t` gives
-M(q) values with no tape.
+forward-mode derivatives along each coordinate axis, packed into the
+same node after its entries.  The potential build gives ∇V(q), all the
+dynamics read of V, by one reverse sweep from the net's scalar output,
+so its cost does not grow with n.  M(q) and its derivatives come from
+the Gram of the factor (`gram`, with its adjoint `gram_bwd`) inside the
+fused blocks, which hold every matrix as an (n, n, B) array;
+`mass_entries_t` gives M(q) values with no tape.
 """
 
 from __future__ import annotations
@@ -143,11 +144,12 @@ def init_params(rng, arch: ArchConfig) -> FlatParams:
 # -- fused net builds ---------------------------------------------------------
 #
 # Each net build (an MLP and its output head) is one tape node.  Its
-# forward runs the net in numpy, carrying the forward-mode derivatives
-# along the coordinate axes beside the values; its backward is the
-# reverse-mode adjoint of that forward.  The node returns one full-size
-# theta adjoint with the build's slots filled, and an adjoint for its
-# input only when the input needs one.
+# forward runs the net in numpy; the Cholesky build with ``jac`` carries
+# forward-mode derivatives along the coordinate axes beside the values,
+# and the potential build adds one reverse sweep for ∇V.  Its backward is
+# the reverse-mode adjoint of that forward.  The node returns one
+# full-size theta adjoint with the build's slots filled, and an adjoint
+# for its input only when the input needs one.
 
 def transposed(a: np.ndarray) -> np.ndarray:
     """A contiguous transpose: a (B, m) array's m columns as (B,) rows,
@@ -195,9 +197,8 @@ def sumprod(a, b):
 
 
 def _mlp_bwd(layers, g_out, g_douts, want_x: bool, want_w: bool):
-    """Adjoint of `_mlp_np` from the adjoints of its output (None when
-    only the directions are used) and of its directions: (adjoint of x or
-    None, (gW, gb) per layer)."""
+    """Adjoint of `_mlp_np` from the adjoints of its output and of its
+    directions: (adjoint of x or None, (gW, gb) per layer)."""
     ga, gda = g_out, list(g_douts)
     grads = []
     for i in reversed(range(len(layers))):
@@ -209,22 +210,17 @@ def _mlp_bwd(layers, g_out, g_douts, want_x: bool, want_w: bool):
             if s is None:
                 s = 1.0 - o * o
             ge = [dc._unbroadcast(gp * s, e.shape) for gp, e in zip(gda, es)]
-            go = ga
             if gda:
-                c = -2.0 * o * sumprod(gda, es)
-                go = c if go is None else go + c
-            gz = None if go is None else go * s
+                ga = ga - 2.0 * o * sumprod(gda, es)
+            gz = ga * s
         Wt = transposed(W) if i > 0 or want_x else None
         gW = gb = ga = None
-        if gz is not None:
-            if want_w:
-                gW, gb = transposed(a) @ gz, dc._unbroadcast(gz, bshape)
-            if Wt is not None:
-                ga = gz @ Wt
         if want_w:
+            gW, gb = transposed(a) @ gz, dc._unbroadcast(gz, bshape)
             for da, g_e in zip(das, ge):
-                c = transposed(da) @ g_e
-                gW = c if gW is None else gW + c
+                gW = gW + transposed(da) @ g_e
+        if Wt is not None:
+            ga = gz @ Wt
         gda = [g_e @ Wt for g_e in ge] if i > 0 else []
         grads.append((gW, gb))
     return ga, grads[::-1]
@@ -328,25 +324,50 @@ def mass_entries_t(params: FlatParams, Q) -> np.ndarray:
 
 
 def potential_grad_t(theta, layout: ParamLayout, Q):
-    """Batched ∇V(q) as one (B, n) tape node: the potential net's
-    derivatives along each coordinate q_k, times its e^{s_V} scale."""
+    """Batched ∇V(q) as one (B, n) tape node: one reverse sweep of the
+    potential net from its scalar output, times its e^{s_V} scale.
+
+    Down the tanh layers o_i the sweep runs r_H = W_Hᵀ,
+    gz_i = r_{i+1} ⊙ (1 - o_i²) and r_i = gz_i W_iᵀ, so ∇V = r_0 e^{s_V}
+    at about the cost of one more forward, whatever n is; the output
+    layer's value is not used.  The backward is the adjoint of the sweep
+    in layer order, which gives each W's and each o_i's adjoint, then the
+    value backward from the o_i.
+    """
     tv = theta.value
-    _, douts, layers = _mlp_np(tv, layout, "potential", Q.value,
-                               _axes(layout.arch.n))
+    _, _, layers = _mlp_np(tv, layout, "potential", Q.value, [])
+    *hidden, top = layers
+    r = transposed(top[2])
+    sweep = []
+    for _, _, W, _, _, o, _ in reversed(hidden):
+        s = 1.0 - o * o
+        gz = r * s
+        sweep.append((r, s, gz))
+        r = gz @ transposed(W)
+    sweep.reverse()
+    raw = np.broadcast_to(r, Q.shape)
     g = dc._exp_np(_log_scale_np(tv, layout, 1))
-    B = Q.shape[0]
-    raw = np.concatenate([np.broadcast_to(do, (B, 1)) for do in douts],
-                         axis=1)
     want_x, want_w = Q.requires_grad, theta.requires_grad
 
     def bwd(gp):
-        graw = gp * g
-        g_do = [dc._unbroadcast(graw[:, d:d + 1], do.shape)
-                for d, do in enumerate(douts)]
-        gx, grads = _mlp_bwd(layers, None, g_do, want_x, want_w)
-        gt = _theta_adjoint(tv.shape, layout, "potential", grads, 1,
+        gr, gWs, gos = gp * g, [], []
+        for (_, _, W, _, _, o, _), (r, s, gz) in zip(hidden, sweep):
+            gWs.append(transposed(gr) @ gz if want_w else None)
+            ggz = gr @ W
+            gr = ggz * s
+            gos.append(-2.0 * o * ggz * r)
+        grads = [(transposed(gr.sum(0, keepdims=True)), None)]
+        ga = None
+        for i in reversed(range(len(hidden))):
+            a, _, W, bshape, _, _, _ = hidden[i]
+            gz = (gos[i] if ga is None else gos[i] + ga) * sweep[i][1]
+            if want_w:
+                grads.append((gWs[i] + transposed(a) @ gz,
+                              dc._unbroadcast(gz, bshape)))
+            ga = gz @ transposed(W) if i > 0 or want_x else None
+        gt = _theta_adjoint(tv.shape, layout, "potential", grads[::-1], 1,
                             np.sum(gp * raw) * g) if want_w else None
-        return gt, gx
+        return gt, ga
 
     return dc.custom([theta, Q], raw * g, bwd, "potential_net")
 
@@ -414,6 +435,8 @@ def packed(L, dL) -> np.ndarray:
 def gram(L, dL):
     """M = L Lᵀ and, for each direction, dM = dL Lᵀ + L dLᵀ."""
     M = (L[:, None] * L).sum(2)
+    if not len(dL):
+        return M, dL
     C = (dL[:, :, None] * L).sum(3)
     return M, C + C.swapaxes(1, 2)
 

@@ -7,8 +7,9 @@ Plus Adam, the decay schedule, shuffled batching that never crosses
 trajectory boundaries, and validation-based checkpoint selection.
 
 Spatial derivatives of the nets (needed inside every acceleration and
-DEL evaluation) are built forward-mode by the netparam net builds along
-each coordinate axis, each build one tape node.  That keeps the tape
+DEL evaluation) come from the netparam net builds, each one tape node:
+the mass factor's forward-mode derivatives along each coordinate axis,
+and ∇V by one reverse sweep of the potential net.  That keeps the tape
 short even through the four RK4 stages; a single reverse sweep at the
 end then yields exact parameter gradients.  The mass-matrix Gram, the
 Euler-Lagrange terms, the Cholesky solve and the barrier's shifted

@@ -7,7 +7,7 @@ vector, and the smoother's former matrix-form Kalman filter and EM
 (`matrix_kalman_filter`, `matrix_em_fit`), which take the observation
 row C as a product where the library selects the position.  `SmmSystem` takes M and V derivatives from `grad`/`jacobian`
 sweeps over the per-node tape builders of `column_graph`, an independent
-path from the library's fused forward-mode builds the losses use.
+path from the library's fused builds the losses use.
 
 Systems here have one-point hooks: q is an (n,) vector.  The library's
 mechanics takes (K, n) rows; `Rows` adapts a one-point system to it.

@@ -116,6 +116,33 @@ def test_del_builds_the_nets_once_per_distinct_pair():
     assert mass_rows(twin) == [3, 2]
 
 
+@pytest.mark.parametrize("x_grad", [True, False])
+@pytest.mark.parametrize("n,B", [(n, B) for n in (1, 2, 3) for B in (1, 7, 32)])
+def test_potential_build_matches_the_per_node_graph(n, B, x_grad):
+    # ∇V and the adjoints of θ and X for a random adjoint G of ∇V: the
+    # fused build's reverse sweep against the per-node graph's
+    # forward-mode derivatives along the coordinate axes
+    flat, _, _ = setup(n, True, B)
+    _, s, _ = flat.layout.slot("log_scales")
+    flat.values[s + 1] = -0.2
+    rng = np.random.default_rng([n, B, 5])
+    Q, G = rng.normal(size=(B, n)), rng.normal(size=(B, n))
+    tape = dc.Tape()
+    theta = tape.input(flat.values.reshape(1, -1))
+    X = tape.input(Q) if x_grad else tape.constant(Q)
+    dV = netp.potential_grad_t(theta, flat.layout, X)
+    g_theta, g_x = dV.bwd(G)
+    assert (g_x is None) != x_grad
+    dirs = [tape.constant(np.eye(n)[k:k + 1]) for k in range(n)]
+    want = dc.concat_cols(col.potential_t(theta, flat.layout, X, dirs)[1])
+    pairing = dc.custom([want], np.array([[np.sum(want.value * G)]]),
+                        lambda g: (g * G,))
+    want_theta, want_x = tape.gradients(pairing, [theta, X])
+    assert_close([dV.value, g_theta], [want.value, want_theta])
+    if x_grad:
+        assert_close([g_x], [want_x])
+
+
 @pytest.mark.parametrize("n,conservative,B", CASES)
 def test_fused_values_are_bit_exact(n, conservative, B):
     # the pass mark is rounding (assert_close), not bit identity

@@ -202,8 +202,9 @@ def test_tape_mass_entries_match_numpy():
 
 
 def test_tape_directions_match_reverse_mode():
-    # forward-mode dM/dq_k (the Gram of the factor's directions) and
-    # dV/dq_k against SmmSystem's reverse sweeps
+    # the factor's forward-mode dM/dq_k (the Gram of its directions) and
+    # the potential build's fused reverse sweep for dV/dq_k, against
+    # SmmSystem's reverse sweeps over the per-node graph
     p = npar.init_params(16, ARCH)
     layout = p.layout
     sys = oracle.SmmSystem(p)
@@ -300,6 +301,17 @@ def test_packed_inverts_factor(n, D):
     assert L.shape == (n, n, 4) and dL.shape == (D, n, n, 4)
     assert np.all(np.triu(L.transpose(2, 0, 1), 1) == 0.0)
     assert np.array_equal(npar.packed(L, dL), P)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gram_without_directions_gives_the_general_m(n):
+    # D = 0 skips the direction products: M is the general path's, bit
+    # for bit, and dM is empty
+    T = n * (n + 1) // 2
+    L, dL = npar.factor(np.random.default_rng(n).normal(size=(5, 2 * T)), n)
+    M, dM = npar.gram(L, dL[:0])
+    assert np.array_equal(M, npar.gram(L, dL)[0])
+    assert dM.shape == (0, n, n, 5)
 
 
 # -- the oracle's SmmSystem adapter ------------------------------------------
