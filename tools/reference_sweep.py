@@ -80,7 +80,7 @@ def sweep(name: str, seeds, tmp: Path) -> int:
         expcli.main(["experiment", "--config", str(config), "--seed",
                      str(seed), "--out", str(out)])
         got = cells(out) if (out / "results.json").is_file() else []
-        shutil.rmtree(out)
+        shutil.rmtree(out, ignore_errors=True)
         if len(got) != len(reference["cells"]):
             print(f"{name} seed {seed}: {len(got)} cells, reference has "
                   f"{len(reference['cells'])}")
@@ -108,11 +108,8 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--seeds", type=int, nargs=2, required=True,
                    metavar=("FIRST", "STOP"))
-    p.add_argument("--workload", action="append",
-                   help="only these workloads (default: all)")
     args = p.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    names = args.workload or [w["name"] for w in bench["workloads"]]
     # this checkout's smmfit, with one BLAS thread as every perfbench
     # repetition runs; set before numpy is first imported
     sys.path.insert(0, str(ROOT / "src"))
@@ -120,8 +117,8 @@ def main(argv=None) -> int:
     # expcli.main logs each cell at INFO; keep warnings only
     logging.basicConfig(level=logging.WARNING)
     with tempfile.TemporaryDirectory(prefix="reference-sweep-") as tmp:
-        failed = sum(sweep(name, range(*args.seeds), Path(tmp))
-                     for name in names)
+        failed = sum(sweep(w["name"], range(*args.seeds), Path(tmp))
+                     for w in bench["workloads"])
     return 1 if failed else 0
 
 
