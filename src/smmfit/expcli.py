@@ -79,15 +79,26 @@ class ExperimentConfig:
             raise ConfigError("need T >= 3 and positive step size")
         if self.sigma < 0:
             raise ConfigError("noise level must be non-negative")
-        if self.seeds < 1 or self.epochs < 0 or self.batch_size < 1:
-            raise ConfigError("counts must be positive")
-        if self.workers < 1:
-            raise ConfigError("workers must be positive")
+        if self.seeds < 1 or self.workers < 1:
+            raise ConfigError("seeds and workers must be positive")
         bad = [m for m in self.methods if m not in tr.METHODS]
         if bad or not self.methods:
             raise ConfigError(f"methods must be drawn from {tr.METHODS}")
-        if not self.lrs or any(x <= 0 for x in self.lrs):
-            raise ConfigError("learning rates must be positive")
+        if not self.lrs:
+            raise ConfigError("need at least one learning rate")
+        # the training and net settings check themselves
+        try:
+            for xi0 in self.lrs:
+                self.train_config(xi0, 0)
+            make_arch(self)
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
+
+    def train_config(self, xi0: float, seed: int) -> tr.TrainConfig:
+        """The training settings of one (rate, seed) cell."""
+        return tr.TrainConfig(xi0=xi0, epochs=self.epochs,
+                              batch_size=self.batch_size, mu=self.mu,
+                              alpha_fraction=self.alpha_fraction, seed=seed)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -297,9 +308,7 @@ def run_cell(config: ExperimentConfig, pool, seed: int, method: str,
     assert all(t.split in ("train", "val") for t in fit_trajs)
 
     params0 = netp.init_params(seed, make_arch(config))
-    tconf = tr.TrainConfig(xi0=xi0, epochs=config.epochs,
-                           batch_size=config.batch_size, mu=config.mu,
-                           alpha_fraction=config.alpha_fraction, seed=seed)
+    tconf = config.train_config(xi0, seed)
     base = dict(system=config.system, sigma=config.sigma, method=method,
                 xi0=xi0, seed=seed)
     try:
@@ -615,10 +624,7 @@ def _experiment_config(args) -> ExperimentConfig:
             # keep the protocol's 2:1:1 proportions
             v = max(1, n // 4)
             over["split"] = (n - 2 * v, v, v)
-    try:
-        return replace(config, **over) if over else config
-    except (TypeError, ValueError) as err:
-        raise ConfigError(str(err)) from err
+    return replace(config, **over) if over else config
 
 
 def _read(load, paths) -> list:

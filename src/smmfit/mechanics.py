@@ -7,14 +7,15 @@ force over a configuration triple, and its Jacobian in the last
 configuration for the variational integrator's Newton solve.
 
 Also the analytic double pendulum used as ground truth, and the
-row-wise Cholesky factor its acceleration solve uses.
+library's one Cholesky factor and solve on (n, n, B) stacks, which both
+this acceleration and training's model solve and barrier use.
 
-Every hook and function takes a (K, n) array of configurations (and
-velocities), one row per point, and returns one result per row.  The
-batched forms run each row's arithmetic as a one-point expression would:
-elementwise ufuncs, einsum with a leading batch index, stacked matmul
-and stacked LAPACK solves; so every row gets the bits it would get alone.
-No reduction runs across rows.
+Every hook and dynamics function takes a (K, n) array of configurations
+(and velocities), one row per point, and returns one result per row.
+The batched forms run each row's arithmetic as a one-point expression
+would: elementwise ufuncs, einsum with a leading batch index, stacked
+matmul and the entry-by-entry Cholesky solve; so every row gets the bits
+it would get alone.  No reduction runs across rows.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 
 class NotPositiveDefiniteError(Exception):
-    """A factorization hit a nonpositive pivot.
+    """A factorization hit a nonpositive or non-finite pivot.
 
     ``pivot`` is the zero-based index of the first failing pivot.
     """
@@ -77,44 +78,49 @@ def rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
 
 
-def cholesky_np(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factors of a (K, n, n) stack of symmetric matrices.
-
-    Raises NotPositiveDefiniteError with the index of the first
-    nonpositive pivot, and its value in the first row that has one; the
-    symmetry precondition is checked up front, per matrix.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise ValueError(f"expected a stack of square matrices, got {a.shape}")
-    n = a.shape[1]
-    tol = 1e-8 * np.maximum(1.0, np.abs(a).max(axis=(1, 2), initial=0.0))
-    if not np.all(np.isclose(a, a.transpose(0, 2, 1),
-                             atol=tol[:, None, None])):
-        raise ValueError("matrix is not symmetric")
-    L = np.zeros_like(a)
-    for k in range(n):
-        d = a[:, k, k] - rowdot(L[:, k, :k], L[:, k, :k])
-        bad = np.flatnonzero(d <= 0.0)
-        if bad.size:
-            raise NotPositiveDefiniteError(k, float(d[bad[0]]))
-        L[:, k, k] = np.sqrt(d)
-        for i in range(k + 1, n):
-            L[:, i, k] = (a[:, i, k] - rowdot(L[:, i, :k], L[:, k, :k])) \
-                / L[:, k, k]
-    return L
-
-
-def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """M v for each row: (K, n, n) and (K, n) give (K, n)."""
-    return np.matmul(M, v[:, :, None])[:, :, 0]
+def cholesky(M: np.ndarray, shift: float):
+    """(S, 1/S_ii, the pivots S_ii²) of the lower Cholesky factor S of
+    M - shift I, entry by entry, for an (n, n, B) stack of symmetric M of
+    which only the lower triangle is read.  M - shift I is positive
+    definite exactly when every pivot is positive; the first that is not
+    (or not finite) in any row raises NotPositiveDefiniteError with its
+    index and its value in the first such row."""
+    n, _, B = M.shape
+    S = np.zeros(M.shape)
+    r, d = np.empty((2, n, B))
+    for i in range(n):
+        for j in range(i + 1):
+            acc = M[i, j] - shift if i == j else M[i, j]
+            for k in range(j):
+                acc = acc - S[i, k] * S[j, k]
+            if i == j:
+                ok = (acc > 0.0) & (acc < np.inf)
+                if not ok.all():
+                    raise NotPositiveDefiniteError(i, float(acc[ok.argmin()]))
+                S[i, i] = np.sqrt(acc)
+                r[i] = 1.0 / S[i, i]
+                d[i] = acc
+            else:
+                S[i, j] = acc * r[j]
+    return S, r, d
 
 
-def _solve_spd(M: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Cholesky solve; raises NotPositiveDefiniteError if a row's M is not PD
-    L = cholesky_np(M)
-    x = np.linalg.solve(L, b[:, :, None])
-    return np.linalg.solve(L.transpose(0, 2, 1), x)[:, :, 0]
+def cho_solve(L: np.ndarray, r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with L Lᵀ x = b for (n, B) b, by forward then back substitution
+    entry by entry, L lower (n, n, B) and r its reciprocal pivots."""
+    n = len(b)
+    y = np.empty(b.shape)
+    for i in range(n):
+        acc = b[i]
+        for j in range(i):
+            acc = acc - L[i, j] * y[j]
+        y[i] = acc * r[i]
+    for i in reversed(range(n)):
+        acc = y[i]
+        for j in range(i + 1, n):
+            acc = acc - L[j, i] * y[j]
+        y[i] = acc * r[i]
+    return y
 
 
 def _lagrangian_q_gradient(sys, dM, q, qdot) -> np.ndarray:
@@ -133,7 +139,8 @@ def acceleration(sys: LagrangianSystem, q, qdot) -> np.ndarray:
     # (∂²L/∂q̇∂q) q̇, using ∂(M q̇)/∂q_k = (∂M/∂q_k) q̇
     convective = np.einsum("bkij,bj,bk->bi", dM, qdot, qdot)
     rhs = sys.force(q, qdot) + dLdq - convective
-    return _solve_spd(sys.mass_matrix(q), rhs)
+    S, r, _ = cholesky(sys.mass_matrix(q).transpose(1, 2, 0), 0.0)
+    return np.ascontiguousarray(cho_solve(S, r, rhs.T).T)
 
 
 def del_arm(sys: LagrangianSystem, a, b, h: float) -> tuple:
@@ -143,7 +150,8 @@ def del_arm(sys: LagrangianSystem, a, b, h: float) -> tuple:
     the first minus the second."""
     m, v = 0.5 * (a + b), (b - a) / h
     return (0.5 * h * _lagrangian_q_gradient(sys, sys.mass_jacobian(m), m, v),
-            _matvec(sys.mass_matrix(m), v), sys.force(m, v))
+            np.matmul(sys.mass_matrix(m), v[:, :, None])[:, :, 0],
+            sys.force(m, v))
 
 
 def del_vector(sys: LagrangianSystem, triple: ConfigTriple,

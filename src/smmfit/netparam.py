@@ -19,7 +19,8 @@ dynamics read of V, by one reverse sweep from the net's scalar output,
 so its cost does not grow with n.  M(q) and its derivatives come from
 the Gram of the factor (`gram`, with its adjoint `gram_bwd`) inside the
 fused blocks, which hold every matrix as an (n, n, B) array;
-`mass_entries_t` gives M(q) values with no tape.
+`mass_entries_t` gives M(q) values in that layout with no tape.  The
+Cholesky solve substitutes with mechanics' `cho_solve`.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import diffcore as dc
+from .mechanics import cho_solve
 
 
 class ConservativeForceError(Exception):
@@ -312,15 +314,15 @@ def chol_entries_t(theta, layout: ParamLayout, Q, jac: bool = False):
 
 
 def mass_entries_t(params: FlatParams, Q) -> np.ndarray:
-    """Batched M(q) values as a (B, n, n) array, with no tape: the Gram of
-    the scaled factor, as `gram` computes it."""
+    """Batched M(q) values as an entry-major (n, n, B) array, with no
+    tape: the Gram of the scaled factor, as `gram` computes it."""
     layout = params.layout
     tv = params.values.reshape(1, -1)
     Q = np.asarray(Q, dtype=np.float64)
     out, _, _ = _mlp_np(tv, layout, "mass", Q, [])
     P, _ = _chol_head_np(tv, layout, out, [])
     M, _ = gram(*factor(P, layout.arch.n))
-    return M.transpose(2, 0, 1)
+    return M
 
 
 def potential_grad_t(theta, layout: ParamLayout, Q):
@@ -465,26 +467,10 @@ def chol_solve_t(L, rhs):
     T = n * (n + 1) // 2
     Lm, dLm = factor(L.value[:, :T], n)
     r = dc._reciprocal_np(Lm.reshape(n * n, -1)[::n + 1])
-
-    def solve(b):
-        # forward, then back substitution, in place
-        y = np.empty_like(b)
-        for i in range(n):
-            acc = b[i]
-            for j in range(i):
-                acc = acc - Lm[i, j] * y[j]
-            y[i] = acc * r[i]
-        for i in reversed(range(n)):
-            acc = y[i]
-            for j in range(i + 1, n):
-                acc = acc - Lm[j, i] * y[j]
-            y[i] = acc * r[i]
-        return y
-
-    x = solve(transposed(rhs.value))
+    x = cho_solve(Lm, r, transposed(rhs.value))
 
     def bwd(g):
-        gb = solve(transposed(g))
+        gb = cho_solve(Lm, r, transposed(g))
         gP = np.zeros(L.value.shape)
         gP[:, :T] = packed(*gram_bwd(Lm, dLm, -gb[:, None] * x, None))
         return gP, transposed(gb)

@@ -20,8 +20,9 @@ first-order matrix adjoint of its forward.  The
 DEL residual at q_k uses the pairs (q_k-1, q_k) and (q_k, q_k+1), and
 neighbouring tuples of a trajectory share a pair, so the DEL loss builds
 the nets once per distinct pair of its batch and its residual node
-gathers each tuple's two arms from them.  The barrier's feasibility
-check reads M(q) from the numpy forward with no tape.
+gathers each tuple's two arms from them.  The barrier node and the
+feasibility check, which reads M(q) from the numpy forward with no tape,
+share one test of M - alpha I: the pivots of mechanics' `cholesky`.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .integrators import IntegrationBlowupError
+from .mechanics import NotPositiveDefiniteError, cholesky
 from .netparam import (FlatParams, chol_entries_t, chol_solve_t, factor,
                        force_t, gram, gram_bwd, mass_entries_t, packed,
                        potential_grad_t, transposed)
@@ -51,15 +53,6 @@ BETA1 = 0.9
 BETA2 = 0.999
 EPS_ADAM = 1e-8
 SCHEDULE_HORIZON = 500.0
-
-
-class BarrierViolationError(Exception):
-    """M - alpha*I lost positive definiteness somewhere in the batch."""
-
-    def __init__(self, pivot: int, value: float):
-        super().__init__(f"barrier pivot {pivot} reached {value:.3e}")
-        self.pivot = pivot
-        self.value = value
 
 
 class TrainingDivergedError(Exception):
@@ -251,32 +244,14 @@ def _distinct_rows(rows):
 
 def _shifted_logdet_t(L, n: int, shift: float):
     """log det(M - shift I) per row as one (B, 1) fused node, M the Gram
-    of the packed factor node ``L``.
-
-    The shifted factor S is built entry by entry; any nonpositive pivot
-    means the barrier is violated.  The backward reads
-    (M - shift I)⁻¹ = S⁻ᵀ S⁻¹ from S.
+    of the packed factor node ``L``: the sum of the log pivots of the
+    shifted factor S (`cholesky`), whose nonpositive pivot means the
+    barrier is violated.  The backward reads (M - shift I)⁻¹ = S⁻ᵀ S⁻¹
+    from S.
     """
     Lm, dLm = factor(L.value, n)
     M, _ = gram(Lm, dLm)
-    S = np.zeros_like(M)
-    r = np.empty((n, M.shape[2]))
-    ld = None
-    for i in range(n):
-        for j in range(i + 1):
-            acc = M[i, j]
-            if i == j and shift != 0.0:
-                acc = acc - shift
-            for k in range(j):
-                acc = acc - S[i, k] * S[j, k]
-            if i == j:
-                if not np.all(np.isfinite(acc)) or np.any(acc <= 0.0):
-                    raise BarrierViolationError(i, float(np.nanmin(acc)))
-                S[i, i] = np.sqrt(acc)
-                r[i] = 1.0 / S[i, i]
-                ld = np.log(acc) if ld is None else ld + np.log(acc)
-            else:
-                S[i, j] = acc * r[j]
+    S, r, d = cholesky(M, shift)
 
     def bwd(g):
         # R = S⁻¹, lower triangular, column by column
@@ -291,7 +266,7 @@ def _shifted_logdet_t(L, n: int, shift: float):
         gM = (R[:, :, None] * R[:, None]).sum(0) * g[:, 0]
         return (packed(*gram_bwd(Lm, dLm, gM, None)),)
 
-    return dc.custom([L], ld[:, None], bwd, "shifted_logdet")
+    return dc.custom([L], np.log(d).sum(0)[:, None], bwd, "shifted_logdet")
 
 
 # -- loss graphs --------------------------------------------------------------
@@ -456,16 +431,13 @@ def adam_step(state: AdamState, values: np.ndarray, grads: np.ndarray,
 
 def mass_eigenvalues(params: FlatParams, configs) -> np.ndarray:
     """Eigenvalues of M(q) for every row of configs, shape (N, n)."""
-    n = params.layout.arch.n
-    configs = np.asarray(configs, dtype=np.float64).reshape(-1, n)
-    return np.linalg.eigvalsh(mass_entries_t(params, configs))
+    M = mass_entries_t(params, configs)
+    return np.linalg.eigvalsh(M.transpose(2, 0, 1))
 
 
 def choose_alpha(params0: FlatParams, configs,
                  fraction: float = ALPHA_FRACTION) -> float:
     """Barrier floor: a fraction of the smallest initial mass eigenvalue."""
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("fraction must sit strictly inside (0, 1)")
     return fraction * float(mass_eigenvalues(params0, configs).min())
 
 
@@ -485,6 +457,10 @@ class TrainConfig:
             raise ValueError("initial learning rate must be positive")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("bad epoch count or batch size")
+        if self.mu < 0:
+            raise ValueError("barrier weight mu must be non-negative")
+        if not 0.0 < self.alpha_fraction < 1.0:
+            raise ValueError("alpha_fraction must sit strictly inside (0, 1)")
 
 
 @dataclass
@@ -571,13 +547,15 @@ def train(method: str, params0: FlatParams, trajectories,
         return nextstate_loss_grad(fp, batch, tuples.h)
 
     def feasible(vals):
+        # the barrier's own pivot test at every training configuration
         if alpha is None:
             return True
         try:
-            eigs = mass_eigenvalues(FlatParams(vals, layout), train_configs)
-        except dc.DiffcoreError:
+            cholesky(mass_entries_t(FlatParams(vals, layout), train_configs),
+                     alpha)
+        except (NotPositiveDefiniteError, dc.DiffcoreError):
             return False
-        return bool(np.all(np.isfinite(eigs)) and eigs.min() > alpha)
+        return True
 
     val0 = evaluate(values)
     record.val_errors.append(val0)
@@ -592,7 +570,7 @@ def train(method: str, params0: FlatParams, trajectories,
             batch = tuples.take(idx)
             try:
                 loss, grad = loss_grad(values, batch)
-            except (BarrierViolationError, IntegrationBlowupError,
+            except (NotPositiveDefiniteError, IntegrationBlowupError,
                     dc.DiffcoreError) as err:
                 loss, grad = np.inf, None
                 _log.warning("batch loss unavailable: %s", err)

@@ -14,8 +14,8 @@ import numpy as np
 
 from smmfit import diffcore as dc
 from smmfit.integrators import IntegrationBlowupError
+from smmfit.mechanics import NotPositiveDefiniteError
 from smmfit.netparam import ConservativeForceError
-from smmfit.training import BarrierViolationError
 
 
 # -- primitives ---------------------------------------------------------------
@@ -254,9 +254,11 @@ def shifted_cholesky(ent, n, alpha):
             for k in range(j):
                 acc = dc.add(acc, neg(mul(L[(i, k)], L[(j, k)])))
             if i == j:
-                piv = acc.value
-                if not np.all(np.isfinite(piv)) or np.any(piv <= 0.0):
-                    raise BarrierViolationError(i, float(np.nanmin(piv)))
+                # the pivot's value in the first row where it fails
+                piv = acc.value.ravel()
+                bad = np.flatnonzero(~((piv > 0.0) & np.isfinite(piv)))
+                if bad.size:
+                    raise NotPositiveDefiniteError(i, float(piv[bad[0]]))
                 L[(i, i)] = sqrt(acc)
                 ld = log(acc) if ld is None else dc.add(ld, log(acc))
             else:

@@ -14,7 +14,9 @@ mechanics takes (K, n) rows; `Rows` adapts a one-point system to it.
 The one-point mechanics path (`ScalarDP`, `acceleration`, `del_vector`,
 `del_jacobian_q3`, `variational_step`, `simulate`, `midpoint_energy`,
 `energy_drift_ok`, `sample_rest_trajectories`) is the library's former
-code, kept as the bit-exact reference for the row-batched path.
+code, kept as the bit-exact reference for the row-batched path; its
+`cholesky` and `cho_solve`, which `acceleration` uses, work entry by
+entry in the order of the library's one factor and solve.
 """
 
 from functools import partial
@@ -275,23 +277,43 @@ def scalar_dp(damped=False) -> ScalarDP:
 
 
 def cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of one symmetric matrix."""
+    """Lower Cholesky factor of one symmetric matrix, from its lower
+    triangle, entry by entry in the library's order: each entry below the
+    diagonal times its column's reciprocal pivot."""
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError(f"expected square matrix, got {a.shape}")
-    tol = 1e-8 * max(1.0, float(np.abs(a).max()))
-    if not np.allclose(a, a.T, atol=tol):
-        raise ValueError("matrix is not symmetric")
     L = np.zeros_like(a)
-    for k in range(n):
-        d = a[k, k] - L[k, :k] @ L[k, :k]
-        if d <= 0.0:
-            raise mech.NotPositiveDefiniteError(k, float(d))
-        L[k, k] = np.sqrt(d)
-        for i in range(k + 1, n):
-            L[i, k] = (a[i, k] - L[i, :k] @ L[k, :k]) / L[k, k]
+    for i in range(n):
+        for j in range(i + 1):
+            acc = a[i, j]
+            for k in range(j):
+                acc = acc - L[i, k] * L[j, k]
+            if i == j:
+                if not 0.0 < acc < np.inf:
+                    raise mech.NotPositiveDefiniteError(i, float(acc))
+                L[i, i] = np.sqrt(acc)
+            else:
+                L[i, j] = acc * (1.0 / L[j, j])
     return L
+
+
+def cho_solve(L, b) -> np.ndarray:
+    """x with L Lᵀ x = b for one vector: forward then back substitution,
+    entry by entry, each step times the reciprocal pivot."""
+    n = len(b)
+    r = 1.0 / np.diag(L)
+    y = np.empty(n)
+    for i in range(n):
+        acc = b[i]
+        for j in range(i):
+            acc = acc - L[i, j] * y[j]
+        y[i] = acc * r[i]
+    for i in reversed(range(n)):
+        acc = y[i]
+        for j in range(i + 1, n):
+            acc = acc - L[j, i] * y[j]
+        y[i] = acc * r[i]
+    return y
 
 
 def lagrangian_q_gradient(sys, q, qdot) -> np.ndarray:
@@ -309,8 +331,7 @@ def acceleration(sys, q, qdot) -> np.ndarray:
         - sys.potential_gradient(q)
     convective = np.einsum("kij,j,k->i", dM, qdot, qdot)
     rhs = sys.force(q, qdot) + dLdq - convective
-    L = cholesky(M)
-    return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+    return cho_solve(cholesky(M), rhs)
 
 
 def del_vector(sys, triple) -> np.ndarray:

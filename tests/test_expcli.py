@@ -59,6 +59,20 @@ def test_config_validation():
         cli.config_from_dict({"noise": 0.1})
 
 
+@pytest.mark.parametrize("field,value", [("alpha_fraction", 1.5),
+                                         ("hidden", [0]), ("mu", -1.0)])
+def test_bad_training_config_exits_2_before_writing(tmp_path, capsys,
+                                                    field, value):
+    # the training and net settings' own checks run when the config loads
+    doc = {**desk_config().to_dict(), field: value}
+    (tmp_path / "c.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["experiment", "--config", str(tmp_path / "c.json"),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_config_file_round_trip(tmp_path):
     c = desk_config(sigma=0.05, system="damped")
     c.save(tmp_path / "config.json")

@@ -11,6 +11,7 @@ import pytest
 import column_graph as col
 import oracle
 from smmfit import diffcore as dc
+from smmfit import mechanics as mech
 from smmfit import netparam as netp
 from smmfit import training as tr
 
@@ -190,13 +191,13 @@ def test_fused_barrier_raises_at_the_same_pivot():
     q2 = b["del"].data["q2"]
     eigs = tr.mass_eigenvalues(flat, q2)
     alpha = float(np.median(eigs))
-    with pytest.raises(tr.BarrierViolationError) as want:
+    with pytest.raises(mech.NotPositiveDefiniteError) as want:
         col.barrier_grad(flat, q2, alpha)
-    with pytest.raises(tr.BarrierViolationError) as got:
+    with pytest.raises(mech.NotPositiveDefiniteError) as got:
         oracle.barrier_grad(flat, q2, alpha)
     assert (got.value.pivot, got.value.value) \
         == (want.value.pivot, want.value.value)
-    with pytest.raises(tr.BarrierViolationError):
+    with pytest.raises(mech.NotPositiveDefiniteError):
         tr.del_loss_grad(flat, b["del"], 0.01, alpha)
 
 

@@ -1,6 +1,7 @@
 """Mechanics kernel checks against hand-derived double-pendulum values,
 and of the row-batched path against the one-point oracle, bit for bit;
-the row-wise Cholesky factor and its failure behavior."""
+the library's one Cholesky factor and solve, and their failure
+behaviour."""
 
 import numpy as np
 import pytest
@@ -379,10 +380,23 @@ def test_dp_system_rejects_bad_parameters():
         mech.DoublePendulum(n=3)
 
 
-# -- cholesky_np --------------------------------------------------------------
+# -- cholesky and cho_solve ---------------------------------------------------
+
+def stack(A):
+    """A (K, n, n) stack as the entry-major (n, n, K) array `cholesky`
+    takes."""
+    return np.ascontiguousarray(np.asarray(A, dtype=np.float64)
+                                .transpose(1, 2, 0))
+
+
+def random_spd(rng, K, n):
+    B = rng.uniform(-1.0, 1.0, size=(K, n, n))
+    return np.matmul(B, B.transpose(0, 2, 1)) + 0.1 * np.eye(n)
+
 
 def chol_logdet(a):
-    return 2.0 * float(np.sum(np.log(np.diag(mech.cholesky_np(a[None])[0]))))
+    _, _, d = mech.cholesky(stack(a[None]), 0.0)
+    return float(np.sum(np.log(d)))
 
 
 def test_logdet_diag():
@@ -398,11 +412,6 @@ def test_logdet_2x2_by_hand():
     # det [[2,1],[1,2]] = 3
     a = np.array([[2.0, 1.0], [1.0, 2.0]])
     assert abs(chol_logdet(a) - np.log(3.0)) < 1e-12
-
-
-def test_logdet_requires_symmetry():
-    with pytest.raises(ValueError):
-        chol_logdet(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 def test_pd_failure_matches_eigenvalue_oracle():
@@ -432,21 +441,80 @@ def test_pd_failure_pivot_index():
     assert e.value.value < 0.0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cholesky_matches_numpy_with_and_without_shift(n):
+    rng = np.random.default_rng(100 + n)
+    A = random_spd(rng, 200, n)
+    alpha = 0.5 * np.linalg.eigvalsh(A)[:, 0].min()
+    for shift in (0.0, alpha):
+        S, r, d = mech.cholesky(stack(A), shift)
+        want = np.linalg.cholesky(A - shift * np.eye(n))
+        np.testing.assert_allclose(S.transpose(2, 0, 1), want, rtol=1e-14,
+                                   atol=1e-15)
+        diag = np.diagonal(S).T
+        assert np.array_equal(r, 1.0 / diag)
+        np.testing.assert_allclose(d, diag * diag, rtol=1e-15)
+
+
+def test_cholesky_rows_equal_one_column_calls():
+    rng = np.random.default_rng(103)
+    for n in (1, 2, 3):
+        M = stack(random_spd(rng, 40, n))
+        S, r, d = mech.cholesky(M, 0.05)
+        for k in range(40):
+            Sk, rk, dk = mech.cholesky(M[:, :, k:k + 1], 0.05)
+            assert np.array_equal(Sk[:, :, 0], S[:, :, k])
+            assert np.array_equal(rk[:, 0], r[:, k])
+            assert np.array_equal(dk[:, 0], d[:, k])
+
+
 def test_cholesky_rows_equal_one_matrix_oracle():
     rng = np.random.default_rng(102)
-    for n in (2, 3):
-        B = rng.uniform(-1.0, 1.0, size=(50, n, n))
-        A = np.matmul(B, B.transpose(0, 2, 1)) + 0.1 * np.eye(n)
-        L = mech.cholesky_np(A)
-        for a, l in zip(A, L):
-            assert np.array_equal(l, oracle.cholesky(a))
+    for n in (1, 2, 3):
+        A = random_spd(rng, 50, n)
+        S, _, _ = mech.cholesky(stack(A), 0.0)
+        for k, a in enumerate(A):
+            assert np.array_equal(S[:, :, k], oracle.cholesky(a))
 
 
 def test_cholesky_rows_raise_for_one_bad_row():
     A = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2)])
     with pytest.raises(NotPositiveDefiniteError) as e:
-        mech.cholesky_np(A)
+        mech.cholesky(stack(A), 0.0)
     assert e.value.pivot == 1 and e.value.value == -3.0
-    A[1] = [[1.0, 2.0], [0.0, 1.0]]
-    with pytest.raises(ValueError, match="not symmetric"):
-        mech.cholesky_np(A)
+    # row 17 of 40 fails only at its last pivot; the others are fine,
+    # also with the shift below
+    rng = np.random.default_rng(104)
+    A = random_spd(rng, 40, 3) + 10.0 * np.eye(3)
+    A[17] = [[4.0, 2.0, 0.0], [2.0, 2.0, 1.0], [0.0, 1.0, 0.5]]
+    # pivots 4, 2 - 1 = 1, 0.5 - 0 - 1 = -0.5
+    with pytest.raises(NotPositiveDefiniteError) as e:
+        mech.cholesky(stack(A), 0.0)
+    assert (e.value.pivot, e.value.value) == (2, -0.5)
+    # the shift is taken off every pivot before the test
+    A[17] = 2.0 * np.eye(3)
+    with pytest.raises(NotPositiveDefiniteError) as e:
+        mech.cholesky(stack(A), 2.0)
+    assert (e.value.pivot, e.value.value) == (0, 0.0)
+
+
+@pytest.mark.parametrize("entry,pivot", [((0, 0), 0), ((1, 1), 1),
+                                         ((1, 0), 1), ((2, 1), 2)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cholesky_raises_for_a_non_finite_entry(entry, pivot, bad):
+    A = random_spd(np.random.default_rng(105), 5, 3)
+    A[3][entry] = bad
+    with pytest.raises(NotPositiveDefiniteError) as e:
+        mech.cholesky(stack(A), 0.0)
+    assert e.value.pivot == pivot and not 0.0 < e.value.value < np.inf
+
+
+def test_cho_solve_matches_dense_solve():
+    rng = np.random.default_rng(106)
+    for n in (1, 2, 3):
+        A = random_spd(rng, 30, n)
+        b = rng.normal(size=(30, n))
+        S, r, _ = mech.cholesky(stack(A), 0.0)
+        x = mech.cho_solve(S, r, np.ascontiguousarray(b.T))
+        want = np.linalg.solve(A, b[:, :, None])[:, :, 0]
+        np.testing.assert_allclose(x.T, want, rtol=1e-12, atol=1e-12)

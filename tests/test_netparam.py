@@ -30,7 +30,8 @@ def constants(p, *inputs):
 
 def mass_batch(p, Q):
     """M(q) per row of Q from the library's value path, shape (B, n, n)."""
-    return npar.mass_entries_t(p, np.atleast_2d(np.asarray(Q, dtype=float)))
+    Q = np.atleast_2d(np.asarray(Q, dtype=float))
+    return npar.mass_entries_t(p, Q).transpose(2, 0, 1)
 
 
 def potential_grad_batch(p, Q):

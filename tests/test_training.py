@@ -241,7 +241,7 @@ def test_del_loss_barrier_violation_raises(tiny):
     configs = np.concatenate([t.q for t in tiny if t.split != "val"])
     alpha = tr.choose_alpha(params, configs)
     shrunk = oracle.scale_params(params, 0.3)  # pushes min eig below alpha
-    with pytest.raises(tr.BarrierViolationError):
+    with pytest.raises(mech.NotPositiveDefiniteError):
         tr.del_loss_grad(shrunk, b, mu=0.01, alpha=alpha)
 
 
@@ -416,10 +416,6 @@ def test_choose_alpha_is_half_the_minimum_eigenvalue(tiny):
     assert tr.choose_alpha(params, configs) == pytest.approx(0.5 * eigs.min())
     assert tr.choose_alpha(params, configs, fraction=0.25) \
         == pytest.approx(0.25 * eigs.min())
-    with pytest.raises(ValueError):
-        tr.choose_alpha(params, configs, fraction=0.0)
-    with pytest.raises(ValueError):
-        tr.choose_alpha(params, configs, fraction=1.0)
 
 
 def test_barrier_finite_at_initialization(tiny):
@@ -440,6 +436,43 @@ def test_mass_eigenvalues_against_dense_solver(tiny):
     for i, q in enumerate(configs):
         want = np.linalg.eigvalsh(oracle.mass_matrix(params, q))
         np.testing.assert_allclose(got[i], want, rtol=1e-10)
+
+
+def test_feasibility_pivots_agree_with_eigenvalues_and_the_barrier():
+    # train's feasibility rule, the pivots of M - alpha I at every
+    # configuration, decides as eigvalsh > alpha does and as the barrier
+    # node raises, just above and just below the smallest eigenvalue
+    rng = np.random.default_rng(24)
+    decisions = 0
+    for draw in range(120):
+        n = 1 + draw % 3
+        params = netp.init_params(draw, netp.ArchConfig(n=n, hidden=(8, 8)))
+        configs = rng.uniform(-np.pi, np.pi, size=(40, n))
+        eigs = tr.mass_eigenvalues(params, configs)
+        for alpha in eigs.min() * np.array([1.0 - 1e-3, 1.0 + 1e-3]):
+            want = bool(eigs.min() > alpha)
+            try:
+                mech.cholesky(netp.mass_entries_t(params, configs), alpha)
+                by_pivots = True
+            except mech.NotPositiveDefiniteError:
+                by_pivots = False
+            try:
+                oracle.barrier_grad(params, configs, alpha)
+                by_barrier = True
+            except mech.NotPositiveDefiniteError:
+                by_barrier = False
+            assert by_pivots == by_barrier == want
+            decisions += want
+    assert decisions == 120
+
+
+def test_train_config_checks_mu_and_alpha_fraction():
+    # the fraction of choose_alpha's eigenvalue is checked here, once
+    for bad in (dict(mu=-1.0), dict(alpha_fraction=0.0),
+                dict(alpha_fraction=1.0), dict(alpha_fraction=1.5)):
+        with pytest.raises(ValueError):
+            tr.TrainConfig(**bad)
+    tr.TrainConfig(mu=0.0, alpha_fraction=0.999)
 
 
 # -- train --------------------------------------------------------------------
