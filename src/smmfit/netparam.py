@@ -9,18 +9,18 @@ scalar.
 
 A model is one flat parameter vector (`FlatParams`); its `ParamLayout`
 names the slot of every weight, bias and the log-scale block.  Each
-batched net build (`chol_entries_t`, `potential_grad_t`, `force_t`) is
-one tape node that slices its net out of that vector, runs the MLP and
-its output head in numpy, and takes the plain reverse-mode adjoint in
-its backward.  The Cholesky build can also carry the factor's
-forward-mode derivatives along each coordinate axis, packed into the
-same node after its entries.  The potential build gives ∇V(q), all the
-dynamics read of V, by one reverse sweep from the net's scalar output,
-so its cost does not grow with n.  M(q) and its derivatives come from
-the Gram of the factor (`gram`, with its adjoint `gram_bwd`) inside the
-fused blocks, which hold every matrix as an (n, n, B) array;
-`mass_entries_t` gives M(q) values in that layout with no tape.  The
-Cholesky solve substitutes with mechanics' `cho_solve`.
+batched net build slices its net out of that vector, runs the MLP and
+its output head in numpy, and returns the value with its plain
+reverse-mode adjoint as a function; `chol_entries_t`, `potential_grad_t`
+and `force_t` wrap them as one tape node each.  The Cholesky build can
+also carry the factor's forward-mode derivatives along each coordinate
+axis, packed after its entries.  The potential build gives ∇V(q), all
+the dynamics read of V, by one reverse sweep from the net's scalar
+output, so its cost does not grow with n.  M(q) and its derivatives come
+from the Gram of the factor (`gram`, with its adjoint `gram_bwd`) inside
+the fused blocks, which hold every matrix as an (n, n, B) array;
+`mass_entries_t` gives M(q) values in that layout with no tape, and the
+solve block `chol_solve_t` substitutes with mechanics' `cho_solve`.
 """
 
 from __future__ import annotations
@@ -143,15 +143,15 @@ def init_params(rng, arch: ArchConfig) -> FlatParams:
     return FlatParams(values, layout)
 
 
-# -- fused net builds ---------------------------------------------------------
+# -- net builds ---------------------------------------------------------------
 #
-# Each net build (an MLP and its output head) is one tape node.  Its
-# forward runs the net in numpy; the Cholesky build with ``jac`` carries
+# Each net build (an MLP and its output head) is a numpy block that
+# returns its value and its adjoint, the reverse-mode adjoint of its
+# forward as a function: the Cholesky build with ``jac`` carries
 # forward-mode derivatives along the coordinate axes beside the values,
-# and the potential build adds one reverse sweep for ∇V.  Its backward is
-# the reverse-mode adjoint of that forward.  The node returns one
-# full-size theta adjoint with the build's slots filled, and an adjoint
-# for its input only when the input needs one.
+# and the potential build adds one reverse sweep for ∇V.  The adjoint adds
+# the build's slots into a caller's theta adjoint and gives an adjoint for
+# the input only when asked.  `_net_node` makes a block one tape node.
 
 def transposed(a: np.ndarray) -> np.ndarray:
     """A contiguous transpose: a (B, m) array's m columns as (B,) rows,
@@ -165,17 +165,20 @@ def _axes(n: int):
     return tuple(np.eye(n)[k:k + 1] for k in range(n))
 
 
-def _mlp_np(theta_v, layout: ParamLayout, net: str, x, dirs):
+def _mlp_np(theta_v, layout: ParamLayout, net: str, x, dirs, top=True):
     """The net at the rows of ``x``, and its directional derivative along
     each of ``dirs``: (out, douts, per-layer record for `_mlp_bwd`).
+    Without ``top`` the pass stops at the last hidden layer.
 
     The JVP chain reuses the forward activations (tanh' = 1 - a^2), so
     each direction costs about one extra forward pass.
     """
     a, das = x, list(dirs)
     layers = []
-    last = len(layout.layers[net]) - 1
-    for i, ((shape, sW, eW), (_, sb, eb)) in enumerate(layout.layers[net]):
+    specs = layout.layers[net]
+    last = len(specs) - 1
+    for i, ((shape, sW, eW), (_, sb, eb)) in enumerate(
+            specs if top else specs[:-1]):
         W = np.ascontiguousarray(theta_v[:, sW:eW]).reshape(shape)
         b = np.ascontiguousarray(theta_v[:, sb:eb])
         z = a @ W + b
@@ -228,18 +231,18 @@ def _mlp_bwd(layers, g_out, g_douts, want_x: bool, want_w: bool):
     return ga, grads[::-1]
 
 
-def _theta_adjoint(shape, layout: ParamLayout, net: str, grads, scale_slot,
+def _theta_adjoint(gt, layout: ParamLayout, net: str, grads, scale_slot,
                    g_scale):
-    """One full-size theta adjoint with a build's W, b and log-scale slots
-    filled (zeros where the sweep reached none)."""
-    g = np.zeros(shape)
+    """Add a build's W, b and log-scale adjoints into the theta adjoint
+    ``gt``, unless it is None."""
+    if gt is None:
+        return
     for slots, cs in zip(layout.layers[net], grads):
         for (_, s, e), c in zip(slots, cs):
             if c is not None:
-                g[:, s:e] = c.reshape(1, -1)
+                gt[:, s:e] += c.reshape(1, -1)
     _, s, _ = layout.slot("log_scales")
-    g[:, s + scale_slot:s + scale_slot + 1] = g_scale
-    return g
+    gt[:, s + scale_slot:s + scale_slot + 1] += g_scale
 
 
 def _log_scale_np(theta_v, layout: ParamLayout, which: int) -> np.ndarray:
@@ -291,55 +294,64 @@ def _chol_head_bwd(g, record):
     return g_out, g_do, g_s
 
 
+def _net_node(theta, Q, block, op: str):
+    """One tape node on [theta, Q] from a net block's (value, adjoint)."""
+    value, adjoint = block
+
+    def bwd(g):
+        gt = np.zeros(theta.shape) if theta.requires_grad else None
+        return gt, adjoint(g, gt)
+
+    return dc.custom([theta, Q], value, bwd, op)
+
+
+def _chol_np(theta_v, layout: ParamLayout, Q, jac: bool, want_x: bool):
+    """The mass net and its head at the rows of ``Q`` (`chol_entries_t`):
+    (packed value, adjoint).  ``adjoint(g, gt)`` adds the theta adjoint
+    into ``gt`` (if not None) and returns Q's adjoint (with ``want_x``)."""
+    dirs = _axes(layout.arch.n) if jac else ()
+    out, douts, layers = _mlp_np(theta_v, layout, "mass", Q, dirs)
+    P, record = _chol_head_np(theta_v, layout, out, douts)
+
+    def adjoint(g, gt):
+        g_out, g_do, g_s = _chol_head_bwd(g, record)
+        gx, grads = _mlp_bwd(layers, g_out, g_do, want_x, gt is not None)
+        _theta_adjoint(gt, layout, "mass", grads, 0, g_s)
+        return gx
+
+    return P, adjoint
+
+
 def chol_entries_t(theta, layout: ParamLayout, Q, jac: bool = False):
     """The scaled Cholesky factor with e^{s_M/2} folded in, so that
     M = L̃ L̃ᵀ directly, as one (B, tri) tape node: the lower triangle row
     by row (see `factor`).  With ``jac`` the node is (B, tri·(1 + n)), the
     entries followed by their derivatives along each coordinate q_k.
     The mass net and its head are the one node."""
-    tv = theta.value
-    dirs = _axes(layout.arch.n) if jac else ()
-    out, douts, layers = _mlp_np(tv, layout, "mass", Q.value, dirs)
-    packed, record = _chol_head_np(tv, layout, out, douts)
-    want_x, want_w = Q.requires_grad, theta.requires_grad
-
-    def bwd(g):
-        g_out, g_do, g_s = _chol_head_bwd(g, record)
-        gx, grads = _mlp_bwd(layers, g_out, g_do, want_x, want_w)
-        gt = _theta_adjoint(tv.shape, layout, "mass", grads, 0, g_s) \
-            if want_w else None
-        return gt, gx
-
-    return dc.custom([theta, Q], packed, bwd, "mass_net")
+    return _net_node(theta, Q, _chol_np(theta.value, layout, Q.value, jac,
+                                        Q.requires_grad), "mass_net")
 
 
 def mass_entries_t(params: FlatParams, Q) -> np.ndarray:
     """Batched M(q) values as an entry-major (n, n, B) array, with no
     tape: the Gram of the scaled factor, as `gram` computes it."""
-    layout = params.layout
-    tv = params.values.reshape(1, -1)
-    Q = np.asarray(Q, dtype=np.float64)
-    out, _, _ = _mlp_np(tv, layout, "mass", Q, [])
-    P, _ = _chol_head_np(tv, layout, out, [])
-    M, _ = gram(*factor(P, layout.arch.n))
-    return M
+    P, _ = _chol_np(params.values.reshape(1, -1), params.layout,
+                    np.asarray(Q, dtype=np.float64), False, False)
+    return gram(*factor(P, params.layout.arch.n))[0]
 
 
-def potential_grad_t(theta, layout: ParamLayout, Q):
-    """Batched ∇V(q) as one (B, n) tape node: one reverse sweep of the
-    potential net from its scalar output, times its e^{s_V} scale.
-
-    Down the tanh layers o_i the sweep runs r_H = W_Hᵀ,
-    gz_i = r_{i+1} ⊙ (1 - o_i²) and r_i = gz_i W_iᵀ, so ∇V = r_0 e^{s_V}
-    at about the cost of one more forward, whatever n is; the output
-    layer's value is not used.  The backward is the adjoint of the sweep
-    in layer order, which gives each W's and each o_i's adjoint, then the
-    value backward from the o_i.
-    """
-    tv = theta.value
-    _, _, layers = _mlp_np(tv, layout, "potential", Q.value, [])
-    *hidden, top = layers
-    r = transposed(top[2])
+def _potential_np(theta_v, layout: ParamLayout, Q, want_x: bool):
+    """∇V at the rows of ``Q`` as a (B, n) array, and its adjoint (as
+    `_chol_np`'s): one reverse sweep of the potential net from its scalar
+    output, times its e^{s_V} scale.  Down the tanh layers o_i it runs
+    r_H = W_Hᵀ, gz_i = r_{i+1} ⊙ (1 - o_i²), r_i = gz_i W_iᵀ, so
+    ∇V = r_0 e^{s_V} costs about one more forward whatever n is; the
+    forward stops below the unused output layer.  The adjoint is the
+    sweep's in layer order (each W's and o_i's), then the value's."""
+    _, _, hidden = _mlp_np(theta_v, layout, "potential", Q, (), top=False)
+    # W_H is (h, 1), so its slot is already the row W_Hᵀ
+    (_, sW, eW), _ = layout.layers["potential"][-1]
+    r = np.ascontiguousarray(theta_v[:, sW:eW])
     sweep = []
     for _, _, W, _, _, o, _ in reversed(hidden):
         s = 1.0 - o * o
@@ -348,10 +360,10 @@ def potential_grad_t(theta, layout: ParamLayout, Q):
         r = gz @ transposed(W)
     sweep.reverse()
     raw = np.broadcast_to(r, Q.shape)
-    g = dc._exp_np(_log_scale_np(tv, layout, 1))
-    want_x, want_w = Q.requires_grad, theta.requires_grad
+    g = dc._exp_np(_log_scale_np(theta_v, layout, 1))
 
-    def bwd(gp):
+    def adjoint(gp, gt):
+        want_w = gt is not None
         gr, gWs, gos = gp * g, [], []
         for (_, _, W, _, _, o, _), (r, s, gz) in zip(hidden, sweep):
             gWs.append(transposed(gr) @ gz if want_w else None)
@@ -367,11 +379,34 @@ def potential_grad_t(theta, layout: ParamLayout, Q):
                 grads.append((gWs[i] + transposed(a) @ gz,
                               dc._unbroadcast(gz, bshape)))
             ga = gz @ transposed(W) if i > 0 or want_x else None
-        gt = _theta_adjoint(tv.shape, layout, "potential", grads[::-1], 1,
-                            np.sum(gp * raw) * g) if want_w else None
-        return gt, ga
+        _theta_adjoint(gt, layout, "potential", grads[::-1], 1,
+                       np.sum(gp * raw) * g)
+        return ga
 
-    return dc.custom([theta, Q], raw * g, bwd, "potential_net")
+    return raw * g, adjoint
+
+
+def potential_grad_t(theta, layout: ParamLayout, Q):
+    """Batched ∇V(q) as one (B, n) tape node (`_potential_np`)."""
+    return _net_node(theta, Q, _potential_np(theta.value, layout, Q.value,
+                                             Q.requires_grad),
+                     "potential_net")
+
+
+def _force_np(theta_v, layout: ParamLayout, X, want_x: bool):
+    """F at the rows of the concatenated (q, q̇) ``X`` as a (B, n) array:
+    the force net times its e^{s_F} scale, and its adjoint (as
+    `_chol_np`'s)."""
+    out, _, layers = _mlp_np(theta_v, layout, "force", X, [])
+    g = dc._exp_np(_log_scale_np(theta_v, layout, 2))
+
+    def adjoint(gF, gt):
+        gx, grads = _mlp_bwd(layers, gF * g, [], want_x, gt is not None)
+        _theta_adjoint(gt, layout, "force", grads, 2,
+                       np.sum(gF * out) * g)
+        return gx
+
+    return out * g, adjoint
 
 
 def force_t(theta, layout: ParamLayout, Q, Qdot):
@@ -380,31 +415,21 @@ def force_t(theta, layout: ParamLayout, Q, Qdot):
     if layout.arch.conservative:
         raise ConservativeForceError("model has no force net")
     X = dc.concat_cols([Q, Qdot])
-    tv = theta.value
-    out, _, layers = _mlp_np(tv, layout, "force", X.value, [])
-    g = dc._exp_np(_log_scale_np(tv, layout, 2))
-    want_x, want_w = X.requires_grad, theta.requires_grad
-
-    def bwd(gF):
-        gx, grads = _mlp_bwd(layers, gF * g, [], want_x, want_w)
-        gt = _theta_adjoint(tv.shape, layout, "force", grads, 2,
-                            np.sum(gF * out) * g) if want_w else None
-        return gt, gx
-
-    return dc.custom([theta, X], out * g, bwd, "force_net")
+    return _net_node(theta, X, _force_np(theta.value, layout, X.value,
+                                         X.requires_grad), "force_net")
 
 
 # -- fused blocks -------------------------------------------------------------
 #
-# A fused block is one tape node that does the work of many small ones.
-# Inside it every matrix is an entry-major array, so that each entry is a
-# contiguous (B,) row: L, M, the shifted factor S and matrix adjoints are
-# (n, n, B), the factor's directions and ∂M/∂q are (D, n, n, B) and
-# vectors are (n, B).  `factor` and `packed` map between these arrays and
-# a packed factor node's (B, tri·(1 + D)) value.  Adjoints are full n x n
-# matrices with the textbook formulas (Giles 2008); each block's backward
-# is the plain first-order adjoint of its forward and returns one adjoint
-# per parent, and `gram_bwd` is the adjoint of the Gram they all share.
+# A fused block (training's DEL residual, barrier and acceleration stage)
+# does the work of many small tape nodes.  Inside it every matrix is an
+# entry-major array, so that each entry is a contiguous (B,) row: L, M,
+# the shifted factor S and matrix adjoints are (n, n, B), the factor's
+# directions and ∂M/∂q are (D, n, n, B) and vectors are (n, B).  `factor`
+# and `packed` map between these arrays and a packed factor's
+# (B, tri·(1 + D)) value.  Adjoints are full n x n matrices with the
+# textbook formulas (Giles 2008); each block's backward is the plain
+# first-order adjoint of its forward, and `gram_bwd` is the Gram's.
 
 @lru_cache(maxsize=None)
 def _tril(n: int) -> np.ndarray:
@@ -456,26 +481,19 @@ def gram_bwd(L, dL, gM, gdM):
     return gL, gdL
 
 
-def chol_solve_t(L, rhs):
-    """Solve L Lᵀ x = b for a (B, n) right-hand side as one tape node,
-    ``L`` a packed factor node (`chol_entries_t`).
+def chol_solve_t(L, b):
+    """x with L Lᵀ x = b for an (n, B) ``b``, ``L`` an (n, n, B) factor,
+    and its adjoint: from x's adjoint to (M = L Lᵀ's, b's), solving once
+    more for gb; M's adjoint is -gb xᵀ."""
+    n = len(b)
+    r = dc._reciprocal_np(L.reshape(n * n, -1)[::n + 1])
+    x = cho_solve(L, r, b)
 
-    The backward solves once more for the adjoint of b and hands -gb xᵀ
-    to the Gram's adjoint.
-    """
-    n = rhs.shape[1]
-    T = n * (n + 1) // 2
-    Lm, dLm = factor(L.value[:, :T], n)
-    r = dc._reciprocal_np(Lm.reshape(n * n, -1)[::n + 1])
-    x = cho_solve(Lm, r, transposed(rhs.value))
+    def adjoint(g):
+        gb = cho_solve(L, r, g)
+        return -gb[:, None] * x, gb
 
-    def bwd(g):
-        gb = cho_solve(Lm, r, transposed(g))
-        gP = np.zeros(L.value.shape)
-        gP[:, :T] = packed(*gram_bwd(Lm, dLm, -gb[:, None] * x, None))
-        return gP, transposed(gb)
-
-    return dc.custom([L, rhs], transposed(x), bwd, "chol_solve")
+    return x, adjoint
 
 
 # -- checkpoint files ---------------------------------------------------------

@@ -6,23 +6,21 @@ acceleration regression, and next-state regression through an RK4 step.
 Plus Adam, the decay schedule, shuffled batching that never crosses
 trajectory boundaries, and validation-based checkpoint selection.
 
-Spatial derivatives of the nets (needed inside every acceleration and
-DEL evaluation) come from the netparam net builds, each one tape node:
-the mass factor's forward-mode derivatives along each coordinate axis,
-and ∇V by one reverse sweep of the potential net.  That keeps the tape
-short even through the four RK4 stages; a single reverse sweep at the
-end then yields exact parameter gradients.  The mass-matrix Gram, the
-Euler-Lagrange terms, the Cholesky solve and the barrier's shifted
-factorization each run inside one fused tape node too (see netparam's
-fused blocks); each takes the packed factor, dV and force nodes whole,
-unpacks the factor into (n, n, B) arrays, and its backward is the plain
-first-order matrix adjoint of its forward.  The
-DEL residual at q_k uses the pairs (q_k-1, q_k) and (q_k, q_k+1), and
-neighbouring tuples of a trajectory share a pair, so the DEL loss builds
-the nets once per distinct pair of its batch and its residual node
-gathers each tuple's two arms from them.  The barrier node and the
-feasibility check, which reads M(q) from the numpy forward with no tape,
-share one test of M - alpha I: the pivots of mechanics' `cholesky`.
+The model's acceleration is one numpy stage (`_accel_np`): netparam's
+net blocks (the mass factor with its forward-mode derivatives along each
+coordinate axis, ∇V by one reverse sweep of the potential net, the force
+net), the Euler-Lagrange right-hand side and the Cholesky solve, with
+one Gram and one Gram adjoint, and its adjoint as a plain function.  The
+acceleration loss is one tape node over one stage, the RK4 loss one node
+over four stages with an explicit reverse sweep, and validation runs the
+stage with no tape.  The DEL loss keeps one node per net build and per
+fused block (see netparam's fused blocks): its residual at q_k uses the
+pairs (q_k-1, q_k) and (q_k, q_k+1), and neighbouring tuples of a
+trajectory share a pair, so it builds the nets once per distinct pair of
+its batch and its residual node gathers each tuple's two arms from them.
+The barrier node and the feasibility check, which reads M(q) from the
+numpy forward with no tape, share one test of M - alpha I: the pivots of
+mechanics' `cholesky`.
 """
 
 from __future__ import annotations
@@ -37,9 +35,10 @@ import numpy as np
 from . import diffcore as dc
 from .integrators import IntegrationBlowupError
 from .mechanics import NotPositiveDefiniteError, cholesky
-from .netparam import (FlatParams, chol_entries_t, chol_solve_t, factor,
-                       force_t, gram, gram_bwd, mass_entries_t, packed,
-                       potential_grad_t, transposed)
+from .netparam import (FlatParams, _chol_np, _force_np, _potential_np,
+                       chol_entries_t, chol_solve_t, factor, force_t, gram,
+                       gram_bwd, mass_entries_t, packed, potential_grad_t,
+                       transposed)
 
 _log = logging.getLogger("smmfit.training")
 
@@ -87,7 +86,7 @@ class Batch:
         keys = _BATCH_KEYS[self.kind]
         if set(self.data) != set(keys):
             raise ValueError(f"{self.kind} batch needs fields {keys}")
-        self.data = {k: np.asarray(self.data[k], dtype=np.float64)
+        self.data = {k: np.ascontiguousarray(self.data[k], dtype=np.float64)
                      for k in keys}
         rows = {v.shape for v in self.data.values()}
         if len(rows) != 1:
@@ -139,51 +138,70 @@ def make_batches(rng, count: int, batch_size: int):
     return [perm[i:i + batch_size] for i in range(0, count, batch_size)]
 
 
-# -- dynamics on the tape -----------------------------------------------------
+# -- dynamics ---------------------------------------------------------------
 
-def _accel_t(theta, layout, X, Xd):
-    """Batched accelerations at (X, Xd) as a (B, n) tensor."""
-    L = chol_entries_t(theta, layout, X, jac=True)
-    dV = potential_grad_t(theta, layout, X)
-    F = None if layout.arch.conservative else force_t(theta, layout, X, Xd)
-    return chol_solve_t(L, _euler_lagrange_rhs_t(L, dV, Xd, F))
-
-
-def _euler_lagrange_rhs_t(L, dV, Xd, F):
-    """The right-hand side of M q̈ = τ as one (B, n) fused node.
-
-    τ_i = 1/2 q̇ᵀ (∂M/∂q_i) q̇ - ∂V/∂q_i - (D q̇)_i (+ F_i) with
-    D = Σ_k q̇_k ∂M/∂q_k, the ∂M the Gram directions of the packed factor
-    node ``L``, ``dV`` the packed (B, n) potential derivatives and ``F``
-    the force node or None.
-    """
-    n = Xd.shape[1]
-    Lm, dLm = factor(L.value, n)
+def _accel_np(theta_v, layout, X, V, want_x=False, want_v=False):
+    """Batched accelerations at the rows of (X, V) as a (B, n) array, and
+    their adjoint: one numpy stage solving L Lᵀ q̈ = τ with
+    τ_i = 1/2 q̇ᵀ (∂M/∂q_i) q̇ - ∂V/∂q_i - (D q̇)_i (+ F_i),
+    D = Σ_k q̇_k ∂M/∂q_k.  ``adjoint(g, gt)`` adds the theta adjoint into
+    ``gt`` and returns X's adjoint (None without ``want_x``; the force,
+    potential and mass nets' parts added in that order) and the list of
+    V's adjoint parts: τ's (with ``want_v``), then the force net's."""
+    n = X.shape[1]
+    P, mass_adj = _chol_np(theta_v, layout, X, True, want_x)
+    dV, pot_adj = _potential_np(theta_v, layout, X, want_x)
+    F = None
+    if not layout.arch.conservative:
+        F, force_adj = _force_np(theta_v, layout, np.concatenate([X, V], 1),
+                                 want_x or want_v)
+    Lm, dLm = factor(P, n)
     _, dM = gram(Lm, dLm)
-    x = transposed(Xd.value)
+    x = transposed(V)
     xx = x[:, None] * x
     D = (x[:, None, None] * dM).sum(0)
-    quad = (dM * xx).sum((1, 2))
-    tau = transposed(quad * 0.5 - transposed(dV.value) - (D * x).sum(1))
+    tau = (dM * xx).sum((1, 2)) * 0.5 - transposed(dV) - (D * x).sum(1)
     if F is not None:
-        tau = tau + F.value
+        tau = tau + transposed(F)
+    a, solve_adj = chol_solve_t(Lm, tau)
+
+    def adjoint(g, gt):
+        # the solve's and τ's adjoints of M and ∂M go through one Gram
+        # adjoint; quad_i = <∂M/∂q_i, x xᵀ> and the curvature term D x
+        gM, gb = solve_adj(transposed(g))
+        gD = -gb[:, None] * x
+        gdM = (gb * 0.5)[:, None, None] * xx + x[:, None, None] * gD
+        gx, gv = None, []
+        if want_v:
+            gxx = (gb[:, None, None] * dM).sum(0) * 0.5
+            gv.append(transposed((gxx * x).sum(1) * 2.0 - (D * gb).sum(1)
+                                 + (dM * gD).sum((1, 2))))
+        gtau = transposed(gb)
+        if F is not None:
+            gxf = force_adj(gtau, gt)
+            if gxf is not None:
+                gx = gxf[:, :n]
+                gv.append(gxf[:, n:])
+        gxv = pot_adj(-gtau, gt)
+        gxm = mass_adj(packed(*gram_bwd(Lm, dLm, gM, gdM)), gt)
+        if want_x:
+            gx = (gxv if F is None else gx + gxv) + gxm
+        return (gx if want_x else None), gv
+
+    return transposed(a), adjoint
+
+
+def _accel_t(theta, layout, X, Xd):
+    """Batched accelerations at the rows of the arrays X, Xd as one
+    (B, n) tape node on theta (`_accel_np`)."""
+    A, adjoint = _accel_np(theta.value, layout, X, Xd)
 
     def bwd(g):
-        # quad_i = <∂M/∂q_i, x xᵀ> and the curvature term D x: the adjoint
-        # of D first, then of each ∂M/∂q_k, then of x through all three
-        gr = transposed(g)
-        gD = -gr[:, None] * x
-        gdM = (gr * 0.5)[:, None, None] * xx + x[:, None, None] * gD
-        gx = None
-        if Xd.requires_grad:
-            gxx = (gr[:, None, None] * dM).sum(0) * 0.5
-            gx = transposed((gxx * x).sum(1) * 2.0 - (D * gr).sum(1)
-                            + (dM * gD).sum((1, 2)))
-        return (packed(*gram_bwd(Lm, dLm, None, gdM)), -g, gx,
-                *(() if F is None else (g,)))
+        gt = np.zeros(theta.shape)
+        adjoint(g, gt)
+        return (gt,)
 
-    parents = [L, dV, Xd] + ([] if F is None else [F])
-    return dc.custom(parents, tau, bwd, "euler_lagrange_rhs")
+    return dc.custom([theta], A, bwd, "accel")
 
 
 def _del_residual_t(pairs, ia, ib, h: float):
@@ -310,47 +328,57 @@ def _accel_graph(flat: FlatParams, batch: Batch):
         raise ValueError(f"need an accel batch, got {batch.kind!r}")
     tape = dc.Tape()
     theta = tape.input(flat.values.reshape(1, -1))
-    X = tape.constant(batch.data["q"])
-    Xd = tape.constant(batch.data["qdot"])
-    A = _accel_t(theta, flat.layout, X, Xd)
+    A = _accel_t(theta, flat.layout, batch.data["q"], batch.data["qdot"])
     E = dc.add(A, tape.constant(-batch.data["qddot"]))
     loss = dc.scale(dc.sumsq(E), 1.0 / batch.data["q"].size)
     return tape, theta, loss
 
 
 def _nextstate_graph(flat: FlatParams, batch: Batch, h: float):
+    """The RK4 step's (B, 2n) residual as one tape node on theta, its
+    mean square as the loss, and the predicted (Qp, Vp) arrays.  The
+    backward sweeps the four stages in reverse, adding a stage velocity's
+    adjoints as a per-operation tape would: RK4 consumers, τ, force net."""
     if batch.kind != "nextstate":
         raise ValueError(f"need a nextstate batch, got {batch.kind!r}")
     layout = flat.layout
     tape = dc.Tape()
     theta = tape.input(flat.values.reshape(1, -1))
-    X = tape.constant(batch.data["q"])
-    Xd = tape.constant(batch.data["qdot"])
+    X, Xd = batch.data["q"], batch.data["qdot"]
+    hh = 0.5 * h
 
-    def acc(Xs, Vs):
-        A = _accel_t(theta, layout, Xs, Vs)
-        if not np.all(np.isfinite(A.value)):
+    def acc(Xs, Vs, want_x, want_v):
+        A, adjoint = _accel_np(theta.value, layout, Xs, Vs, want_x, want_v)
+        if not np.all(np.isfinite(A)):
             raise IntegrationBlowupError("non-finite RK4 stage acceleration")
-        return A
+        return A, adjoint
 
-    A1 = acc(X, Xd)
-    X2 = dc.add(X, dc.scale(Xd, 0.5 * h))
-    V2 = dc.add(Xd, dc.scale(A1, 0.5 * h))
-    A2 = acc(X2, V2)
-    X3 = dc.add(X, dc.scale(V2, 0.5 * h))
-    V3 = dc.add(Xd, dc.scale(A2, 0.5 * h))
-    A3 = acc(X3, V3)
-    X4 = dc.add(X, dc.scale(V3, h))
-    V4 = dc.add(Xd, dc.scale(A3, h))
-    A4 = acc(X4, V4)
-    kq = dc.add(dc.add(Xd, dc.scale(dc.add(V2, V3), 2.0)), V4)
-    kv = dc.add(dc.add(A1, dc.scale(dc.add(A2, A3), 2.0)), A4)
-    Qp = dc.add(X, dc.scale(kq, h / 6.0))
-    Vp = dc.add(Xd, dc.scale(kv, h / 6.0))
-    Eq = dc.add(Qp, tape.constant(-batch.data["qnext"]))
-    Ev = dc.add(Vp, tape.constant(-batch.data["qdotnext"]))
-    E = dc.concat_cols([Eq, Ev])
-    loss = dc.scale(dc.sumsq(E), 1.0 / (2.0 * batch.data["q"].size))
+    A1, adj1 = acc(X, Xd, False, False)
+    V2 = Xd + A1 * hh
+    A2, adj2 = acc(X + Xd * hh, V2, False, True)
+    V3 = Xd + A2 * hh
+    A3, adj3 = acc(X + V2 * hh, V3, True, True)
+    V4 = Xd + A3 * h
+    A4, adj4 = acc(X + V3 * h, V4, True, True)
+    Qp = X + ((Xd + (V2 + V3) * 2.0) + V4) * (h / 6.0)
+    Vp = Xd + ((A1 + (A2 + A3) * 2.0) + A4) * (h / 6.0)
+
+    def bwd(g):
+        gt = np.zeros(theta.shape)
+        gkq, gkv = np.hsplit(g * (h / 6.0), 2)
+        gA23, gV23 = gkv * 2.0, gkq * 2.0
+        gX4, gv = adj4(gkv, gt)
+        gV4 = sum(gv, gkq)
+        gX3, gv = adj3(gA23 + gV4 * h, gt)
+        gV3 = sum(gv, gV23 + gX4 * h)
+        _, gv = adj2(gA23 + gV3 * hh, gt)
+        adj1(gkv + sum(gv, gV23 + gX3 * hh) * hh, gt)
+        return (gt,)
+
+    E = dc.custom([theta], np.concatenate([Qp - batch.data["qnext"],
+                                           Vp - batch.data["qdotnext"]], 1),
+                  bwd, "nextstate")
+    loss = dc.scale(dc.sumsq(E), 1.0 / (2.0 * X.size))
     return tape, theta, loss, (Qp, Vp)
 
 
@@ -381,12 +409,10 @@ def nextstate_loss_grad(params: FlatParams, batch: Batch, h: float):
 
 
 def predicted_accelerations(params: FlatParams, q, qdot) -> np.ndarray:
-    """Batched model accelerations at the given states."""
-    tape = dc.Tape()
-    theta = tape.constant(params.values.reshape(1, -1))
-    X = tape.constant(np.asarray(q, dtype=np.float64))
-    Xd = tape.constant(np.asarray(qdot, dtype=np.float64))
-    return _accel_t(theta, params.layout, X, Xd).value.copy()
+    """Batched model accelerations at the given states, with no tape."""
+    return _accel_np(params.values.reshape(1, -1), params.layout,
+                     np.ascontiguousarray(q, dtype=np.float64),
+                     np.ascontiguousarray(qdot, dtype=np.float64))[0]
 
 
 def accel_rmse(params: FlatParams, batch: Batch) -> float:

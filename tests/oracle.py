@@ -686,7 +686,7 @@ def del_loss_terms(params, batch, alpha=0.0):
 def nextstate_predictions(params, batch, h):
     """RK4 one-step predictions as value arrays (the graph's own forward)."""
     _, _, _, (Qp, Vp) = tr._nextstate_graph(params, batch, h)
-    return Qp.value.copy(), Vp.value.copy()
+    return Qp, Vp
 
 
 def barrier_grad(params, configs, alpha):

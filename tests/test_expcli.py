@@ -1,7 +1,9 @@
 """Experiment-harness checks: splits, evaluation, artifacts, CLI verbs."""
 
 import json
+import platform
 import re
+import resource
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -626,3 +628,20 @@ def test_cli_malformed_checkpoint_or_results_exit_code(smoothed_pair,
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: not a ")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="heap trimming is glibc's")
+def test_cli_keeps_the_heap_a_step_frees():
+    # a step's arrays, freed at its end, stay in the heap for the next
+    # step instead of going back to the kernel and faulting in again
+    cli._keep_freed_heap()
+
+    def minor_faults():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+    step = [np.ones(8192) for _ in range(200)]  # 200 arrays of 64 KiB
+    del step
+    before = minor_faults()
+    step = [np.ones(8192) for _ in range(200)]
+    assert minor_faults() - before < 400

@@ -170,13 +170,14 @@ def test_fused_values_are_bit_exact(n, conservative, B):
 
 
 @pytest.mark.parametrize("conservative,want", [
-    (False, {"del": 17, "accel": 13, "nextstate": 58}),
-    (True, {"del": 14, "accel": 11, "nextstate": 50})])
+    (False, {"del": 17, "accel": 6, "nextstate": 4}),
+    (True, {"del": 14, "accel": 6, "nextstate": 4})])
 def test_loss_graphs_build_one_node_per_net(conservative, want):
-    # n = 2: each net build and each fused block is one node, and the
-    # blocks take the packed factor, dV and force nodes whole, with no
-    # column slices, and the nets' coordinate axes are no tape constants;
-    # a per-node build would add about a hundred nodes per build
+    # n = 2: in the DEL loss each net build and each fused block is one
+    # node, and the blocks take the packed factor, dV and force nodes
+    # whole, with no column slices, and the nets' coordinate axes are no
+    # tape constants; the acceleration loss is one node over one numpy
+    # stage and the RK4 residual one node over four
     flat, b, alpha = setup(2, conservative, 7)
     got = {"del": tr._del_graph(flat, b["del"], 0.01, alpha)[0],
            "accel": tr._accel_graph(flat, b["accel"])[0],
@@ -184,6 +185,25 @@ def test_loss_graphs_build_one_node_per_net(conservative, want):
     assert {k: len(tape.nodes) for k, tape in got.items()} == want
     assert all(node.op != "cols" for tape in got.values()
                for node in tape.nodes)
+
+
+@pytest.mark.parametrize("n,conservative,B",
+                         [case for case in CASES if case[2] <= 32])
+def test_predicted_accelerations_run_the_accel_node_without_a_tape(
+        n, conservative, B, monkeypatch):
+    # validation and evaluation read the accel loss's own forward, bit
+    # for bit, and construct no tape
+    flat, b, _ = setup(n, conservative, B)
+    q, qd = b["accel"].data["q"], b["accel"].data["qdot"]
+    tape = dc.Tape()
+    theta = tape.input(flat.values.reshape(1, -1))
+    want = tr._accel_t(theta, flat.layout, q, qd).value
+
+    def no_tape(self):
+        raise AssertionError("predicted_accelerations built a tape")
+
+    monkeypatch.setattr(dc.Tape, "__init__", no_tape)
+    assert np.array_equal(tr.predicted_accelerations(flat, q, qd), want)
 
 
 def test_fused_barrier_raises_at_the_same_pivot():

@@ -254,16 +254,22 @@ def test_tape_force_matches_numpy():
 
 
 def test_chol_solve_t_matches_dense_solve():
+    # x = M⁻¹ b, and the adjoint of x gives gb = M⁻¹ g and gM = -gb xᵀ
     p = npar.init_params(14, ARCH)
     rng = np.random.default_rng(23)
     Q = rng.uniform(-np.pi, np.pi, size=(8, 2))
-    B = rng.uniform(-1, 1, size=(8, 2))
-    _tape, theta, X, Bt = constants(p, Q, B)
-    L = npar.chol_entries_t(theta, p.layout, X)
-    xs = npar.chol_solve_t(L, Bt)
+    B, G = rng.uniform(-1, 1, size=(2, 8, 2))
+    _tape, theta, X = constants(p, Q)
+    L, _ = npar.factor(npar.chol_entries_t(theta, p.layout, X).value, 2)
+    xs, adjoint = npar.chol_solve_t(L, B.T)
+    gM, gb = adjoint(G.T)
     for b, q in enumerate(Q):
-        want = np.linalg.solve(oracle.mass_matrix(p, q), B[b])
-        assert np.abs(xs.value[b] - want).max() <= 1e-10
+        M = oracle.mass_matrix(p, q)
+        want = np.linalg.solve(M, B[b])
+        assert np.abs(xs[:, b] - want).max() <= 1e-10
+        g = np.linalg.solve(M, G[b])
+        assert np.abs(gb[:, b] - g).max() <= 1e-10
+        assert np.abs(gM[:, :, b] + np.outer(g, want)).max() <= 1e-10
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -393,6 +393,39 @@ def test_nextstate_predictions_match_rk4_reference(tiny):
         np.testing.assert_allclose(vn[i], vr, rtol=1e-10, atol=1e-12)
 
 
+@pytest.mark.parametrize("qdot,h", [(1e160, 0.05), (0.0, 1e200)])
+def test_nextstate_blowup_raises(tiny, qdot, h):
+    # a huge velocity makes the first stage's τ infinite; a huge step the
+    # second stage's velocity
+    params = netp.init_params(6, ARCH8)
+    b = tr.assemble_tuples([tiny[0]], "nextstate").take(np.arange(8))
+    b.data["qdot"][3] += qdot
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(integ.IntegrationBlowupError,
+                           match="non-finite RK4 stage"):
+            tr.nextstate_loss_grad(params, b, h)
+
+
+def test_train_counts_a_blowup_step_as_invalid(tiny, caplog):
+    # only tuple 0 starts at the huge velocity (it is no tuple's next
+    # state), so the one batch holding it is rejected in each epoch
+    t = tiny[0]
+    qdot = t.qdot.copy()
+    qdot[0] = 1e160
+    bad = smo.SmoothedTrajectory(q=t.q, qdot=qdot, qddot=t.qddot, h=t.h,
+                                 split="train")
+    caplog.set_level(logging.WARNING, logger="smmfit.training")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rec, _ = tr.train("nextstate", netp.init_params(8, ARCH8),
+                          [bad, tiny[1]],
+                          tr.TrainConfig(xi0=1e-3, epochs=2, batch_size=8,
+                                         seed=9))
+    assert rec.invalid_steps == 2
+    assert np.all(np.isfinite(rec.train_losses))
+    assert sum("non-finite RK4 stage" in r.getMessage()
+               for r in caplog.records) == 2
+
+
 # -- barrier gradient decay ---------------------------------------------------
 
 def test_barrier_gradient_norm_shrinks_with_scale(tiny):

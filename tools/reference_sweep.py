@@ -10,15 +10,21 @@ joins each cell of the run's results.json with the last training loss of
 the cell's record, as `perfbench/run.py` does, and judges it against
 `perfbench/reference.json` with perfbench's own `run.cell_ok`.  It prints
 every failed cell and, per workload, the worst relative difference of
-rmse and of train_loss from the reference.  It reads `perfbench/` and
-writes nothing outside its temporary directory.  The exit code is 1 when
-a cell failed or a seed has no reference, else 0.
+rmse and of train_loss from the reference.  It then prints one sha256
+per workload over every output file of its seeds, in path order, with
+the run's output directory (which config.json and results.json record)
+replaced by a fixed token.  Two checkouts write byte-identical result
+files exactly when their digest lines match, so the byte-identity check
+of a change is one run in each checkout and a `diff` of the outputs.  It
+reads `perfbench/` and writes nothing outside its temporary directory.
+The exit code is 1 when a cell failed or a seed has no reference, else 0.
 
 A change that may move result bits must pass this check without
 re-recording the reference (ROADMAP rule 0).
 """
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import logging
@@ -70,6 +76,7 @@ def sweep(name: str, seeds, tmp: Path) -> int:
     config = run.BENCH / "workloads" / f"{name}.json"
     failed = 0
     worst = dict.fromkeys(run.CLOSE_KEYS, (0.0, None))
+    digest = hashlib.sha256()
     for seed in seeds:
         reference = run.load_reference(name, seed)
         if reference is None:
@@ -80,6 +87,10 @@ def sweep(name: str, seeds, tmp: Path) -> int:
         expcli.main(["experiment", "--config", str(config), "--seed",
                      str(seed), "--out", str(out)])
         got = cells(out) if (out / "results.json").is_file() else []
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            digest.update(f"{path.relative_to(tmp)}\0".encode())
+            digest.update(path.read_bytes().replace(str(out).encode(),
+                                                    b"OUT") + b"\0")
         shutil.rmtree(out, ignore_errors=True)
         if len(got) != len(reference["cells"]):
             print(f"{name} seed {seed}: {len(got)} cells, reference has "
@@ -101,6 +112,8 @@ def sweep(name: str, seeds, tmp: Path) -> int:
           "cells; worst relative difference "
           + ", ".join(f"{k} {d:.2g} (seed {s})"
                       for k, (d, s) in worst.items()), flush=True)
+    print(f"{name}: sha256 {digest.hexdigest()} of the output files of "
+          f"seeds {seeds.start}-{seeds.stop - 1}", flush=True)
     return failed
 
 
