@@ -14,10 +14,13 @@ the sweep accumulates arrays, records nothing on the tape and returns
 plain arrays.  Rules skip the arithmetic for parents that need no
 gradient.
 
-The primitives here are the few the loss graphs use outside their fused
-nodes (`add`, `scale`, `sum_all`, `sumsq`, `mean_all`, `concat_cols`);
-every other node is a `custom` node with a caller-supplied value and
-first-order backward rule.
+The primitives here are the few the loss graphs use for their loss
+arithmetic (`add`, `scale`, `sum_all`, `sumsq`, `mean_all`); every other
+node but the leaves is a `custom` node with a caller-supplied value and
+first-order backward rule: in each loss, one per numpy stage on the
+parameters.
+The numpy helpers (`_exp_np`, `_reciprocal_np`, `_softplus_np`,
+`_sigmoid_np`, `_unbroadcast`) are shared with the stages' net blocks.
 """
 
 from __future__ import annotations
@@ -203,26 +206,6 @@ def sumsq(a: Tensor) -> Tensor:
 
 def mean_all(a: Tensor) -> Tensor:
     return scale(sum_all(a), 1.0 / a.value.size)
-
-
-def concat_cols(parts) -> Tensor:
-    parts = list(parts)
-    tape = parts[0].tape
-    v = np.concatenate([p.value for p in parts], axis=1)
-    out = tape._append(v, tuple(parts), "concat_cols",
-                       any(p.requires_grad for p in parts))
-
-    def bwd(g):
-        res, j = [], 0
-        for p in parts:
-            w = p.shape[1]
-            res.append(np.ascontiguousarray(g[:, j:j + w])
-                       if p.requires_grad else None)
-            j += w
-        return tuple(res)
-
-    out.bwd = bwd
-    return out
 
 
 def custom(parents, value, bwd, op: str = "custom") -> Tensor:

@@ -9,7 +9,6 @@ net initialization, not the data pool.
 
 import argparse
 import csv
-import ctypes
 import json
 import logging
 import sys
@@ -743,23 +742,11 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def _keep_freed_heap():
-    """Keep the heap a training step frees for the next one (glibc): else
-    each step's pages go back to the kernel and fault in again, 15-25% of a
-    B = 256 RK4 step.  A set trim threshold freezes glibc's dynamic mmap
-    threshold, so that one is set to its 64-bit ceiling."""
-    if sys.platform.startswith("linux"):
-        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-        if mallopt is not None:
-            mallopt.argtypes, mallopt.restype = (ctypes.c_int,) * 2, ctypes.c_int
-            mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-            mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-
-
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO,
                         format="%(levelname)s %(message)s")
-    _keep_freed_heap()
+    # before generation and smoothing, which run ahead of any train()
+    tr.keep_freed_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -9,18 +9,19 @@ scalar.
 
 A model is one flat parameter vector (`FlatParams`); its `ParamLayout`
 names the slot of every weight, bias and the log-scale block.  Each
-batched net build slices its net out of that vector, runs the MLP and
-its output head in numpy, and returns the value with its plain
-reverse-mode adjoint as a function; `chol_entries_t`, `potential_grad_t`
-and `force_t` wrap them as one tape node each.  The Cholesky build can
-also carry the factor's forward-mode derivatives along each coordinate
-axis, packed after its entries.  The potential build gives ∇V(q), all
-the dynamics read of V, by one reverse sweep from the net's scalar
-output, so its cost does not grow with n.  M(q) and its derivatives come
-from the Gram of the factor (`gram`, with its adjoint `gram_bwd`) inside
+batched net build (`chol_entries_t`, `potential_grad_t`, `force_t`)
+slices its net out of that vector, runs the MLP and its output head in
+numpy, and returns the value with its plain reverse-mode adjoint as a
+function; training's numpy stages call them, and nothing here builds a
+tape.  The Cholesky build can also carry the factor's forward-mode
+derivatives along each coordinate axis, packed after its entries.  The
+potential build gives ∇V(q), all the dynamics read of V, by one reverse
+sweep from the net's scalar output, so its cost does not grow with n.
+M(q) and its derivatives come from the Gram of the factor (`gram` for M,
+`dgram` for its derivatives, with their one adjoint `gram_bwd`) inside
 the fused blocks, which hold every matrix as an (n, n, B) array;
-`mass_entries_t` gives M(q) values in that layout with no tape, and the
-solve block `chol_solve_t` substitutes with mechanics' `cho_solve`.
+`mass_entries_t` gives M(q) values in that layout, and the solve block
+`chol_solve_t` substitutes with mechanics' `cho_solve`.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ def init_params(rng, arch: ArchConfig) -> FlatParams:
 # forward-mode derivatives along the coordinate axes beside the values,
 # and the potential build adds one reverse sweep for ∇V.  The adjoint adds
 # the build's slots into a caller's theta adjoint and gives an adjoint for
-# the input only when asked.  `_net_node` makes a block one tape node.
+# the input only when asked.
 
 def transposed(a: np.ndarray) -> np.ndarray:
     """A contiguous transpose: a (B, m) array's m columns as (B,) rows,
@@ -179,8 +180,8 @@ def _mlp_np(theta_v, layout: ParamLayout, net: str, x, dirs, top=True):
     last = len(specs) - 1
     for i, ((shape, sW, eW), (_, sb, eb)) in enumerate(
             specs if top else specs[:-1]):
-        W = np.ascontiguousarray(theta_v[:, sW:eW]).reshape(shape)
-        b = np.ascontiguousarray(theta_v[:, sb:eb])
+        W = theta_v[:, sW:eW].reshape(shape)
+        b = theta_v[:, sb:eb]
         z = a @ W + b
         es = [da @ W for da in das]
         o = s = None
@@ -247,7 +248,7 @@ def _theta_adjoint(gt, layout: ParamLayout, net: str, grads, scale_slot,
 
 def _log_scale_np(theta_v, layout: ParamLayout, which: int) -> np.ndarray:
     _, s, _ = layout.slot("log_scales")
-    return np.ascontiguousarray(theta_v[:, s + which:s + which + 1])
+    return theta_v[:, s + which:s + which + 1]
 
 
 def _chol_head_np(theta_v, layout: ParamLayout, out, douts):
@@ -294,20 +295,13 @@ def _chol_head_bwd(g, record):
     return g_out, g_do, g_s
 
 
-def _net_node(theta, Q, block, op: str):
-    """One tape node on [theta, Q] from a net block's (value, adjoint)."""
-    value, adjoint = block
-
-    def bwd(g):
-        gt = np.zeros(theta.shape) if theta.requires_grad else None
-        return gt, adjoint(g, gt)
-
-    return dc.custom([theta, Q], value, bwd, op)
-
-
-def _chol_np(theta_v, layout: ParamLayout, Q, jac: bool, want_x: bool):
-    """The mass net and its head at the rows of ``Q`` (`chol_entries_t`):
-    (packed value, adjoint).  ``adjoint(g, gt)`` adds the theta adjoint
+def chol_entries_t(theta_v, layout: ParamLayout, Q, jac: bool,
+                   want_x: bool):
+    """The scaled Cholesky factor at the rows of ``Q``, with e^{s_M/2}
+    folded in so that M = L̃ L̃ᵀ directly, and its adjoint.  The value is
+    (B, tri), the lower triangle row by row (see `factor`); with ``jac``
+    it is (B, tri·(1 + n)), the entries followed by their derivatives
+    along each coordinate q_k.  ``adjoint(g, gt)`` adds the theta adjoint
     into ``gt`` (if not None) and returns Q's adjoint (with ``want_x``)."""
     dirs = _axes(layout.arch.n) if jac else ()
     out, douts, layers = _mlp_np(theta_v, layout, "mass", Q, dirs)
@@ -322,27 +316,17 @@ def _chol_np(theta_v, layout: ParamLayout, Q, jac: bool, want_x: bool):
     return P, adjoint
 
 
-def chol_entries_t(theta, layout: ParamLayout, Q, jac: bool = False):
-    """The scaled Cholesky factor with e^{s_M/2} folded in, so that
-    M = L̃ L̃ᵀ directly, as one (B, tri) tape node: the lower triangle row
-    by row (see `factor`).  With ``jac`` the node is (B, tri·(1 + n)), the
-    entries followed by their derivatives along each coordinate q_k.
-    The mass net and its head are the one node."""
-    return _net_node(theta, Q, _chol_np(theta.value, layout, Q.value, jac,
-                                        Q.requires_grad), "mass_net")
-
-
 def mass_entries_t(params: FlatParams, Q) -> np.ndarray:
-    """Batched M(q) values as an entry-major (n, n, B) array, with no
-    tape: the Gram of the scaled factor, as `gram` computes it."""
-    P, _ = _chol_np(params.values.reshape(1, -1), params.layout,
-                    np.asarray(Q, dtype=np.float64), False, False)
-    return gram(*factor(P, params.layout.arch.n))[0]
+    """Batched M(q) values as an entry-major (n, n, B) array: the Gram
+    of the scaled factor."""
+    P, _ = chol_entries_t(params.values.reshape(1, -1), params.layout,
+                          np.asarray(Q, dtype=np.float64), False, False)
+    return gram(factor(P, params.layout.arch.n)[0])
 
 
-def _potential_np(theta_v, layout: ParamLayout, Q, want_x: bool):
+def potential_grad_t(theta_v, layout: ParamLayout, Q, want_x: bool):
     """∇V at the rows of ``Q`` as a (B, n) array, and its adjoint (as
-    `_chol_np`'s): one reverse sweep of the potential net from its scalar
+    `chol_entries_t`'s): one reverse sweep of the potential net from its scalar
     output, times its e^{s_V} scale.  Down the tanh layers o_i it runs
     r_H = W_Hᵀ, gz_i = r_{i+1} ⊙ (1 - o_i²), r_i = gz_i W_iᵀ, so
     ∇V = r_0 e^{s_V} costs about one more forward whatever n is; the
@@ -351,7 +335,7 @@ def _potential_np(theta_v, layout: ParamLayout, Q, want_x: bool):
     _, _, hidden = _mlp_np(theta_v, layout, "potential", Q, (), top=False)
     # W_H is (h, 1), so its slot is already the row W_Hᵀ
     (_, sW, eW), _ = layout.layers["potential"][-1]
-    r = np.ascontiguousarray(theta_v[:, sW:eW])
+    r = theta_v[:, sW:eW]
     sweep = []
     for _, _, W, _, _, o, _ in reversed(hidden):
         s = 1.0 - o * o
@@ -386,17 +370,12 @@ def _potential_np(theta_v, layout: ParamLayout, Q, want_x: bool):
     return raw * g, adjoint
 
 
-def potential_grad_t(theta, layout: ParamLayout, Q):
-    """Batched ∇V(q) as one (B, n) tape node (`_potential_np`)."""
-    return _net_node(theta, Q, _potential_np(theta.value, layout, Q.value,
-                                             Q.requires_grad),
-                     "potential_net")
-
-
-def _force_np(theta_v, layout: ParamLayout, X, want_x: bool):
+def force_t(theta_v, layout: ParamLayout, X, want_x: bool):
     """F at the rows of the concatenated (q, q̇) ``X`` as a (B, n) array:
     the force net times its e^{s_F} scale, and its adjoint (as
-    `_chol_np`'s)."""
+    `chol_entries_t`'s)."""
+    if layout.arch.conservative:
+        raise ConservativeForceError("model has no force net")
     out, _, layers = _mlp_np(theta_v, layout, "force", X, [])
     g = dc._exp_np(_log_scale_np(theta_v, layout, 2))
 
@@ -407,16 +386,6 @@ def _force_np(theta_v, layout: ParamLayout, X, want_x: bool):
         return gx
 
     return out * g, adjoint
-
-
-def force_t(theta, layout: ParamLayout, Q, Qdot):
-    """Batched F(q, q̇) as a (B,n) tape tensor: the force net and its
-    e^{s_F} scale as one node on the concatenated (q, q̇)."""
-    if layout.arch.conservative:
-        raise ConservativeForceError("model has no force net")
-    X = dc.concat_cols([Q, Qdot])
-    return _net_node(theta, X, _force_np(theta.value, layout, X.value,
-                                         X.requires_grad), "force_net")
 
 
 # -- fused blocks -------------------------------------------------------------
@@ -459,26 +428,26 @@ def packed(L, dL) -> np.ndarray:
     return transposed(A.take(_tril(n), axis=1).reshape(-1, B))
 
 
-def gram(L, dL):
-    """M = L Lᵀ and, for each direction, dM = dL Lᵀ + L dLᵀ."""
-    M = (L[:, None] * L).sum(2)
-    if not len(dL):
-        return M, dL
+def gram(L):
+    """M = L Lᵀ."""
+    return (L[:, None] * L).sum(2)
+
+
+def dgram(L, dL):
+    """dM = dL Lᵀ + L dLᵀ for each direction in ``dL``."""
     C = (dL[:, :, None] * L).sum(3)
-    return M, C + C.swapaxes(1, 2)
+    return C + C.swapaxes(1, 2)
 
 
 def gram_bwd(L, dL, gM, gdM):
-    """The adjoint of `gram`, (gL, gdL), from the adjoint of M (None where
-    M is not used) and of dM (None where no direction is)."""
+    """The adjoint of `gram` and `dgram`, (gL, gdL), from the adjoint of M
+    (None where M is not used) and of dM (None where no direction is)."""
     gL = np.zeros_like(L) if gM is None \
         else ((gM + gM.swapaxes(0, 1))[:, :, None] * L).sum(1)
-    gdL = np.zeros_like(dL)
-    if gdM is not None:
-        G = (gdM + gdM.swapaxes(1, 2))[:, :, :, None]
-        gdL = (G * L).sum(2)
-        gL = gL + (G * dL[:, None]).sum((0, 2))
-    return gL, gdL
+    if gdM is None:
+        return gL, np.zeros_like(dL)
+    G = (gdM + gdM.swapaxes(1, 2))[:, :, :, None]
+    return gL + (G * dL[:, None]).sum((0, 2)), (G * L).sum(2)
 
 
 def chol_solve_t(L, b):

@@ -6,27 +6,29 @@ acceleration regression, and next-state regression through an RK4 step.
 Plus Adam, the decay schedule, shuffled batching that never crosses
 trajectory boundaries, and validation-based checkpoint selection.
 
-The model's acceleration is one numpy stage (`_accel_np`): netparam's
-net blocks (the mass factor with its forward-mode derivatives along each
-coordinate axis, ∇V by one reverse sweep of the potential net, the force
-net), the Euler-Lagrange right-hand side and the Cholesky solve, with
-one Gram and one Gram adjoint, and its adjoint as a plain function.  The
-acceleration loss is one tape node over one stage, the RK4 loss one node
-over four stages with an explicit reverse sweep, and validation runs the
-stage with no tape.  The DEL loss keeps one node per net build and per
-fused block (see netparam's fused blocks): its residual at q_k uses the
-pairs (q_k-1, q_k) and (q_k, q_k+1), and neighbouring tuples of a
-trajectory share a pair, so it builds the nets once per distinct pair of
-its batch and its residual node gathers each tuple's two arms from them.
-The barrier node and the feasibility check, which reads M(q) from the
-numpy forward with no tape, share one test of M - alpha I: the pivots of
+Every loss differentiates the model one way: a numpy stage on theta
+that calls netparam's net blocks (the mass factor with its forward-mode
+derivatives along each coordinate axis, ∇V by one reverse sweep of the
+potential net, the force net) and returns its value and its plain
+first-order adjoint, which the tape holds as one node with theta as its
+only parent (`_stage_t`).  The acceleration stage (`_accel_np`) adds the
+Euler-Lagrange right-hand side and the Cholesky solve; the acceleration
+loss is one node over it, the RK4 loss one node over four of them with
+an explicit reverse sweep, and validation runs it with no tape.  The
+DEL residual stage (`_del_np`) at q_k uses the pairs (q_k-1, q_k) and
+(q_k, q_k+1); neighbouring tuples of a trajectory share a pair, so it
+runs the nets once per distinct pair of its batch and gathers each
+tuple's two arms from them.  The barrier stage (`_barrier_np`) and the
+feasibility check share one test of M - alpha I: the pivots of
 mechanics' `cholesky`.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import logging
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,10 +37,9 @@ import numpy as np
 from . import diffcore as dc
 from .integrators import IntegrationBlowupError
 from .mechanics import NotPositiveDefiniteError, cholesky
-from .netparam import (FlatParams, _chol_np, _force_np, _potential_np,
-                       chol_entries_t, chol_solve_t, factor, force_t, gram,
-                       gram_bwd, mass_entries_t, packed, potential_grad_t,
-                       transposed)
+from .netparam import (FlatParams, chol_entries_t, chol_solve_t, dgram,
+                       factor, force_t, gram, gram_bwd, mass_entries_t,
+                       packed, potential_grad_t, transposed)
 
 _log = logging.getLogger("smmfit.training")
 
@@ -149,14 +150,14 @@ def _accel_np(theta_v, layout, X, V, want_x=False, want_v=False):
     potential and mass nets' parts added in that order) and the list of
     V's adjoint parts: τ's (with ``want_v``), then the force net's."""
     n = X.shape[1]
-    P, mass_adj = _chol_np(theta_v, layout, X, True, want_x)
-    dV, pot_adj = _potential_np(theta_v, layout, X, want_x)
+    P, mass_adj = chol_entries_t(theta_v, layout, X, True, want_x)
+    dV, pot_adj = potential_grad_t(theta_v, layout, X, want_x)
     F = None
     if not layout.arch.conservative:
-        F, force_adj = _force_np(theta_v, layout, np.concatenate([X, V], 1),
-                                 want_x or want_v)
+        F, force_adj = force_t(theta_v, layout, np.concatenate([X, V], 1),
+                               want_x or want_v)
     Lm, dLm = factor(P, n)
-    _, dM = gram(Lm, dLm)
+    dM = dgram(Lm, dLm)
     x = transposed(V)
     xx = x[:, None] * x
     D = (x[:, None, None] * dM).sum(0)
@@ -191,45 +192,59 @@ def _accel_np(theta_v, layout, X, V, want_x=False, want_v=False):
     return transposed(a), adjoint
 
 
-def _accel_t(theta, layout, X, Xd):
-    """Batched accelerations at the rows of the arrays X, Xd as one
-    (B, n) tape node on theta (`_accel_np`)."""
-    A, adjoint = _accel_np(theta.value, layout, X, Xd)
+def _stage_t(theta, stage, op: str):
+    """One tape node on theta from a numpy stage's (value, adjoint), whose
+    ``adjoint(g, gt)`` adds the theta adjoint into ``gt``."""
+    value, adjoint = stage
 
     def bwd(g):
         gt = np.zeros(theta.shape)
         adjoint(g, gt)
         return (gt,)
 
-    return dc.custom([theta], A, bwd, "accel")
+    return dc.custom([theta], value, bwd, op)
 
 
-def _del_residual_t(pairs, ia, ib, h: float):
-    """The discrete Euler-Lagrange residual as one (B, n) fused node.
+def _del_np(theta_v, layout, batch: Batch):
+    """The discrete Euler-Lagrange residual of a del batch as a (B, n)
+    array, and its adjoint (as `_accel_np`'s, returning nothing).
 
-    ``pairs`` is (L, dV, F, v) over the batch's distinct configuration
-    pairs, at each pair's midpoint: the packed factor node with its
-    coordinate derivatives, the ∇V node, the force node (or None) and the
-    pair velocity array.  Tuple i's first pair is ``ia[i]`` and its second
-    ``ib[i]``.  Row i is
+    The nets run once at the midpoint of each of the batch's distinct
+    configuration pairs (`_distinct_rows`) with pair velocity v; tuple
+    i's first pair is ``ia[i]`` and its second ``ib[i]``.  Row i is
     h/2 (∂L[ia] + ∂L[ib])_i + (M v[ia] - M v[ib])_i (+ h/2 (F[ia] + F[ib])_i)
     with ∂L_k = 1/2 vᵀ (∂M/∂q_k) v - ∂V/∂q_k and M v formed once per pair.
-    The backward adds the row adjoints onto the pairs first.
+    The adjoint adds the row adjoints onto the pairs first.
     """
-    L, dV, F, v = pairs
-    U, n = v.shape
+    n, h, B = layout.arch.n, batch.h, len(batch)
+    q1, q2, q3 = batch.data["q1"], batch.data["q2"], batch.data["q3"]
+    # the tuples' pairs (q1, q2) then (q2, q3): a trajectory cut in order
+    # shares all but one of them
+    pairs, inv = _distinct_rows(np.concatenate([np.hstack([q1, q2]),
+                                                np.hstack([q2, q3])]))
+    ia, ib = inv[:B], inv[B:]
+    qa, qb = pairs[:, :n], pairs[:, n:]
+    X = (qa + qb) / 2.0
+    v = (qb - qa) / h
+    P, mass_adj = chol_entries_t(theta_v, layout, X, True, False)
+    dV, pot_adj = potential_grad_t(theta_v, layout, X, False)
+    F = None
+    if not layout.arch.conservative:
+        F, force_adj = force_t(theta_v, layout, np.concatenate([X, v], 1),
+                               False)
+    U = len(v)
     c = h / 2.0
-    Lm, dLm = factor(L.value, n)
-    M, dM = gram(Lm, dLm)
+    Lm, dLm = factor(P, n)
+    M, dM = gram(Lm), dgram(Lm, dLm)
     vr = transposed(v)
     vv = vr[:, None] * vr
-    dL = (dM * vv).sum((1, 2)) * 0.5 - transposed(dV.value)
+    dL = (dM * vv).sum((1, 2)) * 0.5 - transposed(dV)
     Mv = (M * vr).sum(1)
     res = transposed((dL[:, ia] + dL[:, ib]) * c + (Mv[:, ia] - Mv[:, ib]))
     if F is not None:
-        res = res + (F.value[ia] + F.value[ib]) * c
+        res = res + (F[ia] + F[ib]) * c
 
-    def bwd(g):
+    def adjoint(g, gt):
         # row i's adjoint lands on its pairs ia[i] and ib[i]
         gr = transposed(g)
         ga = np.array([np.bincount(ia, r, U) for r in gr])
@@ -238,11 +253,12 @@ def _del_residual_t(pairs, ia, ib, h: float):
         gdM = (gs * (c * 0.5))[:, None, None] * vv
         gM = (ga - gb)[:, None] * vr
         gp = transposed(gs) * c
-        out = (packed(*gram_bwd(Lm, dLm, gM, gdM)), -gp)
-        return out if F is None else out + (gp,)
+        if F is not None:
+            force_adj(gp, gt)
+        pot_adj(-gp, gt)
+        mass_adj(packed(*gram_bwd(Lm, dLm, gM, gdM)), gt)
 
-    parents = [L, dV] + ([] if F is None else [F])
-    return dc.custom(parents, res, bwd, "del_residual")
+    return res, adjoint
 
 
 def _distinct_rows(rows):
@@ -260,18 +276,18 @@ def _distinct_rows(rows):
     return rows[order[new]], inv
 
 
-def _shifted_logdet_t(L, n: int, shift: float):
-    """log det(M - shift I) per row as one (B, 1) fused node, M the Gram
-    of the packed factor node ``L``: the sum of the log pivots of the
-    shifted factor S (`cholesky`), whose nonpositive pivot means the
-    barrier is violated.  The backward reads (M - shift I)⁻¹ = S⁻ᵀ S⁻¹
-    from S.
+def _barrier_np(theta_v, layout, Q, shift: float):
+    """log det(M - shift I) at the rows of ``Q`` as a (B, 1) array, and its
+    adjoint (as `_del_np`'s): the sum of the log pivots of the shifted
+    factor S of M (`cholesky`), whose nonpositive pivot means the barrier
+    is violated.  The adjoint reads (M - shift I)⁻¹ = S⁻ᵀ S⁻¹ from S.
     """
-    Lm, dLm = factor(L.value, n)
-    M, _ = gram(Lm, dLm)
-    S, r, d = cholesky(M, shift)
+    n = layout.arch.n
+    P, mass_adj = chol_entries_t(theta_v, layout, Q, False, False)
+    Lm, dLm = factor(P, n)
+    S, r, d = cholesky(gram(Lm), shift)
 
-    def bwd(g):
+    def adjoint(g, gt):
         # R = S⁻¹, lower triangular, column by column
         R = np.zeros_like(S)
         for j in range(n):
@@ -282,9 +298,9 @@ def _shifted_logdet_t(L, n: int, shift: float):
                     acc = acc + S[i, k] * R[k, j]
                 R[i, j] = -acc * r[i]
         gM = (R[:, :, None] * R[:, None]).sum(0) * g[:, 0]
-        return (packed(*gram_bwd(Lm, dLm, gM, None)),)
+        mass_adj(packed(*gram_bwd(Lm, dLm, gM, None)), gt)
 
-    return dc.custom([L], np.log(d).sum(0)[:, None], bwd, "shifted_logdet")
+    return np.log(d).sum(0)[:, None], adjoint
 
 
 # -- loss graphs --------------------------------------------------------------
@@ -292,33 +308,18 @@ def _shifted_logdet_t(L, n: int, shift: float):
 def _del_graph(flat: FlatParams, batch: Batch, mu: float, alpha: float):
     if batch.kind != "del":
         raise ValueError(f"need a del batch, got {batch.kind!r}")
-    layout = flat.layout
-    n = layout.arch.n
-    q1, q2, q3 = batch.data["q1"], batch.data["q2"], batch.data["q3"]
-    h = batch.h
     tape = dc.Tape()
     theta = tape.input(flat.values.reshape(1, -1))
-
-    # the tuples' pairs (q1, q2) then (q2, q3): a trajectory cut in order
-    # shares all but one of them, so the nets run once per distinct pair
-    B = len(batch)
-    pairs, inv = _distinct_rows(np.concatenate([np.hstack([q1, q2]),
-                                                np.hstack([q2, q3])]))
-    qa, qb = pairs[:, :n], pairs[:, n:]
-    X = tape.constant((qa + qb) / 2.0)
-    v = (qb - qa) / h
-    L = chol_entries_t(theta, layout, X, jac=True)
-    dV = potential_grad_t(theta, layout, X)
-    F = None
-    if not layout.arch.conservative:
-        F = force_t(theta, layout, X, tape.constant(v))
-    res = _del_residual_t((L, dV, F, v), inv[:B], inv[B:], h)
-    rho = dc.scale(dc.sumsq(res), 1.0 / B)
+    res = _stage_t(theta, _del_np(theta.value, flat.layout, batch),
+                   "del_residual")
+    rho = dc.scale(dc.sumsq(res), 1.0 / len(batch))
     ld_mean = None
     loss = rho
     if mu != 0.0:  # an unweighted barrier is not built
-        L = chol_entries_t(theta, layout, tape.constant(q2))
-        ld_mean = dc.mean_all(_shifted_logdet_t(L, n, alpha))
+        ld = _stage_t(theta, _barrier_np(theta.value, flat.layout,
+                                         batch.data["q2"], alpha),
+                      "shifted_logdet")
+        ld_mean = dc.mean_all(ld)
         loss = dc.add(rho, dc.scale(ld_mean, -mu))
     return tape, theta, loss, rho, ld_mean
 
@@ -328,7 +329,8 @@ def _accel_graph(flat: FlatParams, batch: Batch):
         raise ValueError(f"need an accel batch, got {batch.kind!r}")
     tape = dc.Tape()
     theta = tape.input(flat.values.reshape(1, -1))
-    A = _accel_t(theta, flat.layout, batch.data["q"], batch.data["qdot"])
+    A = _stage_t(theta, _accel_np(theta.value, flat.layout, batch.data["q"],
+                                  batch.data["qdot"]), "accel")
     E = dc.add(A, tape.constant(-batch.data["qddot"]))
     loss = dc.scale(dc.sumsq(E), 1.0 / batch.data["q"].size)
     return tape, theta, loss
@@ -363,8 +365,7 @@ def _nextstate_graph(flat: FlatParams, batch: Batch, h: float):
     Qp = X + ((Xd + (V2 + V3) * 2.0) + V4) * (h / 6.0)
     Vp = Xd + ((A1 + (A2 + A3) * 2.0) + A4) * (h / 6.0)
 
-    def bwd(g):
-        gt = np.zeros(theta.shape)
+    def adjoint(g, gt):
         gkq, gkv = np.hsplit(g * (h / 6.0), 2)
         gA23, gV23 = gkv * 2.0, gkq * 2.0
         gX4, gv = adj4(gkv, gt)
@@ -373,11 +374,10 @@ def _nextstate_graph(flat: FlatParams, batch: Batch, h: float):
         gV3 = sum(gv, gV23 + gX4 * h)
         _, gv = adj2(gA23 + gV3 * hh, gt)
         adj1(gkv + sum(gv, gV23 + gX3 * hh) * hh, gt)
-        return (gt,)
 
-    E = dc.custom([theta], np.concatenate([Qp - batch.data["qnext"],
-                                           Vp - batch.data["qdotnext"]], 1),
-                  bwd, "nextstate")
+    E = _stage_t(theta, (np.concatenate([Qp - batch.data["qnext"],
+                                         Vp - batch.data["qdotnext"]], 1),
+                         adjoint), "nextstate")
     loss = dc.scale(dc.sumsq(E), 1.0 / (2.0 * X.size))
     return tape, theta, loss, (Qp, Vp)
 
@@ -469,6 +469,20 @@ def choose_alpha(params0: FlatParams, configs,
 
 # -- the epoch loop -----------------------------------------------------------
 
+def keep_freed_heap():
+    """Keep the heap a training step frees for the next one (glibc): else
+    each step's pages go back to the kernel and fault in again, 15-25% of a
+    B = 256 RK4 step.  A set trim threshold freezes glibc's dynamic mmap
+    threshold, so that one is set to its 64-bit ceiling.  The setting holds
+    for the whole process."""
+    if sys.platform.startswith("linux"):
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+        if mallopt is not None:
+            mallopt.argtypes, mallopt.restype = (ctypes.c_int,) * 2, ctypes.c_int
+            mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+            mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 @dataclass
 class TrainConfig:
     xi0: float = 1e-3
@@ -542,6 +556,7 @@ def train(method: str, params0: FlatParams, trajectories,
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
+    keep_freed_heap()
     rng = np.random.default_rng(config.seed)
     train_trajs, val_trajs = _split_trajs(trajectories)
     tuples = assemble_tuples(train_trajs, method)

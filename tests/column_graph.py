@@ -5,7 +5,7 @@ Every weight slice, matmul, tanh and product of the three nets, every
 head entry and every M, dM, L and Cholesky-solve entry here is its own
 tape node, as the library built them before its fused net builds and
 fused blocks, with the primitives (log, sqrt, reciprocal, tanh, matmul,
-softplus, cols, ...) the library no longer needs, rebuilt on
+softplus, cols, concat_cols, ...) the library no longer needs, rebuilt on
 `dc.custom`.  The fused nodes must match these losses and gradients to
 rounding.
 """
@@ -50,6 +50,15 @@ def mul(a, b):
     return dc.custom([a, b], a.value * b.value, lambda g: (
         dc._unbroadcast(g * b.value, a.shape),
         dc._unbroadcast(g * a.value, b.shape)), "mul")
+
+
+def concat_cols(parts):
+    parts = list(parts)
+    edges = np.cumsum([0] + [p.shape[1] for p in parts])
+    return dc.custom(parts, np.concatenate([p.value for p in parts], axis=1),
+                     lambda g: tuple(np.ascontiguousarray(g[:, a:b])
+                                     for a, b in zip(edges[:-1], edges[1:])),
+                     "concat_cols")
 
 
 def cols(a, j0, j1):
@@ -167,7 +176,7 @@ def force_t(theta, layout, Q, Qdot):
     """Batched F(q, q̇) as a (B,n) tape tensor."""
     if layout.arch.conservative:
         raise ConservativeForceError("model has no force net")
-    X = dc.concat_cols([Q, Qdot])
+    X = concat_cols([Q, Qdot])
     out, _ = mlp_t(theta, layout, "force", X)
     return mul(out, exp(log_scale_t(theta, layout, 2)))
 
@@ -311,7 +320,7 @@ def del_graph(flat, batch, mu, alpha, with_barrier=True):
             fi = dc.add(cols(Fa, i, i + 1), cols(Fb, i, i + 1))
             d = dc.add(d, dc.scale(fi, h / 2.0))
         out.append(d)
-    rho = dc.scale(dc.sumsq(dc.concat_cols(out)), 1.0 / len(batch))
+    rho = dc.scale(dc.sumsq(concat_cols(out)), 1.0 / len(batch))
     ld_mean = None
     loss = rho
     if with_barrier:
@@ -327,7 +336,7 @@ def accel_graph(flat, batch):
     theta = tape.input(flat.values.reshape(1, -1))
     X = tape.constant(batch.data["q"])
     Xd = tape.constant(batch.data["qdot"])
-    A = dc.concat_cols(accel_cols(tape, theta, flat.layout, X, Xd))
+    A = concat_cols(accel_cols(tape, theta, flat.layout, X, Xd))
     E = dc.add(A, tape.constant(-batch.data["qddot"]))
     loss = dc.scale(dc.sumsq(E), 1.0 / batch.data["q"].size)
     return tape, theta, loss, A
@@ -341,7 +350,7 @@ def nextstate_graph(flat, batch, h):
     Xd = tape.constant(batch.data["qdot"])
 
     def acc(Xs, Vs):
-        A = dc.concat_cols(accel_cols(tape, theta, layout, Xs, Vs))
+        A = concat_cols(accel_cols(tape, theta, layout, Xs, Vs))
         if not np.all(np.isfinite(A.value)):
             raise IntegrationBlowupError("non-finite RK4 stage acceleration")
         return A
@@ -362,7 +371,7 @@ def nextstate_graph(flat, batch, h):
     Vp = dc.add(Xd, dc.scale(kv, h / 6.0))
     Eq = dc.add(Qp, tape.constant(-batch.data["qnext"]))
     Ev = dc.add(Vp, tape.constant(-batch.data["qdotnext"]))
-    E = dc.concat_cols([Eq, Ev])
+    E = concat_cols([Eq, Ev])
     loss = dc.scale(dc.sumsq(E), 1.0 / (2.0 * batch.data["q"].size))
     return tape, theta, loss, (Qp, Vp)
 
@@ -377,8 +386,8 @@ def loss_grad(graph):
 def predicted_accelerations(flat, q, qdot):
     tape = dc.Tape()
     theta = tape.constant(flat.values.reshape(1, -1))
-    A = dc.concat_cols(accel_cols(tape, theta, flat.layout, tape.constant(q),
-                                  tape.constant(qdot)))
+    A = concat_cols(accel_cols(tape, theta, flat.layout, tape.constant(q),
+                               tape.constant(qdot)))
     return A.value.copy()
 
 

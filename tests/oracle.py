@@ -23,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from column_graph import cols, mass_entries_t, potential_t
+from column_graph import cols, concat_cols, mass_entries_t, potential_t
 from smmfit import diffcore as dc
 from smmfit import mechanics as mech
 from smmfit import smoother as smo
@@ -31,8 +31,7 @@ from smmfit import training as tr
 from smmfit.integrators import (DrawsExhaustedError, IntegrationBlowupError,
                                 NEWTON_MAX_ITER, NEWTON_TOL,
                                 NewtonConvergenceError, Trajectory)
-from smmfit.netparam import (ConservativeForceError, FlatParams,
-                             chol_entries_t)
+from smmfit.netparam import ConservativeForceError, FlatParams
 
 FD_STEP = 1e-6
 
@@ -665,8 +664,8 @@ class SmmSystem(FdSystem):
         def f(qt):
             ent, _, _ = mass_entries_t(self._theta(qt.tape),
                                        self.params.layout, qt)
-            return dc.concat_cols([ent[(i, j)] for i in range(n)
-                                   for j in range(n)])
+            return concat_cols([ent[(i, j)] for i in range(n)
+                                for j in range(n)])
 
         J = jacobian(f, np.asarray(q, dtype=np.float64))
         dM = np.empty((n, n, n))
@@ -691,14 +690,13 @@ def nextstate_predictions(params, batch, h):
 
 def barrier_grad(params, configs, alpha):
     """Gradient of the mean logdet(M - alpha I) over the given configs,
-    through the fused barrier node."""
-    tape = dc.Tape()
-    theta = tape.input(params.values.reshape(1, -1))
-    Q = tape.constant(np.asarray(configs, dtype=np.float64))
-    L = chol_entries_t(theta, params.layout, Q)
-    ld = tr._shifted_logdet_t(L, params.layout.arch.n, alpha)
-    g = tape.gradients(dc.mean_all(ld), [theta])[0]
-    return g.ravel().copy()
+    from the barrier stage's adjoint."""
+    Q = np.asarray(configs, dtype=np.float64)
+    _, adjoint = tr._barrier_np(params.values.reshape(1, -1), params.layout,
+                                Q, alpha)
+    g = np.zeros((1, params.layout.total))
+    adjoint(np.full((len(Q), 1), 1.0 / len(Q)), g)
+    return g.ravel()
 
 
 # -- matrix-form Kalman filter and EM ------------------------------------------

@@ -165,8 +165,8 @@ def test_jacobian_identity():
 def test_jacobian_matches_fd_rows():
     def f(x):
         sq1 = col.shift(col.mul(x, x), 1.0)
-        return dc.concat_cols([dc.sumsq(col.sigmoid(x)),
-                               dc.sum_all(col.log(sq1))])
+        return col.concat_cols([dc.sumsq(col.sigmoid(x)),
+                                dc.sum_all(col.log(sq1))])
 
     rng = np.random.default_rng(11)
     x0 = rng.uniform(-2.0, 2.0, size=4)

@@ -635,7 +635,7 @@ def test_cli_malformed_checkpoint_or_results_exit_code(smoothed_pair,
 def test_cli_keeps_the_heap_a_step_frees():
     # a step's arrays, freed at its end, stay in the heap for the next
     # step instead of going back to the kernel and faulting in again
-    cli._keep_freed_heap()
+    tr.keep_freed_heap()
 
     def minor_faults():
         return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -645,3 +645,11 @@ def test_cli_keeps_the_heap_a_step_frees():
     before = minor_faults()
     step = [np.ones(8192) for _ in range(200)]
     assert minor_faults() - before < 400
+
+
+def test_cli_sets_the_heap_before_any_verb(monkeypatch, tmp_path):
+    # generation and smoothing run before train(), so main sets it first
+    calls = []
+    monkeypatch.setattr(tr, "keep_freed_heap", lambda: calls.append(1))
+    assert cli.main(["plot", "--results", str(tmp_path / "none.json")]) == 2
+    assert calls == [1]

@@ -94,19 +94,28 @@ def test_fused_del_on_shared_pairs(n, conservative, cut):
                                                  with_barrier=mu != 0.0)))
 
 
-def test_del_builds_the_nets_once_per_distinct_pair():
+def test_del_builds_the_nets_once_per_distinct_pair(monkeypatch):
     # T points give T - 2 tuples on T - 1 distinct pairs; the barrier
     # build at q2 keeps one row per tuple.  Pairs are one only when
     # bit-identical: a repeated tuple shares both of its pairs, and a -0.0
-    # in place of a 0.0 in q1 parts the first
+    # in place of a 0.0 in q1 parts the first.  The mass block is wrapped
+    # where the stages look it up, as the traced benchmark wraps force_t
     flat, _, alpha = setup(2, False, 7)
     T = 40
     batch, _ = trajectory_batch(2, T)
+    rows = []
+    block = tr.chol_entries_t
+
+    def counting(theta_v, layout, Q, jac, want_x):
+        rows.append(len(Q))
+        return block(theta_v, layout, Q, jac, want_x)
+
+    monkeypatch.setattr(tr, "chol_entries_t", counting)
 
     def mass_rows(batch):
-        tape = tr._del_graph(flat, batch, 0.01, alpha)[0]
-        return [node.value.shape[0] for node in tape.nodes
-                if node.op == "mass_net"]
+        rows.clear()
+        tr.del_loss_grad(flat, batch, 0.01, alpha)
+        return list(rows)
 
     assert mass_rows(batch) == [T - 1, T - 2]
     one = batch.take([3])
@@ -128,18 +137,20 @@ def test_potential_build_matches_the_per_node_graph(n, B, x_grad):
     flat.values[s + 1] = -0.2
     rng = np.random.default_rng([n, B, 5])
     Q, G = rng.normal(size=(B, n)), rng.normal(size=(B, n))
+    dV, adjoint = netp.potential_grad_t(flat.values.reshape(1, -1),
+                                        flat.layout, Q, x_grad)
+    g_theta = np.zeros((1, flat.layout.total))
+    g_x = adjoint(G, g_theta)
+    assert (g_x is None) != x_grad
     tape = dc.Tape()
     theta = tape.input(flat.values.reshape(1, -1))
     X = tape.input(Q) if x_grad else tape.constant(Q)
-    dV = netp.potential_grad_t(theta, flat.layout, X)
-    g_theta, g_x = dV.bwd(G)
-    assert (g_x is None) != x_grad
     dirs = [tape.constant(np.eye(n)[k:k + 1]) for k in range(n)]
-    want = dc.concat_cols(col.potential_t(theta, flat.layout, X, dirs)[1])
+    want = col.concat_cols(col.potential_t(theta, flat.layout, X, dirs)[1])
     pairing = dc.custom([want], np.array([[np.sum(want.value * G)]]),
                         lambda g: (g * G,))
     want_theta, want_x = tape.gradients(pairing, [theta, X])
-    assert_close([dV.value, g_theta], [want.value, want_theta])
+    assert_close([dV, g_theta], [want.value, want_theta])
     if x_grad:
         assert_close([g_x], [want_x])
 
@@ -170,21 +181,26 @@ def test_fused_values_are_bit_exact(n, conservative, B):
 
 
 @pytest.mark.parametrize("conservative,want", [
-    (False, {"del": 17, "accel": 6, "nextstate": 4}),
-    (True, {"del": 14, "accel": 6, "nextstate": 4})])
+    (False, {"del": 9, "accel": 6, "nextstate": 4}),
+    (True, {"del": 9, "accel": 6, "nextstate": 4})])
 def test_loss_graphs_build_one_node_per_net(conservative, want):
-    # n = 2: in the DEL loss each net build and each fused block is one
-    # node, and the blocks take the packed factor, dV and force nodes
-    # whole, with no column slices, and the nets' coordinate axes are no
-    # tape constants; the acceleration loss is one node over one numpy
-    # stage and the RK4 residual one node over four
+    # n = 2: every loss is one node per numpy stage on theta, theta its
+    # only parent, plus the loss arithmetic: the DEL loss's residual and
+    # barrier stages, the acceleration stage, the RK4 residual over four
+    # acceleration stages; no net build and no column slice is a node
     flat, b, alpha = setup(2, conservative, 7)
     got = {"del": tr._del_graph(flat, b["del"], 0.01, alpha)[0],
            "accel": tr._accel_graph(flat, b["accel"])[0],
            "nextstate": tr._nextstate_graph(flat, b["nextstate"], H)[0]}
     assert {k: len(tape.nodes) for k, tape in got.items()} == want
-    assert all(node.op != "cols" for tape in got.values()
-               for node in tape.nodes)
+    ops = {node.op for tape in got.values() for node in tape.nodes}
+    assert not ops & {"cols", "mass_net", "potential_net", "force_net"}
+    stages = [node for tape in got.values() for node in tape.nodes
+              if node.op in ("del_residual", "shifted_logdet", "accel",
+                             "nextstate")]
+    assert len(stages) == 4
+    assert all(len(node.parents) == 1 and node.parents[0].op == "input"
+               for node in stages)
 
 
 @pytest.mark.parametrize("n,conservative,B",
@@ -195,9 +211,8 @@ def test_predicted_accelerations_run_the_accel_node_without_a_tape(
     # for bit, and construct no tape
     flat, b, _ = setup(n, conservative, B)
     q, qd = b["accel"].data["q"], b["accel"].data["qdot"]
-    tape = dc.Tape()
-    theta = tape.input(flat.values.reshape(1, -1))
-    want = tr._accel_t(theta, flat.layout, q, qd).value
+    tape = tr._accel_graph(flat, b["accel"])[0]
+    want = next(node.value for node in tape.nodes if node.op == "accel")
 
     def no_tape(self):
         raise AssertionError("predicted_accelerations built a tape")

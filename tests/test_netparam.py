@@ -20,12 +20,12 @@ def zero_params(arch):
     return npar.FlatParams(np.zeros(layout.total), layout)
 
 
-def constants(p, *inputs):
-    # tensors hold only a weak reference to their tape: keep it
-    tape = dc.Tape()
-    return (tape, tape.constant(p.values.reshape(1, -1)),
-            *(tape.constant(np.atleast_2d(np.asarray(x, dtype=np.float64)))
-              for x in inputs))
+def rows(x):
+    return np.atleast_2d(np.asarray(x, dtype=np.float64))
+
+
+def theta(p):
+    return p.values.reshape(1, -1)
 
 
 def mass_batch(p, Q):
@@ -36,13 +36,12 @@ def mass_batch(p, Q):
 
 def potential_grad_batch(p, Q):
     """∇V(q) per row of Q from the library's potential build, (B, n)."""
-    _tape, theta, X = constants(p, Q)
-    return npar.potential_grad_t(theta, p.layout, X).value
+    return npar.potential_grad_t(theta(p), p.layout, rows(Q), False)[0]
 
 
 def force_batch(p, Q, Qd):
-    _tape, theta, X, Xd = constants(p, Q, Qd)
-    return npar.force_t(theta, p.layout, X, Xd).value
+    X = np.concatenate([rows(Q), rows(Qd)], 1)
+    return npar.force_t(theta(p), p.layout, X, False)[0]
 
 
 # -- mass matrix --------------------------------------------------------------
@@ -210,38 +209,36 @@ def test_tape_directions_match_reverse_mode():
     layout = p.layout
     sys = oracle.SmmSystem(p)
     Q = np.random.default_rng(25).uniform(-np.pi, np.pi, size=(6, 2))
-    tape = dc.Tape()
-    tt = tape.constant(p.values.reshape(1, -1))
-    L = npar.chol_entries_t(tt, layout, tape.constant(Q), jac=True)
-    _, dM = npar.gram(*npar.factor(L.value, 2))
-    dV = npar.potential_grad_t(tt, layout, tape.constant(Q))
+    P, _ = npar.chol_entries_t(theta(p), layout, Q, True, False)
+    dM = npar.dgram(*npar.factor(P, 2))
+    dV = potential_grad_batch(p, Q)
     for b, q in enumerate(Q):
         want_M, want_V = sys.mass_jacobian(q), sys.potential_gradient(q)
         for k in range(2):
-            assert abs(dV.value[b, k] - want_V[k]) <= 1e-12
+            assert abs(dV[b, k] - want_V[k]) <= 1e-12
             for i in range(2):
                 for j in range(2):
                     assert abs(dM[k, i, j, b] - want_M[k, i, j]) <= 1e-12
 
 
-def test_tape_builders_without_directions_build_values_only():
-    # each net build is one packed node: without its Jacobian the
-    # factor's node holds the entries alone, the same values the jac
-    # build carries before their derivatives; the potential build holds ∇V
+def test_tape_builders_without_directions_build_values_only(monkeypatch):
+    # each net build is one packed numpy value and makes no tape node:
+    # without its Jacobian the factor holds the entries alone, the same
+    # values the jac build carries before their derivatives; the potential
+    # build holds ∇V
+    def no_node(*args, **kwargs):
+        raise AssertionError("a net build made a tape node")
+
+    monkeypatch.setattr(dc, "custom", no_node)
+    monkeypatch.setattr(dc.Tape, "__init__", no_node)
     p = npar.init_params(17, ARCH)
-    layout = p.layout
-    tape = dc.Tape()
-    tt = tape.constant(p.values.reshape(1, -1))
-    X = tape.constant(np.random.default_rng(27).uniform(-2, 2, size=(3, 2)))
-    start = len(tape.nodes)
-    L = npar.chol_entries_t(tt, layout, X)
-    dV = npar.potential_grad_t(tt, layout, X)
-    assert [node.op for node in tape.nodes[start:]] \
-        == ["mass_net", "potential_net"]
+    X = np.random.default_rng(27).uniform(-2, 2, size=(3, 2))
+    L, _ = npar.chol_entries_t(theta(p), p.layout, X, False, False)
+    dV = potential_grad_batch(p, X)
     assert L.shape == (3, 3) and dV.shape == (3, 2)
-    L2 = npar.chol_entries_t(tt, layout, X, jac=True)
+    L2, _ = npar.chol_entries_t(theta(p), p.layout, X, True, False)
     assert L2.shape == (3, 9)
-    assert np.array_equal(L2.value[:, :3], L.value)
+    assert np.array_equal(L2[:, :3], L)
 
 
 def test_tape_force_matches_numpy():
@@ -259,8 +256,8 @@ def test_chol_solve_t_matches_dense_solve():
     rng = np.random.default_rng(23)
     Q = rng.uniform(-np.pi, np.pi, size=(8, 2))
     B, G = rng.uniform(-1, 1, size=(2, 8, 2))
-    _tape, theta, X = constants(p, Q)
-    L, _ = npar.factor(npar.chol_entries_t(theta, p.layout, X).value, 2)
+    L, _ = npar.factor(npar.chol_entries_t(theta(p), p.layout, Q, False,
+                                           False)[0], 2)
     xs, adjoint = npar.chol_solve_t(L, B.T)
     gM, gb = adjoint(G.T)
     for b, q in enumerate(Q):
@@ -292,9 +289,9 @@ def test_gram_bwd_is_the_adjoint_of_gram(n, with_M, with_dM):
     lhs = np.sum(npar.packed(gL, gdL) * npar.packed(eL, edL))
 
     def pairing(t):
-        M, dM = npar.gram(L + t * eL, dL + t * edL)
-        return (np.sum(gM * M) if with_M else 0.0) \
-            + (np.sum(gdM * dM) if with_dM else 0.0)
+        Lt, dLt = L + t * eL, dL + t * edL
+        return (np.sum(gM * npar.gram(Lt)) if with_M else 0.0) \
+            + (np.sum(gdM * npar.dgram(Lt, dLt)) if with_dM else 0.0)
 
     rhs = pairing(0.5) - pairing(-0.5)
     assert abs(lhs - rhs) <= 1e-12 * (abs(lhs) + abs(rhs))
@@ -312,13 +309,17 @@ def test_packed_inverts_factor(n, D):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_gram_without_directions_gives_the_general_m(n):
-    # D = 0 skips the direction products: M is the general path's, bit
-    # for bit, and dM is empty
+    # M and its derivatives are apart: `gram` forms M = L Lᵀ alone, and
+    # `dgram` of no directions is empty
     T = n * (n + 1) // 2
     L, dL = npar.factor(np.random.default_rng(n).normal(size=(5, 2 * T)), n)
-    M, dM = npar.gram(L, dL[:0])
-    assert np.array_equal(M, npar.gram(L, dL)[0])
-    assert dM.shape == (0, n, n, 5)
+    M = npar.gram(L)
+    want = np.einsum("ikb,jkb->ijb", L, L)
+    np.testing.assert_allclose(M, want, rtol=1e-15, atol=1e-15)
+    assert npar.dgram(L, dL[:0]).shape == (0, n, n, 5)
+    C = np.einsum("ikb,jkb->ijb", dL[0], L)
+    np.testing.assert_allclose(npar.dgram(L, dL)[0], C + C.transpose(1, 0, 2),
+                               rtol=1e-14, atol=1e-14)
 
 
 # -- the oracle's SmmSystem adapter ------------------------------------------

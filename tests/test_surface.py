@@ -1,8 +1,8 @@
 """Guards on the library surface: every public module-level function or
 class in `src/smmfit` has a library caller, a README entry as
 `module.name` or a perfbench probe wrapper, every callable the probe
-wraps exists, and the numpy-only modules import nothing from the tape
-engine."""
+wraps exists, the numpy-only modules import nothing from the tape
+engine, and netparam uses only its numpy helpers."""
 
 import ast
 import importlib.util
@@ -105,8 +105,17 @@ def smmfit_imports(mod: str) -> set:
 
 
 def test_mechanics_integrators_and_smoother_run_without_the_tape():
-    # the simulator and the smoother are plain numpy; only the fitting
-    # side (netparam, training, expcli) builds tapes
+    # the simulator and the smoother are plain numpy; netparam's net
+    # blocks use only diffcore's numpy helpers and its error type, and
+    # only training (and expcli over it) builds tapes
     for mod in ("mechanics", "integrators", "smoother"):
         assert "diffcore" not in smmfit_imports(mod), mod
     assert "diffcore" in smmfit_imports("training")
+    tree = ast.parse((ROOT / "src" / "smmfit" / "netparam.py").read_text())
+    used = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and getattr(node.value, "id", None) == "dc"}
+    helpers = {"_exp_np", "_reciprocal_np", "_softplus_np", "_sigmoid_np",
+               "_unbroadcast", "DiffcoreError"}
+    assert used and used <= helpers, used - helpers
+    assert smmfit_imports("netparam") == {"diffcore", "mechanics"}

@@ -518,6 +518,15 @@ def test_train_zero_epochs_returns_initial_params(tiny):
     assert np.array_equal(best.values, params.values)
 
 
+def test_train_keeps_the_freed_heap_for_library_callers(tiny, monkeypatch):
+    # a caller of train that never runs the CLI gets the heap setting too
+    calls = []
+    monkeypatch.setattr(tr, "keep_freed_heap", lambda: calls.append(1))
+    tr.train("accel", netp.init_params(8, ARCH8), tiny,
+             tr.TrainConfig(epochs=0))
+    assert calls == [1]
+
+
 def test_train_rejects_unknown_method(tiny):
     with pytest.raises(ValueError):
         tr.train("sgd", netp.init_params(8, ARCH8),
