@@ -11,11 +11,17 @@ that calls netparam's net blocks (the mass factor with its forward-mode
 derivatives along each coordinate axis, ∇V by one reverse sweep of the
 potential net, the force net) and returns its value and its plain
 first-order adjoint, which the tape holds as one node with theta as its
-only parent (`_stage_t`).  The acceleration stage (`_accel_np`) adds the
-Euler-Lagrange right-hand side and the Cholesky solve; the acceleration
-loss is one node over it, the RK4 loss one node over four of them with
-an explicit reverse sweep, and validation runs it with no tape.  The
-DEL residual stage (`_del_np`) at q_k uses the pairs (q_k-1, q_k) and
+only parent (`_stage_t`).  The acceleration stage (`_accel_np`) is two
+blocks: a position block that reads q only (`_position_np`: the mass
+net with its axis directions, the ∇V sweep, `factor`, `dgram`) and a
+velocity block (`_velocity_np`: τ, the force net, `chol_solve_t`).  The
+acceleration loss is one node over both on the same rows, and
+validation runs them with no tape.  The RK4 loss is one node whose
+position block runs twice on 2B rows, for stages 1-2 and for stages
+3-4, and whose velocity block runs once per stage; its backward takes
+velocity adjoints 4 and 3, the stages 3-4 position adjoint, velocity
+adjoints 2 and 1, then the stages 1-2 position adjoint.  The DEL
+residual stage (`_del_np`) at q_k uses the pairs (q_k-1, q_k) and
 (q_k, q_k+1); neighbouring tuples of a trajectory share a pair, so it
 runs the nets once per distinct pair of its batch and gathers each
 tuple's two arms from them.  The barrier stage (`_barrier_np`) and the
@@ -141,55 +147,84 @@ def make_batches(rng, count: int, batch_size: int):
 
 # -- dynamics ---------------------------------------------------------------
 
-def _accel_np(theta_v, layout, X, V, want_x=False, want_v=False):
-    """Batched accelerations at the rows of (X, V) as a (B, n) array, and
-    their adjoint: one numpy stage solving L Lᵀ q̈ = τ with
-    τ_i = 1/2 q̇ᵀ (∂M/∂q_i) q̇ - ∂V/∂q_i - (D q̇)_i (+ F_i),
-    D = Σ_k q̇_k ∂M/∂q_k.  ``adjoint(g, gt)`` adds the theta adjoint into
-    ``gt`` and returns X's adjoint (None without ``want_x``; the force,
-    potential and mass nets' parts added in that order) and the list of
-    V's adjoint parts: τ's (with ``want_v``), then the force net's."""
+def _position_np(theta_v, layout, X, want_x: bool):
+    """The position block: what the dynamics read of q alone, at the rows
+    of ``X``.  It runs the mass net with its coordinate directions, the
+    ∇V sweep, `factor` and `dgram`, and returns (L, ∂M, ∇V) with the rows
+    on the last axis, as (n, n, R), (n, n, n, R) and (n, R), and its
+    adjoint.  ``adjoint((gM, gdM, gdV), gt)`` takes the adjoints of M,
+    ∂M and ∇V in that layout, adds the theta adjoint into ``gt`` and
+    returns X's adjoint parts (potential net's, mass net's), each None
+    without ``want_x``."""
     n = X.shape[1]
     P, mass_adj = chol_entries_t(theta_v, layout, X, True, want_x)
     dV, pot_adj = potential_grad_t(theta_v, layout, X, want_x)
+    Lm, dLm = factor(P, n)
+
+    def adjoint(gpos, gt):
+        gM, gdM, gdV = gpos
+        gxv = pot_adj(transposed(gdV), gt)
+        return gxv, mass_adj(packed(*gram_bwd(Lm, dLm, gM, gdM)), gt)
+
+    return (Lm, dgram(Lm, dLm), transposed(dV)), adjoint
+
+
+def _velocity_np(theta_v, layout, pos, X, V, want_xv: bool):
+    """The velocity block: the accelerations at the rows of (X, V) as a
+    (B, n) array from the position block's (L, ∂M, ∇V) at X, by solving
+    L Lᵀ q̈ = τ with τ_i = 1/2 q̇ᵀ (∂M/∂q_i) q̇ - ∂V/∂q_i - (D q̇)_i (+ F_i),
+    D = Σ_k q̇_k ∂M/∂q_k.  ``adjoint(g, gt)`` adds the force net's theta
+    adjoint into ``gt`` and returns the position block's (gM, gdM, gdV)
+    and, with ``want_xv``, X's adjoint from the force net (else None, and
+    None without one) and the list of V's adjoint parts: τ's, then the
+    force net's."""
+    n = X.shape[1]
+    Lm, dM, dV = pos
     F = None
     if not layout.arch.conservative:
         F, force_adj = force_t(theta_v, layout, np.concatenate([X, V], 1),
-                               want_x or want_v)
-    Lm, dLm = factor(P, n)
-    dM = dgram(Lm, dLm)
+                               want_xv)
     x = transposed(V)
     xx = x[:, None] * x
     D = (x[:, None, None] * dM).sum(0)
-    tau = (dM * xx).sum((1, 2)) * 0.5 - transposed(dV) - (D * x).sum(1)
+    tau = (dM * xx).sum((1, 2)) * 0.5 - dV - (D * x).sum(1)
     if F is not None:
         tau = tau + transposed(F)
     a, solve_adj = chol_solve_t(Lm, tau)
 
     def adjoint(g, gt):
-        # the solve's and τ's adjoints of M and ∂M go through one Gram
-        # adjoint; quad_i = <∂M/∂q_i, x xᵀ> and the curvature term D x
+        # quad_i = <∂M/∂q_i, x xᵀ> and the curvature term D x
         gM, gb = solve_adj(transposed(g))
         gD = -gb[:, None] * x
         gdM = (gb * 0.5)[:, None, None] * xx + x[:, None, None] * gD
         gx, gv = None, []
-        if want_v:
+        if want_xv:
             gxx = (gb[:, None, None] * dM).sum(0) * 0.5
             gv.append(transposed((gxx * x).sum(1) * 2.0 - (D * gb).sum(1)
                                  + (dM * gD).sum((1, 2))))
-        gtau = transposed(gb)
         if F is not None:
-            gxf = force_adj(gtau, gt)
+            gxf = force_adj(transposed(gb), gt)
             if gxf is not None:
                 gx = gxf[:, :n]
                 gv.append(gxf[:, n:])
-        gxv = pot_adj(-gtau, gt)
-        gxm = mass_adj(packed(*gram_bwd(Lm, dLm, gM, gdM)), gt)
-        if want_x:
-            gx = (gxv if F is None else gx + gxv) + gxm
-        return (gx if want_x else None), gv
+        return (gM, gdM, -gb), gx, gv
 
     return transposed(a), adjoint
+
+
+def _accel_np(theta_v, layout, X, V):
+    """Batched accelerations at the rows of (X, V) as a (B, n) array, and
+    their adjoint ``adjoint(g, gt)``, which adds the theta adjoint into
+    ``gt``: the position and velocity blocks on the same rows, the
+    solve's and τ's adjoints of M and ∂M going through one Gram
+    adjoint."""
+    pos, pos_adj = _position_np(theta_v, layout, X, False)
+    A, vel_adj = _velocity_np(theta_v, layout, pos, X, V, False)
+
+    def adjoint(g, gt):
+        pos_adj(vel_adj(g, gt)[0], gt)
+
+    return A, adjoint
 
 
 def _stage_t(theta, stage, op: str):
@@ -207,7 +242,7 @@ def _stage_t(theta, stage, op: str):
 
 def _del_np(theta_v, layout, batch: Batch):
     """The discrete Euler-Lagrange residual of a del batch as a (B, n)
-    array, and its adjoint (as `_accel_np`'s, returning nothing).
+    array, and its adjoint (as `_accel_np`'s).
 
     The nets run once at the midpoint of each of the batch's distinct
     configuration pairs (`_distinct_rows`) with pair velocity v; tuple
@@ -338,42 +373,69 @@ def _accel_graph(flat: FlatParams, batch: Batch):
 
 def _nextstate_graph(flat: FlatParams, batch: Batch, h: float):
     """The RK4 step's (B, 2n) residual as one tape node on theta, its
-    mean square as the loss, and the predicted (Qp, Vp) arrays.  The
-    backward sweeps the four stages in reverse, adding a stage velocity's
-    adjoints as a per-operation tape would: RK4 consumers, τ, force net."""
+    mean square as the loss, and the predicted (Qp, Vp) arrays.
+
+    Every stage position is known before its stage needs it: X and
+    X + q̇ h/2 before the step, X + V2 h/2 once A1 exists and X + V3 h
+    once A2 does.  So the position block runs twice on 2B rows, once for
+    stages 1-2 and once for stages 3-4, and the velocity block once per
+    stage on its half of the rows; each stage's accelerations are checked
+    finite before anything reads them.  The backward runs velocity
+    adjoints 4 and 3, the stages 3-4 position adjoint (giving X3's and
+    X4's adjoints), velocity adjoints 2 and 1, then the stages 1-2
+    position adjoint; a stage velocity's adjoints add as a per-operation
+    tape would: RK4 consumers, τ, force net."""
     if batch.kind != "nextstate":
         raise ValueError(f"need a nextstate batch, got {batch.kind!r}")
     layout = flat.layout
     tape = dc.Tape()
     theta = tape.input(flat.values.reshape(1, -1))
     X, Xd = batch.data["q"], batch.data["qdot"]
-    hh = 0.5 * h
+    B, hh = len(X), 0.5 * h
+    halves = (slice(None, B), slice(B, None))
 
-    def acc(Xs, Vs, want_x, want_v):
-        A, adjoint = _accel_np(theta.value, layout, Xs, Vs, want_x, want_v)
+    def positions(Xa, Xb, want_x):
+        pos, adjoint = _position_np(theta.value, layout,
+                                    np.concatenate([Xa, Xb]), want_x)
+        return [tuple(p[..., r] for p in pos) for r in halves], adjoint
+
+    def velocity(pos, Xs, Vs, want_xv):
+        A, adjoint = _velocity_np(theta.value, layout, pos, Xs, Vs, want_xv)
         if not np.all(np.isfinite(A)):
             raise IntegrationBlowupError("non-finite RK4 stage acceleration")
         return A, adjoint
 
-    A1, adj1 = acc(X, Xd, False, False)
+    X2 = X + Xd * hh
+    (p1, p2), adj12 = positions(X, X2, False)
+    A1, adj1 = velocity(p1, X, Xd, False)
     V2 = Xd + A1 * hh
-    A2, adj2 = acc(X + Xd * hh, V2, False, True)
+    A2, adj2 = velocity(p2, X2, V2, True)
     V3 = Xd + A2 * hh
-    A3, adj3 = acc(X + V2 * hh, V3, True, True)
+    X3, X4 = X + V2 * hh, X + V3 * h
+    (p3, p4), adj34 = positions(X3, X4, True)
+    A3, adj3 = velocity(p3, X3, V3, True)
     V4 = Xd + A3 * h
-    A4, adj4 = acc(X + V3 * h, V4, True, True)
+    A4, adj4 = velocity(p4, X4, V4, True)
     Qp = X + ((Xd + (V2 + V3) * 2.0) + V4) * (h / 6.0)
     Vp = Xd + ((A1 + (A2 + A3) * 2.0) + A4) * (h / 6.0)
+
+    def joined(ga, gb):
+        return tuple(np.concatenate(p, -1) for p in zip(ga, gb))
 
     def adjoint(g, gt):
         gkq, gkv = np.hsplit(g * (h / 6.0), 2)
         gA23, gV23 = gkv * 2.0, gkq * 2.0
-        gX4, gv = adj4(gkv, gt)
+        gp4, gxf4, gv = adj4(gkv, gt)
         gV4 = sum(gv, gkq)
-        gX3, gv = adj3(gA23 + gV4 * h, gt)
-        gV3 = sum(gv, gV23 + gX4 * h)
-        _, gv = adj2(gA23 + gV3 * hh, gt)
-        adj1(gkv + sum(gv, gV23 + gX3 * hh) * hh, gt)
+        gp3, gxf3, gv3 = adj3(gA23 + gV4 * h, gt)
+        gxv, gxm = adj34(joined(gp3, gp4), gt)
+        # X's adjoint parts per stage: force, potential, mass nets
+        gX3, gX4 = ((gxv[r] if gxf is None else gxf + gxv[r]) + gxm[r]
+                    for gxf, r in zip((gxf3, gxf4), halves))
+        gV3 = sum(gv3, gV23 + gX4 * h)
+        gp2, _, gv = adj2(gA23 + gV3 * hh, gt)
+        gp1, _, _ = adj1(gkv + sum(gv, gV23 + gX3 * hh) * hh, gt)
+        adj12(joined(gp1, gp2), gt)
 
     E = _stage_t(theta, (np.concatenate([Qp - batch.data["qnext"],
                                          Vp - batch.data["qdotnext"]], 1),

@@ -64,6 +64,70 @@ def test_fused_losses_and_gradients_are_bit_exact(n, conservative, B):
                  col.loss_grad(col.nextstate_graph(flat, b["nextstate"], H)))
 
 
+def rk4_chain(flat, batch, h):
+    """The RK4 step as four `_accel_np` calls, each on its own stage's
+    rows: the loss, Qp, Vp and the stage positions of stages 1-2 and
+    3-4."""
+    theta_v = flat.values.reshape(1, -1)
+    X, Xd = batch.data["q"], batch.data["qdot"]
+    hh = 0.5 * h
+
+    def acc(Xs, Vs):
+        return tr._accel_np(theta_v, flat.layout, Xs, Vs)[0]
+
+    X2 = X + Xd * hh
+    A1 = acc(X, Xd)
+    V2 = Xd + A1 * hh
+    A2 = acc(X2, V2)
+    V3 = Xd + A2 * hh
+    X3, X4 = X + V2 * hh, X + V3 * h
+    A3 = acc(X3, V3)
+    V4 = Xd + A3 * h
+    A4 = acc(X4, V4)
+    Qp = X + ((Xd + (V2 + V3) * 2.0) + V4) * (h / 6.0)
+    Vp = Xd + ((A1 + (A2 + A3) * 2.0) + A4) * (h / 6.0)
+    tape = dc.Tape()
+    E = tape.constant(np.concatenate([Qp - batch.data["qnext"],
+                                      Vp - batch.data["qdotnext"]], 1))
+    loss = dc.scale(dc.sumsq(E), 1.0 / (2.0 * X.size))
+    return loss.value, Qp, Vp, [(X, X2), (X3, X4)]
+
+
+def rows_stable(flat, pairs):
+    """Whether the position block on two stages' stacked rows gives each
+    stage the bits of the block on its own rows."""
+    theta_v = flat.values.reshape(1, -1)
+    for Xa, Xb in pairs:
+        both, _ = tr._position_np(theta_v, flat.layout,
+                                  np.concatenate([Xa, Xb]), False)
+        halves = (slice(None, len(Xa)), slice(len(Xa), None))
+        for rows, Xs in zip(halves, (Xa, Xb)):
+            own, _ = tr._position_np(theta_v, flat.layout, Xs, False)
+            if not all(np.array_equal(p[..., rows], o)
+                       for p, o in zip(both, own)):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("n,conservative,B", CASES)
+def test_rk4_schedule_matches_four_accel_stages(n, conservative, B):
+    # the schedule runs the position block once on stages 1-2's rows and
+    # once on stages 3-4's; every row's arithmetic is a lone stage's, so
+    # the loss and predictions are the four-call chain's bit for bit
+    # wherever BLAS rounds each row of a product the same at B and 2B
+    # rows.  It does not always: numpy multiplies a single row by gemv,
+    # and a BLAS kernel may round a batch's tail rows, past its last full
+    # block of rows, its own way.  There rounding is the pass mark
+    flat, b, _ = setup(n, conservative, B)
+    *want, pairs = rk4_chain(flat, b["nextstate"], H)
+    _, _, loss, (Qp, Vp) = tr._nextstate_graph(flat, b["nextstate"], H)
+    got = [loss.value, Qp, Vp]
+    if rows_stable(flat, pairs):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    else:
+        assert_close(got, want)
+
+
 def trajectory_batch(n, T):
     # a random walk cut into its T - 2 DEL tuples, in order: tuple i's
     # second pair (q_i+1, q_i+2) is tuple i+1's first

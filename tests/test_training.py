@@ -393,17 +393,42 @@ def test_nextstate_predictions_match_rk4_reference(tiny):
         np.testing.assert_allclose(vn[i], vr, rtol=1e-10, atol=1e-12)
 
 
-@pytest.mark.parametrize("qdot,h", [(1e160, 0.05), (0.0, 1e200)])
-def test_nextstate_blowup_raises(tiny, qdot, h):
+@pytest.mark.parametrize("qdot,h,stage", [
+    pytest.param(qdot, h, stage, id=f"{qdot}-{h}")
+    for qdot, h, stage in [(1e160, 0.05, 1), (0.0, 1e200, 2), (0.0, 1e60, 3)]])
+def test_nextstate_blowup_raises(tiny, qdot, h, stage, monkeypatch):
     # a huge velocity makes the first stage's τ infinite; a huge step the
-    # second stage's velocity
+    # second stage's velocity, and a smaller one the third stage's τ after
+    # two finite stages.  The stage that goes non-finite raises before any
+    # later block runs: every block sees finite rows, and the last block
+    # run is that stage's velocity block
     params = netp.init_params(6, ARCH8)
     b = tr.assemble_tuples([tiny[0]], "nextstate").take(np.arange(8))
     b.data["qdot"][3] += qdot
+    calls = []
+    position, velocity = tr._position_np, tr._velocity_np
+
+    def seen_position(theta_v, layout, X, want_x):
+        calls.append(("position", np.all(np.isfinite(X)), True))
+        return position(theta_v, layout, X, want_x)
+
+    def seen_velocity(theta_v, layout, pos, X, V, want_xv):
+        A, adjoint = velocity(theta_v, layout, pos, X, V, want_xv)
+        calls.append(("velocity", np.all(np.isfinite(X))
+                      and np.all(np.isfinite(V)), np.all(np.isfinite(A))))
+        return A, adjoint
+
+    monkeypatch.setattr(tr, "_position_np", seen_position)
+    monkeypatch.setattr(tr, "_velocity_np", seen_velocity)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(integ.IntegrationBlowupError,
                            match="non-finite RK4 stage"):
             tr.nextstate_loss_grad(params, b, h)
+    blocks, rows_finite, out_finite = zip(*calls)
+    assert blocks.count("velocity") == stage
+    assert blocks.count("position") == (1 if stage < 3 else 2)
+    assert all(rows_finite) and blocks[-1] == "velocity"
+    assert all(out_finite[:-1]) and not out_finite[-1]
 
 
 def test_train_counts_a_blowup_step_as_invalid(tiny, caplog):

@@ -13,10 +13,14 @@ every failed cell and, per workload, the worst relative difference of
 rmse and of train_loss from the reference.  It then prints one sha256
 per workload over every output file of its seeds, in path order, with
 the run's output directory (which config.json and results.json record)
-replaced by a fixed token.  Two checkouts write byte-identical result
+replaced by a fixed token, and beside it one sha256 per workload and
+training method over that method's records and the checkpoints they
+name, hashed the same way.  Two checkouts write byte-identical result
 files exactly when their digest lines match, so the byte-identity check
-of a change is one run in each checkout and a `diff` of the outputs.  It
-reads `perfbench/` and writes nothing outside its temporary directory.
+of a change is one run in each checkout and a `diff` of the outputs; a
+change to one loss shows by the per-method lines that the other losses'
+outputs stayed byte-identical.  It reads `perfbench/` and writes nothing
+outside its temporary directory.
 The exit code is 1 when a cell failed or a seed has no reference, else 0.
 
 A change that may move result bits must pass this check without
@@ -69,6 +73,14 @@ def rel_diff(got, want):
     return abs(got - want) / abs(want) if want else abs(got)
 
 
+def add_file(digest, path: Path, out: Path, tmp: Path) -> None:
+    """Hash one output file's path and bytes, with the run's output
+    directory replaced by a fixed token."""
+    digest.update(f"{path.relative_to(tmp)}\0".encode())
+    digest.update(path.read_bytes().replace(str(out).encode(), b"OUT")
+                  + b"\0")
+
+
 def sweep(name: str, seeds, tmp: Path) -> int:
     """Run and judge one workload's seeds; return the failed-cell count."""
     from smmfit import expcli
@@ -77,6 +89,7 @@ def sweep(name: str, seeds, tmp: Path) -> int:
     failed = 0
     worst = dict.fromkeys(run.CLOSE_KEYS, (0.0, None))
     digest = hashlib.sha256()
+    per_method = {}
     for seed in seeds:
         reference = run.load_reference(name, seed)
         if reference is None:
@@ -88,9 +101,13 @@ def sweep(name: str, seeds, tmp: Path) -> int:
                      str(seed), "--out", str(out)])
         got = cells(out) if (out / "results.json").is_file() else []
         for path in sorted(p for p in out.rglob("*") if p.is_file()):
-            digest.update(f"{path.relative_to(tmp)}\0".encode())
-            digest.update(path.read_bytes().replace(str(out).encode(),
-                                                    b"OUT") + b"\0")
+            add_file(digest, path, out, tmp)
+        for path in sorted((out / "records").glob("*.json")):
+            record = json.loads(path.read_text())
+            mine = per_method.setdefault(record["method"], hashlib.sha256())
+            add_file(mine, path, out, tmp)
+            if record["checkpoint"]:
+                add_file(mine, out / record["checkpoint"], out, tmp)
         shutil.rmtree(out, ignore_errors=True)
         if len(got) != len(reference["cells"]):
             print(f"{name} seed {seed}: {len(got)} cells, reference has "
@@ -114,6 +131,10 @@ def sweep(name: str, seeds, tmp: Path) -> int:
                       for k, (d, s) in worst.items()), flush=True)
     print(f"{name}: sha256 {digest.hexdigest()} of the output files of "
           f"seeds {seeds.start}-{seeds.stop - 1}", flush=True)
+    for method, mine in sorted(per_method.items()):
+        print(f"{name}: {method} sha256 {mine.hexdigest()} of its records "
+              f"and checkpoints of seeds {seeds.start}-{seeds.stop - 1}",
+              flush=True)
     return failed
 
 
