@@ -28,7 +28,6 @@ _log = logging.getLogger("smmfit.expcli")
 
 SYSTEMS = ("undamped", "damped")
 LR_GRID = (1e-2, 1e-3, 1e-5)
-SIGMA_LEVELS = (0.05, 0.1, 0.4)
 
 
 class ConfigError(Exception):

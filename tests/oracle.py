@@ -1,30 +1,30 @@
-"""Reference code the tests compare `smmfit` against: reverse-mode
-`grad`/`jacobian`, central-difference hooks (`fd`, `FdSystem`), the
-continuous and midpoint discrete Lagrangian and force, an RK4 step, the
-`system_*` scores of any system, readouts of the library's loss graphs,
-a plain-numpy single-point SMM model read out of a `FlatParams`
-vector, and the smoother's former matrix-form Kalman filter and EM
-(`matrix_kalman_filter`, `matrix_em_fit`), which take the observation
-row C as a product where the library selects the position.  `SmmSystem` takes M and V derivatives from `grad`/`jacobian`
-sweeps over the per-node tape builders of `column_graph`, an independent
-path from the library's fused builds the losses use.
+"""Reference code the tests compare `smmfit` against.
 
-Systems here have one-point hooks: q is an (n,) vector.  The library's
-mechanics takes (K, n) rows; `Rows` adapts a one-point system to it.
-The one-point mechanics path (`ScalarDP`, `acceleration`, `del_vector`,
-`del_jacobian_q3`, `variational_step`, `simulate`, `midpoint_energy`,
-`energy_drift_ok`, `sample_rest_trajectories`) is the library's former
-code, kept as the bit-exact reference for the row-batched path; its
-`cholesky` and `cho_solve`, which `acceleration` uses, work entry by
-entry in the order of the library's one factor and solve.
+- The SMM point model of a raw parameter vector, real or complex, over
+  rows of points: M and ∂M/∂q, V and ∇V, F, the dynamics, the DEL
+  residual, the log-det barrier, the RK4 step and the losses.  It is the
+  one oracle for the model: a gradient along a direction is one complex
+  step (`complex_step`), with no tape.  `SmmSystem` is its one-point view.
+- Central differences (`fd`, `FdSystem`, `fd_max_rel_err`) and the
+  acceptance sweep's loss-gradient cases.
+- The one-point mechanics path (`ScalarDP`, `acceleration`,
+  `del_vector`, `del_jacobian_q3`, `variational_step`, `simulate`,
+  `midpoint_energy`, `energy_drift_ok`, `sample_rest_trajectories`),
+  the library's former code and the bit-exact reference for its rows;
+  its `cholesky` and `cho_solve` work entry by entry in the library's
+  order.  `Rows` adapts a one-point system to the library's (K, n) rows.
+- Mechanics references (the continuous and midpoint discrete Lagrangian
+  and force, an RK4 step, the `system_*` scores of any system) and
+  readouts of the library's loss graphs and barrier stage.
+- The smoother's former matrix-form Kalman filter and EM, which take
+  the observation row C as a product where the library selects the
+  position.
 """
 
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
-from column_graph import cols, concat_cols, mass_entries_t, potential_t
-from smmfit import diffcore as dc
 from smmfit import mechanics as mech
 from smmfit import smoother as smo
 from smmfit import training as tr
@@ -34,49 +34,6 @@ from smmfit.integrators import (DrawsExhaustedError, IntegrationBlowupError,
 from smmfit.netparam import ConservativeForceError, FlatParams
 
 FD_STEP = 1e-6
-
-
-# -- reverse mode --------------------------------------------------------------
-
-class NonScalarOutputError(dc.DiffcoreError):
-    """grad() was handed a function whose output is not 1 x 1."""
-
-
-def transpose(a):
-    return dc.custom([a], np.ascontiguousarray(a.value.T),
-                     lambda g: (np.ascontiguousarray(g.T),), "transpose")
-
-
-def grad(f, x) -> np.ndarray:
-    """Gradient of a scalar-valued tape function at a point.
-
-    ``f`` receives a (1, n) input Tensor and must return a 1 x 1 Tensor.
-    """
-    tape = dc.Tape()
-    xt = tape.input(np.asarray(x, dtype=np.float64).reshape(1, -1))
-    y = f(xt)
-    if not isinstance(y, dc.Tensor):
-        raise NonScalarOutputError("function did not return a Tensor")
-    if y.shape != (1, 1):
-        raise NonScalarOutputError(f"expected scalar output, got shape {y.shape}")
-    (g,) = tape.gradients(y, [xt])
-    return g.ravel().copy()
-
-
-def jacobian(f, x) -> np.ndarray:
-    """Jacobian of a vector-valued tape function; row i is the gradient of
-    output component i."""
-    tape = dc.Tape()
-    xt = tape.input(np.asarray(x, dtype=np.float64).reshape(1, -1))
-    y = f(xt)
-    if y.shape[0] != 1:
-        y = transpose(y)
-    m, n = y.shape[1], xt.shape[1]
-    J = np.empty((m, n))
-    for i in range(m):
-        (g,) = tape.gradients(cols(y, i, i + 1), [xt])
-        J[i] = g.ravel()
-    return J
 
 
 # -- central differences -------------------------------------------------------
@@ -174,41 +131,20 @@ class Rows(mech.LagrangianSystem):
     """The row hooks the library reads, from a system with one-point
     hooks, called a row at a time."""
 
+    HOOKS = ("mass_matrix", "potential", "force", "mass_jacobian",
+             "potential_gradient", "mass_hessian", "potential_hessian",
+             "force_jacobian_q", "force_jacobian_qdot")
+
     def __init__(self, inner):
         self.inner = inner
         self.n = inner.n
 
-    def _map(self, hook, *rows):
-        hook = getattr(self.inner, hook)
-        return np.array([hook(*point) for point in zip(*rows)],
-                        dtype=np.float64)
-
-    def mass_matrix(self, q):
-        return self._map("mass_matrix", q)
-
-    def potential(self, q):
-        return self._map("potential", q)
-
-    def force(self, q, qdot):
-        return self._map("force", q, qdot)
-
-    def mass_jacobian(self, q):
-        return self._map("mass_jacobian", q)
-
-    def potential_gradient(self, q):
-        return self._map("potential_gradient", q)
-
-    def mass_hessian(self, q):
-        return self._map("mass_hessian", q)
-
-    def potential_hessian(self, q):
-        return self._map("potential_hessian", q)
-
-    def force_jacobian_q(self, q, qdot):
-        return self._map("force_jacobian_q", q, qdot)
-
-    def force_jacobian_qdot(self, q, qdot):
-        return self._map("force_jacobian_qdot", q, qdot)
+    def __getattr__(self, hook):
+        if hook not in self.HOOKS:
+            raise AttributeError(hook)
+        one = getattr(self.inner, hook)
+        return lambda *rows: np.array([one(*point) for point in zip(*rows)],
+                                      dtype=np.float64)
 
 
 # -- the one-point mechanics path ----------------------------------------------
@@ -271,48 +207,53 @@ class ScalarDP(mech.LagrangianSystem):
         return -np.diag(self.eta)
 
 
-def scalar_dp(damped=False) -> ScalarDP:
-    return ScalarDP(mech.DoublePendulum(damped=damped))
-
-
 def cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of one symmetric matrix, from its lower
-    triangle, entry by entry in the library's order: each entry below the
-    diagonal times its column's reciprocal pivot."""
-    a = np.asarray(a, dtype=np.float64)
-    n = a.shape[0]
-    L = np.zeros_like(a)
-    for i in range(n):
+    """Lower Cholesky factor of one symmetric matrix, or of each in a
+    (B, n, n) stack, real or complex, from its lower triangle, entry by
+    entry in the library's order: each entry below the diagonal times its
+    column's reciprocal pivot.  A pivot whose real part is not positive
+    and finite in any row raises as the library's factor does: its index,
+    and its value in the first such row."""
+    A = np.asarray(a).T * 1.0
+    L = np.zeros_like(A.T)
+    # A[j, i] is a[..., i, j]: a scalar for one matrix, a row for a stack
+    T = L.T
+    for i in range(len(A)):
         for j in range(i + 1):
-            acc = a[i, j]
+            acc = A[j, i]
             for k in range(j):
-                acc = acc - L[i, k] * L[j, k]
+                acc = acc - T[k, i] * T[k, j]
             if i == j:
-                if not 0.0 < acc < np.inf:
-                    raise mech.NotPositiveDefiniteError(i, float(acc))
-                L[i, i] = np.sqrt(acc)
+                piv = acc.real
+                ok = (piv > 0.0) & (piv < np.inf)
+                if not ok.all():
+                    raise mech.NotPositiveDefiniteError(
+                        i, float(np.ravel(piv)[np.ravel(ok).argmin()]))
+                T[i, i] = np.sqrt(acc)
             else:
-                L[i, j] = acc * (1.0 / L[j, j])
+                T[j, i] = acc * (1.0 / T[j, j])
     return L
 
 
 def cho_solve(L, b) -> np.ndarray:
-    """x with L Lᵀ x = b for one vector: forward then back substitution,
-    entry by entry, each step times the reciprocal pivot."""
-    n = len(b)
-    r = 1.0 / np.diag(L)
-    y = np.empty(n)
+    """x with L Lᵀ x = b for one vector, or for each row of a (B, n) b
+    with L a (B, n, n) stack: forward then back substitution, entry by
+    entry, each step times the reciprocal pivot."""
+    T, bt = np.asarray(L).T, np.asarray(b).T
+    n = len(bt)
+    r = [1.0 / T[i, i] for i in range(n)]
+    y = [None] * n
     for i in range(n):
-        acc = b[i]
+        acc = bt[i]
         for j in range(i):
-            acc = acc - L[i, j] * y[j]
+            acc = acc - T[j, i] * y[j]
         y[i] = acc * r[i]
     for i in reversed(range(n)):
         acc = y[i]
         for j in range(i + 1, n):
-            acc = acc - L[j, i] * y[j]
+            acc = acc - T[i, j] * y[j]
         y[i] = acc * r[i]
-    return y
+    return np.array(y).T
 
 
 def lagrangian_q_gradient(sys, q, qdot) -> np.ndarray:
@@ -495,7 +436,7 @@ def rk4_step(accel_fn, q, qdot, h: float):
     qdot = np.asarray(qdot, dtype=np.float64)
 
     def f(state_q, state_v):
-        return state_v, np.asarray(accel_fn(state_q, state_v), dtype=np.float64)
+        return state_v, np.asarray(accel_fn(state_q, state_v))
 
     k1q, k1v = f(q, qdot)
     k2q, k2v = f(q + 0.5 * h * k1q, qdot + 0.5 * h * k1v)
@@ -546,7 +487,17 @@ def system_nextstate_mse(system, batch, h):
     return float(err / (2.0 * batch.data["q"].size))
 
 
-# -- the numpy SMM model -------------------------------------------------------
+# -- the point model -----------------------------------------------------------
+#
+# Every function is analytic in theta and in the rows, so one complex step
+# Im f(θ + i t δ) / t gives ⟨∇f(θ), δ⟩ to rounding, without the
+# cancellation that limits central differences to about 1e-6: elementwise
+# functions through `_first_order`, squares as E * E, factors entry by
+# entry, derivatives in q carried forward, and no np.abs, np.maximum or
+# LAPACK call on a complex array.
+
+CS_STEP = 1e-30
+
 
 def slot(params, key):
     """A writable (rows, cols) view of one layout slot of the vector."""
@@ -567,111 +518,214 @@ def scale_params(params, gamma: float):
     return scaled
 
 
-def mlp(params, net, x):
-    """tanh on hidden layers, linear output, at one input row."""
-    a = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    last = len(params.layout.layers[net]) - 1
-    for i in range(last + 1):
-        a = a @ slot(params, f"{net}.{i}.W") + slot(params, f"{net}.{i}.b")
+def _first_order(f, df):
+    """f on a real or complex array, as f(x) + i y f'(x) at z = x + i y:
+    the analytic f to rounding while |y| is below about 1e-8, as every
+    imaginary part of a complex step is.  Right after a complex matrix
+    product, numpy's complex exp, log1p and tanh ran 10-40 times slower
+    than this."""
+    def lifted(z):
+        if not np.iscomplexobj(z):
+            return f(z)
+        return f(z.real) + 1j * (z.imag * df(z.real))
+    return lifted
+
+
+def _sig(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+_exp = _first_order(np.exp, np.exp)
+_log = _first_order(np.log, lambda x: 1.0 / x)
+_tanh = _first_order(np.tanh, lambda x: 1.0 / np.cosh(x) ** 2)
+_softplus = _first_order(lambda x: np.log1p(np.exp(x)), _sig)
+_sigmoid = _first_order(_sig, lambda x: _sig(x) * (1.0 - _sig(x)))
+
+
+def log_scale(theta, layout, which):
+    return theta[layout.slot("log_scales")[1] + which]
+
+
+def mlp(theta, layout, net, X, jac=False):
+    """The net at the rows of ``X`` (B, d), tanh on hidden layers and a
+    linear output: (out (B, m), and with ``jac`` its Jacobian in X as
+    (B, d, m), carried forward beside the activations, else None)."""
+    d = X.shape[1]
+    a, J = X, np.eye(d)[None] if jac else None
+    last = len(layout.layers[net]) - 1
+    for i, ((shape, s, e), (_, sb, eb)) in enumerate(layout.layers[net]):
+        W = theta[s:e].reshape(shape)
+        a = a @ W + theta[sb:eb]
+        if jac:
+            J = (J.reshape(-1, shape[0]) @ W).reshape(-1, d, shape[1])
         if i < last:
-            a = np.tanh(a)
-    return a[0]
+            a = _tanh(a)
+            if jac:
+                J = J * (1.0 - a * a)[:, None]
+    return a, J
 
 
-def log_scale(params, which):
-    return slot(params, "log_scales")[0, which]
+@lru_cache(maxsize=None)
+def _tril(n):
+    """The lower triangle's (i, j) in packed order, and its diagonal's
+    places in that order."""
+    i, j = np.tril_indices(n)
+    return i, j, np.flatnonzero(i == j)
 
 
-def chol_factor(params, q):
-    """Unscaled lower-triangular factor L(q) from the mass net output."""
-    arch = params.layout.arch
-    out = mlp(params, "mass", q)
-    L = np.zeros((arch.n, arch.n))
-    t = 0
-    for i in range(arch.n):
-        for j in range(i + 1):
-            L[i, j] = dc._softplus_np(out[t]) + arch.eps if i == j else out[t]
-            t += 1
-    return L
+def mass_matrix(theta, layout, Q, jac=False):
+    """M(q) = e^{s_M} L Lᵀ at the rows of ``Q``, (B, n, n), L the mass
+    net's lower factor with softplus + eps on its diagonal; and with
+    ``jac`` ∂M/∂q as (B, n, n, n), ∂M/∂q_k at [:, k], else None.  Each
+    is a view of an entry-major array, rows on its last axis, so that
+    every entry is one contiguous row."""
+    n, eps = layout.arch.n, layout.arch.eps
+    out, J = mlp(theta, layout, "mass", Q, jac)
+    i, j, d = _tril(n)
+    s = _exp(log_scale(theta, layout, 0))
+    E = out.T.copy()
+    E[d] = _softplus(E[d]) + eps
+    L = np.zeros((n, n, len(Q)), E.dtype)
+    L[i, j] = E
+    M = s * (L[:, None] * L).sum(2)
+    if not jac:
+        return M.transpose(2, 0, 1), None
+    # softplus' is the sigmoid
+    G = J.transpose(1, 2, 0).copy()
+    G[:, d] *= _sigmoid(out.T[d])
+    dL = np.zeros((n, n, n, len(Q)), G.dtype)
+    dL[:, i, j] = G
+    C = (dL[:, :, None] * L).sum(3)
+    return M.transpose(2, 0, 1), (s * (C + C.swapaxes(1, 2))).transpose(
+        3, 0, 1, 2)
 
 
-def mass_matrix(params, q):
-    """exp(s_M) · L(q) L(q)ᵀ."""
-    L = chol_factor(params, q)
-    return np.exp(log_scale(params, 0)) * (L @ L.T)
+def potential(theta, layout, Q, jac=False):
+    """V(q) at the rows of ``Q``, (B,), and with ``jac`` ∇V as (B, n)."""
+    out, J = mlp(theta, layout, "potential", Q, jac)
+    s = _exp(log_scale(theta, layout, 1))
+    return s * out[:, 0], None if J is None else s * J[..., 0]
 
 
-def potential(params, q):
-    return float(np.exp(log_scale(params, 1)) * mlp(params, "potential", q)[0])
-
-
-def potential_gradient(params, q):
-    """∇V(q): the potential net's input Jacobian, carried layer by layer
-    beside its activations."""
-    a = np.asarray(q, dtype=np.float64).reshape(1, -1)
-    J = np.eye(a.shape[1])
-    last = len(params.layout.layers["potential"]) - 1
-    for i in range(last + 1):
-        W = slot(params, f"potential.{i}.W")
-        a = a @ W + slot(params, f"potential.{i}.b")
-        J = J @ W
-        if i < last:
-            a = np.tanh(a)
-            J = J * (1.0 - a * a)
-    return np.exp(log_scale(params, 1)) * J[:, 0]
-
-
-def force(params, q, qdot):
-    if params.layout.arch.conservative:
+def force(theta, layout, Q, Qdot):
+    """F(q, q̇) at the rows of (Q, Qdot), (B, n)."""
+    if layout.arch.conservative:
         raise ConservativeForceError("model has no force net")
-    x = np.concatenate([np.asarray(q, dtype=np.float64).ravel(),
-                        np.asarray(qdot, dtype=np.float64).ravel()])
-    return np.exp(log_scale(params, 2)) * mlp(params, "force", x)
+    out, _ = mlp(theta, layout, "force", np.concatenate([Q, Qdot], 1))
+    return _exp(log_scale(theta, layout, 2)) * out
+
+
+def _dynamics(theta, layout, Q, V):
+    """M, ∂M/∂q and ∂L/∂q at the rows of (Q, V)."""
+    M, dM = mass_matrix(theta, layout, Q, True)
+    _, dV = potential(theta, layout, Q, True)
+    vv = V[:, :, None] * V[:, None]
+    return M, dM, 0.5 * (dM * vv[:, None]).sum((2, 3)) - dV
+
+
+def accelerations(theta, layout, Q, Qdot):
+    """q̈ at the rows of (Q, Qdot), (B, n): M q̈ = ∂L/∂q - (∂(M q̇)/∂q) q̇
+    (+ F)."""
+    M, dM, tau = _dynamics(theta, layout, Q, Qdot)
+    D = (dM * Qdot[:, :, None, None]).sum(1)
+    tau = tau - (D * Qdot[:, None]).sum(2)
+    if not layout.arch.conservative:
+        tau = tau + force(theta, layout, Q, Qdot)
+    return cho_solve(cholesky(M), tau)
+
+
+def del_residuals(theta, layout, batch):
+    """The DEL vector of each tuple of a del batch, (B, n): the midpoint
+    arms h/2 ∂L/∂q ± M v of (q1, q2) and of (q2, q3), plus h/2 (F + F)."""
+    h = batch.h
+    q1, q2, q3 = (batch.data[k] for k in ("q1", "q2", "q3"))
+    out = 0.0
+    for qa, qb, sign in ((q1, q2, 1.0), (q2, q3, -1.0)):
+        X, v = (qa + qb) / 2.0, (qb - qa) / h
+        M, _, dL = _dynamics(theta, layout, X, v)
+        out = out + 0.5 * h * dL + sign * (M * v[:, None]).sum(2)
+        if not layout.arch.conservative:
+            out = out + 0.5 * h * force(theta, layout, X, v)
+    return out
+
+
+def log_dets(theta, layout, Q, shift):
+    """log det(M(q) - shift I) at the rows of ``Q``, (B,)."""
+    M, _ = mass_matrix(theta, layout, Q)
+    S = cholesky(M - shift * np.eye(layout.arch.n))
+    return 2.0 * _log(np.diagonal(S, axis1=1, axis2=2)).sum(1)
+
+
+def rk4_predictions(theta, layout, batch):
+    """The RK4 step's (Qp, Vp) from each state of a nextstate batch."""
+    return rk4_step(partial(accelerations, theta, layout), batch.data["q"],
+                    batch.data["qdot"], batch.h)
+
+
+def loss(theta, layout, batch, mu=0.0, alpha=0.0):
+    """The loss of a batch of either kind: the mean squared DEL residual
+    minus mu times the mean log det(M(q2) - alpha I), or the mean squared
+    error of the accelerations or of the RK4 step's (Qp, Vp)."""
+    data = batch.data
+    if batch.kind == "del":
+        d = del_residuals(theta, layout, batch)
+        ld = np.mean(log_dets(theta, layout, data["q2"], alpha)) if mu else 0
+        return np.sum(d * d) / len(batch) - mu * ld
+    if batch.kind == "accel":
+        E = accelerations(theta, layout, data["q"], data["qdot"]) \
+            - data["qddot"]
+    else:
+        Qp, Vp = rk4_predictions(theta, layout, batch)
+        E = np.concatenate([Qp - data["qnext"], Vp - data["qdotnext"]], 1)
+    return np.sum(E * E) / E.size
+
+
+def complex_step(f, x, direction):
+    """⟨∇f(x), direction⟩ for every output of ``f`` by one complex step:
+    Im f(x + i t·direction) / t, with t = `CS_STEP`."""
+    return np.imag(f(x + (1j * CS_STEP) * direction)) / CS_STEP
+
+
+def directions(layout, rng, count=4):
+    """``count`` random directions in theta, then one random direction
+    inside each layout slot: every W, b and the log-scales."""
+    out = [rng.normal(size=layout.total) for _ in range(count)]
+    for _, _, s, e in layout.slots:
+        d = np.zeros(layout.total)
+        d[s:e] = rng.normal(size=e - s)
+        out.append(d)
+    return out
+
+
+def _row(q):
+    return np.asarray(q, dtype=np.float64).reshape(1, -1)
 
 
 class SmmSystem(FdSystem):
-    """LagrangianSystem view of learned parameters, with reverse-mode
-    tape derivatives of M and V."""
+    """LagrangianSystem view of learned parameters: one-point hooks of
+    the point model, ∂M/∂q and ∇V its forward-mode derivatives, the
+    second derivatives FdSystem's central differences of those."""
 
     def __init__(self, params):
-        self.params = params
+        self.theta, self.layout = params.values, params.layout
         self.n = params.layout.arch.n
 
     def mass_matrix(self, q):
-        return mass_matrix(self.params, q)
-
-    def potential(self, q):
-        return potential(self.params, q)
-
-    def force(self, q, qdot):
-        if self.params.layout.arch.conservative:
-            return super().force(q, qdot)
-        return force(self.params, q, qdot)
-
-    def _theta(self, tape):
-        return tape.constant(self.params.values.reshape(1, -1))
-
-    def potential_gradient(self, q):
-        def f(qt):
-            return potential_t(self._theta(qt.tape), self.params.layout,
-                               qt)[0]
-
-        return grad(f, np.asarray(q, dtype=np.float64))
+        return mass_matrix(self.theta, self.layout, _row(q))[0][0]
 
     def mass_jacobian(self, q):
-        n = self.n
+        return mass_matrix(self.theta, self.layout, _row(q), True)[1][0]
 
-        def f(qt):
-            ent, _, _ = mass_entries_t(self._theta(qt.tape),
-                                       self.params.layout, qt)
-            return concat_cols([ent[(i, j)] for i in range(n)
-                                for j in range(n)])
+    def potential(self, q):
+        return float(potential(self.theta, self.layout, _row(q))[0][0])
 
-        J = jacobian(f, np.asarray(q, dtype=np.float64))
-        dM = np.empty((n, n, n))
-        for k in range(n):
-            dM[k] = J[:, k].reshape(n, n)
-        return dM
+    def potential_gradient(self, q):
+        return potential(self.theta, self.layout, _row(q), True)[1][0]
+
+    def force(self, q, qdot):
+        if self.layout.arch.conservative:
+            return super().force(q, qdot)
+        return force(self.theta, self.layout, _row(q), _row(qdot))[0]
 
 
 # -- readouts of the library's loss graphs -------------------------------------

@@ -184,7 +184,7 @@ def test_discrete_force_conservative_zero():
 
 
 def test_discrete_force_damped_hand_value():
-    damped = oracle.scalar_dp(damped=True)
+    damped = oracle.ScalarDP(mech.DoublePendulum(damped=True))
     fd = oracle.discrete_force(damped, [0.0, 0.0], [0.1, 0.0], 0.05)
     # (q2-q1)/h = (2, 0); F = -eta*qdot = (-1, 0); times h
     assert np.allclose(fd, [-0.05, 0.0], atol=1e-12)

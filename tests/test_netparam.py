@@ -189,36 +189,29 @@ def test_tape_potential_matches_numpy():
     for arch in (ARCH, ARCH_F):
         p = npar.init_params(11, arch)
         Q = np.random.default_rng(20).uniform(-np.pi, np.pi, size=(32, 2))
-        want = np.array([oracle.potential_gradient(p, q) for q in Q])
+        want = oracle.potential(p.values, p.layout, Q, True)[1]
         assert np.abs(potential_grad_batch(p, Q) - want).max() <= 1e-12
 
 
 def test_tape_mass_entries_match_numpy():
     p = npar.init_params(12, ARCH)
     Q = np.random.default_rng(21).uniform(-np.pi, np.pi, size=(32, 2))
-    M = mass_batch(p, Q)
-    for b, q in enumerate(Q):
-        assert np.abs(M[b] - oracle.mass_matrix(p, q)).max() <= 1e-12
+    M, _ = oracle.mass_matrix(p.values, p.layout, Q)
+    assert np.abs(mass_batch(p, Q) - M).max() <= 1e-12
 
 
 def test_tape_directions_match_reverse_mode():
     # the factor's forward-mode dM/dq_k (the Gram of its directions) and
-    # the potential build's fused reverse sweep for dV/dq_k, against
-    # SmmSystem's reverse sweeps over the per-node graph
+    # the potential build's fused reverse sweep for dV/dq_k, against the
+    # point model's forward-mode derivatives
     p = npar.init_params(16, ARCH)
-    layout = p.layout
-    sys = oracle.SmmSystem(p)
     Q = np.random.default_rng(25).uniform(-np.pi, np.pi, size=(6, 2))
-    P, _ = npar.chol_entries_t(theta(p), layout, Q, True, False)
-    dM = npar.dgram(*npar.factor(P, 2))
-    dV = potential_grad_batch(p, Q)
-    for b, q in enumerate(Q):
-        want_M, want_V = sys.mass_jacobian(q), sys.potential_gradient(q)
-        for k in range(2):
-            assert abs(dV[b, k] - want_V[k]) <= 1e-12
-            for i in range(2):
-                for j in range(2):
-                    assert abs(dM[k, i, j, b] - want_M[k, i, j]) <= 1e-12
+    P, _ = npar.chol_entries_t(theta(p), p.layout, Q, True, False)
+    dM = npar.dgram(*npar.factor(P, 2)).transpose(3, 0, 1, 2)
+    want_M = oracle.mass_matrix(p.values, p.layout, Q, True)[1]
+    want_V = oracle.potential(p.values, p.layout, Q, True)[1]
+    assert np.abs(potential_grad_batch(p, Q) - want_V).max() <= 1e-12
+    assert np.abs(dM - want_M).max() <= 1e-12
 
 
 def test_tape_builders_without_directions_build_values_only(monkeypatch):
@@ -246,7 +239,7 @@ def test_tape_force_matches_numpy():
     rng = np.random.default_rng(22)
     Q = rng.uniform(-np.pi, np.pi, size=(16, 2))
     Qd = rng.uniform(-2, 2, size=(16, 2))
-    want = np.array([oracle.force(p, q, qd) for q, qd in zip(Q, Qd)])
+    want = oracle.force(p.values, p.layout, Q, Qd)
     assert np.abs(force_batch(p, Q, Qd) - want).max() <= 1e-12
 
 
@@ -260,8 +253,7 @@ def test_chol_solve_t_matches_dense_solve():
                                            False)[0], 2)
     xs, adjoint = npar.chol_solve_t(L, B.T)
     gM, gb = adjoint(G.T)
-    for b, q in enumerate(Q):
-        M = oracle.mass_matrix(p, q)
+    for b, M in enumerate(oracle.mass_matrix(p.values, p.layout, Q)[0]):
         want = np.linalg.solve(M, B[b])
         assert np.abs(xs[:, b] - want).max() <= 1e-10
         g = np.linalg.solve(M, G[b])

@@ -1,8 +1,8 @@
-"""Guards on the library surface: every public module-level function or
-class in `src/smmfit` has a library caller, a README entry as
-`module.name` or a perfbench probe wrapper, every callable the probe
-wraps exists, the numpy-only modules import nothing from the tape
-engine, and netparam uses only its numpy helpers."""
+"""Guards on the library surface: every public module-level function,
+class or constant in `src/smmfit` has a library caller or reader, a
+README entry as `module.name` or a perfbench probe wrapper, every
+callable the probe wraps exists, the numpy-only modules import nothing
+from the tape engine, and netparam uses only its numpy helpers."""
 
 import ast
 import importlib.util
@@ -27,8 +27,8 @@ def load_probe():
 
 
 def definitions_and_references():
-    """Public module-level definitions, and the (module, name) pairs that
-    library code refers to outside each name's own definition."""
+    """Public module-level functions, classes and constants, and the
+    (module, name) pairs library code reads outside their definitions."""
     defs, refs = set(), set()
     for path in (ROOT / "src" / "smmfit").glob("*.py"):
         mod = path.stem
@@ -45,8 +45,14 @@ def definitions_and_references():
             own = getattr(stmt, "name", None)
             if own and not own.startswith("_"):
                 defs.add((mod, own))
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                defs |= {(mod, node.id) for node in ast.walk(stmt)
+                         if isinstance(node, ast.Name)
+                         and isinstance(node.ctx, ast.Store)
+                         and not node.id.startswith("_")}
             for node in ast.walk(stmt):
-                if isinstance(node, ast.Name) and node.id != own:
+                if isinstance(node, ast.Name) and node.id != own \
+                        and isinstance(node.ctx, ast.Load):
                     refs.add((mod, node.id))
                 elif isinstance(node, ast.Attribute) \
                         and getattr(node.value, "id", None) in aliases:
