@@ -1,27 +1,26 @@
 """Network parameterization of a structured mechanical model.
 
-Three small MLPs: a mass net producing the lower-triangular Cholesky
-factor of M(q) (softplus + ε on the diagonal keeps it positive
-definite), a potential net for V(q), and an optional force net on
-(q, q̇).  Each component carries an explicit output log-scale so the
+Three small tanh MLPs: a mass net producing the lower-triangular
+Cholesky factor of M(q) (softplus + `MASS_EPS` on the diagonal keeps it
+positive definite), a potential net for V(q), and an optional force net
+on (q, q̇).  Each component carries an explicit output log-scale so the
 model class is exactly closed under multiplication by a positive
 scalar.
 
 A model is one flat parameter vector (`FlatParams`); its `ParamLayout`
 names the slot of every weight, bias and the log-scale block.  Each
-batched net build (`chol_entries_t`, `potential_grad_t`, `force_t`)
-slices its net out of that vector, runs the MLP and its output head in
-numpy, and returns the value with its plain reverse-mode adjoint as a
-function; training's numpy stages call them, and nothing here builds a
-tape.  The Cholesky build can also carry the factor's forward-mode
-derivatives along each coordinate axis, packed after its entries.  The
-potential build gives ∇V(q), all the dynamics read of V, by one reverse
-sweep from the net's scalar output, so its cost does not grow with n.
-M(q) and its derivatives come from the Gram of the factor (`gram` for M,
-`dgram` for its derivatives, with their one adjoint `gram_bwd`) inside
-the fused blocks, which hold every matrix as an (n, n, B) array;
-`mass_entries_t` gives M(q) values in that layout, and the solve block
-`chol_solve_t` substitutes with mechanics' `cho_solve`.
+batched net build (`mass_t`, `potential_grad_t`, `force_t`) slices its
+net out of that vector, runs the MLP and its output head in numpy, and
+returns the value with its plain reverse-mode adjoint as a function;
+training's numpy stages call them, and nothing here builds a tape.
+The mass block is the one place the model's M(q) comes from: it gives
+the factor L of M = L Lᵀ and, with ``jac``, ∂M/∂q from the factor's
+forward-mode derivatives along each coordinate axis, as (n, n, B) and
+(n, n, n, B) arrays; callers form M with `gram` where they read it.
+The potential build gives ∇V(q), all the dynamics read of V, by one
+reverse sweep from the net's scalar output, so its cost does not grow
+with n.  The solve block `chol_solve_t` substitutes with mechanics'
+`cho_solve`.
 """
 
 from __future__ import annotations
@@ -40,22 +39,23 @@ class ConservativeForceError(Exception):
     """force() was called on a conservative model."""
 
 
+# fixed; checkpoints record them, and `load_params` refuses others
+ACTIVATION = "tanh"
+MASS_EPS = 1e-3
+
+
 @dataclass
 class ArchConfig:
     """Architecture of the three component nets."""
 
     n: int = 2
     hidden: tuple = (32, 32)
-    activation: str = "tanh"
-    eps: float = 1e-3
     conservative: bool = True
 
     def __post_init__(self):
         self.hidden = tuple(int(h) for h in self.hidden)
         if self.n < 1 or any(h < 1 for h in self.hidden):
             raise ValueError("dimensions must be positive")
-        if self.activation != "tanh":
-            raise ValueError(f"unsupported activation {self.activation!r}")
 
     @property
     def tri(self) -> int:
@@ -148,10 +148,10 @@ def init_params(rng, arch: ArchConfig) -> FlatParams:
 #
 # Each net build (an MLP and its output head) is a numpy block that
 # returns its value and its adjoint, the reverse-mode adjoint of its
-# forward as a function: the Cholesky build with ``jac`` carries
-# forward-mode derivatives along the coordinate axes beside the values,
-# and the potential build adds one reverse sweep for ∇V.  The adjoint adds
-# the build's slots into a caller's theta adjoint and gives an adjoint for
+# forward as a function: the mass block with ``jac`` carries forward-mode
+# derivatives along the coordinate axes beside the values, and the
+# potential build adds one reverse sweep for ∇V.  The adjoint adds the
+# build's slots into a caller's theta adjoint and gives an adjoint for
 # the input only when asked.
 
 def transposed(a: np.ndarray) -> np.ndarray:
@@ -257,15 +257,14 @@ def _chol_head_np(theta_v, layout: ParamLayout, out, douts):
     softplus + eps on the diagonal, the sigmoid gate on each direction's
     diagonal and e^{s_M/2} on every entry.  Returns (packed, record for
     `_chol_head_bwd`)."""
-    arch = layout.arch
     # the diagonal's columns in that order
-    diag = [i * (i + 3) // 2 for i in range(arch.n)]
+    diag = [i * (i + 3) // 2 for i in range(layout.arch.n)]
     half = dc._exp_np(_log_scale_np(theta_v, layout, 0) * 0.5)
     dg = out[:, diag]
     # softplus' is the gate
     gate = dc._sigmoid_np(dg) if douts else None
     parts = [out.copy()]
-    parts[0][:, diag] = dc._softplus_np(dg) + arch.eps
+    parts[0][:, diag] = dc._softplus_np(dg) + MASS_EPS
     for do in douts:
         part = np.array(np.broadcast_to(do, out.shape))
         part[:, diag] = gate * do[:, diag]
@@ -295,39 +294,44 @@ def _chol_head_bwd(g, record):
     return g_out, g_do, g_s
 
 
-def chol_entries_t(theta_v, layout: ParamLayout, Q, jac: bool,
-                   want_x: bool):
-    """The scaled Cholesky factor at the rows of ``Q``, with e^{s_M/2}
-    folded in so that M = L̃ L̃ᵀ directly, and its adjoint.  The value is
-    (B, tri), the lower triangle row by row (see `factor`); with ``jac``
-    it is (B, tri·(1 + n)), the entries followed by their derivatives
-    along each coordinate q_k.  ``adjoint(g, gt)`` adds the theta adjoint
-    into ``gt`` (if not None) and returns Q's adjoint (with ``want_x``)."""
-    dirs = _axes(layout.arch.n) if jac else ()
+def mass_t(theta_v, layout: ParamLayout, Q, jac: bool, want_x: bool):
+    """The mass block at the rows of ``Q``: (L, ∂M) as (n, n, B) and
+    (D, n, n, B) arrays, and its adjoint.  L is the scaled Cholesky
+    factor, e^{s_M/2} folded in, so M = L Lᵀ (`gram`; not formed here, as
+    the velocity block reads L alone); ∂M/∂q_k is at [k] with ``jac``,
+    else ∂M is empty.  ``adjoint(gM, gdM, gt)`` takes M's and ∂M's
+    adjoints (None where unused), adds the theta adjoint into ``gt`` (if
+    not None) and returns Q's adjoint (with ``want_x``)."""
+    n = layout.arch.n
+    dirs = _axes(n) if jac else ()
     out, douts, layers = _mlp_np(theta_v, layout, "mass", Q, dirs)
     P, record = _chol_head_np(theta_v, layout, out, douts)
+    L, dL = _factor(P, n)
 
-    def adjoint(g, gt):
-        g_out, g_do, g_s = _chol_head_bwd(g, record)
+    def adjoint(gM, gdM, gt):
+        g_out, g_do, g_s = _chol_head_bwd(
+            _packed(*_gram_bwd(L, dL, gM, gdM)), record)
         gx, grads = _mlp_bwd(layers, g_out, g_do, want_x, gt is not None)
         _theta_adjoint(gt, layout, "mass", grads, 0, g_s)
         return gx
 
-    return P, adjoint
+    return (L, _dgram(L, dL) if jac else dL), adjoint
 
 
 def mass_entries_t(params: FlatParams, Q) -> np.ndarray:
     """Batched M(q) values as an entry-major (n, n, B) array: the Gram
     of the scaled factor."""
-    P, _ = chol_entries_t(params.values.reshape(1, -1), params.layout,
-                          np.asarray(Q, dtype=np.float64), False, False)
-    return gram(factor(P, params.layout.arch.n)[0])
+    (L, _), _ = mass_t(params.values.reshape(1, -1), params.layout,
+                       np.asarray(Q, dtype=np.float64), False, False)
+    return gram(L)
 
 
 def potential_grad_t(theta_v, layout: ParamLayout, Q, want_x: bool):
-    """∇V at the rows of ``Q`` as a (B, n) array, and its adjoint (as
-    `chol_entries_t`'s): one reverse sweep of the potential net from its scalar
-    output, times its e^{s_V} scale.  Down the tanh layers o_i it runs
+    """∇V at the rows of ``Q`` as a (B, n) array, and its adjoint
+    ``adjoint(g, gt)``, which adds the theta adjoint into ``gt`` (if not
+    None) and returns Q's adjoint (with ``want_x``): one reverse sweep of
+    the potential net from its scalar output, times its e^{s_V} scale.
+    Down the tanh layers o_i it runs
     r_H = W_Hᵀ, gz_i = r_{i+1} ⊙ (1 - o_i²), r_i = gz_i W_iᵀ, so
     ∇V = r_0 e^{s_V} costs about one more forward whatever n is; the
     forward stops below the unused output layer.  The adjoint is the
@@ -373,7 +377,7 @@ def potential_grad_t(theta_v, layout: ParamLayout, Q, want_x: bool):
 def force_t(theta_v, layout: ParamLayout, X, want_x: bool):
     """F at the rows of the concatenated (q, q̇) ``X`` as a (B, n) array:
     the force net times its e^{s_F} scale, and its adjoint (as
-    `chol_entries_t`'s)."""
+    `potential_grad_t`'s)."""
     if layout.arch.conservative:
         raise ConservativeForceError("model has no force net")
     out, _, layers = _mlp_np(theta_v, layout, "force", X, [])
@@ -388,17 +392,16 @@ def force_t(theta_v, layout: ParamLayout, X, want_x: bool):
     return out * g, adjoint
 
 
-# -- fused blocks -------------------------------------------------------------
+# -- matrix algebra -----------------------------------------------------------
 #
-# A fused block (training's DEL residual, barrier and acceleration stage)
-# does the work of many small tape nodes.  Inside it every matrix is an
-# entry-major array, so that each entry is a contiguous (B,) row: L, M,
-# the shifted factor S and matrix adjoints are (n, n, B), the factor's
-# directions and ∂M/∂q are (D, n, n, B) and vectors are (n, B).  `factor`
-# and `packed` map between these arrays and a packed factor's
-# (B, tri·(1 + D)) value.  Adjoints are full n x n matrices with the
-# textbook formulas (Giles 2008); each block's backward is the plain
-# first-order adjoint of its forward, and `gram_bwd` is the Gram's.
+# Every matrix the blocks and training's stages share is an entry-major
+# array, so that each entry is a contiguous (B,) row: L, M, the shifted
+# factor S and matrix adjoints are (n, n, B), the factor's directions
+# and ∂M/∂q are (D, n, n, B) and vectors are (n, B).  Only `mass_t`
+# sees the mass head's packed (B, tri·(1 + D)) value, which `_factor`
+# and `_packed` map to these arrays and back.  Adjoints are full n x n
+# matrices with the textbook formulas (Giles 2008); `_gram_bwd` is the
+# Gram's.
 
 @lru_cache(maxsize=None)
 def _tril(n: int) -> np.ndarray:
@@ -408,7 +411,7 @@ def _tril(n: int) -> np.ndarray:
     return i * n + j
 
 
-def factor(P, n: int):
+def _factor(P, n: int):
     """(L, dL) from a packed factor value ``P`` (B, tri·(1 + D)): L as
     (n, n, B) and the D directions as (D, n, n, B), zero above the
     diagonal."""
@@ -420,9 +423,9 @@ def factor(P, n: int):
     return A[0], A[1:]
 
 
-def packed(L, dL) -> np.ndarray:
+def _packed(L, dL) -> np.ndarray:
     """The (B, tri·(1 + D)) packed value of the lower triangles of L and
-    of each direction in ``dL``: the inverse of `factor`."""
+    of each direction in ``dL``: the inverse of `_factor`."""
     n, _, B = L.shape
     A = np.concatenate([L[None], dL]).reshape(-1, n * n, B)
     return transposed(A.take(_tril(n), axis=1).reshape(-1, B))
@@ -433,14 +436,14 @@ def gram(L):
     return (L[:, None] * L).sum(2)
 
 
-def dgram(L, dL):
+def _dgram(L, dL):
     """dM = dL Lᵀ + L dLᵀ for each direction in ``dL``."""
     C = (dL[:, :, None] * L).sum(3)
     return C + C.swapaxes(1, 2)
 
 
-def gram_bwd(L, dL, gM, gdM):
-    """The adjoint of `gram` and `dgram`, (gL, gdL), from the adjoint of M
+def _gram_bwd(L, dL, gM, gdM):
+    """The adjoint of `gram` and `_dgram`, (gL, gdL), from the adjoint of M
     (None where M is not used) and of dM (None where no direction is)."""
     gL = np.zeros_like(L) if gM is None \
         else ((gM + gM.swapaxes(0, 1))[:, :, None] * L).sum(1)
@@ -474,8 +477,8 @@ def save_params(params: FlatParams, path, seed: int | None = None) -> None:
         "arch": {
             "n": arch.n,
             "hidden": list(arch.hidden),
-            "activation": arch.activation,
-            "eps": arch.eps,
+            "activation": ACTIVATION,
+            "eps": MASS_EPS,
             "conservative": arch.conservative,
         },
         "layout": [{"key": k, "shape": list(shape), "start": s, "end": e}
@@ -496,8 +499,10 @@ def load_params(path):
             blob = json.load(fh)
         a = blob["arch"]
         arch = ArchConfig(n=a["n"], hidden=tuple(a["hidden"]),
-                          activation=a["activation"], eps=a["eps"],
                           conservative=a["conservative"])
+        if (a["activation"], a["eps"]) != (ACTIVATION, MASS_EPS):
+            raise ValueError(f"activation and eps are not the fixed "
+                             f"{ACTIVATION!r} and {MASS_EPS!r}")
         layout = ParamLayout(arch)
         stored = [(d["key"], tuple(d["shape"]), d["start"], d["end"])
                   for d in blob["layout"]]

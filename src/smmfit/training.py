@@ -6,27 +6,28 @@ acceleration regression, and next-state regression through an RK4 step.
 Plus Adam, the decay schedule, shuffled batching that never crosses
 trajectory boundaries, and validation-based checkpoint selection.
 
-Every loss differentiates the model one way: a numpy stage on theta
-that calls netparam's net blocks (the mass factor with its forward-mode
-derivatives along each coordinate axis, ∇V by one reverse sweep of the
-potential net, the force net) and returns its value and its plain
-first-order adjoint, which the tape holds as one node with theta as its
-only parent (`_stage_t`).  The acceleration stage (`_accel_np`) is two
-blocks: a position block that reads q only (`_position_np`: the mass
-net with its axis directions, the ∇V sweep, `factor`, `dgram`) and a
-velocity block (`_velocity_np`: τ, the force net, `chol_solve_t`).  The
-acceleration loss is one node over both on the same rows, and
-validation runs them with no tape.  The RK4 loss is one node whose
-position block runs twice on 2B rows, for stages 1-2 and for stages
-3-4, and whose velocity block runs once per stage; its backward takes
-velocity adjoints 4 and 3, the stages 3-4 position adjoint, velocity
-adjoints 2 and 1, then the stages 1-2 position adjoint.  The DEL
-residual stage (`_del_np`) at q_k uses the pairs (q_k-1, q_k) and
+Every loss differentiates the model one way: a numpy stage on theta that
+calls netparam's net blocks (the mass block `mass_t`, which gives the
+factor L of M and ∂M/∂q from its forward-mode derivatives along each
+coordinate axis, ∇V by one reverse sweep of the potential net, the force
+net) and returns its value and its plain first-order adjoint, which the
+tape holds as one node with theta as its only parent (`_stage_t`).
+Every M(q) of the model comes from `mass_t`.  The acceleration stage
+(`_accel_np`) is two blocks: a position block that reads q only
+(`_position_np`: the mass block with its axis directions and the ∇V
+sweep) and a velocity block (`_velocity_np`: τ, the force net,
+`chol_solve_t`).  The acceleration loss is one node over both on the
+same rows, and validation runs them with no tape.  The RK4 loss is one
+node whose position block runs twice on 2B rows, for stages 1-2 and for
+stages 3-4, and whose velocity block runs once per stage; its backward
+takes velocity adjoints 4 and 3, the stages 3-4 position adjoint,
+velocity adjoints 2 and 1, then the stages 1-2 position adjoint.  The
+DEL residual stage (`_del_np`) at q_k uses the pairs (q_k-1, q_k) and
 (q_k, q_k+1); neighbouring tuples of a trajectory share a pair, so it
-runs the nets once per distinct pair of its batch and gathers each
-tuple's two arms from them.  The barrier stage (`_barrier_np`) and the
-feasibility check share one test of M - alpha I: the pivots of
-mechanics' `cholesky`.
+runs the position block and the force net once, at the midpoints of the
+distinct pairs of its batch, and gathers each tuple's two arms from
+them.  The barrier stage (`_barrier_np`) and the feasibility check share
+one test of M - alpha I: the pivots of mechanics' `cholesky`.
 """
 
 from __future__ import annotations
@@ -43,9 +44,8 @@ import numpy as np
 from . import diffcore as dc
 from .integrators import IntegrationBlowupError
 from .mechanics import NotPositiveDefiniteError, cholesky
-from .netparam import (FlatParams, chol_entries_t, chol_solve_t, dgram,
-                       factor, force_t, gram, gram_bwd, mass_entries_t,
-                       packed, potential_grad_t, transposed)
+from .netparam import (FlatParams, chol_solve_t, force_t, gram,
+                       mass_entries_t, mass_t, potential_grad_t, transposed)
 
 _log = logging.getLogger("smmfit.training")
 
@@ -149,24 +149,21 @@ def make_batches(rng, count: int, batch_size: int):
 
 def _position_np(theta_v, layout, X, want_x: bool):
     """The position block: what the dynamics read of q alone, at the rows
-    of ``X``.  It runs the mass net with its coordinate directions, the
-    ∇V sweep, `factor` and `dgram`, and returns (L, ∂M, ∇V) with the rows
+    of ``X``.  It runs the mass block with its coordinate directions
+    (`mass_t`) and the ∇V sweep, and returns (L, ∂M, ∇V) with the rows
     on the last axis, as (n, n, R), (n, n, n, R) and (n, R), and its
     adjoint.  ``adjoint((gM, gdM, gdV), gt)`` takes the adjoints of M,
     ∂M and ∇V in that layout, adds the theta adjoint into ``gt`` and
     returns X's adjoint parts (potential net's, mass net's), each None
     without ``want_x``."""
-    n = X.shape[1]
-    P, mass_adj = chol_entries_t(theta_v, layout, X, True, want_x)
+    (Lm, dM), mass_adj = mass_t(theta_v, layout, X, True, want_x)
     dV, pot_adj = potential_grad_t(theta_v, layout, X, want_x)
-    Lm, dLm = factor(P, n)
 
     def adjoint(gpos, gt):
         gM, gdM, gdV = gpos
-        gxv = pot_adj(transposed(gdV), gt)
-        return gxv, mass_adj(packed(*gram_bwd(Lm, dLm, gM, gdM)), gt)
+        return pot_adj(transposed(gdV), gt), mass_adj(gM, gdM, gt)
 
-    return (Lm, dgram(Lm, dLm), transposed(dV)), adjoint
+    return (Lm, dM, transposed(dV)), adjoint
 
 
 def _velocity_np(theta_v, layout, pos, X, V, want_xv: bool):
@@ -244,9 +241,10 @@ def _del_np(theta_v, layout, batch: Batch):
     """The discrete Euler-Lagrange residual of a del batch as a (B, n)
     array, and its adjoint (as `_accel_np`'s).
 
-    The nets run once at the midpoint of each of the batch's distinct
-    configuration pairs (`_distinct_rows`) with pair velocity v; tuple
-    i's first pair is ``ia[i]`` and its second ``ib[i]``.  Row i is
+    The position block (`_position_np`) and the force net run once at
+    the midpoint of each of the batch's distinct configuration pairs
+    (`_distinct_rows`) with pair velocity v; tuple i's first pair is
+    ``ia[i]`` and its second ``ib[i]``.  Row i is
     h/2 (∂L[ia] + ∂L[ib])_i + (M v[ia] - M v[ib])_i (+ h/2 (F[ia] + F[ib])_i)
     with ∂L_k = 1/2 vᵀ (∂M/∂q_k) v - ∂V/∂q_k and M v formed once per pair.
     The adjoint adds the row adjoints onto the pairs first.
@@ -261,20 +259,17 @@ def _del_np(theta_v, layout, batch: Batch):
     qa, qb = pairs[:, :n], pairs[:, n:]
     X = (qa + qb) / 2.0
     v = (qb - qa) / h
-    P, mass_adj = chol_entries_t(theta_v, layout, X, True, False)
-    dV, pot_adj = potential_grad_t(theta_v, layout, X, False)
+    (Lm, dM, dV), pos_adj = _position_np(theta_v, layout, X, False)
     F = None
     if not layout.arch.conservative:
         F, force_adj = force_t(theta_v, layout, np.concatenate([X, v], 1),
                                False)
     U = len(v)
     c = h / 2.0
-    Lm, dLm = factor(P, n)
-    M, dM = gram(Lm), dgram(Lm, dLm)
     vr = transposed(v)
     vv = vr[:, None] * vr
-    dL = (dM * vv).sum((1, 2)) * 0.5 - transposed(dV)
-    Mv = (M * vr).sum(1)
+    dL = (dM * vv).sum((1, 2)) * 0.5 - dV
+    Mv = (gram(Lm) * vr).sum(1)
     res = transposed((dL[:, ia] + dL[:, ib]) * c + (Mv[:, ia] - Mv[:, ib]))
     if F is not None:
         res = res + (F[ia] + F[ib]) * c
@@ -287,11 +282,9 @@ def _del_np(theta_v, layout, batch: Batch):
         gs = ga + gb
         gdM = (gs * (c * 0.5))[:, None, None] * vv
         gM = (ga - gb)[:, None] * vr
-        gp = transposed(gs) * c
         if F is not None:
-            force_adj(gp, gt)
-        pot_adj(-gp, gt)
-        mass_adj(packed(*gram_bwd(Lm, dLm, gM, gdM)), gt)
+            force_adj(transposed(gs) * c, gt)
+        pos_adj((gM, gdM, -gs * c), gt)
 
     return res, adjoint
 
@@ -318,8 +311,7 @@ def _barrier_np(theta_v, layout, Q, shift: float):
     is violated.  The adjoint reads (M - shift I)⁻¹ = S⁻ᵀ S⁻¹ from S.
     """
     n = layout.arch.n
-    P, mass_adj = chol_entries_t(theta_v, layout, Q, False, False)
-    Lm, dLm = factor(P, n)
+    (Lm, _), mass_adj = mass_t(theta_v, layout, Q, False, False)
     S, r, d = cholesky(gram(Lm), shift)
 
     def adjoint(g, gt):
@@ -333,7 +325,7 @@ def _barrier_np(theta_v, layout, Q, shift: float):
                     acc = acc + S[i, k] * R[k, j]
                 R[i, j] = -acc * r[i]
         gM = (R[:, :, None] * R[:, None]).sum(0) * g[:, 0]
-        mass_adj(packed(*gram_bwd(Lm, dLm, gM, None)), gt)
+        mass_adj(gM, None, gt)
 
     return np.log(d).sum(0)[:, None], adjoint
 

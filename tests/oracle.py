@@ -31,7 +31,7 @@ from smmfit import training as tr
 from smmfit.integrators import (DrawsExhaustedError, IntegrationBlowupError,
                                 NEWTON_MAX_ITER, NEWTON_TOL,
                                 NewtonConvergenceError, Trajectory)
-from smmfit.netparam import ConservativeForceError, FlatParams
+from smmfit.netparam import MASS_EPS, ConservativeForceError, FlatParams
 
 FD_STEP = 1e-6
 
@@ -579,12 +579,12 @@ def mass_matrix(theta, layout, Q, jac=False):
     ``jac`` ∂M/∂q as (B, n, n, n), ∂M/∂q_k at [:, k], else None.  Each
     is a view of an entry-major array, rows on its last axis, so that
     every entry is one contiguous row."""
-    n, eps = layout.arch.n, layout.arch.eps
+    n = layout.arch.n
     out, J = mlp(theta, layout, "mass", Q, jac)
     i, j, d = _tril(n)
     s = _exp(log_scale(theta, layout, 0))
     E = out.T.copy()
-    E[d] = _softplus(E[d]) + eps
+    E[d] = _softplus(E[d]) + MASS_EPS
     L = np.zeros((n, n, len(Q)), E.dtype)
     L[i, j] = E
     M = s * (L[:, None] * L).sum(2)

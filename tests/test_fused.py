@@ -210,18 +210,19 @@ def test_del_builds_the_nets_once_per_distinct_pair(monkeypatch):
     # build at q2 keeps one row per tuple.  Pairs are one only when
     # bit-identical: a repeated tuple shares both of its pairs, and a -0.0
     # in place of a 0.0 in q1 parts the first.  The mass block is wrapped
-    # where the stages look it up, as the traced benchmark wraps force_t
+    # where the stages look it up, as the traced benchmark wraps force_t;
+    # the residual reaches it only through the position block
     flat, _, alpha = setup(2, False, 7)
     T = 40
     batch, _ = trajectory_batch(2, T)
     rows = []
-    block = tr.chol_entries_t
+    block = tr.mass_t
 
     def counting(theta_v, layout, Q, jac, want_x):
         rows.append(len(Q))
         return block(theta_v, layout, Q, jac, want_x)
 
-    monkeypatch.setattr(tr, "chol_entries_t", counting)
+    monkeypatch.setattr(tr, "mass_t", counting)
 
     def mass_rows(batch):
         rows.clear()

@@ -68,7 +68,7 @@ def test_mass_matrix_init_eigenvalue_floor():
     rng = np.random.default_rng(15)
     p = npar.init_params(3, ARCH)
     M = mass_batch(p, rng.uniform(-np.pi, np.pi, size=(100, 2)))
-    assert np.linalg.eigvalsh(M)[:, 0].min() >= ARCH.eps ** 2
+    assert np.linalg.eigvalsh(M)[:, 0].min() >= npar.MASS_EPS ** 2
 
 
 def test_mass_matrix_scale_doubles():
@@ -201,13 +201,13 @@ def test_tape_mass_entries_match_numpy():
 
 
 def test_tape_directions_match_reverse_mode():
-    # the factor's forward-mode dM/dq_k (the Gram of its directions) and
-    # the potential build's fused reverse sweep for dV/dq_k, against the
-    # point model's forward-mode derivatives
+    # the mass block's forward-mode dM/dq_k (the Gram of its factor's
+    # directions) and the potential build's fused reverse sweep for
+    # dV/dq_k, against the point model's forward-mode derivatives
     p = npar.init_params(16, ARCH)
     Q = np.random.default_rng(25).uniform(-np.pi, np.pi, size=(6, 2))
-    P, _ = npar.chol_entries_t(theta(p), p.layout, Q, True, False)
-    dM = npar.dgram(*npar.factor(P, 2)).transpose(3, 0, 1, 2)
+    (_, dM), _ = npar.mass_t(theta(p), p.layout, Q, True, False)
+    dM = dM.transpose(3, 0, 1, 2)
     want_M = oracle.mass_matrix(p.values, p.layout, Q, True)[1]
     want_V = oracle.potential(p.values, p.layout, Q, True)[1]
     assert np.abs(potential_grad_batch(p, Q) - want_V).max() <= 1e-12
@@ -215,10 +215,9 @@ def test_tape_directions_match_reverse_mode():
 
 
 def test_tape_builders_without_directions_build_values_only(monkeypatch):
-    # each net build is one packed numpy value and makes no tape node:
-    # without its Jacobian the factor holds the entries alone, the same
-    # values the jac build carries before their derivatives; the potential
-    # build holds ∇V
+    # each net build is numpy values and makes no tape node: without its
+    # Jacobian the mass block's ∂M is empty and its factor is the jac
+    # build's, bit for bit; the potential build holds ∇V
     def no_node(*args, **kwargs):
         raise AssertionError("a net build made a tape node")
 
@@ -226,12 +225,13 @@ def test_tape_builders_without_directions_build_values_only(monkeypatch):
     monkeypatch.setattr(dc.Tape, "__init__", no_node)
     p = npar.init_params(17, ARCH)
     X = np.random.default_rng(27).uniform(-2, 2, size=(3, 2))
-    L, _ = npar.chol_entries_t(theta(p), p.layout, X, False, False)
+    (L, dM), _ = npar.mass_t(theta(p), p.layout, X, False, False)
     dV = potential_grad_batch(p, X)
-    assert L.shape == (3, 3) and dV.shape == (3, 2)
-    L2, _ = npar.chol_entries_t(theta(p), p.layout, X, True, False)
-    assert L2.shape == (3, 9)
-    assert np.array_equal(L2[:, :3], L)
+    assert L.shape == (2, 2, 3) and dM.shape == (0, 2, 2, 3)
+    assert dV.shape == (3, 2)
+    (L2, dM2), _ = npar.mass_t(theta(p), p.layout, X, True, False)
+    assert dM2.shape == (2, 2, 2, 3)
+    assert np.array_equal(L2, L)
 
 
 def test_tape_force_matches_numpy():
@@ -249,8 +249,7 @@ def test_chol_solve_t_matches_dense_solve():
     rng = np.random.default_rng(23)
     Q = rng.uniform(-np.pi, np.pi, size=(8, 2))
     B, G = rng.uniform(-1, 1, size=(2, 8, 2))
-    L, _ = npar.factor(npar.chol_entries_t(theta(p), p.layout, Q, False,
-                                           False)[0], 2)
+    (L, _), _ = npar.mass_t(theta(p), p.layout, Q, False, False)
     xs, adjoint = npar.chol_solve_t(L, B.T)
     gM, gb = adjoint(G.T)
     for b, M in enumerate(oracle.mass_matrix(p.values, p.layout, Q)[0]):
@@ -265,25 +264,25 @@ def test_chol_solve_t_matches_dense_solve():
 @pytest.mark.parametrize("with_M,with_dM", [(True, True), (True, False),
                                             (False, True)])
 def test_gram_bwd_is_the_adjoint_of_gram(n, with_M, with_dM):
-    # <gram_bwd(L, dL, gM, gdM), (δL, δdL)> = <(gM, gdM), δgram>; gram is
+    # <_gram_bwd(L, dL, gM, gdM), (δL, δdL)> = <(gM, gdM), δgram>; gram is
     # bilinear in (L, dL), so the central difference is exact to rounding
     rng = np.random.default_rng([n, with_M, with_dM])
     D, B, T = n, 5, n * (n + 1) // 2
 
     def draw_factor():
-        return npar.factor(rng.normal(size=(B, T * (1 + D))), n)
+        return npar._factor(rng.normal(size=(B, T * (1 + D))), n)
 
     L, dL = draw_factor()
     eL, edL = draw_factor()
     gM = rng.normal(size=(n, n, B)) if with_M else None
     gdM = rng.normal(size=(D, n, n, B)) if with_dM else None
-    gL, gdL = npar.gram_bwd(L, dL, gM, gdM)
-    lhs = np.sum(npar.packed(gL, gdL) * npar.packed(eL, edL))
+    gL, gdL = npar._gram_bwd(L, dL, gM, gdM)
+    lhs = np.sum(npar._packed(gL, gdL) * npar._packed(eL, edL))
 
     def pairing(t):
         Lt, dLt = L + t * eL, dL + t * edL
         return (np.sum(gM * npar.gram(Lt)) if with_M else 0.0) \
-            + (np.sum(gdM * npar.dgram(Lt, dLt)) if with_dM else 0.0)
+            + (np.sum(gdM * npar._dgram(Lt, dLt)) if with_dM else 0.0)
 
     rhs = pairing(0.5) - pairing(-0.5)
     assert abs(lhs - rhs) <= 1e-12 * (abs(lhs) + abs(rhs))
@@ -293,24 +292,24 @@ def test_gram_bwd_is_the_adjoint_of_gram(n, with_M, with_dM):
 def test_packed_inverts_factor(n, D):
     T = n * (n + 1) // 2
     P = np.random.default_rng([n, D]).normal(size=(4, T * (1 + D)))
-    L, dL = npar.factor(P, n)
+    L, dL = npar._factor(P, n)
     assert L.shape == (n, n, 4) and dL.shape == (D, n, n, 4)
     assert np.all(np.triu(L.transpose(2, 0, 1), 1) == 0.0)
-    assert np.array_equal(npar.packed(L, dL), P)
+    assert np.array_equal(npar._packed(L, dL), P)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_gram_without_directions_gives_the_general_m(n):
     # M and its derivatives are apart: `gram` forms M = L Lᵀ alone, and
-    # `dgram` of no directions is empty
+    # `_dgram` of no directions is empty
     T = n * (n + 1) // 2
-    L, dL = npar.factor(np.random.default_rng(n).normal(size=(5, 2 * T)), n)
+    L, dL = npar._factor(np.random.default_rng(n).normal(size=(5, 2 * T)), n)
     M = npar.gram(L)
     want = np.einsum("ikb,jkb->ijb", L, L)
     np.testing.assert_allclose(M, want, rtol=1e-15, atol=1e-15)
-    assert npar.dgram(L, dL[:0]).shape == (0, n, n, 5)
+    assert npar._dgram(L, dL[:0]).shape == (0, n, n, 5)
     C = np.einsum("ikb,jkb->ijb", dL[0], L)
-    np.testing.assert_allclose(npar.dgram(L, dL)[0], C + C.transpose(1, 0, 2),
+    np.testing.assert_allclose(npar._dgram(L, dL)[0], C + C.transpose(1, 0, 2),
                                rtol=1e-14, atol=1e-14)
 
 
@@ -379,4 +378,21 @@ def test_checkpoint_layout_mismatch_rejected(tmp_path):
     blob["layout"][0]["shape"] = [3, 3]
     path.write_text(json.dumps(blob))
     with pytest.raises(ValueError):
+        npar.load_params(path)
+
+
+@pytest.mark.parametrize("field,value",
+                         [("eps", 0.01), ("activation", "relu")])
+def test_checkpoint_with_another_eps_or_activation_rejected(tmp_path, field,
+                                                            value):
+    # ε and tanh are fixed: a file that records other values describes a
+    # model this library does not build, so it is refused, naming the file
+    import json
+    path = tmp_path / "ckpt.json"
+    npar.save_params(npar.init_params(20, ARCH), path)
+    blob = json.loads(path.read_text())
+    assert (blob["arch"]["activation"], blob["arch"]["eps"]) == ("tanh", 0.001)
+    blob["arch"][field] = value
+    path.write_text(json.dumps(blob))
+    with pytest.raises(ValueError, match=f"^{path}: not a checkpoint"):
         npar.load_params(path)

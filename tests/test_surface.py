@@ -2,7 +2,8 @@
 class or constant in `src/smmfit` has a library caller or reader, a
 README entry as `module.name` or a perfbench probe wrapper, every
 callable the probe wraps exists, the numpy-only modules import nothing
-from the tape engine, and netparam uses only its numpy helpers."""
+from the tape engine, netparam uses only its numpy helpers, and training
+imports netparam's blocks but not its packing and Gram helpers."""
 
 import ast
 import importlib.util
@@ -125,3 +126,16 @@ def test_mechanics_integrators_and_smoother_run_without_the_tape():
                "_unbroadcast", "DiffcoreError"}
     assert used and used <= helpers, used - helpers
     assert smmfit_imports("netparam") == {"diffcore", "mechanics"}
+
+
+def test_training_reads_the_mass_matrix_only_through_mass_t():
+    # netparam alone forms M(q) and ∂M from the mass net's packed factor:
+    # training imports none of the packing and Gram helpers, and every
+    # name perfbench wraps at training stays imported there
+    tree = ast.parse((ROOT / "src" / "smmfit" / "training.py").read_text())
+    names = {a.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "netparam"
+             for a in node.names}
+    assert names == {"FlatParams", "chol_solve_t", "force_t", "gram",
+                     "mass_entries_t", "mass_t", "potential_grad_t",
+                     "transposed"}
