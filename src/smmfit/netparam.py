@@ -301,21 +301,44 @@ def mass_t(theta_v, layout: ParamLayout, Q, jac: bool, want_x: bool):
     the velocity block reads L alone); ∂M/∂q_k is at [k] with ``jac``,
     else ∂M is empty.  ``adjoint(gM, gdM, gt)`` takes M's and ∂M's
     adjoints (None where unused), adds the theta adjoint into ``gt`` (if
-    not None) and returns Q's adjoint (with ``want_x``)."""
+    not None) and returns Q's adjoint (with ``want_x``).  Without ``jac``
+    it also takes ``rows``, indices into Q: then gM holds those rows
+    alone and the backward runs on them, as it would after a forward at
+    ``Q[rows]``."""
     n = layout.arch.n
     dirs = _axes(n) if jac else ()
     out, douts, layers = _mlp_np(theta_v, layout, "mass", Q, dirs)
     P, record = _chol_head_np(theta_v, layout, out, douts)
     L, dL = _factor(P, n)
 
-    def adjoint(gM, gdM, gt):
+    def adjoint(gM, gdM, gt, rows=None):
+        Lr, dLr, rec, lay = (L, dL, record, layers) if rows is None \
+            else _mass_rows(L, dL, record, layers, rows)
         g_out, g_do, g_s = _chol_head_bwd(
-            _packed(*_gram_bwd(L, dL, gM, gdM)), record)
-        gx, grads = _mlp_bwd(layers, g_out, g_do, want_x, gt is not None)
+            _packed(*_gram_bwd(Lr, dLr, gM, gdM)), rec)
+        gx, grads = _mlp_bwd(lay, g_out, g_do, want_x, gt is not None)
         _theta_adjoint(gt, layout, "mass", grads, 0, g_s)
         return gx
 
     return (L, _dgram(L, dL) if jac else dL), adjoint
+
+
+def _mass_rows(L, dL, record, layers, rows):
+    """A mass block forward without directions at ``rows`` of its Q: the
+    factor, its empty directions, the head's record and the MLP's."""
+    half, dg, gate, pre, douts, diag = record
+    # `take` keeps the row axis last in memory, as a forward at the rows
+    # lays it out; fancy indexing on the last axis would put it first
+    a = layers[0][0].take(rows, 0)
+    taken = []
+    for _, das, W, bshape, es, o, s in layers:
+        # each layer's input is the layer below's output, gathered once
+        o = None if o is None else o.take(rows, 0)
+        taken.append((a, das, W, bshape, es, o, s))
+        a = o
+    return (L.take(rows, -1), dL.take(rows, -1),
+            (half, dg.take(rows, 0), gate, pre.take(rows, 0), douts, diag),
+            taken)
 
 
 def mass_entries_t(params: FlatParams, Q) -> np.ndarray:

@@ -26,8 +26,15 @@ DEL residual stage (`_del_np`) at q_k uses the pairs (q_k-1, q_k) and
 (q_k, q_k+1); neighbouring tuples of a trajectory share a pair, so it
 runs the position block and the force net once, at the midpoints of the
 distinct pairs of its batch, and gathers each tuple's two arms from
-them.  The barrier stage (`_barrier_np`) and the feasibility check share
-one test of M - alpha I: the pivots of mechanics' `cholesky`.
+them.  `train` finds the distinct pairs of its whole tuple set once
+(`_pair_table`) and restricts them to each batch by the sorted
+distinct pair ids of its tuples (`_pairs_of`), which give the rows a
+batch's own table would, in the same order.  The barrier stage (`_barrier_np`) and the
+feasibility check share one factorization per accepted theta: the check
+is the pivot test of mechanics' `cholesky` on M - alpha I at every
+training configuration (`_shifted_mass`), and the barrier gathers its
+batch's q2 rows from the last passing check's factor and runs the mass
+block's backward on those rows alone.
 """
 
 from __future__ import annotations
@@ -237,26 +244,22 @@ def _stage_t(theta, stage, op: str):
     return dc.custom([theta], value, bwd, op)
 
 
-def _del_np(theta_v, layout, batch: Batch):
-    """The discrete Euler-Lagrange residual of a del batch as a (B, n)
-    array, and its adjoint (as `_accel_np`'s).
+def _del_np(theta_v, layout, h: float, pairs):
+    """The discrete Euler-Lagrange residual of a del batch of step ``h`` as
+    a (B, n) array, and its adjoint (as `_accel_np`'s).
 
-    The position block (`_position_np`) and the force net run once at
-    the midpoint of each of the batch's distinct configuration pairs
-    (`_distinct_rows`) with pair velocity v; tuple i's first pair is
-    ``ia[i]`` and its second ``ib[i]``.  Row i is
+    ``pairs`` is the batch's pair table (`_pair_table`): its distinct
+    configuration pairs, and each tuple's first pair ``ia[i]`` and second
+    ``ib[i]`` among them.  The position block (`_position_np`) and the
+    force net run once at the midpoint of each pair with pair velocity v.
+    Row i is
     h/2 (∂L[ia] + ∂L[ib])_i + (M v[ia] - M v[ib])_i (+ h/2 (F[ia] + F[ib])_i)
     with ∂L_k = 1/2 vᵀ (∂M/∂q_k) v - ∂V/∂q_k and M v formed once per pair.
     The adjoint adds the row adjoints onto the pairs first.
     """
-    n, h, B = layout.arch.n, batch.h, len(batch)
-    q1, q2, q3 = batch.data["q1"], batch.data["q2"], batch.data["q3"]
-    # the tuples' pairs (q1, q2) then (q2, q3): a trajectory cut in order
-    # shares all but one of them
-    pairs, inv = _distinct_rows(np.concatenate([np.hstack([q1, q2]),
-                                                np.hstack([q2, q3])]))
-    ia, ib = inv[:B], inv[B:]
-    qa, qb = pairs[:, :n], pairs[:, n:]
+    n = layout.arch.n
+    rows, (ia, ib) = pairs
+    qa, qb = rows[:, :n], rows[:, n:]
     X = (qa + qb) / 2.0
     v = (qb - qa) / h
     (Lm, dM, dV), pos_adj = _position_np(theta_v, layout, X, False)
@@ -289,6 +292,32 @@ def _del_np(theta_v, layout, batch: Batch):
     return res, adjoint
 
 
+def _pair_table(batch: Batch):
+    """(the distinct configuration pairs of a del batch's tuples as (U, 2n)
+    rows, in `_distinct_rows`' order, and the tuples' pair ids as a (2, B)
+    array: first pairs (q1, q2), then second pairs (q2, q3)).  A
+    trajectory cut in order shares all but one of them."""
+    q1, q2, q3 = batch.data["q1"], batch.data["q2"], batch.data["q3"]
+    rows, inv = _distinct_rows(np.concatenate([np.hstack([q1, q2]),
+                                               np.hstack([q2, q3])]))
+    return rows, inv.reshape(2, -1)
+
+
+def _pairs_of(table, idx):
+    """The pair table of the tuples ``idx`` of a set whose table is
+    ``table``.  `_distinct_rows` orders rows by their bits, so the set's
+    rows that the tuples use, in the set's order, are the table that
+    `_pair_table` gives the tuples alone."""
+    rows, ids = table
+    mine = ids.take(idx, 1)
+    # the sorted distinct ids by a mark per row: np.unique's own overhead
+    # is twice this at a batch's size
+    used = np.zeros(len(rows), dtype=bool)
+    used[mine] = True
+    used = used.nonzero()[0]
+    return rows.take(used, 0), np.searchsorted(used, mine)
+
+
 def _distinct_rows(rows):
     """(the distinct rows of a (R, m) float array, each row's index among
     them).  Rows count as one only when bit-identical, so -0.0 and 0.0
@@ -304,15 +333,23 @@ def _distinct_rows(rows):
     return rows[order[new]], inv
 
 
-def _barrier_np(theta_v, layout, Q, shift: float):
-    """log det(M - shift I) at the rows of ``Q`` as a (B, 1) array, and its
-    adjoint (as `_del_np`'s): the sum of the log pivots of the shifted
-    factor S of M (`cholesky`), whose nonpositive pivot means the barrier
-    is violated.  The adjoint reads (M - shift I)⁻¹ = S⁻ᵀ S⁻¹ from S.
-    """
-    n = layout.arch.n
+def _shifted_mass(theta_v, layout, Q, shift: float):
+    """The barrier's mass state at the rows of ``Q``: (S, 1/Sᵢᵢ, the
+    pivots Sᵢᵢ²) of the factor S of M - shift I (`cholesky`) and the mass
+    block's adjoint.  Raises NotPositiveDefiniteError at the first
+    nonpositive pivot: the barrier is violated at that row."""
     (Lm, _), mass_adj = mass_t(theta_v, layout, Q, False, False)
-    S, r, d = cholesky(gram(Lm), shift)
+    return (*cholesky(gram(Lm), shift), mass_adj)
+
+
+def _barrier_np(mass, rows):
+    """log det(M - shift I) at the rows ``rows`` of a mass state
+    (`_shifted_mass`) as a (B, 1) array, the sum of their log pivots, and
+    its adjoint (as `_del_np`'s), which reads (M - shift I)⁻¹ = S⁻ᵀ S⁻¹
+    from S and runs the mass block's backward on those rows alone."""
+    S, r, d, mass_adj = mass
+    S, r = S.take(rows, -1), r.take(rows, -1)
+    n = len(r)
 
     def adjoint(g, gt):
         # R = S⁻¹, lower triangular, column by column
@@ -325,27 +362,31 @@ def _barrier_np(theta_v, layout, Q, shift: float):
                     acc = acc + S[i, k] * R[k, j]
                 R[i, j] = -acc * r[i]
         gM = (R[:, :, None] * R[:, None]).sum(0) * g[:, 0]
-        mass_adj(gM, None, gt)
+        mass_adj(gM, None, gt, rows)
 
-    return np.log(d).sum(0)[:, None], adjoint
+    return np.log(d.take(rows, -1)).sum(0)[:, None], adjoint
 
 
 # -- loss graphs --------------------------------------------------------------
 
-def _del_graph(flat: FlatParams, batch: Batch, mu: float, alpha: float):
+def _del_graph(flat: FlatParams, batch: Batch, mu: float, alpha: float,
+               inputs=None):
+    """The DEL loss graph; ``inputs`` as `del_loss_grad`'s."""
     if batch.kind != "del":
         raise ValueError(f"need a del batch, got {batch.kind!r}")
+    pairs, mass = inputs or (_pair_table(batch), None)
     tape = dc.Tape()
     theta = tape.input(flat.values.reshape(1, -1))
-    res = _stage_t(theta, _del_np(theta.value, flat.layout, batch),
+    res = _stage_t(theta, _del_np(theta.value, flat.layout, batch.h, pairs),
                    "del_residual")
     rho = dc.scale(dc.sumsq(res), 1.0 / len(batch))
     ld_mean = None
     loss = rho
     if mu != 0.0:  # an unweighted barrier is not built
-        ld = _stage_t(theta, _barrier_np(theta.value, flat.layout,
-                                         batch.data["q2"], alpha),
-                      "shifted_logdet")
+        if mass is None:  # the factor at the batch's own q2 rows
+            mass = (_shifted_mass(theta.value, flat.layout, batch.data["q2"],
+                                  alpha), np.arange(len(batch)))
+        ld = _stage_t(theta, _barrier_np(*mass), "shifted_logdet")
         ld_mean = dc.mean_all(ld)
         loss = dc.add(rho, dc.scale(ld_mean, -mu))
     return tape, theta, loss, rho, ld_mean
@@ -439,10 +480,16 @@ def _nextstate_graph(flat: FlatParams, batch: Batch, h: float):
 # -- public losses ------------------------------------------------------------
 
 def del_loss_grad(params: FlatParams, batch: Batch,
-                  mu: float = MU_DEFAULT, alpha: float = 0.0):
+                  mu: float = MU_DEFAULT, alpha: float = 0.0, inputs=None):
     """(loss, gradient): mean squared DEL residual minus mu times the mean
-    log-det barrier."""
-    tape, theta, loss, _, _ = _del_graph(params, batch, mu, alpha)
+    log-det barrier log det(M - alpha I) at the tuples' q2.
+
+    ``inputs`` is what `train` already holds for the batch: (its pair
+    table, (the mass state at θ, the rows of its q2 there) or None).
+    Without it both come from the batch alone: `_pair_table` and, when
+    mu is not 0, a mass state at its q2 rows.  Either way the residual
+    and barrier stages are the same code."""
+    tape, theta, loss, _, _ = _del_graph(params, batch, mu, alpha, inputs)
     g = tape.gradients(loss, [theta])[0]
     return loss.value.item(), g.ravel().copy()
 
@@ -607,6 +654,12 @@ def train(method: str, params0: FlatParams, trajectories,
     consecutive skips abort the run.  One halving is not enough here:
     near the floor the optimizer's momentum keeps proposing the same
     slightly-infeasible move and the loop deadlocks.
+
+    For ``del`` the floor check is one mass pass and factorization of
+    M - alpha I over every training configuration, made at θ₀ and for
+    each proposal; the accepted one's is kept, and the next steps'
+    barriers read their q2 rows from it, as θ moves only when a step is
+    accepted.  The DEL tuples' distinct pairs are found once per run.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -618,10 +671,15 @@ def train(method: str, params0: FlatParams, trajectories,
     layout, values = params0.layout, params0.values
 
     alpha = None
-    train_configs = None
     if method == "del":
         train_configs = np.concatenate([t.q for t in train_trajs])
         alpha = choose_alpha(params0, train_configs, config.alpha_fraction)
+        # tuple i's q2 is row q2_rows[i] of train_configs, as
+        # assemble_tuples cuts each trajectory's q[1:-1]
+        ends = np.cumsum([len(t.q) for t in train_trajs])
+        q2_rows = np.concatenate([np.arange(e - len(t.q) + 1, e - 1)
+                                  for t, e in zip(train_trajs, ends)])
+        table = _pair_table(tuples)
 
     record = TrainRecord(method=method, xi0=config.xi0, seed=config.seed,
                          mu=config.mu, alpha=alpha)
@@ -633,25 +691,28 @@ def train(method: str, params0: FlatParams, trajectories,
             return np.inf
         return err if np.isfinite(err) else np.inf
 
-    def loss_grad(vals, batch):
-        fp = FlatParams(vals, layout)
+    def loss_grad(vals, idx):
+        fp, batch = FlatParams(vals, layout), tuples.take(idx)
         if method == "del":
-            return del_loss_grad(fp, batch, config.mu, alpha)
+            return del_loss_grad(fp, batch, config.mu, alpha, (
+                _pairs_of(table, idx),
+                None if mass is None else (mass, q2_rows[idx])))
         if method == "accel":
             return accel_loss_grad(fp, batch)
         return nextstate_loss_grad(fp, batch, tuples.h)
 
-    def feasible(vals):
-        # the barrier's own pivot test at every training configuration
-        if alpha is None:
-            return True
+    def mass_state(vals):
+        # the barrier's own pivot test at every training configuration;
+        # one that passes is the barrier stage's factor until the next
         try:
-            cholesky(mass_entries_t(FlatParams(vals, layout), train_configs),
-                     alpha)
+            return _shifted_mass(vals.reshape(1, -1), layout, train_configs,
+                                 alpha)
         except (NotPositiveDefiniteError, dc.DiffcoreError):
-            return False
-        return True
+            return None
 
+    # the state at θ₀ (None if θ₀ fails the test: each batch's loss then
+    # factors its own q2 rows), and after that at each accepted θ
+    mass = None if alpha is None else mass_state(values)
     val0 = evaluate(values)
     record.val_errors.append(val0)
     best = (val0, values.copy(), 0)
@@ -662,9 +723,8 @@ def train(method: str, params0: FlatParams, trajectories,
         xi = lr_schedule(config.xi0, epoch)
         losses = []
         for idx in make_batches(rng, len(tuples), config.batch_size):
-            batch = tuples.take(idx)
             try:
-                loss, grad = loss_grad(values, batch)
+                loss, grad = loss_grad(values, idx)
             except (NotPositiveDefiniteError, IntegrationBlowupError,
                     dc.DiffcoreError) as err:
                 loss, grad = np.inf, None
@@ -675,8 +735,9 @@ def train(method: str, params0: FlatParams, trajectories,
             if ok:
                 for j in range(MAX_BACKTRACK + 1):
                     st, vals = adam_step(adam, values, grad, xi * 0.5 ** j)
-                    if feasible(vals):
-                        adam, values = st, vals
+                    state = None if alpha is None else mass_state(vals)
+                    if alpha is None or state is not None:
+                        adam, values, mass = st, vals, state
                         accepted = True
                         break
             if accepted:

@@ -746,8 +746,9 @@ def barrier_grad(params, configs, alpha):
     """Gradient of the mean logdet(M - alpha I) over the given configs,
     from the barrier stage's adjoint."""
     Q = np.asarray(configs, dtype=np.float64)
-    _, adjoint = tr._barrier_np(params.values.reshape(1, -1), params.layout,
-                                Q, alpha)
+    mass = tr._shifted_mass(params.values.reshape(1, -1), params.layout, Q,
+                            alpha)
+    _, adjoint = tr._barrier_np(mass, np.arange(len(Q)))
     g = np.zeros((1, params.layout.total))
     adjoint(np.full((len(Q), 1), 1.0 / len(Q)), g)
     return g.ravel()

@@ -25,3 +25,18 @@ def load_sweep():
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_experiment_passes_the_perfbench_reference(workload, tmp_path):
     assert load_sweep().sweep(workload, range(1), tmp_path) == 0
+
+
+@pytest.mark.parametrize("seeds", [("5", "3"), ("4", "4")])
+def test_sweep_rejects_an_empty_seed_range(seeds, monkeypatch, capsys):
+    # an empty range judges no cell, so it must not exit 0 as a pass
+    sweep = load_sweep()
+
+    def no_experiment(*args):
+        raise AssertionError("an empty seed range ran a workload")
+
+    monkeypatch.setattr(sweep, "sweep", no_experiment)
+    with pytest.raises(SystemExit) as exit_:
+        sweep.main(["--seeds", *seeds])
+    assert exit_.value.code == 2
+    assert "STOP must be greater than FIRST" in capsys.readouterr().err

@@ -583,6 +583,99 @@ def test_train_desk_scale_smoke(gentle):
     assert eigs.min() > rec.alpha
 
 
+def test_train_del_step_runs_no_batch_barrier_pass(tiny, monkeypatch):
+    # a del step runs the mass block once inside its loss, the position
+    # pass on its batch's U distinct pairs; the barrier reads the factor
+    # of the accepted step's feasibility pass over the N training
+    # configurations, and train finds the distinct pairs once
+    configs = tiny[0].q
+    calls, in_loss, distinct = [], [False], tr._distinct_rows
+    block, loss_grad = tr.mass_t, tr.del_loss_grad
+
+    def counting(theta_v, layout, Q, jac, want_x):
+        calls.append((in_loss[0], len(Q), jac))
+        return block(theta_v, layout, Q, jac, want_x)
+
+    tables = []
+
+    def counting_rows(rows):
+        tables.append(len(rows))
+        return distinct(rows)
+
+    pairs = []
+
+    def step(params, batch, *args):
+        q1, q2, q3 = (batch.data[k] for k in ("q1", "q2", "q3"))
+        pairs.append(len(distinct(np.concatenate([np.hstack([q1, q2]),
+                                                  np.hstack([q2, q3])]))[0]))
+        in_loss[0] = True
+        try:
+            return loss_grad(params, batch, *args)
+        finally:
+            in_loss[0] = False
+
+    monkeypatch.setattr(tr, "mass_t", counting)
+    monkeypatch.setattr(tr, "_distinct_rows", counting_rows)
+    monkeypatch.setattr(tr, "del_loss_grad", step)
+    rec, _ = tr.train("del", netp.init_params(8, ARCH8), tiny,
+                      tr.TrainConfig(xi0=1e-3, epochs=2, batch_size=8))
+    steps = len(pairs)
+    assert steps == 8 and rec.invalid_steps == 0
+    assert tables == [2 * (len(configs) - 2)]
+    assert [c[1:] for c in calls if c[0]] == [(u, True) for u in pairs]
+    # the check at θ₀ and one per accepted step (choose_alpha's pass goes
+    # through netparam's own mass_entries_t)
+    assert [c[1:] for c in calls if not c[0] and not c[2]] \
+        == [(len(configs), False)] * (steps + 1)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.01])
+@pytest.mark.parametrize("n,B", [(n, B) for n in (1, 2, 3) for B in (1, 7, 32)])
+def test_train_del_loss_equals_the_direct_loss(n, B, mu, monkeypatch):
+    # the loss and gradient train takes with its pair table and mass state
+    # against a direct del_loss_grad on the same batch and θ: bit for bit
+    # without the barrier (the same pairs in the same order), to rounding
+    # with it (the factor comes from an N-row mass pass, not a B-row one).
+    # The training set repeats a trajectory, and a copy of it has a -0.0
+    # in place of a 0.0, so its pairs there stay apart
+    rng = np.random.default_rng([n, 30])
+    q = np.cumsum(rng.normal(scale=0.05, size=(12, n)), axis=0)
+    q[3, 0] = 0.0
+    signed = q.copy()
+    signed[3, 0] = -0.0
+
+    def traj(q, split):
+        return smo.SmoothedTrajectory(q=q, qdot=np.ones_like(q),
+                                      qddot=np.zeros_like(q), h=0.05,
+                                      split=split)
+
+    trajs = [traj(q, "train"), traj(q, "train"), traj(signed, "train"),
+             traj(q + 0.1, "val")]
+    arch = netp.ArchConfig(n=n, hidden=(8, 8), conservative=n != 2)
+    loss_grad, pairs = tr.del_loss_grad, []
+
+    def both(params, batch, *args):
+        got = loss_grad(params, batch, *args)
+        inputs = args[-1]
+        assert inputs[1] is not None
+        pairs.append(len(inputs[0][0]) < 2 * len(batch))
+        want = loss_grad(params, batch, *args[:-1])
+        if mu == 0.0:
+            assert got[0] == want[0] and np.array_equal(got[1], want[1])
+        else:
+            assert abs(got[0] - want[0]) <= 1e-12 * abs(want[0])
+            assert np.abs(got[1] - want[1]).max() \
+                <= 1e-12 * np.abs(want[1]).max()
+        return got
+
+    monkeypatch.setattr(tr, "del_loss_grad", both)
+    rec, _ = tr.train("del", netp.init_params(n, arch), trajs,
+                      tr.TrainConfig(xi0=1e-3, epochs=2, batch_size=B, mu=mu))
+    assert len(pairs) == 2 * -(-30 // B) and rec.invalid_steps == 0
+    # batches of more than one tuple share pairs in the run
+    assert any(pairs) == (B > 1)
+
+
 def test_train_divergence_budget(tiny, caplog):
     # an absurd learning rate blows the parameters up; every later step is
     # rejected and the run must abort with the record attached

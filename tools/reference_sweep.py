@@ -21,7 +21,8 @@ of a change is one run in each checkout and a `diff` of the outputs; a
 change to one loss shows by the per-method lines that the other losses'
 outputs stayed byte-identical.  It reads `perfbench/` and writes nothing
 outside its temporary directory.
-The exit code is 1 when a cell failed or a seed has no reference, else 0.
+The exit code is 1 when a cell failed or a seed has no reference, 2 when
+STOP is not greater than FIRST, else 0.
 
 A change that may move result bits must pass this check without
 re-recording the reference (ROADMAP rule 0).
@@ -143,6 +144,10 @@ def main(argv=None) -> int:
     p.add_argument("--seeds", type=int, nargs=2, required=True,
                    metavar=("FIRST", "STOP"))
     args = p.parse_args(argv)
+    if args.seeds[1] <= args.seeds[0]:
+        # an empty range would judge no cell and pass
+        p.error(f"--seeds {args.seeds[0]} {args.seeds[1]}: STOP must be "
+                "greater than FIRST")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     # this checkout's smmfit, with one BLAS thread as every perfbench
     # repetition runs; set before numpy is first imported
