@@ -74,10 +74,11 @@ class ExperimentConfig:
                               f"{self.n_trajectories} trajectories")
         if len(self.split) != 3 or any(s < 1 for s in self.split):
             raise ConfigError("split needs three positive sizes")
-        if self.T < 3 or self.h <= 0:
-            raise ConfigError("need T >= 3 and positive step size")
-        if self.sigma < 0:
-            raise ConfigError("noise level must be non-negative")
+        # NaN fails every comparison, so each bound is stated as what holds
+        if self.T < 3 or not 0 < self.h < np.inf:
+            raise ConfigError("need T >= 3 and a finite positive step size")
+        if not 0 <= self.sigma < np.inf:
+            raise ConfigError("noise level must be finite and non-negative")
         if self.seeds < 1 or self.workers < 1:
             raise ConfigError("seeds and workers must be positive")
         bad = [m for m in self.methods if m not in tr.METHODS]
@@ -85,6 +86,17 @@ class ExperimentConfig:
             raise ConfigError(f"methods must be drawn from {tr.METHODS}")
         if not self.lrs:
             raise ConfigError("need at least one learning rate")
+        # each cell's record and checkpoint file is named by _cell_name
+        names = {}
+        for method in self.methods:
+            for xi0 in self.lrs:
+                name = _cell_name(self, 0, method, xi0)
+                if name in names:
+                    raise ConfigError(
+                        f"cells {names[name]} and ({method}, {xi0!r}) would "
+                        f"share the files of {name}: list each method once "
+                        "and rates that differ at 6 significant digits")
+                names[name] = f"({method}, {xi0!r})"
         # the training and net settings check themselves
         try:
             for xi0 in self.lrs:
@@ -635,9 +647,10 @@ def _read(load, paths) -> list:
 
 
 def cmd_generate(args) -> int:
-    if args.count < 1 or args.steps < 3 or args.h <= 0 or args.sigma < 0:
-        raise ConfigError("need --count >= 1, --steps >= 3, --h > 0 and "
-                          "--sigma >= 0")
+    if args.count < 1 or args.steps < 3 or not 0 < args.h < np.inf \
+            or not 0 <= args.sigma < np.inf:
+        raise ConfigError("need --count >= 1, --steps >= 3, a finite --h > 0 "
+                          "and a finite --sigma >= 0")
     system = mech.DoublePendulum(damped=args.system == "damped")
     trajs = integ.sample_rest_trajectories(
         system, args.count, args.h, args.steps, seed=args.seed,

@@ -310,8 +310,8 @@ def add_noise(traj: Trajectory, sigma: float, rng) -> Trajectory:
 
     ``rng`` is an integer seed (recorded in the result) or a Generator.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
+    if not 0 <= sigma < np.inf:  # NaN fails it too
+        raise ValueError("sigma must be finite and non-negative")
     if isinstance(rng, (int, np.integer)):
         seed = int(rng)
         gen = np.random.default_rng(seed)

@@ -13,6 +13,9 @@ batched net build (`mass_t`, `potential_grad_t`, `force_t`) slices its
 net out of that vector, runs the MLP and its output head in numpy, and
 returns the value with its plain reverse-mode adjoint as a function;
 training's numpy stages call them, and nothing here builds a tape.
+Every build is feature-major: it takes its points as the columns of a
+(width, B) array and returns values and input adjoints with B last, the
+layout of the entry-major matrices below, so no block transposes.
 The mass block is the one place the model's M(q) comes from: it gives
 the factor L of M = L Lᵀ and, with ``jac``, ∂M/∂q from the factor's
 forward-mode derivatives along each coordinate axis, as (n, n, B) and
@@ -153,23 +156,29 @@ def init_params(rng, arch: ArchConfig) -> FlatParams:
 # potential build adds one reverse sweep for ∇V.  The adjoint adds the
 # build's slots into a caller's theta adjoint and gives an adjoint for
 # the input only when asked.
+#
+# Every net array is feature-major, (width, rows), C-contiguous, as are
+# the blocks' inputs, values and input adjoints: a layer computes
+# z = Wᵀ a from a view of W's (in, out) slot and adds its bias as an
+# (out, 1) column, its weight adjoint a gzᵀ lands in that slot's shape,
+# and its bias adjoint is gz summed along the rows.
 
 def transposed(a: np.ndarray) -> np.ndarray:
-    """A contiguous transpose: a (B, m) array's m columns as (B,) rows,
-    or rows back to columns."""
+    """A contiguous transpose: a (B, m) array of rows as an (m, B)
+    feature-major array, or back."""
     return np.ascontiguousarray(a.T)
 
 
 @lru_cache(maxsize=None)
 def _axes(n: int):
-    """The coordinate axes as (1, n) rows: the directions of ∂/∂q_k."""
-    return tuple(np.eye(n)[k:k + 1] for k in range(n))
+    """The coordinate axes as (n, 1) columns: the directions of ∂/∂q_k."""
+    return tuple(np.eye(n)[k][:, None] for k in range(n))
 
 
 def _mlp_np(theta_v, layout: ParamLayout, net: str, x, dirs, top=True):
-    """The net at the rows of ``x``, and its directional derivative along
-    each of ``dirs``: (out, douts, per-layer record for `_mlp_bwd`).
-    Without ``top`` the pass stops at the last hidden layer.
+    """The net at the columns of ``x`` (in, R), and its directional
+    derivative along each of ``dirs``: (out, douts, per-layer record for
+    `_mlp_bwd`).  Without ``top`` the pass stops at the last hidden layer.
 
     The JVP chain reuses the forward activations (tanh' = 1 - a^2), so
     each direction costs about one extra forward pass.
@@ -180,16 +189,16 @@ def _mlp_np(theta_v, layout: ParamLayout, net: str, x, dirs, top=True):
     last = len(specs) - 1
     for i, ((shape, sW, eW), (_, sb, eb)) in enumerate(
             specs if top else specs[:-1]):
-        W = theta_v[:, sW:eW].reshape(shape)
-        b = theta_v[:, sb:eb]
-        z = a @ W + b
-        es = [da @ W for da in das]
+        W = theta_v[0, sW:eW].reshape(shape)
+        z = W.T @ a
+        z += theta_v[0, sb:eb, None]
+        es = [W.T @ da for da in das]
         o = s = None
         if i < last:
             o = np.tanh(z)
             if es:
                 s = 1.0 - o * o
-        layers.append((a, das, W, b.shape, es, o, s))
+        layers.append((a, das, W, es, o, s))
         a, das = (o, [s * e for e in es]) if i < last else (z, es)
     return a, das, layers
 
@@ -208,7 +217,7 @@ def _mlp_bwd(layers, g_out, g_douts, want_x: bool, want_w: bool):
     ga, gda = g_out, list(g_douts)
     grads = []
     for i in reversed(range(len(layers))):
-        a, das, W, bshape, es, o, s = layers[i]
+        a, das, W, es, o, s = layers[i]
         gz, ge = ga, gda
         if o is not None:
             # o = tanh(z); its derivative s = 1 - o² also scales each
@@ -219,15 +228,14 @@ def _mlp_bwd(layers, g_out, g_douts, want_x: bool, want_w: bool):
             if gda:
                 ga = ga - 2.0 * o * sumprod(gda, es)
             gz = ga * s
-        Wt = transposed(W) if i > 0 or want_x else None
         gW = gb = ga = None
         if want_w:
-            gW, gb = transposed(a) @ gz, dc._unbroadcast(gz, bshape)
+            gW, gb = a @ gz.T, gz.sum(1)
             for da, g_e in zip(das, ge):
-                gW = gW + transposed(da) @ g_e
-        if Wt is not None:
-            ga = gz @ Wt
-        gda = [g_e @ Wt for g_e in ge] if i > 0 else []
+                gW = gW + da @ g_e.T
+        if i > 0 or want_x:
+            ga = W @ gz
+        gda = [W @ g_e for g_e in ge] if i > 0 else []
         grads.append((gW, gb))
     return ga, grads[::-1]
 
@@ -253,23 +261,24 @@ def _log_scale_np(theta_v, layout: ParamLayout, which: int) -> np.ndarray:
 
 def _chol_head_np(theta_v, layout: ParamLayout, out, douts):
     """The scaled Cholesky entries (the lower triangle row by row), then
-    their derivatives along each direction, packed as (B, tri·(1 + D)):
+    their derivatives along each direction, packed as (tri·(1 + D), R):
     softplus + eps on the diagonal, the sigmoid gate on each direction's
     diagonal and e^{s_M/2} on every entry.  Returns (packed, record for
     `_chol_head_bwd`)."""
-    # the diagonal's columns in that order
+    # the diagonal's rows in that order
     diag = [i * (i + 3) // 2 for i in range(layout.arch.n)]
     half = dc._exp_np(_log_scale_np(theta_v, layout, 0) * 0.5)
-    dg = out[:, diag]
+    T, R = out.shape
+    dg = out[diag]
     # softplus' is the gate
     gate = dc._sigmoid_np(dg) if douts else None
-    parts = [out.copy()]
-    parts[0][:, diag] = dc._softplus_np(dg) + MASS_EPS
-    for do in douts:
-        part = np.array(np.broadcast_to(do, out.shape))
-        part[:, diag] = gate * do[:, diag]
-        parts.append(part)
-    pre = np.concatenate(parts, axis=1)
+    pre = np.empty((T * (1 + len(douts)), R))
+    pre[:T] = out
+    pre[diag] = dc._softplus_np(dg) + MASS_EPS
+    for d, do in enumerate(douts, 1):
+        part = pre[T * d:T * (d + 1)]
+        part[:] = do
+        part[diag] = gate * do[diag]
     return pre * half, (half, dg, gate, pre, douts, diag)
 
 
@@ -279,32 +288,33 @@ def _chol_head_bwd(g, record):
     half, dg, gate, pre, douts, diag = record
     if gate is None:
         gate = dc._sigmoid_np(dg)
-    T = pre.shape[1] // (1 + len(douts))
+    T = len(pre) // (1 + len(douts))
     g_s = np.sum(g * pre) * half * 0.5
     gh = g * half
-    g_out = gh[:, :T].copy()
-    g_out[:, diag] *= gate
+    # each block of gh is a row block, so it is adjusted in place
+    g_out = gh[:T]
+    g_out[diag] *= gate
     g_do = []
-    for d, do in enumerate(douts):
-        gd = gh[:, T * (d + 1):T * (d + 2)].copy()
-        g_diag = gd[:, diag]
-        g_out[:, diag] += g_diag * do[:, diag] * (gate * (1.0 - gate))
-        gd[:, diag] = g_diag * gate
+    for d, do in enumerate(douts, 1):
+        gd = gh[T * d:T * (d + 1)]
+        g_diag = gd[diag]
+        g_out[diag] += g_diag * do[diag] * (gate * (1.0 - gate))
+        gd[diag] = g_diag * gate
         g_do.append(dc._unbroadcast(gd, do.shape))
     return g_out, g_do, g_s
 
 
 def mass_t(theta_v, layout: ParamLayout, Q, jac: bool, want_x: bool):
-    """The mass block at the rows of ``Q``: (L, ∂M) as (n, n, B) and
-    (D, n, n, B) arrays, and its adjoint.  L is the scaled Cholesky
-    factor, e^{s_M/2} folded in, so M = L Lᵀ (`gram`; not formed here, as
-    the velocity block reads L alone); ∂M/∂q_k is at [k] with ``jac``,
-    else ∂M is empty.  ``adjoint(gM, gdM, gt)`` takes M's and ∂M's
-    adjoints (None where unused), adds the theta adjoint into ``gt`` (if
-    not None) and returns Q's adjoint (with ``want_x``).  Without ``jac``
-    it also takes ``rows``, indices into Q: then gM holds those rows
-    alone and the backward runs on them, as it would after a forward at
-    ``Q[rows]``."""
+    """The mass block at the columns of an (n, R) ``Q``: (L, ∂M) as
+    (n, n, R) and (D, n, n, R) arrays, and its adjoint.  L is the scaled
+    Cholesky factor, e^{s_M/2} folded in, so M = L Lᵀ (`gram`; not formed
+    here, as the velocity block reads L alone); ∂M/∂q_k is at [k] with
+    ``jac``, else ∂M is empty.  ``adjoint(gM, gdM, gt)`` takes M's and
+    ∂M's adjoints (None where unused), adds the theta adjoint into ``gt``
+    (if not None) and returns Q's (n, R) adjoint (with ``want_x``).
+    Without ``jac`` it also takes ``rows``, indices into Q's columns: then
+    gM holds those rows alone and the backward runs on them, as it would
+    after a forward at ``Q[:, rows]``."""
     n = layout.arch.n
     dirs = _axes(n) if jac else ()
     out, douts, layers = _mlp_np(theta_v, layout, "mass", Q, dirs)
@@ -329,46 +339,47 @@ def _mass_rows(L, dL, record, layers, rows):
     half, dg, gate, pre, douts, diag = record
     # `take` keeps the row axis last in memory, as a forward at the rows
     # lays it out; fancy indexing on the last axis would put it first
-    a = layers[0][0].take(rows, 0)
+    a = layers[0][0].take(rows, 1)
     taken = []
-    for _, das, W, bshape, es, o, s in layers:
+    for _, das, W, es, o, s in layers:
         # each layer's input is the layer below's output, gathered once
-        o = None if o is None else o.take(rows, 0)
-        taken.append((a, das, W, bshape, es, o, s))
+        o = None if o is None else o.take(rows, 1)
+        taken.append((a, das, W, es, o, s))
         a = o
     return (L.take(rows, -1), dL.take(rows, -1),
-            (half, dg.take(rows, 0), gate, pre.take(rows, 0), douts, diag),
+            (half, dg.take(rows, 1), gate, pre.take(rows, 1), douts, diag),
             taken)
 
 
 def mass_entries_t(params: FlatParams, Q) -> np.ndarray:
-    """Batched M(q) values as an entry-major (n, n, B) array: the Gram
-    of the scaled factor."""
+    """Batched M(q) values at the rows of a (B, n) ``Q`` as an
+    entry-major (n, n, B) array: the Gram of the scaled factor."""
     (L, _), _ = mass_t(params.values.reshape(1, -1), params.layout,
-                       np.asarray(Q, dtype=np.float64), False, False)
+                       transposed(np.asarray(Q, dtype=np.float64)), False,
+                       False)
     return gram(L)
 
 
 def potential_grad_t(theta_v, layout: ParamLayout, Q, want_x: bool):
-    """∇V at the rows of ``Q`` as a (B, n) array, and its adjoint
-    ``adjoint(g, gt)``, which adds the theta adjoint into ``gt`` (if not
-    None) and returns Q's adjoint (with ``want_x``): one reverse sweep of
-    the potential net from its scalar output, times its e^{s_V} scale.
-    Down the tanh layers o_i it runs
-    r_H = W_Hᵀ, gz_i = r_{i+1} ⊙ (1 - o_i²), r_i = gz_i W_iᵀ, so
+    """∇V at the columns of an (n, R) ``Q`` as an (n, R) array, and its
+    adjoint ``adjoint(g, gt)``, which adds the theta adjoint into ``gt``
+    (if not None) and returns Q's adjoint (with ``want_x``): one reverse
+    sweep of the potential net from its scalar output, times its e^{s_V}
+    scale.  Down the tanh layers o_i it runs
+    r_H = W_H, gz_i = r_{i+1} ⊙ (1 - o_i²), r_i = W_i gz_i, so
     ∇V = r_0 e^{s_V} costs about one more forward whatever n is; the
     forward stops below the unused output layer.  The adjoint is the
     sweep's in layer order (each W's and o_i's), then the value's."""
     _, _, hidden = _mlp_np(theta_v, layout, "potential", Q, (), top=False)
-    # W_H is (h, 1), so its slot is already the row W_Hᵀ
+    # W_H is (h, 1), so its slot is already the column W_H
     (_, sW, eW), _ = layout.layers["potential"][-1]
-    r = theta_v[:, sW:eW]
+    r = theta_v[0, sW:eW, None]
     sweep = []
-    for _, _, W, _, _, o, _ in reversed(hidden):
+    for _, _, W, _, o, _ in reversed(hidden):
         s = 1.0 - o * o
         gz = r * s
         sweep.append((r, s, gz))
-        r = gz @ transposed(W)
+        r = W @ gz
     sweep.reverse()
     raw = np.broadcast_to(r, Q.shape)
     g = dc._exp_np(_log_scale_np(theta_v, layout, 1))
@@ -376,20 +387,19 @@ def potential_grad_t(theta_v, layout: ParamLayout, Q, want_x: bool):
     def adjoint(gp, gt):
         want_w = gt is not None
         gr, gWs, gos = gp * g, [], []
-        for (_, _, W, _, _, o, _), (r, s, gz) in zip(hidden, sweep):
-            gWs.append(transposed(gr) @ gz if want_w else None)
-            ggz = gr @ W
+        for (_, _, W, _, o, _), (r, s, gz) in zip(hidden, sweep):
+            gWs.append(gr @ gz.T if want_w else None)
+            ggz = W.T @ gr
             gr = ggz * s
             gos.append(-2.0 * o * ggz * r)
-        grads = [(transposed(gr.sum(0, keepdims=True)), None)]
+        grads = [(gr.sum(1), None)]
         ga = None
         for i in reversed(range(len(hidden))):
-            a, _, W, bshape, _, _, _ = hidden[i]
+            a, _, W, _, _, _ = hidden[i]
             gz = (gos[i] if ga is None else gos[i] + ga) * sweep[i][1]
             if want_w:
-                grads.append((gWs[i] + transposed(a) @ gz,
-                              dc._unbroadcast(gz, bshape)))
-            ga = gz @ transposed(W) if i > 0 or want_x else None
+                grads.append((gWs[i] + a @ gz.T, gz.sum(1)))
+            ga = W @ gz if i > 0 or want_x else None
         _theta_adjoint(gt, layout, "potential", grads[::-1], 1,
                        np.sum(gp * raw) * g)
         return ga
@@ -398,9 +408,9 @@ def potential_grad_t(theta_v, layout: ParamLayout, Q, want_x: bool):
 
 
 def force_t(theta_v, layout: ParamLayout, X, want_x: bool):
-    """F at the rows of the concatenated (q, q̇) ``X`` as a (B, n) array:
-    the force net times its e^{s_F} scale, and its adjoint (as
-    `potential_grad_t`'s)."""
+    """F at the columns of the stacked (q, q̇) ``X``, (2n, R), as an
+    (n, R) array: the force net times its e^{s_F} scale, and its adjoint
+    (as `potential_grad_t`'s)."""
     if layout.arch.conservative:
         raise ConservativeForceError("model has no force net")
     out, _, layers = _mlp_np(theta_v, layout, "force", X, [])
@@ -418,11 +428,12 @@ def force_t(theta_v, layout: ParamLayout, X, want_x: bool):
 # -- matrix algebra -----------------------------------------------------------
 #
 # Every matrix the blocks and training's stages share is an entry-major
-# array, so that each entry is a contiguous (B,) row: L, M, the shifted
-# factor S and matrix adjoints are (n, n, B), the factor's directions
-# and ∂M/∂q are (D, n, n, B) and vectors are (n, B).  Only `mass_t`
-# sees the mass head's packed (B, tri·(1 + D)) value, which `_factor`
-# and `_packed` map to these arrays and back.  Adjoints are full n x n
+# array, so that each entry is a contiguous (B,) row, in the layout of
+# the nets' own (width, B) arrays: L, M, the shifted factor S and matrix
+# adjoints are (n, n, B), the factor's directions and ∂M/∂q are
+# (D, n, n, B) and vectors are (n, B).  Only `mass_t` sees the mass
+# head's packed (tri·(1 + D), B) value, which `_factor` and `_packed`
+# map to these arrays and back by row blocks.  Adjoints are full n x n
 # matrices with the textbook formulas (Giles 2008); `_gram_bwd` is the
 # Gram's.
 
@@ -435,23 +446,23 @@ def _tril(n: int) -> np.ndarray:
 
 
 def _factor(P, n: int):
-    """(L, dL) from a packed factor value ``P`` (B, tri·(1 + D)): L as
+    """(L, dL) from a packed factor value ``P`` (tri·(1 + D), B): L as
     (n, n, B) and the D directions as (D, n, n, B), zero above the
     diagonal."""
     tril = _tril(n)
-    B = P.shape[0]
-    A = np.zeros((P.shape[1] // len(tril), n * n, B))
-    A[:, tril] = P.T.reshape(len(A), len(tril), B)
+    B = P.shape[1]
+    A = np.zeros((len(P) // len(tril), n * n, B))
+    A[:, tril] = P.reshape(len(A), len(tril), B)
     A = A.reshape(-1, n, n, B)
     return A[0], A[1:]
 
 
 def _packed(L, dL) -> np.ndarray:
-    """The (B, tri·(1 + D)) packed value of the lower triangles of L and
+    """The (tri·(1 + D), B) packed value of the lower triangles of L and
     of each direction in ``dL``: the inverse of `_factor`."""
     n, _, B = L.shape
     A = np.concatenate([L[None], dL]).reshape(-1, n * n, B)
-    return transposed(A.take(_tril(n), axis=1).reshape(-1, B))
+    return A.take(_tril(n), axis=1).reshape(-1, B)
 
 
 def gram(L):

@@ -12,7 +12,12 @@ factor L of M and ∂M/∂q from its forward-mode derivatives along each
 coordinate axis, ∇V by one reverse sweep of the potential net, the force
 net) and returns its value and its plain first-order adjoint, which the
 tape holds as one node with theta as its only parent (`_stage_t`).
-Every M(q) of the model comes from `mass_t`.  The acceleration stage
+Every M(q) of the model comes from `mass_t`.  The stages run in the
+blocks' feature-major layout: configurations, velocities, ∇V, forces,
+accelerations and residuals are (n, B) arrays, as L and ∂M are (n, n, B)
+and (n, n, n, B), so a batch's (B, n) rows are transposed once where
+they enter a loss, and `predicted_accelerations` transposes its result
+back to rows.  The acceleration stage
 (`_accel_np`) is two blocks: a position block that reads q only
 (`_position_np`: the mass block with its axis directions and the ∇V
 sweep) and a velocity block (`_velocity_np`: τ, the force net,
@@ -155,10 +160,10 @@ def make_batches(rng, count: int, batch_size: int):
 # -- dynamics ---------------------------------------------------------------
 
 def _position_np(theta_v, layout, X, want_x: bool):
-    """The position block: what the dynamics read of q alone, at the rows
-    of ``X``.  It runs the mass block with its coordinate directions
-    (`mass_t`) and the ∇V sweep, and returns (L, ∂M, ∇V) with the rows
-    on the last axis, as (n, n, R), (n, n, n, R) and (n, R), and its
+    """The position block: what the dynamics read of q alone, at the
+    columns of an (n, R) ``X``.  It runs the mass block with its
+    coordinate directions (`mass_t`) and the ∇V sweep, and returns
+    (L, ∂M, ∇V) as (n, n, R), (n, n, n, R) and (n, R) arrays, and its
     adjoint.  ``adjoint((gM, gdM, gdV), gt)`` takes the adjoints of M,
     ∂M and ∇V in that layout, adds the theta adjoint into ``gt`` and
     returns X's adjoint parts (potential net's, mass net's), each None
@@ -168,60 +173,60 @@ def _position_np(theta_v, layout, X, want_x: bool):
 
     def adjoint(gpos, gt):
         gM, gdM, gdV = gpos
-        return pot_adj(transposed(gdV), gt), mass_adj(gM, gdM, gt)
+        return pot_adj(gdV, gt), mass_adj(gM, gdM, gt)
 
-    return (Lm, dM, transposed(dV)), adjoint
+    return (Lm, dM, dV), adjoint
 
 
 def _velocity_np(theta_v, layout, pos, X, V, want_xv: bool):
-    """The velocity block: the accelerations at the rows of (X, V) as a
-    (B, n) array from the position block's (L, ∂M, ∇V) at X, by solving
-    L Lᵀ q̈ = τ with τ_i = 1/2 q̇ᵀ (∂M/∂q_i) q̇ - ∂V/∂q_i - (D q̇)_i (+ F_i),
+    """The velocity block: the accelerations at the columns of (n, R)
+    arrays (X, V) as an (n, R) array from the position block's
+    (L, ∂M, ∇V) at X, by solving L Lᵀ q̈ = τ with
+    τ_i = 1/2 q̇ᵀ (∂M/∂q_i) q̇ - ∂V/∂q_i - (D q̇)_i (+ F_i),
     D = Σ_k q̇_k ∂M/∂q_k.  ``adjoint(g, gt)`` adds the force net's theta
     adjoint into ``gt`` and returns the position block's (gM, gdM, gdV)
     and, with ``want_xv``, X's adjoint from the force net (else None, and
     None without one) and the list of V's adjoint parts: τ's, then the
     force net's."""
-    n = X.shape[1]
+    n = len(X)
     Lm, dM, dV = pos
     F = None
     if not layout.arch.conservative:
-        F, force_adj = force_t(theta_v, layout, np.concatenate([X, V], 1),
+        F, force_adj = force_t(theta_v, layout, np.concatenate([X, V]),
                                want_xv)
-    x = transposed(V)
-    xx = x[:, None] * x
-    D = (x[:, None, None] * dM).sum(0)
-    tau = (dM * xx).sum((1, 2)) * 0.5 - dV - (D * x).sum(1)
+    xx = V[:, None] * V
+    D = (V[:, None, None] * dM).sum(0)
+    tau = (dM * xx).sum((1, 2)) * 0.5 - dV - (D * V).sum(1)
     if F is not None:
-        tau = tau + transposed(F)
+        tau = tau + F
     a, solve_adj = chol_solve_t(Lm, tau)
 
     def adjoint(g, gt):
-        # quad_i = <∂M/∂q_i, x xᵀ> and the curvature term D x
-        gM, gb = solve_adj(transposed(g))
-        gD = -gb[:, None] * x
-        gdM = (gb * 0.5)[:, None, None] * xx + x[:, None, None] * gD
+        # quad_i = <∂M/∂q_i, V Vᵀ> and the curvature term D V
+        gM, gb = solve_adj(g)
+        gD = -gb[:, None] * V
+        gdM = (gb * 0.5)[:, None, None] * xx + V[:, None, None] * gD
         gx, gv = None, []
         if want_xv:
             gxx = (gb[:, None, None] * dM).sum(0) * 0.5
-            gv.append(transposed((gxx * x).sum(1) * 2.0 - (D * gb).sum(1)
-                                 + (dM * gD).sum((1, 2))))
+            gv.append((gxx * V).sum(1) * 2.0 - (D * gb).sum(1)
+                      + (dM * gD).sum((1, 2)))
         if F is not None:
-            gxf = force_adj(transposed(gb), gt)
+            gxf = force_adj(gb, gt)
             if gxf is not None:
-                gx = gxf[:, :n]
-                gv.append(gxf[:, n:])
+                gx = gxf[:n]
+                gv.append(gxf[n:])
         return (gM, gdM, -gb), gx, gv
 
-    return transposed(a), adjoint
+    return a, adjoint
 
 
 def _accel_np(theta_v, layout, X, V):
-    """Batched accelerations at the rows of (X, V) as a (B, n) array, and
-    their adjoint ``adjoint(g, gt)``, which adds the theta adjoint into
-    ``gt``: the position and velocity blocks on the same rows, the
-    solve's and τ's adjoints of M and ∂M going through one Gram
-    adjoint."""
+    """Batched accelerations at the columns of (n, B) arrays (X, V) as an
+    (n, B) array, and their adjoint ``adjoint(g, gt)``, which adds the
+    theta adjoint into ``gt``: the position and velocity blocks on the
+    same columns, the solve's and τ's adjoints of M and ∂M going through
+    one Gram adjoint."""
     pos, pos_adj = _position_np(theta_v, layout, X, False)
     A, vel_adj = _velocity_np(theta_v, layout, pos, X, V, False)
 
@@ -246,61 +251,61 @@ def _stage_t(theta, stage, op: str):
 
 def _del_np(theta_v, layout, h: float, pairs):
     """The discrete Euler-Lagrange residual of a del batch of step ``h`` as
-    a (B, n) array, and its adjoint (as `_accel_np`'s).
+    an (n, B) array, and its adjoint (as `_accel_np`'s).
 
     ``pairs`` is the batch's pair table (`_pair_table`): its distinct
-    configuration pairs, and each tuple's first pair ``ia[i]`` and second
-    ``ib[i]`` among them.  The position block (`_position_np`) and the
-    force net run once at the midpoint of each pair with pair velocity v.
-    Row i is
+    configuration pairs as (2n, U) columns, and each tuple's first pair
+    ``ia[i]`` and second ``ib[i]`` among them.  The position block
+    (`_position_np`) and the force net run once at the midpoint of each
+    pair with pair velocity v.  Tuple i's column is
     h/2 (∂L[ia] + ∂L[ib])_i + (M v[ia] - M v[ib])_i (+ h/2 (F[ia] + F[ib])_i)
     with ∂L_k = 1/2 vᵀ (∂M/∂q_k) v - ∂V/∂q_k and M v formed once per pair.
-    The adjoint adds the row adjoints onto the pairs first.
+    The adjoint adds the tuples' adjoints onto the pairs first.
     """
     n = layout.arch.n
-    rows, (ia, ib) = pairs
-    qa, qb = rows[:, :n], rows[:, n:]
+    cols, (ia, ib) = pairs
+    qa, qb = cols[:n], cols[n:]
     X = (qa + qb) / 2.0
     v = (qb - qa) / h
     (Lm, dM, dV), pos_adj = _position_np(theta_v, layout, X, False)
     F = None
     if not layout.arch.conservative:
-        F, force_adj = force_t(theta_v, layout, np.concatenate([X, v], 1),
+        F, force_adj = force_t(theta_v, layout, np.concatenate([X, v]),
                                False)
-    U = len(v)
+    U = v.shape[1]
     c = h / 2.0
-    vr = transposed(v)
-    vv = vr[:, None] * vr
+    vv = v[:, None] * v
     dL = (dM * vv).sum((1, 2)) * 0.5 - dV
-    Mv = (gram(Lm) * vr).sum(1)
-    res = transposed((dL[:, ia] + dL[:, ib]) * c + (Mv[:, ia] - Mv[:, ib]))
+    Mv = (gram(Lm) * v).sum(1)
+    # `take` keeps each gathered (n, B) array's rows contiguous
+    res = (dL.take(ia, 1) + dL.take(ib, 1)) * c \
+        + (Mv.take(ia, 1) - Mv.take(ib, 1))
     if F is not None:
-        res = res + (F[ia] + F[ib]) * c
+        res = res + (F.take(ia, 1) + F.take(ib, 1)) * c
 
     def adjoint(g, gt):
-        # row i's adjoint lands on its pairs ia[i] and ib[i]
-        gr = transposed(g)
-        ga = np.array([np.bincount(ia, r, U) for r in gr])
-        gb = np.array([np.bincount(ib, r, U) for r in gr])
+        # tuple i's adjoint lands on its pairs ia[i] and ib[i]
+        ga = np.array([np.bincount(ia, r, U) for r in g])
+        gb = np.array([np.bincount(ib, r, U) for r in g])
         gs = ga + gb
         gdM = (gs * (c * 0.5))[:, None, None] * vv
-        gM = (ga - gb)[:, None] * vr
+        gM = (ga - gb)[:, None] * v
         if F is not None:
-            force_adj(transposed(gs) * c, gt)
+            force_adj(gs * c, gt)
         pos_adj((gM, gdM, -gs * c), gt)
 
     return res, adjoint
 
 
 def _pair_table(batch: Batch):
-    """(the distinct configuration pairs of a del batch's tuples as (U, 2n)
-    rows, in `_distinct_rows`' order, and the tuples' pair ids as a (2, B)
-    array: first pairs (q1, q2), then second pairs (q2, q3)).  A
-    trajectory cut in order shares all but one of them."""
+    """(the distinct configuration pairs of a del batch's tuples as
+    (2n, U) columns, in `_distinct_rows`' order, and the tuples' pair ids
+    as a (2, B) array: first pairs (q1, q2), then second pairs (q2, q3)).
+    A trajectory cut in order shares all but one of them."""
     q1, q2, q3 = batch.data["q1"], batch.data["q2"], batch.data["q3"]
     rows, inv = _distinct_rows(np.concatenate([np.hstack([q1, q2]),
                                                np.hstack([q2, q3])]))
-    return rows, inv.reshape(2, -1)
+    return transposed(rows), inv.reshape(2, -1)
 
 
 def _pairs_of(table, idx):
@@ -308,14 +313,14 @@ def _pairs_of(table, idx):
     ``table``.  `_distinct_rows` orders rows by their bits, so the set's
     rows that the tuples use, in the set's order, are the table that
     `_pair_table` gives the tuples alone."""
-    rows, ids = table
+    cols, ids = table
     mine = ids.take(idx, 1)
-    # the sorted distinct ids by a mark per row: np.unique's own overhead
+    # the sorted distinct ids by a mark per pair: np.unique's own overhead
     # is twice this at a batch's size
-    used = np.zeros(len(rows), dtype=bool)
+    used = np.zeros(cols.shape[1], dtype=bool)
     used[mine] = True
     used = used.nonzero()[0]
-    return rows.take(used, 0), np.searchsorted(used, mine)
+    return cols.take(used, 1), np.searchsorted(used, mine)
 
 
 def _distinct_rows(rows):
@@ -334,17 +339,17 @@ def _distinct_rows(rows):
 
 
 def _shifted_mass(theta_v, layout, Q, shift: float):
-    """The barrier's mass state at the rows of ``Q``: (S, 1/Sᵢᵢ, the
-    pivots Sᵢᵢ²) of the factor S of M - shift I (`cholesky`) and the mass
-    block's adjoint.  Raises NotPositiveDefiniteError at the first
-    nonpositive pivot: the barrier is violated at that row."""
+    """The barrier's mass state at the columns of an (n, N) ``Q``: (S,
+    1/Sᵢᵢ, the pivots Sᵢᵢ²) of the factor S of M - shift I (`cholesky`)
+    and the mass block's adjoint.  Raises NotPositiveDefiniteError at the
+    first nonpositive pivot: the barrier is violated at that column."""
     (Lm, _), mass_adj = mass_t(theta_v, layout, Q, False, False)
     return (*cholesky(gram(Lm), shift), mass_adj)
 
 
 def _barrier_np(mass, rows):
     """log det(M - shift I) at the rows ``rows`` of a mass state
-    (`_shifted_mass`) as a (B, 1) array, the sum of their log pivots, and
+    (`_shifted_mass`) as a (1, B) array, the sum of their log pivots, and
     its adjoint (as `_del_np`'s), which reads (M - shift I)⁻¹ = S⁻ᵀ S⁻¹
     from S and runs the mass block's backward on those rows alone."""
     S, r, d, mass_adj = mass
@@ -361,31 +366,35 @@ def _barrier_np(mass, rows):
                 for k in range(j + 1, i):
                     acc = acc + S[i, k] * R[k, j]
                 R[i, j] = -acc * r[i]
-        gM = (R[:, :, None] * R[:, None]).sum(0) * g[:, 0]
+        gM = (R[:, :, None] * R[:, None]).sum(0) * g[0]
         mass_adj(gM, None, gt, rows)
 
-    return np.log(d.take(rows, -1)).sum(0)[:, None], adjoint
+    return np.log(d.take(rows, -1)).sum(0, keepdims=True), adjoint
 
 
 # -- loss graphs --------------------------------------------------------------
 
 def _del_graph(flat: FlatParams, batch: Batch, mu: float, alpha: float,
                inputs=None):
-    """The DEL loss graph; ``inputs`` as `del_loss_grad`'s."""
+    """The DEL loss graph; ``batch`` and ``inputs`` as `del_loss_grad`'s."""
     if batch.kind != "del":
         raise ValueError(f"need a del batch, got {batch.kind!r}")
-    pairs, mass = inputs or (_pair_table(batch), None)
+    idx, table, mass = inputs or (None, _pair_table(batch), None)
+    pairs = table if idx is None else _pairs_of(table, idx)
+    B = pairs[1].shape[1]
     tape = dc.Tape()
     theta = tape.input(flat.values.reshape(1, -1))
     res = _stage_t(theta, _del_np(theta.value, flat.layout, batch.h, pairs),
                    "del_residual")
-    rho = dc.scale(dc.sumsq(res), 1.0 / len(batch))
+    rho = dc.scale(dc.sumsq(res), 1.0 / B)
     ld_mean = None
     loss = rho
     if mu != 0.0:  # an unweighted barrier is not built
-        if mass is None:  # the factor at the batch's own q2 rows
-            mass = (_shifted_mass(theta.value, flat.layout, batch.data["q2"],
-                                  alpha), np.arange(len(batch)))
+        if mass is None:  # the factor at the tuples' own q2 rows
+            q2 = batch.data["q2"]
+            q2 = q2 if idx is None else q2.take(idx, 0)
+            mass = (_shifted_mass(theta.value, flat.layout, transposed(q2),
+                                  alpha), np.arange(B))
         ld = _stage_t(theta, _barrier_np(*mass), "shifted_logdet")
         ld_mean = dc.mean_all(ld)
         loss = dc.add(rho, dc.scale(ld_mean, -mu))
@@ -397,40 +406,41 @@ def _accel_graph(flat: FlatParams, batch: Batch):
         raise ValueError(f"need an accel batch, got {batch.kind!r}")
     tape = dc.Tape()
     theta = tape.input(flat.values.reshape(1, -1))
-    A = _stage_t(theta, _accel_np(theta.value, flat.layout, batch.data["q"],
-                                  batch.data["qdot"]), "accel")
-    E = dc.add(A, tape.constant(-batch.data["qddot"]))
-    loss = dc.scale(dc.sumsq(E), 1.0 / batch.data["q"].size)
+    X, V, A = (transposed(batch.data[k]) for k in ("q", "qdot", "qddot"))
+    E = dc.add(_stage_t(theta, _accel_np(theta.value, flat.layout, X, V),
+                        "accel"), tape.constant(-A))
+    loss = dc.scale(dc.sumsq(E), 1.0 / A.size)
     return tape, theta, loss
 
 
 def _nextstate_graph(flat: FlatParams, batch: Batch, h: float):
-    """The RK4 step's (B, 2n) residual as one tape node on theta, its
-    mean square as the loss, and the predicted (Qp, Vp) arrays.
+    """The RK4 step's (2n, B) residual as one tape node on theta, its
+    mean square as the loss, and the predicted (Qp, Vp) as (n, B) arrays.
 
     Every stage position is known before its stage needs it: X and
     X + q̇ h/2 before the step, X + V2 h/2 once A1 exists and X + V3 h
-    once A2 does.  So the position block runs twice on 2B rows, once for
-    stages 1-2 and once for stages 3-4, and the velocity block once per
-    stage on its half of the rows; each stage's accelerations are checked
-    finite before anything reads them.  The backward runs velocity
-    adjoints 4 and 3, the stages 3-4 position adjoint (giving X3's and
-    X4's adjoints), velocity adjoints 2 and 1, then the stages 1-2
-    position adjoint; a stage velocity's adjoints add as a per-operation
-    tape would: RK4 consumers, τ, force net."""
+    once A2 does.  So the position block runs twice on 2B columns, once
+    for stages 1-2 and once for stages 3-4, and the velocity block once
+    per stage on its half of the columns; each stage's accelerations are
+    checked finite before anything reads them.  The backward runs
+    velocity adjoints 4 and 3, the stages 3-4 position adjoint (giving
+    X3's and X4's adjoints), velocity adjoints 2 and 1, then the stages
+    1-2 position adjoint; a stage velocity's adjoints add as a
+    per-operation tape would: RK4 consumers, τ, force net."""
     if batch.kind != "nextstate":
         raise ValueError(f"need a nextstate batch, got {batch.kind!r}")
     layout = flat.layout
     tape = dc.Tape()
     theta = tape.input(flat.values.reshape(1, -1))
-    X, Xd = batch.data["q"], batch.data["qdot"]
-    B, hh = len(X), 0.5 * h
-    halves = (slice(None, B), slice(B, None))
+    X, Xd, Qn, Vn = (transposed(batch.data[k])
+                     for k in ("q", "qdot", "qnext", "qdotnext"))
+    (n, B), hh = X.shape, 0.5 * h
+    halves = (np.s_[..., :B], np.s_[..., B:])
 
     def positions(Xa, Xb, want_x):
         pos, adjoint = _position_np(theta.value, layout,
-                                    np.concatenate([Xa, Xb]), want_x)
-        return [tuple(p[..., r] for p in pos) for r in halves], adjoint
+                                    np.concatenate([Xa, Xb], 1), want_x)
+        return [tuple(p[r] for p in pos) for r in halves], adjoint
 
     def velocity(pos, Xs, Vs, want_xv):
         A, adjoint = _velocity_np(theta.value, layout, pos, Xs, Vs, want_xv)
@@ -456,7 +466,8 @@ def _nextstate_graph(flat: FlatParams, batch: Batch, h: float):
         return tuple(np.concatenate(p, -1) for p in zip(ga, gb))
 
     def adjoint(g, gt):
-        gkq, gkv = np.hsplit(g * (h / 6.0), 2)
+        gk = g * (h / 6.0)
+        gkq, gkv = gk[:n], gk[n:]
         gA23, gV23 = gkv * 2.0, gkq * 2.0
         gp4, gxf4, gv = adj4(gkv, gt)
         gV4 = sum(gv, gkq)
@@ -470,9 +481,8 @@ def _nextstate_graph(flat: FlatParams, batch: Batch, h: float):
         gp1, _, _ = adj1(gkv + sum(gv, gV23 + gX3 * hh) * hh, gt)
         adj12(joined(gp1, gp2), gt)
 
-    E = _stage_t(theta, (np.concatenate([Qp - batch.data["qnext"],
-                                         Vp - batch.data["qdotnext"]], 1),
-                         adjoint), "nextstate")
+    E = _stage_t(theta, (np.concatenate([Qp - Qn, Vp - Vn]), adjoint),
+                 "nextstate")
     loss = dc.scale(dc.sumsq(E), 1.0 / (2.0 * X.size))
     return tape, theta, loss, (Qp, Vp)
 
@@ -484,11 +494,14 @@ def del_loss_grad(params: FlatParams, batch: Batch,
     """(loss, gradient): mean squared DEL residual minus mu times the mean
     log-det barrier log det(M - alpha I) at the tuples' q2.
 
-    ``inputs`` is what `train` already holds for the batch: (its pair
-    table, (the mass state at θ, the rows of its q2 there) or None).
-    Without it both come from the batch alone: `_pair_table` and, when
-    mu is not 0, a mass state at its q2 rows.  Either way the residual
-    and barrier stages are the same code."""
+    ``inputs`` is what `train` already holds for its tuple set ``batch``:
+    (the indices of the tuples that make the loss, the set's pair table,
+    (the mass state at θ, the rows of those tuples' q2 there) or None).
+    Then the loss is the one of ``batch.take(idx)``, whose rows the
+    barrier reads only without a mass state.  Without ``inputs`` both
+    come from the batch alone: `_pair_table` and, when mu is not 0, a
+    mass state at its q2 rows.  Either way the residual and barrier
+    stages are the same code."""
     tape, theta, loss, _, _ = _del_graph(params, batch, mu, alpha, inputs)
     g = tape.gradients(loss, [theta])[0]
     return loss.value.item(), g.ravel().copy()
@@ -510,10 +523,11 @@ def nextstate_loss_grad(params: FlatParams, batch: Batch, h: float):
 
 
 def predicted_accelerations(params: FlatParams, q, qdot) -> np.ndarray:
-    """Batched model accelerations at the given states, with no tape."""
-    return _accel_np(params.values.reshape(1, -1), params.layout,
-                     np.ascontiguousarray(q, dtype=np.float64),
-                     np.ascontiguousarray(qdot, dtype=np.float64))[0]
+    """Batched model accelerations at the rows of (B, n) states as a
+    (B, n) array, with no tape."""
+    X, V = (transposed(np.asarray(a, dtype=np.float64)) for a in (q, qdot))
+    return transposed(_accel_np(params.values.reshape(1, -1), params.layout,
+                                X, V)[0])
 
 
 def accel_rmse(params: FlatParams, batch: Batch) -> float:
@@ -674,8 +688,9 @@ def train(method: str, params0: FlatParams, trajectories,
     if method == "del":
         train_configs = np.concatenate([t.q for t in train_trajs])
         alpha = choose_alpha(params0, train_configs, config.alpha_fraction)
-        # tuple i's q2 is row q2_rows[i] of train_configs, as
+        # the mass state's columns; tuple i's q2 is column q2_rows[i], as
         # assemble_tuples cuts each trajectory's q[1:-1]
+        configs = transposed(train_configs)
         ends = np.cumsum([len(t.q) for t in train_trajs])
         q2_rows = np.concatenate([np.arange(e - len(t.q) + 1, e - 1)
                                   for t, e in zip(train_trajs, ends)])
@@ -692,11 +707,13 @@ def train(method: str, params0: FlatParams, trajectories,
         return err if np.isfinite(err) else np.inf
 
     def loss_grad(vals, idx):
-        fp, batch = FlatParams(vals, layout), tuples.take(idx)
+        fp = FlatParams(vals, layout)
         if method == "del":
-            return del_loss_grad(fp, batch, config.mu, alpha, (
-                _pairs_of(table, idx),
-                None if mass is None else (mass, q2_rows[idx])))
+            # the loss takes only the tuples' q2 rows, and only when no
+            # mass state is held
+            return del_loss_grad(fp, tuples, config.mu, alpha, (
+                idx, table, None if mass is None else (mass, q2_rows[idx])))
+        batch = tuples.take(idx)
         if method == "accel":
             return accel_loss_grad(fp, batch)
         return nextstate_loss_grad(fp, batch, tuples.h)
@@ -705,8 +722,7 @@ def train(method: str, params0: FlatParams, trajectories,
         # the barrier's own pivot test at every training configuration;
         # one that passes is the barrier stage's factor until the next
         try:
-            return _shifted_mass(vals.reshape(1, -1), layout, train_configs,
-                                 alpha)
+            return _shifted_mass(vals.reshape(1, -1), layout, configs, alpha)
         except (NotPositiveDefiniteError, dc.DiffcoreError):
             return None
 

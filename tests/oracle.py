@@ -737,20 +737,21 @@ def del_loss_terms(params, batch, alpha=0.0):
 
 
 def nextstate_predictions(params, batch, h):
-    """RK4 one-step predictions as value arrays (the graph's own forward)."""
+    """RK4 one-step predictions as (B, n) value arrays (the graph's own
+    forward)."""
     _, _, _, (Qp, Vp) = tr._nextstate_graph(params, batch, h)
-    return Qp, Vp
+    return Qp.T, Vp.T
 
 
 def barrier_grad(params, configs, alpha):
     """Gradient of the mean logdet(M - alpha I) over the given configs,
     from the barrier stage's adjoint."""
     Q = np.asarray(configs, dtype=np.float64)
-    mass = tr._shifted_mass(params.values.reshape(1, -1), params.layout, Q,
-                            alpha)
+    mass = tr._shifted_mass(params.values.reshape(1, -1), params.layout,
+                            np.ascontiguousarray(Q.T), alpha)
     _, adjoint = tr._barrier_np(mass, np.arange(len(Q)))
     g = np.zeros((1, params.layout.total))
-    adjoint(np.full((len(Q), 1), 1.0 / len(Q)), g)
+    adjoint(np.full((1, len(Q)), 1.0 / len(Q)), g)
     return g.ravel()
 
 

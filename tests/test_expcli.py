@@ -62,17 +62,46 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("field,value", [("alpha_fraction", 1.5),
-                                         ("hidden", [0]), ("mu", -1.0)])
+                                         ("hidden", [0]), ("mu", -1.0),
+                                         ("sigma", float("nan")),
+                                         ("sigma", float("inf")),
+                                         ("h", float("inf")),
+                                         ("h", float("nan"))])
 def test_bad_training_config_exits_2_before_writing(tmp_path, capsys,
                                                     field, value):
-    # the training and net settings' own checks run when the config loads
+    # the training and net settings' own checks run when the config loads;
+    # a non-finite h or sigma fails the config's own check (NaN compares
+    # false to every bound)
     doc = {**desk_config().to_dict(), field: value}
     (tmp_path / "c.json").write_text(json.dumps(doc))
     out = tmp_path / "out"
     assert cli.main(["experiment", "--config", str(tmp_path / "c.json"),
                      "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
     assert not out.exists()
+    if field in ("h", "sigma"):
+        # the config's check, not a failure further on
+        assert "finite" in err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("lrs", [0.001, 0.0010000001]), ("lrs", [0.01, 0.001, 0.01]),
+    ("methods", ["del", "accel", "del"])])
+def test_cells_that_share_a_file_name_exit_2_before_writing(
+        tmp_path, capsys, field, value):
+    # rates that print alike under %g, or a method or rate listed twice,
+    # would give two cells one record and checkpoint file
+    doc = {**desk_config().to_dict(), field: value}
+    (tmp_path / "c.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["experiment", "--config", str(tmp_path / "c.json"),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cells ") and "_s0" in err
+    assert not out.exists()
+    with pytest.raises(cli.ConfigError, match="would share the files of"):
+        cli.ExperimentConfig(**{field: value})
 
 
 def test_config_file_round_trip(tmp_path):
@@ -513,12 +542,17 @@ def test_cli_malformed_data_file_exit_code(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("flag,value", [("--sigma", "-1"), ("--steps", "2"),
-                                        ("--count", "0"), ("--h", "0")])
+                                        ("--count", "0"), ("--h", "0"),
+                                        ("--sigma", "nan"), ("--sigma", "inf"),
+                                        ("--h", "inf"), ("--h", "nan")])
 def test_cli_generate_bad_option_exit_code(tmp_path, capsys, flag, value):
     assert cli.main(["generate", flag, value, "--out",
                      str(tmp_path / "raw")]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
     assert not (tmp_path / "raw").exists()
+    if value in ("nan", "inf"):
+        assert "finite" in err
 
 
 @pytest.mark.parametrize("flag,value", [("--hidden", "0"), ("--lr", "0"),

@@ -110,12 +110,18 @@ def test_complex_step_matches_central_differences(method):
         assert abs(got - want) <= 1e-6 * max(abs(got), abs(want))
 
 
+def columns(a):
+    """Rows of points as the library's feature-major (n, B) array."""
+    return np.ascontiguousarray(a.T)
+
+
 def rk4_chain(flat, batch, h):
     """The RK4 step as four `_accel_np` calls, each on its own stage's
-    rows: the loss, Qp, Vp and the stage positions of stages 1-2 and
-    3-4."""
+    columns: the loss, Qp, Vp and the stage positions of stages 1-2 and
+    3-4, all feature-major."""
     theta_v = flat.values.reshape(1, -1)
-    X, Xd = batch.data["q"], batch.data["qdot"]
+    X, Xd, Qn, Vn = (columns(batch.data[k])
+                     for k in ("q", "qdot", "qnext", "qdotnext"))
     hh = 0.5 * h
 
     def acc(Xs, Vs):
@@ -133,21 +139,20 @@ def rk4_chain(flat, batch, h):
     Qp = X + ((Xd + (V2 + V3) * 2.0) + V4) * (h / 6.0)
     Vp = Xd + ((A1 + (A2 + A3) * 2.0) + A4) * (h / 6.0)
     # the loss arithmetic of the tape's sumsq and scale
-    E = np.concatenate([Qp - batch.data["qnext"],
-                        Vp - batch.data["qdotnext"]], 1)
+    E = np.concatenate([Qp - Qn, Vp - Vn])
     loss = np.array([[float(np.sum(E * E))]]) * (1.0 / (2.0 * X.size))
     return loss, Qp, Vp, [(X, X2), (X3, X4)]
 
 
 def rows_stable(flat, pairs):
-    """Whether the position block on two stages' stacked rows gives each
-    stage the bits of the block on its own rows."""
+    """Whether the position block on two stages' stacked columns gives
+    each stage the bits of the block on its own columns."""
     theta_v = flat.values.reshape(1, -1)
     for Xa, Xb in pairs:
         both, _ = tr._position_np(theta_v, flat.layout,
-                                  np.concatenate([Xa, Xb]), False)
-        halves = (slice(None, len(Xa)), slice(len(Xa), None))
-        for rows, Xs in zip(halves, (Xa, Xb)):
+                                  np.concatenate([Xa, Xb], 1), False)
+        B = Xa.shape[1]
+        for rows, Xs in zip((slice(None, B), slice(B, None)), (Xa, Xb)):
             own, _ = tr._position_np(theta_v, flat.layout, Xs, False)
             if not all(np.array_equal(p[..., rows], o)
                        for p, o in zip(both, own)):
@@ -219,7 +224,7 @@ def test_del_builds_the_nets_once_per_distinct_pair(monkeypatch):
     block = tr.mass_t
 
     def counting(theta_v, layout, Q, jac, want_x):
-        rows.append(len(Q))
+        rows.append(Q.shape[1])
         return block(theta_v, layout, Q, jac, want_x)
 
     monkeypatch.setattr(tr, "mass_t", counting)
@@ -249,13 +254,14 @@ def test_potential_build_matches_the_point_model(n, B, x_grad):
     theta[s + 1] = -0.2
     rng = np.random.default_rng([n, B, 5])
     Q = rng.normal(size=(B, n))
-    dV, adjoint = netp.potential_grad_t(theta.reshape(1, -1), layout, Q,
-                                        x_grad)
+    dV, adjoint = netp.potential_grad_t(theta.reshape(1, -1), layout,
+                                        columns(Q), x_grad)
     # G takes ∇V's signs: along s_V the derivative is <G, ∇V> itself, a
     # sum that must not cancel far below its terms
+    dV = dV.T
     G = dV * rng.uniform(0.5, 1.5, size=(B, n))
     g_theta = np.zeros((1, layout.total))
-    g_x = adjoint(G, g_theta)
+    g_x = adjoint(columns(G), g_theta)
     assert (g_x is None) != x_grad
     assert_close([dV], [oracle.potential(theta, layout, Q, True)[1]])
     assert_gradient(
@@ -264,7 +270,7 @@ def test_potential_build_matches_the_point_model(n, B, x_grad):
     if x_grad:
         assert_gradient(
             lambda X: np.sum(G * oracle.potential(theta, layout, X, True)[1]),
-            Q, g_x, [rng.normal(size=Q.shape) for _ in range(4)])
+            Q, g_x.T, [rng.normal(size=Q.shape) for _ in range(4)])
 
 
 @pytest.mark.parametrize("n,conservative,B", CASES)
@@ -313,7 +319,8 @@ def test_loss_graphs_build_one_node_per_net(conservative, want):
 def test_predicted_accelerations_run_the_accel_node_without_a_tape(
         n, conservative, B, monkeypatch):
     # validation and evaluation read the accel loss's own forward, bit
-    # for bit, and construct no tape
+    # for bit (as rows; the node holds it feature-major), and construct
+    # no tape
     flat, b, _ = setup(n, conservative, B)
     q, qd = b["accel"].data["q"], b["accel"].data["qdot"]
     tape = tr._accel_graph(flat, b["accel"])[0]
@@ -323,7 +330,7 @@ def test_predicted_accelerations_run_the_accel_node_without_a_tape(
         raise AssertionError("predicted_accelerations built a tape")
 
     monkeypatch.setattr(dc.Tape, "__init__", no_tape)
-    assert np.array_equal(tr.predicted_accelerations(flat, q, qd), want)
+    assert np.array_equal(tr.predicted_accelerations(flat, q, qd), want.T)
 
 
 def test_fused_barrier_raises_at_the_same_pivot():

@@ -367,6 +367,14 @@ def test_add_noise_zero_sigma():
     assert np.array_equal(obs.configs, traj.configs)
 
 
+@pytest.mark.parametrize("sigma", [-0.1, np.nan, np.inf])
+def test_add_noise_rejects_a_bad_sigma(sigma):
+    # NaN would pass a `sigma < 0` test and then add no noise
+    traj = integ.Trajectory(np.zeros((3, 2)), 0.05)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        integ.add_noise(traj, sigma, 1)
+
+
 def test_add_noise_sample_std():
     traj = integ.Trajectory(np.zeros((200, 2)), 0.05)
     obs = integ.add_noise(traj, 0.1, 42)

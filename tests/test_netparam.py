@@ -24,6 +24,11 @@ def rows(x):
     return np.atleast_2d(np.asarray(x, dtype=np.float64))
 
 
+def cols(x):
+    """Rows of points as the nets' feature-major (n, B) input."""
+    return np.ascontiguousarray(rows(x).T)
+
+
 def theta(p):
     return p.values.reshape(1, -1)
 
@@ -36,12 +41,12 @@ def mass_batch(p, Q):
 
 def potential_grad_batch(p, Q):
     """∇V(q) per row of Q from the library's potential build, (B, n)."""
-    return npar.potential_grad_t(theta(p), p.layout, rows(Q), False)[0]
+    return npar.potential_grad_t(theta(p), p.layout, cols(Q), False)[0].T
 
 
 def force_batch(p, Q, Qd):
-    X = np.concatenate([rows(Q), rows(Qd)], 1)
-    return npar.force_t(theta(p), p.layout, X, False)[0]
+    X = np.concatenate([cols(Q), cols(Qd)])
+    return npar.force_t(theta(p), p.layout, X, False)[0].T
 
 
 # -- mass matrix --------------------------------------------------------------
@@ -206,7 +211,7 @@ def test_tape_directions_match_reverse_mode():
     # dV/dq_k, against the point model's forward-mode derivatives
     p = npar.init_params(16, ARCH)
     Q = np.random.default_rng(25).uniform(-np.pi, np.pi, size=(6, 2))
-    (_, dM), _ = npar.mass_t(theta(p), p.layout, Q, True, False)
+    (_, dM), _ = npar.mass_t(theta(p), p.layout, cols(Q), True, False)
     dM = dM.transpose(3, 0, 1, 2)
     want_M = oracle.mass_matrix(p.values, p.layout, Q, True)[1]
     want_V = oracle.potential(p.values, p.layout, Q, True)[1]
@@ -224,9 +229,9 @@ def test_tape_builders_without_directions_build_values_only(monkeypatch):
     monkeypatch.setattr(dc, "custom", no_node)
     monkeypatch.setattr(dc.Tape, "__init__", no_node)
     p = npar.init_params(17, ARCH)
-    X = np.random.default_rng(27).uniform(-2, 2, size=(3, 2))
+    X = cols(np.random.default_rng(27).uniform(-2, 2, size=(3, 2)))
     (L, dM), _ = npar.mass_t(theta(p), p.layout, X, False, False)
-    dV = potential_grad_batch(p, X)
+    dV = potential_grad_batch(p, X.T)
     assert L.shape == (2, 2, 3) and dM.shape == (0, 2, 2, 3)
     assert dV.shape == (3, 2)
     (L2, dM2), _ = npar.mass_t(theta(p), p.layout, X, True, False)
@@ -243,13 +248,42 @@ def test_tape_force_matches_numpy():
     assert np.abs(force_batch(p, Q, Qd) - want).max() <= 1e-12
 
 
+@pytest.mark.parametrize("B", [1, 7])
+def test_net_blocks_are_feature_major(B):
+    # every block takes its input as (width, rows) and gives C-contiguous
+    # values with the rows last; each adjoint gives the input's adjoint in
+    # the input's own layout
+    p = npar.init_params(21, ARCH_F)
+    gt = np.zeros((1, p.layout.total))
+    rng = np.random.default_rng([26, B])
+    Q, Qd = (cols(rng.normal(size=(B, 2))) for _ in range(2))
+
+    def feature_major(a, shape):
+        return a.shape == shape and a.flags.c_contiguous
+
+    for jac in (False, True):
+        (L, dM), adjoint = npar.mass_t(theta(p), p.layout, Q, jac, True)
+        assert feature_major(L, (2, 2, B))
+        assert feature_major(dM, (2 if jac else 0, 2, 2, B))
+        gdM = rng.normal(size=dM.shape) if jac else None
+        assert feature_major(adjoint(rng.normal(size=L.shape), gdM, gt),
+                             (2, B))
+    dV, adjoint = npar.potential_grad_t(theta(p), p.layout, Q, True)
+    assert feature_major(dV, (2, B))
+    assert feature_major(adjoint(rng.normal(size=dV.shape), gt), (2, B))
+    F, adjoint = npar.force_t(theta(p), p.layout, np.concatenate([Q, Qd]),
+                              True)
+    assert feature_major(F, (2, B))
+    assert feature_major(adjoint(rng.normal(size=F.shape), gt), (4, B))
+
+
 def test_chol_solve_t_matches_dense_solve():
     # x = M⁻¹ b, and the adjoint of x gives gb = M⁻¹ g and gM = -gb xᵀ
     p = npar.init_params(14, ARCH)
     rng = np.random.default_rng(23)
     Q = rng.uniform(-np.pi, np.pi, size=(8, 2))
     B, G = rng.uniform(-1, 1, size=(2, 8, 2))
-    (L, _), _ = npar.mass_t(theta(p), p.layout, Q, False, False)
+    (L, _), _ = npar.mass_t(theta(p), p.layout, cols(Q), False, False)
     xs, adjoint = npar.chol_solve_t(L, B.T)
     gM, gb = adjoint(G.T)
     for b, M in enumerate(oracle.mass_matrix(p.values, p.layout, Q)[0]):
@@ -270,7 +304,7 @@ def test_gram_bwd_is_the_adjoint_of_gram(n, with_M, with_dM):
     D, B, T = n, 5, n * (n + 1) // 2
 
     def draw_factor():
-        return npar._factor(rng.normal(size=(B, T * (1 + D))), n)
+        return npar._factor(rng.normal(size=(T * (1 + D), B)), n)
 
     L, dL = draw_factor()
     eL, edL = draw_factor()
@@ -291,7 +325,7 @@ def test_gram_bwd_is_the_adjoint_of_gram(n, with_M, with_dM):
 @pytest.mark.parametrize("n,D", [(1, 0), (1, 1), (2, 2), (3, 0), (3, 3)])
 def test_packed_inverts_factor(n, D):
     T = n * (n + 1) // 2
-    P = np.random.default_rng([n, D]).normal(size=(4, T * (1 + D)))
+    P = np.random.default_rng([n, D]).normal(size=(T * (1 + D), 4))
     L, dL = npar._factor(P, n)
     assert L.shape == (n, n, 4) and dL.shape == (D, n, n, 4)
     assert np.all(np.triu(L.transpose(2, 0, 1), 1) == 0.0)
@@ -303,7 +337,7 @@ def test_gram_without_directions_gives_the_general_m(n):
     # M and its derivatives are apart: `gram` forms M = L Lᵀ alone, and
     # `_dgram` of no directions is empty
     T = n * (n + 1) // 2
-    L, dL = npar._factor(np.random.default_rng(n).normal(size=(5, 2 * T)), n)
+    L, dL = npar._factor(np.random.default_rng(n).normal(size=(2 * T, 5)), n)
     M = npar.gram(L)
     want = np.einsum("ikb,jkb->ijb", L, L)
     np.testing.assert_allclose(M, want, rtol=1e-15, atol=1e-15)

@@ -587,13 +587,14 @@ def test_train_del_step_runs_no_batch_barrier_pass(tiny, monkeypatch):
     # a del step runs the mass block once inside its loss, the position
     # pass on its batch's U distinct pairs; the barrier reads the factor
     # of the accepted step's feasibility pass over the N training
-    # configurations, and train finds the distinct pairs once
+    # configurations, and train finds the distinct pairs once and cuts no
+    # batch of tuples
     configs = tiny[0].q
     calls, in_loss, distinct = [], [False], tr._distinct_rows
-    block, loss_grad = tr.mass_t, tr.del_loss_grad
+    block, loss_grad, take = tr.mass_t, tr.del_loss_grad, tr.Batch.take
 
     def counting(theta_v, layout, Q, jac, want_x):
-        calls.append((in_loss[0], len(Q), jac))
+        calls.append((in_loss[0], Q.shape[1], jac))
         return block(theta_v, layout, Q, jac, want_x)
 
     tables = []
@@ -602,10 +603,12 @@ def test_train_del_step_runs_no_batch_barrier_pass(tiny, monkeypatch):
         tables.append(len(rows))
         return distinct(rows)
 
-    pairs = []
+    pairs, takes = [], []
 
     def step(params, batch, *args):
-        q1, q2, q3 = (batch.data[k] for k in ("q1", "q2", "q3"))
+        # train passes its whole tuple set and the tuples to use
+        idx = args[-1][0]
+        q1, q2, q3 = (batch.data[k][idx] for k in ("q1", "q2", "q3"))
         pairs.append(len(distinct(np.concatenate([np.hstack([q1, q2]),
                                                   np.hstack([q2, q3])]))[0]))
         in_loss[0] = True
@@ -614,13 +617,18 @@ def test_train_del_step_runs_no_batch_barrier_pass(tiny, monkeypatch):
         finally:
             in_loss[0] = False
 
+    def counting_take(batch, idx):
+        takes.append(len(idx))
+        return take(batch, idx)
+
     monkeypatch.setattr(tr, "mass_t", counting)
     monkeypatch.setattr(tr, "_distinct_rows", counting_rows)
     monkeypatch.setattr(tr, "del_loss_grad", step)
+    monkeypatch.setattr(tr.Batch, "take", counting_take)
     rec, _ = tr.train("del", netp.init_params(8, ARCH8), tiny,
                       tr.TrainConfig(xi0=1e-3, epochs=2, batch_size=8))
     steps = len(pairs)
-    assert steps == 8 and rec.invalid_steps == 0
+    assert steps == 8 and rec.invalid_steps == 0 and takes == []
     assert tables == [2 * (len(configs) - 2)]
     assert [c[1:] for c in calls if c[0]] == [(u, True) for u in pairs]
     # the check at θ₀ and one per accepted step (choose_alpha's pass goes
@@ -656,10 +664,10 @@ def test_train_del_loss_equals_the_direct_loss(n, B, mu, monkeypatch):
 
     def both(params, batch, *args):
         got = loss_grad(params, batch, *args)
-        inputs = args[-1]
-        assert inputs[1] is not None
-        pairs.append(len(inputs[0][0]) < 2 * len(batch))
-        want = loss_grad(params, batch, *args[:-1])
+        idx, table, mass = args[-1]
+        assert mass is not None
+        pairs.append(tr._pairs_of(table, idx)[0].shape[1] < 2 * len(idx))
+        want = loss_grad(params, batch.take(idx), *args[:-1])
         if mu == 0.0:
             assert got[0] == want[0] and np.array_equal(got[1], want[1])
         else:
@@ -674,6 +682,40 @@ def test_train_del_loss_equals_the_direct_loss(n, B, mu, monkeypatch):
     assert len(pairs) == 2 * -(-30 // B) and rec.invalid_steps == 0
     # batches of more than one tuple share pairs in the run
     assert any(pairs) == (B > 1)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.01])
+def test_train_del_step_without_a_mass_state_cuts_its_batch(tiny, mu,
+                                                           monkeypatch):
+    # when θ₀ fails the feasibility check, train holds no mass state, and
+    # until a step is accepted each loss factors its own tuples' q2 rows:
+    # the direct loss of the batch those tuples make, bit for bit
+    shifted, loss_grad, seen = tr._shifted_mass, tr.del_loss_grad, []
+
+    def fail_first(theta_v, layout, Q, shift):
+        if not seen:
+            seen.append(None)
+            raise mech.NotPositiveDefiniteError(0, -1.0)
+        return shifted(theta_v, layout, Q, shift)
+
+    def both(params, batch, *args):
+        got = loss_grad(params, batch, *args)
+        idx, _, mass = args[-1]
+        if len(seen) == 1:
+            assert mass is None
+            want = loss_grad(params, batch.take(idx), *args[:-1])
+            assert got[0] == want[0] and np.array_equal(got[1], want[1])
+        seen.append(mass is None)
+        return got
+
+    monkeypatch.setattr(tr, "_shifted_mass", fail_first)
+    monkeypatch.setattr(tr, "del_loss_grad", both)
+    rec, _ = tr.train("del", netp.init_params(8, ARCH8), tiny,
+                      tr.TrainConfig(xi0=1e-3, epochs=1, batch_size=8, mu=mu))
+    # the first step had no mass state; its accepted proposal's check
+    # gave the next steps one
+    assert seen == [None, True, False, False, False]
+    assert rec.invalid_steps == 0
 
 
 def test_train_divergence_budget(tiny, caplog):
