@@ -2,7 +2,7 @@
 
 Subpackages by role:
 
-- diffcore: tape-based reverse-mode differentiation on rank-2 arrays
+- diffcore: the reverse-mode tape that training's loss graphs run on
 - mechanics: Lagrangian systems, discrete Euler-Lagrange residuals
 - integrators: variational integration, noisy trajectory datasets
 - netparam: the structured-model parameterization (mass net, potential net)

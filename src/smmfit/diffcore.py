@@ -18,9 +18,7 @@ The primitives here are the few the loss graphs use for their loss
 arithmetic (`add`, `scale`, `sum_all`, `sumsq`, `mean_all`); every other
 node but the leaves is a `custom` node with a caller-supplied value and
 first-order backward rule: in each loss, one per numpy stage on the
-parameters.
-The numpy helpers (`_exp_np`, `_reciprocal_np`, `_softplus_np`,
-`_sigmoid_np`, `_unbroadcast`) are shared with the stages' net blocks.
+parameters.  Only training's loss graphs use the tape.
 """
 
 from __future__ import annotations
@@ -28,10 +26,6 @@ from __future__ import annotations
 import weakref
 
 import numpy as np
-
-
-class DiffcoreError(Exception):
-    """Base class for engine errors."""
 
 
 def _as_value(x) -> np.ndarray:
@@ -162,31 +156,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     out = a.tape._append(a.value * c, (a,), "scale", a.requires_grad)
     out.bwd = lambda g: (g * c,)
     return out
-
-
-def _exp_np(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        o = np.exp(x)
-    if not np.all(np.isfinite(o)):
-        raise DiffcoreError("exp overflow")
-    return o
-
-
-def _reciprocal_np(x: np.ndarray) -> np.ndarray:
-    if np.any(x == 0.0):
-        raise DiffcoreError("reciprocal of zero")
-    return 1.0 / x
-
-
-def _softplus_np(x: np.ndarray) -> np.ndarray:
-    # overflow-safe log(1 + e^x)
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-
-def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    # 1/(1 + e^-x) for x >= 0 and e^x/(1 + e^x) below, never overflowing
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sum_all(a: Tensor) -> Tensor:

@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import diffcore as dc
 from . import integrators as integ
 from . import mechanics as mech
 from . import netparam as netp
@@ -63,10 +62,20 @@ class ExperimentConfig:
     out: str = "results"
 
     def __post_init__(self):
-        self.split = tuple(int(s) for s in self.split)
+        self.split = tuple(self.split)
         self.methods = tuple(self.methods)
         self.lrs = tuple(float(x) for x in self.lrs)
-        self.hidden = tuple(int(h) for h in self.hidden)
+        self.hidden = tuple(self.hidden)
+        # a float count would be cut short or fail once files are written,
+        # and a bool would count as 0 or 1
+        counts = (self.n_trajectories, *self.split, self.T, self.seeds,
+                  self.epochs, self.batch_size, *self.hidden, self.data_seed,
+                  self.workers)
+        if not all(isinstance(c, (int, np.integer))
+                   and not isinstance(c, bool) for c in counts):
+            raise ConfigError("n_trajectories, split, T, seeds, epochs, "
+                              "batch_size, hidden, data_seed and workers "
+                              "must be integers")
         if self.system not in SYSTEMS:
             raise ConfigError(f"system must be one of {SYSTEMS}")
         if sum(self.split) != self.n_trajectories:
@@ -202,7 +211,7 @@ def evaluate(params, batch: tr.Batch) -> EvalResult:
     q, qd, target = batch.data["q"], batch.data["qdot"], batch.data["qddot"]
     try:
         pred = tr.predicted_accelerations(params, q, qd)
-    except dc.DiffcoreError:
+    except netp.ModelNumericsError:
         # raised only for a non-finite exp(log-scale) or a zero Cholesky
         # pivot (exp(s_M) underflowed), which fail every row alike
         pred = np.full_like(target, np.nan)

@@ -64,8 +64,8 @@ class Trajectory:
         self.configs = np.asarray(self.configs, dtype=np.float64)
         if self.configs.ndim != 2 or self.configs.shape[0] < 3:
             raise ValueError("configs must be T x n with T >= 3")
-        if self.h <= 0:
-            raise ValueError("step size must be positive")
+        if not 0 < self.h < np.inf:
+            raise ValueError("step size must be finite and positive")
         if not np.all(np.isfinite(self.configs)):
             raise ValueError("non-finite configuration")
 

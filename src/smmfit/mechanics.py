@@ -69,8 +69,9 @@ class ConfigTriple:
         self.q3 = np.asarray(self.q3, dtype=np.float64)
         if not (self.q1.shape == self.q2.shape == self.q3.shape):
             raise ValueError("triple configurations differ in shape")
-        if self.h <= 0:
-            raise ValueError(f"step size must be positive, got {self.h}")
+        if not 0 < self.h < np.inf:
+            raise ValueError(f"step size must be finite and positive, got "
+                             f"{self.h}")
 
 
 def rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -13,6 +13,10 @@ batched net build (`mass_t`, `potential_grad_t`, `force_t`) slices its
 net out of that vector, runs the MLP and its output head in numpy, and
 returns the value with its plain reverse-mode adjoint as a function;
 training's numpy stages call them, and nothing here builds a tape.
+Every build reads θ as the flat (P,) `FlatParams.values` and adds its
+slots into a flat (P,) adjoint.  The model's own numerics are checked
+here: a scale e^s that overflows or a zero pivot of the factor raises
+`ModelNumericsError`.
 Every build is feature-major: it takes its points as the columns of a
 (width, B) array and returns values and input adjoints with B last, the
 layout of the entry-major matrices below, so no block transposes.
@@ -34,12 +38,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import diffcore as dc
 from .mechanics import cho_solve
 
 
 class ConservativeForceError(Exception):
     """force() was called on a conservative model."""
+
+
+class ModelNumericsError(Exception):
+    """A scale e^s overflowed or a factor pivot was zero: the model's
+    numbers at these parameters are not finite."""
 
 
 # fixed; checkpoints record them, and `load_params` refuses others
@@ -154,8 +162,8 @@ def init_params(rng, arch: ArchConfig) -> FlatParams:
 # forward as a function: the mass block with ``jac`` carries forward-mode
 # derivatives along the coordinate axes beside the values, and the
 # potential build adds one reverse sweep for ∇V.  The adjoint adds the
-# build's slots into a caller's theta adjoint and gives an adjoint for
-# the input only when asked.
+# build's slots into a caller's flat theta adjoint and gives an adjoint
+# for the input only when asked.
 #
 # Every net array is feature-major, (width, rows), C-contiguous, as are
 # the blocks' inputs, values and input adjoints: a layer computes
@@ -175,7 +183,32 @@ def _axes(n: int):
     return tuple(np.eye(n)[k][:, None] for k in range(n))
 
 
-def _mlp_np(theta_v, layout: ParamLayout, net: str, x, dirs, top=True):
+def _exp_np(x):
+    with np.errstate(over="ignore"):
+        o = np.exp(x)
+    if not np.all(np.isfinite(o)):
+        raise ModelNumericsError("exp overflow")
+    return o
+
+
+def _softplus_np(x: np.ndarray) -> np.ndarray:
+    # overflow-safe log(1 + e^x)
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def _sigmoid_np(x: np.ndarray) -> np.ndarray:
+    # 1/(1 + e^-x) for x >= 0 and e^x/(1 + e^x) below, never overflowing
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _column_sum(g: np.ndarray, shape) -> np.ndarray:
+    """The adjoint ``g`` of a (width, 1) column that was broadcast along
+    the rows, summed back to that column; else ``g`` itself."""
+    return g if g.shape == shape else g.sum(1, keepdims=True)
+
+
+def _mlp_np(theta, layout: ParamLayout, net: str, x, dirs, top=True):
     """The net at the columns of ``x`` (in, R), and its directional
     derivative along each of ``dirs``: (out, douts, per-layer record for
     `_mlp_bwd`).  Without ``top`` the pass stops at the last hidden layer.
@@ -189,9 +222,9 @@ def _mlp_np(theta_v, layout: ParamLayout, net: str, x, dirs, top=True):
     last = len(specs) - 1
     for i, ((shape, sW, eW), (_, sb, eb)) in enumerate(
             specs if top else specs[:-1]):
-        W = theta_v[0, sW:eW].reshape(shape)
+        W = theta[sW:eW].reshape(shape)
         z = W.T @ a
-        z += theta_v[0, sb:eb, None]
+        z += theta[sb:eb, None]
         es = [W.T @ da for da in das]
         o = s = None
         if i < last:
@@ -211,7 +244,7 @@ def sumprod(a, b):
     return acc
 
 
-def _mlp_bwd(layers, g_out, g_douts, want_x: bool, want_w: bool):
+def _mlp_bwd(layers, g_out, g_douts, want_x: bool):
     """Adjoint of `_mlp_np` from the adjoints of its output and of its
     directions: (adjoint of x or None, (gW, gb) per layer)."""
     ga, gda = g_out, list(g_douts)
@@ -224,17 +257,14 @@ def _mlp_bwd(layers, g_out, g_douts, want_x: bool, want_w: bool):
             # direction (s * e), and ds/do = -2 o
             if s is None:
                 s = 1.0 - o * o
-            ge = [dc._unbroadcast(gp * s, e.shape) for gp, e in zip(gda, es)]
+            ge = [_column_sum(gp * s, e.shape) for gp, e in zip(gda, es)]
             if gda:
                 ga = ga - 2.0 * o * sumprod(gda, es)
             gz = ga * s
-        gW = gb = ga = None
-        if want_w:
-            gW, gb = a @ gz.T, gz.sum(1)
-            for da, g_e in zip(das, ge):
-                gW = gW + da @ g_e.T
-        if i > 0 or want_x:
-            ga = W @ gz
+        gW, gb = a @ gz.T, gz.sum(1)
+        for da, g_e in zip(das, ge):
+            gW = gW + da @ g_e.T
+        ga = W @ gz if i > 0 or want_x else None
         gda = [W @ g_e for g_e in ge] if i > 0 else []
         grads.append((gW, gb))
     return ga, grads[::-1]
@@ -243,23 +273,21 @@ def _mlp_bwd(layers, g_out, g_douts, want_x: bool, want_w: bool):
 def _theta_adjoint(gt, layout: ParamLayout, net: str, grads, scale_slot,
                    g_scale):
     """Add a build's W, b and log-scale adjoints into the theta adjoint
-    ``gt``, unless it is None."""
-    if gt is None:
-        return
+    ``gt``."""
     for slots, cs in zip(layout.layers[net], grads):
         for (_, s, e), c in zip(slots, cs):
             if c is not None:
-                gt[:, s:e] += c.reshape(1, -1)
+                gt[s:e] += c.reshape(-1)
     _, s, _ = layout.slot("log_scales")
-    gt[:, s + scale_slot:s + scale_slot + 1] += g_scale
+    gt[s + scale_slot] += g_scale
 
 
-def _log_scale_np(theta_v, layout: ParamLayout, which: int) -> np.ndarray:
+def _log_scale_np(theta, layout: ParamLayout, which: int):
     _, s, _ = layout.slot("log_scales")
-    return theta_v[:, s + which:s + which + 1]
+    return theta[s + which]
 
 
-def _chol_head_np(theta_v, layout: ParamLayout, out, douts):
+def _chol_head_np(theta, layout: ParamLayout, out, douts):
     """The scaled Cholesky entries (the lower triangle row by row), then
     their derivatives along each direction, packed as (tri·(1 + D), R):
     softplus + eps on the diagonal, the sigmoid gate on each direction's
@@ -267,14 +295,14 @@ def _chol_head_np(theta_v, layout: ParamLayout, out, douts):
     `_chol_head_bwd`)."""
     # the diagonal's rows in that order
     diag = [i * (i + 3) // 2 for i in range(layout.arch.n)]
-    half = dc._exp_np(_log_scale_np(theta_v, layout, 0) * 0.5)
+    half = _exp_np(_log_scale_np(theta, layout, 0) * 0.5)
     T, R = out.shape
     dg = out[diag]
     # softplus' is the gate
-    gate = dc._sigmoid_np(dg) if douts else None
+    gate = _sigmoid_np(dg) if douts else None
     pre = np.empty((T * (1 + len(douts)), R))
     pre[:T] = out
-    pre[diag] = dc._softplus_np(dg) + MASS_EPS
+    pre[diag] = _softplus_np(dg) + MASS_EPS
     for d, do in enumerate(douts, 1):
         part = pre[T * d:T * (d + 1)]
         part[:] = do
@@ -287,7 +315,7 @@ def _chol_head_bwd(g, record):
     (adjoint of the net output, of each direction output, of s_M)."""
     half, dg, gate, pre, douts, diag = record
     if gate is None:
-        gate = dc._sigmoid_np(dg)
+        gate = _sigmoid_np(dg)
     T = len(pre) // (1 + len(douts))
     g_s = np.sum(g * pre) * half * 0.5
     gh = g * half
@@ -300,25 +328,25 @@ def _chol_head_bwd(g, record):
         g_diag = gd[diag]
         g_out[diag] += g_diag * do[diag] * (gate * (1.0 - gate))
         gd[diag] = g_diag * gate
-        g_do.append(dc._unbroadcast(gd, do.shape))
+        g_do.append(_column_sum(gd, do.shape))
     return g_out, g_do, g_s
 
 
-def mass_t(theta_v, layout: ParamLayout, Q, jac: bool, want_x: bool):
+def mass_t(theta, layout: ParamLayout, Q, jac: bool, want_x: bool):
     """The mass block at the columns of an (n, R) ``Q``: (L, ∂M) as
     (n, n, R) and (D, n, n, R) arrays, and its adjoint.  L is the scaled
     Cholesky factor, e^{s_M/2} folded in, so M = L Lᵀ (`gram`; not formed
     here, as the velocity block reads L alone); ∂M/∂q_k is at [k] with
     ``jac``, else ∂M is empty.  ``adjoint(gM, gdM, gt)`` takes M's and
     ∂M's adjoints (None where unused), adds the theta adjoint into ``gt``
-    (if not None) and returns Q's (n, R) adjoint (with ``want_x``).
+    and returns Q's (n, R) adjoint (with ``want_x``).
     Without ``jac`` it also takes ``rows``, indices into Q's columns: then
     gM holds those rows alone and the backward runs on them, as it would
     after a forward at ``Q[:, rows]``."""
     n = layout.arch.n
     dirs = _axes(n) if jac else ()
-    out, douts, layers = _mlp_np(theta_v, layout, "mass", Q, dirs)
-    P, record = _chol_head_np(theta_v, layout, out, douts)
+    out, douts, layers = _mlp_np(theta, layout, "mass", Q, dirs)
+    P, record = _chol_head_np(theta, layout, out, douts)
     L, dL = _factor(P, n)
 
     def adjoint(gM, gdM, gt, rows=None):
@@ -326,7 +354,7 @@ def mass_t(theta_v, layout: ParamLayout, Q, jac: bool, want_x: bool):
             else _mass_rows(L, dL, record, layers, rows)
         g_out, g_do, g_s = _chol_head_bwd(
             _packed(*_gram_bwd(Lr, dLr, gM, gdM)), rec)
-        gx, grads = _mlp_bwd(lay, g_out, g_do, want_x, gt is not None)
+        gx, grads = _mlp_bwd(lay, g_out, g_do, want_x)
         _theta_adjoint(gt, layout, "mass", grads, 0, g_s)
         return gx
 
@@ -354,26 +382,26 @@ def _mass_rows(L, dL, record, layers, rows):
 def mass_entries_t(params: FlatParams, Q) -> np.ndarray:
     """Batched M(q) values at the rows of a (B, n) ``Q`` as an
     entry-major (n, n, B) array: the Gram of the scaled factor."""
-    (L, _), _ = mass_t(params.values.reshape(1, -1), params.layout,
+    (L, _), _ = mass_t(params.values, params.layout,
                        transposed(np.asarray(Q, dtype=np.float64)), False,
                        False)
     return gram(L)
 
 
-def potential_grad_t(theta_v, layout: ParamLayout, Q, want_x: bool):
+def potential_grad_t(theta, layout: ParamLayout, Q, want_x: bool):
     """∇V at the columns of an (n, R) ``Q`` as an (n, R) array, and its
     adjoint ``adjoint(g, gt)``, which adds the theta adjoint into ``gt``
-    (if not None) and returns Q's adjoint (with ``want_x``): one reverse
-    sweep of the potential net from its scalar output, times its e^{s_V}
-    scale.  Down the tanh layers o_i it runs
+    and returns Q's adjoint (with ``want_x``): one reverse sweep of the
+    potential net from its scalar output, times its e^{s_V} scale.  Down
+    the tanh layers o_i it runs
     r_H = W_H, gz_i = r_{i+1} ⊙ (1 - o_i²), r_i = W_i gz_i, so
     ∇V = r_0 e^{s_V} costs about one more forward whatever n is; the
     forward stops below the unused output layer.  The adjoint is the
     sweep's in layer order (each W's and o_i's), then the value's."""
-    _, _, hidden = _mlp_np(theta_v, layout, "potential", Q, (), top=False)
+    _, _, hidden = _mlp_np(theta, layout, "potential", Q, (), top=False)
     # W_H is (h, 1), so its slot is already the column W_H
     (_, sW, eW), _ = layout.layers["potential"][-1]
-    r = theta_v[0, sW:eW, None]
+    r = theta[sW:eW, None]
     sweep = []
     for _, _, W, _, o, _ in reversed(hidden):
         s = 1.0 - o * o
@@ -382,13 +410,12 @@ def potential_grad_t(theta_v, layout: ParamLayout, Q, want_x: bool):
         r = W @ gz
     sweep.reverse()
     raw = np.broadcast_to(r, Q.shape)
-    g = dc._exp_np(_log_scale_np(theta_v, layout, 1))
+    g = _exp_np(_log_scale_np(theta, layout, 1))
 
     def adjoint(gp, gt):
-        want_w = gt is not None
         gr, gWs, gos = gp * g, [], []
         for (_, _, W, _, o, _), (r, s, gz) in zip(hidden, sweep):
-            gWs.append(gr @ gz.T if want_w else None)
+            gWs.append(gr @ gz.T)
             ggz = W.T @ gr
             gr = ggz * s
             gos.append(-2.0 * o * ggz * r)
@@ -397,8 +424,7 @@ def potential_grad_t(theta_v, layout: ParamLayout, Q, want_x: bool):
         for i in reversed(range(len(hidden))):
             a, _, W, _, _, _ = hidden[i]
             gz = (gos[i] if ga is None else gos[i] + ga) * sweep[i][1]
-            if want_w:
-                grads.append((gWs[i] + a @ gz.T, gz.sum(1)))
+            grads.append((gWs[i] + a @ gz.T, gz.sum(1)))
             ga = W @ gz if i > 0 or want_x else None
         _theta_adjoint(gt, layout, "potential", grads[::-1], 1,
                        np.sum(gp * raw) * g)
@@ -407,17 +433,17 @@ def potential_grad_t(theta_v, layout: ParamLayout, Q, want_x: bool):
     return raw * g, adjoint
 
 
-def force_t(theta_v, layout: ParamLayout, X, want_x: bool):
+def force_t(theta, layout: ParamLayout, X, want_x: bool):
     """F at the columns of the stacked (q, q̇) ``X``, (2n, R), as an
     (n, R) array: the force net times its e^{s_F} scale, and its adjoint
     (as `potential_grad_t`'s)."""
     if layout.arch.conservative:
         raise ConservativeForceError("model has no force net")
-    out, _, layers = _mlp_np(theta_v, layout, "force", X, [])
-    g = dc._exp_np(_log_scale_np(theta_v, layout, 2))
+    out, _, layers = _mlp_np(theta, layout, "force", X, [])
+    g = _exp_np(_log_scale_np(theta, layout, 2))
 
     def adjoint(gF, gt):
-        gx, grads = _mlp_bwd(layers, gF * g, [], want_x, gt is not None)
+        gx, grads = _mlp_bwd(layers, gF * g, [], want_x)
         _theta_adjoint(gt, layout, "force", grads, 2,
                        np.sum(gF * out) * g)
         return gx
@@ -492,7 +518,10 @@ def chol_solve_t(L, b):
     and its adjoint: from x's adjoint to (M = L Lᵀ's, b's), solving once
     more for gb; M's adjoint is -gb xᵀ."""
     n = len(b)
-    r = dc._reciprocal_np(L.reshape(n * n, -1)[::n + 1])
+    pivots = L.reshape(n * n, -1)[::n + 1]
+    if np.any(pivots == 0.0):
+        raise ModelNumericsError("reciprocal of zero")
+    r = 1.0 / pivots
     x = cho_solve(L, r, b)
 
     def adjoint(g):

@@ -6,12 +6,14 @@ acceleration regression, and next-state regression through an RK4 step.
 Plus Adam, the decay schedule, shuffled batching that never crosses
 trajectory boundaries, and validation-based checkpoint selection.
 
-Every loss differentiates the model one way: a numpy stage on theta that
-calls netparam's net blocks (the mass block `mass_t`, which gives the
-factor L of M and ∂M/∂q from its forward-mode derivatives along each
-coordinate axis, ∇V by one reverse sweep of the potential net, the force
-net) and returns its value and its plain first-order adjoint, which the
-tape holds as one node with theta as its only parent (`_stage_t`).
+Every loss differentiates the model one way: a numpy stage on the flat
+parameter vector theta that calls netparam's net blocks (the mass block
+`mass_t`, which gives the factor L of M and ∂M/∂q from its forward-mode
+derivatives along each coordinate axis, ∇V by one reverse sweep of the
+potential net, the force net) and returns its value and its plain
+first-order adjoint into a flat theta adjoint.  Only the loss graphs
+use the tape: each stage is one node on the graph's (1, P) theta row,
+its only parent (`_stage_t`).
 Every M(q) of the model comes from `mass_t`.  The stages run in the
 blocks' feature-major layout: configurations, velocities, ∇V, forces,
 accelerations and residuals are (n, B) arrays, as L and ∂M are (n, n, B)
@@ -22,11 +24,12 @@ back to rows.  The acceleration stage
 (`_position_np`: the mass block with its axis directions and the ∇V
 sweep) and a velocity block (`_velocity_np`: τ, the force net,
 `chol_solve_t`).  The acceleration loss is one node over both on the
-same rows, and validation runs them with no tape.  The RK4 loss is one
-node whose position block runs twice on 2B rows, for stages 1-2 and for
-stages 3-4, and whose velocity block runs once per stage; its backward
-takes velocity adjoints 4 and 3, the stages 3-4 position adjoint,
-velocity adjoints 2 and 1, then the stages 1-2 position adjoint.  The
+same rows, and validation runs them with no tape.  The RK4 stage
+(`_rk4_np`), one node of the RK4 loss, runs the position block twice on
+2B rows, for stages 1-2 and for stages 3-4, and the velocity block once
+per stage; its backward takes velocity adjoints 4 and 3, the stages 3-4
+position adjoint, velocity adjoints 2 and 1, then the stages 1-2
+position adjoint.  The
 DEL residual stage (`_del_np`) at q_k uses the pairs (q_k-1, q_k) and
 (q_k, q_k+1); neighbouring tuples of a trajectory share a pair, so it
 runs the position block and the force net once, at the midpoints of the
@@ -56,8 +59,9 @@ import numpy as np
 from . import diffcore as dc
 from .integrators import IntegrationBlowupError
 from .mechanics import NotPositiveDefiniteError, cholesky
-from .netparam import (FlatParams, chol_solve_t, force_t, gram,
-                       mass_entries_t, mass_t, potential_grad_t, transposed)
+from .netparam import (FlatParams, ModelNumericsError, chol_solve_t,
+                       force_t, gram, mass_entries_t, mass_t,
+                       potential_grad_t, transposed)
 
 _log = logging.getLogger("smmfit.training")
 
@@ -110,8 +114,9 @@ class Batch:
         rows = {v.shape for v in self.data.values()}
         if len(rows) != 1:
             raise ValueError("batch arrays differ in shape")
-        if self.kind == "del" and (self.h is None or self.h <= 0):
-            raise ValueError("del batch requires a positive step size")
+        if self.kind == "del" and (self.h is None
+                                   or not 0 < self.h < np.inf):
+            raise ValueError("del batch requires a finite positive step size")
 
     def __len__(self) -> int:
         return next(iter(self.data.values())).shape[0]
@@ -159,7 +164,7 @@ def make_batches(rng, count: int, batch_size: int):
 
 # -- dynamics ---------------------------------------------------------------
 
-def _position_np(theta_v, layout, X, want_x: bool):
+def _position_np(theta, layout, X, want_x: bool):
     """The position block: what the dynamics read of q alone, at the
     columns of an (n, R) ``X``.  It runs the mass block with its
     coordinate directions (`mass_t`) and the ∇V sweep, and returns
@@ -168,8 +173,8 @@ def _position_np(theta_v, layout, X, want_x: bool):
     ∂M and ∇V in that layout, adds the theta adjoint into ``gt`` and
     returns X's adjoint parts (potential net's, mass net's), each None
     without ``want_x``."""
-    (Lm, dM), mass_adj = mass_t(theta_v, layout, X, True, want_x)
-    dV, pot_adj = potential_grad_t(theta_v, layout, X, want_x)
+    (Lm, dM), mass_adj = mass_t(theta, layout, X, True, want_x)
+    dV, pot_adj = potential_grad_t(theta, layout, X, want_x)
 
     def adjoint(gpos, gt):
         gM, gdM, gdV = gpos
@@ -178,7 +183,7 @@ def _position_np(theta_v, layout, X, want_x: bool):
     return (Lm, dM, dV), adjoint
 
 
-def _velocity_np(theta_v, layout, pos, X, V, want_xv: bool):
+def _velocity_np(theta, layout, pos, X, V, want_xv: bool):
     """The velocity block: the accelerations at the columns of (n, R)
     arrays (X, V) as an (n, R) array from the position block's
     (L, ∂M, ∇V) at X, by solving L Lᵀ q̈ = τ with
@@ -192,7 +197,7 @@ def _velocity_np(theta_v, layout, pos, X, V, want_xv: bool):
     Lm, dM, dV = pos
     F = None
     if not layout.arch.conservative:
-        F, force_adj = force_t(theta_v, layout, np.concatenate([X, V]),
+        F, force_adj = force_t(theta, layout, np.concatenate([X, V]),
                                want_xv)
     xx = V[:, None] * V
     D = (V[:, None, None] * dM).sum(0)
@@ -221,14 +226,14 @@ def _velocity_np(theta_v, layout, pos, X, V, want_xv: bool):
     return a, adjoint
 
 
-def _accel_np(theta_v, layout, X, V):
+def _accel_np(theta, layout, X, V):
     """Batched accelerations at the columns of (n, B) arrays (X, V) as an
     (n, B) array, and their adjoint ``adjoint(g, gt)``, which adds the
     theta adjoint into ``gt``: the position and velocity blocks on the
     same columns, the solve's and τ's adjoints of M and ∂M going through
     one Gram adjoint."""
-    pos, pos_adj = _position_np(theta_v, layout, X, False)
-    A, vel_adj = _velocity_np(theta_v, layout, pos, X, V, False)
+    pos, pos_adj = _position_np(theta, layout, X, False)
+    A, vel_adj = _velocity_np(theta, layout, pos, X, V, False)
 
     def adjoint(g, gt):
         pos_adj(vel_adj(g, gt)[0], gt)
@@ -237,19 +242,20 @@ def _accel_np(theta_v, layout, X, V):
 
 
 def _stage_t(theta, stage, op: str):
-    """One tape node on theta from a numpy stage's (value, adjoint), whose
-    ``adjoint(g, gt)`` adds the theta adjoint into ``gt``."""
+    """One tape node on theta, a loss graph's (1, P) input row, from a
+    numpy stage's (value, adjoint), whose ``adjoint(g, gt)`` adds the
+    theta adjoint into a flat (P,) ``gt``."""
     value, adjoint = stage
 
     def bwd(g):
-        gt = np.zeros(theta.shape)
+        gt = np.zeros(theta.value.size)
         adjoint(g, gt)
-        return (gt,)
+        return (gt.reshape(1, -1),)
 
     return dc.custom([theta], value, bwd, op)
 
 
-def _del_np(theta_v, layout, h: float, pairs):
+def _del_np(theta, layout, h: float, pairs):
     """The discrete Euler-Lagrange residual of a del batch of step ``h`` as
     an (n, B) array, and its adjoint (as `_accel_np`'s).
 
@@ -267,10 +273,10 @@ def _del_np(theta_v, layout, h: float, pairs):
     qa, qb = cols[:n], cols[n:]
     X = (qa + qb) / 2.0
     v = (qb - qa) / h
-    (Lm, dM, dV), pos_adj = _position_np(theta_v, layout, X, False)
+    (Lm, dM, dV), pos_adj = _position_np(theta, layout, X, False)
     F = None
     if not layout.arch.conservative:
-        F, force_adj = force_t(theta_v, layout, np.concatenate([X, v]),
+        F, force_adj = force_t(theta, layout, np.concatenate([X, v]),
                                False)
     U = v.shape[1]
     c = h / 2.0
@@ -338,12 +344,12 @@ def _distinct_rows(rows):
     return rows[order[new]], inv
 
 
-def _shifted_mass(theta_v, layout, Q, shift: float):
+def _shifted_mass(theta, layout, Q, shift: float):
     """The barrier's mass state at the columns of an (n, N) ``Q``: (S,
     1/Sᵢᵢ, the pivots Sᵢᵢ²) of the factor S of M - shift I (`cholesky`)
     and the mass block's adjoint.  Raises NotPositiveDefiniteError at the
     first nonpositive pivot: the barrier is violated at that column."""
-    (Lm, _), mass_adj = mass_t(theta_v, layout, Q, False, False)
+    (Lm, _), mass_adj = mass_t(theta, layout, Q, False, False)
     return (*cholesky(gram(Lm), shift), mass_adj)
 
 
@@ -372,50 +378,10 @@ def _barrier_np(mass, rows):
     return np.log(d.take(rows, -1)).sum(0, keepdims=True), adjoint
 
 
-# -- loss graphs --------------------------------------------------------------
-
-def _del_graph(flat: FlatParams, batch: Batch, mu: float, alpha: float,
-               inputs=None):
-    """The DEL loss graph; ``batch`` and ``inputs`` as `del_loss_grad`'s."""
-    if batch.kind != "del":
-        raise ValueError(f"need a del batch, got {batch.kind!r}")
-    idx, table, mass = inputs or (None, _pair_table(batch), None)
-    pairs = table if idx is None else _pairs_of(table, idx)
-    B = pairs[1].shape[1]
-    tape = dc.Tape()
-    theta = tape.input(flat.values.reshape(1, -1))
-    res = _stage_t(theta, _del_np(theta.value, flat.layout, batch.h, pairs),
-                   "del_residual")
-    rho = dc.scale(dc.sumsq(res), 1.0 / B)
-    ld_mean = None
-    loss = rho
-    if mu != 0.0:  # an unweighted barrier is not built
-        if mass is None:  # the factor at the tuples' own q2 rows
-            q2 = batch.data["q2"]
-            q2 = q2 if idx is None else q2.take(idx, 0)
-            mass = (_shifted_mass(theta.value, flat.layout, transposed(q2),
-                                  alpha), np.arange(B))
-        ld = _stage_t(theta, _barrier_np(*mass), "shifted_logdet")
-        ld_mean = dc.mean_all(ld)
-        loss = dc.add(rho, dc.scale(ld_mean, -mu))
-    return tape, theta, loss, rho, ld_mean
-
-
-def _accel_graph(flat: FlatParams, batch: Batch):
-    if batch.kind != "accel":
-        raise ValueError(f"need an accel batch, got {batch.kind!r}")
-    tape = dc.Tape()
-    theta = tape.input(flat.values.reshape(1, -1))
-    X, V, A = (transposed(batch.data[k]) for k in ("q", "qdot", "qddot"))
-    E = dc.add(_stage_t(theta, _accel_np(theta.value, flat.layout, X, V),
-                        "accel"), tape.constant(-A))
-    loss = dc.scale(dc.sumsq(E), 1.0 / A.size)
-    return tape, theta, loss
-
-
-def _nextstate_graph(flat: FlatParams, batch: Batch, h: float):
-    """The RK4 step's (2n, B) residual as one tape node on theta, its
-    mean square as the loss, and the predicted (Qp, Vp) as (n, B) arrays.
+def _rk4_np(theta, layout, X, Xd, h: float):
+    """The RK4 step from the columns of (n, B) arrays (X, Xd) as the
+    predicted (Qp, Vp) stacked in a (2n, B) array, and its adjoint (as
+    `_accel_np`'s).
 
     Every stage position is known before its stage needs it: X and
     X + q̇ h/2 before the step, X + V2 h/2 once A1 exists and X + V3 h
@@ -427,23 +393,16 @@ def _nextstate_graph(flat: FlatParams, batch: Batch, h: float):
     X3's and X4's adjoints), velocity adjoints 2 and 1, then the stages
     1-2 position adjoint; a stage velocity's adjoints add as a
     per-operation tape would: RK4 consumers, τ, force net."""
-    if batch.kind != "nextstate":
-        raise ValueError(f"need a nextstate batch, got {batch.kind!r}")
-    layout = flat.layout
-    tape = dc.Tape()
-    theta = tape.input(flat.values.reshape(1, -1))
-    X, Xd, Qn, Vn = (transposed(batch.data[k])
-                     for k in ("q", "qdot", "qnext", "qdotnext"))
     (n, B), hh = X.shape, 0.5 * h
     halves = (np.s_[..., :B], np.s_[..., B:])
 
     def positions(Xa, Xb, want_x):
-        pos, adjoint = _position_np(theta.value, layout,
+        pos, adjoint = _position_np(theta, layout,
                                     np.concatenate([Xa, Xb], 1), want_x)
         return [tuple(p[r] for p in pos) for r in halves], adjoint
 
     def velocity(pos, Xs, Vs, want_xv):
-        A, adjoint = _velocity_np(theta.value, layout, pos, Xs, Vs, want_xv)
+        A, adjoint = _velocity_np(theta, layout, pos, Xs, Vs, want_xv)
         if not np.all(np.isfinite(A)):
             raise IntegrationBlowupError("non-finite RK4 stage acceleration")
         return A, adjoint
@@ -481,13 +440,75 @@ def _nextstate_graph(flat: FlatParams, batch: Batch, h: float):
         gp1, _, _ = adj1(gkv + sum(gv, gV23 + gX3 * hh) * hh, gt)
         adj12(joined(gp1, gp2), gt)
 
-    E = _stage_t(theta, (np.concatenate([Qp - Qn, Vp - Vn]), adjoint),
-                 "nextstate")
+    return np.concatenate([Qp, Vp]), adjoint
+
+
+# -- loss graphs --------------------------------------------------------------
+#
+# Each builder returns (tape, theta, loss): theta is the tape's (1, P)
+# input row over the flat vector, and each numpy stage, which reads the
+# flat vector, is one node on it.
+
+def _del_graph(flat: FlatParams, batch: Batch, mu: float, alpha: float,
+               inputs=None):
+    """The DEL loss graph; ``batch`` and ``inputs`` as `del_loss_grad`'s."""
+    if batch.kind != "del":
+        raise ValueError(f"need a del batch, got {batch.kind!r}")
+    idx, table, mass = inputs or (None, _pair_table(batch), None)
+    pairs = table if idx is None else _pairs_of(table, idx)
+    B = pairs[1].shape[1]
+    tape = dc.Tape()
+    theta = tape.input(flat.values.reshape(1, -1))
+    res = _stage_t(theta, _del_np(flat.values, flat.layout, batch.h, pairs),
+                   "del_residual")
+    loss = dc.scale(dc.sumsq(res), 1.0 / B)
+    if mu != 0.0:  # an unweighted barrier is not built
+        if mass is None:  # the factor at the tuples' own q2 rows
+            q2 = batch.data["q2"]
+            q2 = q2 if idx is None else q2.take(idx, 0)
+            mass = (_shifted_mass(flat.values, flat.layout, transposed(q2),
+                                  alpha), np.arange(B))
+        ld = _stage_t(theta, _barrier_np(*mass), "shifted_logdet")
+        loss = dc.add(loss, dc.scale(dc.mean_all(ld), -mu))
+    return tape, theta, loss
+
+
+def _accel_graph(flat: FlatParams, batch: Batch):
+    if batch.kind != "accel":
+        raise ValueError(f"need an accel batch, got {batch.kind!r}")
+    tape = dc.Tape()
+    theta = tape.input(flat.values.reshape(1, -1))
+    X, V, A = (transposed(batch.data[k]) for k in ("q", "qdot", "qddot"))
+    E = dc.add(_stage_t(theta, _accel_np(flat.values, flat.layout, X, V),
+                        "accel"), tape.constant(-A))
+    loss = dc.scale(dc.sumsq(E), 1.0 / A.size)
+    return tape, theta, loss
+
+
+def _nextstate_graph(flat: FlatParams, batch: Batch, h: float):
+    """The RK4 step's (2n, B) residual, its prediction (`_rk4_np`) less
+    the data, as one tape node on theta, and its mean square as the
+    loss."""
+    if batch.kind != "nextstate":
+        raise ValueError(f"need a nextstate batch, got {batch.kind!r}")
+    tape = dc.Tape()
+    theta = tape.input(flat.values.reshape(1, -1))
+    X, Xd, Qn, Vn = (transposed(batch.data[k])
+                     for k in ("q", "qdot", "qnext", "qdotnext"))
+    P, adjoint = _rk4_np(flat.values, flat.layout, X, Xd, h)
+    E = _stage_t(theta, (P - np.concatenate([Qn, Vn]), adjoint), "nextstate")
     loss = dc.scale(dc.sumsq(E), 1.0 / (2.0 * X.size))
-    return tape, theta, loss, (Qp, Vp)
+    return tape, theta, loss
 
 
 # -- public losses ------------------------------------------------------------
+
+def _loss_grad(graph):
+    """(loss, gradient) of a loss graph's (tape, theta, loss)."""
+    tape, theta, loss = graph
+    g = tape.gradients(loss, [theta])[0]
+    return loss.value.item(), g.ravel().copy()
+
 
 def del_loss_grad(params: FlatParams, batch: Batch,
                   mu: float = MU_DEFAULT, alpha: float = 0.0, inputs=None):
@@ -502,32 +523,25 @@ def del_loss_grad(params: FlatParams, batch: Batch,
     come from the batch alone: `_pair_table` and, when mu is not 0, a
     mass state at its q2 rows.  Either way the residual and barrier
     stages are the same code."""
-    tape, theta, loss, _, _ = _del_graph(params, batch, mu, alpha, inputs)
-    g = tape.gradients(loss, [theta])[0]
-    return loss.value.item(), g.ravel().copy()
+    return _loss_grad(_del_graph(params, batch, mu, alpha, inputs))
 
 
 def accel_loss_grad(params: FlatParams, batch: Batch):
     """(loss, gradient): mean squared acceleration error over all entries."""
-    tape, theta, loss = _accel_graph(params, batch)
-    g = tape.gradients(loss, [theta])[0]
-    return loss.value.item(), g.ravel().copy()
+    return _loss_grad(_accel_graph(params, batch))
 
 
 def nextstate_loss_grad(params: FlatParams, batch: Batch, h: float):
     """(loss, gradient): mean squared one-step RK4 error, position and
     velocity weighted equally."""
-    tape, theta, loss, _ = _nextstate_graph(params, batch, h)
-    g = tape.gradients(loss, [theta])[0]
-    return loss.value.item(), g.ravel().copy()
+    return _loss_grad(_nextstate_graph(params, batch, h))
 
 
 def predicted_accelerations(params: FlatParams, q, qdot) -> np.ndarray:
     """Batched model accelerations at the rows of (B, n) states as a
     (B, n) array, with no tape."""
     X, V = (transposed(np.asarray(a, dtype=np.float64)) for a in (q, qdot))
-    return transposed(_accel_np(params.values.reshape(1, -1), params.layout,
-                                X, V)[0])
+    return transposed(_accel_np(params.values, params.layout, X, V)[0])
 
 
 def accel_rmse(params: FlatParams, batch: Batch) -> float:
@@ -608,12 +622,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.xi0 <= 0:
-            raise ValueError("initial learning rate must be positive")
+        # NaN fails every comparison, so each bound is stated as what holds
+        if not 0 < self.xi0 < np.inf:
+            raise ValueError("initial learning rate must be finite and "
+                             "positive")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("bad epoch count or batch size")
-        if self.mu < 0:
-            raise ValueError("barrier weight mu must be non-negative")
+        if not 0 <= self.mu < np.inf:
+            raise ValueError("barrier weight mu must be finite and "
+                             "non-negative")
         if not 0.0 < self.alpha_fraction < 1.0:
             raise ValueError("alpha_fraction must sit strictly inside (0, 1)")
 
@@ -702,7 +719,7 @@ def train(method: str, params0: FlatParams, trajectories,
     def evaluate(vals):
         try:
             err = accel_rmse(FlatParams(vals, layout), val_batch)
-        except dc.DiffcoreError:
+        except ModelNumericsError:
             return np.inf
         return err if np.isfinite(err) else np.inf
 
@@ -722,8 +739,8 @@ def train(method: str, params0: FlatParams, trajectories,
         # the barrier's own pivot test at every training configuration;
         # one that passes is the barrier stage's factor until the next
         try:
-            return _shifted_mass(vals.reshape(1, -1), layout, configs, alpha)
-        except (NotPositiveDefiniteError, dc.DiffcoreError):
+            return _shifted_mass(vals, layout, configs, alpha)
+        except (NotPositiveDefiniteError, ModelNumericsError):
             return None
 
     # the state at θ₀ (None if θ₀ fails the test: each batch's loss then
@@ -742,7 +759,7 @@ def train(method: str, params0: FlatParams, trajectories,
             try:
                 loss, grad = loss_grad(values, idx)
             except (NotPositiveDefiniteError, IntegrationBlowupError,
-                    dc.DiffcoreError) as err:
+                    ModelNumericsError) as err:
                 loss, grad = np.inf, None
                 _log.warning("batch loss unavailable: %s", err)
             ok = grad is not None and np.isfinite(loss) \

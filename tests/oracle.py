@@ -728,31 +728,43 @@ class SmmSystem(FdSystem):
         return force(self.theta, self.layout, _row(q), _row(qdot))[0]
 
 
-# -- readouts of the library's loss graphs -------------------------------------
+# -- readouts of the library's loss stages -------------------------------------
+
+def _columns(a):
+    """Rows of points as the library's feature-major (n, B) array."""
+    return np.ascontiguousarray(np.asarray(a, dtype=np.float64).T)
+
 
 def del_loss_terms(params, batch, alpha=0.0):
-    """(mean residual, mean logdet(M - alpha I)) as plain floats."""
-    _, _, _, rho, ld = tr._del_graph(params, batch, 1.0, alpha)
-    return rho.value.item(), ld.value.item()
+    """(mean squared residual, mean logdet(M - alpha I)) as plain floats,
+    from the residual and barrier stages' values."""
+    theta, layout = params.values, params.layout
+    res, _ = tr._del_np(theta, layout, batch.h, tr._pair_table(batch))
+    mass = tr._shifted_mass(theta, layout, _columns(batch.data["q2"]),
+                            alpha)
+    ld, _ = tr._barrier_np(mass, np.arange(len(batch)))
+    return float(np.sum(res * res)) / len(batch), float(np.mean(ld))
 
 
 def nextstate_predictions(params, batch, h):
-    """RK4 one-step predictions as (B, n) value arrays (the graph's own
-    forward)."""
-    _, _, _, (Qp, Vp) = tr._nextstate_graph(params, batch, h)
-    return Qp.T, Vp.T
+    """RK4 one-step predictions as (B, n) value arrays (the RK4 stage's
+    own forward)."""
+    P, _ = tr._rk4_np(params.values, params.layout,
+                      _columns(batch.data["q"]), _columns(batch.data["qdot"]),
+                      h)
+    n = params.layout.arch.n
+    return P[:n].T, P[n:].T
 
 
 def barrier_grad(params, configs, alpha):
     """Gradient of the mean logdet(M - alpha I) over the given configs,
     from the barrier stage's adjoint."""
     Q = np.asarray(configs, dtype=np.float64)
-    mass = tr._shifted_mass(params.values.reshape(1, -1), params.layout,
-                            np.ascontiguousarray(Q.T), alpha)
+    mass = tr._shifted_mass(params.values, params.layout, _columns(Q), alpha)
     _, adjoint = tr._barrier_np(mass, np.arange(len(Q)))
-    g = np.zeros((1, params.layout.total))
+    g = np.zeros(params.layout.total)
     adjoint(np.full((1, len(Q)), 1.0 / len(Q)), g)
-    return g.ravel()
+    return g
 
 
 # -- matrix-form Kalman filter and EM ------------------------------------------

@@ -1,7 +1,7 @@
 """Tape engine checks: each primitive the loss graphs use (`add` with
 its row and scalar broadcasts, `scale`, `sum_all`, `sumsq`, `mean_all`
 and `custom`) against central finite differences, the backward sweep's
-contract and determinism, and the numpy sigmoid the net blocks share."""
+contract and determinism."""
 
 import zlib
 
@@ -89,25 +89,6 @@ def test_grad_deep_composite_matches_fd():
     for _ in range(5):
         assert_grads_match_fd(f, [rng.uniform(-1.0, 1.0, size=(2, 3))
                                   for _ in range(2)])
-
-
-def test_sigmoid_matches_the_masked_form_bit_for_bit():
-    # the branch-free form computes every element by the expression the
-    # masked form picked for it
-    def masked(x):
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return out
-
-    rng = np.random.default_rng(3)
-    edge = np.array([0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 745.2, -745.2,
-                     800.0, -800.0, np.inf, -np.inf])
-    for x in [edge, *(rng.normal(size=(7, 5)) * s for s in (1, 30, 800)),
-              rng.uniform(-800, 800, size=(32, 1))]:
-        assert dc._sigmoid_np(x).tobytes() == masked(x).tobytes()
 
 
 # -- the backward sweep's contract --------------------------------------------

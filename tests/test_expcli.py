@@ -66,12 +66,24 @@ def test_config_validation():
                                          ("sigma", float("nan")),
                                          ("sigma", float("inf")),
                                          ("h", float("inf")),
-                                         ("h", float("nan"))])
+                                         ("h", float("nan")),
+                                         ("mu", float("nan")),
+                                         ("mu", float("inf")),
+                                         ("lrs", [float("nan")]),
+                                         ("lrs", [float("inf")]),
+                                         ("epochs", 2.5), ("epochs", True),
+                                         ("seeds", 1.5), ("T", 60.5),
+                                         ("batch_size", 32.5),
+                                         ("data_seed", 1.5),
+                                         ("workers", 1.5),
+                                         ("n_trajectories", 4.0),
+                                         ("split", [2, 1.0, 1]),
+                                         ("hidden", [8.5, 8])])
 def test_bad_training_config_exits_2_before_writing(tmp_path, capsys,
                                                     field, value):
     # the training and net settings' own checks run when the config loads;
-    # a non-finite h or sigma fails the config's own check (NaN compares
-    # false to every bound)
+    # a non-finite h, sigma, mu or rate fails a check (NaN compares false
+    # to every bound), and so does a count that is not an integer
     doc = {**desk_config().to_dict(), field: value}
     (tmp_path / "c.json").write_text(json.dumps(doc))
     out = tmp_path / "out"
@@ -80,9 +92,11 @@ def test_bad_training_config_exits_2_before_writing(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert not out.exists()
-    if field in ("h", "sigma"):
-        # the config's check, not a failure further on
+    # the config's own checks, not a failure further on
+    if field in ("h", "sigma", "mu", "lrs"):
         assert "finite" in err
+    elif (field, value) not in (("alpha_fraction", 1.5), ("hidden", [0])):
+        assert "must be integers" in err
 
 
 @pytest.mark.parametrize("field,value", [
@@ -556,7 +570,8 @@ def test_cli_generate_bad_option_exit_code(tmp_path, capsys, flag, value):
 
 
 @pytest.mark.parametrize("flag,value", [("--hidden", "0"), ("--lr", "0"),
-                                        ("--batch", "0")])
+                                        ("--batch", "0"), ("--lr", "nan"),
+                                        ("--lr", "inf")])
 def test_cli_train_bad_option_exit_code(smoothed_pair, tmp_path, capsys,
                                         flag, value):
     files = sorted(map(str, smoothed_pair.glob("traj_*.csv")))

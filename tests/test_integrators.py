@@ -395,8 +395,9 @@ def test_add_noise_seed_repeatable():
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         integ.Trajectory(np.zeros((2, 2)), 0.05)
-    with pytest.raises(ValueError):
-        integ.Trajectory(np.zeros((5, 2)), -0.05)
+    for h in (-0.05, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            integ.Trajectory(np.zeros((5, 2)), h)
     bad = np.zeros((5, 2))
     bad[3, 1] = np.nan
     with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """`tools/loss_capture.py`, rule 0's capture-and-match gate for a change
-that moves bits: a checkout matches its own capture exactly, and a
-capture moved past ``--rtol`` or missing an entry fails."""
+that moves bits: a checkout matches its own capture exactly, a capture
+moved past ``--rtol`` or missing an entry fails, and a 1-ulp move passes
+the default rtol but not ``--rtol 0``, the gate for a change meant to
+keep bits."""
 
 import importlib.util
 from pathlib import Path
@@ -31,8 +33,15 @@ def test_a_checkout_matches_its_own_capture(tmp_path, capsys):
     # every quantity of the grid: n x force net x seeds x batch sizes
     cases = len(tool.NS) * 2 * len(tool.SEEDS) * len(tool.SIZES)
     assert len(want) == 10 * cases
+    assert f"{len(want)} of {len(want)} arrays bit-identical" in out
 
     got = dict(want)
+    key = next(k for k in want if k.endswith("/nextstate.loss"))
+    got[key] = np.nextafter(want[key], np.inf)
+    assert tool.compare(got, want, 1e-10) == 0
+    assert tool.compare(got, want, 0.0) == 1
+    assert f"{len(want) - 1} of {len(want)} arrays bit-identical" \
+        in capsys.readouterr().out
     key = next(k for k in want if k.endswith("/del_mu0.01.grad"))
     got[key] = want[key] * (1.0 + 1e-9)
     assert tool.compare(got, want, 1e-10) == 1

@@ -318,9 +318,10 @@ def test_config_triple_validation():
     with pytest.raises(ValueError):
         mech.ConfigTriple(rows([0.0, 0.0]), rows([0.0, 0.0], [0.0, 0.0]),
                           rows([0.0, 0.0]), 0.05)
-    with pytest.raises(ValueError):
-        mech.ConfigTriple(rows([0.0, 0.0]), rows([0.0, 0.0]), rows([0.0, 0.0]),
-                          0.0)
+    for h in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            mech.ConfigTriple(rows([0.0, 0.0]), rows([0.0, 0.0]),
+                              rows([0.0, 0.0]), h)
 
 
 # -- analytic double pendulum -------------------------------------------------

@@ -1,5 +1,6 @@
 """Structured-model parameterization checks: PD construction, scale
-closure, flat layout, builders against the numpy oracle, checkpoints."""
+closure, flat layout, the mass head's numpy sigmoid, builders against the
+numpy oracle, checkpoints."""
 
 import numpy as np
 import pytest
@@ -29,10 +30,6 @@ def cols(x):
     return np.ascontiguousarray(rows(x).T)
 
 
-def theta(p):
-    return p.values.reshape(1, -1)
-
-
 def mass_batch(p, Q):
     """M(q) per row of Q from the library's value path, shape (B, n, n)."""
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
@@ -41,12 +38,12 @@ def mass_batch(p, Q):
 
 def potential_grad_batch(p, Q):
     """∇V(q) per row of Q from the library's potential build, (B, n)."""
-    return npar.potential_grad_t(theta(p), p.layout, cols(Q), False)[0].T
+    return npar.potential_grad_t(p.values, p.layout, cols(Q), False)[0].T
 
 
 def force_batch(p, Q, Qd):
     X = np.concatenate([cols(Q), cols(Qd)])
-    return npar.force_t(theta(p), p.layout, X, False)[0].T
+    return npar.force_t(p.values, p.layout, X, False)[0].T
 
 
 # -- mass matrix --------------------------------------------------------------
@@ -188,6 +185,25 @@ def test_flat_params_validation():
         npar.FlatParams(np.zeros(layout.total + 1), layout)
 
 
+def test_sigmoid_matches_the_masked_form_bit_for_bit():
+    # the branch-free form computes every element by the expression the
+    # masked form picked for it
+    def masked(x):
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    rng = np.random.default_rng(3)
+    edge = np.array([0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 745.2, -745.2,
+                     800.0, -800.0, np.inf, -np.inf])
+    for x in [edge, *(rng.normal(size=(7, 5)) * s for s in (1, 30, 800)),
+              rng.uniform(-800, 800, size=(32, 1))]:
+        assert npar._sigmoid_np(x).tobytes() == masked(x).tobytes()
+
+
 # -- tape builders against the numpy oracle ----------------------------------
 
 def test_tape_potential_matches_numpy():
@@ -211,7 +227,7 @@ def test_tape_directions_match_reverse_mode():
     # dV/dq_k, against the point model's forward-mode derivatives
     p = npar.init_params(16, ARCH)
     Q = np.random.default_rng(25).uniform(-np.pi, np.pi, size=(6, 2))
-    (_, dM), _ = npar.mass_t(theta(p), p.layout, cols(Q), True, False)
+    (_, dM), _ = npar.mass_t(p.values, p.layout, cols(Q), True, False)
     dM = dM.transpose(3, 0, 1, 2)
     want_M = oracle.mass_matrix(p.values, p.layout, Q, True)[1]
     want_V = oracle.potential(p.values, p.layout, Q, True)[1]
@@ -230,11 +246,11 @@ def test_tape_builders_without_directions_build_values_only(monkeypatch):
     monkeypatch.setattr(dc.Tape, "__init__", no_node)
     p = npar.init_params(17, ARCH)
     X = cols(np.random.default_rng(27).uniform(-2, 2, size=(3, 2)))
-    (L, dM), _ = npar.mass_t(theta(p), p.layout, X, False, False)
+    (L, dM), _ = npar.mass_t(p.values, p.layout, X, False, False)
     dV = potential_grad_batch(p, X.T)
     assert L.shape == (2, 2, 3) and dM.shape == (0, 2, 2, 3)
     assert dV.shape == (3, 2)
-    (L2, dM2), _ = npar.mass_t(theta(p), p.layout, X, True, False)
+    (L2, dM2), _ = npar.mass_t(p.values, p.layout, X, True, False)
     assert dM2.shape == (2, 2, 2, 3)
     assert np.array_equal(L2, L)
 
@@ -254,7 +270,7 @@ def test_net_blocks_are_feature_major(B):
     # values with the rows last; each adjoint gives the input's adjoint in
     # the input's own layout
     p = npar.init_params(21, ARCH_F)
-    gt = np.zeros((1, p.layout.total))
+    gt = np.zeros(p.layout.total)
     rng = np.random.default_rng([26, B])
     Q, Qd = (cols(rng.normal(size=(B, 2))) for _ in range(2))
 
@@ -262,16 +278,16 @@ def test_net_blocks_are_feature_major(B):
         return a.shape == shape and a.flags.c_contiguous
 
     for jac in (False, True):
-        (L, dM), adjoint = npar.mass_t(theta(p), p.layout, Q, jac, True)
+        (L, dM), adjoint = npar.mass_t(p.values, p.layout, Q, jac, True)
         assert feature_major(L, (2, 2, B))
         assert feature_major(dM, (2 if jac else 0, 2, 2, B))
         gdM = rng.normal(size=dM.shape) if jac else None
         assert feature_major(adjoint(rng.normal(size=L.shape), gdM, gt),
                              (2, B))
-    dV, adjoint = npar.potential_grad_t(theta(p), p.layout, Q, True)
+    dV, adjoint = npar.potential_grad_t(p.values, p.layout, Q, True)
     assert feature_major(dV, (2, B))
     assert feature_major(adjoint(rng.normal(size=dV.shape), gt), (2, B))
-    F, adjoint = npar.force_t(theta(p), p.layout, np.concatenate([Q, Qd]),
+    F, adjoint = npar.force_t(p.values, p.layout, np.concatenate([Q, Qd]),
                               True)
     assert feature_major(F, (2, B))
     assert feature_major(adjoint(rng.normal(size=F.shape), gt), (4, B))
@@ -283,7 +299,7 @@ def test_chol_solve_t_matches_dense_solve():
     rng = np.random.default_rng(23)
     Q = rng.uniform(-np.pi, np.pi, size=(8, 2))
     B, G = rng.uniform(-1, 1, size=(2, 8, 2))
-    (L, _), _ = npar.mass_t(theta(p), p.layout, cols(Q), False, False)
+    (L, _), _ = npar.mass_t(p.values, p.layout, cols(Q), False, False)
     xs, adjoint = npar.chol_solve_t(L, B.T)
     gM, gb = adjoint(G.T)
     for b, M in enumerate(oracle.mass_matrix(p.values, p.layout, Q)[0]):

@@ -1,9 +1,10 @@
 """Guards on the library surface: every public module-level function,
 class or constant in `src/smmfit` has a library caller or reader, a
 README entry as `module.name` or a perfbench probe wrapper, every
-callable the probe wraps exists, the numpy-only modules import nothing
-from the tape engine, netparam uses only its numpy helpers, and training
-imports netparam's blocks but not its packing and Gram helpers."""
+callable the probe wraps exists, only training imports the tape engine,
+netparam imports only mechanics, the tape's old error name is gone, and
+training imports netparam's blocks but not its packing and Gram
+helpers."""
 
 import ast
 import importlib.util
@@ -111,21 +112,25 @@ def smmfit_imports(mod: str) -> set:
     return found
 
 
-def test_mechanics_integrators_and_smoother_run_without_the_tape():
-    # the simulator and the smoother are plain numpy; netparam's net
-    # blocks use only diffcore's numpy helpers and its error type, and
-    # only training (and expcli over it) builds tapes
-    for mod in ("mechanics", "integrators", "smoother"):
-        assert "diffcore" not in smmfit_imports(mod), mod
-    assert "diffcore" in smmfit_imports("training")
-    tree = ast.parse((ROOT / "src" / "smmfit" / "netparam.py").read_text())
-    used = {node.attr for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            and getattr(node.value, "id", None) == "dc"}
-    helpers = {"_exp_np", "_reciprocal_np", "_softplus_np", "_sigmoid_np",
-               "_unbroadcast", "DiffcoreError"}
-    assert used and used <= helpers, used - helpers
-    assert smmfit_imports("netparam") == {"diffcore", "mechanics"}
+def test_only_the_loss_graphs_use_the_tape():
+    # the simulator, the smoother and the model are plain numpy: netparam
+    # holds the model's numerics and their error, and only training's
+    # loss graphs build tapes
+    users = {mod for mod in MODS if "diffcore" in smmfit_imports(mod)}
+    assert users == {"training"}
+    assert smmfit_imports("netparam") == {"mechanics"}
+
+
+def test_the_tape_error_name_is_gone_without_an_alias():
+    # the model's numerics raise netparam.ModelNumericsError; the tape's
+    # old name (spelled in two parts here) is in no module, test or tool
+    old = "Diffcore" "Error"
+    for mod in MODS.values():
+        assert not hasattr(mod, old), mod.__name__
+    files = [*(ROOT / "src" / "smmfit").glob("*.py"),
+             *(ROOT / "tests").glob("*.py"), *(ROOT / "tools").glob("*.py"),
+             ROOT / "README.md"]
+    assert [f.name for f in files if old in f.read_text()] == []
 
 
 def test_training_reads_the_mass_matrix_only_through_mass_t():
@@ -136,6 +141,6 @@ def test_training_reads_the_mass_matrix_only_through_mass_t():
     names = {a.name for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) and node.module == "netparam"
              for a in node.names}
-    assert names == {"FlatParams", "chol_solve_t", "force_t", "gram",
-                     "mass_entries_t", "mass_t", "potential_grad_t",
-                     "transposed"}
+    assert names == {"FlatParams", "ModelNumericsError", "chol_solve_t",
+                     "force_t", "gram", "mass_entries_t", "mass_t",
+                     "potential_grad_t", "transposed"}

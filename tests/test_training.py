@@ -110,6 +110,9 @@ def test_batch_validation():
         tr.Batch("accel", {"q": q, "qdot": q, "qddot": np.zeros((3, 2))})
     with pytest.raises(ValueError):
         tr.Batch("del", {"q1": q, "q2": q, "q3": q})  # no step size
+    for h in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            tr.Batch("del", {"q1": q, "q2": q, "q3": q}, h)
 
 
 def test_batch_take_subsets_rows():
@@ -520,7 +523,9 @@ def test_feasibility_pivots_agree_with_eigenvalues_and_the_barrier():
 def test_train_config_checks_mu_and_alpha_fraction():
     # the fraction of choose_alpha's eigenvalue is checked here, once
     for bad in (dict(mu=-1.0), dict(alpha_fraction=0.0),
-                dict(alpha_fraction=1.0), dict(alpha_fraction=1.5)):
+                dict(alpha_fraction=1.0), dict(alpha_fraction=1.5),
+                dict(mu=np.nan), dict(mu=np.inf), dict(xi0=np.nan),
+                dict(xi0=np.inf)):
         with pytest.raises(ValueError):
             tr.TrainConfig(**bad)
     tr.TrainConfig(mu=0.0, alpha_fraction=0.999)

@@ -6,6 +6,8 @@ or check a checkout against such a capture.
 
 This is the first half of ROADMAP rule 0's gate for a change that moves
 bits: capture at the parent, then match the change to 1e-10 relative.
+A change meant to keep bits runs ``--compare F.npz --rtol 0``, which
+passes only when every array is bit-identical to the capture.
 The grid is n = 1, 2, 3, conservative and damped (force net on), B = 1,
 7, 32, 196 and 256 tuples, and two parameter seeds; the nets are the
 library default (32, 32).  Each case records the `del` loss and gradient
@@ -17,9 +19,10 @@ took their present signatures can be captured.
 
 ``--src`` names the `src` directory whose smmfit is imported (default:
 this checkout's).  ``--compare`` prints, per quantity, the worst over the
-grid of max |got - want| / max |want| and the case where it fell, and
-exits 1 when one exceeds ``--rtol`` or a capture entry is missing or
-differs in shape; else 0.  BLAS runs on one thread, as in perfbench.
+grid of max |got - want| / max |want| and the case where it fell, then
+how many arrays are bit-identical to the capture, and exits 1 when one
+exceeds ``--rtol`` or a capture entry is missing or differs in shape;
+else 0.  BLAS runs on one thread, as in perfbench.
 """
 
 import argparse
@@ -104,6 +107,7 @@ def compare(got: dict, want: dict, rtol: float) -> int:
         print(f"{key}: in only one of the capture and this checkout")
         bad += 1
     worst = {}
+    same = 0
     for key in sorted(set(want) & set(got)):
         case, quantity = key.split("/")
         g, w = got[key], want[key]
@@ -111,6 +115,7 @@ def compare(got: dict, want: dict, rtol: float) -> int:
             print(f"{key}: shape {g.shape}, capture has {w.shape}")
             bad += 1
             continue
+        same += g.tobytes() == w.tobytes()
         scale = np.abs(w).max()
         d = np.abs(g - w).max()
         d = d / scale if scale else d
@@ -122,6 +127,7 @@ def compare(got: dict, want: dict, rtol: float) -> int:
         flag = "  ABOVE RTOL" if d > rtol else ""
         print(f"{quantity}: worst relative difference {d:.3g} ({case}){flag}")
         bad += d > rtol
+    print(f"{same} of {len(want)} arrays bit-identical")
     print(f"{len(want)} captured arrays, rtol {rtol:g}: "
           + ("FAIL" if bad else "ok"))
     return 1 if bad else 0
