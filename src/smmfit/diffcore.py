@@ -11,14 +11,11 @@ acyclic structure that reference counting frees as soon as it is dropped.
 Differentiation is first order.  Each node's backward rule is a plain
 numpy function from its adjoint array to its parents' adjoint arrays, so
 the sweep accumulates arrays, records nothing on the tape and returns
-plain arrays.  Rules skip the arithmetic for parents that need no
-gradient.
+plain arrays.
 
-The primitives here are the few the loss graphs use for their loss
-arithmetic (`add`, `scale`, `sum_all`, `sumsq`, `mean_all`); every other
-node but the leaves is a `custom` node with a caller-supplied value and
-first-order backward rule: in each loss, one per numpy stage on the
-parameters.  Only training's loss graphs use the tape.
+The one operation is `custom`: a node with a caller-supplied value and
+first-order backward rule.  Each of training's losses is one such node
+on the parameters' input row.
 """
 
 from __future__ import annotations
@@ -43,24 +40,18 @@ def _as_value(x) -> np.ndarray:
 class Tensor:
     """A node on a tape: a rank-2 value plus the record of how it was made."""
 
-    __slots__ = ("tape", "idx", "value", "parents", "op", "bwd", "requires_grad")
+    __slots__ = ("tape", "idx", "value", "parents", "bwd")
 
-    def __init__(self, tape, idx, value, parents, op, requires_grad):
+    def __init__(self, tape, idx, value, parents):
         self.tape = tape
         self.idx = idx
         self.value = value
         self.parents = parents
-        self.op = op
         self.bwd = None
-        self.requires_grad = requires_grad
-
-    @property
-    def shape(self):
-        return self.value.shape
 
 
 class Tape:
-    """Ordered record of primitive operations."""
+    """Ordered record of operations."""
 
     def __init__(self):
         self.nodes: list[Tensor] = []
@@ -68,18 +59,14 @@ class Tape:
         # cycle that only the cyclic collector frees
         self._ref = weakref.proxy(self)
 
-    def _append(self, value, parents, op, requires_grad) -> Tensor:
-        t = Tensor(self._ref, len(self.nodes), value, parents, op,
-                   requires_grad)
+    def _append(self, value, parents) -> Tensor:
+        t = Tensor(self._ref, len(self.nodes), value, parents)
         self.nodes.append(t)
         return t
 
-    def constant(self, x) -> Tensor:
-        return self._append(_as_value(x), (), "constant", False)
-
     def input(self, x) -> Tensor:
         """A leaf whose adjoint will be tracked."""
-        return self._append(_as_value(x), (), "input", True)
+        return self._append(_as_value(x), ())
 
     def gradients(self, output: Tensor, leaves):
         """Adjoints of ``leaves`` for a backward pass seeded at ``output``,
@@ -105,7 +92,7 @@ class Tape:
                 adjoint[i] = None  # no longer needed; frees it early
             contribs = node.bwd(g)
             for p, c in zip(node.parents, contribs):
-                if c is None or not p.requires_grad:
+                if c is None:
                     continue
                 prev = adjoint[p.idx]
                 adjoint[p.idx] = c if prev is None else prev + c
@@ -116,68 +103,7 @@ class Tape:
         return out
 
 
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Reduce an adjoint back to the shape of a broadcast operand."""
-    if g.shape == shape:
-        return g
-    if shape == (1, 1):
-        return np.array([[g.sum()]])
-    if shape[0] == 1:
-        return g.sum(axis=0, keepdims=True)
-    if shape[1] == 1:
-        return g.sum(axis=1, keepdims=True)
-    raise ValueError(f"cannot reduce {g.shape} to {shape}")
-
-
-def _broadcast_ok(sa, sb) -> bool:
-    if sa == sb or sa == (1, 1) or sb == (1, 1):
-        return True
-    if sa[1] == sb[1] and (sa[0] == 1 or sb[0] == 1):
-        return True
-    if sa[0] == sb[0] and (sa[1] == 1 or sb[1] == 1):
-        return True
-    return False
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.tape is not b.tape:
-        raise ValueError("add: operands on different tapes")
-    if not _broadcast_ok(a.shape, b.shape):
-        raise ValueError(f"add: incompatible shapes {a.shape} and {b.shape}")
-    out = a.tape._append(a.value + b.value, (a, b), "add",
-                         a.requires_grad or b.requires_grad)
-    out.bwd = lambda g: (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                         _unbroadcast(g, b.shape) if b.requires_grad else None)
-    return out
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    """Multiply by a plain float (not differentiated with respect to c)."""
-    out = a.tape._append(a.value * c, (a,), "scale", a.requires_grad)
-    out.bwd = lambda g: (g * c,)
-    return out
-
-
-def sum_all(a: Tensor) -> Tensor:
-    out = a.tape._append(np.array([[a.value.sum()]]), (a,), "sum_all",
-                         a.requires_grad)
-    out.bwd = lambda g: (g * np.ones_like(a.value),)
-    return out
-
-
-def sumsq(a: Tensor) -> Tensor:
-    """Squared Frobenius norm, as a 1 x 1 tensor."""
-    out = a.tape._append(np.array([[float(np.sum(a.value * a.value))]]), (a,),
-                         "sumsq", a.requires_grad)
-    out.bwd = lambda g: (g * (a.value * 2.0),)
-    return out
-
-
-def mean_all(a: Tensor) -> Tensor:
-    return scale(sum_all(a), 1.0 / a.value.size)
-
-
-def custom(parents, value, bwd, op: str = "custom") -> Tensor:
+def custom(parents, value, bwd) -> Tensor:
     """One node with a caller-supplied value and backward rule.
 
     ``bwd(g)`` maps the node's adjoint to one adjoint (or None) per entry
@@ -187,9 +113,7 @@ def custom(parents, value, bwd, op: str = "custom") -> Tensor:
     parents = tuple(parents)
     tape = parents[0].tape
     if any(p.tape is not tape for p in parents):
-        raise ValueError(f"{op}: parents on different tapes")
-    out = tape._append(_as_value(value), parents, op,
-                       any(p.requires_grad for p in parents))
+        raise ValueError("custom: parents on different tapes")
+    out = tape._append(_as_value(value), parents)
     out.bwd = bwd
     return out
-

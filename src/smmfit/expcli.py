@@ -64,8 +64,15 @@ class ExperimentConfig:
     def __post_init__(self):
         self.split = tuple(self.split)
         self.methods = tuple(self.methods)
-        self.lrs = tuple(float(x) for x in self.lrs)
+        self.lrs = tuple(self.lrs)
         self.hidden = tuple(self.hidden)
+        # float() takes a bool as 0 or 1, and a string as what it spells
+        reals = (*self.lrs, self.mu, self.sigma, self.h, self.alpha_fraction)
+        if not all(isinstance(x, (int, float, np.integer, np.floating))
+                   and not isinstance(x, bool) for x in reals):
+            raise ConfigError("lrs, mu, sigma, h and alpha_fraction must be "
+                              "real numbers")
+        self.lrs = tuple(float(x) for x in self.lrs)
         # a float count would be cut short or fail once files are written,
         # and a bool would count as 0 or 1
         counts = (self.n_trajectories, *self.split, self.T, self.seeds,
@@ -90,6 +97,8 @@ class ExperimentConfig:
             raise ConfigError("noise level must be finite and non-negative")
         if self.seeds < 1 or self.workers < 1:
             raise ConfigError("seeds and workers must be positive")
+        if self.data_seed < 0:
+            raise ConfigError("data_seed must be non-negative")
         bad = [m for m in self.methods if m not in tr.METHODS]
         if bad or not self.methods:
             raise ConfigError(f"methods must be drawn from {tr.METHODS}")
@@ -657,9 +666,9 @@ def _read(load, paths) -> list:
 
 def cmd_generate(args) -> int:
     if args.count < 1 or args.steps < 3 or not 0 < args.h < np.inf \
-            or not 0 <= args.sigma < np.inf:
-        raise ConfigError("need --count >= 1, --steps >= 3, a finite --h > 0 "
-                          "and a finite --sigma >= 0")
+            or not 0 <= args.sigma < np.inf or args.seed < 0:
+        raise ConfigError("need --count >= 1, --steps >= 3, a finite --h > 0, "
+                          "a finite --sigma >= 0 and --seed >= 0")
     system = mech.DoublePendulum(damped=args.system == "damped")
     trajs = integ.sample_rest_trajectories(
         system, args.count, args.h, args.steps, seed=args.seed,

@@ -11,9 +11,13 @@ parameter vector theta that calls netparam's net blocks (the mass block
 `mass_t`, which gives the factor L of M and ∂M/∂q from its forward-mode
 derivatives along each coordinate axis, ∇V by one reverse sweep of the
 potential net, the force net) and returns its value and its plain
-first-order adjoint into a flat theta adjoint.  Only the loss graphs
-use the tape: each stage is one node on the graph's (1, P) theta row,
-its only parent (`_stage_t`).
+first-order adjoint into a flat theta adjoint.  Each loss is one more
+numpy stage over its stages (`_del_loss`, `_accel_loss`,
+`_nextstate_loss`): it returns the loss value and an adjoint that adds
+the loss's theta gradient into a flat (P,) array, in a tape's
+arithmetic and a tape's order (`_mean_square`).  Only `_loss_grad`
+uses the tape: two nodes, theta's (1, P) row and the loss, whose
+backward runs the loss's adjoint.
 Every M(q) of the model comes from `mass_t`.  The stages run in the
 blocks' feature-major layout: configurations, velocities, ∇V, forces,
 accelerations and residuals are (n, B) arrays, as L and ∂M are (n, n, B)
@@ -23,15 +27,14 @@ back to rows.  The acceleration stage
 (`_accel_np`) is two blocks: a position block that reads q only
 (`_position_np`: the mass block with its axis directions and the ∇V
 sweep) and a velocity block (`_velocity_np`: τ, the force net,
-`chol_solve_t`).  The acceleration loss is one node over both on the
-same rows, and validation runs them with no tape.  The RK4 stage
-(`_rk4_np`), one node of the RK4 loss, runs the position block twice on
-2B rows, for stages 1-2 and for stages 3-4, and the velocity block once
-per stage; its backward takes velocity adjoints 4 and 3, the stages 3-4
-position adjoint, velocity adjoints 2 and 1, then the stages 1-2
-position adjoint.  The
-DEL residual stage (`_del_np`) at q_k uses the pairs (q_k-1, q_k) and
-(q_k, q_k+1); neighbouring tuples of a trajectory share a pair, so it
+`chol_solve_t`).  The acceleration loss runs both on the same rows,
+and validation runs them with no tape.  The RK4 stage (`_rk4_np`) runs
+the position block twice on 2B rows, for stages 1-2 and for stages 3-4,
+and the velocity block once per stage; its backward takes velocity
+adjoints 4 and 3, the stages 3-4 position adjoint, velocity adjoints 2
+and 1, then the stages 1-2 position adjoint.  The DEL residual stage
+(`_del_np`) at q_k uses the pairs (q_k-1, q_k) and (q_k, q_k+1);
+neighbouring tuples of a trajectory share a pair, so it
 runs the position block and the force net once, at the midpoints of the
 distinct pairs of its batch, and gathers each tuple's two arms from
 them.  `train` finds the distinct pairs of its whole tuple set once
@@ -241,20 +244,6 @@ def _accel_np(theta, layout, X, V):
     return A, adjoint
 
 
-def _stage_t(theta, stage, op: str):
-    """One tape node on theta, a loss graph's (1, P) input row, from a
-    numpy stage's (value, adjoint), whose ``adjoint(g, gt)`` adds the
-    theta adjoint into a flat (P,) ``gt``."""
-    value, adjoint = stage
-
-    def bwd(g):
-        gt = np.zeros(theta.value.size)
-        adjoint(g, gt)
-        return (gt.reshape(1, -1),)
-
-    return dc.custom([theta], value, bwd, op)
-
-
 def _del_np(theta, layout, h: float, pairs):
     """The discrete Euler-Lagrange residual of a del batch of step ``h`` as
     an (n, B) array, and its adjoint (as `_accel_np`'s).
@@ -443,71 +432,90 @@ def _rk4_np(theta, layout, X, Xd, h: float):
     return np.concatenate([Qp, Vp]), adjoint
 
 
-# -- loss graphs --------------------------------------------------------------
+# -- losses -------------------------------------------------------------------
 #
-# Each builder returns (tape, theta, loss): theta is the tape's (1, P)
-# input row over the flat vector, and each numpy stage, which reads the
-# flat vector, is one node on it.
+# Each loss runs its stages' forward and returns (value, adjoint), whose
+# ``adjoint(gt)`` adds the loss's theta gradient into a flat (P,) ``gt``.
+# The arithmetic and its order are a tape's: a mean square is
+# Σr² · (1/count) and seeds its stage with (1/count) · (r · 2.0).
 
-def _del_graph(flat: FlatParams, batch: Batch, mu: float, alpha: float,
-               inputs=None):
-    """The DEL loss graph; ``batch`` and ``inputs`` as `del_loss_grad`'s."""
+def _mean_square(stage, count):
+    """The mean square of a stage's value over ``count`` entries as a
+    loss (value, adjoint)."""
+    r, adjoint = stage
+    c = 1.0 / count
+    return float(np.sum(r * r)) * c, lambda gt: adjoint(c * (r * 2.0), gt)
+
+
+def _del_loss(flat: FlatParams, batch: Batch, mu: float, alpha: float,
+              inputs=None):
+    """The DEL loss; arguments as `del_loss_grad`'s."""
     if batch.kind != "del":
         raise ValueError(f"need a del batch, got {batch.kind!r}")
     idx, table, mass = inputs or (None, _pair_table(batch), None)
     pairs = table if idx is None else _pairs_of(table, idx)
     B = pairs[1].shape[1]
-    tape = dc.Tape()
-    theta = tape.input(flat.values.reshape(1, -1))
-    res = _stage_t(theta, _del_np(flat.values, flat.layout, batch.h, pairs),
-                   "del_residual")
-    loss = dc.scale(dc.sumsq(res), 1.0 / B)
-    if mu != 0.0:  # an unweighted barrier is not built
-        if mass is None:  # the factor at the tuples' own q2 rows
-            q2 = batch.data["q2"]
-            q2 = q2 if idx is None else q2.take(idx, 0)
-            mass = (_shifted_mass(flat.values, flat.layout, transposed(q2),
-                                  alpha), np.arange(B))
-        ld = _stage_t(theta, _barrier_np(*mass), "shifted_logdet")
-        loss = dc.add(loss, dc.scale(dc.mean_all(ld), -mu))
-    return tape, theta, loss
+    loss, res_adj = _mean_square(
+        _del_np(flat.values, flat.layout, batch.h, pairs), B)
+    if mu == 0.0:  # an unweighted barrier is not built
+        return loss, res_adj
+    if mass is None:  # the factor at the tuples' own q2 rows
+        q2 = batch.data["q2"]
+        q2 = q2 if idx is None else q2.take(idx, 0)
+        mass = (_shifted_mass(flat.values, flat.layout, transposed(q2),
+                              alpha), np.arange(B))
+    ld, ld_adj = _barrier_np(*mass)
+    c = 1.0 / ld.size
+
+    def adjoint(gt):
+        # each stage into its own zeros, added barrier first
+        ld_adj(np.full(ld.shape, -mu * c), gt)
+        gr = np.zeros_like(gt)
+        res_adj(gr)
+        gt += gr
+
+    return loss + float(ld.sum()) * c * -mu, adjoint
 
 
-def _accel_graph(flat: FlatParams, batch: Batch):
+def _accel_loss(flat: FlatParams, batch: Batch):
+    """The acceleration loss: the stage's (n, B) accelerations less the
+    data, mean squared."""
     if batch.kind != "accel":
         raise ValueError(f"need an accel batch, got {batch.kind!r}")
-    tape = dc.Tape()
-    theta = tape.input(flat.values.reshape(1, -1))
     X, V, A = (transposed(batch.data[k]) for k in ("q", "qdot", "qddot"))
-    E = dc.add(_stage_t(theta, _accel_np(flat.values, flat.layout, X, V),
-                        "accel"), tape.constant(-A))
-    loss = dc.scale(dc.sumsq(E), 1.0 / A.size)
-    return tape, theta, loss
+    P, adjoint = _accel_np(flat.values, flat.layout, X, V)
+    return _mean_square((P - A, adjoint), A.size)
 
 
-def _nextstate_graph(flat: FlatParams, batch: Batch, h: float):
-    """The RK4 step's (2n, B) residual, its prediction (`_rk4_np`) less
-    the data, as one tape node on theta, and its mean square as the
-    loss."""
+def _nextstate_loss(flat: FlatParams, batch: Batch, h: float):
+    """The RK4 loss: the step's (2n, B) prediction (`_rk4_np`) less the
+    data, mean squared."""
     if batch.kind != "nextstate":
         raise ValueError(f"need a nextstate batch, got {batch.kind!r}")
-    tape = dc.Tape()
-    theta = tape.input(flat.values.reshape(1, -1))
     X, Xd, Qn, Vn = (transposed(batch.data[k])
                      for k in ("q", "qdot", "qnext", "qdotnext"))
     P, adjoint = _rk4_np(flat.values, flat.layout, X, Xd, h)
-    E = _stage_t(theta, (P - np.concatenate([Qn, Vn]), adjoint), "nextstate")
-    loss = dc.scale(dc.sumsq(E), 1.0 / (2.0 * X.size))
-    return tape, theta, loss
+    return _mean_square((P - np.concatenate([Qn, Vn]), adjoint),
+                        2.0 * X.size)
 
 
 # -- public losses ------------------------------------------------------------
 
-def _loss_grad(graph):
-    """(loss, gradient) of a loss graph's (tape, theta, loss)."""
-    tape, theta, loss = graph
-    g = tape.gradients(loss, [theta])[0]
-    return loss.value.item(), g.ravel().copy()
+def _loss_grad(flat: FlatParams, loss):
+    """(loss, gradient) of a loss's (value, adjoint), on a two-node tape:
+    theta's (1, P) row and the loss, whose backward runs the adjoint.  The
+    loss is the tape's output, so its own adjoint is 1."""
+    value, adjoint = loss
+
+    def bwd(g):
+        gt = np.zeros(flat.values.size)
+        adjoint(gt)
+        return (gt.reshape(1, -1),)
+
+    tape = dc.Tape()
+    theta = tape.input(flat.values.reshape(1, -1))
+    g = tape.gradients(dc.custom([theta], value, bwd), [theta])[0]
+    return value, g.ravel()
 
 
 def del_loss_grad(params: FlatParams, batch: Batch,
@@ -523,18 +531,18 @@ def del_loss_grad(params: FlatParams, batch: Batch,
     come from the batch alone: `_pair_table` and, when mu is not 0, a
     mass state at its q2 rows.  Either way the residual and barrier
     stages are the same code."""
-    return _loss_grad(_del_graph(params, batch, mu, alpha, inputs))
+    return _loss_grad(params, _del_loss(params, batch, mu, alpha, inputs))
 
 
 def accel_loss_grad(params: FlatParams, batch: Batch):
     """(loss, gradient): mean squared acceleration error over all entries."""
-    return _loss_grad(_accel_graph(params, batch))
+    return _loss_grad(params, _accel_loss(params, batch))
 
 
 def nextstate_loss_grad(params: FlatParams, batch: Batch, h: float):
     """(loss, gradient): mean squared one-step RK4 error, position and
     velocity weighted equally."""
-    return _loss_grad(_nextstate_graph(params, batch, h))
+    return _loss_grad(params, _nextstate_loss(params, batch, h))
 
 
 def predicted_accelerations(params: FlatParams, q, qdot) -> np.ndarray:

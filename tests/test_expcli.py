@@ -78,12 +78,18 @@ def test_config_validation():
                                          ("workers", 1.5),
                                          ("n_trajectories", 4.0),
                                          ("split", [2, 1.0, 1]),
-                                         ("hidden", [8.5, 8])])
+                                         ("hidden", [8.5, 8]),
+                                         ("data_seed", -1),
+                                         ("lrs", [True]), ("mu", True),
+                                         ("sigma", True), ("h", True),
+                                         ("alpha_fraction", False),
+                                         ("lrs", ["0.01"])])
 def test_bad_training_config_exits_2_before_writing(tmp_path, capsys,
                                                     field, value):
     # the training and net settings' own checks run when the config loads;
     # a non-finite h, sigma, mu or rate fails a check (NaN compares false
-    # to every bound), and so does a count that is not an integer
+    # to every bound), and so do a count that is not an integer, a bool or
+    # string where a real number belongs, and a negative data seed
     doc = {**desk_config().to_dict(), field: value}
     (tmp_path / "c.json").write_text(json.dumps(doc))
     out = tmp_path / "out"
@@ -93,8 +99,14 @@ def test_bad_training_config_exits_2_before_writing(tmp_path, capsys,
     assert err.startswith("error: ")
     assert not out.exists()
     # the config's own checks, not a failure further on
-    if field in ("h", "sigma", "mu", "lrs"):
+    items = value if isinstance(value, list) else [value]
+    if field in ("h", "sigma", "mu", "lrs", "alpha_fraction") \
+            and any(isinstance(x, (bool, str)) for x in items):
+        assert "must be real numbers" in err
+    elif field in ("h", "sigma", "mu", "lrs"):
         assert "finite" in err
+    elif (field, value) == ("data_seed", -1):
+        assert "non-negative" in err
     elif (field, value) not in (("alpha_fraction", 1.5), ("hidden", [0])):
         assert "must be integers" in err
 
@@ -558,7 +570,8 @@ def test_cli_malformed_data_file_exit_code(tmp_path, capsys, case):
 @pytest.mark.parametrize("flag,value", [("--sigma", "-1"), ("--steps", "2"),
                                         ("--count", "0"), ("--h", "0"),
                                         ("--sigma", "nan"), ("--sigma", "inf"),
-                                        ("--h", "inf"), ("--h", "nan")])
+                                        ("--h", "inf"), ("--h", "nan"),
+                                        ("--seed", "-1")])
 def test_cli_generate_bad_option_exit_code(tmp_path, capsys, flag, value):
     assert cli.main(["generate", flag, value, "--out",
                      str(tmp_path / "raw")]) == 2
@@ -621,6 +634,9 @@ def test_cli_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"split\": [9, 4, 4]}")
     assert cli.main(["experiment", "--config", str(bad)]) == 2
+    out = tmp_path / "exp"
+    assert cli.main(["experiment", "--seed", "-1", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_cli_exhausted_draws_exit_code(tmp_path, capsys):

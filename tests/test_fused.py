@@ -2,8 +2,8 @@
 loss value to rtol 1e-12, each gradient along random directions and one
 per layout slot against its complex step, to `GRAD_RTOL` of Σ|g_i δ_i|;
 each stage alone as well as in its loss.  Also the RK4 schedule against
-four acceleration stages, one net run per distinct DEL pair, the node
-count of each loss graph, the fused builds' error checks, and the tape's
+four acceleration stages, one net run per distinct DEL pair, each
+loss's two-node tape, the fused builds' error checks, and the tape's
 reference-counting contract."""
 
 import gc
@@ -137,9 +137,9 @@ def rk4_chain(flat, batch, h):
     A4 = acc(X4, V4)
     Qp = X + ((Xd + (V2 + V3) * 2.0) + V4) * (h / 6.0)
     Vp = Xd + ((A1 + (A2 + A3) * 2.0) + A4) * (h / 6.0)
-    # the loss arithmetic of the tape's sumsq and scale
+    # the loss arithmetic of `_mean_square`
     E = np.concatenate([Qp - Qn, Vp - Vn])
-    loss = np.array([[float(np.sum(E * E))]]) * (1.0 / (2.0 * X.size))
+    loss = float(np.sum(E * E)) * (1.0 / (2.0 * X.size))
     return loss, Qp, Vp, [(X, X2), (X3, X4)]
 
 
@@ -171,8 +171,8 @@ def test_rk4_schedule_matches_four_accel_stages(n, conservative, B):
     *want, pairs = rk4_chain(flat, b["nextstate"], H)
     X, Xd = (columns(b["nextstate"].data[k]) for k in ("q", "qdot"))
     P, _ = tr._rk4_np(flat.values, flat.layout, X, Xd, H)
-    _, _, loss = tr._nextstate_graph(flat, b["nextstate"], H)
-    got = [loss.value, P[:n], P[n:]]
+    loss, _ = tr._nextstate_loss(flat, b["nextstate"], H)
+    got = [loss, P[:n], P[n:]]
     if rows_stable(flat, pairs):
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
     else:
@@ -290,46 +290,87 @@ def test_fused_values_are_bit_exact(n, conservative, B):
     assert_close([tr.mass_eigenvalues(flat, q2)], [np.linalg.eigvalsh(M)])
 
 
-@pytest.mark.parametrize("conservative,want", [
-    (False, {"del": 9, "accel": 6, "nextstate": 4}),
-    (True, {"del": 9, "accel": 6, "nextstate": 4})])
-def test_loss_graphs_build_one_node_per_net(conservative, want):
-    # n = 2: every loss is one node per numpy stage on theta, theta its
-    # only parent, plus the loss arithmetic: the DEL loss's residual and
-    # barrier stages, the acceleration stage, the RK4 residual over four
-    # acceleration stages; no net build and no column slice is a node
+# each loss's numpy stages, in the order a step runs them
+STAGES = {"del": ("_del_np", "_barrier_np"), "accel": ("_accel_np",),
+          "nextstate": ("_rk4_np",)}
+
+
+@pytest.mark.parametrize("conservative", [False, True])
+def test_each_loss_is_one_two_node_tape(conservative, monkeypatch):
+    # what the traced benchmark reads of a step: Tape.gradients sees two
+    # nodes, theta and the loss (its node counts); every stage's forward
+    # runs before it (training.*.forward_ms) and every stage's theta
+    # adjoint inside it, the barrier's first (diffcore.backward_ms)
     flat, b, alpha = setup(2, conservative, 7)
-    got = {"del": tr._del_graph(flat, b["del"], 0.01, alpha)[0],
-           "accel": tr._accel_graph(flat, b["accel"])[0],
-           "nextstate": tr._nextstate_graph(flat, b["nextstate"], H)[0]}
-    assert {k: len(tape.nodes) for k, tape in got.items()} == want
-    ops = {node.op for tape in got.values() for node in tape.nodes}
-    assert not ops & {"cols", "mass_net", "potential_net", "force_net"}
-    stages = [node for tape in got.values() for node in tape.nodes
-              if node.op in ("del_residual", "shifted_logdet", "accel",
-                             "nextstate")]
-    assert len(stages) == 4
-    assert all(len(node.parents) == 1 and node.parents[0].op == "input"
-               for node in stages)
+    events = []
+    sweep = dc.Tape.gradients
+
+    def gradients(tape, output, leaves):
+        nodes = tape.nodes
+        events.append(("sweep", len(nodes), [len(n.parents) for n in nodes],
+                       output is nodes[-1] and nodes[1].parents[0] is nodes[0]))
+        try:
+            return sweep(tape, output, leaves)
+        finally:
+            events.append("end")
+
+    def traced(name, stage):
+        def run(*args):
+            events.append(("forward", name))
+            value, adjoint = stage(*args)
+
+            def adj(g, gt):
+                events.append(("adjoint", name))
+                return adjoint(g, gt)
+
+            return value, adj
+
+        return run
+
+    monkeypatch.setattr(dc.Tape, "gradients", gradients)
+    for names in STAGES.values():
+        for name in names:
+            monkeypatch.setattr(tr, name, traced(name, getattr(tr, name)))
+    calls = {"del": lambda: tr.del_loss_grad(flat, b["del"], 0.01, alpha),
+             "accel": lambda: tr.accel_loss_grad(flat, b["accel"]),
+             "nextstate": lambda: tr.nextstate_loss_grad(flat, b["nextstate"],
+                                                         H)}
+    for method, call in calls.items():
+        events.clear()
+        call()
+        names = STAGES[method]
+        assert events == [*(("forward", n) for n in names),
+                          ("sweep", 2, [0, 1], True),
+                          *(("adjoint", n) for n in reversed(names)), "end"]
 
 
 @pytest.mark.parametrize("n,conservative,B",
                          [case for case in CASES if case[2] <= 32])
 def test_predicted_accelerations_run_the_accel_node_without_a_tape(
         n, conservative, B, monkeypatch):
-    # validation and evaluation read the accel loss's own forward, bit
-    # for bit (as rows; the node holds it feature-major), and construct
-    # no tape
+    # validation and evaluation read the accel loss's own stage forward,
+    # bit for bit (as rows; the stage is feature-major), and construct no
+    # tape
     flat, b, _ = setup(n, conservative, B)
     q, qd = b["accel"].data["q"], b["accel"].data["qdot"]
-    tape = tr._accel_graph(flat, b["accel"])[0]
-    want = next(node.value for node in tape.nodes if node.op == "accel")
+    values = []
+    stage = tr._accel_np
+
+    def keep(*args):
+        out = stage(*args)
+        values.append(out[0])
+        return out
+
+    monkeypatch.setattr(tr, "_accel_np", keep)
+    tr._accel_loss(flat, b["accel"])
+    monkeypatch.setattr(tr, "_accel_np", stage)
 
     def no_tape(self):
         raise AssertionError("predicted_accelerations built a tape")
 
     monkeypatch.setattr(dc.Tape, "__init__", no_tape)
-    assert np.array_equal(tr.predicted_accelerations(flat, q, qd), want.T)
+    assert np.array_equal(tr.predicted_accelerations(flat, q, qd),
+                          values[0].T)
 
 
 def test_fused_barrier_raises_at_the_same_pivot():
@@ -382,11 +423,11 @@ def test_custom_node_adds_repeated_parents_in_list_order():
     parts = [np.array([[1e16, 0.0]]), np.array([[1.0, 0.0]]),
              np.array([[-1e16, 0.0]])]
     y = dc.custom([x, x, x], x.value * 3.0, lambda g: tuple(parts))
-    (gx,) = tape.gradients(dc.sum_all(y), [x])
+    (gx,) = tape.gradients(y, [x])
     # (1e16 + 1) - 1e16 rounds to 0; adding the large terms first gives 1
     assert gx[0, 0] == 0.0
     assert (parts[0] + parts[2] + parts[1])[0, 0] == 1.0
-    assert y.requires_grad and y.op == "custom"
+    assert y.parents == (x, x, x)
     with pytest.raises(ValueError):
         dc.custom([x, dc.Tape().input([[1.0]])], x.value, lambda g: (g, g))
 

@@ -1,10 +1,11 @@
 """Guards on the library surface: every public module-level function,
 class or constant in `src/smmfit` has a library caller or reader, a
 README entry as `module.name` or a perfbench probe wrapper, every
-callable the probe wraps exists, only training imports the tape engine,
-netparam imports only mechanics, the tape's old error name is gone, and
-training imports netparam's blocks but not its packing and Gram
-helpers."""
+callable the probe wraps exists, only training imports the tape engine
+and only its `_loss_grad` reads it, the engine's public names are
+`Tape`, `Tensor` and `custom`, netparam imports only mechanics, the
+tape's old error name is gone, and training imports netparam's blocks but
+not its packing and Gram helpers."""
 
 import ast
 import importlib.util
@@ -115,10 +116,23 @@ def smmfit_imports(mod: str) -> set:
 def test_only_the_loss_graphs_use_the_tape():
     # the simulator, the smoother and the model are plain numpy: netparam
     # holds the model's numerics and their error, and only training's
-    # loss graphs build tapes
+    # `_loss_grad` builds tapes, each a loss on its parameters' row
     users = {mod for mod in MODS if "diffcore" in smmfit_imports(mod)}
     assert users == {"training"}
     assert smmfit_imports("netparam") == {"mechanics"}
+    tree = ast.parse((ROOT / "src" / "smmfit" / "training.py").read_text())
+    readers = {stmt.name for stmt in tree.body for node in ast.walk(stmt)
+               if isinstance(node, ast.Attribute)
+               and getattr(node.value, "id", None) == "dc"}
+    assert readers == {"_loss_grad"}
+
+
+def test_the_tape_engine_is_tape_tensor_and_custom():
+    # the loss arithmetic lives in training's stages; the engine keeps the
+    # tape, its node type and the one operation a loss node needs
+    defs, _ = definitions_and_references()
+    assert {n for m, n in defs if m == "diffcore"} == {"Tape", "Tensor",
+                                                       "custom"}
 
 
 def test_the_tape_error_name_is_gone_without_an_alias():
