@@ -714,9 +714,10 @@ def cmd_train(args) -> int:
     try:
         arch = netp.ArchConfig(n=trajs[0].n, hidden=tuple(args.hidden),
                                conservative=not args.damped)
-        params0 = netp.init_params(args.seed, arch)
+        # the settings check themselves, the seed before init_params reads it
         tconf = tr.TrainConfig(xi0=args.lr, epochs=args.epochs,
                                batch_size=args.batch, seed=args.seed)
+        params0 = netp.init_params(args.seed, arch)
         record, best = tr.train(args.method, params0, trajs, tconf)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)

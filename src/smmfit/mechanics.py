@@ -98,11 +98,11 @@ def cholesky(M: np.ndarray, shift: float):
                 ok = (acc > 0.0) & (acc < np.inf)
                 if not ok.all():
                     raise NotPositiveDefiniteError(i, float(acc[ok.argmin()]))
-                S[i, i] = np.sqrt(acc)
-                r[i] = 1.0 / S[i, i]
+                np.sqrt(acc, out=S[i, i])
+                np.divide(1.0, S[i, i], out=r[i])
                 d[i] = acc
             else:
-                S[i, j] = acc * r[j]
+                np.multiply(acc, r[j], out=S[i, j])
     return S, r, d
 
 
@@ -115,12 +115,12 @@ def cho_solve(L: np.ndarray, r: np.ndarray, b: np.ndarray) -> np.ndarray:
         acc = b[i]
         for j in range(i):
             acc = acc - L[i, j] * y[j]
-        y[i] = acc * r[i]
+        np.multiply(acc, r[i], out=y[i])
     for i in reversed(range(n)):
         acc = y[i]
         for j in range(i + 1, n):
             acc = acc - L[j, i] * y[j]
-        y[i] = acc * r[i]
+        np.multiply(acc, r[i], out=y[i])
     return y
 
 

@@ -33,6 +33,7 @@ with n.  The solve block `chol_solve_t` substitutes with mechanics'
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -184,9 +185,11 @@ def _axes(n: int):
 
 
 def _exp_np(x):
+    """e^x of a scalar log-scale, by numpy's exp (whose bits differ from
+    math.exp's); an overflow raises."""
     with np.errstate(over="ignore"):
         o = np.exp(x)
-    if not np.all(np.isfinite(o)):
+    if not math.isfinite(o):
         raise ModelNumericsError("exp overflow")
     return o
 
@@ -199,7 +202,8 @@ def _softplus_np(x: np.ndarray) -> np.ndarray:
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
     # 1/(1 + e^-x) for x >= 0 and e^x/(1 + e^x) below, never overflowing
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def _column_sum(g: np.ndarray, shape) -> np.ndarray:
@@ -223,9 +227,10 @@ def _mlp_np(theta, layout: ParamLayout, net: str, x, dirs, top=True):
     for i, ((shape, sW, eW), (_, sb, eb)) in enumerate(
             specs if top else specs[:-1]):
         W = theta[sW:eW].reshape(shape)
-        z = W.T @ a
+        Wt = W.T
+        z = Wt @ a
         z += theta[sb:eb, None]
-        es = [W.T @ da for da in das]
+        es = [Wt @ da for da in das]
         o = s = None
         if i < last:
             o = np.tanh(z)
@@ -246,7 +251,7 @@ def sumprod(a, b):
 
 def _mlp_bwd(layers, g_out, g_douts, want_x: bool):
     """Adjoint of `_mlp_np` from the adjoints of its output and of its
-    directions: (adjoint of x or None, (gW, gb) per layer)."""
+    directions: (adjoint of x or None, each layer's gW then its gb)."""
     ga, gda = g_out, list(g_douts)
     grads = []
     for i in reversed(range(len(layers))):
@@ -261,23 +266,24 @@ def _mlp_bwd(layers, g_out, g_douts, want_x: bool):
             if gda:
                 ga = ga - 2.0 * o * sumprod(gda, es)
             gz = ga * s
-        gW, gb = a @ gz.T, gz.sum(1)
+        gW = a @ gz.T
         for da, g_e in zip(das, ge):
-            gW = gW + da @ g_e.T
+            gW += da @ g_e.T
+        grads += (gz.sum(1), gW)
         ga = W @ gz if i > 0 or want_x else None
         gda = [W @ g_e for g_e in ge] if i > 0 else []
-        grads.append((gW, gb))
     return ga, grads[::-1]
 
 
 def _theta_adjoint(gt, layout: ParamLayout, net: str, grads, scale_slot,
                    g_scale):
     """Add a build's W, b and log-scale adjoints into the theta adjoint
-    ``gt``."""
-    for slots, cs in zip(layout.layers[net], grads):
-        for (_, s, e), c in zip(slots, cs):
-            if c is not None:
-                gt[s:e] += c.reshape(-1)
+    ``gt``.  ``grads`` holds the adjoints of the net's first slots in
+    layout order, each layer's W then its b: they are one run of theta,
+    added in one operation."""
+    (_, s, _), _ = layout.layers[net][0]
+    flat = np.concatenate([c.reshape(-1) for c in grads])
+    gt[s:s + flat.size] += flat
     _, s, _ = layout.slot("log_scales")
     gt[s + scale_slot] += g_scale
 
@@ -287,17 +293,23 @@ def _log_scale_np(theta, layout: ParamLayout, which: int):
     return theta[s + which]
 
 
+@lru_cache(maxsize=None)
+def _diag(n: int) -> np.ndarray:
+    """The rows i(i + 3)/2 of the diagonal in the packed lower triangle."""
+    return np.array([i * (i + 3) // 2 for i in range(n)])
+
+
 def _chol_head_np(theta, layout: ParamLayout, out, douts):
     """The scaled Cholesky entries (the lower triangle row by row), then
     their derivatives along each direction, packed as (tri·(1 + D), R):
     softplus + eps on the diagonal, the sigmoid gate on each direction's
     diagonal and e^{s_M/2} on every entry.  Returns (packed, record for
     `_chol_head_bwd`)."""
-    # the diagonal's rows in that order
-    diag = [i * (i + 3) // 2 for i in range(layout.arch.n)]
+    diag = _diag(layout.arch.n)
     half = _exp_np(_log_scale_np(theta, layout, 0) * 0.5)
     T, R = out.shape
-    dg = out[diag]
+    # `take` gathers rows faster than fancy indexing, to the same array
+    dg = out.take(diag, 0)
     # softplus' is the gate
     gate = _sigmoid_np(dg) if douts else None
     pre = np.empty((T * (1 + len(douts)), R))
@@ -306,7 +318,7 @@ def _chol_head_np(theta, layout: ParamLayout, out, douts):
     for d, do in enumerate(douts, 1):
         part = pre[T * d:T * (d + 1)]
         part[:] = do
-        part[diag] = gate * do[diag]
+        part[diag] = gate * do.take(diag, 0)
     return pre * half, (half, dg, gate, pre, douts, diag)
 
 
@@ -317,16 +329,17 @@ def _chol_head_bwd(g, record):
     if gate is None:
         gate = _sigmoid_np(dg)
     T = len(pre) // (1 + len(douts))
-    g_s = np.sum(g * pre) * half * 0.5
+    g_s = (g * pre).sum() * half * 0.5
     gh = g * half
     # each block of gh is a row block, so it is adjusted in place
     g_out = gh[:T]
-    g_out[diag] *= gate
+    g_out[diag] = g_out.take(diag, 0) * gate
     g_do = []
+    dgate = gate * (1.0 - gate) if douts else None
     for d, do in enumerate(douts, 1):
         gd = gh[T * d:T * (d + 1)]
-        g_diag = gd[diag]
-        g_out[diag] += g_diag * do[diag] * (gate * (1.0 - gate))
+        g_diag = gd.take(diag, 0)
+        g_out[diag] = g_out.take(diag, 0) + g_diag * do.take(diag, 0) * dgate
         gd[diag] = g_diag * gate
         g_do.append(_column_sum(gd, do.shape))
     return g_out, g_do, g_s
@@ -409,7 +422,8 @@ def potential_grad_t(theta, layout: ParamLayout, Q, want_x: bool):
         sweep.append((r, s, gz))
         r = W @ gz
     sweep.reverse()
-    raw = np.broadcast_to(r, Q.shape)
+    # r is a column only when the net has no hidden layer
+    raw = r if r.shape == Q.shape else np.broadcast_to(r, Q.shape)
     g = _exp_np(_log_scale_np(theta, layout, 1))
 
     def adjoint(gp, gt):
@@ -419,15 +433,16 @@ def potential_grad_t(theta, layout: ParamLayout, Q, want_x: bool):
             ggz = W.T @ gr
             gr = ggz * s
             gos.append(-2.0 * o * ggz * r)
-        grads = [(gr.sum(1), None)]
+        # W_H's; ∇V reads no output bias, so the run stops before b_H
+        grads = [gr.sum(1)]
         ga = None
         for i in reversed(range(len(hidden))):
             a, _, W, _, _, _ = hidden[i]
             gz = (gos[i] if ga is None else gos[i] + ga) * sweep[i][1]
-            grads.append((gWs[i] + a @ gz.T, gz.sum(1)))
+            grads += (gz.sum(1), gWs[i] + a @ gz.T)
             ga = W @ gz if i > 0 or want_x else None
         _theta_adjoint(gt, layout, "potential", grads[::-1], 1,
-                       np.sum(gp * raw) * g)
+                       (gp * raw).sum() * g)
         return ga
 
     return raw * g, adjoint
@@ -445,7 +460,7 @@ def force_t(theta, layout: ParamLayout, X, want_x: bool):
     def adjoint(gF, gt):
         gx, grads = _mlp_bwd(layers, gF * g, [], want_x)
         _theta_adjoint(gt, layout, "force", grads, 2,
-                       np.sum(gF * out) * g)
+                       (gF * out).sum() * g)
         return gx
 
     return out * g, adjoint
@@ -519,7 +534,7 @@ def chol_solve_t(L, b):
     more for gb; M's adjoint is -gb xᵀ."""
     n = len(b)
     pivots = L.reshape(n * n, -1)[::n + 1]
-    if np.any(pivots == 0.0):
+    if (pivots == 0.0).any():
         raise ModelNumericsError("reciprocal of zero")
     r = 1.0 / pivots
     x = cho_solve(L, r, b)

@@ -153,10 +153,11 @@ def kalman_filter(model: LdsModel, y: np.ndarray) -> FilterResult:
         t, k = np.argwhere(bad)[0]
         raise NumericalDegeneracyError(
             f"non-finite filtered state at t={t} in series {k}")
-    terms = -0.5 * (np.log(2.0 * np.pi * S) + innov * innov / S)
-    loglik = np.zeros(K)
-    for term in terms:  # in t order from 0.0; a pairwise sum moves bits
-        loglik += term
+    # summed in t order from 0.0, as a running sum down a zero first row:
+    # a pairwise sum (terms.sum(0) at K = 1) would move bits
+    terms = np.zeros((T + 1, K))
+    terms[1:] = -0.5 * (np.log(2.0 * np.pi * S) + innov * innov / S)
+    loglik = np.add.accumulate(terms)[-1]
     return FilterResult(means, covs, pred_means, pred_covs, loglik)
 
 

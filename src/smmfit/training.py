@@ -21,9 +21,11 @@ backward runs the loss's adjoint.
 Every M(q) of the model comes from `mass_t`.  The stages run in the
 blocks' feature-major layout: configurations, velocities, ∇V, forces,
 accelerations and residuals are (n, B) arrays, as L and ∂M are (n, n, B)
-and (n, n, n, B), so a batch's (B, n) rows are transposed once where
-they enter a loss, and `predicted_accelerations` transposes its result
-back to rows.  The acceleration stage
+and (n, n, n, B), so a tuple set's (N, n) rows are transposed once
+(`Batch.columns`), a batch gathers its tuples' columns from them, and
+`predicted_accelerations` transposes its result back to rows.  `train`
+passes each loss its whole tuple set and the batch's indices, so a step
+cuts no batch.  The acceleration stage
 (`_accel_np`) is two blocks: a position block that reads q only
 (`_position_np`: the mass block with its axis directions and the ∇V
 sweep) and a velocity block (`_velocity_np`: τ, the force net,
@@ -53,8 +55,10 @@ from __future__ import annotations
 import ctypes
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +131,19 @@ class Batch:
     def take(self, idx) -> "Batch":
         return Batch(self.kind, {k: v[idx] for k, v in self.data.items()},
                      self.h)
+
+    @cached_property
+    def columns(self) -> dict:
+        """The fields as feature-major (n, N) arrays, transposed once."""
+        return {k: transposed(v) for k, v in self.data.items()}
+
+    def gather(self, keys, idx=None) -> list:
+        """The fields ``keys`` of the tuples ``idx`` (all without) as
+        feature-major (n, B) arrays: columns of `columns`, which equal a
+        transpose of the rows ``take(idx)`` would give."""
+        cols = self.columns
+        return [cols[k] if idx is None else cols[k].take(idx, 1)
+                for k in keys]
 
 
 def assemble_tuples(trajectories, kind: str) -> Batch:
@@ -392,7 +409,7 @@ def _rk4_np(theta, layout, X, Xd, h: float):
 
     def velocity(pos, Xs, Vs, want_xv):
         A, adjoint = _velocity_np(theta, layout, pos, Xs, Vs, want_xv)
-        if not np.all(np.isfinite(A)):
+        if not np.isfinite(A).all():
             raise IntegrationBlowupError("non-finite RK4 stage acceleration")
         return A, adjoint
 
@@ -444,7 +461,7 @@ def _mean_square(stage, count):
     loss (value, adjoint)."""
     r, adjoint = stage
     c = 1.0 / count
-    return float(np.sum(r * r)) * c, lambda gt: adjoint(c * (r * 2.0), gt)
+    return float((r * r).sum()) * c, lambda gt: adjoint(c * (r * 2.0), gt)
 
 
 def _del_loss(flat: FlatParams, batch: Batch, mu: float, alpha: float,
@@ -477,23 +494,23 @@ def _del_loss(flat: FlatParams, batch: Batch, mu: float, alpha: float,
     return loss + float(ld.sum()) * c * -mu, adjoint
 
 
-def _accel_loss(flat: FlatParams, batch: Batch):
-    """The acceleration loss: the stage's (n, B) accelerations less the
-    data, mean squared."""
+def _accel_loss(flat: FlatParams, batch: Batch, idx=None):
+    """The acceleration loss of the tuples ``idx`` of ``batch`` (all
+    without): the stage's (n, B) accelerations less the data, mean
+    squared."""
     if batch.kind != "accel":
         raise ValueError(f"need an accel batch, got {batch.kind!r}")
-    X, V, A = (transposed(batch.data[k]) for k in ("q", "qdot", "qddot"))
+    X, V, A = batch.gather(("q", "qdot", "qddot"), idx)
     P, adjoint = _accel_np(flat.values, flat.layout, X, V)
     return _mean_square((P - A, adjoint), A.size)
 
 
-def _nextstate_loss(flat: FlatParams, batch: Batch, h: float):
-    """The RK4 loss: the step's (2n, B) prediction (`_rk4_np`) less the
-    data, mean squared."""
+def _nextstate_loss(flat: FlatParams, batch: Batch, h: float, idx=None):
+    """The RK4 loss of the tuples ``idx`` of ``batch`` (all without): the
+    step's (2n, B) prediction (`_rk4_np`) less the data, mean squared."""
     if batch.kind != "nextstate":
         raise ValueError(f"need a nextstate batch, got {batch.kind!r}")
-    X, Xd, Qn, Vn = (transposed(batch.data[k])
-                     for k in ("q", "qdot", "qnext", "qdotnext"))
+    X, Xd, Qn, Vn = batch.gather(("q", "qdot", "qnext", "qdotnext"), idx)
     P, adjoint = _rk4_np(flat.values, flat.layout, X, Xd, h)
     return _mean_square((P - np.concatenate([Qn, Vn]), adjoint),
                         2.0 * X.size)
@@ -534,15 +551,20 @@ def del_loss_grad(params: FlatParams, batch: Batch,
     return _loss_grad(params, _del_loss(params, batch, mu, alpha, inputs))
 
 
-def accel_loss_grad(params: FlatParams, batch: Batch):
-    """(loss, gradient): mean squared acceleration error over all entries."""
-    return _loss_grad(params, _accel_loss(params, batch))
+def accel_loss_grad(params: FlatParams, batch: Batch, idx=None):
+    """(loss, gradient): mean squared acceleration error over all entries
+    of the tuples ``idx`` of ``batch`` (all without), which is the loss of
+    ``batch.take(idx)``: `train` passes its tuple set and each batch's
+    indices."""
+    return _loss_grad(params, _accel_loss(params, batch, idx))
 
 
-def nextstate_loss_grad(params: FlatParams, batch: Batch, h: float):
+def nextstate_loss_grad(params: FlatParams, batch: Batch, h: float,
+                        idx=None):
     """(loss, gradient): mean squared one-step RK4 error, position and
-    velocity weighted equally."""
-    return _loss_grad(params, _nextstate_loss(params, batch, h))
+    velocity weighted equally, of the tuples ``idx`` of ``batch`` (as
+    `accel_loss_grad`'s)."""
+    return _loss_grad(params, _nextstate_loss(params, batch, h, idx))
 
 
 def predicted_accelerations(params: FlatParams, q, qdot) -> np.ndarray:
@@ -553,9 +575,11 @@ def predicted_accelerations(params: FlatParams, q, qdot) -> np.ndarray:
 
 
 def accel_rmse(params: FlatParams, batch: Batch) -> float:
-    """Root mean squared acceleration error; the validation metric."""
-    pred = predicted_accelerations(params, batch.data["q"], batch.data["qdot"])
-    return float(np.sqrt(np.mean((pred - batch.data["qddot"]) ** 2)))
+    """Root mean squared acceleration error; the validation metric.  The
+    errors are averaged in the order of the batch's rows."""
+    X, V, A = batch.gather(("q", "qdot", "qddot"))
+    err = transposed(_accel_np(params.values, params.layout, X, V)[0] - A)
+    return math.sqrt((err * err).mean())
 
 
 # -- optimizer ----------------------------------------------------------------
@@ -580,14 +604,20 @@ def adam_init(size: int) -> AdamState:
 
 def adam_step(state: AdamState, values: np.ndarray, grads: np.ndarray,
               xi: float):
-    """One bias-corrected Adam update; returns (new state, new values)."""
+    """One bias-corrected Adam update; returns (new state, new values).
+    The step is xi m̂ / (√v̂ + eps), each temporary updated in place."""
     t = state.step + 1
-    m = BETA1 * state.m + (1.0 - BETA1) * grads
-    v = BETA2 * state.v + (1.0 - BETA2) * grads * grads
-    mhat = m / (1.0 - BETA1 ** t)
-    vhat = v / (1.0 - BETA2 ** t)
-    new = values - xi * mhat / (np.sqrt(vhat) + EPS_ADAM)
-    return AdamState(m, v, t), new
+    m = BETA1 * state.m
+    m += (1.0 - BETA1) * grads
+    v = BETA2 * state.v
+    v += (1.0 - BETA2) * grads * grads
+    den = v / (1.0 - BETA2 ** t)
+    np.sqrt(den, out=den)
+    den += EPS_ADAM
+    step = m / (1.0 - BETA1 ** t)
+    step *= xi
+    step /= den
+    return AdamState(m, v, t), values - step
 
 
 # -- barrier bookkeeping ------------------------------------------------------
@@ -641,6 +671,10 @@ class TrainConfig:
                              "non-negative")
         if not 0.0 < self.alpha_fraction < 1.0:
             raise ValueError("alpha_fraction must sit strictly inside (0, 1)")
+        # the seed goes to np.random.default_rng, which takes no negative
+        if not isinstance(self.seed, (int, np.integer)) \
+                or isinstance(self.seed, bool) or self.seed < 0:
+            raise ValueError("need an integer --seed >= 0")
 
 
 @dataclass
@@ -729,7 +763,7 @@ def train(method: str, params0: FlatParams, trajectories,
             err = accel_rmse(FlatParams(vals, layout), val_batch)
         except ModelNumericsError:
             return np.inf
-        return err if np.isfinite(err) else np.inf
+        return err if math.isfinite(err) else np.inf
 
     def loss_grad(vals, idx):
         fp = FlatParams(vals, layout)
@@ -738,10 +772,9 @@ def train(method: str, params0: FlatParams, trajectories,
             # mass state is held
             return del_loss_grad(fp, tuples, config.mu, alpha, (
                 idx, table, None if mass is None else (mass, q2_rows[idx])))
-        batch = tuples.take(idx)
         if method == "accel":
-            return accel_loss_grad(fp, batch)
-        return nextstate_loss_grad(fp, batch, tuples.h)
+            return accel_loss_grad(fp, tuples, idx)
+        return nextstate_loss_grad(fp, tuples, tuples.h, idx)
 
     def mass_state(vals):
         # the barrier's own pivot test at every training configuration;
@@ -770,8 +803,8 @@ def train(method: str, params0: FlatParams, trajectories,
                     ModelNumericsError) as err:
                 loss, grad = np.inf, None
                 _log.warning("batch loss unavailable: %s", err)
-            ok = grad is not None and np.isfinite(loss) \
-                and np.all(np.isfinite(grad))
+            ok = grad is not None and math.isfinite(loss) \
+                and np.isfinite(grad).all()
             accepted = False
             if ok:
                 for j in range(MAX_BACKTRACK + 1):

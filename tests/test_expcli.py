@@ -584,14 +584,17 @@ def test_cli_generate_bad_option_exit_code(tmp_path, capsys, flag, value):
 
 @pytest.mark.parametrize("flag,value", [("--hidden", "0"), ("--lr", "0"),
                                         ("--batch", "0"), ("--lr", "nan"),
-                                        ("--lr", "inf")])
+                                        ("--lr", "inf"), ("--seed", "-1")])
 def test_cli_train_bad_option_exit_code(smoothed_pair, tmp_path, capsys,
                                         flag, value):
     files = sorted(map(str, smoothed_pair.glob("traj_*.csv")))
     assert cli.main(["train", *files, "--method", "accel", "--epochs", "1",
                      flag, value, "--out", str(tmp_path / "fit")]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
     assert not (tmp_path / "fit").exists()
+    if flag == "--seed":
+        assert "--seed >= 0" in err
 
 
 def test_cli_smooth_batches_files_like_per_file_smoothing(tmp_path):

@@ -120,6 +120,21 @@ def test_filter_equals_matrix_oracle(K, T):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
+@pytest.mark.parametrize("K", [1, 8])
+def test_filter_loglik_is_a_running_sum_in_t_order(K):
+    # each series' terms added one t at a time from 0.0, as a loop adds
+    # them; at K = 1 numpy's terms.sum(0) would sum pairwise
+    model = random_model(K, seed=7 + K)
+    y = random_series(100, K, seed=K)
+    filt = smo.kalman_filter(model, y)
+    S = filt.pred_covs[:, :, 0, 0] + np.asarray(model.R)
+    innov = y - filt.pred_means[:, :, 0]
+    want = np.zeros(K)
+    for term in -0.5 * (np.log(2.0 * np.pi * S) + innov * innov / S):
+        want += term
+    assert filt.loglik.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("R, where", [
     ([0.04, -0.3, 0.04, -0.1, -1e-3], "t=1 in series 1"),
     ([-1e-3, 0.04, -0.3, 0.04, -0.1], "t=1 in series 2"),

@@ -4,8 +4,9 @@ README entry as `module.name` or a perfbench probe wrapper, every
 callable the probe wraps exists, only training imports the tape engine
 and only its `_loss_grad` reads it, the engine's public names are
 `Tape`, `Tensor` and `custom`, netparam imports only mechanics, the
-tape's old error name is gone, and training imports netparam's blocks but
-not its packing and Gram helpers."""
+tape's old error name is gone, training imports netparam's blocks but
+not its packing and Gram helpers, and netparam calls none of numpy's
+module-level reductions."""
 
 import ast
 import importlib.util
@@ -158,3 +159,16 @@ def test_training_reads_the_mass_matrix_only_through_mass_t():
     assert names == {"FlatParams", "ModelNumericsError", "chol_solve_t",
                      "force_t", "gram", "mass_entries_t", "mass_t",
                      "potential_grad_t", "transposed"}
+
+
+def test_netparam_calls_no_module_level_numpy_reduction():
+    # every netparam function runs once or more per training step, where
+    # np.sum / np.all / np.any / np.mean cost two to three times the
+    # array methods (x.sum(), ...) for the same reduction and bits
+    tree = ast.parse((ROOT / "src" / "smmfit" / "netparam.py").read_text())
+    calls = sorted({node.func.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and getattr(node.func.value, "id", None) == "np"
+                    and node.func.attr in ("sum", "all", "any", "mean")})
+    assert calls == []

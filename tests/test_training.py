@@ -349,6 +349,17 @@ def test_accel_loss_matches_per_row_reference(tiny):
     assert tr.accel_rmse(params, b) == pytest.approx(np.sqrt(got), rel=1e-12)
 
 
+def test_accel_rmse_averages_in_row_order(tiny):
+    # the errors come from the batch's columns, and their mean still runs
+    # over the (B, n) rows: bit for bit the mean of the predictions' rows
+    b = tr.assemble_tuples(tiny, "accel")
+    params = netp.init_params(6, netp.ArchConfig(n=2, hidden=(8, 8),
+                                                 conservative=False))
+    pred = tr.predicted_accelerations(params, b.data["q"], b.data["qdot"])
+    want = float(np.sqrt(np.mean((pred - b.data["qddot"]) ** 2)))
+    assert tr.accel_rmse(params, b) == want
+
+
 # -- nextstate_loss -----------------------------------------------------------
 
 def test_nextstate_loss_on_own_predictions_is_zero(tiny):
@@ -531,6 +542,13 @@ def test_train_config_checks_mu_and_alpha_fraction():
     tr.TrainConfig(mu=0.0, alpha_fraction=0.999)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+def test_train_config_requires_an_integer_seed_of_at_least_0(seed):
+    with pytest.raises(ValueError, match="--seed >= 0"):
+        tr.TrainConfig(seed=seed)
+    tr.TrainConfig(seed=np.int64(3))
+
+
 # -- train --------------------------------------------------------------------
 
 def test_train_zero_epochs_returns_initial_params(tiny):
@@ -687,6 +705,33 @@ def test_train_del_loss_equals_the_direct_loss(n, B, mu, monkeypatch):
     assert len(pairs) == 2 * -(-30 // B) and rec.invalid_steps == 0
     # batches of more than one tuple share pairs in the run
     assert any(pairs) == (B > 1)
+
+
+@pytest.mark.parametrize("method", ["accel", "nextstate"])
+def test_train_step_is_the_loss_of_the_batch_it_indexes(tiny, method,
+                                                        monkeypatch):
+    # train passes its tuple set and each batch's indices, and the loss
+    # gathers their columns: bit for bit the loss of batch.take(idx)
+    name, seen = f"{method}_loss_grad", []
+    loss_grad, take = getattr(tr, name), tr.Batch.take
+
+    def both(params, batch, *args):
+        got = loss_grad(params, batch, *args)
+        idx = args[-1]
+        want = loss_grad(params, take(batch, idx), *args[:-1])
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+        seen.append(len(idx))
+        return got
+
+    def no_take(batch, idx):
+        raise AssertionError("train cut a batch")
+
+    monkeypatch.setattr(tr, name, both)
+    monkeypatch.setattr(tr.Batch, "take", no_take)
+    rec, _ = tr.train(method, netp.init_params(8, ARCH8), tiny,
+                      tr.TrainConfig(xi0=1e-3, epochs=2, batch_size=8))
+    per_epoch = [8, 8, 8, 6 if method == "accel" else 5]
+    assert seen == per_epoch * 2 and rec.invalid_steps == 0
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.01])
