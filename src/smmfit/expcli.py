@@ -12,7 +12,7 @@ import csv
 import json
 import logging
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -267,16 +267,11 @@ class ResultsTable:
     cells: list = field(default_factory=list)
 
     def aggregates(self) -> list:
-        order, groups = [], {}
+        groups = {}  # in the order of each group's first cell
         for c in self.cells:
-            key = (c.method, c.xi0)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(c.rmse)
+            groups.setdefault((c.method, c.xi0), []).append(c.rmse)
         out = []
-        for method, xi0 in order:
-            vals = groups[(method, xi0)]
+        for (method, xi0), vals in groups.items():
             good = [v for v in vals if np.isfinite(v)]
             mean = float(np.mean(good)) if good else float("nan")
             stderr = float(np.std(good, ddof=1) / np.sqrt(len(good))) \
@@ -290,8 +285,7 @@ def generate_pool(config: ExperimentConfig):
     system = make_system(config)
     clean = integ.sample_rest_trajectories(
         system, config.n_trajectories, config.h, config.T,
-        seed=config.data_seed, system=config.system,
-        damped=config.system == "damped")
+        seed=config.data_seed, system=config.system)
     observed = [integ.add_noise(t, config.sigma,
                                 np.random.default_rng([config.data_seed, i]))
                 for i, t in enumerate(clean)]
@@ -443,20 +437,24 @@ def _jsonable(doc):
     return doc
 
 
-def _unjson(x) -> float:
-    return float("nan") if x is None else float(x)
+def _cell(c) -> Cell:
+    """The Cell of a results.json cell (null for a NaN rmse); a field not
+    of its Cell type, any number for a float, raises TypeError."""
+    c = {f.name: c[f.name] for f in fields(Cell)}
+    c["rmse"] = float("nan") if c["rmse"] is None else c["rmse"]
+    for f in fields(Cell):
+        if isinstance(c[f.name], bool) or not isinstance(
+                c[f.name], (int, float) if f.type is float else f.type):
+            raise TypeError(f"cell field {f.name} is {c[f.name]!r}")
+    return Cell(**c)
 
 
 def load_results(path) -> ResultsTable:
     """The table of a `results.json`; a file that is not one raises
     ValueError naming it."""
     try:
-        doc = json.loads(Path(path).read_text())
-        cells = [Cell(system=c["system"], sigma=c["sigma"],
-                      method=c["method"], xi0=c["xi0"], seed=c["seed"],
-                      rmse=_unjson(c["rmse"]), failed_rows=c["failed_rows"],
-                      reason=c["reason"], best_epoch=c["best_epoch"])
-                 for c in doc["cells"]]
+        cells = [_cell(c) for c in
+                 json.loads(Path(path).read_text())["cells"]]
     except (KeyError, TypeError, ValueError) as err:
         raise ValueError(f"{path}: not a results file "
                          f"({type(err).__name__}: {err})") from None
@@ -469,12 +467,8 @@ def emit_plot_data(table: ResultsTable, out_dir) -> list:
         raise NoDataError("results table is empty")
     out_dir = Path(out_dir)
     written = []
-    seen = []
-    for c in table.cells:
-        key = (c.system, c.sigma)
-        if key not in seen:
-            seen.append(key)
-    for system, sigma in seen:
+    for system, sigma in dict.fromkeys((c.system, c.sigma)
+                                       for c in table.cells):
         sub = ResultsTable([c for c in table.cells
                             if (c.system, c.sigma) == (system, sigma)])
         aggs = sub.aggregates()
@@ -497,12 +491,8 @@ _BAR_COLORS = ("#4878cf", "#ee854a", "#6acc64", "#d65f5f")
 
 def _svg_chart(aggs, title: str) -> str:
     """Grouped bars (method groups, one bar per rate) with stderr whiskers."""
-    methods, rates = [], []
-    for a in aggs:
-        if a.method not in methods:
-            methods.append(a.method)
-        if a.xi0 not in rates:
-            rates.append(a.xi0)
+    methods = list(dict.fromkeys(a.method for a in aggs))
+    rates = list(dict.fromkeys(a.xi0 for a in aggs))
     lookup = {(a.method, a.xi0): a for a in aggs}
 
     width, height = 640, 400
@@ -656,6 +646,16 @@ def _experiment_config(args) -> ExperimentConfig:
     return replace(config, **over) if over else config
 
 
+def _out_dir(path) -> Path:
+    """``path`` as a Path, or ConfigError unless the nearest of it and its
+    parents that exists is a directory, which mkdir needs."""
+    out = Path(path)
+    p = next(p for p in (out, *out.parents) if p.exists())
+    if not p.is_dir():
+        raise ConfigError(f"output directory {out}: {p} is not a directory")
+    return out
+
+
 def _read(load, paths) -> list:
     """Each file through ``load``; a malformed file is a usage error."""
     try:
@@ -669,11 +669,11 @@ def cmd_generate(args) -> int:
             or not 0 <= args.sigma < np.inf or args.seed < 0:
         raise ConfigError("need --count >= 1, --steps >= 3, a finite --h > 0, "
                           "a finite --sigma >= 0 and --seed >= 0")
+    out = _out_dir(args.out)
     system = mech.DoublePendulum(damped=args.system == "damped")
     trajs = integ.sample_rest_trajectories(
         system, args.count, args.h, args.steps, seed=args.seed,
-        system=args.system, damped=args.system == "damped")
-    out = Path(args.out)
+        system=args.system)
     out.mkdir(parents=True, exist_ok=True)
     for i, traj in enumerate(trajs):
         item = traj
@@ -694,8 +694,8 @@ def cmd_smooth(args) -> int:
             raise ConfigError(f"{seen[stem]} and {name} would write the same "
                               f"files in {args.out}")
         seen[stem] = name
+    out = _out_dir(args.out)
     trajs = _read(integ.load_trajectory, args.data)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # files sharing T and h smooth as one batch of series
     groups = {}
@@ -710,6 +710,7 @@ def cmd_smooth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    out = _out_dir(args.out)
     trajs = _read(smo.load_smoothed, args.data)
     try:
         arch = netp.ArchConfig(n=trajs[0].n, hidden=tuple(args.hidden),
@@ -725,7 +726,6 @@ def cmd_train(args) -> int:
     except tr.TrainingDivergedError as err:
         print(f"error: training diverged: {err}", file=sys.stderr)
         return 3
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     record.checkpoint = "params.json"
     netp.save_params(best, out / "params.json", seed=args.seed)
@@ -745,7 +745,11 @@ def cmd_evaluate(args) -> int:
             raise ConfigError(f"{name}: {traj.n} coordinates, but the "
                               f"checkpoint has {n} and the pendulum "
                               f"{system.n}")
-    res = evaluate(params, eval_batch(system, trajs))
+    try:
+        batch = eval_batch(system, trajs)
+    except ValueError as err:  # assemble_tuples: mixed step sizes
+        raise ConfigError(str(err)) from err
+    res = evaluate(params, batch)
     print(f"test acceleration RMSE {res.rmse:.6g} "
           f"({res.failed} failed rows)")
     return 0 if res.failed == 0 and np.isfinite(res.rmse) else 3
@@ -753,6 +757,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_experiment(args) -> int:
     config = _experiment_config(args)
+    _out_dir(config.out)
     table = run_experiment(config)
     failed = [c for c in table.cells if c.failed]
     for c in failed:
@@ -765,8 +770,8 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    out = _out_dir(args.out or Path(args.results).parent)
     table = _read(load_results, [args.results])[0]
-    out = Path(args.out) if args.out else Path(args.results).parent
     out.mkdir(parents=True, exist_ok=True)
     written = emit_plot_data(table, out)
     _log.info("wrote %s", ", ".join(p.name for p in written))

@@ -47,6 +47,9 @@ class DrawsExhaustedError(Exception):
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
+# rest-start angle bound and draws per slot of `sample_rest_trajectories`
+ANGLE_RANGE = np.pi / 2
+MAX_TRIES = 25
 
 
 @dataclass
@@ -232,10 +235,10 @@ def midpoint_energy(sys: LagrangianSystem, configs: np.ndarray, h: float) -> np.
     return (kinetic + sys.potential(mr)).reshape(v.shape[:-1])
 
 
-def energy_drift_ok(sys: LagrangianSystem, configs: np.ndarray, h: float,
-                    damped: bool = False) -> np.ndarray:
+def energy_drift_ok(sys: LagrangianSystem, configs: np.ndarray,
+                    h: float) -> np.ndarray:
     """Validity gate for generated data, per trajectory of ``configs``
-    (..., T, n).
+    (..., T, n), by ``sys.damped``.
 
     Undamped: the discrete energy must stay within 5% of (|E₀| + 1) of its
     start, the oscillation band of a healthy variational rollout.  Damped:
@@ -244,7 +247,7 @@ def energy_drift_ok(sys: LagrangianSystem, configs: np.ndarray, h: float,
     energy; its tail is not a sample of the system being studied.
     """
     E = midpoint_energy(sys, configs, h)
-    if damped:
+    if sys.damped:
         nwin = E.shape[-1] // 10
         win = E[..., :10 * nwin].reshape(E.shape[:-1] + (nwin, 10)) \
             .mean(axis=-1)
@@ -253,17 +256,16 @@ def energy_drift_ok(sys: LagrangianSystem, configs: np.ndarray, h: float,
         <= 0.05 * (np.abs(E[..., 0]) + 1.0)
 
 
-def sample_rest_trajectories(sys: LagrangianSystem, count: int, h: float, T: int,
-                             seed: int, system: str = "", damped: bool = False,
-                             angle_range: float = np.pi / 2,
-                             max_tries: int = 25) -> list[Trajectory]:
-    """Draw rest-start trajectories with angles uniform in [−range, range).
+def sample_rest_trajectories(sys: LagrangianSystem, count: int, h: float,
+                             T: int, seed: int,
+                             system: str = "") -> list[Trajectory]:
+    """Draw rest-start trajectories, angles uniform in ±ANGLE_RANGE.
 
     Each slot gets its own seed stream.  A draw whose rollout fails to
     converge or fails the energy gate is rejected and redrawn (the flat
     midpoint step has no solution for the hottest initial conditions);
     the returned trajectories record the seed of the accepted draw.  A
-    slot whose ``max_tries`` draws are all rejected raises
+    slot whose `MAX_TRIES` draws are all rejected raises
     DrawsExhaustedError naming the first such slot.
 
     The draws run in rounds: every unfinished slot rolls out its next
@@ -273,25 +275,24 @@ def sample_rest_trajectories(sys: LagrangianSystem, count: int, h: float, T: int
     discarded and not counted as rejected.
     """
     root = np.random.SeedSequence(seed)
-    streams = [slot_seq.spawn(max_tries) for slot_seq in root.spawn(count)]
+    streams = [slot_seq.spawn(MAX_TRIES) for slot_seq in root.spawn(count)]
     out = [None] * count
     rejected = tried = 0
     while None in out:
-        if tried == max_tries:
+        if tried == MAX_TRIES:
             raise DrawsExhaustedError(
-                f"trajectory slot {out.index(None)}: all {max_tries} draws "
+                f"trajectory slot {out.index(None)}: all {MAX_TRIES} draws "
                 "failed to converge or left the energy band")
-        take = min(ATTEMPTS_PER_ROUND, max_tries - tried)
+        take = min(ATTEMPTS_PER_ROUND, MAX_TRIES - tried)
         slots = [k for k in range(count) if out[k] is None]
         seqs = [streams[k][tried + j] for k in slots for j in range(take)]
         q0 = np.array([np.random.default_rng(s).uniform(
-            -angle_range, angle_range, size=sys.n) for s in seqs])
+            -ANGLE_RANGE, ANGLE_RANGE, size=sys.n) for s in seqs])
         configs, failed = simulate(sys, q0, h, T)
         passed = np.zeros(len(seqs), bool)
         done = [i for i in range(len(seqs)) if i not in failed]
         if done:
-            passed[done] = energy_drift_ok(sys, configs[done], h,
-                                           damped=damped)
+            passed[done] = energy_drift_ok(sys, configs[done], h)
         for a, k in enumerate(slots):
             hits = np.flatnonzero(passed[a * take:(a + 1) * take])
             if hits.size:
@@ -306,22 +307,14 @@ def sample_rest_trajectories(sys: LagrangianSystem, count: int, h: float, T: int
 
 
 def add_noise(traj: Trajectory, sigma: float, rng) -> Trajectory:
-    """Add zero-mean Gaussian noise to every configuration entry.
-
-    ``rng`` is an integer seed (recorded in the result) or a Generator.
-    """
+    """Add zero-mean Gaussian noise drawn from the Generator ``rng`` to
+    every configuration entry; the result keeps ``traj.seed``."""
     if not 0 <= sigma < np.inf:  # NaN fails it too
         raise ValueError("sigma must be finite and non-negative")
-    if isinstance(rng, (int, np.integer)):
-        seed = int(rng)
-        gen = np.random.default_rng(seed)
-    else:
-        seed = traj.seed
-        gen = rng
-    noise = gen.normal(0.0, sigma, size=traj.configs.shape) if sigma > 0 \
+    noise = rng.normal(0.0, sigma, size=traj.configs.shape) if sigma > 0 \
         else np.zeros_like(traj.configs)
     return Trajectory(configs=traj.configs + noise, h=traj.h,
-                      system=traj.system, seed=seed, sigma=sigma)
+                      system=traj.system, seed=traj.seed, sigma=sigma)
 
 
 # -- trajectory files ---------------------------------------------------------

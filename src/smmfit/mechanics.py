@@ -48,10 +48,12 @@ class LagrangianSystem:
     potential_hessian, force_jacobian_q and force_jacobian_qdot.  Every
     hook takes (K, n) rows of q (and q̇) and returns (K, ...) arrays:
     M is (K, n, n), V is (K,), F and ∇V are (K, n), ∇²V and the force
-    Jacobians are (K, n, n).
+    Jacobians are (K, n, n).  ``damped`` is true when F dissipates
+    energy; it picks the energy gate of generated data.
     """
 
     n: int
+    damped: bool
 
 
 @dataclass
@@ -156,7 +158,7 @@ def del_arm(sys: LagrangianSystem, a, b, h: float) -> tuple:
 
 
 def del_vector(sys: LagrangianSystem, triple: ConfigTriple,
-               left: tuple | None = None) -> np.ndarray:
+               left: tuple) -> np.ndarray:
     """Discrete Euler-Lagrange vector
     D₂L_d(q1,q2) + D₁L_d(q2,q3) + ½(F_d(q1,q2) + F_d(q2,q3))
     of the midpoint rule L_d(a, b) = h L((a+b)/2, (b−a)/h), and likewise
@@ -165,11 +167,11 @@ def del_vector(sys: LagrangianSystem, triple: ConfigTriple,
     Its slot derivatives reduce to
     D₁L_d = (h/2)∂L/∂q − ∂L/∂q̇ and D₂L_d = (h/2)∂L/∂q + ∂L/∂q̇,
     each evaluated at that pair's midpoint state, with ∂L/∂q̇ = M q̇.
-    ``left`` is the `del_arm` of (q1, q2) when the caller already has it.
+    ``left`` is the `del_arm` of (q1, q2), which a Newton solve for q3
+    forms once.
     """
     h = triple.h
-    ga, pa, fa = del_arm(sys, triple.q1, triple.q2, h) if left is None \
-        else left
+    ga, pa, fa = left
     gb, pb, fb = del_arm(sys, triple.q2, triple.q3, h)
     return (ga + pa) + (gb - pb) + 0.5 * h * (fa + fb)
 

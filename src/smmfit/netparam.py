@@ -138,12 +138,12 @@ class FlatParams:
             raise ValueError("length does not match layout")
 
 
-def init_params(rng, arch: ArchConfig) -> FlatParams:
+def init_params(seed: int, arch: ArchConfig) -> FlatParams:
     """Scaled-uniform U(±1/√fan_in) weights and biases, zero log-scales.
 
     Slots are drawn in layout order, each layer's W then its b.
     """
-    gen = np.random.default_rng(rng) if isinstance(rng, (int, np.integer)) else rng
+    gen = np.random.default_rng(seed)
     layout = ParamLayout(arch)
     values = np.zeros(layout.total)
     for key, shape, s, e in layout.slots:

@@ -203,8 +203,7 @@ class EmResult:
     smooth: SmoothResult
 
 
-def em_fit(y: np.ndarray, dt: float, iters: int = EM_ITERS,
-           gain_tol: float = EM_GAIN_TOL) -> EmResult:
+def em_fit(y: np.ndarray, dt: float) -> EmResult:
     """Fit R, m0, P0 by EM with the process covariance held at FIXED_Q.
 
     Closed-form M-steps:
@@ -214,20 +213,19 @@ def em_fit(y: np.ndarray, dt: float, iters: int = EM_ITERS,
     beyond that is a bug in the updates, not a data property.
 
     `y` is (T, K): K series fitted at once.  Each series stops on its
-    own gain test; a finished series keeps the model and smooth of its
-    last E-step and leaves the batch.
+    own gain test (`EM_GAIN_TOL`) or after `EM_ITERS` M-steps; a finished
+    series keeps the model and smooth of its last E-step and leaves the
+    batch.
     """
-    if iters < 1:
-        raise ValueError("need at least one EM iteration")
     Y = np.asarray(y, dtype=np.float64)
     T, K = Y.shape
     # per-series means run over a contiguous last axis, as for one series
     yk = np.ascontiguousarray(Y.T)
-    r0 = np.var(np.diff(yk, axis=1), axis=1) if T > 1 else np.ones(K)
+    r0 = np.var(np.diff(yk, axis=1), axis=1)
     A = transition_matrix(dt)
     Q = FIXED_Q
     R = np.maximum(r0, R_FLOOR)
-    v0 = (Y[1] - Y[0]) / dt if T > 1 else np.zeros(K)
+    v0 = (Y[1] - Y[0]) / dt
     m0 = np.stack([Y[0], v0, np.zeros(K)], axis=1)
     P0 = np.broadcast_to(np.diag([1.0, 1.0, 10.0]), (K, 3, 3)).copy()
 
@@ -237,7 +235,7 @@ def em_fit(y: np.ndarray, dt: float, iters: int = EM_ITERS,
     logliks: list[list] = [[] for _ in range(K)]
     iterations = [0] * K
     active = np.arange(K)
-    for it in range(iters + 1):
+    for it in range(EM_ITERS + 1):
         model = LdsModel(A=A, Q=Q, R=R, m0=m0, P0=P0)
         filt = kalman_filter(model, Y[:, active])
         gain = np.full(active.size, np.inf)
@@ -251,9 +249,9 @@ def em_fit(y: np.ndarray, dt: float, iters: int = EM_ITERS,
             logliks[k].append(filt.loglik[j])
         smooth = rts_smooth(model, filt)
 
-        # after `iters` M-steps every series stops on an E-step, so the
-        # returned smooth matches the returned model
-        done = gain < gain_tol if it < iters else np.ones(active.size, bool)
+        # after `EM_ITERS` M-steps every series stops on an E-step, so
+        # the returned smooth matches the returned model
+        done = (gain < EM_GAIN_TOL) | (it == EM_ITERS)
         if done.any():
             k = active[done]
             fit_R[k], fit_m0[k], fit_P0[k] = R[done], m0[done], P0[done]
@@ -351,8 +349,8 @@ def save_smoothed(straj: SmoothedTrajectory, path) -> None:
 
 def load_smoothed(path) -> SmoothedTrajectory:
     """Read a CSV + sidecar `save_smoothed` wrote; a header that is not
-    `t` and (q_j, qdot_j, qddot_j) triples raises ValueError naming the
-    file."""
+    `t` and (q_j, qdot_j, qddot_j) triples, or a sidecar split other than
+    "", train, val and test, raises ValueError naming the file."""
     header, data = read_csv(path)
     n = (len(header) - 1) // 3
     if n < 1 or header != _smoothed_header(n):
@@ -363,6 +361,10 @@ def load_smoothed(path) -> SmoothedTrajectory:
     qdot = data[:, 2 + 3 * np.arange(n)]
     qddot = data[:, 3 + 3 * np.arange(n)]
     meta = read_sidecar(path)
+    split = meta.get("split", "")
+    if split not in ("", "train", "val", "test"):
+        raise ValueError(f"{path}: sidecar split {split!r} is not one of "
+                         "'', 'train', 'val' and 'test'")
     return SmoothedTrajectory(q=q, qdot=qdot, qddot=qddot, h=meta["h"],
-                              split=meta.get("split", ""),
+                              split=split,
                               fits=meta.get("fits", []))

@@ -128,10 +128,6 @@ class Batch:
     def __len__(self) -> int:
         return next(iter(self.data.values())).shape[0]
 
-    def take(self, idx) -> "Batch":
-        return Batch(self.kind, {k: v[idx] for k, v in self.data.items()},
-                     self.h)
-
     @cached_property
     def columns(self) -> dict:
         """The fields as feature-major (n, N) arrays, transposed once."""
@@ -140,7 +136,7 @@ class Batch:
     def gather(self, keys, idx=None) -> list:
         """The fields ``keys`` of the tuples ``idx`` (all without) as
         feature-major (n, B) arrays: columns of `columns`, which equal a
-        transpose of the rows ``take(idx)`` would give."""
+        transpose of those tuples' rows."""
         cols = self.columns
         return [cols[k] if idx is None else cols[k].take(idx, 1)
                 for k in keys]
@@ -543,7 +539,7 @@ def del_loss_grad(params: FlatParams, batch: Batch,
     ``inputs`` is what `train` already holds for its tuple set ``batch``:
     (the indices of the tuples that make the loss, the set's pair table,
     (the mass state at θ, the rows of those tuples' q2 there) or None).
-    Then the loss is the one of ``batch.take(idx)``, whose rows the
+    Then the loss is the one of a batch of those tuples, whose rows the
     barrier reads only without a mass state.  Without ``inputs`` both
     come from the batch alone: `_pair_table` and, when mu is not 0, a
     mass state at its q2 rows.  Either way the residual and barrier
@@ -554,8 +550,8 @@ def del_loss_grad(params: FlatParams, batch: Batch,
 def accel_loss_grad(params: FlatParams, batch: Batch, idx=None):
     """(loss, gradient): mean squared acceleration error over all entries
     of the tuples ``idx`` of ``batch`` (all without), which is the loss of
-    ``batch.take(idx)``: `train` passes its tuple set and each batch's
-    indices."""
+    a batch of those tuples: `train` passes its tuple set and each
+    batch's indices."""
     return _loss_grad(params, _accel_loss(params, batch, idx))
 
 

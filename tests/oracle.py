@@ -19,6 +19,8 @@
 - The smoother's former matrix-form Kalman filter and EM, which take
   the observation row C as a product where the library selects the
   position.
+- Two drivers of the library: `del_rows` forms the DEL vector's first
+  arm as the integrator does, and `take` cuts a sub-batch of tuples.
 """
 
 from functools import lru_cache, partial
@@ -145,6 +147,19 @@ class Rows(mech.LagrangianSystem):
         one = getattr(self.inner, hook)
         return lambda *rows: np.array([one(*point) for point in zip(*rows)],
                                       dtype=np.float64)
+
+
+def del_rows(sys, triple) -> np.ndarray:
+    """The library's DEL vector of rows of triples, its (q1, q2) arm
+    formed first, as `integrators.variational_step` forms it."""
+    return mech.del_vector(sys, triple,
+                           mech.del_arm(sys, triple.q1, triple.q2, triple.h))
+
+
+def take(batch, idx):
+    """The tuples ``idx`` of a `training.Batch` as a batch of their own."""
+    return tr.Batch(batch.kind, {k: v[idx] for k, v in batch.data.items()},
+                    batch.h)
 
 
 # -- the one-point mechanics path ----------------------------------------------

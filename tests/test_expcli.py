@@ -215,7 +215,7 @@ def test_evaluate_finite_and_permutation_invariant(smoothed_pool):
     res = cli.evaluate(params, b)
     assert np.isfinite(res.rmse) and res.failed == 0
     perm = np.random.default_rng(1).permutation(len(b))
-    again = cli.evaluate(params, b.take(perm))
+    again = cli.evaluate(params, oracle.take(b, perm))
     assert again.rmse == pytest.approx(res.rmse, rel=1e-12)
 
 
@@ -680,11 +680,20 @@ def test_cli_evaluate_rejects_a_wrong_coordinate_count(tmp_path, capsys,
     assert err.startswith(f"error: {data}: {file_n} coordinates")
 
 
+# a results cell whose sigma is a string, which plot used to format as
+# a number
+SIGMA_STRING = json.dumps({"cells": [dict(
+    system="undamped", sigma="0.1", method="del", xi0=0.01, seed=0,
+    rmse=0.5, failed_rows=0, reason="", best_epoch=1)]})
+
+
 @pytest.mark.parametrize("verb,text", [("evaluate", '{"arch": {}}'),
                                        ("plot", "not json"),
-                                       ("plot", "{}")],
+                                       ("plot", "{}"),
+                                       ("plot", SIGMA_STRING)],
                          ids=["checkpoint_without_n", "results_not_json",
-                              "results_without_cells"])
+                              "results_without_cells",
+                              "results_sigma_a_string"])
 def test_cli_malformed_checkpoint_or_results_exit_code(smoothed_pair,
                                                        tmp_path, capsys,
                                                        verb, text):
@@ -696,6 +705,70 @@ def test_cli_malformed_checkpoint_or_results_exit_code(smoothed_pair,
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: not a ")
+
+
+def test_cli_evaluate_rejects_mixed_step_sizes(tmp_path, capsys):
+    # the test batch has one step size, as train's batches do
+    q = np.random.default_rng(3).uniform(-1.0, 1.0, size=(10, 2))
+    files = []
+    for name, h in (("a", 0.05), ("b", 0.1)):
+        path = tmp_path / f"{name}.csv"
+        smo.save_smoothed(smo.SmoothedTrajectory(q=q, qdot=q, qddot=q, h=h),
+                          path)
+        files.append(str(path))
+    params = tmp_path / "params.json"
+    netp.save_params(netp.init_params(0, netp.ArchConfig(hidden=(4,))),
+                     params)
+    assert cli.main(["evaluate", *files, "--params", str(params)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "[0.05, 0.1]" in err
+
+
+@pytest.mark.parametrize("verb", ["generate", "smooth", "train",
+                                  "experiment", "plot"])
+def test_cli_out_that_is_a_file_exits_2_before_any_work(
+        smoothed_pair, tmp_path, capsys, monkeypatch, verb):
+    # every verb that writes checks --out, and the parents it would make,
+    # before it draws, reads, smooths or trains anything
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before --out was checked")
+
+    for mod, name in ((cli.integ, "sample_rest_trajectories"),
+                      (cli.integ, "load_trajectory"),
+                      (smo, "load_smoothed"), (smo, "smooth_trajectory"),
+                      (tr, "train"), (cli, "load_results")):
+        monkeypatch.setattr(mod, name, no_work)
+    taken = tmp_path / "taken"
+    taken.write_text("x")
+    data = sorted(map(str, smoothed_pair.glob("traj_*.csv")))
+    for out in (taken, taken / "sub"):
+        argv = {"generate": ["generate"],
+                "smooth": ["smooth", *data],
+                "train": ["train", *data, "--method", "accel"],
+                "experiment": ["experiment", "--trajectories", "4",
+                               "--steps", "20", "--seeds", "1"],
+                "plot": ["plot", "--results", str(data[0])]}[verb]
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: output directory {out}: "
+                                           f"{taken} is not a directory\n")
+    assert taken.read_text() == "x"
+
+
+def test_cli_train_refuses_an_unknown_split(smoothed_pair, tmp_path, capsys):
+    # "validation" is no role: train used to drop the file and validate on
+    # its training data
+    files = sorted(map(str, smoothed_pair.glob("traj_*.csv")))
+    bad = tmp_path / "val.csv"
+    bad.write_bytes(Path(files[1]).read_bytes())
+    doc = json.loads(Path(files[1]).with_suffix(".json").read_text())
+    bad.with_suffix(".json").write_text(json.dumps({**doc,
+                                                    "split": "validation"}))
+    out = tmp_path / "fit"
+    assert cli.main(["train", files[0], str(bad), "--method", "accel",
+                     "--epochs", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: sidecar split 'validation'")
+    assert not out.exists()
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",

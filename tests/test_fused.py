@@ -201,7 +201,7 @@ def test_fused_del_on_shared_pairs(n, conservative, cut):
     # builds once; the point model builds each tuple's two pairs apart
     flat, _, _ = setup(n, conservative, 7)
     full, q = trajectory_batch(n, 60)
-    batch = full.take(CUTS[cut](len(full)))
+    batch = oracle.take(full, CUTS[cut](len(full)))
     alpha = tr.choose_alpha(flat, q)
     dirs = oracle.directions(flat.layout, np.random.default_rng(len(batch)))
     for mu in (0.01, 0.0):
@@ -235,10 +235,10 @@ def test_del_builds_the_nets_once_per_distinct_pair(monkeypatch):
         return list(rows)
 
     assert mass_rows(batch) == [T - 1, T - 2]
-    one = batch.take([3])
+    one = oracle.take(batch, [3])
     one.data["q1"][0, 0] = 0.0
-    assert mass_rows(one.take([0, 0])) == [2, 2]
-    twin = one.take([0, 0])
+    assert mass_rows(oracle.take(one, [0, 0])) == [2, 2]
+    twin = oracle.take(one, [0, 0])
     twin.data["q1"][1, 0] = -0.0
     assert mass_rows(twin) == [3, 2]
 

