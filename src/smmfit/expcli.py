@@ -657,11 +657,17 @@ def _out_dir(path) -> Path:
 
 
 def _read(load, paths) -> list:
-    """Each file through ``load``; a malformed file is a usage error."""
+    """Each file through ``load``; a malformed file, or one that cannot
+    be read but exists, is a usage error."""
     try:
         return [load(p) for p in paths]
     except ValueError as err:
         raise ConfigError(str(err)) from err
+    except FileNotFoundError:
+        raise
+    except OSError as err:
+        raise ConfigError(f"cannot read {err.filename}: {err.strerror}") \
+            from err
 
 
 def cmd_generate(args) -> int:
@@ -702,7 +708,11 @@ def cmd_smooth(args) -> int:
     for name, traj in zip(args.data, trajs):
         groups.setdefault((traj.T, traj.h), []).append((name, traj.configs))
     for (_, h), files in groups.items():
-        smoothed = _smooth_stacked([data for _, data in files], h)
+        try:
+            smoothed = _smooth_stacked([data for _, data in files], h)
+        except smo.NumericalDegeneracyError as err:
+            raise ConfigError(f"cannot smooth {', '.join(n for n, _ in files)}"
+                              f": {err}") from err
         for (name, _), st in zip(files, smoothed):
             smo.save_smoothed(st, out / Path(name).name)
     _log.info("smoothed %d files into %s", len(args.data), out)

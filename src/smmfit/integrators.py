@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .mechanics import (ConfigTriple, LagrangianSystem, del_arm,
-                        del_jacobian_q3, del_vector, rowdot)
+from .mechanics import (LagrangianSystem, del_arm, del_jacobian_q3,
+                        del_vector, rowdot)
 
 _log = logging.getLogger("smmfit.integrators")
 
@@ -122,14 +122,19 @@ def variational_step(sys: LagrangianSystem, q_prev, q_curr, h: float):
     convergence test and step length.  Returns (q_next, failed):
     ``failed`` maps the index of each row that did not converge to its
     NewtonConvergenceError or IntegrationBlowupError, and that row of
-    q_next means nothing.
+    q_next means nothing.  An ``h`` that is not finite and positive, or
+    ``q_prev`` and ``q_curr`` of different shapes, raise ValueError.
     """
     q_prev = np.asarray(q_prev, dtype=np.float64)
     q_curr = np.asarray(q_curr, dtype=np.float64)
+    if q_prev.shape != q_curr.shape:
+        raise ValueError("triple configurations differ in shape")
+    if not 0 < h < np.inf:
+        raise ValueError(f"step size must be finite and positive, got {h}")
     # the (q_prev, q_curr) arm of the DEL vector is fixed during the step
     left = del_arm(sys, q_prev, q_curr, h)
     q3 = 2.0 * q_curr - q_prev
-    r = del_vector(sys, ConfigTriple(q_prev, q_curr, q3, h), left)
+    r = del_vector(sys, left, q_curr, q3, h)
     residual = np.abs(r).max(axis=1)
     failed = {}
     live = np.arange(q3.shape[0])
@@ -137,8 +142,7 @@ def variational_step(sys: LagrangianSystem, q_prev, q_curr, h: float):
         live = live[~(residual[live] <= NEWTON_TOL)]
         if not live.size:
             return q3, failed
-        J = del_jacobian_q3(sys, ConfigTriple(q_prev[live], q_curr[live],
-                                              q3[live], h))
+        J = del_jacobian_q3(sys, q_curr[live], q3[live], h)
         dq, singular = _newton_directions(J, r[live])
         finite = np.all(np.isfinite(dq), axis=1)
         if not finite.all():
@@ -155,9 +159,8 @@ def variational_step(sys: LagrangianSystem, q_prev, q_curr, h: float):
         rows, lam, norm0 = live, np.ones(live.size), np.sqrt(rowdot(r0, r0))
         while rows.size:
             cand = q3[rows] - lam[:, None] * dq
-            rc = del_vector(sys, ConfigTriple(q_prev[rows], q_curr[rows],
-                                              cand, h),
-                            tuple(x[rows] for x in left))
+            rc = del_vector(sys, tuple(x[rows] for x in left),
+                            q_curr[rows], cand, h)
             better = np.sqrt(rowdot(rc, rc)) <= (1.0 - 1e-4 * lam) * norm0
             took = rows[better]
             q3[took], r[took] = cand[better], rc[better]
@@ -258,7 +261,7 @@ def energy_drift_ok(sys: LagrangianSystem, configs: np.ndarray,
 
 def sample_rest_trajectories(sys: LagrangianSystem, count: int, h: float,
                              T: int, seed: int,
-                             system: str = "") -> list[Trajectory]:
+                             system: str) -> list[Trajectory]:
     """Draw rest-start trajectories, angles uniform in ±ANGLE_RANGE.
 
     Each slot gets its own seed stream.  A draw whose rollout fails to
@@ -371,7 +374,11 @@ def read_sidecar(path) -> dict:
     """The sidecar of data file ``path``; its step ``h`` must be a
     positive number, or ValueError names the file."""
     with open(_sidecar(path)) as fh:
-        meta = json.load(fh)
+        try:
+            meta = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{path}: sidecar {_sidecar(path).name} is not "
+                             f"JSON: {err}") from None
     h = meta.get("h") if isinstance(meta, dict) else None
     if isinstance(h, bool) or not isinstance(h, (int, float)) \
             or not 0 < h < np.inf:

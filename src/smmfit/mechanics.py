@@ -3,8 +3,8 @@
 Continuous side: the forced Euler-Lagrange acceleration of
 L(q, q̇) = ½ q̇ᵀM(q)q̇ − V(q).  Discrete side: the discrete
 Euler-Lagrange (DEL) vector of the midpoint-rule discrete Lagrangian and
-force over a configuration triple, and its Jacobian in the last
-configuration for the variational integrator's Newton solve.
+force over three consecutive configurations, and its Jacobian in the
+last configuration for the variational integrator's Newton solve.
 
 Also the analytic double pendulum used as ground truth, and the
 library's one Cholesky factor and solve on (n, n, B) stacks, which both
@@ -20,7 +20,7 @@ it would get alone.  No reduction runs across rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -54,26 +54,6 @@ class LagrangianSystem:
 
     n: int
     damped: bool
-
-
-@dataclass
-class ConfigTriple:
-    """Rows of three consecutive configurations q1, q2, q3 at step h."""
-
-    q1: np.ndarray
-    q2: np.ndarray
-    q3: np.ndarray
-    h: float
-
-    def __post_init__(self):
-        self.q1 = np.asarray(self.q1, dtype=np.float64)
-        self.q2 = np.asarray(self.q2, dtype=np.float64)
-        self.q3 = np.asarray(self.q3, dtype=np.float64)
-        if not (self.q1.shape == self.q2.shape == self.q3.shape):
-            raise ValueError("triple configurations differ in shape")
-        if not 0 < self.h < np.inf:
-            raise ValueError(f"step size must be finite and positive, got "
-                             f"{self.h}")
 
 
 def rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -157,26 +137,25 @@ def del_arm(sys: LagrangianSystem, a, b, h: float) -> tuple:
             sys.force(m, v))
 
 
-def del_vector(sys: LagrangianSystem, triple: ConfigTriple,
-               left: tuple) -> np.ndarray:
+def del_vector(sys: LagrangianSystem, left: tuple, q2, q3,
+               h: float) -> np.ndarray:
     """Discrete Euler-Lagrange vector
     D₂L_d(q1,q2) + D₁L_d(q2,q3) + ½(F_d(q1,q2) + F_d(q2,q3))
     of the midpoint rule L_d(a, b) = h L((a+b)/2, (b−a)/h), and likewise
-    F_d(a, b) = h F((a+b)/2, (b−a)/h), one row per triple.
+    F_d(a, b) = h F((a+b)/2, (b−a)/h), one row per row of q2 and q3.
 
     Its slot derivatives reduce to
     D₁L_d = (h/2)∂L/∂q − ∂L/∂q̇ and D₂L_d = (h/2)∂L/∂q + ∂L/∂q̇,
     each evaluated at that pair's midpoint state, with ∂L/∂q̇ = M q̇.
     ``left`` is the `del_arm` of (q1, q2), which a Newton solve for q3
-    forms once.
+    forms once; q1 enters through it alone.
     """
-    h = triple.h
     ga, pa, fa = left
-    gb, pb, fb = del_arm(sys, triple.q2, triple.q3, h)
+    gb, pb, fb = del_arm(sys, q2, q3, h)
     return (ga + pa) + (gb - pb) + 0.5 * h * (fa + fb)
 
 
-def del_jacobian_q3(sys: LagrangianSystem, triple: ConfigTriple) -> np.ndarray:
+def del_jacobian_q3(sys: LagrangianSystem, q2, q3, h: float) -> np.ndarray:
     """Analytic ∂ del_vector / ∂q3 of each row, for the Newton solve.
 
     Only D₁L_d(q2,q3) and F_d(q2,q3) depend on q3; chain rule through the
@@ -186,9 +165,8 @@ def del_jacobian_q3(sys: LagrangianSystem, triple: ConfigTriple) -> np.ndarray:
       J[k,l] = (h/8) vᵀB_kl v + ½(A_k v)_l − (h/4) H[k,l]
                − ½(A_l v)_k − M[k,l]/h + (h/4) F_q[k,l] + ½ F_v[k,l]
     """
-    h = triple.h
-    m = 0.5 * (triple.q2 + triple.q3)
-    v = (triple.q3 - triple.q2) / h
+    m = 0.5 * (q2 + q3)
+    v = (q3 - q2) / h
     Av = np.einsum("bkij,bj->bki", sys.mass_jacobian(m), v)
     J = (h / 8.0) * np.einsum("bklij,bi,bj->bkl", sys.mass_hessian(m), v, v)
     J += 0.5 * Av
@@ -202,31 +180,25 @@ def del_jacobian_q3(sys: LagrangianSystem, triple: ConfigTriple) -> np.ndarray:
 
 @dataclass
 class DoublePendulum(LagrangianSystem):
-    """Planar double pendulum of uniform rods, hinged end to end.
+    """Planar double pendulum of uniform unit rods of unit mass, hinged
+    end to end, under g = 10.
 
     Configuration is (q1, q2): first rod angle from vertical, second rod
-    angle relative to the first.  Optional joint damping −η ∘ q̇.
+    angle relative to the first.  When ``damped``, joint damping −η ∘ q̇.
     """
 
-    m1: float = 1.0
-    m2: float = 1.0
-    l1: float = 1.0
-    l2: float = 1.0
-    g: float = 10.0
-    eta: np.ndarray = field(default_factory=lambda: np.array([0.5, 0.5]))
     damped: bool = False
     n: ClassVar[int] = 2
-
-    def __post_init__(self):
-        self.eta = np.asarray(self.eta, dtype=np.float64).ravel()
-        for name in ("m1", "m2", "l1", "l2", "g"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.eta.shape != (2,) or np.any(self.eta <= 0):
-            raise ValueError("eta must be two positive entries")
-        self.I1 = self.m1 * self.l1 ** 2 / 3.0
-        self.I2 = self.m2 * self.l2 ** 2 / 3.0
-        self._c = self.m2 * self.l1 * self.l2
+    m1: ClassVar[float] = 1.0
+    m2: ClassVar[float] = 1.0
+    l1: ClassVar[float] = 1.0
+    l2: ClassVar[float] = 1.0
+    g: ClassVar[float] = 10.0
+    eta: ClassVar[np.ndarray] = np.array([0.5, 0.5])
+    eta.setflags(write=False)
+    I1: ClassVar[float] = m1 * l1 ** 2 / 3.0
+    I2: ClassVar[float] = m2 * l2 ** 2 / 3.0
+    _c: ClassVar[float] = m2 * l1 * l2
 
     # each hook runs the one-point expression on columns of the rows
 

@@ -548,7 +548,7 @@ def chol_solve_t(L, b):
 
 # -- checkpoint files ---------------------------------------------------------
 
-def save_params(params: FlatParams, path, seed: int | None = None) -> None:
+def save_params(params: FlatParams, path, seed: int) -> None:
     """JSON checkpoint: architecture, flat parameter vector, seed."""
     arch = params.layout.arch
     blob = {

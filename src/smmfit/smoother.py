@@ -62,20 +62,19 @@ def transition_matrix(dt: float) -> np.ndarray:
 class LdsModel:
     """Per-coordinate linear dynamical system.
 
-    A and Q are shared by the K series, which observe their position
-    (C = e₁).  R, m0 and P0 hold one entry per series, (K,), (K, 3) and
-    (K, 3, 3), or one value that broadcasts to them.
+    A and the process covariance `FIXED_Q` are shared by the K series,
+    which observe their position (C = e₁).  R, m0 and P0 hold one entry
+    per series, (K,), (K, 3) and (K, 3, 3), or one value that broadcasts
+    to them.
     """
 
     A: np.ndarray
-    Q: np.ndarray
     R: float | np.ndarray
     m0: np.ndarray
     P0: np.ndarray
 
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=np.float64)
-        self.Q = np.asarray(self.Q, dtype=np.float64)
         self.m0 = np.asarray(self.m0, dtype=np.float64)
         self.P0 = np.asarray(self.P0, dtype=np.float64)
         if np.any(np.asarray(self.R) <= 0):
@@ -95,7 +94,6 @@ class FilterResult:
 class SmoothResult:
     means: np.ndarray        # T x K x 3, m_t|T
     covs: np.ndarray         # T x K x 3 x 3
-    loglik: np.ndarray       # (K,)
 
 
 def _bt(X: np.ndarray) -> np.ndarray:
@@ -117,7 +115,7 @@ def kalman_filter(model: LdsModel, y: np.ndarray) -> FilterResult:
     """
     Y = np.asarray(y, dtype=np.float64)
     T, K = Y.shape
-    A, Q = model.A, model.Q
+    A = model.A
     At = np.ascontiguousarray(A.T)
     d = A.shape[0]
     R = np.broadcast_to(np.asarray(model.R, dtype=np.float64), (K,))
@@ -134,7 +132,8 @@ def kalman_filter(model: LdsModel, y: np.ndarray) -> FilterResult:
             m, P = pred_means[t], pred_covs[t]
             if t > 0:
                 np.matmul(A, means[t - 1][:, :, None], out=m[:, :, None])
-                np.add(np.matmul(np.matmul(A, covs[t - 1]), At), Q, out=P)
+                np.add(np.matmul(np.matmul(A, covs[t - 1]), At), FIXED_Q,
+                       out=P)
             s = np.add(P[:, 0, 0], R, out=S[t])
             e = np.subtract(Y[t], m[:, 0], out=innov[t])
             Kg = P[:, :, 0] / s[:, None]
@@ -192,7 +191,7 @@ def rts_smooth(model: LdsModel, filt: FilterResult) -> SmoothResult:
         ms[t] = fm[t] + np.matmul(G[t], dm)[:, :, 0]
         Ps[t] = fc[t] + np.matmul(np.matmul(G[t], Ps[t + 1] - pc[t + 1]),
                                   _bt(G[t]))
-    return SmoothResult(ms, Ps, filt.loglik)
+    return SmoothResult(ms, Ps)
 
 
 @dataclass
@@ -200,7 +199,7 @@ class EmResult:
     model: LdsModel
     logliks: list           # one list per series
     iterations: list        # E-steps run, one count per series
-    smooth: SmoothResult
+    means: np.ndarray       # T x K x 3, the smoothed m_t|T
 
 
 def em_fit(y: np.ndarray, dt: float) -> EmResult:
@@ -214,8 +213,8 @@ def em_fit(y: np.ndarray, dt: float) -> EmResult:
 
     `y` is (T, K): K series fitted at once.  Each series stops on its
     own gain test (`EM_GAIN_TOL`) or after `EM_ITERS` M-steps; a finished
-    series keeps the model and smooth of its last E-step and leaves the
-    batch.
+    series keeps the model and smoothed means of its last E-step and
+    leaves the batch.
     """
     Y = np.asarray(y, dtype=np.float64)
     T, K = Y.shape
@@ -223,20 +222,18 @@ def em_fit(y: np.ndarray, dt: float) -> EmResult:
     yk = np.ascontiguousarray(Y.T)
     r0 = np.var(np.diff(yk, axis=1), axis=1)
     A = transition_matrix(dt)
-    Q = FIXED_Q
     R = np.maximum(r0, R_FLOOR)
     v0 = (Y[1] - Y[0]) / dt
     m0 = np.stack([Y[0], v0, np.zeros(K)], axis=1)
     P0 = np.broadcast_to(np.diag([1.0, 1.0, 10.0]), (K, 3, 3)).copy()
 
     fit_R, fit_m0, fit_P0 = np.empty(K), np.empty((K, 3)), np.empty((K, 3, 3))
-    out = SmoothResult(np.empty((T, K, 3)), np.empty((T, K, 3, 3)),
-                       np.empty(K))
+    means = np.empty((T, K, 3))
     logliks: list[list] = [[] for _ in range(K)]
     iterations = [0] * K
     active = np.arange(K)
     for it in range(EM_ITERS + 1):
-        model = LdsModel(A=A, Q=Q, R=R, m0=m0, P0=P0)
+        model = LdsModel(A=A, R=R, m0=m0, P0=P0)
         filt = kalman_filter(model, Y[:, active])
         gain = np.full(active.size, np.inf)
         if it > 0:
@@ -250,14 +247,12 @@ def em_fit(y: np.ndarray, dt: float) -> EmResult:
         smooth = rts_smooth(model, filt)
 
         # after `EM_ITERS` M-steps every series stops on an E-step, so
-        # the returned smooth matches the returned model
+        # the returned means match the returned model
         done = (gain < EM_GAIN_TOL) | (it == EM_ITERS)
         if done.any():
             k = active[done]
             fit_R[k], fit_m0[k], fit_P0[k] = R[done], m0[done], P0[done]
-            out.means[:, k] = smooth.means[:, done]
-            out.covs[:, k] = smooth.covs[:, done]
-            out.loglik[k] = smooth.loglik[done]
+            means[:, k] = smooth.means[:, done]
             for i in k:
                 iterations[i] = it + 1
         keep = ~done
@@ -272,8 +267,8 @@ def em_fit(y: np.ndarray, dt: float) -> EmResult:
                        R_FLOOR)
         m0, P0 = smooth.means[0, keep], smooth.covs[0, keep]
 
-    model = LdsModel(A=A, Q=Q, R=fit_R, m0=fit_m0, P0=fit_P0)
-    return EmResult(model, logliks, iterations, out)
+    model = LdsModel(A=A, R=fit_R, m0=fit_m0, P0=fit_P0)
+    return EmResult(model, logliks, iterations, means)
 
 
 @dataclass
@@ -324,7 +319,7 @@ def smooth_trajectory(observations: np.ndarray,
         "iterations": res.iterations[j],
         "logliks": [float(v) for v in res.logliks[j]],
     } for j in range(y.shape[1])]
-    means = res.smooth.means
+    means = res.means
     return SmoothedTrajectory(q=np.ascontiguousarray(means[:, :, 0]),
                               qdot=np.ascontiguousarray(means[:, :, 1]),
                               qddot=np.ascontiguousarray(means[:, :, 2]),

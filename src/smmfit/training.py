@@ -624,8 +624,7 @@ def mass_eigenvalues(params: FlatParams, configs) -> np.ndarray:
     return np.linalg.eigvalsh(M.transpose(2, 0, 1))
 
 
-def choose_alpha(params0: FlatParams, configs,
-                 fraction: float = ALPHA_FRACTION) -> float:
+def choose_alpha(params0: FlatParams, configs, fraction: float) -> float:
     """Barrier floor: a fraction of the smallest initial mass eigenvalue."""
     return fraction * float(mass_eigenvalues(params0, configs).min())
 

@@ -19,10 +19,13 @@
 - The smoother's former matrix-form Kalman filter and EM, which take
   the observation row C as a product where the library selects the
   position.
-- Two drivers of the library: `del_rows` forms the DEL vector's first
-  arm as the integrator does, and `take` cuts a sub-batch of tuples.
+- `Triple`, three consecutive configurations (one point's or rows) at
+  a step, and two drivers of the library: `del_rows` forms the DEL
+  vector's first arm as the integrator does, and `take` cuts a
+  sub-batch of tuples.
 """
 
+from collections import namedtuple
 from functools import lru_cache, partial
 
 import numpy as np
@@ -116,7 +119,8 @@ def loss_gradient_cases(params, rng, B=6, h=0.05):
                      {"q": q1, "qdot": rng.uniform(-1, 1, (B, n)),
                       "qnext": q1 + dq,
                       "qdotnext": rng.uniform(-1, 1, (B, n))}, h)
-    alpha = tr.choose_alpha(params, np.concatenate([q1, q1 + dq]))
+    alpha = tr.choose_alpha(params, np.concatenate([q1, q1 + dq]),
+                            tr.ALPHA_FRACTION)
     return alpha, [
         (lambda v: tr.del_loss_grad(FlatParams(v, layout), bdel, 0.01,
                                     alpha)[0],
@@ -149,11 +153,16 @@ class Rows(mech.LagrangianSystem):
                                       dtype=np.float64)
 
 
+# three consecutive configurations at step h: one point's, or rows of them
+Triple = namedtuple("Triple", "q1 q2 q3 h")
+
+
 def del_rows(sys, triple) -> np.ndarray:
     """The library's DEL vector of rows of triples, its (q1, q2) arm
     formed first, as `integrators.variational_step` forms it."""
-    return mech.del_vector(sys, triple,
-                           mech.del_arm(sys, triple.q1, triple.q2, triple.h))
+    return mech.del_vector(sys, mech.del_arm(sys, triple.q1, triple.q2,
+                                             triple.h),
+                           triple.q2, triple.q3, triple.h)
 
 
 def take(batch, idx):
@@ -326,12 +335,12 @@ def variational_step(sys, q_prev, q_curr, h: float) -> np.ndarray:
     q_prev = np.asarray(q_prev, dtype=np.float64)
     q_curr = np.asarray(q_curr, dtype=np.float64)
     q3 = 2.0 * q_curr - q_prev
-    r = del_vector(sys, mech.ConfigTriple(q_prev, q_curr, q3, h))
+    r = del_vector(sys, Triple(q_prev, q_curr, q3, h))
     residual = float(np.abs(r).max())
     for _ in range(NEWTON_MAX_ITER):
         if residual <= NEWTON_TOL:
             return q3
-        J = del_jacobian_q3(sys, mech.ConfigTriple(q_prev, q_curr, q3, h))
+        J = del_jacobian_q3(sys, Triple(q_prev, q_curr, q3, h))
         try:
             dq = np.linalg.solve(J, r)
         except np.linalg.LinAlgError:
@@ -342,7 +351,7 @@ def variational_step(sys, q_prev, q_curr, h: float) -> np.ndarray:
         lam = 1.0
         while True:
             cand = q3 - lam * dq
-            rc = del_vector(sys, mech.ConfigTriple(q_prev, q_curr, cand, h))
+            rc = del_vector(sys, Triple(q_prev, q_curr, cand, h))
             if float(np.linalg.norm(rc)) <= (1.0 - 1e-4 * lam) * norm0:
                 q3, r = cand, rc
                 residual = float(np.abs(r).max())
@@ -479,7 +488,7 @@ def exact_traj(system, q0, h, T, split=""):
 
 def system_del_mean(system, batch):
     """Mean squared DEL residual of a system on del tuples."""
-    vals = [del_residual(system, mech.ConfigTriple(
+    vals = [del_residual(system, Triple(
         batch.data["q1"][i], batch.data["q2"][i], batch.data["q3"][i],
         batch.h)) for i in range(len(batch))]
     return float(np.mean(vals))
@@ -792,7 +801,7 @@ def matrix_kalman_filter(model, y, C=E1) -> smo.FilterResult:
     general (1, d) observation row, raising at the first degenerate step."""
     Y = np.asarray(y, dtype=np.float64)
     T, K = Y.shape
-    A, Q = model.A, model.Q
+    A, Q = model.A, smo.FIXED_Q
     c = np.asarray(C, dtype=np.float64).ravel()
     ccol = c[:, None]
     d = A.shape[0]
@@ -844,13 +853,12 @@ def matrix_em_fit(y, dt, iters=smo.EM_ITERS, gain_tol=smo.EM_GAIN_TOL):
     m0 = np.stack([Y[0], v0, np.zeros(K)], axis=1)
     P0 = np.broadcast_to(np.diag([1.0, 1.0, 10.0]), (K, 3, 3)).copy()
     fit_R, fit_m0, fit_P0 = np.empty(K), np.empty((K, 3)), np.empty((K, 3, 3))
-    out = smo.SmoothResult(np.empty((T, K, 3)), np.empty((T, K, 3, 3)),
-                           np.empty(K))
+    out = np.empty((T, K, 3))
     logliks = [[] for _ in range(K)]
     iterations = [0] * K
     active = np.arange(K)
     for it in range(iters + 1):
-        model = smo.LdsModel(A=A, Q=Q, R=R, m0=m0, P0=P0)
+        model = smo.LdsModel(A=A, R=R, m0=m0, P0=P0)
         filt = matrix_kalman_filter(model, Y[:, active])
         gain = np.full(active.size, np.inf)
         if it > 0:
@@ -863,9 +871,7 @@ def matrix_em_fit(y, dt, iters=smo.EM_ITERS, gain_tol=smo.EM_GAIN_TOL):
         if done.any():
             k = active[done]
             fit_R[k], fit_m0[k], fit_P0[k] = R[done], m0[done], P0[done]
-            out.means[:, k] = smooth.means[:, done]
-            out.covs[:, k] = smooth.covs[:, done]
-            out.loglik[k] = smooth.loglik[done]
+            out[:, k] = smooth.means[:, done]
             for i in k:
                 iterations[i] = it + 1
         keep = ~done
@@ -881,5 +887,5 @@ def matrix_em_fit(y, dt, iters=smo.EM_ITERS, gain_tol=smo.EM_GAIN_TOL):
         R = np.maximum(np.mean(resid ** 2 + cpc, axis=1), smo.R_FLOOR)
         m0 = means[:, 0]
         P0 = covs[:, 0]
-    model = smo.LdsModel(A=A, Q=Q, R=fit_R, m0=fit_m0, P0=fit_P0)
+    model = smo.LdsModel(A=A, R=fit_R, m0=fit_m0, P0=fit_P0)
     return smo.EmResult(model, logliks, iterations, out)

@@ -50,12 +50,13 @@ def test_1_integrator_satisfies_its_own_residual_check():
     # every generated trajectory must satisfy the stepping equation it
     # was produced from, at solver precision
     t0 = time.perf_counter()
-    trajs = integ.sample_rest_trajectories(SYS, 4, 0.05, 200, seed=0)
+    trajs = integ.sample_rest_trajectories(SYS, 4, 0.05, 200, seed=0,
+                                           system="undamped")
     worst = 0.0
     for traj in trajs:
         q = traj.configs
-        d = oracle.del_rows(SYS, mech.ConfigTriple(q[:-2], q[1:-1], q[2:],
-                                                   traj.h))
+        d = oracle.del_rows(SYS, oracle.Triple(q[:-2], q[1:-1], q[2:],
+                                               traj.h))
         worst = max(worst, np.abs(d).max())
     dt = time.perf_counter() - t0
     report("integrator self-consistency",
@@ -103,7 +104,7 @@ def test_3_gauge_and_scale_properties():
     qd = rng.uniform(-1.5, 1.5, (B, 2))
     h = 0.05
 
-    t3 = mech.ConfigTriple(q2 - dq, q2, q2 + dq2, h)
+    t3 = oracle.Triple(q2 - dq, q2, q2 + dq2, h)
     d0 = oracle.del_rows(sys_p, t3)
     a0 = mech.acceleration(sys_p, q2, qd)
     shift_err = max(np.abs(oracle.del_rows(sys_s, t3) - d0).max(),
@@ -115,7 +116,7 @@ def test_3_gauge_and_scale_properties():
     scale_acc_err = (np.abs(ag - a0).max(axis=1)
                      / np.maximum(np.abs(a0).max(axis=1), 1e-12)).max()
 
-    alpha = tr.choose_alpha(params, q2)
+    alpha = tr.choose_alpha(params, q2, tr.ALPHA_FRACTION)
     norms = [float(np.linalg.norm(oracle.barrier_grad(
         oracle.scale_params(params, g), q2, alpha)))
         for g in (1.0, 10.0, 100.0, 1000.0)]
@@ -200,7 +201,8 @@ def test_5_smoother_recovers_states_at_main_noise_level(monkeypatch):
     # moderate-energy regime where the fixed-bandwidth state-space model
     # is a valid description of the signal
     monkeypatch.setattr(integ, "ANGLE_RANGE", 0.4)
-    trajs = integ.sample_rest_trajectories(SYS, 4, 0.05, 200, seed=90)
+    trajs = integ.sample_rest_trajectories(SYS, 4, 0.05, 200, seed=90,
+                                           system="undamped")
     worst_pos = worst_vel_gap = 0.0
     all_ok = True
     for i, traj in enumerate(trajs):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from smmfit import expcli as cli
+from smmfit import integrators as integ
 from smmfit import netparam as netp
 from smmfit import smoother as smo
 from smmfit import training as tr
@@ -503,6 +504,43 @@ def test_cli_missing_input_file_exit_code(smoothed_pair, tmp_path, capsys):
     assert not (tmp_path / "smoothed").exists()
 
 
+@pytest.mark.parametrize("case", ["smooth", "train", "evaluate_params",
+                                  "plot", "sidecar"])
+def test_cli_input_that_is_a_directory_exits_2(smoothed_pair, tmp_path,
+                                               capsys, case):
+    # a directory read as a file is a usage error naming the path
+    (tmp_path / "raw").mkdir()
+    raw, out = str(tmp_path / "raw"), str(tmp_path / "out")
+    data = sorted(smoothed_pair.glob("traj_*.csv"))[0]
+    (tmp_path / "d.csv").write_bytes(data.read_bytes())
+    (tmp_path / "d.json").mkdir()
+    argv = {"smooth": ["smooth", raw, "--out", out],
+            "train": ["train", raw, "--method", "accel", "--out", out],
+            "evaluate_params": ["evaluate", str(data), "--params", raw],
+            "plot": ["plot", "--results", raw, "--out", out],
+            "sidecar": ["train", str(tmp_path / "d.csv"), "--method",
+                        "accel", "--out", out]}[case]
+    assert cli.main(argv) == 2
+    named = str(tmp_path / "d.json") if case == "sidecar" else raw
+    assert capsys.readouterr().err.startswith(f"error: cannot read {named}: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_smooth_overflow_exits_2_naming_its_group(tmp_path, capsys):
+    # a finite series whose filter overflows fails its (T, h) group alone
+    spikes = np.where(np.arange(20) % 2, 1e300, 0.0)[:, None]
+    files = []
+    for name, configs in (("calm", np.zeros((30, 1))), ("spiky", spikes),
+                          ("spiky2", spikes)):
+        path = tmp_path / f"{name}.csv"
+        integ.save_trajectory(integ.Trajectory(configs, 0.05), path)
+        files.append(str(path))
+    assert cli.main(["smooth", *files, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot smooth {files[1]}, {files[2]}: ")
+    assert files[0] not in err
+
+
 def test_cli_smooth_rejects_colliding_output_names(tmp_path, capsys):
     # outputs are named by their input's basename and sidecars by its stem
     for name, steps in (("a", "40"), ("b", "30")):
@@ -519,7 +557,8 @@ def test_cli_smooth_rejects_colliding_output_names(tmp_path, capsys):
 
 @pytest.mark.parametrize("case", ["header_only", "short", "ragged",
                                   "non_numeric", "non_finite", "no_h",
-                                  "zero_h", "unsmoothed", "smoothed_twice"])
+                                  "zero_h", "unsmoothed", "smoothed_twice",
+                                  "sidecar_not_json"])
 def test_cli_malformed_data_file_exit_code(tmp_path, capsys, case):
     # smooth, train and evaluate name a malformed data file in an error
     # line and exit 2 before writing anything
@@ -533,7 +572,8 @@ def test_cli_malformed_data_file_exit_code(tmp_path, capsys, case):
         meta = {"no_h": {}, "zero_h": {**meta, "h": 0}}.get(case, meta)
         path = tmp_path / f"{name}.csv"
         path.write_text("".join(",".join(r) + "\n" for r in [header, *rows]))
-        (tmp_path / f"{name}.json").write_text(json.dumps(meta))
+        (tmp_path / f"{name}.json").write_text(
+            "{h: 1}" if case == "sidecar_not_json" else json.dumps(meta))
         return str(path)
 
     raw = data_file("raw", ["t", "q1", "q2"], {"h": 0.05, "sigma": 0.1})
@@ -546,7 +586,7 @@ def test_cli_malformed_data_file_exit_code(tmp_path, capsys, case):
         sm, runs = raw, []
     params = tmp_path / "params.json"
     netp.save_params(netp.init_params(0, netp.ArchConfig(hidden=(4,))),
-                     params)
+                     params, seed=0)
     runs += [(["train", sm, "--method", "accel", "--out", "out"], sm),
              (["evaluate", sm, "--params", str(params)], sm)]
     if case == "smoothed_twice":
@@ -565,6 +605,8 @@ def test_cli_malformed_data_file_exit_code(tmp_path, capsys, case):
             assert "smmfit smooth" in err
         if case == "smoothed_twice":
             assert "already smoothed" in err
+        if case == "sidecar_not_json":
+            assert f"sidecar {Path(name).stem}.json is not JSON" in err
 
 
 @pytest.mark.parametrize("flag,value", [("--sigma", "-1"), ("--steps", "2"),
@@ -674,7 +716,7 @@ def test_cli_evaluate_rejects_a_wrong_coordinate_count(tmp_path, capsys,
                       data)
     params = tmp_path / "params.json"
     netp.save_params(netp.init_params(0, netp.ArchConfig(
-        n=checkpoint_n, hidden=(4,))), params)
+        n=checkpoint_n, hidden=(4,))), params, seed=0)
     assert cli.main(["evaluate", str(data), "--params", str(params)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {data}: {file_n} coordinates")
@@ -718,7 +760,7 @@ def test_cli_evaluate_rejects_mixed_step_sizes(tmp_path, capsys):
         files.append(str(path))
     params = tmp_path / "params.json"
     netp.save_params(netp.init_params(0, netp.ArchConfig(hidden=(4,))),
-                     params)
+                     params, seed=0)
     assert cli.main(["evaluate", *files, "--params", str(params)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "[0.05, 0.1]" in err

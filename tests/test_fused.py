@@ -40,7 +40,8 @@ def setup(n, conservative, B, seed=0):
         "nextstate": tr.Batch("nextstate", {"q": q1, "qdot": qd,
                                             "qnext": q2, "qdotnext": q3}, H),
     }
-    alpha = tr.choose_alpha(flat, np.vstack([q1, q2, q3]))
+    alpha = tr.choose_alpha(flat, np.vstack([q1, q2, q3]),
+                            tr.ALPHA_FRACTION)
     return flat, batches, alpha
 
 
@@ -202,7 +203,7 @@ def test_fused_del_on_shared_pairs(n, conservative, cut):
     flat, _, _ = setup(n, conservative, 7)
     full, q = trajectory_batch(n, 60)
     batch = oracle.take(full, CUTS[cut](len(full)))
-    alpha = tr.choose_alpha(flat, q)
+    alpha = tr.choose_alpha(flat, q, tr.ALPHA_FRACTION)
     dirs = oracle.directions(flat.layout, np.random.default_rng(len(batch)))
     for mu in (0.01, 0.0):
         assert_loss(lambda t: oracle.loss(t, flat.layout, batch, mu, alpha),

@@ -99,6 +99,15 @@ def test_variational_step_equilibrium_fixed_point():
     assert np.allclose(q3, 0.0, atol=1e-12)
 
 
+def test_variational_step_checks_its_step_and_shapes():
+    q = np.zeros((1, 2))
+    with pytest.raises(ValueError, match="differ in shape"):
+        integ.variational_step(DP, q, np.zeros((2, 2)), 0.05)
+    for h in (0.0, -0.05, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            integ.variational_step(DP, q, q, h)
+
+
 def test_variational_step_del_consistency():
     rng = np.random.default_rng(10)
     for sys in (DP, mech.DoublePendulum(damped=True)):
@@ -106,7 +115,7 @@ def test_variational_step_del_consistency():
         q2 = q1 + rng.uniform(-0.05, 0.05, size=(10, 2))
         q3, failed = integ.variational_step(sys, q1, q2, 0.05)
         assert failed == {}
-        d = oracle.del_rows(sys, mech.ConfigTriple(q1, q2, q3, 0.05))
+        d = oracle.del_rows(sys, oracle.Triple(q1, q2, q3, 0.05))
         assert np.linalg.norm(d, axis=1).max() <= 1e-9
 
 
@@ -148,7 +157,7 @@ def test_singular_jacobian_rejects_only_its_row():
     one = SingularWhereFar()
     q1 = np.array([[0.1, 0.2], [6.0, 6.0], [-0.3, 0.4], [7.0, 6.0]])
     q2 = q1 + np.array([[0.01, -0.02], [0.0, 0.0], [0.03, 0.01], [0.0, 0.0]])
-    r = oracle.del_rows(oracle.Rows(one), mech.ConfigTriple(
+    r = oracle.del_rows(oracle.Rows(one), oracle.Triple(
         q1, q2, 2 * q2 - q1, 0.05))
     assert np.abs(r[[1, 3]]).min() > 0.0
     q3, failed = integ.variational_step(oracle.Rows(one), q1, q2, 0.05)
@@ -180,7 +189,7 @@ def test_simulate_deterministic():
 
 def test_simulate_del_residuals_small():
     q = rollout(DP, [0.9, -0.5], 0.05, 100).configs
-    d = oracle.del_rows(DP, mech.ConfigTriple(q[:-2], q[1:-1], q[2:], 0.05))
+    d = oracle.del_rows(DP, oracle.Triple(q[:-2], q[1:-1], q[2:], 0.05))
     assert np.linalg.norm(d, axis=1).max() <= 10 * integ.NEWTON_TOL
 
 
@@ -205,7 +214,8 @@ def test_simulate_rows_equal_one_point_oracle(damped):
 
 def test_simulate_undamped_energy_bounded():
     # energy oscillates inside a narrow band on sampler-accepted rollouts
-    for traj in integ.sample_rest_trajectories(DP, 6, 0.05, 200, seed=21):
+    for traj in integ.sample_rest_trajectories(DP, 6, 0.05, 200, seed=21,
+                                               system="undamped"):
         E = midpoint_energy(DP, traj.configs, traj.h)
         assert np.abs(E - E[0]).max() <= 0.05 * (abs(E[0]) + 1.0)
 
@@ -282,8 +292,9 @@ def test_sample_rest_trajectories_contract():
 
 
 def test_sample_rest_trajectories_deterministic():
-    a = integ.sample_rest_trajectories(DP, 3, 0.05, 120, seed=9)
-    b = integ.sample_rest_trajectories(DP, 3, 0.05, 120, seed=9)
+    a, b = (integ.sample_rest_trajectories(DP, 3, 0.05, 120, seed=9,
+                                           system="undamped")
+            for _ in range(2))
     for x, y in zip(a, b):
         assert np.array_equal(x.configs, y.configs)
         assert x.seed == y.seed
@@ -323,7 +334,7 @@ def test_lockstep_pools_equal_one_point_oracle(shape, caplog):
 
 def test_protocol_pool_seed_0_counts_its_rejected_draws(caplog):
     caplog.set_level(logging.INFO, logger="smmfit.integrators")
-    integ.sample_rest_trajectories(DP, 8, 0.05, 100, 0)
+    integ.sample_rest_trajectories(DP, 8, 0.05, 100, 0, "undamped")
     assert _draws_line(caplog) == "rejected 2 of 10 trajectory draws"
 
 
@@ -336,7 +347,8 @@ def test_exhausted_tries_raise_as_one_at_a_time(caplog, monkeypatch):
                                         seed=0, angle_range=np.pi,
                                         max_tries=2)
     with pytest.raises(integ.DrawsExhaustedError) as got:
-        integ.sample_rest_trajectories(DP, 3, 0.05, 60, seed=0)
+        integ.sample_rest_trajectories(DP, 3, 0.05, 60, seed=0,
+                                       system="undamped")
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith("trajectory slot ")
     assert "all 2 draws" in str(got.value)

@@ -387,8 +387,8 @@ def test_smm_system_del_residual_gamma_squared():
             a = oracle.SmmSystem(p)
             b = oracle.SmmSystem(oracle.scale_params(p, gamma))
             for _ in range(5):
-                t = mech.ConfigTriple(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2),
-                                      rng.uniform(-1, 1, 2), 0.05)
+                t = oracle.Triple(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2),
+                                  rng.uniform(-1, 1, 2), 0.05)
                 assert np.isclose(oracle.del_residual(b, t),
                                   gamma ** 2 * oracle.del_residual(a, t),
                                   rtol=1e-9)
@@ -423,7 +423,7 @@ def test_checkpoint_layout_mismatch_rejected(tmp_path):
     import json
     p = npar.init_params(19, ARCH)
     path = tmp_path / "ckpt.json"
-    npar.save_params(p, path)
+    npar.save_params(p, path, seed=19)
     blob = json.loads(path.read_text())
     blob["layout"][0]["shape"] = [3, 3]
     path.write_text(json.dumps(blob))
@@ -439,7 +439,7 @@ def test_checkpoint_with_another_eps_or_activation_rejected(tmp_path, field,
     # model this library does not build, so it is refused, naming the file
     import json
     path = tmp_path / "ckpt.json"
-    npar.save_params(npar.init_params(20, ARCH), path)
+    npar.save_params(npar.init_params(20, ARCH), path, seed=20)
     blob = json.loads(path.read_text())
     assert (blob["arch"]["activation"], blob["arch"]["eps"]) == ("tanh", 0.001)
     blob["arch"][field] = value

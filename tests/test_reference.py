@@ -23,8 +23,15 @@ def load_sweep():
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
-def test_experiment_passes_the_perfbench_reference(workload, tmp_path):
+def test_experiment_passes_the_perfbench_reference(workload, tmp_path,
+                                                   capsys):
+    from smmfit import expcli
+
+    pool_functions = expcli.generate_pool, expcli.smooth_pool
     assert load_sweep().sweep(workload, range(1), tmp_path) == 0
+    # the data digest wraps the pool functions for the run alone
+    assert (expcli.generate_pool, expcli.smooth_pool) == pool_functions
+    assert f"{workload}: data sha256 " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("seeds", [("5", "3"), ("4", "4")])

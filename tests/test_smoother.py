@@ -16,8 +16,7 @@ E1 = oracle.E1.ravel()
 
 
 def triple_model(dt, R, m0=(0.0, 0.0, 0.0), P0=None):
-    return smo.LdsModel(A=smo.transition_matrix(dt),
-                        Q=smo.FIXED_Q, R=R,
+    return smo.LdsModel(A=smo.transition_matrix(dt), R=R,
                         m0=np.asarray(m0, dtype=np.float64),
                         P0=np.diag([1.0, 1.0, 10.0]) if P0 is None else P0)
 
@@ -91,15 +90,18 @@ def test_filter_rejects_bad_innovation():
         smo.kalman_filter(model, np.zeros((3, 1)))
 
 
-def random_model(K, seed):
+def random_model(K, seed, monkeypatch):
+    """A random model, with a random SPD process covariance set as the
+    filter's `FIXED_Q` for the test."""
     rng = np.random.default_rng(seed)
 
     def spd(*shape):
         B = rng.normal(size=shape + (3, 3))
         return np.matmul(B, B.swapaxes(-1, -2)) + 0.1 * np.eye(3)
 
-    return smo.LdsModel(A=smo.transition_matrix(rng.uniform(0.01, 0.1)),
-                        Q=spd(), R=rng.uniform(1e-3, 1.0, size=K),
+    A = smo.transition_matrix(rng.uniform(0.01, 0.1))
+    monkeypatch.setattr(smo, "FIXED_Q", spd())
+    return smo.LdsModel(A=A, R=rng.uniform(1e-3, 1.0, size=K),
                         m0=rng.normal(size=(K, 3)), P0=spd(K))
 
 
@@ -110,9 +112,9 @@ def random_series(T, K, seed):
 
 @pytest.mark.parametrize("K", [1, 5, 16])
 @pytest.mark.parametrize("T", [3, 40, 100])
-def test_filter_equals_matrix_oracle(K, T):
+def test_filter_equals_matrix_oracle(K, T, monkeypatch):
     # reading C = e1 as selections keeps every bit of the products
-    model = random_model(K, seed=100 * K + T)
+    model = random_model(K, seed=100 * K + T, monkeypatch=monkeypatch)
     y = random_series(T, K, seed=T + K)
     got = smo.kalman_filter(model, y)
     want = oracle.matrix_kalman_filter(model, y)
@@ -121,10 +123,10 @@ def test_filter_equals_matrix_oracle(K, T):
 
 
 @pytest.mark.parametrize("K", [1, 8])
-def test_filter_loglik_is_a_running_sum_in_t_order(K):
+def test_filter_loglik_is_a_running_sum_in_t_order(K, monkeypatch):
     # each series' terms added one t at a time from 0.0, as a loop adds
     # them; at K = 1 numpy's terms.sum(0) would sum pairwise
-    model = random_model(K, seed=7 + K)
+    model = random_model(K, seed=7 + K, monkeypatch=monkeypatch)
     y = random_series(100, K, seed=K)
     filt = smo.kalman_filter(model, y)
     S = filt.pred_covs[:, :, 0, 0] + np.asarray(model.R)
@@ -256,7 +258,7 @@ def sample_lds(model, T, seed):
     ys = np.empty(T)
     for t in range(T):
         if t > 0:
-            x = model.A @ x + rng.multivariate_normal(np.zeros(3), model.Q)
+            x = model.A @ x + rng.multivariate_normal(np.zeros(3), smo.FIXED_Q)
         ys[t] = E1 @ x + rng.normal(0.0, np.sqrt(model.R))
     return ys
 
@@ -274,7 +276,6 @@ def test_em_loglik_monotone_and_q_fixed():
     y = configs[0, :, :1] + rng.normal(0, 0.1, size=(200, 1))
     res = smo.em_fit(y, 0.05)
     assert np.all(np.diff(res.logliks[0]) >= -smo.EM_SLACK)
-    assert np.array_equal(res.model.Q, smo.FIXED_Q)
     assert res.iterations[0] == len(res.logliks[0])
 
 
@@ -300,8 +301,7 @@ def test_em_batch_equals_series(gain_tol, stops, monkeypatch):
     assert batch.iterations == stops
     for k in range(y.shape[1]):
         one = smo.em_fit(y[:, k:k + 1], 0.05)
-        assert np.array_equal(batch.smooth.means[:, k], one.smooth.means[:, 0])
-        assert np.array_equal(batch.smooth.covs[:, k], one.smooth.covs[:, 0])
+        assert np.array_equal(batch.means[:, k], one.means[:, 0])
         assert batch.model.R[k] == one.model.R[0]
         assert np.array_equal(batch.model.m0[k], one.model.m0[0])
         assert np.array_equal(batch.model.P0[k], one.model.P0[0])
@@ -323,9 +323,7 @@ def test_em_equals_matrix_oracle(K, T, monkeypatch):
     for name in ("R", "m0", "P0"):
         assert np.array_equal(getattr(got.model, name),
                               getattr(want.model, name)), name
-    for name in ("means", "covs", "loglik"):
-        assert np.array_equal(getattr(got.smooth, name),
-                              getattr(want.smooth, name)), name
+    assert np.array_equal(got.means, want.means)
 
 
 # -- smooth_trajectory --------------------------------------------------------

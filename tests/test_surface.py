@@ -1,7 +1,8 @@
 """Guards on the library surface: every public module-level function,
 class or constant in `src/smmfit` has a library caller or reader, a
 README entry as `module.name` or a perfbench probe wrapper, every
-optional parameter is passed by a library call, every
+optional parameter is passed by a library call, every dataclass
+field with a default is set by library code outside its class, every
 callable the probe wraps exists, only training imports the tape engine
 and only its `_loss_grad` reads it, the engine's public names are
 `Tape`, `Tensor` and `custom`, netparam imports only mechanics, the
@@ -11,6 +12,7 @@ module-level reductions."""
 
 import ast
 import builtins
+import dataclasses
 import importlib.util
 import re
 from pathlib import Path
@@ -144,6 +146,73 @@ def test_every_optional_parameter_has_a_library_caller():
                    and not any(passes(c, p, i) for c in by_name.get(fn, [])
                                + (through_variables if nested else [])))
     assert unset == []
+
+
+class FieldSetters(ast.NodeVisitor):
+    """What library code sets of dataclass fields, each with the class
+    whose body it sits in (None outside every class): ``calls`` holds
+    (class, called name, call), ``replaced`` (class, keyword) of each
+    `replace` call, ``assigned`` (class, attribute) of each assignment
+    or in-place update through an attribute, as ``x.f = ...``,
+    ``x.f += ...``, ``x.f[i] = ...`` and ``x.f.append(...)``."""
+
+    def __init__(self):
+        self.owner = None
+        self.calls, self.replaced, self.assigned = [], set(), set()
+
+    def visit_ClassDef(self, node):
+        outer, self.owner = self.owner, node.name
+        self.generic_visit(node)
+        self.owner = outer
+
+    def visit_Call(self, node):
+        f = node.func
+        name = getattr(f, "attr", getattr(f, "id", None))
+        self.calls.append((self.owner, name, node))
+        if name == "replace":
+            self.replaced |= {(self.owner, k.arg) for k in node.keywords}
+        if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Attribute):
+            self.assigned.add((self.owner, f.value.attr))
+        self.generic_visit(node)
+
+    def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Store):
+            self.assigned.add((self.owner, node.attr))
+        self.generic_visit(node)
+
+    def visit_Subscript(self, node):
+        if isinstance(node.ctx, ast.Store) \
+                and isinstance(node.value, ast.Attribute):
+            self.assigned.add((self.owner, node.value.attr))
+        self.generic_visit(node)
+
+
+def test_every_defaulted_field_is_set_by_the_library():
+    # a field's default is a constant unless some library code outside
+    # its class sets the field: by a constructor argument (keyword,
+    # position or **), by `replace(..., field=)`, or through an instance
+    setters = FieldSetters()
+    for path in sorted((ROOT / "src" / "smmfit").glob("*.py")):
+        setters.visit(ast.parse(path.read_text()))
+    classes = [cls for mod in MODS.values() for cls in vars(mod).values()
+               if dataclasses.is_dataclass(cls)
+               and cls.__module__ == mod.__name__]
+    unset = []
+    for cls in classes:
+        own = cls.__name__
+        named = {n for o, n in setters.replaced | setters.assigned
+                 if o != own}
+        calls = [c for o, name, c in setters.calls if name == own and o != own]
+        init = [f.name for f in dataclasses.fields(cls) if f.init]
+        for f in dataclasses.fields(cls):
+            if f.default is dataclasses.MISSING \
+                    and f.default_factory is dataclasses.MISSING:
+                continue
+            index = init.index(f.name) if f.name in init else None
+            if f.name not in named \
+                    and not any(passes(c, f.name, index) for c in calls):
+                unset.append(f"{own}.{f.name}")
+    assert sorted(unset) == []
 
 
 def test_every_name_perfbench_wraps_exists():

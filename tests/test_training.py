@@ -214,7 +214,7 @@ def test_del_loss_mu_zero_equals_residual_term(tiny):
     b = del_batch(tiny)
     params = netp.init_params(3, ARCH8)
     configs = np.concatenate([t.q for t in tiny if t.split != "val"])
-    alpha = tr.choose_alpha(params, configs)
+    alpha = tr.choose_alpha(params, configs, tr.ALPHA_FRACTION)
     rho, ld = oracle.del_loss_terms(params, b, alpha)
     assert tr.del_loss_grad(params, b, mu=0.0, alpha=alpha)[0] \
         == pytest.approx(rho)
@@ -228,7 +228,7 @@ def test_barrier_term_grows_by_n_log_gamma_per_decade(tiny):
     b = del_batch(tiny)
     params = netp.init_params(2, ARCH8)
     configs = np.concatenate([t.q for t in tiny if t.split != "val"])
-    alpha = tr.choose_alpha(params, configs)
+    alpha = tr.choose_alpha(params, configs, tr.ALPHA_FRACTION)
     ld = {}
     for gamma in (10.0, 100.0, 1000.0):
         _, ld[gamma] = oracle.del_loss_terms(
@@ -242,7 +242,7 @@ def test_del_loss_barrier_violation_raises(tiny):
     b = del_batch(tiny)
     params = netp.init_params(2, ARCH8)
     configs = np.concatenate([t.q for t in tiny if t.split != "val"])
-    alpha = tr.choose_alpha(params, configs)
+    alpha = tr.choose_alpha(params, configs, tr.ALPHA_FRACTION)
     shrunk = oracle.scale_params(params, 0.3)  # pushes min eig below alpha
     with pytest.raises(mech.NotPositiveDefiniteError):
         tr.del_loss_grad(shrunk, b, mu=0.01, alpha=alpha)
@@ -259,7 +259,7 @@ def test_del_gradient_matches_finite_differences(tiny):
     b = oracle.take(del_batch(tiny), np.arange(8))
     params = netp.init_params(4, ARCH8)
     configs = np.concatenate([t.q for t in tiny if t.split != "val"])
-    alpha = tr.choose_alpha(params, configs)
+    alpha = tr.choose_alpha(params, configs, tr.ALPHA_FRACTION)
     _, grad = tr.del_loss_grad(params, b, mu=0.01, alpha=alpha)
 
     def loss(v):
@@ -466,7 +466,7 @@ def test_barrier_gradient_norm_shrinks_with_scale(tiny):
     # gradient norm must fall monotonically over three decades
     params = netp.init_params(2, ARCH8)
     configs = np.concatenate([t.q for t in tiny if t.split != "val"])
-    alpha = tr.choose_alpha(params, configs)
+    alpha = tr.choose_alpha(params, configs, tr.ALPHA_FRACTION)
     norms = [np.linalg.norm(oracle.barrier_grad(
         oracle.scale_params(params, g), configs, alpha))
              for g in (1.0, 10.0, 100.0, 1000.0)]
@@ -479,7 +479,8 @@ def test_choose_alpha_is_half_the_minimum_eigenvalue(tiny):
     params = netp.init_params(7, ARCH8)
     configs = np.concatenate([t.q for t in tiny])
     eigs = tr.mass_eigenvalues(params, configs)
-    assert tr.choose_alpha(params, configs) == pytest.approx(0.5 * eigs.min())
+    assert tr.choose_alpha(params, configs, tr.ALPHA_FRACTION) \
+        == pytest.approx(0.5 * eigs.min())
     assert tr.choose_alpha(params, configs, fraction=0.25) \
         == pytest.approx(0.25 * eigs.min())
 
@@ -488,7 +489,7 @@ def test_barrier_finite_at_initialization(tiny):
     b = del_batch(tiny)
     params = netp.init_params(7, ARCH8)
     configs = np.concatenate([t.q for t in tiny if t.split != "val"])
-    alpha = tr.choose_alpha(params, configs)
+    alpha = tr.choose_alpha(params, configs, tr.ALPHA_FRACTION)
     assert alpha < tr.mass_eigenvalues(params, configs).min()
     rho, ld = oracle.del_loss_terms(params, b, alpha)
     assert np.isfinite(rho) and np.isfinite(ld)

@@ -77,7 +77,8 @@ def capture(netparam, training) -> dict:
                     nxt = training.Batch("nextstate", {
                         "q": q, "qdot": qd, "qnext": q + H * qd,
                         "qdotnext": qd + H * qdd}, H)
-                    alpha = training.choose_alpha(params, walk)
+                    alpha = training.choose_alpha(params, walk,
+                                                  training.ALPHA_FRACTION)
                     results = {
                         "del_mu0": training.del_loss_grad(params, dels, 0.0,
                                                           alpha),

@@ -15,11 +15,16 @@ per workload over every output file of its seeds, in path order, with
 the run's output directory (which config.json and results.json record)
 replaced by a fixed token, and beside it one sha256 per workload and
 training method over that method's records and the checkpoints they
-name, hashed the same way.  Two checkouts write byte-identical result
-files exactly when their digest lines match, so the byte-identity check
-of a change is one run in each checkout and a `diff` of the outputs; a
-change to one loss shows by the per-method lines that the other losses'
-outputs stayed byte-identical.  It reads `perfbench/` and writes nothing
+name, hashed the same way, and one sha256 per workload over each seed's
+generated observations and smoothed pool (configurations, smoothed
+states and fit info), taken from the `expcli.generate_pool` and
+`expcli.smooth_pool` calls of the run itself, wrapped at their module
+attributes as the probe wraps them.  Two checkouts write byte-identical
+result files exactly when their digest lines match, so the byte-identity
+check of a change is one run in each checkout and a `diff` of the
+outputs; a change to one loss shows by the per-method lines that the
+other losses' outputs stayed byte-identical, and the data line whether
+generation or smoothing moved.  It reads `perfbench/` and writes nothing
 outside its temporary directory.
 The exit code is 1 when a cell failed or a seed has no reference, 2 when
 STOP is not greater than FIRST, else 0.
@@ -29,6 +34,7 @@ re-recording the reference (ROADMAP rule 0).
 """
 
 import argparse
+import contextlib
 import hashlib
 import importlib.util
 import json
@@ -82,6 +88,34 @@ def add_file(digest, path: Path, out: Path, tmp: Path) -> None:
                   + b"\0")
 
 
+@contextlib.contextmanager
+def hashing_data(expcli, data):
+    """Within the block, ``expcli.generate_pool`` and
+    ``expcli.smooth_pool`` feed each call's noisy observations and
+    smoothed pool to ``data``."""
+    generate, smooth = expcli.generate_pool, expcli.smooth_pool
+
+    def generate_pool(config):
+        clean, observed = generate(config)
+        for traj in observed:
+            data.update(traj.configs.tobytes())
+        return clean, observed
+
+    def smooth_pool(observed, h):
+        pool = smooth(observed, h)
+        for st in pool:
+            for x in (st.q, st.qdot, st.qddot):
+                data.update(x.tobytes())
+            data.update(json.dumps(st.fits).encode())
+        return pool
+
+    expcli.generate_pool, expcli.smooth_pool = generate_pool, smooth_pool
+    try:
+        yield
+    finally:
+        expcli.generate_pool, expcli.smooth_pool = generate, smooth
+
+
 def sweep(name: str, seeds, tmp: Path) -> int:
     """Run and judge one workload's seeds; return the failed-cell count."""
     from smmfit import expcli
@@ -89,7 +123,7 @@ def sweep(name: str, seeds, tmp: Path) -> int:
     config = run.BENCH / "workloads" / f"{name}.json"
     failed = 0
     worst = dict.fromkeys(run.CLOSE_KEYS, (0.0, None))
-    digest = hashlib.sha256()
+    digest, data = hashlib.sha256(), hashlib.sha256()
     per_method = {}
     for seed in seeds:
         reference = run.load_reference(name, seed)
@@ -98,8 +132,9 @@ def sweep(name: str, seeds, tmp: Path) -> int:
             failed += 1
             continue
         out = tmp / f"{name}-s{seed}"
-        expcli.main(["experiment", "--config", str(config), "--seed",
-                     str(seed), "--out", str(out)])
+        with hashing_data(expcli, data):
+            expcli.main(["experiment", "--config", str(config), "--seed",
+                         str(seed), "--out", str(out)])
         got = cells(out) if (out / "results.json").is_file() else []
         for path in sorted(p for p in out.rglob("*") if p.is_file()):
             add_file(digest, path, out, tmp)
@@ -132,6 +167,9 @@ def sweep(name: str, seeds, tmp: Path) -> int:
                       for k, (d, s) in worst.items()), flush=True)
     print(f"{name}: sha256 {digest.hexdigest()} of the output files of "
           f"seeds {seeds.start}-{seeds.stop - 1}", flush=True)
+    print(f"{name}: data sha256 {data.hexdigest()} of the observations and "
+          f"smoothed pools of seeds {seeds.start}-{seeds.stop - 1}",
+          flush=True)
     for method, mine in sorted(per_method.items()):
         print(f"{name}: {method} sha256 {mine.hexdigest()} of its records "
               f"and checkpoints of seeds {seeds.start}-{seeds.stop - 1}",
