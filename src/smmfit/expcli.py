@@ -702,19 +702,22 @@ def cmd_smooth(args) -> int:
         seen[stem] = name
     out = _out_dir(args.out)
     trajs = _read(integ.load_trajectory, args.data)
-    out.mkdir(parents=True, exist_ok=True)
-    # files sharing T and h smooth as one batch of series
+    # files sharing T and h smooth as one batch of series; every group
+    # smooths before any file is written, so a failed group leaves none
     groups = {}
     for name, traj in zip(args.data, trajs):
         groups.setdefault((traj.T, traj.h), []).append((name, traj.configs))
+    done = []
     for (_, h), files in groups.items():
         try:
             smoothed = _smooth_stacked([data for _, data in files], h)
         except smo.NumericalDegeneracyError as err:
             raise ConfigError(f"cannot smooth {', '.join(n for n, _ in files)}"
                               f": {err}") from err
-        for (name, _), st in zip(files, smoothed):
-            smo.save_smoothed(st, out / Path(name).name)
+        done += zip((name for name, _ in files), smoothed)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, st in done:
+        smo.save_smoothed(st, out / Path(name).name)
     _log.info("smoothed %d files into %s", len(args.data), out)
     return 0
 

@@ -29,12 +29,14 @@ import numpy as np
 class NotPositiveDefiniteError(Exception):
     """A factorization hit a nonpositive or non-finite pivot.
 
-    ``pivot`` is the zero-based index of the first failing pivot.
+    ``pivot`` is the zero-based index of the first failing pivot, and
+    ``row`` the first row of the stack that fails it.
     """
 
-    def __init__(self, pivot: int, value: float):
+    def __init__(self, pivot: int, value: float, row: int):
         self.pivot = pivot
         self.value = value
+        self.row = row
         super().__init__(f"matrix not positive definite: pivot {pivot} = {value:.6g}")
 
 
@@ -67,7 +69,7 @@ def cholesky(M: np.ndarray, shift: float):
     which only the lower triangle is read.  M - shift I is positive
     definite exactly when every pivot is positive; the first that is not
     (or not finite) in any row raises NotPositiveDefiniteError with its
-    index and its value in the first such row."""
+    index, the first such row and its value there."""
     n, _, B = M.shape
     S = np.zeros(M.shape)
     r, d = np.empty((2, n, B))
@@ -79,7 +81,8 @@ def cholesky(M: np.ndarray, shift: float):
             if i == j:
                 ok = (acc > 0.0) & (acc < np.inf)
                 if not ok.all():
-                    raise NotPositiveDefiniteError(i, float(acc[ok.argmin()]))
+                    k = int(ok.argmin())
+                    raise NotPositiveDefiniteError(i, float(acc[k]), k)
                 np.sqrt(acc, out=S[i, i])
                 np.divide(1.0, S[i, i], out=r[i])
                 d[i] = acc

@@ -7,12 +7,18 @@ the initial-state distribution are fitted by EM with closed-form
 M-steps.  The RTS backward pass yields the (q̃, q̃̇, q̃̈) series used as
 regression targets and residual evaluation points.
 
-The filter, the smoother and EM run K independent series at once: a
-(T, K) observation array makes every time step one stacked numpy call
-on (K, 3, 3) arrays.  Each stacked call runs the same per-matrix
-BLAS/LAPACK kernel the one-series expression does, and every per-series
-reduction runs over a contiguous axis, so each series gets the bits it
-would get alone.
+The filter, the smoother and EM run K independent series at once on a
+(T, K) observation array.  Each series carries one state row per time
+step, `[m₀ m₁ m₂ | P₀₀ P₀₁ P₀₂ P₁₁ P₁₂ P₂₂]`: its mean and the six
+entries of its symmetric covariance.  A linear map x ↦ G x of the state
+acts on the row as one 9×9 matrix (G on the mean, G P Gᵀ on the six
+entries), so a predict step and an RTS step are one stacked product per
+series.  The update is the Joseph form with C = e₁ and the optimal gain,
+entry by entry; the RTS gains for every t come from one entry-major
+Cholesky solve.  Each stacked product runs the same per-matrix kernel
+the one-series expression does, every other operation is elementwise,
+and every per-series reduction runs over a contiguous axis, so each
+series gets the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .integrators import read_csv, read_sidecar, write_csv, write_sidecar
+from .mechanics import NotPositiveDefiniteError, cho_solve, cholesky
 
 _log = logging.getLogger("smmfit.smoother")
 
@@ -31,6 +38,22 @@ R_FLOOR = 1e-12
 EM_ITERS = 50
 EM_GAIN_TOL = 1e-6
 EM_SLACK = 1e-8
+
+# a state row's covariance entries (i, j), i <= j, in row order
+_IU = np.triu_indices(3)
+# each full-matrix entry's place in the row
+_FULL = 3 + np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+# The Joseph update on whole rows, f = c ⊙ x + g ⊙ w, with c `_KEEP`, g
+# the gain K = P[:, 0] / s read at `_GAIN`, and w = (y, R or 0) − c ⊙ x
+# read at `_ARM`: the mean m_j + K_j (y − m₀), row 0 of P as R K_j, and
+# P_ij − K_i P_0j below it
+_KEEP = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+_GAIN = _FULL[0, [0, 1, 2, 0, 1, 2, 1, 1, 2]]
+_ARM = np.array([0, 0, 0, 0, 0, 0, _FULL[0, 1], _FULL[0, 2], _FULL[0, 2]])
+# G P Gᵀ on the six entries: input (k, l) across, where an off-diagonal
+# P_kl stands for P_lk too
+_IN_K, _IN_L = _IU
+_CROSS = np.flatnonzero(_IN_K != _IN_L)
 
 
 class NumericalDegeneracyError(Exception):
@@ -58,6 +81,26 @@ def transition_matrix(dt: float) -> np.ndarray:
                      [0.0, 0.0, 1.0]])
 
 
+def covariances(rows: np.ndarray) -> np.ndarray:
+    """The (..., 3, 3) symmetric covariances of (..., 9) state rows."""
+    return rows[..., _FULL]
+
+
+def _row_map(G: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write into `out` (..., 9, 9) the map of a state row through each
+    G of an entry-major (3, 3, ...) stack: G on the mean and G P Gᵀ on
+    the six covariance entries, with zero blocks between them."""
+    out[..., :3, 3:] = 0.0
+    out[..., 3:, :3] = 0.0
+    out[..., :3, :3] = np.moveaxis(G, (0, 1), (-2, -1))
+    # one output entry (a, b) at a time keeps the temporaries small
+    for i, (a, b) in enumerate(zip(*_IU)):
+        cov = G[a, _IN_K] * G[b, _IN_L]
+        cov[_CROSS] += G[a, _IN_L[_CROSS]] * G[b, _IN_K[_CROSS]]
+        out[..., 3 + i, 3:] = np.moveaxis(cov, 0, -1)
+    return out
+
+
 @dataclass
 class LdsModel:
     """Per-coordinate linear dynamical system.
@@ -83,22 +126,14 @@ class LdsModel:
 
 @dataclass
 class FilterResult:
-    means: np.ndarray        # T x K x 3, posterior m_t|t
-    covs: np.ndarray         # T x K x 3 x 3
-    pred_means: np.ndarray   # T x K x 3, m_t|t-1 (m0 at t=0)
-    pred_covs: np.ndarray    # T x K x 3 x 3 (P0 at t=0)
+    rows: np.ndarray         # T x K x 9, posterior state rows at t|t
+    pred_rows: np.ndarray    # T x K x 9, at t|t-1 ((m0, P0) at t=0)
     loglik: np.ndarray       # (K,)
 
 
 @dataclass
 class SmoothResult:
-    means: np.ndarray        # T x K x 3, m_t|T
-    covs: np.ndarray         # T x K x 3 x 3
-
-
-def _bt(X: np.ndarray) -> np.ndarray:
-    """Transpose each matrix of a stack."""
-    return X.swapaxes(-1, -2)
+    rows: np.ndarray         # T x K x 9, state rows at t|T
 
 
 def kalman_filter(model: LdsModel, y: np.ndarray) -> FilterResult:
@@ -106,48 +141,49 @@ def kalman_filter(model: LdsModel, y: np.ndarray) -> FilterResult:
 
     The state at the first observation is the prior (m0, P0) itself; the
     transition applies between observations.  `y` is (T, K): T
-    observations of each of K series, filtered at once.  With C = e₁,
-    c P cᵀ, P cᵀ and C m are P[:, 0, 0], P[:, :, 0] and m[:, 0]: the
-    products' values on finite covariances.  A degenerate series runs on
-    to the end; the error then names the first bad t and series, of an
-    innovation variance that is not positive and finite first, then of a
-    non-finite filtered mean or covariance.
+    observations of each of K series, filtered at once.  With C = e₁ and
+    the optimal gain K = P[:, 0] / s, the Joseph form
+    (I − K c) P (I − K c)ᵀ + R K Kᵀ leaves R K in row 0 and
+    P_ij − K_i P_0j below it.  A degenerate series runs on to the end;
+    the error then names the first bad t and series, of an innovation
+    variance that is not positive and finite first, then of a
+    non-finite filtered state row.
     """
     Y = np.asarray(y, dtype=np.float64)
     T, K = Y.shape
-    A = model.A
-    At = np.ascontiguousarray(A.T)
-    d = A.shape[0]
     R = np.broadcast_to(np.asarray(model.R, dtype=np.float64), (K,))
-    means, pred_means = np.empty((2, T, K, d))
-    covs, pred_covs = np.empty((2, T, K, d, d))
-    S, innov = np.empty((2, T, K))
-    eye = np.eye(d)
-    # I − K c: the identity but for column 0, which each step rewrites
-    IKC = np.broadcast_to(eye, (K, d, d)).copy()
-    Rb = R[:, None, None]
-    pred_means[:1], pred_covs[:1] = model.m0, model.P0
+    # one (9, 9) by (9, 1) product per series: one (K, 9) by (9, 9)
+    # product would round K = 1 differently.  Each series has its own
+    # copy of the map, which matmul runs faster than a broadcast one
+    step = _row_map(model.A, np.empty((K, 9, 9)))
+    q = np.zeros(9)
+    q[3:] = FIXED_Q[_IU]
+    # w's terms that do not depend on the prediction: y, R and 0
+    obs = np.zeros((T, K, 9))
+    obs[:, :, :3] = Y[:, :, None]
+    obs[:, :, 3:6] = R[:, None]
+    rows, pred = np.empty((2, T, K, 9))
+    S = np.empty((T, K))
+    pred[0, :, :3] = model.m0
+    pred[0, :, 3:] = model.P0[..., _IU[0], _IU[1]]
+    rows_v, pred_v = rows.reshape(T, K, 9, 1), pred.reshape(T, K, 9, 1)
     with np.errstate(all="ignore"):
         for t in range(T):
-            m, P = pred_means[t], pred_covs[t]
+            x = pred[t]
             if t > 0:
-                np.matmul(A, means[t - 1][:, :, None], out=m[:, :, None])
-                np.add(np.matmul(np.matmul(A, covs[t - 1]), At), FIXED_Q,
-                       out=P)
-            s = np.add(P[:, 0, 0], R, out=S[t])
-            e = np.subtract(Y[t], m[:, 0], out=innov[t])
-            Kg = P[:, :, 0] / s[:, None]
-            np.add(m, Kg * e[:, None], out=means[t])
-            np.subtract(eye[:, 0], Kg, out=IKC[:, :, 0])
-            np.add(np.matmul(np.matmul(IKC, P), _bt(IKC)),
-                   (Kg[:, :, None] * Kg[:, None, :]) * Rb, out=covs[t])
+                np.matmul(step, rows_v[t - 1], out=pred_v[t])
+                np.add(x, q, out=x)
+            s = np.add(x[:, 3], R, out=S[t])
+            g = x.take(_GAIN, axis=1) / s[:, None]
+            w = obs[t] - x.take(_ARM, axis=1) * _KEEP
+            np.add(x * _KEEP, g * w, out=rows[t])
+        innov = Y - pred[:, :, 0]
     bad = (S <= 0) | ~np.isfinite(S)
     if bad.any():
         t, k = np.argwhere(bad)[0]
         raise NumericalDegeneracyError(
             f"innovation variance {S[t, k]} at t={t} in series {k}")
-    bad = ~(np.isfinite(means).all(axis=2)
-            & np.isfinite(covs).all(axis=(2, 3)))
+    bad = ~np.isfinite(rows).all(axis=2)
     if bad.any():
         t, k = np.argwhere(bad)[0]
         raise NumericalDegeneracyError(
@@ -157,41 +193,54 @@ def kalman_filter(model: LdsModel, y: np.ndarray) -> FilterResult:
     terms = np.zeros((T + 1, K))
     terms[1:] = -0.5 * (np.log(2.0 * np.pi * S) + innov * innov / S)
     loglik = np.add.accumulate(terms)[-1]
-    return FilterResult(means, covs, pred_means, pred_covs, loglik)
+    return FilterResult(rows, pred, loglik)
+
+
+def _gains(A: np.ndarray, f: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Gᵀ = P_{t+1|t}⁻¹ A P_t|t, the transposed RTS gain, for each column
+    of entry-major (3, 3, N) stacks f of P_t|t and p of P_{t+1|t}: A P_t|t
+    entry by entry, then one Cholesky solve.  Raises
+    NotPositiveDefiniteError at the first pivot of p that fails."""
+    AP = sum(A[:, k, None, None] * f[k] for k in range(3))
+    L, r, _ = cholesky(p, 0.0)
+    return cho_solve(L, r, AP)
 
 
 def rts_smooth(model: LdsModel, filt: FilterResult) -> SmoothResult:
     """Rauch-Tung-Striebel backward pass.
 
     The gains G_t = P_t|t Aᵀ P_{t+1|t}⁻¹ depend on the filter output
-    alone, so all T − 1 of them come from one stacked solve before the
-    backward recursion.
+    alone, so all (T − 1) K of them come from one stacked solve before
+    the backward recursion, in the order the recursion meets them; a
+    predicted covariance that is not positive definite raises at the
+    first failing pivot, naming the t the recursion meets first there.
     """
-    A = model.A
-    fm, fc, pm, pc = filt.means, filt.covs, filt.pred_means, filt.pred_covs
-    T, K, d = fm.shape
-    # G = P_t|t A' P_pred^{-1}, via solve on the symmetric P_pred
+    T, K, _ = filt.rows.shape
+    N = (T - 1) * K
+
+    def entry_major(rows):
+        return np.moveaxis(rows, 2, 0)[_FULL].reshape(3, 3, N)
+
     try:
-        G = _bt(np.linalg.solve(pc[1:], _bt(np.matmul(fc[:-1], A.T))))
-    except np.linalg.LinAlgError:
-        # name the singular t+1 the backward recursion meets first
-        for t in range(T - 2, -1, -1):
-            try:
-                np.linalg.solve(pc[t + 1], _bt(np.matmul(fc[t], A.T)))
-            except np.linalg.LinAlgError:
-                raise NumericalDegeneracyError(
-                    f"singular predicted covariance at t={t + 1}") from None
-        raise
-    ms = np.empty((T, K, d))
-    Ps = np.empty((T, K, d, d))
-    ms[-1] = fm[-1]
-    Ps[-1] = fc[-1]
-    for t in range(T - 2, -1, -1):
-        dm = (ms[t + 1] - pm[t + 1])[:, :, None]
-        ms[t] = fm[t] + np.matmul(G[t], dm)[:, :, 0]
-        Ps[t] = fc[t] + np.matmul(np.matmul(G[t], Ps[t + 1] - pc[t + 1]),
-                                  _bt(G[t]))
-    return SmoothResult(ms, Ps)
+        # P_t|t and P_{t+1|t}, t = T − 2 down to 0
+        Gt = _gains(model.A, entry_major(filt.rows[-2::-1]),
+                    entry_major(filt.pred_rows[:0:-1]))
+    except NotPositiveDefiniteError as err:
+        raise NumericalDegeneracyError(
+            "singular predicted covariance at "
+            f"t={T - 1 - err.row // K}") from None
+    step = _row_map(Gt.swapaxes(0, 1), np.empty((N, 9, 9)))
+    step = step.reshape(T - 1, K, 9, 9)
+    rows = np.empty_like(filt.rows)
+    rows[-1] = filt.rows[-1]
+    rows_v = rows.reshape(T, K, 9, 1)
+    pred_v = filt.pred_rows.reshape(T, K, 9, 1)
+    d = np.empty((K, 9, 1))
+    for i, t in enumerate(range(T - 2, -1, -1)):
+        np.subtract(rows_v[t + 1], pred_v[t + 1], out=d)
+        np.matmul(step[i], d, out=rows_v[t])
+        rows[t] += filt.rows[t]
+    return SmoothResult(rows)
 
 
 @dataclass
@@ -214,13 +263,15 @@ def em_fit(y: np.ndarray, dt: float) -> EmResult:
     `y` is (T, K): K series fitted at once.  Each series stops on its
     own gain test (`EM_GAIN_TOL`) or after `EM_ITERS` M-steps; a finished
     series keeps the model and smoothed means of its last E-step and
-    leaves the batch.
+    leaves the batch.  A series too large for the initial R's squares
+    gets an infinite R, which the filter reports.
     """
     Y = np.asarray(y, dtype=np.float64)
     T, K = Y.shape
     # per-series means run over a contiguous last axis, as for one series
     yk = np.ascontiguousarray(Y.T)
-    r0 = np.var(np.diff(yk, axis=1), axis=1)
+    with np.errstate(all="ignore"):
+        r0 = np.var(np.diff(yk, axis=1), axis=1)
     A = transition_matrix(dt)
     R = np.maximum(r0, R_FLOOR)
     v0 = (Y[1] - Y[0]) / dt
@@ -252,7 +303,7 @@ def em_fit(y: np.ndarray, dt: float) -> EmResult:
         if done.any():
             k = active[done]
             fit_R[k], fit_m0[k], fit_P0[k] = R[done], m0[done], P0[done]
-            means[:, k] = smooth.means[:, done]
+            means[:, k] = smooth.rows[:, done, :3]
             for i in k:
                 iterations[i] = it + 1
         keep = ~done
@@ -261,11 +312,12 @@ def em_fit(y: np.ndarray, dt: float) -> EmResult:
         active = active[keep]
         prev = filt.loglik[keep]
         # C-order (K, T), so each series' mean runs as it would alone
-        pos = np.ascontiguousarray(smooth.means[:, keep, 0].T)
-        var = np.ascontiguousarray(smooth.covs[:, keep, 0, 0].T)
+        pos = np.ascontiguousarray(smooth.rows[:, keep, 0].T)
+        var = np.ascontiguousarray(smooth.rows[:, keep, 3].T)
         R = np.maximum(np.mean((yk[active] - pos) ** 2 + var, axis=1),
                        R_FLOOR)
-        m0, P0 = smooth.means[0, keep], smooth.covs[0, keep]
+        start = smooth.rows[0, keep]
+        m0, P0 = start[:, :3], covariances(start)
 
     model = LdsModel(A=A, R=fit_R, m0=fit_m0, P0=fit_P0)
     return EmResult(model, logliks, iterations, means)

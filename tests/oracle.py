@@ -16,9 +16,11 @@
 - Mechanics references (the continuous and midpoint discrete Lagrangian
   and force, an RK4 step, the `system_*` scores of any system) and
   readouts of the library's loss graphs and barrier stage.
-- The smoother's former matrix-form Kalman filter and EM, which take
-  the observation row C as a product where the library selects the
-  position.
+- The smoother's former matrix-form Kalman filter, RTS pass and EM, on
+  (K, 3) means and (K, 3, 3) covariances: the filter takes the
+  observation row C as a product and the full Joseph form, and the RTS
+  gains come from `np.linalg.solve`, where the library carries one
+  9-entry state row per series.
 - `Triple`, three consecutive configurations (one point's or rows) at
   a step, and two drivers of the library: `del_rows` forms the DEL
   vector's first arm as the integrator does, and `take` cuts a
@@ -251,8 +253,9 @@ def cholesky(a: np.ndarray) -> np.ndarray:
                 piv = acc.real
                 ok = (piv > 0.0) & (piv < np.inf)
                 if not ok.all():
+                    k = int(np.ravel(ok).argmin())
                     raise mech.NotPositiveDefiniteError(
-                        i, float(np.ravel(piv)[np.ravel(ok).argmin()]))
+                        i, float(np.ravel(piv)[k]), k)
                 T[i, i] = np.sqrt(acc)
             else:
                 T[j, i] = acc * (1.0 / T[j, j])
@@ -796,7 +799,12 @@ def barrier_grad(params, configs, alpha):
 E1 = np.array([[1.0, 0.0, 0.0]])
 
 
-def matrix_kalman_filter(model, y, C=E1) -> smo.FilterResult:
+MatrixFilter = namedtuple("MatrixFilter",
+                          "means covs pred_means pred_covs loglik")
+MatrixSmooth = namedtuple("MatrixSmooth", "means covs")
+
+
+def matrix_kalman_filter(model, y, C=E1) -> MatrixFilter:
     """The filter with c P cᵀ, P cᵀ, C m and I − K c as products for a
     general (1, d) observation row, raising at the first degenerate step."""
     Y = np.asarray(y, dtype=np.float64)
@@ -835,12 +843,34 @@ def matrix_kalman_filter(model, y, C=E1) -> smo.FilterResult:
              + (Kg[:, :, None] * Kg[:, None, :]) * R[:, None, None])
         means[t] = m
         covs[t] = P
-    return smo.FilterResult(means, covs, pred_means, pred_covs, loglik)
+    return MatrixFilter(means, covs, pred_means, pred_covs, loglik)
+
+
+def matrix_rts_smooth(model, filt) -> MatrixSmooth:
+    """The RTS pass with all T − 1 gains G_t = P_t|t Aᵀ P_{t+1|t}⁻¹ from
+    one stacked `np.linalg.solve`, then the backward recursion on 3 × 3
+    matrices."""
+    A = model.A
+    fm, fc, pm, pc = filt.means, filt.covs, filt.pred_means, filt.pred_covs
+    T, K, d = fm.shape
+    G = np.linalg.solve(pc[1:], np.matmul(fc[:-1], A.T).swapaxes(-1, -2))
+    G = G.swapaxes(-1, -2)
+    ms = np.empty((T, K, d))
+    Ps = np.empty((T, K, d, d))
+    ms[-1] = fm[-1]
+    Ps[-1] = fc[-1]
+    for t in range(T - 2, -1, -1):
+        dm = (ms[t + 1] - pm[t + 1])[:, :, None]
+        ms[t] = fm[t] + np.matmul(G[t], dm)[:, :, 0]
+        Ps[t] = fc[t] + np.matmul(np.matmul(G[t], Ps[t + 1] - pc[t + 1]),
+                                  G[t].swapaxes(-1, -2))
+    return MatrixSmooth(ms, Ps)
 
 
 def matrix_em_fit(y, dt, iters=smo.EM_ITERS, gain_tol=smo.EM_GAIN_TOL):
-    """`smo.em_fit` on `matrix_kalman_filter`, with the M-step's C m and
-    C P Cᵀ as a matmul and an einsum over (K, T, ...) copies."""
+    """`smo.em_fit` on `matrix_kalman_filter` and `matrix_rts_smooth`,
+    with the M-step's C m and C P Cᵀ as a matmul and an einsum over
+    (K, T, ...) copies."""
     Y = np.asarray(y, dtype=np.float64)
     T, K = Y.shape
     yk = np.ascontiguousarray(Y.T)
@@ -866,7 +896,7 @@ def matrix_em_fit(y, dt, iters=smo.EM_ITERS, gain_tol=smo.EM_GAIN_TOL):
             gain = filt.loglik - prev
         for j, k in enumerate(active):
             logliks[k].append(filt.loglik[j])
-        smooth = smo.rts_smooth(model, filt)
+        smooth = matrix_rts_smooth(model, filt)
         done = gain < gain_tol if it < iters else np.ones(active.size, bool)
         if done.any():
             k = active[done]

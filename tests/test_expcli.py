@@ -4,6 +4,7 @@ import json
 import platform
 import re
 import resource
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -539,6 +540,27 @@ def test_cli_smooth_overflow_exits_2_naming_its_group(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot smooth {files[1]}, {files[2]}: ")
     assert files[0] not in err
+
+
+def test_cli_smooth_writes_nothing_when_a_group_fails(tmp_path, capsys):
+    # the calm group smooths first and the spiky one fails: no file of
+    # either group is written, and only the error line is printed
+    spikes = np.where(np.arange(25) % 2, 1e300, 0.0)[:, None]
+    files = []
+    for name, configs in (("calm", np.zeros((30, 1))), ("spiky", spikes)):
+        path = tmp_path / f"{name}.csv"
+        integ.save_trajectory(integ.Trajectory(configs, 0.05), path)
+        files.append(str(path))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["smooth", *files, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (f"error: cannot smooth {files[1]}: "
+                                    "innovation variance inf at t=0 in "
+                                    "series 0")
+    assert "Warning" not in err
+    assert not out.exists()
 
 
 def test_cli_smooth_rejects_colliding_output_names(tmp_path, capsys):

@@ -1,8 +1,8 @@
 """`tools/loss_capture.py`, rule 0's capture-and-match gate for a change
-that moves bits: a checkout matches its own capture exactly, a capture
-moved past ``--rtol`` or missing an entry fails, and a 1-ulp move passes
-the default rtol but not ``--rtol 0``, the gate for a change meant to
-keep bits."""
+that moves bits, on the losses and the smoother's EM fits: a checkout
+matches its own capture exactly, a capture moved past ``--rtol`` or
+missing an entry fails, and a 1-ulp move passes the default rtol but not
+``--rtol 0``, the gate for a change meant to keep bits."""
 
 import importlib.util
 from pathlib import Path
@@ -30,9 +30,13 @@ def test_a_checkout_matches_its_own_capture(tmp_path, capsys):
     assert out.rstrip().endswith(": ok")
     with np.load(path) as f:
         want = {k: f[k] for k in f.files}
-    # every quantity of the grid: n x force net x seeds x batch sizes
+    # every quantity of the loss grid: n x force net x seeds x batch
+    # sizes, then the smoother's: means, R, m0 and P0 per (K, T) case
+    # and one log-likelihood trace per series
     cases = len(tool.NS) * 2 * len(tool.SEEDS) * len(tool.SIZES)
-    assert len(want) == 10 * cases
+    fits = len(tool.SERIES) * len(tool.STEPS)
+    assert len(want) == 10 * cases + 4 * fits \
+        + sum(tool.SERIES) * len(tool.STEPS)
     assert f"{len(want)} of {len(want)} arrays bit-identical" in out
 
     got = dict(want)

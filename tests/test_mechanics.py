@@ -466,7 +466,7 @@ def test_cholesky_rows_raise_for_one_bad_row():
     A = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2)])
     with pytest.raises(NotPositiveDefiniteError) as e:
         mech.cholesky(stack(A), 0.0)
-    assert e.value.pivot == 1 and e.value.value == -3.0
+    assert (e.value.pivot, e.value.value, e.value.row) == (1, -3.0, 1)
     # row 17 of 40 fails only at its last pivot; the others are fine,
     # also with the shift below
     rng = np.random.default_rng(104)
@@ -475,12 +475,12 @@ def test_cholesky_rows_raise_for_one_bad_row():
     # pivots 4, 2 - 1 = 1, 0.5 - 0 - 1 = -0.5
     with pytest.raises(NotPositiveDefiniteError) as e:
         mech.cholesky(stack(A), 0.0)
-    assert (e.value.pivot, e.value.value) == (2, -0.5)
+    assert (e.value.pivot, e.value.value, e.value.row) == (2, -0.5, 17)
     # the shift is taken off every pivot before the test
     A[17] = 2.0 * np.eye(3)
     with pytest.raises(NotPositiveDefiniteError) as e:
         mech.cholesky(stack(A), 2.0)
-    assert (e.value.pivot, e.value.value) == (0, 0.0)
+    assert (e.value.pivot, e.value.value, e.value.row) == (0, 0.0, 17)
 
 
 @pytest.mark.parametrize("entry,pivot", [((0, 0), 0), ((1, 1), 1),
@@ -492,6 +492,7 @@ def test_cholesky_raises_for_a_non_finite_entry(entry, pivot, bad):
     with pytest.raises(NotPositiveDefiniteError) as e:
         mech.cholesky(stack(A), 0.0)
     assert e.value.pivot == pivot and not 0.0 < e.value.value < np.inf
+    assert e.value.row == 3
 
 
 def test_cho_solve_matches_dense_solve():

@@ -742,7 +742,7 @@ def test_train_del_step_without_a_mass_state_cuts_its_batch(tiny, mu,
     def fail_first(theta_v, layout, Q, shift):
         if not seen:
             seen.append(None)
-            raise mech.NotPositiveDefiniteError(0, -1.0)
+            raise mech.NotPositiveDefiniteError(0, -1.0, 0)
         return shifted(theta_v, layout, Q, shift)
 
     def both(params, batch, *args):

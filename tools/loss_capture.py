@@ -1,5 +1,6 @@
-"""Capture the model's losses, gradients and predictions on a fixed grid,
-or check a checkout against such a capture.
+"""Capture the model's losses, gradients and predictions and the
+smoother's EM fits on fixed grids, or check a checkout against such a
+capture.
 
     python3 tools/loss_capture.py --src PARENT/src --save before.npz
     python3 tools/loss_capture.py --compare before.npz [--rtol 1e-10]
@@ -14,8 +15,11 @@ library default (32, 32).  Each case records the `del` loss and gradient
 at mu = 0 and 0.01 (alpha from `choose_alpha` over the batch's
 configurations), the `accel` and `nextstate` losses and gradients, and
 `predicted_accelerations` and `mass_entries_t` at the accel batch's rows.
-Only public functions are called, so any checkout since the three losses
-took their present signatures can be captured.
+The smoother's grid is K = 1, 8 and 16 random-walk series of T = 3, 40
+and 100 steps at h = 0.05; each case records `em_fit`'s smoothed means,
+its model's R, m0 and P0, and each series' log-likelihood trace.  Only
+public functions are called, so any checkout since the three losses and
+`em_fit` took their present signatures can be captured.
 
 ``--src`` names the `src` directory whose smmfit is imported (default:
 this checkout's).  ``--compare`` prints, per quantity, the worst over the
@@ -37,21 +41,23 @@ H = 0.05
 NS = (1, 2, 3)
 SIZES = (1, 7, 32, 196, 256)
 SEEDS = (0, 1)
+SERIES = (1, 8, 16)
+STEPS = (3, 40, 100)
 
 
 def import_smmfit(src: Path):
-    """smmfit's training and netparam modules from ``src``."""
+    """smmfit's netparam, training and smoother modules from ``src``."""
     src = src.resolve()
     sys.path.insert(0, str(src))
     import smmfit
-    from smmfit import netparam, training
+    from smmfit import netparam, smoother, training
     if Path(smmfit.__file__).resolve().parent != src / "smmfit":
         raise SystemExit(f"error: smmfit imported from {smmfit.__file__}, "
                          f"not {src}")
-    return netparam, training
+    return netparam, training, smoother
 
 
-def capture(netparam, training) -> dict:
+def capture(netparam, training, smoother) -> dict:
     """Every quantity of every grid case, keyed "case/quantity"."""
     import numpy as np
 
@@ -94,6 +100,17 @@ def capture(netparam, training) -> dict:
                         training.predicted_accelerations(params, q, qd)
                     out[f"{case}/mass_entries_t"] = \
                         netparam.mass_entries_t(params, q)
+    for K in SERIES:
+        for T in STEPS:
+            case = f"em_K{K}_T{T}"
+            rng = np.random.default_rng([K, T])
+            y = np.cumsum(rng.normal(scale=0.1, size=(T, K)), axis=0)
+            fit = smoother.em_fit(y, H)
+            out[f"{case}/means"] = fit.means
+            for name in ("R", "m0", "P0"):
+                out[f"{case}/{name}"] = np.asarray(getattr(fit.model, name))
+            for k, trace in enumerate(fit.logliks):
+                out[f"{case}_s{k}/logliks"] = np.array(trace)
     return out
 
 
